@@ -626,8 +626,9 @@ def integral_rescale(
     )
 
     mu = 1
+    bad: list[int] = []  # stays empty when max_scalar_search <= 0
     for attempt in range(max_scalar_search):
-        bad: list[int] = []
+        bad = []
         basis_rows = x_vecs + [vec_scale(Fraction(mu), xp) for xp in xp_vecs]
         basis_mat = ExactMatrix.from_rows(basis_rows, cols=nK)
         for a in range(len(basis_rows)):

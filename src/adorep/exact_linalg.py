@@ -1,22 +1,29 @@
 """Exact linear algebra over the integers and rationals.
 
-Matrices carry Fraction entries and are immutable; integer normal-form
-algorithms (Hermite, Smith) run on plain Python ints internally and wrap
+Matrices carry Fraction entries and are immutable.  They are stored as
+sparse rows (only the nonzero entries), so every kernel costs time in the
+number of nonzeros rather than the number of cells; integer normal-form
+algorithms (Hermite, Smith) and RREF run on dense working copies and wrap
 their results back into matrices.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, str, Fraction]
 Vec = tuple[Fraction, ...]
+Row = dict[int, Fraction]  # column index -> nonzero entry
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# Shared by every row without nonzeros; rows are never mutated once built.
+_EMPTY_ROW: Row = {}
 
 
 class NonIntegralMatrixError(ValueError):
@@ -35,16 +42,8 @@ def zero_vector(n: int) -> Vec:
     return (ZERO,) * n
 
 
-def unit_vector(n: int, i: int) -> Vec:
-    return tuple(ONE if j == i else ZERO for j in range(n))
-
-
 def vec_add(u: Vec, v: Vec) -> Vec:
     return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_sub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
 def vec_scale(c: Fraction, v: Vec) -> Vec:
@@ -55,35 +54,94 @@ def is_zero_vector(v: Vec) -> bool:
     return all(a == 0 for a in v)
 
 
-@dataclass(frozen=True)
-class ExactMatrix:
-    """Immutable matrix of Fractions; `cols` is kept so 0-row shapes survive."""
+def _sparse(values: Iterable[tuple[int, Scalar]]) -> Row:
+    """Row of the nonzero (column, value) pairs, values made Fractions."""
+    row = {}
+    for j, x in values:
+        x = frac(x)
+        if x:
+            row[j] = x
+    return row or _EMPTY_ROW
 
-    entries: tuple[tuple[Fraction, ...], ...]
-    cols: int
+
+def _dense(row: Mapping[int, Fraction], n: int) -> list[Fraction]:
+    out = [ZERO] * n
+    for j, x in row.items():
+        out[j] = x
+    return out
+
+
+class ExactMatrix:
+    """Immutable matrix of Fractions stored as sparse rows.
+
+    `sparse_rows[i]` maps column indices to the nonzero entries of row i;
+    zeros are never stored, so equality and hashing are value equality
+    however a matrix was built.  `cols` is kept so 0-row shapes survive.
+    `entries` is a dense view (a tuple of row tuples) built on first use
+    and cached; the kernels never read it.
+    """
+
+    __slots__ = ("sparse_rows", "cols", "_entries", "_hash")
+
+    def __init__(self, rows: Iterable[Mapping[int, Scalar]], cols: int):
+        """Matrix from sparse rows: one mapping column -> value per row.
+
+        Zero values are dropped; every column index must lie in range(cols).
+        """
+        self._init(tuple(_sparse(row.items()) for row in rows), cols)
+
+    @classmethod
+    def _of(cls, rows: tuple[Row, ...], cols: int) -> "ExactMatrix":
+        """Wrap rows that already hold only nonzero Fractions."""
+        M = object.__new__(cls)
+        M._init(rows, cols)
+        return M
+
+    def _init(self, rows: tuple[Row, ...], cols: int) -> None:
+        setattr_ = object.__setattr__
+        setattr_(self, "sparse_rows", rows)
+        setattr_(self, "cols", cols)
+        setattr_(self, "_entries", None)
+        setattr_(self, "_hash", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ExactMatrix is immutable")
+
+    def __reduce__(self):
+        return (ExactMatrix, (self.sparse_rows, self.cols))
 
     @property
     def rows(self) -> int:
-        return len(self.entries)
+        return len(self.sparse_rows)
+
+    @property
+    def entries(self) -> tuple[Vec, ...]:
+        dense = self._entries
+        if dense is None:
+            zero_row = zero_vector(self.cols)
+            dense = tuple(
+                tuple(_dense(row, self.cols)) if row else zero_row for row in self.sparse_rows
+            )
+            object.__setattr__(self, "_entries", dense)
+        return dense
 
     @staticmethod
     def from_rows(data: Sequence[Sequence[Scalar]], cols: int | None = None) -> "ExactMatrix":
-        rows = tuple(tuple(frac(x) for x in row) for row in data)
-        if rows:
-            cols = len(rows[0])
-            if any(len(r) != cols for r in rows):
+        if data:
+            cols = len(data[0])
+            if any(len(r) != cols for r in data):
                 raise ValueError("ragged rows")
         elif cols is None:
             raise ValueError("empty matrix needs an explicit column count")
-        return ExactMatrix(rows, cols)
+        return ExactMatrix._of(tuple(_sparse(enumerate(r)) for r in data), cols)
 
     @staticmethod
     def identity(n: int) -> "ExactMatrix":
-        return ExactMatrix(tuple(unit_vector(n, i) for i in range(n)), n)
+        return ExactMatrix._of(tuple({i: ONE} for i in range(n)), n)
 
     @staticmethod
     def zero(m: int, n: int) -> "ExactMatrix":
-        return ExactMatrix(tuple(zero_vector(n) for _ in range(m)), n)
+        return ExactMatrix._of((_EMPTY_ROW,) * m, n)
 
     @staticmethod
     def from_columns(cols: Sequence[Vec], rows: int | None = None) -> "ExactMatrix":
@@ -92,77 +150,97 @@ class ExactMatrix:
                 raise ValueError("empty matrix needs an explicit row count")
             return ExactMatrix.zero(rows, 0)
         m = len(cols[0])
-        return ExactMatrix(tuple(tuple(c[i] for c in cols) for i in range(m)), len(cols))
+        if any(len(c) != m for c in cols):
+            raise ValueError("ragged columns")
+        out: list[Row] = [{} for _ in range(m)]
+        for j, col in enumerate(cols):
+            for i, x in enumerate(col):
+                x = frac(x)
+                if x:
+                    out[i][j] = x
+        return ExactMatrix._of(tuple(r or _EMPTY_ROW for r in out), len(cols))
 
     def row(self, i: int) -> Vec:
-        return self.entries[i]
+        if self._entries is not None:
+            return self._entries[i]
+        return tuple(_dense(self.sparse_rows[i], self.cols))
 
     def column(self, j: int) -> Vec:
-        return tuple(row[j] for row in self.entries)
+        return tuple(row.get(j, ZERO) for row in self.sparse_rows)
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(tuple(self.column(j) for j in range(self.cols)), self.rows)
+        out: list[Row] = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.sparse_rows):
+            for j, x in row.items():
+                out[j][i] = x
+        return ExactMatrix._of(tuple(r or _EMPTY_ROW for r in out), self.rows)
+
+    def flattened(self) -> "ExactMatrix":
+        """The entries as one row of length rows * cols, in row-major order."""
+        n = self.cols
+        flat = {i * n + j: x for i, row in enumerate(self.sparse_rows) for j, x in row.items()}
+        return ExactMatrix._of((flat or _EMPTY_ROW,), self.rows * n)
 
     @property
     def is_integral(self) -> bool:
-        return all(x.denominator == 1 for row in self.entries for x in row)
+        return all(x.denominator == 1 for row in self.sparse_rows for x in row.values())
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(self.sparse_rows)
 
     def trace(self) -> Fraction:
         if not self.is_square:
             raise ValueError("trace of a non-square matrix")
-        return sum((self.entries[i][i] for i in range(self.rows)), ZERO)
+        return sum((row.get(i, ZERO) for i, row in enumerate(self.sparse_rows)), ZERO)
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_shape(other)
-        return ExactMatrix(
-            tuple(vec_add(a, b) for a, b in zip(self.entries, other.entries)), self.cols
-        )
+        return self._entrywise(other, operator.add)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_shape(other)
-        return ExactMatrix(
-            tuple(vec_sub(a, b) for a, b in zip(self.entries, other.entries)), self.cols
-        )
+        return self._entrywise(other, operator.sub)
+
+    def _entrywise(self, other: "ExactMatrix", op) -> "ExactMatrix":
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError("shape mismatch")
+        out = []
+        for a, b in zip(self.sparse_rows, other.sparse_rows):
+            if not b:
+                out.append(a)
+                continue
+            acc = dict(a)
+            for j, x in b.items():
+                acc[j] = op(acc.get(j, ZERO), x)
+            out.append({j: x for j, x in acc.items() if x} or _EMPTY_ROW)
+        return ExactMatrix._of(tuple(out), self.cols)
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix(tuple(vec_scale(-ONE, r) for r in self.entries), self.cols)
+        return self.scale(-ONE)
 
     def scale(self, c: Scalar) -> "ExactMatrix":
         cf = frac(c)
-        return ExactMatrix(tuple(vec_scale(cf, r) for r in self.entries), self.cols)
+        if not cf:
+            return ExactMatrix.zero(self.rows, self.cols)
+        return ExactMatrix._of(
+            tuple({j: cf * x for j, x in row.items()} or _EMPTY_ROW for row in self.sparse_rows),
+            self.cols,
+        )
 
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        # plain ints multiply an order of magnitude faster than Fractions
-        if self.is_integral and other.is_integral:
-            a = [[x.numerator for x in row] for row in self.entries]
-            bt = [
-                [other.entries[i][j].numerator for i in range(other.rows)]
-                for j in range(other.cols)
-            ]
-            return ExactMatrix(
-                tuple(
-                    tuple(Fraction(sum(x * y for x, y in zip(r, c))) for c in bt)
-                    for r in a
-                ),
-                other.cols,
-            )
-        ot = other.transpose()
-        return ExactMatrix(
-            tuple(
-                tuple(sum((a * b for a, b in zip(r, c)), ZERO) for c in ot.entries)
-                for r in self.entries
-            ),
-            other.cols,
-        )
+        brows = other.sparse_rows
+        out = []
+        for arow in self.sparse_rows:
+            acc: Row = {}
+            for k, a in arow.items():
+                for j, b in brows[k].items():
+                    acc[j] = acc[j] + a * b if j in acc else a * b
+            out.append({j: x for j, x in acc.items() if x} or _EMPTY_ROW)
+        return ExactMatrix._of(tuple(out), other.cols)
 
     def power(self, k: int) -> "ExactMatrix":
         if not self.is_square:
@@ -178,28 +256,44 @@ class ExactMatrix:
             k = base_needed
         return result
 
-    def _check_shape(self, other: "ExactMatrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
+        return self.cols == other.cols and self.sparse_rows == other.sparse_rows
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.cols, tuple(frozenset(row.items()) for row in self.sparse_rows)))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __repr__(self) -> str:
+        rows = [list(self.row(i)) for i in range(self.rows)]
+        return f"ExactMatrix.from_rows({rows!r}, cols={self.cols})"
 
     def __str__(self) -> str:
-        return "[" + "; ".join(" ".join(str(x) for x in row) for row in self.entries) + "]"
+        rows = (self.row(i) for i in range(self.rows))
+        return "[" + "; ".join(" ".join(str(x) for x in row) for row in rows) + "]"
 
 
 def mat_vec(M: ExactMatrix, v: Vec) -> Vec:
     """M applied to a column vector (returned as a tuple)."""
     if len(v) != M.cols:
         raise ValueError("dimension mismatch")
-    return tuple(sum((a * b for a, b in zip(row, v)), ZERO) for row in M.entries)
+    return tuple(sum((x * v[j] for j, x in row.items()), ZERO) for row in M.sparse_rows)
 
 
 def vec_mat(v: Vec, M: ExactMatrix) -> Vec:
     """Row vector times matrix."""
     if len(v) != M.rows:
         raise ValueError("dimension mismatch")
-    return tuple(
-        sum((v[i] * M.entries[i][j] for i in range(M.rows)), ZERO) for j in range(M.cols)
-    )
+    out = [ZERO] * M.cols
+    for c, row in zip(v, M.sparse_rows):
+        if c:
+            for j, x in row.items():
+                out[j] += c * x
+    return tuple(out)
 
 
 def commutator(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
@@ -208,28 +302,25 @@ def commutator(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
 
 def stack_rows(blocks: Sequence[ExactMatrix]) -> ExactMatrix:
     cols = blocks[0].cols
-    rows: list[Vec] = []
+    rows: list[Row] = []
     for b in blocks:
         if b.cols != cols:
             raise ValueError("column mismatch in stack")
-        rows.extend(b.entries)
-    return ExactMatrix(tuple(rows), cols)
+        rows.extend(b.sparse_rows)
+    return ExactMatrix._of(tuple(rows), cols)
 
 
 def block_diag(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
-    rows: list[Vec] = []
-    for r in A.entries:
-        rows.append(r + zero_vector(B.cols))
-    for r in B.entries:
-        rows.append(zero_vector(A.cols) + r)
-    return ExactMatrix(tuple(rows), A.cols + B.cols)
+    shift = A.cols
+    shifted = tuple({j + shift: x for j, x in row.items()} or _EMPTY_ROW for row in B.sparse_rows)
+    return ExactMatrix._of(A.sparse_rows + shifted, A.cols + B.cols)
 
 
 def lcm_denominators(M: ExactMatrix) -> int:
     """Least positive integer d with d*M integral."""
     d = 1
-    for row in M.entries:
-        for x in row:
+    for row in M.sparse_rows:
+        for x in row.values():
             d = lcm(d, x.denominator)
     return d
 
@@ -252,11 +343,13 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 def _to_int_lists(M: ExactMatrix) -> list[list[int]]:
     if not M.is_integral:
         raise NonIntegralMatrixError("integer algorithm applied to a non-integral matrix")
-    return [[int(x) for x in row] for row in M.entries]
+    return [[int(x) for x in _dense(row, M.cols)] for row in M.sparse_rows]
 
 
 def _wrap_int(A: list[list[int]], cols: int) -> ExactMatrix:
-    return ExactMatrix(tuple(tuple(Fraction(x) for x in row) for row in A), cols)
+    return ExactMatrix._of(
+        tuple({j: Fraction(x) for j, x in enumerate(row) if x} or _EMPTY_ROW for row in A), cols
+    )
 
 
 def hnf(M: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
@@ -390,27 +483,46 @@ def snf(M: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
 
 
 def rref(M: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
-    """Reduced row echelon form over the rationals; returns (R, pivot columns)."""
-    A = [list(row) for row in M.entries]
-    m, n = M.rows, M.cols
+    """Reduced row echelon form over the rationals; returns (R, pivot columns).
+
+    Works on a dense copy of the columns that hold a nonzero (the others
+    stay zero and never pivot), with int 0 for the zero cells; each
+    elimination step touches only the nonzero columns of the pivot row.
+    """
+    m = M.rows
+    cols = sorted(set().union(*M.sparse_rows))
+    n = len(cols)
+    where = {c: k for k, c in enumerate(cols)}
+    A = []
+    for row in M.sparse_rows:
+        dense = [0] * n
+        for j, x in row.items():
+            dense[where[j]] = x
+        A.append(dense)
     pivots: list[int] = []
     r = 0
     for col in range(n):
-        pr = next((i for i in range(r, m) if A[i][col] != 0), None)
+        pr = next((i for i in range(r, m) if A[i][col]), None)
         if pr is None:
             continue
         A[r], A[pr] = A[pr], A[r]
-        inv = 1 / A[r][col]
-        A[r] = [x * inv for x in A[r]]
+        prow = A[r]
+        inv = 1 / prow[col]
+        support = [j for j in range(col, n) if prow[j]]
+        for j in support:
+            prow[j] *= inv
         for i in range(m):
-            if i != r and A[i][col] != 0:
-                f = A[i][col]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-        pivots.append(col)
+            f = A[i][col]
+            if f and i != r:
+                row = A[i]
+                for j in support:
+                    row[j] -= f * prow[j]
+        pivots.append(cols[col])
         r += 1
         if r == m:
             break
-    return ExactMatrix(tuple(tuple(row) for row in A), n), tuple(pivots)
+    R = tuple({cols[k]: x for k, x in enumerate(row) if x} or _EMPTY_ROW for row in A)
+    return ExactMatrix._of(R, M.cols), tuple(pivots)
 
 
 def rank(M: ExactMatrix) -> int:
@@ -422,28 +534,29 @@ def invert(M: ExactMatrix) -> ExactMatrix:
     if not M.is_square:
         raise ValueError("inverse of a non-square matrix")
     n = M.rows
-    aug = ExactMatrix(
-        tuple(M.entries[i] + unit_vector(n, i) for i in range(n)), 2 * n
+    aug = ExactMatrix._of(
+        tuple({**row, n + i: ONE} for i, row in enumerate(M.sparse_rows)), 2 * n
     )
     R, pivots = rref(aug)
     if tuple(pivots[:n]) != tuple(range(n)) or len(pivots) < n:
         raise ValueError("matrix is singular")
-    return ExactMatrix(tuple(row[n:] for row in R.entries), n)
+    return ExactMatrix._of(
+        tuple({j - n: x for j, x in row.items() if j >= n} for row in R.sparse_rows), n
+    )
 
 
 def solve_right(A: ExactMatrix, b: Vec) -> Vec | None:
     """One solution x of A x = b, or None if inconsistent."""
     if len(b) != A.rows:
         raise ValueError("dimension mismatch")
-    aug = ExactMatrix(
-        tuple(A.entries[i] + (b[i],) for i in range(A.rows)), A.cols + 1
-    )
+    n = A.cols
+    aug = ExactMatrix(({**row, n: bi} for row, bi in zip(A.sparse_rows, b)), n + 1)
     R, pivots = rref(aug)
-    if A.cols in pivots:
+    if n in pivots:
         return None
-    x = [ZERO] * A.cols
-    for r, col in enumerate(pivots):
-        x[col] = R.entries[r][A.cols]
+    x = [ZERO] * n
+    for row, col in zip(R.sparse_rows, pivots):
+        x[col] = row.get(n, ZERO)
     return tuple(x)
 
 
@@ -460,8 +573,8 @@ def right_kernel(A: ExactMatrix) -> list[Vec]:
     for f in free:
         x = [ZERO] * A.cols
         x[f] = ONE
-        for r, col in enumerate(pivots):
-            x[col] = -R.entries[r][f]
+        for row, col in zip(R.sparse_rows, pivots):
+            x[col] = -row.get(f, ZERO)
         basis.append(tuple(x))
     return basis
 
@@ -493,12 +606,12 @@ class Submodule:
         M = ExactMatrix.from_rows(list(vectors), cols=ambient_rank)
         if domain == "Q":
             R, pivots = rref(M)
-            rows = R.entries[: len(pivots)]
-            return Submodule(ambient_rank, ExactMatrix(rows, ambient_rank), "Q")
+            rows = R.sparse_rows[: len(pivots)]
+            return Submodule(ambient_rank, ExactMatrix._of(rows, ambient_rank), "Q")
         d = lcm_denominators(M)
         H, _ = hnf(M.scale(d))
-        rows = tuple(r for r in H.entries if not is_zero_vector(r))
-        basis = ExactMatrix(rows, ambient_rank).scale(Fraction(1, d))
+        rows = tuple(r for r in H.sparse_rows if r)
+        basis = ExactMatrix._of(rows, ambient_rank).scale(Fraction(1, d))
         return Submodule(ambient_rank, basis, "Z")
 
     @staticmethod
@@ -554,7 +667,7 @@ class Submodule:
         S, U, V = snf(B)
         k = self.rank
         Vinv = invert(V)
-        rows = [tuple(Vinv.entries[i]) for i in range(k)]
+        rows = [Vinv.row(i) for i in range(k)]
         sat = Submodule.span(rows, self.ambient_rank, "Z")
         return Submodule(self.ambient_rank, sat.basis.scale(Fraction(1, d)), "Z")
 
@@ -571,10 +684,8 @@ def kernel_basis(M: ExactMatrix, domain: str = "Q") -> Submodule:
     if domain == "Q":
         return Submodule.span(right_kernel(M.transpose()), M.rows, "Q")
     S, U, V = snf(M)
-    nonzero = sum(
-        1 for i in range(min(M.rows, M.cols)) if S.entries[i][i] != 0
-    )
-    rows = [U.entries[i] for i in range(nonzero, M.rows)]
+    nonzero = sum(1 for i in range(min(M.rows, M.cols)) if i in S.sparse_rows[i])
+    rows = [U.row(i) for i in range(nonzero, M.rows)]
     return Submodule.span(rows, M.rows, "Z")
 
 
@@ -609,11 +720,11 @@ def extend_basis(inner: Submodule, outer: Submodule) -> ExactMatrix:
     # C * Ut^T = [T | 0] with T (k x k) triangular; saturation forces |det T| = 1
     det = ONE
     for i in range(k):
-        det *= Ht.entries[i][i]
+        det *= Ht.sparse_rows[i].get(i, ZERO)
     if abs(det) != 1:
         raise ValueError("inner is not isolated in outer; cannot extend over Z")
     Vinv = invert(Ut.transpose())
-    extra_coords = [Vinv.entries[i] for i in range(k, m)]
+    extra_coords = [Vinv.row(i) for i in range(k, m)]
     rows = [vec_mat(c, outer.basis) for c in extra_coords]
     # Unimodular transformations among the completion rows preserve the
     # property that inner + completion is a basis; canonicalize via HNF.

@@ -53,18 +53,27 @@ def vec_from_json(data: Any, length: int | None = None) -> Vec:
 
 
 def matrix_to_json(M: ExactMatrix) -> list[list[str]]:
-    return [vec_to_json(row) for row in M.entries]
+    return [vec_to_json(M.row(i)) for i in range(M.rows)]
 
 
 def matrix_from_json(data: Any, cols: int | None = None) -> ExactMatrix:
+    """Matrix from a list of rows, each of length `cols` (default: the
+    length of the first row)."""
     if not isinstance(data, list):
         raise JsonFormatError("expected a list of rows")
     rows = [vec_from_json(row) for row in data]
-    if rows:
-        return ExactMatrix.from_rows(rows)
     if cols is None:
-        raise JsonFormatError("empty matrix needs an explicit column count")
-    return ExactMatrix.zero(0, cols)
+        if not rows:
+            raise JsonFormatError("empty matrix needs an explicit column count")
+        cols = len(rows[0])
+    if any(len(row) != cols for row in rows):
+        raise JsonFormatError(f"every matrix row must have length {cols}")
+    return ExactMatrix.from_rows(rows, cols=cols)
+
+
+def _is_index(x: Any) -> bool:
+    """A JSON integer; booleans are rejected although bool subclasses int."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def lattice_to_json(L: LieLattice) -> dict:
@@ -88,7 +97,7 @@ def lattice_from_json(data: Any) -> LieLattice:
         brackets = data["brackets"]
     except KeyError as exc:
         raise JsonFormatError(f"lattice JSON missing key {exc}") from exc
-    if not isinstance(r, int) or r < 0:
+    if not _is_index(r) or r < 0:
         raise JsonFormatError("rank must be a nonnegative integer")
     if not isinstance(names, list) or len(names) != r:
         raise JsonFormatError("names must list one label per basis vector")
@@ -102,7 +111,7 @@ def lattice_from_json(data: Any) -> LieLattice:
         if not isinstance(item, dict) or not {"i", "j", "coeffs"} <= set(item):
             raise JsonFormatError("each bracket needs keys i, j, coeffs")
         i, j = item["i"], item["j"]
-        if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < j < r):
+        if not (_is_index(i) and _is_index(j) and 0 <= i < j < r):
             raise JsonFormatError(f"bracket indices ({i},{j}) must satisfy 0 <= i < j < rank")
         if (i, j) in table:
             raise JsonFormatError(f"duplicate bracket for pair ({i},{j})")
@@ -128,7 +137,7 @@ def rep_from_json(data: Any, lattice: LieLattice) -> LinearRep:
         matrices = data["matrices"]
     except KeyError as exc:
         raise JsonFormatError(f"representation JSON missing key {exc}") from exc
-    if not isinstance(degree, int) or degree < 0:
+    if not _is_index(degree) or degree < 0:
         raise JsonFormatError("degree must be a nonnegative integer")
     if not isinstance(matrices, list) or len(matrices) != lattice.rank:
         raise JsonFormatError("need one matrix per lattice basis vector")

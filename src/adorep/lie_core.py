@@ -253,11 +253,7 @@ def center(L: LieLattice) -> LieSubmodule:
     r = L.rank
     if r == 0:
         return lie_submodule(L, Submodule.zero(0, L.domain))
-    rows = []
-    for i in range(r):
-        A = L.ad(unit(r, i))
-        rows.append(tuple(x for arow in A.entries for x in arow))
-    stacked = ExactMatrix.from_rows(rows, cols=r * r)
+    stacked = stack_rows([L.ad(unit(r, i)).flattened() for i in range(r)])
     return lie_submodule(L, kernel_basis(stacked, L.domain))
 
 
@@ -338,12 +334,6 @@ def nilradical(L: LieLattice) -> LieSubmodule:
     if not envelope:
         # ad vanishes on R_s: the radical is abelian, hence nilpotent
         return rs
-    env_mat = ExactMatrix.from_rows(
-        [_vec_of_matrix(A) for A in envelope], cols=r * r
-    )
-    trace_rows = []
-    for A in envelope:
-        trace_rows.append(tuple((A * B).trace() for B in envelope))
     # x in R_s lies in the candidate iff trace(ad_x * B) = 0 for all B
     cond_cols = []
     for v in rs.module.basis.entries:
@@ -367,25 +357,19 @@ def nilradical(L: LieLattice) -> LieSubmodule:
     return result
 
 
-def _vec_of_matrix(A: ExactMatrix) -> Vec:
-    return tuple(x for row in A.entries for x in row)
-
-
 def _matrix_algebra_closure(gens: Sequence[ExactMatrix]) -> list[ExactMatrix]:
     """Basis of the associative algebra (no identity) generated by gens."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
-    n = gens[0].rows
     basis: list[ExactMatrix] = []
-    rows: list[Vec] = []
+    rows: list[ExactMatrix] = []
 
     def try_add(A: ExactMatrix) -> bool:
-        candidate = rows + [_vec_of_matrix(A)]
-        M = ExactMatrix.from_rows(candidate, cols=n * n)
-        if rank(M) == len(candidate):
+        candidate = rows + [A.flattened()]
+        if rank(stack_rows(candidate)) == len(candidate):
             basis.append(A)
-            rows.append(_vec_of_matrix(A))
+            rows.append(candidate[-1])
             return True
         return False
 

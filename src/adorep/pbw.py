@@ -232,8 +232,8 @@ class TruncatedUEA:
             for k, cf in self._as_letter_coeffs(elem):
                 for gamma, cf2 in self._letter(k, beta).items():
                     _acc(col, gamma, cf * cf2)
-            cols.append(self.to_vector(col))
-        return ExactMatrix.from_columns(cols, rows=self.dimension)
+            cols.append(col)
+        return self._matrix_of_columns(cols)
 
     def derivation_star(self, D: ExactMatrix) -> ExactMatrix:
         """Matrix of the lifted derivation D* on the monomial basis.
@@ -248,7 +248,8 @@ class TruncatedUEA:
         if self.rank == 0:
             return ExactMatrix.zero(self.dimension, self.dimension)
         Pt = self.basis.change_of_basis.transpose()
-        Dad = invert(Pt) * D * Pt
+        # Dad_cols[t]: the image of adapted letter t under D, in adapted coordinates
+        Dad_cols = (invert(Pt) * D * Pt).transpose().sparse_rows
         cols = []
         for beta in self.monomials:
             letters: list[int] = []
@@ -256,19 +257,23 @@ class TruncatedUEA:
                 letters.extend([i] * e)
             col: Element = {}
             for pos in range(len(letters)):
-                target = letters[pos]
-                for k in range(self.rank):
-                    ck = Dad.entries[k][target]
-                    if not ck:
-                        continue
+                for k, ck in Dad_cols[letters[pos]].items():
                     word = letters[:pos] + [k] + letters[pos + 1 :]
                     nf = self.identity_element()
                     for i in reversed(word):
                         nf = self._apply_letter(i, nf)
                     for gamma, cf in nf.items():
                         _acc(col, gamma, ck * cf)
-            cols.append(self.to_vector(col))
-        return ExactMatrix.from_columns(cols, rows=self.dimension)
+            cols.append(col)
+        return self._matrix_of_columns(cols)
+
+    def _matrix_of_columns(self, cols: Sequence[Element]) -> ExactMatrix:
+        """Matrix whose column j holds the element cols[j] on the monomials."""
+        index = self.index
+        by_column = ExactMatrix(
+            ({index[alpha]: cf for alpha, cf in col.items()} for col in cols), self.dimension
+        )
+        return by_column.transpose()
 
     def _as_letter_coeffs(self, elem: Element) -> list[tuple[int, Fraction]]:
         out = []

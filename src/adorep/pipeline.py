@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .embed import EmbeddingCertificate, embed_splittable
-from .exact_linalg import ExactMatrix, Vec, kernel_basis, rank
+from .exact_linalg import ExactMatrix, Vec, kernel_basis, rank, stack_rows, vec_mat
 from .lie_core import (
     LieLattice,
     adjoint_rep,
@@ -92,10 +92,7 @@ def verify_representation(L: LieLattice, rep: LinearRep) -> VerificationReport:
     if L.rank == 0:
         faithful_ok = True
     else:
-        stacked = ExactMatrix.from_rows(
-            [tuple(x for row in M.entries for x in row) for M in rep.matrices],
-            cols=max(n * n, 1),
-        )
+        stacked = stack_rows([M.flattened() for M in rep.matrices])
         faithful_ok = rank(stacked) == L.rank
         if not faithful_ok:
             witness = tuple(kernel_basis(stacked, "Q").basis.entries)
@@ -103,8 +100,7 @@ def verify_representation(L: LieLattice, rep: LinearRep) -> VerificationReport:
     rn = nilradical(L)
     nil_violations = []
     for idx, row in enumerate(rn.module.basis.entries):
-        M = rep.matrix_of(row)
-        if not M.power(max(n, 1)).is_zero():
+        if not _is_nilpotent_matrix(rep.matrix_of(row)):
             nil_violations.append(idx)
     nilrep_ok = not nil_violations
 
@@ -123,6 +119,18 @@ def verify_representation(L: LieLattice, rep: LinearRep) -> VerificationReport:
         nilrep_violations=tuple(nil_violations),
         degree_ok=degree_ok,
     )
+
+
+def _is_nilpotent_matrix(M: ExactMatrix) -> bool:
+    """Whether M^n = 0 for the n x n matrix M, by repeated squaring that
+    stops at the first zero power: M^(2^j) = 0 implies M^n = 0, and a
+    nonzero M^e with e >= n means M is not nilpotent."""
+    P, e = M, 1
+    while not P.is_zero():
+        if e >= M.rows:
+            return False
+        P, e = P * P, 2 * e
+    return True
 
 
 @dataclass(frozen=True)
@@ -183,7 +191,7 @@ def verify_certificate(cert: EmbeddingCertificate) -> CertificateReport:
     hom = True
     for i in range(L.rank):
         for j in range(i + 1, L.rank):
-            image_of_bracket = _push(L.bracket(L.basis_vector(i), L.basis_vector(j)), inj)
+            image_of_bracket = vec_mat(L.bracket(L.basis_vector(i), L.basis_vector(j)), inj)
             bracket_of_images = ext.bracket(inj.entries[i], inj.entries[j])
             if image_of_bracket != bracket_of_images:
                 hom = False
@@ -194,7 +202,7 @@ def verify_certificate(cert: EmbeddingCertificate) -> CertificateReport:
     nbar_is_nilradical = nilradical(ext).module == nbar.module
 
     rn_image = all(
-        nbar.module.contains(_push(row, inj))
+        nbar.module.contains(vec_mat(row, inj))
         for row in nilradical(L).module.basis.entries
     )
     rank_matches = nbar.rank == solvable_radical(L).rank
@@ -211,15 +219,6 @@ def verify_certificate(cert: EmbeddingCertificate) -> CertificateReport:
         rn_image_contained=rn_image,
         rank_matches=rank_matches,
     )
-
-
-def _push(v: Vec, matrix: ExactMatrix) -> Vec:
-    out = [Fraction(0)] * matrix.cols
-    for coeff, row in zip(v, matrix.entries, strict=True):
-        if coeff:
-            for k, x in enumerate(row):
-                out[k] += coeff * x
-    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .exact_linalg import ExactMatrix, Vec, block_diag
@@ -28,11 +29,13 @@ class LinearRep:
     def matrix_of(self, v: Vec) -> ExactMatrix:
         """Image of an arbitrary lattice vector, by linearity."""
         n = self.degree
-        out = ExactMatrix.zero(n, n)
+        rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
         for coeff, M in zip(v, self.matrices, strict=True):
             if coeff:
-                out = out + M.scale(coeff)
-        return out
+                for acc, row in zip(rows, M.sparse_rows):
+                    for j, x in row.items():
+                        acc[j] = acc[j] + coeff * x if j in acc else coeff * x
+        return ExactMatrix(rows, n)
 
     @property
     def is_integral(self) -> bool:

@@ -121,3 +121,87 @@ def _is_hnf_2x2(H):
     if not (0 <= b < d):
         return False
     return True
+
+
+# -- plain list-of-lists Fraction matrices --------------------------------
+# A reference for the library's ExactMatrix kernel that shares none of its
+# storage or elimination code: every matrix is a dense list of rows.
+
+
+def ref_mul(A, B, inner, n):
+    """A (m x inner) times B (inner x n); the shapes are explicit so that
+    0-row and 0-column factors keep them."""
+    return [[sum((A[i][k] * B[k][j] for k in range(inner)), ZERO) for j in range(n)] for i in range(len(A))]
+
+
+def ref_add(A, B):
+    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+
+def ref_sub(A, B):
+    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+
+def ref_scale(c, A):
+    return [[c * a for a in row] for row in A]
+
+
+def ref_transpose(A, cols):
+    return [[A[i][j] for i in range(len(A))] for j in range(cols)]
+
+
+def ref_trace(A):
+    return sum((A[i][i] for i in range(len(A))), ZERO)
+
+
+def ref_is_zero(A):
+    return all(x == 0 for row in A for x in row)
+
+
+def ref_rref(A, cols):
+    """(reduced row echelon form, pivot columns) by Gauss-Jordan elimination,
+    choosing the pivot row with the smallest index."""
+    R = [list(row) for row in A]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pr = next((i for i in range(r, len(R)) if R[i][c] != 0), None)
+        if pr is None:
+            continue
+        R[r], R[pr] = R[pr], R[r]
+        lead = R[r][c]
+        R[r] = [x / lead for x in R[r]]
+        for i in range(len(R)):
+            if i != r and R[i][c] != 0:
+                f = R[i][c]
+                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
+        pivots.append(c)
+        r += 1
+    return R, pivots
+
+
+def ref_rank(A, cols):
+    return len(ref_rref(A, cols)[1])
+
+
+def ref_solve_left(B, cols, v):
+    """Some x with x * B = v, or None: eliminate on [B^T | v]."""
+    m = len(B)
+    aug = [[B[i][j] for i in range(m)] + [v[j]] for j in range(cols)]
+    R, pivots = ref_rref(aug, m + 1)
+    if m in pivots:
+        return None
+    x = [ZERO] * m
+    for r, c in enumerate(pivots):
+        x[c] = R[r][m]
+    return x
+
+
+def ref_invert(A):
+    """Inverse of a square matrix, or None when it is singular."""
+    n = len(A)
+    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(A)]
+    R, pivots = ref_rref(aug, 2 * n)
+    if pivots[:n] != list(range(n)):
+        return None
+    return [row[n:] for row in R]

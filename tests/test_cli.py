@@ -176,6 +176,33 @@ def test_cli_verify_rejects_adjoint_h3(tmp_path, capsys):
     assert data["kernel_witness"] == [["0", "0", "1"]]
 
 
+def test_cli_embed_without_scalar_search_rounds(tmp_path, capsys):
+    path = write_lattice(tmp_path, "heisenberg3")
+    code, _, err = run(capsys, "embed", path, "--max-scalar-search", "0")
+    assert code == 1
+    assert "mu search exceeded 0 rounds" in err
+
+
+def test_cli_verify_ragged_matrix_is_format_error(tmp_path, capsys):
+    lat_path = write_lattice(tmp_path, "heisenberg3")
+    rep_json = rep_to_json(nilpotent_faithful_rep(catalog.get("heisenberg3").lattice))
+    rep_json["matrices"][1][3] = rep_json["matrices"][1][3][:-1]
+    rep_path = tmp_path / "ragged.json"
+    rep_path.write_text(json.dumps(rep_json))
+    code, _, err = run(capsys, "verify", lat_path, str(rep_path))
+    assert code == 2
+    assert "every matrix row must have length 7" in err
+
+
+def test_cli_rejects_boolean_bracket_indices(tmp_path, capsys):
+    path = tmp_path / "bool.json"
+    bracket = {"i": False, "j": True, "coeffs": ["0", "0"]}
+    path.write_text(json.dumps({"rank": 2, "names": ["a", "b"], "brackets": [bracket]}))
+    code, _, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert "bracket indices" in err
+
+
 def test_cli_catalog(capsys):
     code, out, _ = run(capsys, "catalog")
     assert code == 0

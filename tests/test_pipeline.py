@@ -142,3 +142,46 @@ def test_ado_rejects_invalid_lattice():
     bad = lie_lattice(["a", "b", "c"], {(0, 1): [0, 0, 1], (0, 2): [1, 0, 0]})
     with pytest.raises(Exception):
         ado_representation(bad)
+
+
+def jordan_block(n):
+    return ExactMatrix.from_rows([[int(j == i + 1) for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_verify_accepts_jordan_block_of_full_index(n):
+    # J_n has index exactly n, which is not a power of two: the squaring
+    # check must go past the nonzero J^(2^j) with 2^j < n to the first zero
+    # power (J^8 for n = 5, 7 and J^16 for n = 9).
+    J = jordan_block(n)
+    assert not J.power(n - 1).is_zero() and J.power(n).is_zero()
+    L = catalog.abelian(2)
+    report = verify_representation(L, LinearRep(L, (J, J * J), "jordan"))
+    assert report.nilrep_ok and report.nilrep_violations == ()
+    assert report.ok
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_verify_flags_non_nilpotent_image(n):
+    # J_n + E_{n,1} is the cyclic shift: a permutation, never nilpotent
+    rows = [[int(j == i + 1) for j in range(n)] for i in range(n)]
+    rows[n - 1][0] = 1
+    L = catalog.abelian(1)
+    report = verify_representation(L, LinearRep(L, (ExactMatrix.from_rows(rows),), "shift"))
+    assert report.nilrep_violations == (0,)
+    assert not report.nilrep_ok and not report.ok
+
+
+def test_verify_rejects_one_corrupted_diagonal_entry():
+    # The image of a bracket must have trace 0; adding 1 to a diagonal entry
+    # of the matrix of a basis vector that occurs in a bracket breaks that.
+    L = catalog.get("heisenberg3").lattice  # [x, y] = z
+    rep, _, _ = ado_representation(L)
+    z = rep.matrices[2]
+    for d in range(rep.degree):
+        rows = [list(row) for row in z.entries]
+        rows[d][d] += 1
+        mats = rep.matrices[:2] + (ExactMatrix.from_rows(rows),)
+        report = verify_representation(L, LinearRep(L, mats, "corrupted"))
+        assert not report.ok
+        assert (0, 1) in report.homomorphism_violations
