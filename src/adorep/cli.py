@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 mathematical failure (with a witness in the
-report), 2 I/O or format errors.  Set ADO_LOG=info or ADO_LOG=debug for
-progress messages on stderr.
+report), 2 I/O or format errors, 3 internal errors (a bug, not a property
+of the input).  Set ADO_LOG=info or ADO_LOG=debug for progress messages on
+stderr.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from .jsonio import (
     frac_to_str,
     lattice_from_json,
     lattice_to_json,
+    matrix_to_json,
     rep_from_json,
     rep_to_json,
-    submodule_rows_to_json,
     verification_report_to_json,
 )
 from .lie_core import (
@@ -51,6 +52,7 @@ from .pipeline import (
 EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_FORMAT = 2
+EXIT_INTERNAL = 3
 
 
 def _emit(payload, pretty: bool) -> None:
@@ -81,15 +83,11 @@ def cmd_validate(args) -> int:
 def cmd_radicals(args) -> int:
     L = _load_lattice(args.file)
     payload = {
-        "center": submodule_rows_to_json(center(L).module.basis),
-        "solvable_radical": submodule_rows_to_json(solvable_radical(L).module.basis),
-        "nilradical": submodule_rows_to_json(nilradical(L).module.basis),
-        "lower_central": [
-            submodule_rows_to_json(m.module.basis) for m in lower_central_series(L)
-        ],
-        "derived": [
-            submodule_rows_to_json(m.module.basis) for m in derived_series(L)
-        ],
+        "center": matrix_to_json(center(L).basis),
+        "solvable_radical": matrix_to_json(solvable_radical(L).basis),
+        "nilradical": matrix_to_json(nilradical(L).basis),
+        "lower_central": [matrix_to_json(m.basis) for m in lower_central_series(L)],
+        "derived": [matrix_to_json(m.basis) for m in derived_series(L)],
     }
     _emit(payload, args.pretty)
     return EXIT_OK
@@ -248,6 +246,9 @@ def main(argv=None) -> int:
     except (ExpansionError, LiftingError, ScalarSearchError) as exc:
         print(f"construction error: {exc}", file=sys.stderr)
         return EXIT_MATH
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -36,12 +36,12 @@ from .exact_linalg import (
 )
 from .lie_core import (
     LieLattice,
-    LieSubmodule,
+    bracket_series,
     check_derivation,
     is_nilpotent,
     is_nilpotent_submodule,
+    is_subalgebra,
     killing_form,
-    lie_submodule,
     nilradical,
     quotient_lattice,
     require_valid,
@@ -237,7 +237,7 @@ def jordan_chevalley(A: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
 # ---------------------------------------------------------------------------
 
 
-def levi_decomposition(L: LieLattice) -> tuple[LieSubmodule, LieSubmodule]:
+def levi_decomposition(L: LieLattice) -> tuple[Submodule, Submodule]:
     """Solvable radical and a semisimple complement closed under the bracket.
 
     The complement starts as a linear section of L / R_s and is corrected
@@ -248,19 +248,16 @@ def levi_decomposition(L: LieLattice) -> tuple[LieSubmodule, LieSubmodule]:
     if L.domain != "Q":
         L = L.to_field()
     r = L.rank
-    rad = solvable_radical(L)
-    rs = rad.module
+    rs = solvable_radical(L)
     if rs.rank == 0:
-        return rad, lie_submodule(L, Submodule.full(r, "Q"))
+        return rs, Submodule.full(r, "Q")
     if rs.rank == r:
-        return rad, lie_submodule(L, Submodule.zero(r, "Q"))
+        return rs, Submodule.zero(r, "Q")
     quotient, section = quotient_lattice(L, rs)
     t = quotient.rank
     sigma = [section.entries[i] for i in range(t)]
 
-    chain = [rs]
-    while not chain[-1].is_zero():
-        chain.append(span_bracket(L, chain[-1], chain[-1]))
+    chain = bracket_series(L, rs)
 
     for depth in range(len(chain) - 1):
         Dk, Dk1 = chain[depth], chain[depth + 1]
@@ -329,16 +326,15 @@ def levi_decomposition(L: LieLattice) -> tuple[LieSubmodule, LieSubmodule]:
             if got != tuple(want):
                 raise LiftingError("lifted complement is not closed under the bracket")
 
-    levi_mod = Submodule.span(sigma, r, "Q")
-    levi = lie_submodule(L, levi_mod)
-    if levi.rank != t or not levi.is_subalgebra:
+    levi = Submodule.span(sigma, r, "Q")
+    if levi.rank != t or not is_subalgebra(L, levi):
         raise LiftingError("lifted complement has the wrong rank or is not a subalgebra")
-    levi_lat, _ = subalgebra_lattice(L, levi_mod)
+    levi_lat, _ = subalgebra_lattice(L, levi)
     if rank(killing_form(levi_lat)) != t:
         raise LiftingError("lifted complement is not semisimple")
-    if not rs.intersect(levi_mod).is_zero():
+    if not rs.intersect(levi).is_zero():
         raise LiftingError("lifted complement meets the radical")
-    return rad, levi
+    return rs, levi
 
 
 # ---------------------------------------------------------------------------
@@ -377,12 +373,11 @@ class ExpansionState:
 def initial_state(L: LieLattice) -> ExpansionState:
     LQ = L.to_field()
     rad, levi = levi_decomposition(LQ)
-    rn = nilradical(LQ).module
     state = ExpansionState(
         K=LQ,
-        N=rad.module,
-        S=levi.module,
-        Rn=rn,
+        N=rad,
+        S=levi,
+        Rn=nilradical(LQ),
         embedding=ExactMatrix.identity(L.rank),
         xprimes=(),
         zprimes=(),
@@ -503,7 +498,7 @@ def elementary_expansion(state: ExpansionState) -> ExpansionState:
         n + 1,
         "Q",
     )
-    recomputed = nilradical(K2).module
+    recomputed = nilradical(K2)
     if recomputed != new_Rn:
         raise ExpansionError("nilpotent radical of the expansion is not R_n + x'")
 
@@ -573,23 +568,17 @@ class EmbeddingCertificate:
     trace: tuple[ExpansionStep, ...]
 
     @property
-    def nilpotent_part(self) -> LieSubmodule:
+    def nilpotent_part(self) -> Submodule:
         rows = [unit(self.extension.rank, i) for i in range(self.nilpotent_rank)]
-        return lie_submodule(
-            self.extension,
-            Submodule.span(rows, self.extension.rank, self.extension.domain),
-        )
+        return Submodule.span(rows, self.extension.rank, self.extension.domain)
 
     @property
-    def complement(self) -> LieSubmodule:
+    def complement(self) -> Submodule:
         rows = [
             unit(self.extension.rank, i)
             for i in range(self.nilpotent_rank, self.extension.rank)
         ]
-        return lie_submodule(
-            self.extension,
-            Submodule.span(rows, self.extension.rank, self.extension.domain),
-        )
+        return Submodule.span(rows, self.extension.rank, self.extension.domain)
 
     def split(self) -> tuple[LieLattice, LieLattice, list[ExactMatrix]]:
         return split_semidirect(self.extension, self.nilpotent_rank)
@@ -608,7 +597,7 @@ def integral_rescale(
     """
     K = state.K
     nK = K.rank
-    rn_L = nilradical(L).module
+    rn_L = nilradical(L)
     s = rn_L.rank
     x_vecs = [vec_mat(row, state.embedding) for row in rn_L.basis.entries]
     xp_vecs = list(state.xprimes)
@@ -658,7 +647,7 @@ def integral_rescale(
 
     n_rows = x_vecs + [vec_scale(Fraction(mu), xp) for xp in xp_vecs]
     n_mat = ExactMatrix.from_rows(n_rows, cols=nK) if n_rows else ExactMatrix.zero(0, nK)
-    N_lat = _lattice_on_rows(K, n_rows, "Z", prefix="n")
+    N_lat, _ = subalgebra_lattice(K, Submodule(nK, n_mat, "Z"), prefix="n")
     if not is_nilpotent(N_lat):
         raise ExpansionError("scaled span of the nilpotent part is not nilpotent")
 
@@ -679,7 +668,11 @@ def integral_rescale(
             vec_mat(s_coords, state.S.basis) if state.S.rank else zero_vector(nK)
         )
 
-    central_terms = _central_terms(N_lat)
+    # Unsaturated lower-central terms of N_lat, nonzero ones only: the
+    # rescaling needs gamma_i itself, and N_lat is nilpotent, so the chain
+    # ends in its one zero term.
+    full = Submodule.full(N_lat.rank, "Z")
+    central_terms = bracket_series(N_lat, full, full, saturate=False)[:-1]
     nbar_gens: list[Vec] = []
     for i, term in enumerate(central_terms, start=1):
         scale = Fraction(1, lam**i)
@@ -688,19 +681,21 @@ def integral_rescale(
     nbar = Submodule.span(nbar_gens, nK, "Z")
     if nbar.rank != s + r_new:
         raise ExpansionError("rescaled nilpotent part has the wrong rank")
-    _require_bracket_closed(K, nbar, "rescaled nilpotent part")
+    if not is_subalgebra(K, nbar):
+        raise ExpansionError("rescaled nilpotent part is not closed under the bracket")
 
     sbar = Submodule.span(s_parts, nK, "Z")
-    _require_bracket_closed(K, sbar, "projected complement")
+    if not is_subalgebra(K, sbar):
+        raise ExpansionError("projected complement is not closed under the bracket")
     for sigma in sbar.basis.entries:
         for nrow in nbar.basis.entries:
             if not nbar.contains(K.bracket(sigma, nrow)):
                 raise ExpansionError("complement does not normalize the nilpotent part")
 
-    Nbar_lat = _lattice_on_rows(K, list(nbar.basis.entries), "Z", prefix="n")
+    Nbar_lat, _ = subalgebra_lattice(K, nbar, prefix="n")
     if not is_nilpotent(Nbar_lat):
         raise ExpansionError("rescaled nilpotent part is not nilpotent")
-    Sbar_lat = _lattice_on_rows(K, list(sbar.basis.entries), "Z", prefix="s")
+    Sbar_lat, _ = subalgebra_lattice(K, sbar, prefix="s")
     action = []
     for sigma in sbar.basis.entries:
         cols = []
@@ -740,47 +735,6 @@ def integral_rescale(
         rs_rank=solvable_radical(L).rank,
         trace=state.trace,
     )
-
-
-def _lattice_on_rows(
-    K: LieLattice, rows: list[Vec], domain: str, prefix: str
-) -> LieLattice:
-    """Structure constants of a bracket-closed row span, in the given row order."""
-    k = len(rows)
-    mat = ExactMatrix.from_rows(rows, cols=K.rank) if rows else ExactMatrix.zero(0, K.rank)
-    c: list[list[Vec]] = [[zero_vector(k) for _ in range(k)] for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            coords = solve_left(mat, K.bracket(rows[i], rows[j]))
-            if coords is None:
-                raise ExpansionError("row span is not closed under the bracket")
-            if domain == "Z" and any(x.denominator != 1 for x in coords):
-                raise ExpansionError("row span has non-integral structure constants")
-            c[i][j] = coords
-    names = tuple(f"{prefix}{i}" for i in range(k))
-    lat = LieLattice(names, tuple(tuple(row) for row in c), domain)
-    require_valid(lat)
-    return lat
-
-
-def _central_terms(N: LieLattice) -> list[Submodule]:
-    """Unsaturated lower-central terms of a nilpotent lattice, in its own
-    coordinates, nonzero terms only."""
-    full = Submodule.full(N.rank, "Z")
-    terms = [full]
-    while True:
-        nxt = span_bracket(N, terms[-1], full)
-        if nxt.is_zero():
-            break
-        terms.append(nxt)
-    return terms
-
-
-def _require_bracket_closed(K: LieLattice, M: Submodule, what: str) -> None:
-    for a in M.basis.entries:
-        for b in M.basis.entries:
-            if not M.contains(K.bracket(a, b)):
-                raise ExpansionError(f"{what} is not closed under the bracket")
 
 
 def embed_splittable(L: LieLattice, max_scalar_search: int = 64) -> EmbeddingCertificate:

@@ -352,6 +352,16 @@ def _wrap_int(A: list[list[int]], cols: int) -> ExactMatrix:
     )
 
 
+def _row_combine(
+    mats: Sequence[list[list[int]]], r: int, s: int, a: int, b: int, c: int, d: int
+) -> None:
+    """(row r, row s) <- (a*r + b*s, c*r + d*s) in each matrix, a*d - b*c = +-1."""
+    for T in mats:
+        Tr, Ts = T[r], T[s]
+        for k in range(len(Tr)):
+            Tr[k], Ts[k] = a * Tr[k] + b * Ts[k], c * Tr[k] + d * Ts[k]
+
+
 def hnf(M: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
     """Row Hermite normal form.
 
@@ -361,14 +371,6 @@ def hnf(M: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
     m, n = M.rows, M.cols
     A = _to_int_lists(M)
     U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-
-    def row_combine(r: int, s: int, a: int, b: int, c: int, d: int) -> None:
-        # (row r, row s) <- (a*r + b*s, c*r + d*s), with a*d - b*c = +-1
-        for T in (A, U):
-            Tr, Ts = T[r], T[s]
-            for k in range(len(Tr)):
-                Tr[k], Ts[k] = a * Tr[k] + b * Ts[k], c * Tr[k] + d * Ts[k]
-
     piv = 0
     for col in range(n):
         pivot_row = next((r for r in range(piv, m) if A[r][col]), None)
@@ -383,10 +385,10 @@ def hnf(M: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
             a, b = A[piv][col], A[r][col]
             if b % a == 0:
                 q = b // a
-                row_combine(piv, r, 1, 0, -q, 1)
+                _row_combine((A, U), piv, r, 1, 0, -q, 1)
             else:
                 x, y, g = _xgcd(a, b)
-                row_combine(piv, r, x, y, -(b // g), a // g)
+                _row_combine((A, U), piv, r, x, y, -(b // g), a // g)
         if A[piv][col] < 0:
             A[piv] = [-v for v in A[piv]]
             U[piv] = [-v for v in U[piv]]
@@ -409,12 +411,6 @@ def snf(M: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
     U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
-    def row_combine(r, s, a, b, c, d):
-        for T in (A, U):
-            Tr, Ts = T[r], T[s]
-            for k in range(len(Tr)):
-                Tr[k], Ts[k] = a * Tr[k] + b * Ts[k], c * Tr[k] + d * Ts[k]
-
     def col_combine(r, s, a, b, c, d):
         for T in (A, V):
             for row in T:
@@ -426,10 +422,10 @@ def snf(M: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
                 if A[r][t]:
                     a, b = A[t][t], A[r][t]
                     if b % a == 0:
-                        row_combine(t, r, 1, 0, -(b // a), 1)
+                        _row_combine((A, U), t, r, 1, 0, -(b // a), 1)
                     else:
                         x, y, g = _xgcd(a, b)
-                        row_combine(t, r, x, y, -(b // g), a // g)
+                        _row_combine((A, U), t, r, x, y, -(b // g), a // g)
             if all(A[t][c] == 0 for c in range(t + 1, n)):
                 if all(A[r][t] == 0 for r in range(t + 1, m)):
                     return
@@ -687,10 +683,6 @@ def kernel_basis(M: ExactMatrix, domain: str = "Q") -> Submodule:
     nonzero = sum(1 for i in range(min(M.rows, M.cols)) if i in S.sparse_rows[i])
     rows = [U.row(i) for i in range(nonzero, M.rows)]
     return Submodule.span(rows, M.rows, "Z")
-
-
-def saturate(S: Submodule) -> Submodule:
-    return S.saturate()
 
 
 def extend_basis(inner: Submodule, outer: Submodule) -> ExactMatrix:

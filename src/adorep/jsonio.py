@@ -154,10 +154,6 @@ def rep_from_json(data: Any, lattice: LieLattice) -> LinearRep:
     )
 
 
-def submodule_rows_to_json(M: ExactMatrix) -> list[list[str]]:
-    return matrix_to_json(M)
-
-
 def verification_report_to_json(rep: VerificationReport) -> dict:
     return {
         "ok": rep.ok,
@@ -194,8 +190,8 @@ def certificate_to_json(cert: EmbeddingCertificate) -> dict:
         "extension": lattice_to_json(cert.extension),
         "injection": matrix_to_json(cert.injection),
         "nilpotent_rank": cert.nilpotent_rank,
-        "nilpotent_basis": submodule_rows_to_json(cert.nilpotent_part.module.basis),
-        "complement_basis": submodule_rows_to_json(cert.complement.module.basis),
+        "nilpotent_basis": matrix_to_json(cert.nilpotent_part.basis),
+        "complement_basis": matrix_to_json(cert.complement.basis),
         "mu": cert.mu,
         "lambda": cert.lam,
         "rs_rank": cert.rs_rank,

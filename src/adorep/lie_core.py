@@ -172,32 +172,20 @@ def require_valid(L: LieLattice) -> None:
         )
 
 
-@dataclass(frozen=True)
-class LieSubmodule:
-    parent: LieLattice
-    module: Submodule
-    is_subalgebra: bool
-    is_ideal: bool
-    is_isolated: bool
-
-    @property
-    def rank(self) -> int:
-        return self.module.rank
-
-    def is_zero(self) -> bool:
-        return self.module.is_zero()
+def is_subalgebra(L: LieLattice, S: Submodule) -> bool:
+    """Whether S is closed under the bracket: [u, v] in S for basis vectors u, v."""
+    rows = S.basis.entries
+    return all(S.contains(L.bracket(u, v)) for u in rows for v in rows)
 
 
-def lie_submodule(L: LieLattice, module: Submodule) -> LieSubmodule:
-    """Wrap a submodule of L, computing the subalgebra/ideal/isolated flags."""
-    rows = module.basis.entries
-    sub = all(module.contains(L.bracket(u, v)) for u in rows for v in rows)
-    ideal = sub and all(
-        module.contains(L.bracket(unit(L.rank, i), v))
+def is_ideal(L: LieLattice, S: Submodule) -> bool:
+    """Whether S is a subalgebra with [x_i, v] in S for every basis vector x_i
+    of L and every basis vector v of S."""
+    return is_subalgebra(L, S) and all(
+        S.contains(L.bracket(unit(L.rank, i), v))
         for i in range(L.rank)
-        for v in rows
+        for v in S.basis.entries
     )
-    return LieSubmodule(L, module, sub, ideal, module.is_saturated())
 
 
 def span_bracket(L: LieLattice, A: Submodule, B: Submodule) -> Submodule:
@@ -206,27 +194,43 @@ def span_bracket(L: LieLattice, A: Submodule, B: Submodule) -> Submodule:
     return Submodule.span(vecs, L.rank, L.domain)
 
 
-def lower_central_series(L: LieLattice) -> list[LieSubmodule]:
+def bracket_series(
+    L: LieLattice,
+    S: Submodule,
+    partner: Submodule | None = None,
+    saturate: bool = True,
+) -> list[Submodule]:
+    """The chain S, [S, P], [[S, P], P], ... with P the partner, or the
+    derived chain S, [S, S], ... when no partner is given.
+
+    Each new term is saturated unless `saturate` is false; the chain stops
+    at the first stationary term, which is included once.
+    """
+    chain = [S]
+    while True:
+        last = chain[-1]
+        nxt = span_bracket(L, last, last if partner is None else partner)
+        if saturate:
+            nxt = nxt.saturate()
+        if nxt == last:
+            return chain
+        chain.append(nxt)
+
+
+def lower_central_series(L: LieLattice) -> list[Submodule]:
     """Isolated lower central series; stops at the first stationary term."""
     full = Submodule.full(L.rank, L.domain)
-    chain = [full]
-    while True:
-        nxt = span_bracket(L, chain[-1], full).saturate()
-        if nxt == chain[-1]:
-            break
-        chain.append(nxt)
-    return [lie_submodule(L, m) for m in chain]
+    return bracket_series(L, full, full)
 
 
-def derived_series(L: LieLattice) -> list[LieSubmodule]:
+def derived_series(L: LieLattice) -> list[Submodule]:
     """Isolated derived series; stops at the first stationary term."""
-    chain = [Submodule.full(L.rank, L.domain)]
-    while True:
-        nxt = span_bracket(L, chain[-1], chain[-1]).saturate()
-        if nxt == chain[-1]:
-            break
-        chain.append(nxt)
-    return [lie_submodule(L, m) for m in chain]
+    return bracket_series(L, Submodule.full(L.rank, L.domain))
+
+
+def is_nilpotent_submodule(L: LieLattice, S: Submodule) -> bool:
+    """Whether the bracket-closed submodule S is nilpotent as a subalgebra."""
+    return bracket_series(L, S, S)[-1].is_zero()
 
 
 def is_nilpotent(L: LieLattice) -> bool:
@@ -248,13 +252,13 @@ def is_abelian(L: LieLattice) -> bool:
     return all(is_zero_vector(v) for row in L.c for v in row)
 
 
-def center(L: LieLattice) -> LieSubmodule:
+def center(L: LieLattice) -> Submodule:
     """Kernel of x -> ad_x, computed from the stacked ad matrix."""
     r = L.rank
     if r == 0:
-        return lie_submodule(L, Submodule.zero(0, L.domain))
+        return Submodule.zero(0, L.domain)
     stacked = stack_rows([L.ad(unit(r, i)).flattened() for i in range(r)])
-    return lie_submodule(L, kernel_basis(stacked, L.domain))
+    return kernel_basis(stacked, L.domain)
 
 
 def killing_form(L: LieLattice) -> ExactMatrix:
@@ -275,7 +279,7 @@ def adjoint_rep(L: LieLattice) -> LinearRep:
     )
 
 
-def solvable_radical(L: LieLattice) -> LieSubmodule:
+def solvable_radical(L: LieLattice) -> Submodule:
     """Cartan-criterion radical {x : k(x, [L, L]) = 0}, saturated.
 
     Valid in characteristic zero; the result is checked to be a solvable
@@ -283,43 +287,19 @@ def solvable_radical(L: LieLattice) -> LieSubmodule:
     """
     r = L.rank
     if r == 0:
-        return lie_submodule(L, Submodule.zero(0, L.domain))
+        return Submodule.zero(0, L.domain)
     derived = span_bracket(L, Submodule.full(r, L.domain), Submodule.full(r, L.domain))
     if derived.is_zero():
-        return lie_submodule(L, Submodule.full(r, L.domain))
+        return Submodule.full(r, L.domain)
     K = killing_form(L)
     conditions = K * derived.basis.transpose()
     candidate = kernel_basis(conditions, L.domain)
-    result = lie_submodule(L, candidate)
-    if not _is_solvable_submodule(L, candidate) or not result.is_ideal:
+    if not bracket_series(L, candidate)[-1].is_zero() or not is_ideal(L, candidate):
         raise LatticeValidationError("solvable radical candidate failed verification")
-    return result
+    return candidate
 
 
-def _is_solvable_submodule(L: LieLattice, S: Submodule) -> bool:
-    current = S
-    while True:
-        nxt = span_bracket(L, current, current).saturate()
-        if nxt == current:
-            return current.is_zero()
-        current = nxt
-
-
-def _is_nilpotent_submodule(L: LieLattice, S: Submodule) -> bool:
-    current = S
-    while True:
-        nxt = span_bracket(L, current, S).saturate()
-        if nxt == current:
-            return current.is_zero()
-        current = nxt
-
-
-def is_nilpotent_submodule(L: LieLattice, S: Submodule) -> bool:
-    """Whether the bracket-closed submodule S is nilpotent as a subalgebra."""
-    return _is_nilpotent_submodule(L, S)
-
-
-def nilradical(L: LieLattice) -> LieSubmodule:
+def nilradical(L: LieLattice) -> Submodule:
     """Largest nilpotent ideal, via the trace-form radical of the associative
     envelope of ad(R_s) (characteristic zero only).
 
@@ -329,21 +309,21 @@ def nilradical(L: LieLattice) -> LieSubmodule:
     if rs.is_zero():
         return rs
     r = L.rank
-    gens = [L.ad(v) for v in rs.module.basis.entries]
+    gens = [L.ad(v) for v in rs.basis.entries]
     envelope = _matrix_algebra_closure(gens)
     if not envelope:
         # ad vanishes on R_s: the radical is abelian, hence nilpotent
         return rs
     # x in R_s lies in the candidate iff trace(ad_x * B) = 0 for all B
     cond_cols = []
-    for v in rs.module.basis.entries:
+    for v in rs.basis.entries:
         advx = L.ad(v)
         cond_cols.append(tuple((advx * B).trace() for B in envelope))
     conditions = ExactMatrix.from_rows(cond_cols, cols=len(envelope))
     coeffs = kernel_basis(conditions, "Q")
     vecs = []
     for x in coeffs.basis.entries:
-        v = vec_mat(x, rs.module.basis)
+        v = vec_mat(x, rs.basis)
         if L.domain == "Z":
             # clear denominators: saturation only sees the Q-span, and the
             # isolated closure must live inside Z^n
@@ -351,10 +331,9 @@ def nilradical(L: LieLattice) -> LieSubmodule:
             v = vec_scale(frac(den), v)
         vecs.append(v)
     candidate = Submodule.span(vecs, r, L.domain).saturate()
-    result = lie_submodule(L, candidate)
-    if not result.is_ideal or not _is_nilpotent_submodule(L, candidate):
+    if not is_ideal(L, candidate) or not is_nilpotent_submodule(L, candidate):
         raise LatticeValidationError("nilradical candidate failed verification")
-    return result
+    return candidate
 
 
 def _matrix_algebra_closure(gens: Sequence[ExactMatrix]) -> list[ExactMatrix]:
@@ -456,21 +435,26 @@ def subalgebra_lattice(
 ) -> tuple[LieLattice, ExactMatrix]:
     """Structure constants of a bracket-closed submodule in its own basis.
 
-    Returns the abstract lattice and the basis matrix (rows = basis vectors
-    in the coordinates of L).
+    The basis rows of S are used in the order given, and the result has the
+    domain of S; over Z every structure constant must be an integer.  The
+    result is validated.  Returns the abstract lattice and the basis matrix
+    (rows = basis vectors in the coordinates of L).
     """
     rows = S.basis.entries
     k = len(rows)
     c: list[list[Vec]] = [[zero_vector(k) for _ in range(k)] for _ in range(k)]
     for i in range(k):
         for j in range(k):
-            w = L.bracket(rows[i], rows[j])
-            coords = S.coordinates(w)
+            coords = solve_left(S.basis, L.bracket(rows[i], rows[j]))
             if coords is None:
                 raise ValueError("submodule is not closed under the bracket")
+            if S.domain == "Z" and any(x.denominator != 1 for x in coords):
+                raise ValueError("submodule has non-integral structure constants")
             c[i][j] = coords
     names = tuple(f"{prefix}{i}" for i in range(k))
-    return LieLattice(names, tuple(tuple(r) for r in c), L.domain), S.basis
+    lat = LieLattice(names, tuple(tuple(r) for r in c), S.domain)
+    require_valid(lat)
+    return lat, S.basis
 
 
 def semidirect_assemble(

@@ -68,7 +68,7 @@ def build_weighted_basis(L: LieLattice) -> WeightedPBWBasis:
     rows: list[Vec] = []
     weights: list[int] = []
     for depth in range(c, 0, -1):
-        outer = chain[depth - 1].module
+        outer = chain[depth - 1]
         inner = Submodule.span(rows, L.rank, L.domain)
         new_rows = extend_basis(inner, outer)
         rows.extend(new_rows.entries)
@@ -313,24 +313,5 @@ def _acc(d: Element, key: Monomial, value: Fraction) -> None:
     d[key] = d.get(key, ZERO) + value
 
 
-# -- spec-level convenience wrappers --------------------------------------
-
-
 def truncated_uea(L: LieLattice, cutoff: int) -> TruncatedUEA:
     return TruncatedUEA(build_weighted_basis(L), cutoff)
-
-
-def straighten(word: Sequence[int], T: TruncatedUEA) -> Vec:
-    return T.straighten(word)
-
-
-def left_mult_matrix(v: Vec, T: TruncatedUEA) -> ExactMatrix:
-    return T.left_mult_matrix(v)
-
-
-def derivation_star(D: ExactMatrix, T: TruncatedUEA) -> ExactMatrix:
-    return T.derivation_star(D)
-
-
-def weight_of(coords: Vec, T: TruncatedUEA) -> int | float:
-    return T.weight_of(coords)

@@ -250,7 +250,7 @@ def test_criterion_08_nil_representation():
         L = entry.lattice
         rep, report, _ = ado_representation(L, strict=True)
         n = rep.degree
-        for row in nilradical(L).module.basis.entries:
+        for row in nilradical(L).basis.entries:
             if not rep.matrix_of(row).power(n).is_zero():
                 ok = False
     _report(8, "nil-representation", ok)

@@ -236,3 +236,18 @@ def test_cli_catalog_abelian_family(capsys):
     assert json.loads(out)["rank"] == 5
     code, out, _ = run(capsys, "catalog", "abelian_r")
     assert json.loads(out)["rank"] == 3
+
+
+def test_cli_internal_error_exit_code(tmp_path, capsys, monkeypatch):
+    import adorep.embed
+
+    def broken(A):
+        raise RuntimeError("Newton iteration did not converge")
+
+    monkeypatch.setattr(adorep.embed, "jordan_chevalley", broken)
+    path = write_lattice(tmp_path, "t2_upper")
+    code, out, err = run(capsys, "ado", path, "--strict-theorem-path")
+    assert code == 3
+    assert out == ""
+    assert "internal error: Newton iteration did not converge" in err
+    assert "Traceback" not in err

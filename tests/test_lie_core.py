@@ -9,12 +9,15 @@ from adorep.lie_core import (
     LeibnizError,
     LieLattice,
     adjoint_rep,
+    bracket_series,
     center,
     check_derivation,
     derivation_basis,
     derived_series,
     direct_sum,
+    is_ideal,
     is_nilpotent,
+    is_nilpotent_submodule,
     is_semisimple,
     is_solvable,
     killing_form,
@@ -26,6 +29,7 @@ from adorep.lie_core import (
     semidirect_assemble,
     solvable_radical,
     split_semidirect,
+    is_subalgebra,
     subalgebra_lattice,
     unit,
     validate,
@@ -95,9 +99,46 @@ def test_derived_series():
 
 
 def test_center():
-    assert center(h3()).module.basis == ExactMatrix.from_rows([[0, 0, 1]])
+    assert center(h3()).basis == ExactMatrix.from_rows([[0, 0, 1]])
     assert center(catalog.abelian(3)).rank == 3
     assert center(sl2()).rank == 0
+
+
+def test_ideal_and_subalgebra_predicates():
+    L = h3()
+    x_only = Submodule.span([unit(3, 0)], 3, "Z")
+    assert is_subalgebra(L, x_only)
+    assert not is_ideal(L, x_only)  # [y, x] = -z leaves span(x)
+    x_and_y = Submodule.span([unit(3, 0), unit(3, 1)], 3, "Z")
+    assert not is_subalgebra(L, x_and_y)  # [x, y] = z leaves span(x, y)
+    assert not is_ideal(L, x_and_y)
+    for entry in catalog.acceptance_entries():
+        M = entry.lattice
+        for S in (center(M), solvable_radical(M), nilradical(M)):
+            assert is_ideal(M, S)
+
+
+def test_is_nilpotent_submodule():
+    L = solv2()
+    assert not is_nilpotent_submodule(L, solvable_radical(L))
+    assert is_nilpotent_submodule(L, nilradical(L))
+
+
+def test_bracket_series_saturation():
+    # [x, y] = 2z: the second lower-central term is 2z, saturated to z
+    L = lie_lattice(["x", "y", "z"], {(0, 1): [0, 0, 2]})
+    full = Submodule.full(3, "Z")
+    saturated = bracket_series(L, full, full)
+    unsaturated = bracket_series(L, full, full, saturate=False)
+    assert [m.basis for m in saturated[1:]] == [
+        ExactMatrix.from_rows([[0, 0, 1]]),
+        ExactMatrix.zero(0, 3),
+    ]
+    assert [m.basis for m in unsaturated[1:]] == [
+        ExactMatrix.from_rows([[0, 0, 2]]),
+        ExactMatrix.zero(0, 3),
+    ]
+    assert saturated == lower_central_series(L)
 
 
 def test_killing_form():
@@ -116,20 +157,20 @@ def test_solvable_radical():
     rs = solvable_radical(both)
     assert rs.rank == 3
     # the radical of the direct sum is the h3 block
-    assert rs.module == Submodule.span(
+    assert rs == Submodule.span(
         [unit(6, 3), unit(6, 4), unit(6, 5)], 6, "Z"
     )
 
 
 def test_nilradical():
     assert nilradical(h3()).rank == 3
-    assert nilradical(solv2()).module.basis == ExactMatrix.from_rows([[0, 1]])
+    assert nilradical(solv2()).basis == ExactMatrix.from_rows([[0, 1]])
     assert nilradical(sl2()).rank == 0
     t2 = catalog.t2_upper()
     rn = nilradical(t2)
     assert rn.rank == 2
-    assert rn.module.contains(vector([1, 0, 1]))  # the identity matrix direction
-    assert rn.module.contains(vector([0, 1, 0]))
+    assert rn.contains(vector([1, 0, 1]))  # the identity matrix direction
+    assert rn.contains(vector([0, 1, 0]))
 
 
 def test_adjoint_rep():
@@ -157,7 +198,7 @@ def test_adjoint_kernel_is_center():
         )
         from adorep.exact_linalg import kernel_basis
 
-        assert kernel_basis(stacked, L.domain) == center(L).module
+        assert kernel_basis(stacked, L.domain) == center(L)
 
 
 def test_semidirect_assemble_examples():
@@ -222,21 +263,21 @@ def test_radical_containments_across_catalog():
         assert validate(L).ok
         rs = solvable_radical(L)
         rn = nilradical(L)
-        assert rs.module.contains_submodule(rn.module)
-        assert rn.is_ideal and rs.is_ideal
+        assert rs.contains_submodule(rn)
+        assert is_ideal(L, rn) and is_ideal(L, rs)
         # [L, R_s] inside R_n
         for i in range(L.rank):
-            for row in rs.module.basis.entries:
-                assert rn.module.contains(L.bracket(unit(L.rank, i), row))
+            for row in rs.basis.entries:
+                assert rn.contains(L.bracket(unit(L.rank, i), row))
         # radicals and series terms are isolated sublattices of Z^n
-        assert rs.module.is_saturated()
-        assert rn.module.is_saturated()
-        assert center(L).module.is_saturated()
-        assert rs.module.basis.is_integral
-        assert rn.module.basis.is_integral
-        assert center(L).module.basis.is_integral
+        assert rs.is_saturated()
+        assert rn.is_saturated()
+        assert center(L).is_saturated()
+        assert rs.basis.is_integral
+        assert rn.basis.is_integral
+        assert center(L).basis.is_integral
         for m in lower_central_series(L):
-            assert m.module.is_saturated()
+            assert m.is_saturated()
         # expected invariants from the catalog
         assert rs.rank == entry.expected["rs_rank"]
         assert rn.rank == entry.expected["rn_rank"]
@@ -259,10 +300,10 @@ def test_nilradical_on_random_solvable_lattices():
         Y = lie_lattice(["y"], {})
         L = semidirect_assemble(V, Y, [A])
         rn = nilradical(L)
-        assert rn.module.basis.is_integral
-        assert rn.module.is_saturated()
-        assert solvable_radical(L).module.contains_submodule(rn.module)
-        for row in rn.module.basis.entries:
+        assert rn.basis.is_integral
+        assert rn.is_saturated()
+        assert solvable_radical(L).contains_submodule(rn)
+        for row in rn.basis.entries:
             assert L.ad(row).power(L.rank).is_zero()
         checked += 1
     assert checked == 60
@@ -292,9 +333,9 @@ def test_change_basis():
 def test_subalgebra_and_quotient():
     L = direct_sum(sl2(), solv2()).to_field()
     rs = solvable_radical(L)
-    sub, basis = subalgebra_lattice(L, rs.module)
+    sub, basis = subalgebra_lattice(L, rs)
     assert sub.rank == 2
     assert is_solvable(sub)
-    quot, section = quotient_lattice(L, rs.module)
+    quot, section = quotient_lattice(L, rs)
     assert quot.rank == 3
     assert is_semisimple(quot)

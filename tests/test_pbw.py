@@ -12,15 +12,7 @@ from adorep.lie_core import (
     lie_lattice,
     unit,
 )
-from adorep.pbw import (
-    TruncatedUEA,
-    build_weighted_basis,
-    derivation_star,
-    left_mult_matrix,
-    straighten,
-    truncated_uea,
-    weight_of,
-)
+from adorep.pbw import TruncatedUEA, build_weighted_basis, truncated_uea
 
 from oracles import oracle_vector
 
@@ -244,15 +236,6 @@ def test_block_triangularity_of_lifted_derivations():
                 for row, alpha in enumerate(T.monomials):
                     if Ds.entries[row][col] != 0:
                         assert T.monomial_weight(alpha) >= wb
-
-
-def test_module_level_wrappers():
-    T = truncated_uea(h3(), 2)
-    assert straighten([1, 0], T) == T.straighten([1, 0])
-    assert left_mult_matrix(unit(3, 0), T) == T.left_mult_matrix(unit(3, 0))
-    D = h3().ad(unit(3, 1))
-    assert derivation_star(D, T) == T.derivation_star(D)
-    assert weight_of(T.straighten([1, 0]), T) == 2
 
 
 def test_integral_coefficients_over_z():

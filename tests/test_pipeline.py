@@ -134,7 +134,7 @@ def test_nil_representation_property():
         from adorep.lie_core import nilradical
 
         n = rep.degree
-        for row in nilradical(L).module.basis.entries:
+        for row in nilradical(L).basis.entries:
             assert rep.matrix_of(row).power(n).is_zero()
 
 
