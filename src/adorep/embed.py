@@ -25,6 +25,7 @@ from .exact_linalg import (
     extend_basis,
     invert,
     kernel_basis,
+    left_solver,
     mat_vec,
     rank,
     solve_left,
@@ -237,6 +238,16 @@ def jordan_chevalley(A: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
 # ---------------------------------------------------------------------------
 
 
+def _closed_sublattice(K: LieLattice, S: Submodule, prefix: str) -> LieLattice:
+    """`subalgebra_lattice` of a submodule the construction has already made
+    closed and integral, so a failure is an internal error, not a property
+    of the input."""
+    try:
+        return subalgebra_lattice(K, S, prefix)[0]
+    except ValueError as exc:
+        raise RuntimeError(f"construction produced a bad sublattice: {exc}") from exc
+
+
 def levi_decomposition(L: LieLattice) -> tuple[Submodule, Submodule]:
     """Solvable radical and a semisimple complement closed under the bracket.
 
@@ -265,10 +276,10 @@ def levi_decomposition(L: LieLattice) -> tuple[Submodule, Submodule]:
         d = comp.rows
         if d == 0:
             continue
-        layer_basis = stack_rows([Dk1.basis, comp]) if Dk1.rank else comp
+        layer_solve = left_solver(stack_rows([Dk1.basis, comp]) if Dk1.rank else comp)
 
         def project(w: Vec) -> Vec:
-            coords = solve_left(layer_basis, w)
+            coords = layer_solve(w)
             if coords is None:
                 raise LiftingError("Levi defect escaped its derived-series layer")
             return coords[Dk1.rank :]
@@ -329,7 +340,7 @@ def levi_decomposition(L: LieLattice) -> tuple[Submodule, Submodule]:
     levi = Submodule.span(sigma, r, "Q")
     if levi.rank != t or not is_subalgebra(L, levi):
         raise LiftingError("lifted complement has the wrong rank or is not a subalgebra")
-    levi_lat, _ = subalgebra_lattice(L, levi)
+    levi_lat = _closed_sublattice(L, levi, "v")
     if rank(killing_form(levi_lat)) != t:
         raise LiftingError("lifted complement is not semisimple")
     if not rs.intersect(levi).is_zero():
@@ -608,29 +619,24 @@ def integral_rescale(
     if span_check != state.N or s + r_new != state.N.rank:
         raise ExpansionError("radical basis plus new generators do not span N")
 
-    x_mat = (
-        ExactMatrix.from_rows(x_vecs, cols=nK)
-        if x_vecs
-        else ExactMatrix.zero(0, nK)
-    )
-
+    solve_x = left_solver(ExactMatrix.from_rows(x_vecs, cols=nK))
     mu = 1
     bad: list[int] = []  # stays empty when max_scalar_search <= 0
     for attempt in range(max_scalar_search):
         bad = []
         basis_rows = x_vecs + [vec_scale(Fraction(mu), xp) for xp in xp_vecs]
-        basis_mat = ExactMatrix.from_rows(basis_rows, cols=nK)
+        solve_basis = left_solver(ExactMatrix.from_rows(basis_rows, cols=nK))
         for a in range(len(basis_rows)):
             for b in range(a + 1, len(basis_rows)):
                 w = K.bracket(basis_rows[a], basis_rows[b])
-                coords = solve_left(basis_mat, w)
+                coords = solve_basis(w)
                 if coords is None:
                     raise ExpansionError("bracket left the span of the nilpotent part")
                 bad.extend(c.denominator for c in coords if c.denominator != 1)
         for xp in xp_vecs:
             for w in images:
                 br = K.bracket(vec_scale(Fraction(mu), xp), w)
-                coords = solve_left(x_mat, br)
+                coords = solve_x(br)
                 if coords is None:
                     raise ExpansionError(
                         "new generator does not map the lattice into its nilpotent radical"
@@ -647,7 +653,7 @@ def integral_rescale(
 
     n_rows = x_vecs + [vec_scale(Fraction(mu), xp) for xp in xp_vecs]
     n_mat = ExactMatrix.from_rows(n_rows, cols=nK) if n_rows else ExactMatrix.zero(0, nK)
-    N_lat, _ = subalgebra_lattice(K, Submodule(nK, n_mat, "Z"), prefix="n")
+    N_lat = _closed_sublattice(K, Submodule(nK, n_mat, "Z"), "n")
     if not is_nilpotent(N_lat):
         raise ExpansionError("scaled span of the nilpotent part is not nilpotent")
 
@@ -692,10 +698,10 @@ def integral_rescale(
             if not nbar.contains(K.bracket(sigma, nrow)):
                 raise ExpansionError("complement does not normalize the nilpotent part")
 
-    Nbar_lat, _ = subalgebra_lattice(K, nbar, prefix="n")
+    Nbar_lat = _closed_sublattice(K, nbar, "n")
     if not is_nilpotent(Nbar_lat):
         raise ExpansionError("rescaled nilpotent part is not nilpotent")
-    Sbar_lat, _ = subalgebra_lattice(K, sbar, prefix="s")
+    Sbar_lat = _closed_sublattice(K, sbar, "s")
     action = []
     for sigma in sbar.basis.entries:
         cols = []

@@ -12,8 +12,9 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, str, Fraction]
 Vec = tuple[Fraction, ...]
@@ -300,6 +301,21 @@ def commutator(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
     return A * B - B * A
 
 
+def trace_product(A: ExactMatrix, B: ExactMatrix) -> Fraction:
+    """trace(A * B) without forming the product: the sum of A[i][k] * B[k][i]
+    over the nonzero entries of A."""
+    if A.cols != B.rows or A.rows != B.cols:
+        raise ValueError(f"shape mismatch {A.rows}x{A.cols} * {B.rows}x{B.cols}")
+    brows = B.sparse_rows
+    total = ZERO
+    for i, row in enumerate(A.sparse_rows):
+        for k, a in row.items():
+            b = brows[k].get(i)
+            if b is not None:
+                total += a * b
+    return total
+
+
 def stack_rows(blocks: Sequence[ExactMatrix]) -> ExactMatrix:
     cols = blocks[0].cols
     rows: list[Row] = []
@@ -556,9 +572,67 @@ def solve_right(A: ExactMatrix, b: Vec) -> Vec | None:
     return tuple(x)
 
 
+def _reduce_row(v: Row, echelon: Sequence[tuple[int, Row]]) -> tuple[Row, list[Fraction]]:
+    """Reduce the sparse row v by the echelon rows, in order.
+
+    Each echelon entry is (pivot column, row), the row being 1 at its pivot
+    and 0 at the pivots of the rows before it.  Returns the residual, which
+    is 0 at every pivot (so v is in the span iff it is empty), and the
+    multiple of each echelon row that was subtracted.
+    """
+    res = dict(v)
+    coeffs = []
+    for p, row in echelon:
+        c = res.get(p, ZERO)
+        coeffs.append(c)
+        if c:
+            for j, x in row.items():
+                y = res.get(j, ZERO) - c * x
+                if y:
+                    res[j] = y
+                else:
+                    del res[j]
+    return res, coeffs
+
+
+def left_solver(B: ExactMatrix) -> Callable[[Vec], Vec | None]:
+    """The map v -> x with x*B = v, or None if v is outside the row span.
+
+    One RREF of [B | I] gives the echelon E = T*B of B and the transform T;
+    each vector then costs one sparse back-substitution y over E's pivot
+    rows, a zero-residual test and x = y*T.  When the rows of B are
+    independent x is the only solution.
+    """
+    k, n = B.rows, B.cols
+    aug = ExactMatrix._of(tuple({**row, n + i: ONE} for i, row in enumerate(B.sparse_rows)), n + k)
+    R, pivots = rref(aug)
+    echelon: list[tuple[int, Row]] = []
+    transform: list[Row] = []
+    for row, p in zip(R.sparse_rows, pivots):
+        if p >= n:
+            break
+        echelon.append((p, {j: x for j, x in row.items() if j < n}))
+        transform.append({j - n: x for j, x in row.items() if j >= n})
+
+    def solve(v: Vec) -> Vec | None:
+        if len(v) != n:
+            raise ValueError("dimension mismatch")
+        residual, y = _reduce_row({j: x for j, x in enumerate(v) if x}, echelon)
+        if residual:
+            return None
+        x = [ZERO] * k
+        for c, t in zip(y, transform):
+            if c:
+                for i, a in t.items():
+                    x[i] += c * a
+        return tuple(x)
+
+    return solve
+
+
 def solve_left(B: ExactMatrix, v: Vec) -> Vec | None:
     """Coordinates x with x*B = v, or None if v is outside the row span."""
-    return solve_right(B.transpose(), v)
+    return left_solver(B)(v)
 
 
 def right_kernel(A: ExactMatrix) -> list[Vec]:
@@ -581,7 +655,9 @@ class Submodule:
 
     Over Z the basis is H/d where H is the Hermite form of d times the
     generators and d is their common denominator; over Q it is the RREF.
-    Equality of Submodules is equality of the canonical data.
+    Equality of Submodules is equality of the canonical data.  The basis is
+    factored once, on the first `coordinates` call, and the solver kept on
+    the instance (outside equality, hashing and repr).
     """
 
     ambient_rank: int
@@ -618,9 +694,18 @@ class Submodule:
     def full(ambient_rank: int, domain: str = "Z") -> "Submodule":
         return Submodule(ambient_rank, ExactMatrix.identity(ambient_rank), domain)
 
+    @cached_property
+    def _solve(self) -> Callable[[Vec], Vec | None]:
+        return left_solver(self.basis)
+
+    def __getstate__(self) -> dict:
+        # the cached solver is a closure, which cannot be pickled; an
+        # unpickled copy builds its own on first use
+        return {k: v for k, v in self.__dict__.items() if k != "_solve"}
+
     def coordinates(self, v: Vec) -> Vec | None:
         """Coordinates of v in the basis, respecting the domain (Z: integral)."""
-        x = solve_left(self.basis, v)
+        x = self._solve(v)
         if x is None:
             return None
         if self.domain == "Z" and any(c.denominator != 1 for c in x):

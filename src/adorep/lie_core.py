@@ -14,15 +14,18 @@ from typing import Mapping, Sequence
 
 from .exact_linalg import (
     ExactMatrix,
+    Row,
     Submodule,
     Vec,
+    _reduce_row,
     frac,
     is_zero_vector,
     kernel_basis,
+    left_solver,
     mat_vec,
     rank,
-    solve_left,
     stack_rows,
+    trace_product,
     vec_add,
     vec_mat,
     vec_scale,
@@ -180,12 +183,20 @@ def is_subalgebra(L: LieLattice, S: Submodule) -> bool:
 
 def is_ideal(L: LieLattice, S: Submodule) -> bool:
     """Whether S is a subalgebra with [x_i, v] in S for every basis vector x_i
-    of L and every basis vector v of S."""
-    return is_subalgebra(L, S) and all(
+    of L and every basis vector v of S.
+
+    When S lies in L (over Q, or with an integral basis over Z) each u in S
+    is a combination of the x_i with coefficients in the domain, so the
+    [x_i, v] test already implies closure and the subalgebra test is skipped.
+    """
+    brackets_inside = all(
         S.contains(L.bracket(unit(L.rank, i), v))
         for i in range(L.rank)
         for v in S.basis.entries
     )
+    if S.domain == "Q" or S.basis.is_integral:
+        return brackets_inside
+    return brackets_inside and is_subalgebra(L, S)
 
 
 def span_bracket(L: LieLattice, A: Submodule, B: Submodule) -> Submodule:
@@ -266,7 +277,7 @@ def killing_form(L: LieLattice) -> ExactMatrix:
     r = L.rank
     ads = [L.ad(unit(r, i)) for i in range(r)]
     return ExactMatrix.from_rows(
-        [[(ads[i] * ads[j]).trace() for j in range(r)] for i in range(r)],
+        [[trace_product(ads[i], ads[j]) for j in range(r)] for i in range(r)],
         cols=r,
     )
 
@@ -318,7 +329,7 @@ def nilradical(L: LieLattice) -> Submodule:
     cond_cols = []
     for v in rs.basis.entries:
         advx = L.ad(v)
-        cond_cols.append(tuple((advx * B).trace() for B in envelope))
+        cond_cols.append(tuple(trace_product(advx, B) for B in envelope))
     conditions = ExactMatrix.from_rows(cond_cols, cols=len(envelope))
     coeffs = kernel_basis(conditions, "Q")
     vecs = []
@@ -337,20 +348,26 @@ def nilradical(L: LieLattice) -> Submodule:
 
 
 def _matrix_algebra_closure(gens: Sequence[ExactMatrix]) -> list[ExactMatrix]:
-    """Basis of the associative algebra (no identity) generated by gens."""
+    """Basis of the associative algebra (no identity) generated by gens.
+
+    A candidate is accepted iff it is independent of those accepted before:
+    its flattened entries are reduced by an echelon of the accepted ones.
+    """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
     basis: list[ExactMatrix] = []
-    rows: list[ExactMatrix] = []
+    echelon: list[tuple[int, Row]] = []
 
     def try_add(A: ExactMatrix) -> bool:
-        candidate = rows + [A.flattened()]
-        if rank(stack_rows(candidate)) == len(candidate):
-            basis.append(A)
-            rows.append(candidate[-1])
-            return True
-        return False
+        residual, _ = _reduce_row(A.flattened().sparse_rows[0], echelon)
+        if not residual:
+            return False
+        pivot = min(residual)
+        inv = 1 / residual[pivot]
+        echelon.append((pivot, {j: x * inv for j, x in residual.items()}))
+        basis.append(A)
+        return True
 
     for g in gens:
         try_add(g)
@@ -442,10 +459,11 @@ def subalgebra_lattice(
     """
     rows = S.basis.entries
     k = len(rows)
+    solve = left_solver(S.basis)
     c: list[list[Vec]] = [[zero_vector(k) for _ in range(k)] for _ in range(k)]
     for i in range(k):
         for j in range(k):
-            coords = solve_left(S.basis, L.bracket(rows[i], rows[j]))
+            coords = solve(L.bracket(rows[i], rows[j]))
             if coords is None:
                 raise ValueError("submodule is not closed under the bracket")
             if S.domain == "Z" and any(x.denominator != 1 for x in coords):
@@ -593,11 +611,12 @@ def quotient_lattice(
     comp = extend_basis(ideal, Submodule.full(L.rank, L.domain))
     k = comp.rows
     split = stack_rows([ideal.basis, comp]) if ideal.rank else comp
+    solve = left_solver(split)
     c: list[list[Vec]] = [[zero_vector(k) for _ in range(k)] for _ in range(k)]
     for i in range(k):
         for j in range(k):
             w = L.bracket(comp.entries[i], comp.entries[j])
-            coords = solve_left(split, w)
+            coords = solve(w)
             if coords is None:
                 raise ValueError("quotient section failed")
             c[i][j] = tuple(coords[ideal.rank :])

@@ -205,3 +205,32 @@ def ref_invert(A):
     if pivots[:n] != list(range(n)):
         return None
     return [row[n:] for row in R]
+
+
+def ref_matrix_algebra_closure(gens, n):
+    """Basis of the associative algebra (no identity) generated by the n x n
+    matrices gens.  Candidates come in the library's order (the generators,
+    then A*g and g*A for each A found in the previous round); each is kept
+    iff the rank of all kept matrices, flattened, rises with it."""
+    gens = [g for g in gens if not ref_is_zero(g)]
+    basis = []
+
+    def try_add(A):
+        flat = [[x for row in M for x in row] for M in basis + [A]]
+        if ref_rank(flat, n * n) == len(flat):
+            basis.append(A)
+            return True
+        return False
+
+    for g in gens:
+        try_add(g)
+    frontier = list(basis)
+    while frontier:
+        new = []
+        for A in frontier:
+            for g in gens:
+                for P in (ref_mul(A, g, n, n), ref_mul(g, A, n, n)):
+                    if try_add(P):
+                        new.append(P)
+        frontier = new
+    return basis

@@ -251,3 +251,19 @@ def test_cli_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     assert out == ""
     assert "internal error: Newton iteration did not converge" in err
     assert "Traceback" not in err
+
+
+def test_cli_internal_value_error_exit_code(tmp_path, capsys, monkeypatch):
+    # a ValueError from a sublattice the construction built itself is a bug,
+    # not a mathematical failure of the input
+    import adorep.embed
+
+    def broken(*args, **kwargs):
+        raise ValueError("submodule is not closed under the bracket")
+
+    monkeypatch.setattr(adorep.embed, "subalgebra_lattice", broken)
+    path = write_lattice(tmp_path, "t2_upper")
+    code, out, err = run(capsys, "ado", path, "--strict-theorem-path")
+    assert code == 3
+    assert out == ""
+    assert "internal error:" in err and "not closed under the bracket" in err

@@ -1,19 +1,32 @@
-"""Property tests: the sparse ExactMatrix kernel against plain list-of-lists
+"""Property tests: the sparse ExactMatrix kernel, coordinates in submodules,
+trace forms and the matrix-algebra envelope against plain list-of-lists
 Fraction matrices (tests/oracles.py), on random sparse rational matrices
 that include 0-row and 0-column shapes."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adorep.exact_linalg import ExactMatrix, invert, rank, rref, solve_left, vec_mat
+from adorep.exact_linalg import (
+    ExactMatrix,
+    Submodule,
+    invert,
+    rank,
+    rref,
+    solve_left,
+    trace_product,
+    vec_mat,
+)
+from adorep.lie_core import _matrix_algebra_closure
 
 from oracles import (
     ref_add,
     ref_invert,
     ref_is_zero,
+    ref_matrix_algebra_closure,
     ref_mul,
     ref_rank,
     ref_rref,
@@ -162,3 +175,77 @@ def test_equal_values_compare_and_hash_equal(a):
     assert same_value(doubled * signs, ExactMatrix.zero(m, n))
     assert same_value(M - M, ExactMatrix.zero(m, n))
     assert same_value(M + ExactMatrix.zero(m, n), M)
+
+
+@st.composite
+def independent_rows(draw):
+    """(B, n): k independent rows of Q^n as a list of lists, in a random
+    basis U*E with E the reduced echelon form of a random matrix and U
+    lower unitriangular, so the rows are generally not canonical."""
+    A, _, n = draw(shaped())
+    E = [row for row in ref_rref(A, n)[0] if any(row)]
+    k = len(E)
+    U = [[draw(CELLS) if j < i else Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+    return ref_mul(U, E, k, n), n
+
+
+def combination(x, B, n):
+    return tuple(sum((x[i] * B[i][j] for i in range(len(B))), ZERO) for j in range(n))
+
+
+@KERNEL
+@given(independent_rows(), st.sampled_from("ZQ"), st.data())
+def test_coordinates_match_reference(b, domain, data):
+    B, n = b
+    if data.draw(st.booleans()):
+        v = combination(data.draw(dense(1, len(B)))[0], B, n)
+    else:
+        v = tuple(data.draw(dense(1, n))[0])
+    # the rows are independent, so the reference solution is the only one
+    want = ref_solve_left(B, n, v)
+    assert solve_left(mat(B, n), v) == (None if want is None else tuple(want))
+    if want is not None and domain == "Z" and any(c.denominator != 1 for c in want):
+        want = None
+    as_given = Submodule(n, mat(B, n), domain)
+    assert as_given.coordinates(v) == (None if want is None else tuple(want))
+    canonical = Submodule.span([tuple(row) for row in B], n, domain)
+    assert canonical.contains(v) == (want is not None)
+    # the cached solver stays out of equality, hashing, repr and pickles
+    fresh = Submodule(n, mat(B, n), domain)
+    assert as_given == fresh and hash(as_given) == hash(fresh)
+    assert repr(as_given) == repr(fresh)
+    copied = pickle.loads(pickle.dumps(as_given))
+    assert copied == fresh and copied.coordinates(v) == as_given.coordinates(v)
+
+
+def test_coordinates_outside_the_span():
+    for S in (Submodule.span([(2, 0)], 2, "Z"), Submodule(2, mat([[2, 0]], 2), "Z")):
+        # (1, 0) is in the Q-span of (2, 0) but not in its Z-span
+        assert S.coordinates((Fraction(1), ZERO)) is None
+        assert S.coordinates((Fraction(4), ZERO)) == (Fraction(2),)
+        assert S.coordinates((ZERO, Fraction(1))) is None
+    S = Submodule.span([(2, 0)], 2, "Q")
+    assert S.coordinates((Fraction(1), ZERO)) == (Fraction(1),)
+    assert S.coordinates((ZERO, Fraction(1))) is None
+    assert solve_left(mat([[2, 0]], 2), (Fraction(1), ZERO)) == (Fraction(1, 2),)
+    assert solve_left(mat([[2, 0]], 2), (ZERO, Fraction(1))) is None
+
+
+@KERNEL
+@given(DIMS, DIMS, st.data())
+def test_trace_product_matches_reference(m, n, data):
+    A, B = data.draw(dense(m, n)), data.draw(dense(n, m))
+    got = trace_product(mat(A, n), mat(B, m))
+    assert got == ref_trace(ref_mul(A, B, n, m))
+    assert got == (mat(A, n) * mat(B, m)).trace()
+    if n != m:
+        with pytest.raises(ValueError):
+            trace_product(mat(A, n), mat(A, n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_matrix_algebra_closure_matches_rerank_oracle(n, data):
+    gens = data.draw(st.lists(dense(n, n), max_size=3))
+    got = _matrix_algebra_closure([mat(g, n) for g in gens])
+    assert [listed(M) for M in got] == ref_matrix_algebra_closure(gens, n)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from adorep import catalog
-from adorep.exact_linalg import ExactMatrix, Submodule, rank, vector
+from adorep.exact_linalg import ExactMatrix, Submodule, rank, vec_scale, vector
 from adorep.lie_core import (
     LeibnizError,
     LieLattice,
@@ -112,6 +112,14 @@ def test_ideal_and_subalgebra_predicates():
     x_and_y = Submodule.span([unit(3, 0), unit(3, 1)], 3, "Z")
     assert not is_subalgebra(L, x_and_y)  # [x, y] = z leaves span(x, y)
     assert not is_ideal(L, x_and_y)
+    # over Z, span(x/2, y/2, z/2) holds every [x_i, v] but not
+    # [x/2, y/2] = z/4: a fractional basis still gets the closure test
+    halves = Submodule.span([vec_scale(Fraction(1, 2), unit(3, i)) for i in range(3)], 3, "Z")
+    assert all(
+        halves.contains(L.bracket(unit(3, i), v)) for i in range(3) for v in halves.basis.entries
+    )
+    assert not is_subalgebra(L, halves)
+    assert not is_ideal(L, halves)
     for entry in catalog.acceptance_entries():
         M = entry.lattice
         for S in (center(M), solvable_radical(M), nilradical(M)):

@@ -1,9 +1,12 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
 from adorep import catalog
 from adorep.exact_linalg import ExactMatrix
+from adorep.jsonio import ado_report_to_json, certificate_to_json, rep_to_json
 from adorep.lie_core import adjoint_rep, lie_lattice, unit
 from adorep.nilrep import burde_bound
 from adorep.pipeline import (
@@ -185,3 +188,23 @@ def test_verify_rejects_one_corrupted_diagonal_entry():
         report = verify_representation(L, LinearRep(L, mats, "corrupted"))
         assert not report.ok
         assert (0, 1) in report.homomorphism_violations
+
+
+# SHA-256 of the JSON of strict ado's representation, report and certificate.
+# A change to the kernels must leave every output byte unchanged; a change
+# meant to alter outputs updates these digests and says why.
+GOLDEN = {
+    "t2_upper": "816a9c11b2d6407e0b733763d6d7172a43a912ec4ce24d165bc167ae36487313",
+    "churkin_sl2_t2": "02a9fd870f507569a4d3195150273a82f40f85163ffd466ad871a366fa8730fe",
+    "solv3_weights": "77b4546dea1ac455184cbee1b64205d9566e1f7a1b769383f1f5f48677225793",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_strict_ado_output_is_pinned(name):
+    rep, report, cert = ado_representation(catalog.get(name).lattice, strict=True)
+    text = json.dumps(
+        [rep_to_json(rep), ado_report_to_json(report), certificate_to_json(cert)],
+        sort_keys=True,
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[name]
