@@ -284,10 +284,8 @@ def levi_decomposition(L: LieLattice) -> tuple[Submodule, Submodule]:
                 raise LiftingError("Levi defect escaped its derived-series layer")
             return coords[Dk1.rank :]
 
-        action = [
-            [project(L.bracket(sigma[a], comp.entries[b])) for b in range(d)]
-            for a in range(t)
-        ]
+        acting = L.brackets(sigma, comp.entries)
+        action = [[project(acting[a * d + b]) for b in range(d)] for a in range(t)]
         eq_rows: list[list[Fraction]] = []
         rhs: list[Fraction] = []
         for i in range(t):
@@ -325,9 +323,10 @@ def levi_decomposition(L: LieLattice) -> tuple[Submodule, Submodule]:
                             adjusted[idx] += coeff * comp.entries[b][idx]
                 sigma[a] = tuple(adjusted)
 
+    closure = L.brackets(sigma, sigma)
     for i in range(t):
         for j in range(t):
-            got = L.bracket(sigma[i], sigma[j])
+            got = closure[i * t + j]
             want = list(zero_vector(r))
             for a in range(t):
                 cq = quotient.c[i][j][a]
@@ -406,10 +405,9 @@ def _check_state_invariants(state: ExpansionState) -> None:
         raise ExpansionError("solvable part and complement do not split the algebra")
     if not N.contains_submodule(Rn):
         raise ExpansionError("solvable part does not contain the nilpotent radical")
-    for i in range(K.rank):
-        for row in N.basis.entries:
-            if not Rn.contains(K.bracket(unit(K.rank, i), row)):
-                raise ExpansionError("[N, K] escapes the nilpotent radical")
+    units = [unit(K.rank, i) for i in range(K.rank)]
+    if not all(Rn.contains(w) for w in K.brackets(units, N.basis.entries)):
+        raise ExpansionError("[N, K] escapes the nilpotent radical")
 
 
 def elementary_expansion(state: ExpansionState) -> ExpansionState:
@@ -472,10 +470,10 @@ def elementary_expansion(state: ExpansionState) -> ExpansionState:
         f"z'{step_no}",
     )
     c: list[list[Vec]] = [[zero_vector(n + 1) for _ in range(n + 1)] for _ in range(n + 1)]
+    products = K.brackets(old_vectors, old_vectors)
     for p in range(k + t):
         for q in range(k + t):
-            w = K.bracket(old_vectors[p], old_vectors[q])
-            alpha = vec_mat(w, split_inv)
+            alpha = vec_mat(products[p * (k + t) + q], split_inv)
             if alpha[k + t] != 0:
                 raise ExpansionError("bracket of ideal+complement left their span")
             c[p][q] = alpha[: k + t] + (ZERO, ZERO)
@@ -491,11 +489,10 @@ def elementary_expansion(state: ExpansionState) -> ExpansionState:
     require_valid(K2)
 
     iota = ExactMatrix.from_rows([iota_coords(unit(n, i)) for i in range(n)])
+    images = iota.entries
     for i in range(n):
-        for j in range(i + 1, n):
-            lhs = vec_mat(K.bracket(unit(n, i), unit(n, j)), iota)
-            rhs = K2.bracket(iota.entries[i], iota.entries[j])
-            if lhs != rhs:
+        for j, rhs in enumerate(K2.brackets(images[i : i + 1], images[i + 1 :]), start=i + 1):
+            if vec_mat(K.c[i][j], iota) != rhs:
                 raise ExpansionError("expansion embedding is not a homomorphism")
 
     new_N = Submodule.span(
@@ -550,12 +547,9 @@ def _centralizer_in(K: LieLattice, N: Submodule, S: Submodule) -> Submodule:
     """{v in N : [v, S] = 0}."""
     if S.rank == 0:
         return N
-    rows = []
-    for b in N.basis.entries:
-        row: list[Fraction] = []
-        for s in S.basis.entries:
-            row.extend(K.bracket(b, s))
-        rows.append(tuple(row))
+    m = S.rank
+    products = K.brackets(N.basis.entries, S.basis.entries)
+    rows = [sum(products[a * m : (a + 1) * m], ()) for a in range(N.rank)]
     conditions = ExactMatrix.from_rows(rows, cols=S.rank * K.rank)
     coeffs = kernel_basis(conditions, "Q")
     vecs = [vec_mat(x, N.basis) for x in coeffs.basis.entries]
@@ -627,21 +621,19 @@ def integral_rescale(
         basis_rows = x_vecs + [vec_scale(Fraction(mu), xp) for xp in xp_vecs]
         solve_basis = left_solver(ExactMatrix.from_rows(basis_rows, cols=nK))
         for a in range(len(basis_rows)):
-            for b in range(a + 1, len(basis_rows)):
-                w = K.bracket(basis_rows[a], basis_rows[b])
+            for w in K.brackets(basis_rows[a : a + 1], basis_rows[a + 1 :]):
                 coords = solve_basis(w)
                 if coords is None:
                     raise ExpansionError("bracket left the span of the nilpotent part")
                 bad.extend(c.denominator for c in coords if c.denominator != 1)
-        for xp in xp_vecs:
-            for w in images:
-                br = K.bracket(vec_scale(Fraction(mu), xp), w)
-                coords = solve_x(br)
-                if coords is None:
-                    raise ExpansionError(
-                        "new generator does not map the lattice into its nilpotent radical"
-                    )
-                bad.extend(c.denominator for c in coords if c.denominator != 1)
+        # basis_rows[s:] are the scaled new generators
+        for br in K.brackets(basis_rows[s:], images):
+            coords = solve_x(br)
+            if coords is None:
+                raise ExpansionError(
+                    "new generator does not map the lattice into its nilpotent radical"
+                )
+            bad.extend(c.denominator for c in coords if c.denominator != 1)
         if not bad:
             break
         mu *= lcm(*bad)
@@ -693,24 +685,21 @@ def integral_rescale(
     sbar = Submodule.span(s_parts, nK, "Z")
     if not is_subalgebra(K, sbar):
         raise ExpansionError("projected complement is not closed under the bracket")
-    for sigma in sbar.basis.entries:
-        for nrow in nbar.basis.entries:
-            if not nbar.contains(K.bracket(sigma, nrow)):
-                raise ExpansionError("complement does not normalize the nilpotent part")
+    acting = K.brackets(sbar.basis.entries, nbar.basis.entries)
+    if not all(nbar.contains(w) for w in acting):
+        raise ExpansionError("complement does not normalize the nilpotent part")
 
     Nbar_lat = _closed_sublattice(K, nbar, "n")
     if not is_nilpotent(Nbar_lat):
         raise ExpansionError("rescaled nilpotent part is not nilpotent")
     Sbar_lat = _closed_sublattice(K, sbar, "s")
-    action = []
-    for sigma in sbar.basis.entries:
-        cols = []
-        for nrow in nbar.basis.entries:
-            coords = nbar.coordinates(K.bracket(sigma, nrow))
-            if coords is None:
-                raise ExpansionError("action of the complement is not integral")
-            cols.append(coords)
-        action.append(ExactMatrix.from_columns(cols, rows=nbar.rank))
+    m = nbar.rank
+    action = [
+        ExactMatrix.from_columns(
+            [nbar.coordinates(w) for w in acting[a * m : (a + 1) * m]], rows=m
+        )
+        for a in range(sbar.rank)
+    ]
     extension = semidirect_assemble(Nbar_lat, Sbar_lat, action)
 
     inj_rows = []
@@ -738,7 +727,7 @@ def integral_rescale(
         nilpotent_rank=nbar.rank,
         mu=mu,
         lam=lam,
-        rs_rank=solvable_radical(L).rank,
+        rs_rank=state.N.rank,
         trace=state.trace,
     )
 

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .exact_linalg import (
     ExactMatrix,
@@ -21,12 +22,12 @@ from .exact_linalg import (
     frac,
     is_zero_vector,
     kernel_basis,
+    lcm_denominators,
     left_solver,
     mat_vec,
     rank,
     stack_rows,
     trace_product,
-    vec_add,
     vec_mat,
     vec_scale,
     vector,
@@ -35,6 +36,7 @@ from .exact_linalg import (
 from .rep import LinearRep
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 class LatticeValidationError(ValueError):
@@ -49,9 +51,30 @@ class NotNilpotentError(ValueError):
     """Raised when an operation requires a nilpotent lattice."""
 
 
+class StructureTable(NamedTuple):
+    """The structure constants over one common denominator:
+    c[i][j][k] = n / den for each (k, n) in pairs[i][j], nonzeros only."""
+
+    den: int
+    pairs: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
+
+
+def _int_pairs(v: Vec) -> tuple[int, list[tuple[int, int]]]:
+    """(d, [(i, d * v_i) for each nonzero v_i]) with d the lcm of the
+    denominators of v."""
+    nonzero = [(i, x) for i, x in enumerate(v) if x]
+    d = lcm(*(x.denominator for _, x in nonzero))
+    return d, [(i, x.numerator * (d // x.denominator)) for i, x in nonzero]
+
+
 @dataclass(frozen=True)
 class LieLattice:
-    """Lie ring on a free module, encoded by [x_i, x_j] = sum_k c[i][j][k] x_k."""
+    """Lie ring on a free module, encoded by [x_i, x_j] = sum_k c[i][j][k] x_k.
+
+    Every bracket, `ad` and the Jacobi and Leibniz checks read `table`, one
+    sparse integer copy of `c` built on first use; it is not a field, so
+    equality, hashing and repr see `names`, `c` and `domain` only.
+    """
 
     names: tuple[str, ...]
     c: tuple[tuple[Vec, ...], ...]
@@ -61,29 +84,67 @@ class LieLattice:
     def rank(self) -> int:
         return len(self.names)
 
-    def bracket(self, u: Vec, v: Vec) -> Vec:
+    @cached_property
+    def table(self) -> StructureTable:
+        nonzero = [[[(k, x) for k, x in enumerate(v) if x] for v in row] for row in self.c]
+        den = lcm(*(x.denominator for row in nonzero for v in row for _, x in v))
+        pairs = tuple(
+            tuple(tuple((k, x.numerator * (den // x.denominator)) for k, x in v) for v in row)
+            for row in nonzero
+        )
+        return StructureTable(den, pairs)
+
+    def __getstate__(self) -> dict:
+        # a copy builds its own table from its own c
+        return {k: v for k, v in self.__dict__.items() if k != "table"}
+
+    def brackets(self, us: Sequence[Vec], vs: Sequence[Vec]) -> list[Vec]:
+        """[u, v] for every u in us and v in vs, in the order
+        [u0, v0], [u0, v1], ..., [u1, v0], ...
+
+        Each vector is turned once into integer numerators over its own
+        denominator; the sums run in ints, and each nonzero output entry
+        becomes one Fraction.
+        """
         r = self.rank
-        if len(u) != r or len(v) != r:
+        if any(len(u) != r for u in us) or any(len(v) != r for v in vs):
             raise ValueError("dimension mismatch")
-        out = [ZERO] * r
-        for i in range(r):
-            if u[i] == 0:
-                continue
-            for j in range(r):
-                if v[j] == 0:
-                    continue
-                f = u[i] * v[j]
-                cij = self.c[i][j]
-                for k in range(r):
-                    if cij[k]:
-                        out[k] += f * cij[k]
-        return tuple(out)
+        den, T = self.table
+        vints = [_int_pairs(v) for v in vs]
+        out = []
+        for u in us:
+            du, upairs = _int_pairs(u)
+            for dv, vpairs in vints:
+                acc = [0] * r
+                for i, a in upairs:
+                    Ti = T[i]
+                    for j, b in vpairs:
+                        ab = a * b
+                        for k, t in Ti[j]:
+                            acc[k] += ab * t
+                d = du * dv * den
+                out.append(tuple(Fraction(x, d) if x else ZERO for x in acc))
+        return out
+
+    def bracket(self, u: Vec, v: Vec) -> Vec:
+        return self.brackets((u,), (v,))[0]
 
     def ad(self, v: Vec) -> ExactMatrix:
-        """Matrix of ad_v = [v, .] acting on column vectors."""
+        """Matrix of ad_v = [v, .] acting on column vectors: entry (k, j) is
+        sum_i v_i c[i][j][k]."""
         r = self.rank
-        cols = [self.bracket(v, unit(r, j)) for j in range(r)]
-        return ExactMatrix.from_columns(cols, rows=r)
+        if len(v) != r:
+            raise ValueError("dimension mismatch")
+        den, T = self.table
+        dv, vpairs = _int_pairs(v)
+        rows: list[dict[int, int]] = [{} for _ in range(r)]
+        for i, a in vpairs:
+            for j, Tij in enumerate(T[i]):
+                for k, t in Tij:
+                    row = rows[k]
+                    row[j] = row.get(j, 0) + a * t
+        d = dv * den
+        return ExactMatrix(({j: Fraction(x, d) for j, x in row.items()} for row in rows), r)
 
     def basis_vector(self, i: int) -> Vec:
         return unit(self.rank, i)
@@ -96,7 +157,9 @@ class LieLattice:
 
 
 def unit(n: int, i: int) -> Vec:
-    return tuple(Fraction(1) if j == i else ZERO for j in range(n))
+    v = [ZERO] * n
+    v[i] = ONE
+    return tuple(v)
 
 
 def lie_lattice(
@@ -138,29 +201,30 @@ def validate(L: LieLattice) -> ValidationReport:
     r = L.rank
     anti = []
     integ = []
+    integral = L.domain == "Z"
     for i in range(r):
         for j in range(r):
+            cij, cji = L.c[i][j], L.c[j][i]
             for k in range(r):
-                if L.c[i][j][k] != -L.c[j][i][k]:
+                a, b = cij[k], cji[k]
+                if (a or b) and a != -b:
                     anti.append((i, j, k))
-                if L.domain == "Z" and L.c[i][j][k].denominator != 1:
+                if integral and a and a.denominator != 1:
                     integ.append((i, j, k))
+    # [[x_i,x_j],x_k] + [[x_j,x_k],x_i] + [[x_k,x_i],x_j]: every term is a
+    # product of two table entries, so the sum is zero iff its numerators
+    # over den^2 are
+    T = L.table.pairs
     jac = []
     for i in range(r):
-        ei = unit(r, i)
         for j in range(i + 1, r):
-            ej = unit(r, j)
-            bij = L.bracket(ei, ej)
             for k in range(j + 1, r):
-                ek = unit(r, k)
-                s = vec_add(
-                    vec_add(
-                        L.bracket(bij, ek),
-                        L.bracket(L.bracket(ej, ek), ei),
-                    ),
-                    L.bracket(L.bracket(ek, ei), ej),
-                )
-                if not is_zero_vector(s):
+                acc = [0] * r
+                for p, q, t in ((i, j, k), (j, k, i), (k, i, j)):
+                    for a, x in T[p][q]:
+                        for b, y in T[a][t]:
+                            acc[b] += x * y
+                if any(acc):
                     jac.append((i, j, k))
     return ValidationReport(tuple(anti), tuple(jac), tuple(integ))
 
@@ -178,7 +242,7 @@ def require_valid(L: LieLattice) -> None:
 def is_subalgebra(L: LieLattice, S: Submodule) -> bool:
     """Whether S is closed under the bracket: [u, v] in S for basis vectors u, v."""
     rows = S.basis.entries
-    return all(S.contains(L.bracket(u, v)) for u in rows for v in rows)
+    return all(S.contains(w) for w in L.brackets(rows, rows))
 
 
 def is_ideal(L: LieLattice, S: Submodule) -> bool:
@@ -189,11 +253,8 @@ def is_ideal(L: LieLattice, S: Submodule) -> bool:
     is a combination of the x_i with coefficients in the domain, so the
     [x_i, v] test already implies closure and the subalgebra test is skipped.
     """
-    brackets_inside = all(
-        S.contains(L.bracket(unit(L.rank, i), v))
-        for i in range(L.rank)
-        for v in S.basis.entries
-    )
+    units = [unit(L.rank, i) for i in range(L.rank)]
+    brackets_inside = all(S.contains(w) for w in L.brackets(units, S.basis.entries))
     if S.domain == "Q" or S.basis.is_integral:
         return brackets_inside
     return brackets_inside and is_subalgebra(L, S)
@@ -201,7 +262,7 @@ def is_ideal(L: LieLattice, S: Submodule) -> bool:
 
 def span_bracket(L: LieLattice, A: Submodule, B: Submodule) -> Submodule:
     """Module spanned by [a, b] over basis vectors of A and B."""
-    vecs = [L.bracket(a, b) for a in A.basis.entries for b in B.basis.entries]
+    vecs = L.brackets(A.basis.entries, B.basis.entries)
     return Submodule.span(vecs, L.rank, L.domain)
 
 
@@ -395,14 +456,27 @@ def check_derivation(L: LieLattice, D: ExactMatrix) -> bool:
     r = L.rank
     if D.rows != r or D.cols != r:
         return False
+    # column t of D as (a, numerator) pairs: D x_t = sum_a D[a][t] x_a, and
+    # both sides of the identity are numerators over den * d
+    d = lcm_denominators(D)
+    cols: list[list[tuple[int, int]]] = [[] for _ in range(r)]
+    for a, row in enumerate(D.sparse_rows):
+        for t, x in row.items():
+            cols[t].append((a, x.numerator * (d // x.denominator)))
+    T = L.table.pairs
     for i in range(r):
         for j in range(i + 1, r):
-            lhs = mat_vec(D, L.bracket(unit(r, i), unit(r, j)))
-            rhs = vec_add(
-                L.bracket(mat_vec(D, unit(r, i)), unit(r, j)),
-                L.bracket(unit(r, i), mat_vec(D, unit(r, j))),
-            )
-            if lhs != rhs:
+            acc = [0] * r
+            for t, x in T[i][j]:
+                for a, y in cols[t]:
+                    acc[a] += x * y
+            for a, y in cols[i]:
+                for k, x in T[a][j]:
+                    acc[k] -= y * x
+            for a, y in cols[j]:
+                for k, x in T[i][a]:
+                    acc[k] -= y * x
+            if any(acc):
                 return False
     return True
 
@@ -460,10 +534,11 @@ def subalgebra_lattice(
     rows = S.basis.entries
     k = len(rows)
     solve = left_solver(S.basis)
+    products = L.brackets(rows, rows)
     c: list[list[Vec]] = [[zero_vector(k) for _ in range(k)] for _ in range(k)]
     for i in range(k):
         for j in range(k):
-            coords = solve(L.bracket(rows[i], rows[j]))
+            coords = solve(products[i * k + j])
             if coords is None:
                 raise ValueError("submodule is not closed under the bracket")
             if S.domain == "Z" and any(x.denominator != 1 for x in coords):
@@ -582,13 +657,8 @@ def change_basis(L: LieLattice, P: ExactMatrix, prefix: str = "b") -> LieLattice
     if P.rows != n or P.cols != n:
         raise ValueError("change of basis must be square of the lattice rank")
     Pinv = invert(P)
-    c = tuple(
-        tuple(
-            vec_mat(L.bracket(P.entries[i], P.entries[j]), Pinv)
-            for j in range(n)
-        )
-        for i in range(n)
-    )
+    products = L.brackets(P.entries, P.entries)
+    c = tuple(tuple(vec_mat(products[i * n + j], Pinv) for j in range(n)) for i in range(n))
     if L.domain == "Z":
         from .exact_linalg import hnf
 
@@ -612,11 +682,11 @@ def quotient_lattice(
     k = comp.rows
     split = stack_rows([ideal.basis, comp]) if ideal.rank else comp
     solve = left_solver(split)
+    products = L.brackets(comp.entries, comp.entries)
     c: list[list[Vec]] = [[zero_vector(k) for _ in range(k)] for _ in range(k)]
     for i in range(k):
         for j in range(k):
-            w = L.bracket(comp.entries[i], comp.entries[j])
-            coords = solve(w)
+            coords = solve(products[i * k + j])
             if coords is None:
                 raise ValueError("quotient section failed")
             c[i][j] = tuple(coords[ideal.rank :])

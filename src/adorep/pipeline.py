@@ -168,16 +168,19 @@ def verify_certificate(cert: EmbeddingCertificate) -> CertificateReport:
             if image_of_bracket != bracket_of_images:
                 hom = False
 
+    # radicals and series are defined for Lie lattices only; on another
+    # tensor they may fail or never end, so those checks fail unrun
+    lie = original_valid and extension_valid
     nbar = cert.nilpotent_part
-    nbar_ideal = is_ideal(ext, nbar)
-    nbar_nilp = is_nilpotent_submodule(ext, nbar)
-    nbar_is_nilradical = nilradical(ext) == nbar
+    nbar_ideal = lie and is_ideal(ext, nbar)
+    nbar_nilp = lie and is_nilpotent_submodule(ext, nbar)
+    nbar_is_nilradical = lie and nilradical(ext) == nbar
 
-    rn_image = all(
+    rn_image = lie and all(
         nbar.contains(vec_mat(row, inj))
         for row in nilradical(L).basis.entries
     )
-    rank_matches = nbar.rank == solvable_radical(L).rank
+    rank_matches = lie and nbar.rank == solvable_radical(L).rank
 
     return CertificateReport(
         original_valid=original_valid,
@@ -226,23 +229,25 @@ def ado_representation(
     r = L.rank
     if r == 0:
         raise ValueError("rank-zero lattice has nothing to represent")
-    rs_rank = solvable_radical(L).rank
     cert: EmbeddingCertificate | None = None
     cert_report: CertificateReport | None = None
     comparison = None
 
     if not strict and is_nilpotent(L):
         path = "nilpotent-shortcut"
+        rs_rank = r  # a nilpotent lattice is its own solvable radical
         rep = nilpotent_faithful_rep(L)
         phi_degree = rep.degree
         comparison = birkhoff_bounds(r, nilpotency_class(L))
     elif not strict and is_semisimple(L.to_field()):
         path = "semisimple-shortcut"
+        rs_rank = 0  # a nondegenerate Killing form means a zero radical
         rep = adjoint_rep(L)
         phi_degree = None
     else:
         path = "theorem"
         cert = embed_splittable(L, max_scalar_search)
+        rs_rank = cert.rs_rank
         cert_report = verify_certificate(cert)
         if not cert_report.ok:
             raise VerificationFailure("embedding certificate failed verification", cert_report)

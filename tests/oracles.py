@@ -234,3 +234,61 @@ def ref_matrix_algebra_closure(gens, n):
                         new.append(P)
         frontier = new
     return basis
+
+
+# -- dense structure-constant tensors -------------------------------------
+# The bracket as the dense triple loop over c[i][j][k], kept here as the
+# reference for the library's sparse integer table.
+
+
+def ref_bracket(c, u, v):
+    """[u, v] = sum_ijk u_i v_j c[i][j][k] x_k, over every index triple."""
+    r = len(c)
+    out = [ZERO] * r
+    for i in range(r):
+        for j in range(r):
+            for k in range(r):
+                out[k] += u[i] * v[j] * c[i][j][k]
+    return tuple(out)
+
+
+def ref_validate(c, integral):
+    """(antisymmetry, Jacobi, integrality) violations of the tensor c, as
+    lists of (i, j, k); Jacobi on i < j < k with five ref_bracket calls."""
+    r = len(c)
+    units = [tuple(Fraction(int(a == i)) for a in range(r)) for i in range(r)]
+    triples = [(i, j, k) for i in range(r) for j in range(r) for k in range(r)]
+    anti = [(i, j, k) for i, j, k in triples if c[i][j][k] != -c[j][i][k]]
+    integ = [(i, j, k) for i, j, k in triples if integral and c[i][j][k].denominator != 1]
+    jac = []
+    for i in range(r):
+        for j in range(i + 1, r):
+            for k in range(j + 1, r):
+                ei, ej, ek = units[i], units[j], units[k]
+                terms = (
+                    ref_bracket(c, ref_bracket(c, ei, ej), ek),
+                    ref_bracket(c, ref_bracket(c, ej, ek), ei),
+                    ref_bracket(c, ref_bracket(c, ek, ei), ej),
+                )
+                if any(sum(t[a] for t in terms) != 0 for a in range(r)):
+                    jac.append((i, j, k))
+    return anti, jac, integ
+
+
+def ref_is_derivation(c, D):
+    """Whether D[x_i, x_j] = [D x_i, x_j] + [x_i, D x_j] for all i < j, with
+    D a dense list of rows acting on columns."""
+    r = len(c)
+    units = [tuple(Fraction(int(a == i)) for a in range(r)) for i in range(r)]
+
+    def apply(v):
+        return tuple(sum((D[a][b] * v[b] for b in range(r)), ZERO) for a in range(r))
+
+    for i in range(r):
+        for j in range(i + 1, r):
+            lhs = apply(ref_bracket(c, units[i], units[j]))
+            left = ref_bracket(c, apply(units[i]), units[j])
+            right = ref_bracket(c, units[i], apply(units[j]))
+            if any(lhs[a] != left[a] + right[a] for a in range(r)):
+                return False
+    return True

@@ -1,7 +1,11 @@
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adorep import catalog
 from adorep.exact_linalg import ExactMatrix, Submodule, rank, vec_scale, vector
@@ -34,6 +38,8 @@ from adorep.lie_core import (
     unit,
     validate,
 )
+
+from oracles import ref_bracket, ref_is_derivation, ref_validate
 
 
 def h3():
@@ -347,3 +353,168 @@ def test_subalgebra_and_quotient():
     quot, section = quotient_lattice(L, rs)
     assert quot.rank == 3
     assert is_semisimple(quot)
+
+
+# -- the sparse integer table against the dense triple loop ----------------
+
+TENSORS = settings(max_examples=120, deadline=None)
+INTS = st.integers(-3, 3).map(Fraction)
+FRACS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def tensors(draw, antisymmetric=False, cells=None):
+    """(c, r, domain): a random r x r x r tensor, mostly zero, over Z (integer
+    cells) or Q (fractional cells); with `antisymmetric`, c[j][i] = -c[i][j]
+    and c[i][i] = 0.  Jacobi is not imposed.  `cells` overrides the entries."""
+    r = draw(st.integers(1, 5))
+    domain = draw(st.sampled_from(["Z", "Q"]))
+    if cells is None:
+        cells = INTS if domain == "Z" else FRACS
+    c = [[[Fraction(0)] * r for _ in range(r)] for _ in range(r)]
+    spots = st.tuples(st.integers(0, r - 1), st.integers(0, r - 1), st.integers(0, r - 1), cells)
+    for i, j, k, x in draw(st.lists(spots, max_size=2 * r * r)):
+        if antisymmetric:
+            if i == j:
+                continue
+            c[j][i][k] = -x
+        c[i][j][k] = x
+    return tuple(tuple(tuple(v) for v in row) for row in c), r, domain
+
+
+def lattice_of(c, r, domain):
+    return LieLattice(tuple(f"x{i}" for i in range(r)), c, domain)
+
+
+def vectors(r):
+    """Vectors with zeros, negative and fractional entries; the zero vector
+    is one of them."""
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2]).map(Fraction) | FRACS
+    sparse = st.lists(entry, min_size=r, max_size=r)
+    return (sparse | st.just([Fraction(0)] * r)).map(tuple)
+
+
+@TENSORS
+@given(tensors(), st.data())
+def test_bracket_brackets_and_ad_match_dense_loop(tensor, data):
+    c, r, domain = tensor
+    L = lattice_of(c, r, domain)
+    us = data.draw(st.lists(vectors(r), min_size=1, max_size=3))
+    vs = data.draw(st.lists(vectors(r), min_size=1, max_size=3))
+    batch = L.brackets(us, vs)
+    assert batch == [ref_bracket(c, u, v) for u in us for v in vs]
+    assert all(isinstance(x, Fraction) for w in batch for x in w)
+    assert L.bracket(us[0], vs[0]) == ref_bracket(c, us[0], vs[0])
+    for u in us:
+        ad = L.ad(u)
+        columns = [ref_bracket(c, u, unit(r, j)) for j in range(r)]
+        assert [list(row) for row in ad.entries] == [[col[k] for col in columns] for k in range(r)]
+
+
+def check_validate(c, r, domain):
+    report = validate(lattice_of(c, r, domain))
+    anti, jac, integ = ref_validate(c, domain == "Z")
+    assert report.antisymmetry_violations == tuple(anti)
+    assert report.jacobi_violations == tuple(jac)
+    assert report.integrality_violations == tuple(integ)
+
+
+@TENSORS
+@given(tensors())
+def test_validate_matches_reference_on_any_tensor(tensor):
+    check_validate(*tensor)
+
+
+@TENSORS
+@given(tensors(antisymmetric=True))
+def test_validate_matches_reference_on_antisymmetric_tensors(tensor):
+    check_validate(*tensor)
+
+
+@TENSORS
+@given(tensors(antisymmetric=True, cells=FRACS))
+def test_validate_matches_reference_on_fractional_constants(tensor):
+    # over Z every fractional constant is an integrality violation
+    check_validate(*tensor)
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_validate_matches_reference_on_catalog(name):
+    L = catalog.get(name).lattice
+    check_validate(L.c, L.rank, L.domain)
+    assert validate(L).ok
+    check_validate(L.c, L.rank, "Q")
+
+
+@st.composite
+def derivation_cases(draw):
+    """(c, r, D): a catalog lattice with ad_v (a derivation), ad_v with one
+    entry moved, or a random matrix; or a random tensor with the zero matrix
+    or a random matrix."""
+    kind = draw(st.sampled_from(["inner", "moved", "random", "tensor"]))
+    if kind == "tensor":
+        c, r, _ = draw(tensors())
+        zero = st.just([[Fraction(0)] * r for _ in range(r)])
+        D = draw(zero | st.lists(vectors(r), min_size=r, max_size=r))
+        return c, r, [list(row) for row in D]
+    L = catalog.get(draw(st.sampled_from(catalog.names()))).lattice
+    r = L.rank
+    if kind == "random":
+        return L.c, r, [list(row) for row in draw(st.lists(vectors(r), min_size=r, max_size=r))]
+    D = [list(row) for row in L.ad(draw(vectors(r))).entries]
+    if kind == "moved":
+        D[draw(st.integers(0, r - 1))][draw(st.integers(0, r - 1))] += draw(FRACS)
+    return L.c, r, D
+
+
+@TENSORS
+@given(derivation_cases())
+def test_check_derivation_matches_dense_leibniz(case):
+    c, r, D = case
+    L = lattice_of(c, r, "Q")
+    assert check_derivation(L, ExactMatrix.from_rows(D, cols=r)) == ref_is_derivation(c, D)
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_inner_derivations_pass_check_derivation(name):
+    L = catalog.get(name).lattice
+    for i in range(L.rank):
+        assert check_derivation(L, L.ad(unit(L.rank, i)))
+        assert check_derivation(L, L.ad(vector([Fraction(1, i + 2)] * L.rank)))
+
+
+def test_brackets_rejects_any_dimension_mismatch():
+    L = h3()
+    good, short, long = unit(3, 0), unit(2, 0), unit(4, 0)
+    for bad in (short, long):
+        for us, vs in (
+            ([bad], [good]),
+            ([good], [bad]),
+            ([good, bad], [good]),
+            ([good], [good, good, bad]),
+        ):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                L.brackets(us, vs)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            L.bracket(good, bad)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            L.ad(bad)
+    assert L.brackets([], [good]) == [] and L.brackets([good], []) == []
+
+
+def test_table_is_outside_equality_hash_repr_and_pickles():
+    # catalog lattices are shared between tests; replace gives new objects
+    L = dataclasses.replace(catalog.get("churkin_sl2_t2").lattice)
+    fresh = dataclasses.replace(L)
+    before = (hash(L), repr(L))
+    assert "table" not in L.__dict__
+    L.bracket(unit(L.rank, 0), unit(L.rank, 1))
+    assert "table" in L.__dict__ and "table" not in fresh.__dict__
+    assert L == fresh and (hash(L), repr(L)) == before == (hash(fresh), repr(fresh))
+    copy = pickle.loads(pickle.dumps(L))
+    assert copy == L and hash(copy) == hash(L) and "table" not in copy.__dict__
+    assert copy.table == L.table
+    H = h3()
+    thirds = tuple(tuple(vec_scale(Fraction(1, 3), v) for v in row) for row in H.c)
+    third = LieLattice(H.names, thirds, "Q")
+    assert H.table.den == 1 and third.table.den == 3 and third.table.pairs == H.table.pairs

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 from adorep import catalog
 from adorep.exact_linalg import ExactMatrix
 from adorep.jsonio import ado_report_to_json, certificate_to_json, rep_to_json
-from adorep.lie_core import adjoint_rep, lie_lattice, unit
+from adorep.lie_core import LieLattice, adjoint_rep, lie_lattice, solvable_radical, unit
 from adorep.nilrep import burde_bound
 from adorep.pipeline import (
     ado_representation,
@@ -208,3 +209,30 @@ def test_strict_ado_output_is_pinned(name):
         sort_keys=True,
     )
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[name]
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_reported_rs_rank_is_the_solvable_radical_rank(strict):
+    for name in catalog.names():
+        L = catalog.get(name).lattice
+        _, report, _ = ado_representation(L, strict=strict)
+        assert report.rs_rank == solvable_radical(L).rank, (name, report.path)
+
+
+def test_certificate_rejects_every_structure_constant_change():
+    """+1 on any single entry of the extension's tensor must fail
+    verification, also after the original extension built its table."""
+    _, _, cert = ado_representation(catalog.get("churkin_sl2_t2").lattice, strict=True)
+    ext = cert.extension
+    ext.bracket(unit(ext.rank, 0), unit(ext.rank, 1))
+    assert "table" in ext.__dict__ and verify_certificate(cert).ok
+    r = ext.rank
+    for i in range(r):
+        for j in range(r):
+            for k in range(r):
+                c = [[list(v) for v in row] for row in ext.c]
+                c[i][j][k] += 1
+                tensor = tuple(tuple(map(tuple, row)) for row in c)
+                changed = LieLattice(ext.names, tensor, ext.domain)
+                report = verify_certificate(dataclasses.replace(cert, extension=changed))
+                assert not report.ok, (i, j, k)
