@@ -37,6 +37,7 @@ from .lie_core import (
     derived_series,
     lower_central_series,
     nilradical,
+    require_valid,
     solvable_radical,
     validate,
 )
@@ -82,6 +83,7 @@ def cmd_validate(args) -> int:
 
 def cmd_radicals(args) -> int:
     L = _load_lattice(args.file)
+    require_valid(L)
     payload = {
         "center": matrix_to_json(center(L).basis),
         "solvable_radical": matrix_to_json(solvable_radical(L).basis),

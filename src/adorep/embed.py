@@ -15,10 +15,12 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import lcm
 from typing import Sequence
 
 from .exact_linalg import (
+    Echelon,
     ExactMatrix,
     Submodule,
     Vec,
@@ -183,20 +185,20 @@ def _peval_matrix(p: Poly, A: ExactMatrix) -> ExactMatrix:
 
 def minimal_polynomial(A: ExactMatrix) -> Poly:
     """Monic minimal polynomial over Q, found as the first linear dependence
-    among the flattened powers of A."""
+    among the flattened powers of A.
+
+    Power k enters the echelon as [A^k | e_k]; the first residual that
+    vanishes on the n*n matrix columns is [0 | m] with m the coefficients.
+    """
     if not A.is_square:
         raise ValueError("minimal polynomial of a non-square matrix")
-    n = A.rows
-    power = ExactMatrix.identity(n)
-    rows: list[Vec] = []
-    while True:
-        v = tuple(x for row in power.entries for x in row)
-        prev = ExactMatrix.from_rows(rows, cols=n * n) if rows else None
-        if prev is not None:
-            coords = solve_left(prev, v)
-            if coords is not None:
-                return _ptrim(list(vec_scale(Fraction(-1), coords)) + [ONE])
-        rows.append(v)
+    nn = A.rows * A.rows
+    echelon = Echelon()
+    power = ExactMatrix.identity(A.rows)
+    for k in count():
+        res = echelon.add({**power.flattened().sparse_rows[0], nn + k: ONE})
+        if min(res) >= nn:
+            return tuple(res.get(nn + i, ZERO) for i in range(k + 1))
         power = power * A
 
 

@@ -2,9 +2,11 @@
 
 Matrices carry Fraction entries and are immutable.  They are stored as
 sparse rows (only the nonzero entries), so every kernel costs time in the
-number of nonzeros rather than the number of cells; integer normal-form
-algorithms (Hermite, Smith) and RREF run on dense working copies and wrap
-their results back into matrices.  No floating point anywhere.
+number of nonzeros rather than the number of cells.  Every rational
+elimination (RREF, inverses, solves, kernels) goes through one incremental
+sparse `Echelon`; the integer normal forms (Hermite, Smith) run on dense
+int working copies and wrap their results back into matrices.  No floating
+point anywhere.
 """
 
 from __future__ import annotations
@@ -41,10 +43,6 @@ def vector(xs: Iterable[Scalar]) -> Vec:
 
 def zero_vector(n: int) -> Vec:
     return (ZERO,) * n
-
-
-def vec_add(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
 def vec_scale(c: Fraction, v: Vec) -> Vec:
@@ -494,47 +492,74 @@ def snf(M: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
     return _wrap_int(A, n), _wrap_int(U, m), _wrap_int(V, n)
 
 
-def rref(M: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
-    """Reduced row echelon form over the rationals; returns (R, pivot columns).
+def _subtract(row: Row, c: Fraction, other: Row) -> None:
+    """row -= c * other in place, dropping the entries that cancel."""
+    for j, x in other.items():
+        y = row.get(j, ZERO) - c * x
+        if y:
+            row[j] = y
+        else:
+            del row[j]
 
-    Works on a dense copy of the columns that hold a nonzero (the others
-    stay zero and never pivot), with int 0 for the zero cells; each
-    elimination step touches only the nonzero columns of the pivot row.
+
+class Echelon:
+    """Gauss-Jordan form of the rows added so far, grown one row at a time.
+
+    `rows` maps each pivot column to a sparse row that is 1 at its pivot, 0
+    at every other pivot and 0 left of its pivot, so the rows sorted by
+    pivot are the RREF of everything added.  To track combinations, add
+    [v_i | e_i]: a unit tag column per row, past the columns of the v_i.
     """
-    m = M.rows
-    cols = sorted(set().union(*M.sparse_rows))
-    n = len(cols)
-    where = {c: k for k, c in enumerate(cols)}
-    A = []
+
+    __slots__ = ("rows",)
+
+    def __init__(self) -> None:
+        self.rows: dict[int, Row] = {}
+
+    def reduce(self, v: Row) -> Row:
+        """The residual of v: v minus v[p] times the row of each pivot p.
+
+        It is 0 at every pivot, and empty iff v lies in the span.
+        """
+        res = dict(v)
+        rows = self.rows
+        for p in [p for p in res if p in rows]:
+            _subtract(res, res[p], rows[p])
+        return res
+
+    def add(self, v: Row) -> Row:
+        """Reduce v and keep a nonzero residual as a new row, normalised at
+        its first column and cleared from the older rows; returns the
+        residual before normalising."""
+        res = self.reduce(v)
+        if res:
+            p = min(res)
+            inv = 1 / res[p]
+            new = {j: x * inv for j, x in res.items()}
+            for row in self.rows.values():
+                if p in row:
+                    _subtract(row, row[p], new)
+            self.rows[p] = new
+        return res
+
+
+def _tagged(M: ExactMatrix) -> Echelon:
+    """The echelon of [M | I]: row i of M carries a 1 in column M.cols + i."""
+    n = M.cols
+    E = Echelon()
+    for i, row in enumerate(M.sparse_rows):
+        E.add({**row, n + i: ONE})
+    return E
+
+
+def rref(M: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
+    """Reduced row echelon form over the rationals; returns (R, pivot columns)."""
+    E = Echelon()
     for row in M.sparse_rows:
-        dense = [0] * n
-        for j, x in row.items():
-            dense[where[j]] = x
-        A.append(dense)
-    pivots: list[int] = []
-    r = 0
-    for col in range(n):
-        pr = next((i for i in range(r, m) if A[i][col]), None)
-        if pr is None:
-            continue
-        A[r], A[pr] = A[pr], A[r]
-        prow = A[r]
-        inv = 1 / prow[col]
-        support = [j for j in range(col, n) if prow[j]]
-        for j in support:
-            prow[j] *= inv
-        for i in range(m):
-            f = A[i][col]
-            if f and i != r:
-                row = A[i]
-                for j in support:
-                    row[j] -= f * prow[j]
-        pivots.append(cols[col])
-        r += 1
-        if r == m:
-            break
-    R = tuple({cols[k]: x for k, x in enumerate(row) if x} or _EMPTY_ROW for row in A)
-    return ExactMatrix._of(R, M.cols), tuple(pivots)
+        E.add(row)
+    pivots = tuple(sorted(E.rows))
+    R = tuple(E.rows[p] for p in pivots) + (_EMPTY_ROW,) * (M.rows - len(pivots))
+    return ExactMatrix._of(R, M.cols), pivots
 
 
 def rank(M: ExactMatrix) -> int:
@@ -550,7 +575,7 @@ def invert(M: ExactMatrix) -> ExactMatrix:
         tuple({**row, n + i: ONE} for i, row in enumerate(M.sparse_rows)), 2 * n
     )
     R, pivots = rref(aug)
-    if tuple(pivots[:n]) != tuple(range(n)) or len(pivots) < n:
+    if pivots[:n] != tuple(range(n)):
         raise ValueError("matrix is singular")
     return ExactMatrix._of(
         tuple({j - n: x for j, x in row.items() if j >= n} for row in R.sparse_rows), n
@@ -572,59 +597,25 @@ def solve_right(A: ExactMatrix, b: Vec) -> Vec | None:
     return tuple(x)
 
 
-def _reduce_row(v: Row, echelon: Sequence[tuple[int, Row]]) -> tuple[Row, list[Fraction]]:
-    """Reduce the sparse row v by the echelon rows, in order.
-
-    Each echelon entry is (pivot column, row), the row being 1 at its pivot
-    and 0 at the pivots of the rows before it.  Returns the residual, which
-    is 0 at every pivot (so v is in the span iff it is empty), and the
-    multiple of each echelon row that was subtracted.
-    """
-    res = dict(v)
-    coeffs = []
-    for p, row in echelon:
-        c = res.get(p, ZERO)
-        coeffs.append(c)
-        if c:
-            for j, x in row.items():
-                y = res.get(j, ZERO) - c * x
-                if y:
-                    res[j] = y
-                else:
-                    del res[j]
-    return res, coeffs
-
-
 def left_solver(B: ExactMatrix) -> Callable[[Vec], Vec | None]:
     """The map v -> x with x*B = v, or None if v is outside the row span.
 
-    One RREF of [B | I] gives the echelon E = T*B of B and the transform T;
-    each vector then costs one sparse back-substitution y over E's pivot
-    rows, a zero-residual test and x = y*T.  When the rows of B are
-    independent x is the only solution.
+    B is factored once as the echelon of [B | I]; each vector then costs
+    one sparse reduction of [v | 0], which leaves [0 | -x] when v is in the
+    span.  When the rows of B are independent x is the only solution.
     """
     k, n = B.rows, B.cols
-    aug = ExactMatrix._of(tuple({**row, n + i: ONE} for i, row in enumerate(B.sparse_rows)), n + k)
-    R, pivots = rref(aug)
-    echelon: list[tuple[int, Row]] = []
-    transform: list[Row] = []
-    for row, p in zip(R.sparse_rows, pivots):
-        if p >= n:
-            break
-        echelon.append((p, {j: x for j, x in row.items() if j < n}))
-        transform.append({j - n: x for j, x in row.items() if j >= n})
+    E = _tagged(B)
 
     def solve(v: Vec) -> Vec | None:
         if len(v) != n:
             raise ValueError("dimension mismatch")
-        residual, y = _reduce_row({j: x for j, x in enumerate(v) if x}, echelon)
-        if residual:
+        res = E.reduce({j: x for j, x in enumerate(v) if x})
+        if any(j < n for j in res):
             return None
         x = [ZERO] * k
-        for c, t in zip(y, transform):
-            if c:
-                for i, a in t.items():
-                    x[i] += c * a
+        for j, y in res.items():
+            x[j - n] = -y
         return tuple(x)
 
     return solve
@@ -633,20 +624,6 @@ def left_solver(B: ExactMatrix) -> Callable[[Vec], Vec | None]:
 def solve_left(B: ExactMatrix, v: Vec) -> Vec | None:
     """Coordinates x with x*B = v, or None if v is outside the row span."""
     return left_solver(B)(v)
-
-
-def right_kernel(A: ExactMatrix) -> list[Vec]:
-    """Basis (rows) of {x : A x = 0} over the rationals."""
-    R, pivots = rref(A)
-    free = [c for c in range(A.cols) if c not in pivots]
-    basis = []
-    for f in free:
-        x = [ZERO] * A.cols
-        x[f] = ONE
-        for row, col in zip(R.sparse_rows, pivots):
-            x[col] = -row.get(f, ZERO)
-        basis.append(tuple(x))
-    return basis
 
 
 @dataclass(frozen=True)
@@ -761,9 +738,16 @@ class Submodule:
 
 
 def kernel_basis(M: ExactMatrix, domain: str = "Q") -> Submodule:
-    """Left kernel {v : v*M = 0}; over Z the saturated integral kernel."""
+    """Left kernel {v : v*M = 0}; over Z the saturated integral kernel.
+
+    Over Q the rows of the echelon of [M | I] that pivot in the tag columns
+    are [0 | k] with the k the RREF basis of the kernel.
+    """
     if domain == "Q":
-        return Submodule.span(right_kernel(M.transpose()), M.rows, "Q")
+        n = M.cols
+        E = _tagged(M)
+        rows = tuple({j - n: x for j, x in E.rows[p].items()} for p in sorted(E.rows) if p >= n)
+        return Submodule(M.rows, ExactMatrix._of(rows, M.rows), "Q")
     S, U, V = snf(M)
     nonzero = sum(1 for i in range(min(M.rows, M.cols)) if i in S.sparse_rows[i])
     rows = [U.row(i) for i in range(nonzero, M.rows)]

@@ -14,13 +14,11 @@ from math import lcm
 from typing import Mapping, NamedTuple, Sequence
 
 from .exact_linalg import (
+    Echelon,
     ExactMatrix,
-    Row,
     Submodule,
     Vec,
-    _reduce_row,
     frac,
-    is_zero_vector,
     kernel_basis,
     lcm_denominators,
     left_solver,
@@ -276,7 +274,11 @@ def bracket_series(
     derived chain S, [S, S], ... when no partner is given.
 
     Each new term is saturated unless `saturate` is false; the chain stops
-    at the first stationary term, which is included once.
+    at the first stationary term, which is included once.  For a Lie
+    tensor and a bracket-closed S the chains built here (nested saturated
+    terms, or the unsaturated lower central terms of a nilpotent lattice)
+    drop in rank at every step, so a chain longer than S.rank + 1 terms
+    raises LatticeValidationError instead of running on.
     """
     chain = [S]
     while True:
@@ -286,6 +288,10 @@ def bracket_series(
             nxt = nxt.saturate()
         if nxt == last:
             return chain
+        if len(chain) > S.rank:
+            raise LatticeValidationError(
+                "bracket chain longer than rank + 1: not a Lie bracket, or S not closed under it"
+            )
         chain.append(nxt)
 
 
@@ -318,10 +324,6 @@ def nilpotency_class(L: LieLattice) -> int:
 
 def is_solvable(L: LieLattice) -> bool:
     return derived_series(L)[-1].is_zero()
-
-
-def is_abelian(L: LieLattice) -> bool:
-    return all(is_zero_vector(v) for row in L.c for v in row)
 
 
 def center(L: LieLattice) -> Submodule:
@@ -412,35 +414,19 @@ def _matrix_algebra_closure(gens: Sequence[ExactMatrix]) -> list[ExactMatrix]:
     """Basis of the associative algebra (no identity) generated by gens.
 
     A candidate is accepted iff it is independent of those accepted before:
-    its flattened entries are reduced by an echelon of the accepted ones.
+    adding its flattened entries to their echelon leaves a nonzero residual.
     """
+    echelon = Echelon()
+
+    def independent(A: ExactMatrix) -> bool:
+        return bool(echelon.add(A.flattened().sparse_rows[0]))
+
     gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return []
-    basis: list[ExactMatrix] = []
-    echelon: list[tuple[int, Row]] = []
-
-    def try_add(A: ExactMatrix) -> bool:
-        residual, _ = _reduce_row(A.flattened().sparse_rows[0], echelon)
-        if not residual:
-            return False
-        pivot = min(residual)
-        inv = 1 / residual[pivot]
-        echelon.append((pivot, {j: x * inv for j, x in residual.items()}))
-        basis.append(A)
-        return True
-
-    for g in gens:
-        try_add(g)
-    frontier = list(basis)
+    basis = [g for g in gens if independent(g)]
+    frontier = basis
     while frontier:
-        new: list[ExactMatrix] = []
-        for A in frontier:
-            for g in gens:
-                for P in (A * g, g * A):
-                    if try_add(P):
-                        new.append(P)
-        frontier = new
+        frontier = [P for A in frontier for g in gens for P in (A * g, g * A) if independent(P)]
+        basis = basis + frontier
     return basis
 
 

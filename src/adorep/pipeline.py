@@ -168,12 +168,13 @@ def verify_certificate(cert: EmbeddingCertificate) -> CertificateReport:
             if image_of_bracket != bracket_of_images:
                 hom = False
 
-    # radicals and series are defined for Lie lattices only; on another
-    # tensor they may fail or never end, so those checks fail unrun
+    # radicals and series are defined for Lie lattices only, and the
+    # nilpotency chain for a bracket-closed nbar only; elsewhere they may
+    # fail or never end, so those checks fail unrun
     lie = original_valid and extension_valid
     nbar = cert.nilpotent_part
     nbar_ideal = lie and is_ideal(ext, nbar)
-    nbar_nilp = lie and is_nilpotent_submodule(ext, nbar)
+    nbar_nilp = nbar_ideal and is_nilpotent_submodule(ext, nbar)
     nbar_is_nilradical = lie and nilradical(ext) == nbar
 
     rn_image = lie and all(

@@ -207,6 +207,46 @@ def ref_invert(A):
     return [row[n:] for row in R]
 
 
+def ref_left_kernel(A, cols):
+    """RREF basis of {v : v * A = 0}: the free-variable solutions of
+    A^T x = 0, each 1 in its free column, then put in reduced form."""
+    R, pivots = ref_rref(ref_transpose(A, cols), len(A))
+    basis = []
+    for f in (c for c in range(len(A)) if c not in pivots):
+        x = [ZERO] * len(A)
+        x[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            x[c] = -R[r][f]
+        basis.append(x)
+    return [row for row in ref_rref(basis, len(A))[0] if any(row)]
+
+
+def ref_solve_right(A, cols, b):
+    """The particular solution of A x = b whose free variables are 0, read
+    from the RREF of [A | b]; None if the system is inconsistent."""
+    R, pivots = ref_rref([list(row) + [bi] for row, bi in zip(A, b)], cols + 1)
+    if cols in pivots:
+        return None
+    x = [ZERO] * cols
+    for r, c in enumerate(pivots):
+        x[c] = R[r][cols]
+    return x
+
+
+def ref_minimal_polynomial(A, n):
+    """Coefficients, constant first, of the monic minimal polynomial of the
+    n x n matrix A: the first flattened power A^k that depends on the ones
+    before it, solved for."""
+    identity = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    powers = [identity]
+    while True:
+        flat = [[x for row in P for x in row] for P in powers]
+        if ref_rank(flat, n * n) < len(flat):
+            x = ref_solve_left(flat[:-1], n * n, flat[-1])
+            return [-c for c in x] + [Fraction(1)]
+        powers.append(ref_mul(powers[-1], A, n, n))
+
+
 def ref_matrix_algebra_closure(gens, n):
     """Basis of the associative algebra (no identity) generated by the n x n
     matrices gens.  Candidates come in the library's order (the generators,

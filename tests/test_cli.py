@@ -13,7 +13,9 @@ from adorep.jsonio import (
     rep_from_json,
     rep_to_json,
 )
+from adorep.lie_core import LieLattice
 from adorep.nilrep import nilpotent_faithful_rep
+from adorep.pipeline import ado_representation
 
 
 def run(capsys, *argv):
@@ -114,6 +116,23 @@ def test_cli_radicals(tmp_path, capsys):
     data = json.loads(out)
     assert data["nilradical"] == [["0", "1"]]
     assert data["solvable_radical"] == [["1", "0"], ["0", "1"]]
+
+
+def test_cli_radicals_rejects_a_jacobi_break(tmp_path, capsys):
+    # +1 on [n0, n1] along n2 of churkin_sl2_t2's strict extension keeps the
+    # tensor antisymmetric and breaks Jacobi on (0, 1, 6) only
+    _, _, cert = ado_representation(catalog.get("churkin_sl2_t2").lattice, strict=True)
+    c = [[list(v) for v in row] for row in cert.extension.c]
+    c[0][1][2] += 1
+    c[1][0][2] -= 1
+    tensor = tuple(tuple(map(tuple, row)) for row in c)
+    broken = LieLattice(cert.extension.names, tensor, cert.extension.domain)
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(lattice_to_json(broken)))
+    code, out, err = run(capsys, "radicals", str(path))
+    assert code == 1
+    assert out == ""
+    assert "jacobi ((0, 1, 6),)" in err
 
 
 def test_cli_nilrep(tmp_path, capsys):

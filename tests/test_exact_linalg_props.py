@@ -1,7 +1,8 @@
-"""Property tests: the sparse ExactMatrix kernel, coordinates in submodules,
-trace forms and the matrix-algebra envelope against plain list-of-lists
-Fraction matrices (tests/oracles.py), on random sparse rational matrices
-that include 0-row and 0-column shapes."""
+"""Property tests: the sparse ExactMatrix kernel, the incremental echelon
+and the eliminations built on it (solves, kernels, minimal polynomials),
+coordinates in submodules, trace forms and the matrix-algebra envelope
+against plain list-of-lists Fraction matrices (tests/oracles.py), on random
+sparse rational matrices that include 0-row and 0-column shapes."""
 
 import pickle
 from fractions import Fraction
@@ -10,13 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adorep.embed import minimal_polynomial
 from adorep.exact_linalg import (
+    Echelon,
     ExactMatrix,
     Submodule,
     invert,
+    kernel_basis,
     rank,
     rref,
     solve_left,
+    solve_right,
     trace_product,
     vec_mat,
 )
@@ -26,12 +31,15 @@ from oracles import (
     ref_add,
     ref_invert,
     ref_is_zero,
+    ref_left_kernel,
     ref_matrix_algebra_closure,
+    ref_minimal_polynomial,
     ref_mul,
     ref_rank,
     ref_rref,
     ref_scale,
     ref_solve_left,
+    ref_solve_right,
     ref_sub,
     ref_trace,
     ref_transpose,
@@ -112,6 +120,64 @@ def test_rref_and_rank_match_reference(a):
     assert list(pivots) == pivots_ref
     assert listed(R) == R_ref
     assert rank(mat(A, n)) == ref_rank(A, n)
+
+
+@KERNEL
+@given(shaped())
+def test_echelon_is_the_rref_of_the_rows_added(a):
+    A, m, n = a
+    E = Echelon()
+    for i, row in enumerate(A):
+        v = {j: x for j, x in enumerate(row) if x}
+        E.add(v)
+        assert E.reduce(v) == {}
+        got = [[E.rows[p].get(j, ZERO) for j in range(n)] for p in sorted(E.rows)]
+        assert got == [r for r in ref_rref(A[: i + 1], n)[0] if any(r)]
+
+
+@KERNEL
+@given(shaped())
+def test_rational_kernel_matches_reference(a):
+    A, m, n = a
+    K = kernel_basis(mat(A, n), "Q")
+    assert (K.ambient_rank, K.domain) == (m, "Q")
+    assert listed(K.basis) == ref_left_kernel(A, n)
+
+
+@KERNEL
+@given(shaped(), st.data())
+def test_solve_right_matches_reference(a, data):
+    A, m, n = a
+    if data.draw(st.booleans()):
+        # the image of a vector, so that a solution exists
+        x = data.draw(dense(1, n))[0]
+        b = tuple(sum((A[i][j] * x[j] for j in range(n)), ZERO) for i in range(m))
+    else:
+        b = tuple(data.draw(dense(1, m))[0])
+    want = ref_solve_right(A, n, b)
+    assert solve_right(mat(A, n), b) == (None if want is None else tuple(want))
+
+
+@st.composite
+def integer_square(draw):
+    """(A, n): an n x n integer matrix that is arbitrary, strictly upper
+    triangular (nilpotent) or scalar."""
+    n = draw(st.integers(0, 4))
+    kind = draw(st.sampled_from(("any", "nilpotent", "scalar")))
+    cell = st.integers(-3, 3).map(Fraction)
+    if kind == "scalar":
+        c = draw(cell)
+        return [[c if i == j else ZERO for j in range(n)] for i in range(n)], n
+    return [
+        [draw(cell) if kind == "any" or j > i else ZERO for j in range(n)] for i in range(n)
+    ], n
+
+
+@settings(max_examples=80, deadline=None)
+@given(integer_square())
+def test_minimal_polynomial_matches_reference(a):
+    A, n = a
+    assert list(minimal_polynomial(mat(A, n))) == ref_minimal_polynomial(A, n)
 
 
 @KERNEL

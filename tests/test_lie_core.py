@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from adorep import catalog
 from adorep.exact_linalg import ExactMatrix, Submodule, rank, vec_scale, vector
 from adorep.lie_core import (
+    LatticeValidationError,
     LeibnizError,
     LieLattice,
     adjoint_rep,
@@ -38,6 +39,7 @@ from adorep.lie_core import (
     unit,
     validate,
 )
+from adorep.pipeline import ado_representation
 
 from oracles import ref_bracket, ref_is_derivation, ref_validate
 
@@ -153,6 +155,19 @@ def test_bracket_series_saturation():
         ExactMatrix.zero(0, 3),
     ]
     assert saturated == lower_central_series(L)
+
+
+def test_bracket_series_is_bounded_on_a_non_lie_tensor(alarm):
+    # c[1][0][6] += 1 makes churkin_sl2_t2's strict extension
+    # non-antisymmetric, and the chain of its nilpotent part then cycles
+    _, _, cert = ado_representation(catalog.get("churkin_sl2_t2").lattice, strict=True)
+    c = [[list(v) for v in row] for row in cert.extension.c]
+    c[1][0][6] += 1
+    tensor = tuple(tuple(map(tuple, row)) for row in c)
+    broken = LieLattice(cert.extension.names, tensor, cert.extension.domain)
+    alarm(10)
+    with pytest.raises(LatticeValidationError, match=r"longer than rank \+ 1"):
+        is_nilpotent_submodule(broken, cert.nilpotent_part)
 
 
 def test_killing_form():

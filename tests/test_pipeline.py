@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 
 from adorep import catalog
+from adorep.cli import main
+from adorep.embed import EmbeddingCertificate
 from adorep.exact_linalg import ExactMatrix
-from adorep.jsonio import ado_report_to_json, certificate_to_json, rep_to_json
+from adorep.jsonio import ado_report_to_json, certificate_to_json, lattice_to_json, rep_to_json
 from adorep.lie_core import LieLattice, adjoint_rep, lie_lattice, solvable_radical, unit
 from adorep.nilrep import burde_bound
 from adorep.pipeline import (
@@ -211,12 +213,39 @@ def test_strict_ado_output_is_pinned(name):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[name]
 
 
+# SHA-256 of the output of `adorep radicals` on every catalog lattice, in
+# catalog order: it fixes the canonical bases that kernel_basis and
+# Submodule.span return.
+RADICALS_GOLDEN = "0b26cb2f0c9ac43f0ec3467db1ab1c95c7c4a7ef6e7ffccc6d29f0a06a8e6d65"
+
+
+def test_radicals_output_is_pinned(tmp_path, capsys):
+    digest = hashlib.sha256()
+    for name in catalog.names():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(lattice_to_json(catalog.get(name).lattice)))
+        assert main(["radicals", str(path)]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == RADICALS_GOLDEN
+
+
 @pytest.mark.parametrize("strict", [False, True])
 def test_reported_rs_rank_is_the_solvable_radical_rank(strict):
     for name in catalog.names():
         L = catalog.get(name).lattice
         _, report, _ = ado_representation(L, strict=strict)
         assert report.rs_rank == solvable_radical(L).rank, (name, report.path)
+
+
+def test_certificate_with_an_unclosed_nilpotent_part_fails(alarm):
+    # span(e, f) in sl2 is not a subalgebra: the chain e,f -> h -> e,f of
+    # its nilpotency test cycles, so the check must fail without running it
+    L = lie_lattice(["e", "f", "h"], {(0, 1): [0, 0, 1], (0, 2): [-2, 0, 0], (1, 2): [0, 2, 0]})
+    cert = EmbeddingCertificate(L, L, ExactMatrix.identity(3), 2, 1, 1, 0, ())
+    alarm(10)
+    report = verify_certificate(cert)
+    assert report.extension_valid and not report.nbar_is_ideal
+    assert not report.nbar_is_nilpotent and not report.ok
 
 
 def test_certificate_rejects_every_structure_constant_change():
