@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import catalog
-from .embed import ExpansionError, LiftingError, ScalarSearchError
+from .embed import ScalarSearchError
 from .exact_linalg import NonIntegralMatrixError
 from .jsonio import (
     JsonFormatError,
@@ -100,6 +100,7 @@ def cmd_nilrep(args) -> int:
     from .nilrep import birkhoff_bounds
 
     L = _load_lattice(args.file)
+    require_valid(L)
     rep = nilpotent_faithful_rep(L)
     report = verify_representation(L, rep)
     _emit(
@@ -150,6 +151,7 @@ def cmd_ado(args) -> int:
 
 def cmd_verify(args) -> int:
     L = _load_lattice(args.lattice)
+    require_valid(L)
     with open(args.representation, "r", encoding="utf-8") as fh:
         rep = rep_from_json(json.load(fh), L)
     report = verify_representation(L, rep)
@@ -245,10 +247,12 @@ def main(argv=None) -> int:
     except (LatticeValidationError, NonIntegralMatrixError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH
-    except (ExpansionError, LiftingError, ScalarSearchError) as exc:
+    except ScalarSearchError as exc:
         print(f"construction error: {exc}", file=sys.stderr)
         return EXIT_MATH
     except RuntimeError as exc:
+        # includes ExpansionError, LiftingError and the radicals' self-checks:
+        # on a valid lattice the construction cannot fail, so these are bugs
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -4,9 +4,9 @@ Matrices carry Fraction entries and are immutable.  They are stored as
 sparse rows (only the nonzero entries), so every kernel costs time in the
 number of nonzeros rather than the number of cells.  Every rational
 elimination (RREF, inverses, solves, kernels) goes through one incremental
-sparse `Echelon`; the integer normal forms (Hermite, Smith) run on dense
-int working copies and wrap their results back into matrices.  No floating
-point anywhere.
+sparse `Echelon`; the one integer normal form, Hermite, runs on dense int
+working copies and wraps its results back into matrices.  Spans, isolated
+closures and kernels over Z all come from it.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -295,10 +295,6 @@ def vec_mat(v: Vec, M: ExactMatrix) -> Vec:
     return tuple(out)
 
 
-def commutator(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
-    return A * B - B * A
-
-
 def trace_product(A: ExactMatrix, B: ExactMatrix) -> Fraction:
     """trace(A * B) without forming the product: the sum of A[i][k] * B[k][i]
     over the nonzero entries of A."""
@@ -418,78 +414,16 @@ def hnf(M: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
     return _wrap_int(A, n), _wrap_int(U, m)
 
 
-def snf(M: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
-    """Smith normal form: S = U*M*V diagonal, d_1 | d_2 | ..., U, V unimodular."""
-    m, n = M.rows, M.cols
-    A = _to_int_lists(M)
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _hermite_completion(B: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
+    """(H, W) with H the Hermite form of B^T and W unimodular, B = H^T * W.
 
-    def col_combine(r, s, a, b, c, d):
-        for T in (A, V):
-            for row in T:
-                row[r], row[s] = a * row[r] + b * row[s], c * row[r] + d * row[s]
-
-    def clear_position(t: int) -> None:
-        while True:
-            for r in range(t + 1, m):
-                if A[r][t]:
-                    a, b = A[t][t], A[r][t]
-                    if b % a == 0:
-                        _row_combine((A, U), t, r, 1, 0, -(b // a), 1)
-                    else:
-                        x, y, g = _xgcd(a, b)
-                        _row_combine((A, U), t, r, x, y, -(b // g), a // g)
-            if all(A[t][c] == 0 for c in range(t + 1, n)):
-                if all(A[r][t] == 0 for r in range(t + 1, m)):
-                    return
-                continue
-            for c in range(t + 1, n):
-                if A[t][c]:
-                    a, b = A[t][t], A[t][c]
-                    if b % a == 0:
-                        col_combine(t, c, 1, 0, -(b // a), 1)
-                    else:
-                        x, y, g = _xgcd(a, b)
-                        col_combine(t, c, x, y, -(b // g), a // g)
-            if all(A[r][t] == 0 for r in range(t + 1, m)):
-                if all(A[t][c] == 0 for c in range(t + 1, n)):
-                    return
-
-    t = 0
-    while t < min(m, n):
-        pos = next(
-            ((r, c) for r in range(t, m) for c in range(t, n) if A[r][c]),
-            None,
-        )
-        if pos is None:
-            break
-        r0, c0 = pos
-        if r0 != t:
-            A[t], A[r0] = A[r0], A[t]
-            U[t], U[r0] = U[r0], U[t]
-        if c0 != t:
-            for T in (A, V):
-                for row in T:
-                    row[t], row[c0] = row[c0], row[t]
-        clear_position(t)
-        # enforce divisibility of the trailing block by A[t][t]
-        bad = next(
-            ((r, c) for r in range(t + 1, m) for c in range(t + 1, n) if A[r][c] % A[t][t]),
-            None,
-        )
-        if bad is not None:
-            r, _ = bad
-            for k in range(n):
-                A[t][k] += A[r][k]
-            for k in range(m):
-                U[t][k] += U[r][k]
-            continue
-        if A[t][t] < 0:
-            A[t] = [-v for v in A[t]]
-            U[t] = [-v for v in U[t]]
-        t += 1
-    return _wrap_int(A, n), _wrap_int(U, m), _wrap_int(V, n)
+    For integral B (k x n) of rank k, H^T = [T | 0] with T (k x k)
+    triangular: the first k rows of W span the integer points of the
+    Q-span of B, which holds B with index |det T|, and the remaining rows
+    complete them to a basis of Z^n.
+    """
+    H, U = hnf(B.transpose())
+    return H, invert(U.transpose())
 
 
 def _subtract(row: Row, c: Fraction, other: Row) -> None:
@@ -721,16 +655,9 @@ class Submodule:
         if self.domain == "Q" or self.rank == 0:
             return self
         d = lcm_denominators(self.basis)
-        B = self.basis.scale(d)
-        S, U, V = snf(B)
-        k = self.rank
-        Vinv = invert(V)
-        rows = [Vinv.row(i) for i in range(k)]
-        sat = Submodule.span(rows, self.ambient_rank, "Z")
+        _, W = _hermite_completion(self.basis.scale(d))
+        sat = Submodule.span([W.row(i) for i in range(self.rank)], self.ambient_rank, "Z")
         return Submodule(self.ambient_rank, sat.basis.scale(Fraction(1, d)), "Z")
-
-    def is_saturated(self) -> bool:
-        return self == self.saturate()
 
     def _check_compatible(self, other: "Submodule") -> None:
         if self.ambient_rank != other.ambient_rank or self.domain != other.domain:
@@ -748,9 +675,10 @@ def kernel_basis(M: ExactMatrix, domain: str = "Q") -> Submodule:
         E = _tagged(M)
         rows = tuple({j - n: x for j, x in E.rows[p].items()} for p in sorted(E.rows) if p >= n)
         return Submodule(M.rows, ExactMatrix._of(rows, M.rows), "Q")
-    S, U, V = snf(M)
-    nonzero = sum(1 for i in range(min(M.rows, M.cols)) if i in S.sparse_rows[i])
-    rows = [U.row(i) for i in range(nonzero, M.rows)]
+    # U is unimodular, so its rows at the zero rows of H = U*M span the
+    # saturated kernel
+    H, U = hnf(M)
+    rows = [U.row(i) for i, h in enumerate(H.sparse_rows) if not h]
     return Submodule.span(rows, M.rows, "Z")
 
 
@@ -777,16 +705,14 @@ def extend_basis(inner: Submodule, outer: Submodule) -> ExactMatrix:
     C = ExactMatrix.from_rows(inner_coords, cols=m)
     if not C.is_integral:
         raise ValueError("inner has non-integral coordinates in outer")
-    Ht, Ut = hnf(C.transpose())
-    # C * Ut^T = [T | 0] with T (k x k) triangular; saturation forces |det T| = 1
+    H, W = _hermite_completion(C)
+    # C = [T | 0] * W; saturation forces |det T| = 1
     det = ONE
     for i in range(k):
-        det *= Ht.sparse_rows[i].get(i, ZERO)
+        det *= H.sparse_rows[i].get(i, ZERO)
     if abs(det) != 1:
         raise ValueError("inner is not isolated in outer; cannot extend over Z")
-    Vinv = invert(Ut.transpose())
-    extra_coords = [Vinv.row(i) for i in range(k, m)]
-    rows = [vec_mat(c, outer.basis) for c in extra_coords]
+    rows = [vec_mat(W.row(i), outer.basis) for i in range(k, m)]
     # Unimodular transformations among the completion rows preserve the
     # property that inner + completion is a basis; canonicalize via HNF.
     canon = Submodule.span(rows, outer.ambient_rank, "Z")

@@ -322,10 +322,6 @@ def nilpotency_class(L: LieLattice) -> int:
     return len(chain) - 1
 
 
-def is_solvable(L: LieLattice) -> bool:
-    return derived_series(L)[-1].is_zero()
-
-
 def center(L: LieLattice) -> Submodule:
     """Kernel of x -> ad_x, computed from the stacked ad matrix."""
     r = L.rank
@@ -369,7 +365,7 @@ def solvable_radical(L: LieLattice) -> Submodule:
     conditions = K * derived.basis.transpose()
     candidate = kernel_basis(conditions, L.domain)
     if not bracket_series(L, candidate)[-1].is_zero() or not is_ideal(L, candidate):
-        raise LatticeValidationError("solvable radical candidate failed verification")
+        raise RuntimeError("solvable radical candidate failed verification")
     return candidate
 
 
@@ -406,7 +402,7 @@ def nilradical(L: LieLattice) -> Submodule:
         vecs.append(v)
     candidate = Submodule.span(vecs, r, L.domain).saturate()
     if not is_ideal(L, candidate) or not is_nilpotent_submodule(L, candidate):
-        raise LatticeValidationError("nilradical candidate failed verification")
+        raise RuntimeError("nilradical candidate failed verification")
     return candidate
 
 

@@ -53,9 +53,6 @@ class LinearRep:
                     bad.append((i, j))
         return bad
 
-    def is_homomorphism(self) -> bool:
-        return not self.homomorphism_violations()
-
 
 def restrict_rep(
     rep: LinearRep, injection: ExactMatrix, lattice: "LieLattice", provenance: str = "restriction"

@@ -221,6 +221,33 @@ def ref_left_kernel(A, cols):
     return [row for row in ref_rref(basis, len(A))[0] if any(row)]
 
 
+def ref_det(A):
+    """Determinant of a square matrix by Laplace expansion along the first row."""
+    if not A:
+        return Fraction(1)
+    return sum(
+        ((-1) ** j * A[0][j] * ref_det([row[:j] + row[j + 1 :] for row in A[1:]])
+         for j in range(len(A)) if A[0][j]),
+        ZERO,
+    )
+
+
+def ref_minors_gcd(A, cols):
+    """gcd of the k x k minors of an integral k x cols matrix (1 when k = 0).
+
+    It is 1 iff the rows are a basis of a saturated sublattice of Z^cols:
+    one that holds every integer point of its Q-span."""
+    from itertools import combinations
+    from math import gcd
+
+    g = 0
+    for picked in combinations(range(cols), len(A)):
+        det = ref_det([[row[j] for j in picked] for row in A])
+        assert det.denominator == 1
+        g = gcd(g, int(det))
+    return g
+
+
 def ref_solve_right(A, cols, b):
     """The particular solution of A x = b whose free variables are 0, read
     from the RREF of [A | b]; None if the system is inconsistent."""

@@ -1,9 +1,11 @@
+import importlib
 import json
 
 import pytest
 
 from adorep import catalog
 from adorep.cli import main
+from adorep.embed import ExpansionError, LiftingError
 from adorep.jsonio import (
     JsonFormatError,
     frac_from_json,
@@ -145,6 +147,21 @@ def test_cli_nilrep(tmp_path, capsys):
     assert data["report"]["ok"] is True
 
 
+def write_half_heisenberg(tmp_path):
+    # [x, y] = z/2 satisfies the Lie axioms over Q but is not a Z-lattice
+    path = tmp_path / "half.json"
+    bracket = {"i": 0, "j": 1, "coeffs": ["0", "0", "1/2"]}
+    path.write_text(json.dumps({"rank": 3, "names": ["x", "y", "z"], "brackets": [bracket]}))
+    return str(path)
+
+
+def test_cli_nilrep_rejects_a_fractional_bracket(tmp_path, capsys):
+    code, out, err = run(capsys, "nilrep", write_half_heisenberg(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert "integrality ((0, 1, 2), (1, 0, 2))" in err
+
+
 def test_cli_embed(tmp_path, capsys):
     path = write_lattice(tmp_path, "churkin_sl2_t2")
     code, out, _ = run(capsys, "embed", path)
@@ -181,6 +198,16 @@ def test_cli_verify_round_trip(tmp_path, capsys):
     assert json.loads(out)["ok"] is True
 
 
+def test_cli_verify_rejects_a_fractional_bracket(tmp_path, capsys):
+    rep = nilpotent_faithful_rep(catalog.get("heisenberg3").lattice)
+    rep_path = tmp_path / "rep.json"
+    rep_path.write_text(json.dumps(rep_to_json(rep)))
+    code, out, err = run(capsys, "verify", write_half_heisenberg(tmp_path), str(rep_path))
+    assert code == 1
+    assert out == ""
+    assert "integrality ((0, 1, 2), (1, 0, 2))" in err
+
+
 def test_cli_verify_rejects_adjoint_h3(tmp_path, capsys):
     from adorep.lie_core import adjoint_rep
 
@@ -198,7 +225,9 @@ def test_cli_verify_rejects_adjoint_h3(tmp_path, capsys):
 def test_cli_embed_without_scalar_search_rounds(tmp_path, capsys):
     path = write_lattice(tmp_path, "heisenberg3")
     code, _, err = run(capsys, "embed", path, "--max-scalar-search", "0")
+    # the user set the bound, so this is not an internal error
     assert code == 1
+    assert err.startswith("construction error:")
     assert "mu search exceeded 0 rounds" in err
 
 
@@ -257,18 +286,41 @@ def test_cli_catalog_abelian_family(capsys):
     assert json.loads(out)["rank"] == 3
 
 
-def test_cli_internal_error_exit_code(tmp_path, capsys, monkeypatch):
-    import adorep.embed
+def _raising(exc):
+    def broken(*args, **kwargs):
+        raise exc
 
-    def broken(A):
-        raise RuntimeError("Newton iteration did not converge")
+    return broken
 
-    monkeypatch.setattr(adorep.embed, "jordan_chevalley", broken)
+
+@pytest.mark.parametrize(
+    "module, name, replacement, message",
+    [
+        ("embed", "jordan_chevalley",
+         _raising(RuntimeError("Newton iteration did not converge")),
+         "Newton iteration did not converge"),
+        ("embed", "levi_decomposition",
+         _raising(LiftingError("Levi correction system is inconsistent")),
+         "Levi correction system is inconsistent"),
+        ("embed", "elementary_expansion",
+         _raising(ExpansionError("[N, K] escapes the nilpotent radical")),
+         "[N, K] escapes the nilpotent radical"),
+        # the radicals' self-checks reject their candidate
+        ("lie_core", "is_ideal", lambda L, S: False,
+         "solvable radical candidate failed verification"),
+        ("lie_core", "is_nilpotent_submodule", lambda L, S: False,
+         "nilradical candidate failed verification"),
+    ],
+    ids=["newton", "levi-lift", "expansion", "solvable-radical-check", "nilradical-check"],
+)
+def test_cli_internal_error_exit_code(tmp_path, capsys, monkeypatch, module, name, replacement, message):
+    # on a valid lattice the construction cannot fail, so each of these is a bug
+    monkeypatch.setattr(importlib.import_module(f"adorep.{module}"), name, replacement)
     path = write_lattice(tmp_path, "t2_upper")
     code, out, err = run(capsys, "ado", path, "--strict-theorem-path")
     assert code == 3
     assert out == ""
-    assert "internal error: Newton iteration did not converge" in err
+    assert f"internal error: {message}" in err
     assert "Traceback" not in err
 
 

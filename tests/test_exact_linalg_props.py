@@ -1,11 +1,13 @@
 """Property tests: the sparse ExactMatrix kernel, the incremental echelon
 and the eliminations built on it (solves, kernels, minimal polynomials),
-coordinates in submodules, trace forms and the matrix-algebra envelope
+the integer kernel and saturation built on the Hermite form, coordinates
+in submodules, trace forms and the matrix-algebra envelope
 against plain list-of-lists Fraction matrices (tests/oracles.py), on random
 sparse rational matrices that include 0-row and 0-column shapes."""
 
 import pickle
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,7 @@ from oracles import (
     ref_left_kernel,
     ref_matrix_algebra_closure,
     ref_minimal_polynomial,
+    ref_minors_gcd,
     ref_mul,
     ref_rank,
     ref_rref,
@@ -47,28 +50,29 @@ from oracles import (
 
 ZERO = Fraction(0)
 CELLS = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+INTEGERS = st.integers(-4, 4).map(Fraction)
 DIMS = st.integers(0, 5)
 
 KERNEL = settings(max_examples=150, deadline=None)
 
 
 @st.composite
-def dense(draw, m, n):
+def dense(draw, m, n, values=CELLS):
     """An m x n list of Fraction rows, mostly zero: a random set of cells is
     filled, and the fill values may themselves be 0."""
     rows = [[ZERO] * n for _ in range(m)]
     if m and n:
-        cells = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1), CELLS)
+        cells = st.tuples(st.integers(0, m - 1), st.integers(0, n - 1), values)
         for i, j, x in draw(st.lists(cells, max_size=m * n)):
             rows[i][j] = x
     return rows
 
 
 @st.composite
-def shaped(draw, m=None, n=None):
+def shaped(draw, m=None, n=None, values=CELLS):
     m = draw(DIMS) if m is None else m
     n = draw(DIMS) if n is None else n
-    return draw(dense(m, n)), m, n
+    return draw(dense(m, n, values)), m, n
 
 
 def mat(rows, cols):
@@ -142,6 +146,41 @@ def test_rational_kernel_matches_reference(a):
     K = kernel_basis(mat(A, n), "Q")
     assert (K.ambient_rank, K.domain) == (m, "Q")
     assert listed(K.basis) == ref_left_kernel(A, n)
+
+
+def span_rref(A, n):
+    """The nonzero rows of the RREF: the canonical basis of the Q-span."""
+    return [row for row in ref_rref(A, n)[0] if any(row)]
+
+
+@KERNEL
+@given(shaped(values=INTEGERS))
+def test_integer_kernel_is_the_saturated_rational_kernel(a):
+    A, m, n = a
+    K = kernel_basis(mat(A, n), "Z")
+    assert (K.ambient_rank, K.domain) == (m, "Z")
+    rows = listed(K.basis)
+    assert K.basis.is_integral
+    assert ref_minors_gcd(rows, m) == 1
+    assert span_rref(rows, m) == ref_left_kernel(A, n)
+
+
+@KERNEL
+@given(st.sampled_from((INTEGERS, CELLS)).flatmap(lambda values: shaped(values=values)))
+def test_saturate_matches_the_minors_oracle(a):
+    A, m, n = a
+    s = Submodule.span([tuple(row) for row in A], n, "Z")
+    sat = s.saturate()
+    # a fractional basis saturates inside (1/d) Z^n, d its common denominator
+    d = lcm(1, *(x.denominator for row in listed(s.basis) for x in row))
+    scaled = [[d * x for x in row] for row in listed(sat.basis)]
+    assert all(x.denominator == 1 for row in scaled for x in row)
+    assert ref_minors_gcd(scaled, n) == 1
+    assert span_rref(scaled, n) == span_rref(A, n)
+    # canonical, and holding s
+    assert sat == Submodule.span(sat.basis.entries, n, "Z")
+    assert sat.contains_submodule(s)
+    assert sat.saturate() == sat
 
 
 @KERNEL

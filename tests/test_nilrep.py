@@ -70,7 +70,7 @@ def test_free_nilpotent_class3_degree():
     assert monomial_count(L) == brute_monomial_count(B.weights, B.nil_class)
     rep = nilpotent_faithful_rep(L)
     assert rep.degree == 15
-    assert rep.is_homomorphism()
+    assert not rep.homomorphism_violations()
 
 
 def test_monomial_count_matches_enumeration_oracle():
@@ -158,7 +158,7 @@ def test_nilpotent_rep_invariants():
         L = entry.lattice
         rep = nilpotent_faithful_rep(L)
         assert rep.degree == monomial_count(L)
-        assert rep.is_homomorphism()
+        assert not rep.homomorphism_violations()
         assert rep.is_integral
         stacked = ExactMatrix.from_rows(
             [tuple(x for row in M.entries for x in row) for M in rep.matrices],

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from adorep import catalog
-from adorep.exact_linalg import ExactMatrix, commutator, rank, vector
+from adorep.exact_linalg import ExactMatrix, rank, vector
 from adorep.lie_core import LeibnizError, lie_lattice, unit
 from adorep.nilrep import burde_bound, monomial_count, nilpotent_faithful_rep
 from adorep.pbw import TruncatedUEA, build_weighted_basis
@@ -19,7 +19,7 @@ def test_solvable_example_degree3():
     rep = splittable_rep(N, S, action)
     assert rep.degree == 3
     assert rep.lattice.rank == 3
-    assert rep.is_homomorphism()
+    assert not rep.homomorphism_violations()
     # Phi(b), Phi(x') are left multiplications: 1 -> generator
     T = TruncatedUEA(build_weighted_basis(N), 1)
     one = T.index[(0, 0)]
@@ -55,7 +55,7 @@ def test_inner_action_commutator_identity():
         for i in range(3):
             ln = T.left_mult_matrix(unit(3, i))
             l_Dn = T.left_mult_matrix(tuple(D.entries[k][i] for k in range(3)))
-            assert commutator(Dstar, ln) == l_Dn
+            assert Dstar * ln - ln * Dstar == l_Dn
 
 
 def test_commutator_identity_for_solved_derivations():
@@ -74,7 +74,7 @@ def test_commutator_identity_for_solved_derivations():
             for i in range(N.rank):
                 ln = T.left_mult_matrix(unit(N.rank, i))
                 l_Dn = T.left_mult_matrix(tuple(D.entries[k][i] for k in range(N.rank)))
-                assert commutator(Dstar, ln) == l_Dn
+                assert Dstar * ln - ln * Dstar == l_Dn
 
 
 def test_restriction_to_n_is_exactly_regular():
