@@ -4,7 +4,7 @@ degree bounds."""
 from .exact_linalg import ExactMatrix, Submodule
 from .lie_core import LieLattice, lie_lattice, validate
 from .nilrep import burde_bound, monomial_count, nilpotent_faithful_rep
-from .pbw import TruncatedUEA, build_weighted_basis, truncated_uea
+from .pbw import TruncatedUEA, build_weighted_basis
 from .pipeline import ado_representation, degree_bound, verify_representation
 from .rep import LinearRep
 from .zassenhaus import splittable_rep
@@ -23,7 +23,6 @@ __all__ = [
     "monomial_count",
     "nilpotent_faithful_rep",
     "splittable_rep",
-    "truncated_uea",
     "validate",
     "verify_representation",
 ]

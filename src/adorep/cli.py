@@ -100,7 +100,6 @@ def cmd_nilrep(args) -> int:
     from .nilrep import birkhoff_bounds
 
     L = _load_lattice(args.file)
-    require_valid(L)
     rep = nilpotent_faithful_rep(L)
     report = verify_representation(L, rep)
     _emit(

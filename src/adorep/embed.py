@@ -42,7 +42,6 @@ from .lie_core import (
     bracket_series,
     check_derivation,
     is_nilpotent,
-    is_nilpotent_submodule,
     is_subalgebra,
     killing_form,
     nilradical,
@@ -88,32 +87,6 @@ def _ptrim(p: Sequence[Fraction]) -> Poly:
     return tuple(q)
 
 
-def _padd(a: Poly, b: Poly) -> Poly:
-    n = max(len(a), len(b))
-    return _ptrim(
-        [
-            (a[i] if i < len(a) else ZERO) + (b[i] if i < len(b) else ZERO)
-            for i in range(n)
-        ]
-    )
-
-
-def _pscale(c: Fraction, a: Poly) -> Poly:
-    return _ptrim([c * x for x in a])
-
-
-def _pmul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return ()
-    out = [ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _ptrim(out)
-
-
 def _pdivmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
@@ -129,47 +102,18 @@ def _pdivmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     return _ptrim(quo), _ptrim(rem)
 
 
-def _pmod(a: Poly, b: Poly) -> Poly:
-    return _pdivmod(a, b)[1]
-
-
 def _pmonic(a: Poly) -> Poly:
-    if not a:
-        return a
-    return _pscale(1 / a[-1], a)
+    return tuple(x / a[-1] for x in a) if a else a
 
 
 def _pgcd(a: Poly, b: Poly) -> Poly:
     while b:
-        a, b = b, _pmod(a, b)
+        a, b = b, _pdivmod(a, b)[1]
     return _pmonic(a)
-
-
-def _pxgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """(g, u, v) with u*a + v*b = g."""
-    r0, r1 = a, b
-    u0, u1 = (ONE,), ()
-    v0, v1 = (), (ONE,)
-    while r1:
-        q, r = _pdivmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _padd(u0, _pscale(Fraction(-1), _pmul(q, u1)))
-        v0, v1 = v1, _padd(v0, _pscale(Fraction(-1), _pmul(q, v1)))
-    return r0, u0, v0
 
 
 def _pderiv(a: Poly) -> Poly:
     return _ptrim([i * a[i] for i in range(1, len(a))])
-
-
-def _pcompose_mod(f: Poly, p: Poly, m: Poly) -> Poly:
-    """f(p) mod m by Horner."""
-    if not f:
-        return ()
-    acc: Poly = (f[-1],)
-    for c in reversed(f[:-1]):
-        acc = _pmod(_padd(_pmul(acc, p), (c,)), m)
-    return acc
 
 
 def _peval_matrix(p: Poly, A: ExactMatrix) -> ExactMatrix:
@@ -205,9 +149,12 @@ def minimal_polynomial(A: ExactMatrix) -> Poly:
 def jordan_chevalley(A: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
     """A = S + N with S semisimple, N nilpotent, both polynomials in A.
 
-    S is found by a Newton iteration in Q[T]/(m(T)) against the squarefree
-    part of the minimal polynomial m, so no eigenvalue factorization is
-    needed and everything stays rational.
+    S is found by Newton's iteration S <- S - f(S) f'(S)^-1 from S = A,
+    with f the squarefree part of the minimal polynomial, so no eigenvalue
+    factorization is needed and everything stays rational.  f'(S) is
+    invertible (f is squarefree and f'(S) - f'(A) is a nilpotent commuting
+    with f'(A)), and f(S) lies in the 2^k-th power of the nilpotent f(A)
+    after k steps, so it vanishes within bit_length(n) + 1 steps.
     """
     if not A.is_square:
         raise ValueError("jordan_chevalley of a non-square matrix")
@@ -218,21 +165,14 @@ def jordan_chevalley(A: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
     f = _pdivmod(m, _pgcd(m, _pderiv(m)))[0]
     if len(f) == len(m):
         return A, ExactMatrix.zero(n, n)
-    p: Poly = (ZERO, ONE)
-    for _ in range(64):
-        fp = _pcompose_mod(f, p, m)
-        if not fp:
-            break
-        fpd = _pcompose_mod(_pderiv(f), p, m)
-        g, u, _ = _pxgcd(fpd, m)
-        if len(g) != 1:
-            raise RuntimeError("Newton step hit a non-invertible derivative")
-        inv = _pscale(1 / g[0], u)
-        p = _pmod(_padd(p, _pscale(Fraction(-1), _pmul(fp, inv))), m)
-    else:
-        raise RuntimeError("Newton iteration for the semisimple part did not converge")
-    S = _peval_matrix(p, A)
-    return S, A - S
+    df = _pderiv(f)
+    S = A
+    for _ in range(n.bit_length() + 1):
+        fS = _peval_matrix(f, S)
+        if fS.is_zero():
+            return S, A - S
+        S = S - fS * invert(_peval_matrix(df, S))
+    raise RuntimeError("Newton iteration for the semisimple part did not converge")
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +362,7 @@ def elementary_expansion(state: ExpansionState) -> ExpansionState:
     """
     K, N, S, Rn = state.K, state.N, state.S, state.Rn
     n = K.rank
-    if is_nilpotent_submodule(K, N):
+    if Rn.rank == N.rank:
         raise ExpansionError("solvable part is already nilpotent; nothing to expand")
 
     centralizer = _centralizer_in(K, N, S)
@@ -738,15 +678,13 @@ def embed_splittable(L: LieLattice, max_scalar_search: int = 64) -> EmbeddingCer
     """End-to-end embedding of a Z-Lie lattice into a splittable one.
 
     The expansion loop runs exactly rk R_s - rk R_n times: dim R_n grows by
-    one per round while dim N stays fixed.
+    one per round while dim N stays fixed.  Since R_n is the nilradical and
+    lies in the ideal N, N is nilpotent exactly when the two ranks agree.
     """
     if L.domain != "Z":
         raise ValueError("embedding is defined for lattices over Z")
     require_valid(L)
     state = initial_state(L)
-    budget = state.N.rank - state.Rn.rank
-    while not is_nilpotent_submodule(state.K, state.N):
-        if len(state.trace) >= budget:
-            raise ExpansionError("expansion loop exceeded its variant bound")
+    while state.Rn.rank < state.N.rank:
         state = elementary_expansion(state)
     return integral_rescale(L, state, max_scalar_search)

@@ -144,9 +144,6 @@ class LieLattice:
         d = dv * den
         return ExactMatrix(({j: Fraction(x, d) for j, x in row.items()} for row in rows), r)
 
-    def basis_vector(self, i: int) -> Vec:
-        return unit(self.rank, i)
-
     def to_field(self) -> "LieLattice":
         """The same structure constants viewed over Q."""
         if self.domain == "Q":

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
 
-from .lie_core import LieLattice, unit
+from .lie_core import LieLattice, require_valid, unit
 from .pbw import TruncatedUEA, build_weighted_basis
 from .rep import LinearRep
 
@@ -108,6 +108,7 @@ def nilpotent_faithful_rep(L: LieLattice) -> LinearRep:
     """Left regular representation on the enveloping algebra truncated at the
     nilpotency class; faithful because the lattice meets the discarded ideal
     trivially."""
+    require_valid(L)
     basis = build_weighted_basis(L)  # raises NotNilpotentError if not nilpotent
     T = TruncatedUEA(basis, basis.nil_class)
     matrices = tuple(T.left_mult_matrix(unit(L.rank, i)) for i in range(L.rank))

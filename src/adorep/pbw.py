@@ -1,14 +1,15 @@
 """Weighted truncations of universal enveloping algebras of nilpotent lattices.
 
 The monomial basis is indexed by exponent vectors over an adapted basis
-(deepest lower-central terms first); products are straightened by the
-rewriting rule x_j x_i = x_i x_j - [x_i, x_j] with eager truncation of
-monomials whose weight exceeds the cutoff.
+(deepest lower-central terms first).  Everything rests on one memoised
+letter action x_i * x^alpha, straightened by the rewriting rule
+x_j x_i = x_i x_j - [x_i, x_j] with eager truncation of monomials whose
+weight exceeds the cutoff: left multiplications are sums of letter actions,
+and lifted derivations are built column by column from them by Leibniz.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -28,7 +29,6 @@ from .lie_core import (
     check_derivation,
     lower_central_series,
     subalgebra_lattice,
-    unit,
 )
 
 ZERO = Fraction(0)
@@ -93,7 +93,7 @@ class TruncatedUEA:
 
     Monomials are enumerated in graded-lexicographic order.  Instances are
     immutable apart from an internal memo table whose entries are idempotent,
-    so concurrent straightening calls are safe and agree.
+    so concurrent calls are safe and agree.
     """
 
     def __init__(self, basis: WeightedPBWBasis, cutoff: int):
@@ -121,9 +121,6 @@ class TruncatedUEA:
 
     def monomial_weight(self, alpha: Monomial) -> int:
         return sum(a * w for a, w in zip(alpha, self.basis.weights))
-
-    def identity_element(self) -> Element:
-        return {(0,) * self.rank: Fraction(1)}
 
     # -- letter-by-letter multiplication ---------------------------------
 
@@ -161,75 +158,14 @@ class TruncatedUEA:
                 _acc(out, beta, cf * cf2)
         return {a: cf for a, cf in out.items() if cf}
 
-    def monomial_times(self, alpha: Monomial, elem: Element) -> Element:
-        """x^alpha * elem, applying the letters of alpha right to left."""
-        letters: list[int] = []
-        for i, e in enumerate(alpha):
-            letters.extend([i] * e)
-        cur = elem
-        for i in reversed(letters):
-            cur = self._apply_letter(i, cur)
-        return cur
-
-    def multiply(self, u: Element, v: Element) -> Element:
-        out: Element = {}
-        for alpha, cf in u.items():
-            for beta, cf2 in self.monomial_times(alpha, v).items():
-                _acc(out, beta, cf * cf2)
-        return {a: c for a, c in out.items() if c}
-
-    # -- public operations ------------------------------------------------
-
-    def lattice_element(self, v: Vec) -> Element:
-        """Degree-one element for a vector in original lattice coordinates."""
-        coords = vec_mat(v, self.basis.inverse) if self.rank else ()
-        out: Element = {}
-        for k, cf in enumerate(coords):
-            if cf and self.basis.weights[k] <= self.cutoff:
-                out[_inc((0,) * self.rank, k)] = cf
-        return out
-
-    def straighten_adapted(self, word: Sequence[int]) -> Vec:
-        """Normal form of a product of adapted basis letters."""
-        cur = self.identity_element()
-        for i in reversed(list(word)):
-            cur = self._apply_letter(i, cur)
-        return self.to_vector(cur)
-
-    def straighten(self, word: Sequence[int]) -> Vec:
-        """Normal form of a product of original basis vectors."""
-        cur = self.identity_element()
-        for i in reversed(list(word)):
-            cur = self.multiply(self.lattice_element(unit(self.rank, i)), cur)
-        return self.to_vector(cur)
-
-    def to_vector(self, elem: Element) -> Vec:
-        out = [ZERO] * self.dimension
-        for alpha, cf in elem.items():
-            out[self.index[alpha]] = cf
-        return tuple(out)
-
-    def from_vector(self, coords: Vec) -> Element:
-        return {
-            self.monomials[i]: cf for i, cf in enumerate(coords) if cf
-        }
-
-    def weight_of(self, coords: Vec) -> int | float:
-        """Minimum weight of the supported monomials; infinity for zero."""
-        weights = [
-            self.monomial_weight(self.monomials[i])
-            for i, cf in enumerate(coords)
-            if cf
-        ]
-        return min(weights) if weights else math.inf
-
     def left_mult_matrix(self, v: Vec) -> ExactMatrix:
         """Matrix of left multiplication by a lattice vector on the monomials."""
-        elem = self.lattice_element(v)
+        coords = vec_mat(v, self.basis.inverse) if self.rank else ()
+        letters = [(k, cf) for k, cf in enumerate(coords) if cf]
         cols = []
         for beta in self.monomials:
             col: Element = {}
-            for k, cf in self._as_letter_coeffs(elem):
+            for k, cf in letters:
                 for gamma, cf2 in self._letter(k, beta).items():
                     _acc(col, gamma, cf * cf2)
             cols.append(col)
@@ -240,7 +176,10 @@ class TruncatedUEA:
 
         D is given on the original lattice basis and must satisfy the
         Leibniz identity there; D*(1) = 0 and the lift preserves the weight
-        filtration, so the truncation is well defined.
+        filtration, so the truncation is well defined.  With l the first
+        letter of x^beta = x_l x^rest, Leibniz gives
+        D*(x^beta) = D(x_l) x^rest + x_l D*(x^rest), and x^rest has lower
+        weight, so its column comes earlier in the graded order.
         """
         L = self.basis.lattice
         if not check_derivation(L, D):
@@ -250,22 +189,16 @@ class TruncatedUEA:
         Pt = self.basis.change_of_basis.transpose()
         # Dad_cols[t]: the image of adapted letter t under D, in adapted coordinates
         Dad_cols = (invert(Pt) * D * Pt).transpose().sparse_rows
-        cols = []
-        for beta in self.monomials:
-            letters: list[int] = []
-            for i, e in enumerate(beta):
-                letters.extend([i] * e)
-            col: Element = {}
-            for pos in range(len(letters)):
-                for k, ck in Dad_cols[letters[pos]].items():
-                    word = letters[:pos] + [k] + letters[pos + 1 :]
-                    nf = self.identity_element()
-                    for i in reversed(word):
-                        nf = self._apply_letter(i, nf)
-                    for gamma, cf in nf.items():
-                        _acc(col, gamma, ck * cf)
-            cols.append(col)
-        return self._matrix_of_columns(cols)
+        star: dict[Monomial, Element] = {self.monomials[0]: {}}  # D*(1) = 0
+        for beta in self.monomials[1:]:
+            l = next(t for t, e in enumerate(beta) if e)
+            rest = _dec(beta, l)
+            col = self._apply_letter(l, star[rest])
+            for k, ck in Dad_cols[l].items():
+                for gamma, cf in self._letter(k, rest).items():
+                    _acc(col, gamma, ck * cf)
+            star[beta] = col
+        return self._matrix_of_columns([star[beta] for beta in self.monomials])
 
     def _matrix_of_columns(self, cols: Sequence[Element]) -> ExactMatrix:
         """Matrix whose column j holds the element cols[j] on the monomials."""
@@ -274,15 +207,6 @@ class TruncatedUEA:
             ({index[alpha]: cf for alpha, cf in col.items()} for col in cols), self.dimension
         )
         return by_column.transpose()
-
-    def _as_letter_coeffs(self, elem: Element) -> list[tuple[int, Fraction]]:
-        out = []
-        for alpha, cf in elem.items():
-            nz = [i for i, e in enumerate(alpha) if e]
-            if len(nz) != 1 or alpha[nz[0]] != 1:
-                raise ValueError("expected a degree-one element")
-            out.append((nz[0], cf))
-        return out
 
 
 def _enumerate_monomials(weights: Sequence[int], cutoff: int) -> Iterable[Monomial]:
@@ -312,6 +236,3 @@ def _dec(alpha: Monomial, i: int) -> Monomial:
 def _acc(d: Element, key: Monomial, value: Fraction) -> None:
     d[key] = d.get(key, ZERO) + value
 
-
-def truncated_uea(L: LieLattice, cutoff: int) -> TruncatedUEA:
-    return TruncatedUEA(build_weighted_basis(L), cutoff)

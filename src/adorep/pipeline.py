@@ -78,6 +78,7 @@ def verify_representation(L: LieLattice, rep: LinearRep) -> VerificationReport:
     """Independent checks: homomorphism on all basis pairs, integrality over
     Z, faithfulness via the rank of the stacked matrices, nilpotency of the
     images of the nilpotent radical, and the degree bound."""
+    require_valid(L)
     if len(rep.matrices) != L.rank:
         raise ValueError("representation size does not match the lattice rank")
     n = rep.degree
@@ -160,13 +161,12 @@ def verify_certificate(cert: EmbeddingCertificate) -> CertificateReport:
 
     inj = cert.injection
     injective = rank(inj) == L.rank
-    hom = True
-    for i in range(L.rank):
-        for j in range(i + 1, L.rank):
-            image_of_bracket = vec_mat(L.bracket(L.basis_vector(i), L.basis_vector(j)), inj)
-            bracket_of_images = ext.bracket(inj.entries[i], inj.entries[j])
-            if image_of_bracket != bracket_of_images:
-                hom = False
+    rows = inj.entries
+    hom = all(
+        vec_mat(L.c[i][j], inj) == rhs
+        for i in range(L.rank)
+        for j, rhs in enumerate(ext.brackets(rows[i : i + 1], rows[i + 1 :]), start=i + 1)
+    )
 
     # radicals and series are defined for Lie lattices only, and the
     # nilpotency chain for a bracket-closed nbar only; elsewhere they may

@@ -47,7 +47,7 @@ class LinearRep:
         bad = []
         for i in range(L.rank):
             for j in range(i + 1, L.rank):
-                lhs = self.matrix_of(L.bracket(L.basis_vector(i), L.basis_vector(j)))
+                lhs = self.matrix_of(L.c[i][j])
                 rhs = self.matrices[i] * self.matrices[j] - self.matrices[j] * self.matrices[i]
                 if lhs != rhs:
                     bad.append((i, j))

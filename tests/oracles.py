@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's straightening and decomposition code
 paths: the tensor-algebra oracle reduces words by unordered rewriting to a
-fixed point, and the polynomial helpers are self-contained.
+fixed point (and lifts derivations word by word on top of it), and the
+polynomial helpers are self-contained.
 """
 
 from fractions import Fraction
@@ -49,6 +50,42 @@ def oracle_vector(word, T):
     for alpha, cf in nf.items():
         out[T.index[alpha]] = cf
     return tuple(out)
+
+
+def ref_derivation_star(T, D):
+    """Dense rows of the lifted derivation D* on T's monomials.
+
+    D (original coordinates, acting on columns) becomes D_ad on the adapted
+    letters; D*(x^beta) then spreads D over every letter position p of the
+    word of beta, sum_k D_ad[k][l_p] * (word with l_p -> k), and each word
+    is reduced by the tensor oracle.
+    """
+    P = T.basis.change_of_basis.entries
+    Pinv = T.basis.inverse.entries
+    Dr = D.entries
+    r = len(P)
+    # D_ad[k][l]: coordinate k of D(adapted letter l)
+    D_ad = [
+        [
+            sum(
+                (Pinv[i][k] * Dr[i][j] * P[l][j] for i in range(r) for j in range(r)),
+                ZERO,
+            )
+            for l in range(r)
+        ]
+        for k in range(r)
+    ]
+    n = T.dimension
+    rows = [[ZERO] * n for _ in range(n)]
+    for col, beta in enumerate(T.monomials):
+        word = [l for l, e in enumerate(beta) for _ in range(e)]
+        for p, l in enumerate(word):
+            for k in range(r):
+                if D_ad[k][l]:
+                    nf = oracle_vector(word[:p] + [k] + word[p + 1 :], T)
+                    for row, x in enumerate(nf):
+                        rows[row][col] += D_ad[k][l] * x
+    return rows
 
 
 def poly_trim(p):

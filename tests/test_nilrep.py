@@ -4,7 +4,7 @@ import pytest
 
 from adorep import catalog
 from adorep.exact_linalg import ExactMatrix, rank
-from adorep.lie_core import NotNilpotentError, unit
+from adorep.lie_core import LatticeValidationError, NotNilpotentError, lie_lattice, unit
 from adorep.nilrep import (
     birkhoff_bounds,
     burde_bound,
@@ -184,3 +184,10 @@ def test_nilpotent_rep_invariants():
                         )
             # hence nilpotent
             assert rep.matrices[i].power(rep.degree).is_zero()
+
+
+def test_nilpotent_faithful_rep_validates_its_lattice():
+    # [x, y] = z/2 is a Lie algebra over Q but not a Z-lattice
+    half = lie_lattice(["x", "y", "z"], {(0, 1): [0, 0, Fraction(1, 2)]})
+    with pytest.raises(LatticeValidationError, match=r"\(0, 1, 2\)"):
+        nilpotent_faithful_rep(half)

@@ -1,20 +1,21 @@
-import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from adorep import catalog
-from adorep.exact_linalg import ExactMatrix, vector
+from adorep.exact_linalg import ExactMatrix, mat_vec, vector
 from adorep.lie_core import (
     LeibnizError,
     NotNilpotentError,
+    derivation_basis,
     lie_lattice,
     unit,
 )
-from adorep.pbw import TruncatedUEA, build_weighted_basis, truncated_uea
+from adorep.pbw import TruncatedUEA, build_weighted_basis
 
-from oracles import oracle_vector
+from oracles import oracle_vector, ref_derivation_star
+from pbw_words import apply_word, letter_matrices, multiply, unit_monomial, weight
 
 
 def h3():
@@ -27,6 +28,20 @@ def filiform4():
         ["e1", "e2", "e3", "e4"],
         {(0, 1): [0, 0, 1, 0], (0, 2): [0, 0, 0, 1]},
     )
+
+
+def uea(L, cutoff):
+    return TruncatedUEA(build_weighted_basis(L), cutoff)
+
+
+def element(T, v):
+    """The monomials supporting a coordinate vector, with their coefficients."""
+    return {T.monomials[i]: c for i, c in enumerate(v) if c}
+
+
+def original_letters(T):
+    """Left multiplications by the original basis vectors."""
+    return [T.left_mult_matrix(unit(T.rank, i)) for i in range(T.rank)]
 
 
 def test_weighted_basis_h3():
@@ -58,61 +73,61 @@ def test_weighted_basis_rejects_non_nilpotent():
 
 
 def test_truncation_dimension_h3():
-    T = truncated_uea(h3(), 2)
+    T = uea(h3(), 2)
     assert T.dimension == 7
     weights = [T.monomial_weight(a) for a in T.monomials]
     assert weights == sorted(weights)  # graded order
 
 
 def test_straighten_yx():
-    T = truncated_uea(h3(), 2)
-    v = T.straighten([1, 0])  # word (y, x) in original indices
-    elem = T.from_vector(v)
+    T = uea(h3(), 2)
+    v = apply_word(original_letters(T), [1, 0], unit_monomial(T))  # y x
     # adapted order (z, x, y): expect xy - z
-    assert elem == {(0, 1, 1): Fraction(1), (1, 0, 0): Fraction(-1)}
+    assert element(T, v) == {(0, 1, 1): Fraction(1), (1, 0, 0): Fraction(-1)}
 
 
 def test_straighten_sorted_word_is_single_monomial():
-    T = truncated_uea(h3(), 2)
-    v = T.straighten_adapted([1, 2])  # x then y, already sorted
-    assert T.from_vector(v) == {(0, 1, 1): Fraction(1)}
+    T = uea(h3(), 2)
+    letters = letter_matrices(T)
+    v = apply_word(letters, [1, 2], unit_monomial(T))  # x then y, already sorted
+    assert element(T, v) == {(0, 1, 1): Fraction(1)}
     # weight beyond cutoff vanishes
-    v = T.straighten_adapted([0, 1])  # z * x has weight 3
+    v = apply_word(letters, [0, 1], unit_monomial(T))  # z * x has weight 3
     assert all(x == 0 for x in v)
 
 
 def test_straighten_yxx_vanishes():
-    T = truncated_uea(h3(), 2)
-    assert all(x == 0 for x in T.straighten([1, 0, 0]))
+    T = uea(h3(), 2)
+    assert all(x == 0 for x in apply_word(original_letters(T), [1, 0, 0], unit_monomial(T)))
 
 
 def test_left_mult_examples():
-    T = truncated_uea(h3(), 2)
+    T = uea(h3(), 2)
     Mx = T.left_mult_matrix(unit(3, 0))
     one = T.index[(0, 0, 0)]
-    assert T.from_vector(Mx.column(one)) == {(0, 1, 0): Fraction(1)}
+    assert element(T, Mx.column(one)) == {(0, 1, 0): Fraction(1)}
     y = T.index[(0, 0, 1)]
-    assert T.from_vector(Mx.column(y)) == {(0, 1, 1): Fraction(1)}
+    assert element(T, Mx.column(y)) == {(0, 1, 1): Fraction(1)}
     z = T.index[(1, 0, 0)]
     assert all(c == 0 for c in Mx.column(z))
     x = T.index[(0, 1, 0)]
-    assert T.from_vector(Mx.column(x)) == {(0, 2, 0): Fraction(1)}
+    assert element(T, Mx.column(x)) == {(0, 2, 0): Fraction(1)}
     # zero vector gives the zero matrix
     assert T.left_mult_matrix(vector([0, 0, 0])).is_zero()
 
 
 def test_left_mult_abelian_rank1():
-    T = truncated_uea(catalog.abelian(1), 1)
+    T = uea(catalog.abelian(1), 1)
     assert T.left_mult_matrix(unit(1, 0)) == ExactMatrix.from_rows([[0, 0], [1, 0]])
 
 
 def test_derivation_star_examples():
-    T = truncated_uea(h3(), 2)
+    T = uea(h3(), 2)
     assert T.derivation_star(ExactMatrix.zero(3, 3)).is_zero()
     D = h3().ad(unit(3, 0))  # inner derivation ad_x
     Ds = T.derivation_star(D)
     y = T.index[(0, 0, 1)]
-    assert T.from_vector(Ds.column(y)) == {(1, 0, 0): Fraction(1)}  # D*(y) = z
+    assert element(T, Ds.column(y)) == {(1, 0, 0): Fraction(1)}  # D*(y) = z
     xy = T.index[(0, 1, 1)]
     assert all(c == 0 for c in Ds.column(xy))  # x z truncates away
     one = T.index[(0, 0, 0)]
@@ -121,53 +136,44 @@ def test_derivation_star_examples():
 
 def test_derivation_star_abelian_restriction():
     ab = catalog.abelian(2)
-    T = truncated_uea(ab, 1)
+    T = uea(ab, 1)
     D = ExactMatrix.from_rows([[1, 2], [3, 4]])
     Ds = T.derivation_star(D)
     # on one-letter monomials D* equals D; on 1 it vanishes
     for j in range(2):
         col = Ds.column(T.index[tuple(1 if k == j else 0 for k in range(2))])
-        got = {T.monomials[i]: c for i, c in enumerate(col) if c}
         want = {
             tuple(1 if k == a else 0 for k in range(2)): D.entries[a][j]
             for a in range(2)
             if D.entries[a][j]
         }
-        assert got == want
+        assert element(T, col) == want
     assert all(c == 0 for c in Ds.column(T.index[(0, 0)]))
 
 
 def test_derivation_star_rejects_non_leibniz():
-    T = truncated_uea(h3(), 2)
+    T = uea(h3(), 2)
     bad = ExactMatrix.from_rows([[0, 0, 0], [0, 0, 0], [0, 0, 1]])
     with pytest.raises(LeibnizError):
         T.derivation_star(bad)
 
 
-def test_weight_of():
-    T = truncated_uea(h3(), 2)
-    zero = tuple(Fraction(0) for _ in range(T.dimension))
-    assert T.weight_of(zero) == math.inf
-    for alpha in T.monomials:
-        v = T.to_vector({alpha: Fraction(1)})
-        assert T.weight_of(v) == T.monomial_weight(alpha)
-    v = T.straighten([1, 0])  # xy - z
-    assert T.weight_of(v) == 2
-
-
 def test_defining_ideal_relation():
-    # straighten(x_i x_j) - straighten(x_j x_i) = coordinates of [x_i, x_j]
+    # x_i x_j - x_j x_i = [x_i, x_j], on the unit monomial and as matrices
     for entry in catalog.nilpotent_entries():
         L = entry.lattice
-        T = truncated_uea(L, 2 * max(build_weighted_basis(L).weights, default=1))
+        T = uea(L, 2 * max(build_weighted_basis(L).weights, default=1))
+        mats = original_letters(T)
+        one = unit_monomial(T)
         for i in range(L.rank):
             for j in range(L.rank):
                 lhs = tuple(
                     a - b
-                    for a, b in zip(T.straighten([i, j]), T.straighten([j, i]))
+                    for a, b in zip(apply_word(mats, [i, j], one), apply_word(mats, [j, i], one))
                 )
-                rhs = T.to_vector(T.lattice_element(L.bracket(unit(L.rank, i), unit(L.rank, j))))
-                assert lhs == rhs
+                l_bracket = T.left_mult_matrix(L.bracket(unit(L.rank, i), unit(L.rank, j)))
+                assert lhs == mat_vec(l_bracket, one)
+                assert mats[i] * mats[j] - mats[j] * mats[i] == l_bracket
 
 
 def test_superadditivity_random():
@@ -176,37 +182,19 @@ def test_superadditivity_random():
         L = entry.lattice
         B = build_weighted_basis(L)
         T = TruncatedUEA(B, B.nil_class)
+        mats = letter_matrices(T)
         for _ in range(60):
             u = _random_element(rng, T)
             v = _random_element(rng, T)
-            prod = T.multiply(u, v)
-            wu, wv = T.weight_of(T.to_vector(u)), T.weight_of(T.to_vector(v))
-            assert T.weight_of(T.to_vector(prod)) >= wu + wv
+            prod = multiply(T, mats, u, v)
+            assert weight(T, prod) >= weight(T, u) + weight(T, v)
 
 
 def _random_element(rng, T, max_terms=3):
-    elem = {}
+    out = [Fraction(0)] * T.dimension
     for _ in range(rng.randint(1, max_terms)):
-        alpha = rng.choice(T.monomials)
-        coeff = Fraction(rng.randint(-3, 3))
-        if coeff:
-            elem[alpha] = elem.get(alpha, Fraction(0)) + coeff
-    return {a: c for a, c in elem.items() if c}
-
-
-def test_associativity_random_words():
-    rng = random.Random(77)
-    for L in (h3(), filiform4(), catalog.abelian(3)):
-        B = build_weighted_basis(L)
-        T = TruncatedUEA(B, B.nil_class)
-        r = L.rank
-        for _ in range(40):
-            length = rng.randint(3, 6)
-            word = [rng.randrange(r) for _ in range(length)]
-            cut = rng.randrange(1, length)
-            u = T.from_vector(T.straighten_adapted(word[:cut]))
-            v = T.from_vector(T.straighten_adapted(word[cut:]))
-            assert T.to_vector(T.multiply(u, v)) == T.straighten_adapted(word)
+        out[rng.randrange(T.dimension)] += rng.randint(-3, 3)
+    return tuple(out)
 
 
 def test_oracle_equivalence_random_words():
@@ -216,10 +204,32 @@ def test_oracle_equivalence_random_words():
     for L in targets:
         B = build_weighted_basis(L)
         T = TruncatedUEA(B, B.nil_class)
+        mats = letter_matrices(T)
         r = L.rank
         for _ in range(120):
             word = [rng.randrange(r) for _ in range(rng.randint(0, 5))]
-            assert T.straighten_adapted(word) == oracle_vector(word, T)
+            assert apply_word(mats, word, unit_monomial(T)) == oracle_vector(word, T)
+
+
+def test_derivation_star_matches_oracle():
+    # inner derivations and combinations of a derivation basis, lifted at
+    # the class and one past it
+    rng = random.Random(31)
+    for entry in catalog.nilpotent_entries():
+        L = entry.lattice
+        B = build_weighted_basis(L)
+        solved = derivation_basis(L)
+        for cutoff in (B.nil_class, B.nil_class + 1):
+            T = TruncatedUEA(B, cutoff)
+            for k in range(4):
+                if k % 2 == 0:
+                    D = L.ad(vector([rng.randint(-3, 3) for _ in range(L.rank)]))
+                else:
+                    D = ExactMatrix.zero(L.rank, L.rank)
+                    for basis_D in solved:
+                        D = D + basis_D.scale(rng.randint(-2, 2))
+                want = tuple(tuple(row) for row in ref_derivation_star(T, D))
+                assert T.derivation_star(D).entries == want
 
 
 def test_block_triangularity_of_lifted_derivations():

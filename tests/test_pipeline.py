@@ -10,7 +10,14 @@ from adorep.cli import main
 from adorep.embed import EmbeddingCertificate
 from adorep.exact_linalg import ExactMatrix
 from adorep.jsonio import ado_report_to_json, certificate_to_json, lattice_to_json, rep_to_json
-from adorep.lie_core import LieLattice, adjoint_rep, lie_lattice, solvable_radical, unit
+from adorep.lie_core import (
+    LatticeValidationError,
+    LieLattice,
+    adjoint_rep,
+    lie_lattice,
+    solvable_radical,
+    unit,
+)
 from adorep.nilrep import burde_bound
 from adorep.pipeline import (
     ado_representation,
@@ -265,3 +272,11 @@ def test_certificate_rejects_every_structure_constant_change():
                 changed = LieLattice(ext.names, tensor, ext.domain)
                 report = verify_certificate(dataclasses.replace(cert, extension=changed))
                 assert not report.ok, (i, j, k)
+
+
+def test_verify_representation_validates_its_lattice():
+    # [x, y] = z/2 is a Lie algebra over Q but not a Z-lattice
+    half = lie_lattice(["x", "y", "z"], {(0, 1): [0, 0, Fraction(1, 2)]})
+    rep = LinearRep(half, (ExactMatrix.zero(1, 1),) * 3, "zero")
+    with pytest.raises(LatticeValidationError, match=r"\(0, 1, 2\)"):
+        verify_representation(half, rep)

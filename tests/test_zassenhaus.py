@@ -23,13 +23,13 @@ def test_solvable_example_degree3():
     # Phi(b), Phi(x') are left multiplications: 1 -> generator
     T = TruncatedUEA(build_weighted_basis(N), 1)
     one = T.index[(0, 0)]
-    assert rep.matrices[0].column(one) == T.to_vector({(1, 0): Fraction(1)})
-    assert rep.matrices[1].column(one) == T.to_vector({(0, 1): Fraction(1)})
+    assert rep.matrices[0].column(one) == unit(T.dimension, T.index[(1, 0)])
+    assert rep.matrices[1].column(one) == unit(T.dimension, T.index[(0, 1)])
     # Phi(z') is the lifted derivation: fixes the b column, kills 1 and x'
     Dz = rep.matrices[2]
     assert Dz.column(one) == vector([0, 0, 0])
     b_col = T.index[(1, 0)]
-    assert Dz.column(b_col) == T.to_vector({(1, 0): Fraction(1)})
+    assert Dz.column(b_col) == unit(T.dimension, T.index[(1, 0)])
 
 
 def test_trivial_complement_is_regular_rep():
