@@ -190,18 +190,31 @@ def _closed_sublattice(K: LieLattice, S: Submodule, prefix: str) -> LieLattice:
         raise RuntimeError(f"construction produced a bad sublattice: {exc}") from exc
 
 
-def levi_decomposition(L: LieLattice) -> tuple[Submodule, Submodule]:
+def _extend_constructed(inner: Submodule, outer: Submodule) -> ExactMatrix:
+    """`extend_basis` of two submodules the construction has already nested,
+    so a failure is an internal error, not a property of the input."""
+    try:
+        return extend_basis(inner, outer)
+    except ValueError as exc:
+        raise RuntimeError(f"construction produced submodules that do not nest: {exc}") from exc
+
+
+def levi_decomposition(
+    L: LieLattice, rs: Submodule | None = None
+) -> tuple[Submodule, Submodule]:
     """Solvable radical and a semisimple complement closed under the bracket.
 
     The complement starts as a linear section of L / R_s and is corrected
     layer by layer along the derived series of the radical; each correction
     solves the classical cocycle system, which Levi's theorem guarantees to
-    be consistent.
+    be consistent.  `rs`, when given, must be `solvable_radical(L.to_field())`;
+    a caller that already holds it saves recomputing it.
     """
     if L.domain != "Q":
         L = L.to_field()
     r = L.rank
-    rs = solvable_radical(L)
+    if rs is None:
+        rs = solvable_radical(L)
     if rs.rank == 0:
         return rs, Submodule.full(r, "Q")
     if rs.rank == r:
@@ -214,7 +227,7 @@ def levi_decomposition(L: LieLattice) -> tuple[Submodule, Submodule]:
 
     for depth in range(len(chain) - 1):
         Dk, Dk1 = chain[depth], chain[depth + 1]
-        comp = extend_basis(Dk1, Dk)
+        comp = _extend_constructed(Dk1, Dk)
         d = comp.rows
         if d == 0:
             continue
@@ -316,20 +329,34 @@ class ExpansionState:
     N: Submodule
     S: Submodule
     Rn: Submodule
+    rn_original: Submodule  # R_n of the original Z-lattice, in its coordinates
     embedding: ExactMatrix  # rows: images of the original basis in K coords
     xprimes: tuple[Vec, ...]
     zprimes: tuple[Vec, ...]
     trace: tuple[ExpansionStep, ...]
 
 
-def initial_state(L: LieLattice) -> ExpansionState:
+def initial_state(
+    L: LieLattice, rs: Submodule | None = None, rn: Submodule | None = None
+) -> ExpansionState:
+    """The unexpanded state of the Z-lattice L.
+
+    `rs` and `rn`, when given, must be `solvable_radical(L)` and
+    `nilradical(L)`.  Their Q-spans are the canonical RREF bases that the
+    same radicals of `L.to_field()` return.
+    """
+    if rs is None:
+        rs = solvable_radical(L)
+    if rn is None:
+        rn = nilradical(L, rs)
     LQ = L.to_field()
-    rad, levi = levi_decomposition(LQ)
+    rad, levi = levi_decomposition(LQ, Submodule.span(rs.basis.entries, L.rank, "Q"))
     state = ExpansionState(
         K=LQ,
         N=rad,
         S=levi,
-        Rn=nilradical(LQ),
+        Rn=Submodule.span(rn.basis.entries, L.rank, "Q"),
+        rn_original=rn,
         embedding=ExactMatrix.identity(L.rank),
         xprimes=(),
         zprimes=(),
@@ -377,7 +404,7 @@ def elementary_expansion(state: ExpansionState) -> ExpansionState:
             "complete reducibility failed upstream"
         )
 
-    comp = extend_basis(Rn, N)
+    comp = _extend_constructed(Rn, N)
     split_n = stack_rows([Rn.basis, comp]) if Rn.rank else comp
     ybar = solve_left(split_n, y)
     if ybar is None:
@@ -476,6 +503,7 @@ def elementary_expansion(state: ExpansionState) -> ExpansionState:
         N=new_N,
         S=new_S,
         Rn=new_Rn,
+        rn_original=state.rn_original,
         embedding=state.embedding * iota,
         xprimes=tuple(vec_mat(x, iota) for x in state.xprimes) + (unit(n + 1, xp),),
         zprimes=tuple(vec_mat(z, iota) for z in state.zprimes) + (unit(n + 1, zp),),
@@ -540,11 +568,11 @@ def integral_rescale(
     with the new generators mapping the image of L into R_n(L); lambda
     clears the denominators of the image of L against that span.  The
     nilpotent part of the extension is the sum of the lower-central terms
-    scaled by powers of 1/lambda.
+    scaled by powers of 1/lambda.  R_n(L) is read from the state.
     """
     K = state.K
     nK = K.rank
-    rn_L = nilradical(L)
+    rn_L = state.rn_original
     s = rn_L.rank
     x_vecs = [vec_mat(row, state.embedding) for row in rn_L.basis.entries]
     xp_vecs = list(state.xprimes)
@@ -684,7 +712,8 @@ def embed_splittable(L: LieLattice, max_scalar_search: int = 64) -> EmbeddingCer
     if L.domain != "Z":
         raise ValueError("embedding is defined for lattices over Z")
     require_valid(L)
-    state = initial_state(L)
+    rs = solvable_radical(L)
+    state = initial_state(L, rs, nilradical(L, rs))
     while state.Rn.rank < state.N.rank:
         state = elementary_expansion(state)
     return integral_rescale(L, state, max_scalar_search)

@@ -329,13 +329,18 @@ def center(L: LieLattice) -> Submodule:
 
 
 def killing_form(L: LieLattice) -> ExactMatrix:
-    """Symmetric matrix k(x_i, x_j) = trace(ad_i ad_j)."""
+    """Symmetric matrix k(x_i, x_j) = trace(ad_i ad_j).
+
+    trace(AB) = trace(BA) for any square matrices, so only the upper
+    triangle is computed and mirrored, even on a tensor that is not Lie.
+    """
     r = L.rank
     ads = [L.ad(unit(r, i)) for i in range(r)]
-    return ExactMatrix.from_rows(
-        [[trace_product(ads[i], ads[j]) for j in range(r)] for i in range(r)],
-        cols=r,
-    )
+    k = [[ZERO] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i, r):
+            k[i][j] = k[j][i] = trace_product(ads[i], ads[j])
+    return ExactMatrix.from_rows(k, cols=r)
 
 
 def adjoint_rep(L: LieLattice) -> LinearRep:
@@ -366,27 +371,44 @@ def solvable_radical(L: LieLattice) -> Submodule:
     return candidate
 
 
-def nilradical(L: LieLattice) -> Submodule:
+def nilradical(L: LieLattice, rs: Submodule | None = None) -> Submodule:
     """Largest nilpotent ideal, via the trace-form radical of the associative
-    envelope of ad(R_s) (characteristic zero only).
+    envelope of ad(R_s) restricted to I = [L, R_s] (characteristic zero only).
 
+    `rs`, when given, must be `solvable_radical(L)`; a caller that already
+    holds it saves recomputing it.  For x in R_s, ad x maps L into the ideal
+    I, so ad x is nilpotent iff ad x|_I is; Dickson's trace criterion holds
+    for any representation of a solvable algebra, so x lies in the
+    nilradical iff trace(ad x|_I * B) = 0 for every B in the envelope.
     The candidate is verified nilpotent and an ideal before returning.
     """
-    rs = solvable_radical(L)
+    if rs is None:
+        rs = solvable_radical(L)
     if rs.is_zero():
         return rs
     r = L.rank
-    gens = [L.ad(v) for v in rs.basis.entries]
+    units = [unit(r, i) for i in range(r)]
+    ideal = Submodule.span(L.brackets(units, rs.basis.entries), r, "Q")
+    if ideal.is_zero():
+        # R_s is central: abelian, hence nilpotent
+        return rs
+    m = ideal.rank
+    products = L.brackets(rs.basis.entries, ideal.basis.entries)
+    gens = [
+        ExactMatrix.from_columns(
+            [ideal.coordinates(w) for w in products[a * m : (a + 1) * m]], rows=m
+        )
+        for a in range(rs.rank)
+    ]
     envelope = _matrix_algebra_closure(gens)
     if not envelope:
-        # ad vanishes on R_s: the radical is abelian, hence nilpotent
+        # ad R_s kills I, so (ad x)^2 = 0 on L for every x in R_s
         return rs
-    # x in R_s lies in the candidate iff trace(ad_x * B) = 0 for all B
-    cond_cols = []
-    for v in rs.basis.entries:
-        advx = L.ad(v)
-        cond_cols.append(tuple(trace_product(advx, B) for B in envelope))
-    conditions = ExactMatrix.from_rows(cond_cols, cols=len(envelope))
+    # x in R_s lies in the candidate iff trace(ad_x|_I * B) = 0 for all B
+    conditions = ExactMatrix.from_rows(
+        [tuple(trace_product(g, B) for B in envelope) for g in gens],
+        cols=len(envelope),
+    )
     coeffs = kernel_basis(conditions, "Q")
     vecs = []
     for x in coeffs.basis.entries:
@@ -414,9 +436,10 @@ def _matrix_algebra_closure(gens: Sequence[ExactMatrix]) -> list[ExactMatrix]:
     def independent(A: ExactMatrix) -> bool:
         return bool(echelon.add(A.flattened().sparse_rows[0]))
 
-    gens = [g for g in gens if not g.is_zero()]
-    basis = [g for g in gens if independent(g)]
-    frontier = basis
+    # a rejected generator is a combination of accepted ones, so its
+    # products with A are combinations of products already tried
+    gens = [g for g in gens if not g.is_zero() and independent(g)]
+    basis = frontier = gens
     while frontier:
         frontier = [P for A in frontier for g in gens for P in (A * g, g * A) if independent(P)]
         basis = basis + frontier

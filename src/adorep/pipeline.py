@@ -28,7 +28,7 @@ from .lie_core import (
     solvable_radical,
     validate,
 )
-from .nilrep import birkhoff_bounds, burde_bound, nilpotent_faithful_rep
+from .nilrep import _regular_truncated_rep, birkhoff_bounds, burde_bound
 from .rep import LinearRep, direct_sum_rep, restrict_rep
 from .zassenhaus import splittable_rep
 
@@ -177,11 +177,13 @@ def verify_certificate(cert: EmbeddingCertificate) -> CertificateReport:
     nbar_nilp = nbar_ideal and is_nilpotent_submodule(ext, nbar)
     nbar_is_nilradical = lie and nilradical(ext) == nbar
 
+    # one fresh R_s(L) serves both the rank check and R_n(L)
+    rs = solvable_radical(L) if lie else None
     rn_image = lie and all(
         nbar.contains(vec_mat(row, inj))
-        for row in nilradical(L).basis.entries
+        for row in nilradical(L, rs).basis.entries
     )
-    rank_matches = lie and nbar.rank == solvable_radical(L).rank
+    rank_matches = lie and nbar.rank == rs.rank
 
     return CertificateReport(
         original_valid=original_valid,
@@ -237,7 +239,7 @@ def ado_representation(
     if not strict and is_nilpotent(L):
         path = "nilpotent-shortcut"
         rs_rank = r  # a nilpotent lattice is its own solvable radical
-        rep = nilpotent_faithful_rep(L)
+        rep = _regular_truncated_rep(L)
         phi_degree = rep.degree
         comparison = birkhoff_bounds(r, nilpotency_class(L))
     elif not strict and is_semisimple(L.to_field()):

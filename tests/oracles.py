@@ -3,10 +3,16 @@
 These deliberately avoid the library's straightening and decomposition code
 paths: the tensor-algebra oracle reduces words by unordered rewriting to a
 fixed point (and lifts derivations word by word on top of it), and the
-polynomial helpers are self-contained.
+polynomial helpers are self-contained.  `ref_nilradical` runs the envelope
+method on the full adjoint matrices, where the library restricts them to
+the ideal [L, R_s].
 """
 
 from fractions import Fraction
+from math import lcm
+
+from adorep.exact_linalg import ExactMatrix, Submodule, kernel_basis, trace_product, vec_mat
+from adorep.lie_core import _matrix_algebra_closure, solvable_radical
 
 ZERO = Fraction(0)
 
@@ -396,3 +402,27 @@ def ref_is_derivation(c, D):
             if any(lhs[a] != left[a] + right[a] for a in range(r)):
                 return False
     return True
+
+
+# -- the nilradical from the full adjoint representation --------------------
+
+
+def ref_nilradical(L):
+    """Nilradical of L as the x in R_s with trace(ad_x * B) = 0 for every B in
+    the associative envelope of ad(R_s) on all of L, saturated over Z."""
+    rs = solvable_radical(L)
+    ads = [L.ad(v) for v in rs.basis.entries]
+    envelope = _matrix_algebra_closure(ads)
+    if not envelope:
+        return rs
+    conditions = ExactMatrix.from_rows(
+        [[trace_product(A, B) for B in envelope] for A in ads], cols=len(envelope)
+    )
+    vecs = []
+    for x in kernel_basis(conditions, "Q").basis.entries:
+        v = vec_mat(x, rs.basis)
+        if L.domain == "Z":
+            den = lcm(*(entry.denominator for entry in v))
+            v = tuple(den * entry for entry in v)
+        vecs.append(v)
+    return Submodule.span(vecs, L.rank, L.domain).saturate()

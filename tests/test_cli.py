@@ -310,8 +310,12 @@ def _raising(exc):
          "solvable radical candidate failed verification"),
         ("lie_core", "is_nilpotent_submodule", lambda L, S: False,
          "nilradical candidate failed verification"),
+        # a ValueError from extending a basis the construction nested itself
+        ("embed", "extend_basis", _raising(ValueError("inner is not contained in outer")),
+         "construction produced submodules that do not nest: inner is not contained in outer"),
     ],
-    ids=["newton", "levi-lift", "expansion", "solvable-radical-check", "nilradical-check"],
+    ids=["newton", "levi-lift", "expansion", "solvable-radical-check", "nilradical-check",
+         "extend-basis"],
 )
 def test_cli_internal_error_exit_code(tmp_path, capsys, monkeypatch, module, name, replacement, message):
     # on a valid lattice the construction cannot fail, so each of these is a bug

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from adorep.embed import (
     elementary_expansion,
     embed_splittable,
     initial_state,
+    integral_rescale,
     jordan_chevalley,
     levi_decomposition,
     minimal_polynomial,
@@ -181,6 +183,41 @@ def test_elementary_expansion_requires_non_nilpotent():
     state = initial_state(catalog.get("heisenberg3").lattice)
     with pytest.raises(ExpansionError):
         elementary_expansion(state)
+
+
+@pytest.mark.parametrize("name", ["t2_upper", "solv3_weights", "churkin_sl2_t2"])
+def test_elementary_expansion_rejects_a_state_missing_a_nilradical_row(name):
+    state = initial_state(catalog.get(name).lattice)
+    for drop in range(state.Rn.rank):
+        rows = [row for i, row in enumerate(state.Rn.basis.entries) if i != drop]
+        bad = dataclasses.replace(state, Rn=Submodule.span(rows, state.K.rank, "Q"))
+        with pytest.raises(ExpansionError, match="nilpotent radical of the expansion"):
+            elementary_expansion(bad)
+
+
+def test_embedding_computes_the_radicals_of_the_input_once(monkeypatch):
+    """t2_upper takes one expansion: one R_s and one R_n of the input, and
+    one R_n (with its own R_s) of the expanded algebra."""
+    import adorep.embed
+    import adorep.lie_core
+
+    seen = {"solvable_radical": [], "nilradical": []}
+    for name, calls in seen.items():
+        original = getattr(adorep.lie_core, name)
+
+        def counting(L, *args, _original=original, _calls=calls):
+            _calls.append(L.rank)
+            return _original(L, *args)
+
+        for module in (adorep.lie_core, adorep.embed):
+            monkeypatch.setattr(module, name, counting)
+    L = catalog.t2_upper()
+    cert = embed_splittable(L)
+    assert seen == {"solvable_radical": [3, 4], "nilradical": [3, 4]}
+    monkeypatch.undo()
+    # the stages still run on their own, computing what they were not given
+    state = elementary_expansion(initial_state(L))
+    assert integral_rescale(L, state) == cert
 
 
 def test_elementary_expansion_solv3():

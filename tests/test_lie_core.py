@@ -16,6 +16,7 @@ from adorep.lie_core import (
     adjoint_rep,
     bracket_series,
     center,
+    change_basis,
     check_derivation,
     derivation_basis,
     derived_series,
@@ -40,7 +41,7 @@ from adorep.lie_core import (
 )
 from adorep.pipeline import ado_representation
 
-from oracles import ref_bracket, ref_is_derivation, ref_validate
+from oracles import ref_bracket, ref_is_derivation, ref_nilradical, ref_validate
 
 
 def h3():
@@ -178,6 +179,14 @@ def test_killing_form():
     assert killing_form(h3()).is_zero()
 
 
+@pytest.mark.parametrize("name", catalog.names())
+def test_killing_form_equals_the_full_square_of_traces(name):
+    L = catalog.get(name).lattice
+    ads = [L.ad(unit(L.rank, i)) for i in range(L.rank)]
+    full = [[(A * B).trace() for B in ads] for A in ads]
+    assert killing_form(L) == ExactMatrix.from_rows(full, cols=L.rank)
+
+
 def test_solvable_radical():
     assert solvable_radical(sl2()).rank == 0
     assert solvable_radical(solv2()).rank == 2
@@ -199,6 +208,21 @@ def test_nilradical():
     assert rn.rank == 2
     assert rn.contains(vector([1, 0, 1]))  # the identity matrix direction
     assert rn.contains(vector([0, 1, 0]))
+
+
+def test_nilradical_of_a_central_radical_skips_the_envelope(monkeypatch):
+    # sl2 + Z: R_s = Z is central, so I = [L, R_s] = 0
+    import adorep.lie_core
+
+    def unreachable(gens):
+        raise AssertionError("envelope built for a central radical")
+
+    monkeypatch.setattr(adorep.lie_core, "_matrix_algebra_closure", unreachable)
+    L = direct_sum(sl2(), catalog.abelian(1))
+    for K in (L, L.to_field()):
+        rs = solvable_radical(K)
+        assert rs == Submodule.span([unit(4, 3)], 4, K.domain)
+        assert nilradical(K) == rs
 
 
 def test_adjoint_rep():
@@ -532,3 +556,66 @@ def test_table_is_outside_equality_hash_repr_and_pickles():
     thirds = tuple(tuple(vec_scale(Fraction(1, 3), v) for v in row) for row in H.c)
     third = LieLattice(H.names, thirds, "Q")
     assert H.table.den == 1 and third.table.den == 3 and third.table.pairs == H.table.pairs
+
+
+# -- the nilradical on [L, R_s] against the full adjoint envelope ----------
+
+
+def t2_power(k):
+    L = catalog.t2_upper()
+    for _ in range(k - 1):
+        L = direct_sum(L, catalog.t2_upper())
+    return L
+
+
+@st.composite
+def unimodular(draw, n):
+    """A product of integer shears: determinant one."""
+    M = ExactMatrix.identity(n)
+    shears = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-2, 2))
+    for i, j, x in draw(st.lists(shears, min_size=n, max_size=2 * n)):
+        if i != j:
+            rows = [list(row) for row in ExactMatrix.identity(n).entries]
+            rows[i][j] = Fraction(x)
+            M = M * ExactMatrix.from_rows(rows)
+    return M
+
+
+def check_nilradical_matches_reference(L):
+    for K in (L, L.to_field()):
+        rn = nilradical(K)
+        assert rn == ref_nilradical(K)
+        assert nilradical(K, solvable_radical(K)) == rn
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_nilradical_matches_reference_on_catalog(name):
+    check_nilradical_matches_reference(catalog.get(name).lattice)
+
+
+SCRAMBLE_BASES = {
+    "t2^2": lambda: t2_power(2),
+    "t2^3": lambda: t2_power(3),
+    "churkin_sl2_t2": catalog.churkin_sl2_t2,
+}
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(sorted(SCRAMBLE_BASES)), st.data())
+def test_nilradical_matches_reference_on_scrambled_bases(name, data):
+    L = SCRAMBLE_BASES[name]()
+    check_nilradical_matches_reference(change_basis(L, data.draw(unimodular(L.rank))))
+
+
+def square_int_matrices(n):
+    return st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3).flatmap(square_int_matrices))
+def test_nilradical_matches_reference_on_random_solvable_lattices(action):
+    # Z^n x| Z with a random action, as in test_nilradical_on_random_solvable_lattices
+    n = len(action)
+    y = lie_lattice(["y"], {})
+    L = semidirect_assemble(catalog.abelian(n), y, [ExactMatrix.from_rows(action)])
+    check_nilradical_matches_reference(L)

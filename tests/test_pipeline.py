@@ -220,6 +220,40 @@ def test_strict_ado_output_is_pinned(name):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[name]
 
 
+CATALOG_ADO_GOLDEN = "419b3bc2ece0f35acf802fca828fb7280907e34452bfff5f07a7ced05036a323"
+
+
+def test_catalog_ado_output_digest_is_pinned():
+    """One SHA-256 over non-strict and strict `ado` of every catalog lattice.
+
+    Recipe: for each name in `catalog.names()` order, and for strict False
+    then True, run `ado_representation(catalog.get(name).lattice, strict)`
+    and feed `json.dumps([rep_to_json(rep), ado_report_to_json(report),
+    C], sort_keys=True)`, with C `certificate_to_json(cert)` or None when
+    there is no certificate, UTF-8 encoded, into one running SHA-256.
+
+    The same recipe over the cases of `bench/workloads.build(workload, seed)`,
+    in that order and with each case's own `strict`, gives the benchmark's
+    per-workload output digest; at seed 23 its first 16 hex digits read
+    6102f2a4f0f4fd29 (nilpotent-regular), 5961fdd2a1940ba3 (theorem-solvable)
+    and f139ac5c0a283de1 (theorem-scrambled).
+    """
+    digest = hashlib.sha256()
+    for name in catalog.names():
+        for strict in (False, True):
+            rep, report, cert = ado_representation(catalog.get(name).lattice, strict=strict)
+            text = json.dumps(
+                [
+                    rep_to_json(rep),
+                    ado_report_to_json(report),
+                    None if cert is None else certificate_to_json(cert),
+                ],
+                sort_keys=True,
+            )
+            digest.update(text.encode())
+    assert digest.hexdigest() == CATALOG_ADO_GOLDEN
+
+
 # SHA-256 of the output of `adorep radicals` on every catalog lattice, in
 # catalog order: it fixes the canonical bases that kernel_basis and
 # Submodule.span return.
@@ -272,6 +306,32 @@ def test_certificate_rejects_every_structure_constant_change():
                 changed = LieLattice(ext.names, tensor, ext.domain)
                 report = verify_certificate(dataclasses.replace(cert, extension=changed))
                 assert not report.ok, (i, j, k)
+
+
+@pytest.mark.parametrize("name", ["t2_upper", "solv2", "solv3_weights", "churkin_sl2_t2"])
+def test_certificate_with_a_too_small_nilpotent_part_fails(name):
+    # the first nilpotent_rank - 1 coordinates still span a nilpotent ideal,
+    # so only the fresh nilradical (and rank) checks can see the defect
+    _, _, cert = ado_representation(catalog.get(name).lattice, strict=True)
+    report = verify_certificate(dataclasses.replace(cert, nilpotent_rank=cert.nilpotent_rank - 1))
+    assert not report.nbar_is_nilradical and not report.ok
+
+
+def test_nilpotent_shortcut_validates_three_times(monkeypatch):
+    # ado's own check, the adapted sublattice, and verify_representation
+    import adorep.lie_core
+
+    calls = []
+    original = adorep.lie_core.validate
+
+    def counting(L):
+        calls.append(L)
+        return original(L)
+
+    monkeypatch.setattr(adorep.lie_core, "validate", counting)
+    _, report, _ = ado_representation(catalog.get("heisenberg3").lattice)
+    assert report.path == "nilpotent-shortcut"
+    assert len(calls) == 3
 
 
 def test_verify_representation_validates_its_lattice():
