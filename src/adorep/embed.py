@@ -219,7 +219,10 @@ def levi_decomposition(
         return rs, Submodule.full(r, "Q")
     if rs.rank == r:
         return rs, Submodule.zero(r, "Q")
-    quotient, section = quotient_lattice(L, rs)
+    try:
+        quotient, section = quotient_lattice(L, rs)
+    except ValueError as exc:
+        raise RuntimeError(f"construction produced a bad quotient: {exc}") from exc
     t = quotient.rank
     sigma = [section.entries[i] for i in range(t)]
 
@@ -336,19 +339,14 @@ class ExpansionState:
     trace: tuple[ExpansionStep, ...]
 
 
-def initial_state(
-    L: LieLattice, rs: Submodule | None = None, rn: Submodule | None = None
-) -> ExpansionState:
+def initial_state(L: LieLattice) -> ExpansionState:
     """The unexpanded state of the Z-lattice L.
 
-    `rs` and `rn`, when given, must be `solvable_radical(L)` and
-    `nilradical(L)`.  Their Q-spans are the canonical RREF bases that the
-    same radicals of `L.to_field()` return.
+    The Q-spans of its radicals are the canonical RREF bases that the same
+    radicals of `L.to_field()` return.
     """
-    if rs is None:
-        rs = solvable_radical(L)
-    if rn is None:
-        rn = nilradical(L, rs)
+    rs = solvable_radical(L)
+    rn = nilradical(L, rs)
     LQ = L.to_field()
     rad, levi = levi_decomposition(LQ, Submodule.span(rs.basis.entries, L.rank, "Q"))
     state = ExpansionState(
@@ -712,8 +710,7 @@ def embed_splittable(L: LieLattice, max_scalar_search: int = 64) -> EmbeddingCer
     if L.domain != "Z":
         raise ValueError("embedding is defined for lattices over Z")
     require_valid(L)
-    rs = solvable_radical(L)
-    state = initial_state(L, rs, nilradical(L, rs))
+    state = initial_state(L)
     while state.Rn.rank < state.N.rank:
         state = elementary_expansion(state)
     return integral_rescale(L, state, max_scalar_search)

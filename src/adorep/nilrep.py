@@ -107,13 +107,8 @@ def monomial_count(L: LieLattice) -> int:
 def nilpotent_faithful_rep(L: LieLattice) -> LinearRep:
     """Left regular representation on the enveloping algebra truncated at the
     nilpotency class; faithful because the lattice meets the discarded ideal
-    trivially.  The lattice is validated first."""
+    trivially."""
     require_valid(L)
-    return _regular_truncated_rep(L)
-
-
-def _regular_truncated_rep(L: LieLattice) -> LinearRep:
-    """`nilpotent_faithful_rep` of a lattice the caller has already validated."""
     basis = build_weighted_basis(L)  # raises NotNilpotentError if not nilpotent
     T = TruncatedUEA(basis, basis.nil_class)
     matrices = tuple(T.left_mult_matrix(unit(L.rank, i)) for i in range(L.rank))

@@ -28,7 +28,7 @@ from .lie_core import (
     solvable_radical,
     validate,
 )
-from .nilrep import _regular_truncated_rep, birkhoff_bounds, burde_bound
+from .nilrep import birkhoff_bounds, burde_bound, nilpotent_faithful_rep
 from .rep import LinearRep, direct_sum_rep, restrict_rep
 from .zassenhaus import splittable_rep
 
@@ -239,7 +239,7 @@ def ado_representation(
     if not strict and is_nilpotent(L):
         path = "nilpotent-shortcut"
         rs_rank = r  # a nilpotent lattice is its own solvable radical
-        rep = _regular_truncated_rep(L)
+        rep = nilpotent_faithful_rep(L)
         phi_degree = rep.degree
         comparison = birkhoff_bounds(r, nilpotency_class(L))
     elif not strict and is_semisimple(L.to_field()):

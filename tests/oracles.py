@@ -4,15 +4,14 @@ These deliberately avoid the library's straightening and decomposition code
 paths: the tensor-algebra oracle reduces words by unordered rewriting to a
 fixed point (and lifts derivations word by word on top of it), and the
 polynomial helpers are self-contained.  `ref_nilradical` runs the envelope
-method on the full adjoint matrices, where the library restricts them to
-the ideal [L, R_s].
+method on the full adjoint matrices in dense lists, where the library
+restricts them to the ideal [L, R_s].
 """
 
 from fractions import Fraction
 from math import lcm
 
-from adorep.exact_linalg import ExactMatrix, Submodule, kernel_basis, trace_product, vec_mat
-from adorep.lie_core import _matrix_algebra_closure, solvable_radical
+from adorep.exact_linalg import Submodule
 
 ZERO = Fraction(0)
 
@@ -407,22 +406,77 @@ def ref_is_derivation(c, D):
 # -- the nilradical from the full adjoint representation --------------------
 
 
+def _reduce(echelon, v):
+    """v minus its projection on the span of `echelon`, a list of (pivot,
+    row) pairs each with a 1 at its pivot and 0 at the other pivots."""
+    v = list(v)
+    for p, row in echelon:
+        if v[p]:
+            f = v[p]
+            v = [a - f * b for a, b in zip(v, row)]
+    return v
+
+
+def _add_if_independent(echelon, v):
+    """Append v to the echelon and return True iff it is not in its span."""
+    v = _reduce(echelon, v)
+    p = next((i for i, a in enumerate(v) if a), None)
+    if p is None:
+        return False
+    v = [a / v[p] for a in v]
+    for k, (q, row) in enumerate(echelon):
+        if row[p]:
+            f = row[p]
+            echelon[k] = (q, [a - f * b for a, b in zip(row, v)])
+    echelon.append((p, v))
+    return True
+
+
 def ref_nilradical(L):
-    """Nilradical of L as the x in R_s with trace(ad_x * B) = 0 for every B in
-    the associative envelope of ad(R_s) on all of L, saturated over Z."""
-    rs = solvable_radical(L)
-    ads = [L.ad(v) for v in rs.basis.entries]
-    envelope = _matrix_algebra_closure(ads)
-    if not envelope:
-        return rs
-    conditions = ExactMatrix.from_rows(
-        [[trace_product(A, B) for B in envelope] for A in ads], cols=len(envelope)
-    )
-    vecs = []
-    for x in kernel_basis(conditions, "Q").basis.entries:
-        v = vec_mat(x, rs.basis)
-        if L.domain == "Z":
-            den = lcm(*(entry.denominator for entry in v))
-            v = tuple(den * entry for entry in v)
-        vecs.append(v)
-    return Submodule.span(vecs, L.rank, L.domain).saturate()
+    """Nilradical of L on dense lists: R_s = [L, L]^perp under the Killing
+    form, then the x in R_s with trace(ad_x * B) = 0 for every B in the
+    associative envelope of ad(R_s) on all of L, saturated over Z.
+
+    The envelope multiplies each new matrix by every nonzero generator, on
+    both sides.  The library is used only for the bracket and to return the
+    result as a Submodule."""
+    r = L.rank
+    units = [tuple(Fraction(int(a == i)) for a in range(r)) for i in range(r)]
+    table = L.brackets(units, units)  # table[i * r + j] = [x_i, x_j]
+    ads = [[[table[i * r + j][k] for j in range(r)] for k in range(r)] for i in range(r)]
+
+    def combine(coeffs, mats):
+        return [
+            [sum((x * M[k][j] for x, M in zip(coeffs, mats)), ZERO) for j in range(r)]
+            for k in range(r)
+        ]
+
+    killing = [[ref_trace(ref_mul(A, B, r, r)) for B in ads] for A in ads]
+    derived = [w for w in table if any(w)]
+    if derived:
+        pairing = [[sum((row[a] * w[a] for a in range(r)), ZERO) for w in derived] for row in killing]
+        rs = ref_left_kernel(pairing, len(derived))
+    else:
+        rs = [list(u) for u in units]
+    rs_ads = [combine(x, ads) for x in rs]
+    gens = [A for A in rs_ads if not ref_is_zero(A)]
+    echelon, envelope = [], []
+    frontier = [A for A in gens if _add_if_independent(echelon, [a for row in A for a in row])]
+    while frontier:
+        envelope += frontier
+        frontier = [
+            P
+            for A in frontier
+            for g in gens
+            for P in (ref_mul(A, g, r, r), ref_mul(g, A, r, r))
+            if _add_if_independent(echelon, [a for row in P for a in row])
+        ]
+    if envelope:
+        conditions = [[ref_trace(ref_mul(A, B, r, r)) for B in envelope] for A in rs_ads]
+        coeffs = ref_left_kernel(conditions, len(envelope))
+        rn = [[sum((x[a] * rs[a][i] for a in range(len(rs))), ZERO) for i in range(r)] for x in coeffs]
+    else:
+        rn = rs
+    if L.domain == "Z":
+        rn = [[lcm(*(e.denominator for e in v)) * e for e in v] for v in rn]
+    return Submodule.span([tuple(v) for v in rn], r, L.domain).saturate()

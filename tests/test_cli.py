@@ -342,3 +342,19 @@ def test_cli_internal_value_error_exit_code(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "internal error:" in err and "not closed under the bracket" in err
+
+
+def test_cli_internal_quotient_error_exit_code(tmp_path, capsys, monkeypatch):
+    # the Levi step divides a lattice that is not solvable by its own
+    # verified radical, so a failing quotient is a bug as well
+    import adorep.embed
+
+    monkeypatch.setattr(
+        adorep.embed, "quotient_lattice", _raising(ValueError("quotient section failed"))
+    )
+    path = write_lattice(tmp_path, "churkin_sl2_t2")
+    code, out, err = run(capsys, "ado", path, "--strict-theorem-path")
+    assert code == 3
+    assert out == ""
+    assert "internal error: construction produced a bad quotient: quotient section failed" in err
+    assert "Traceback" not in err

@@ -317,23 +317,6 @@ def test_certificate_with_a_too_small_nilpotent_part_fails(name):
     assert not report.nbar_is_nilradical and not report.ok
 
 
-def test_nilpotent_shortcut_validates_three_times(monkeypatch):
-    # ado's own check, the adapted sublattice, and verify_representation
-    import adorep.lie_core
-
-    calls = []
-    original = adorep.lie_core.validate
-
-    def counting(L):
-        calls.append(L)
-        return original(L)
-
-    monkeypatch.setattr(adorep.lie_core, "validate", counting)
-    _, report, _ = ado_representation(catalog.get("heisenberg3").lattice)
-    assert report.path == "nilpotent-shortcut"
-    assert len(calls) == 3
-
-
 def test_verify_representation_validates_its_lattice():
     # [x, y] = z/2 is a Lie algebra over Q but not a Z-lattice
     half = lie_lattice(["x", "y", "z"], {(0, 1): [0, 0, Fraction(1, 2)]})
