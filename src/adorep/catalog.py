@@ -149,10 +149,3 @@ def acceptance_entries() -> list[CatalogEntry]:
     out += [get(f"abelian_{r}") for r in range(1, 7)]
     return out
 
-
-def nilpotent_entries(max_rank: int = 6) -> list[CatalogEntry]:
-    return [
-        e
-        for e in acceptance_entries()
-        if e.expected["nilpotency_class"] is not None and e.lattice.rank <= max_rank
-    ]

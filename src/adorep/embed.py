@@ -58,7 +58,6 @@ from .lie_core import (
 log = logging.getLogger(__name__)
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class LiftingError(RuntimeError):
@@ -140,9 +139,12 @@ def minimal_polynomial(A: ExactMatrix) -> Poly:
     echelon = Echelon()
     power = ExactMatrix.identity(A.rows)
     for k in count():
-        res = echelon.add({**power.flattened().sparse_rows[0], nn + k: ONE})
+        # [num | den * e_k] is den times [A^k | e_k]; the residual at the
+        # first dependence is a positive multiple of [0 | m]
+        res = echelon.add({**power.flattened().num[0], nn + k: power.den})
         if min(res) >= nn:
-            return tuple(res.get(nn + i, ZERO) for i in range(k + 1))
+            lead = res[nn + k]
+            return tuple(Fraction(res.get(nn + i, 0), lead) for i in range(k + 1))
         power = power * A
 
 

@@ -1,12 +1,19 @@
 """Exact linear algebra over the integers and rationals.
 
-Matrices carry Fraction entries and are immutable.  They are stored as
-sparse rows (only the nonzero entries), so every kernel costs time in the
-number of nonzeros rather than the number of cells.  Every rational
-elimination (RREF, inverses, solves, kernels) goes through one incremental
-sparse `Echelon`; the one integer normal form, Hermite, runs on dense int
-working copies and wraps its results back into matrices.  Spans, isolated
-closures and kernels over Z all come from it.  No floating point anywhere.
+A matrix is stored as sparse rows of int numerators over one positive
+denominator, normalised so that the denominator shares no factor with all
+the numerators; a Z-matrix is the case den == 1, and its products, sums
+and traces never leave the integers.  Rows keep only their nonzero
+entries, so every kernel costs time in the number of nonzeros rather than
+the number of cells.  Every rational elimination (RREF, inverses, solves,
+kernels) goes through one incremental sparse `Echelon`, which is
+fraction-free: each of its rows is a primitive int row whose value is the
+row over its own pivot entry.  The one integer normal form, Hermite, runs
+on dense int working copies.  Spans, isolated closures and kernels over Z
+all come from it.  Fractions appear only at the boundary: the dense views
+`entries`, `row` and `column`, the vectors that products and solves
+return, and the scalars of non-integral matrices.  No floating point
+anywhere.
 """
 
 from __future__ import annotations
@@ -15,15 +22,14 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, str, Fraction]
 Vec = tuple[Fraction, ...]
-Row = dict[int, Fraction]  # column index -> nonzero entry
+Row = dict[int, int]  # column index -> nonzero int numerator
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 # Shared by every row without nonzeros; rows are never mutated once built.
 _EMPTY_ROW: Row = {}
@@ -53,52 +59,121 @@ def is_zero_vector(v: Vec) -> bool:
     return all(a == 0 for a in v)
 
 
-def _sparse(values: Iterable[tuple[int, Scalar]]) -> Row:
-    """Row of the nonzero (column, value) pairs, values made Fractions."""
-    row = {}
+def _fraction(x: int, den: int) -> Fraction:
+    """The value x / den as a Fraction (0 as the shared ZERO)."""
+    if not x:
+        return ZERO
+    return Fraction(x) if den == 1 else Fraction(x, den)
+
+
+def _scalar(x: int, den: int) -> int | Fraction:
+    """x / den as an int when den is 1, else as a Fraction."""
+    return x if den == 1 else Fraction(x, den)
+
+
+def _int_row(values: Iterable[tuple[int, Scalar]]) -> tuple[Row, int]:
+    """(row, d): the nonzero (column, value) pairs as int numerators over d,
+    the lcm of their denominators."""
+    pairs = []
     for j, x in values:
-        x = frac(x)
+        if not isinstance(x, (int, Fraction)):
+            x = Fraction(x)
         if x:
-            row[j] = x
-    return row or _EMPTY_ROW
+            pairs.append((j, x))
+    d = lcm(*(x.denominator for _, x in pairs))
+    if d == 1:
+        return {j: x.numerator for j, x in pairs}, 1
+    return {j: x.numerator * (d // x.denominator) for j, x in pairs}, d
 
 
-def _dense(row: Mapping[int, Fraction], n: int) -> list[Fraction]:
+def _int_rows(rows: Iterable[Iterable[tuple[int, Scalar]]]) -> tuple[tuple[Row, ...], int]:
+    """Rows of (column, value) pairs as int numerator rows over the lcm of
+    every denominator.  Fractions are in lowest terms, so for each prime of
+    that lcm some numerator escapes it: the result is normalised."""
+    converted = [_int_row(row) for row in rows]
+    den = lcm(*(d for _, d in converted))
+    return (
+        tuple(
+            (row if d == den else {j: x * (den // d) for j, x in row.items()}) or _EMPTY_ROW
+            for row, d in converted
+        ),
+        den,
+    )
+
+
+def _normalized(num: tuple[Row, ...], den: int) -> tuple[tuple[Row, ...], int]:
+    """num / den with the denominator made positive and gcd(den, all
+    numerators) divided out."""
+    if den == 1:
+        return num, 1
+    g = abs(den)
+    for row in num:
+        if row:
+            g = gcd(g, *row.values())
+            if g == 1:
+                break
+    if den < 0:
+        g = -g
+    if g == 1:
+        return num, den
+    return tuple({j: x // g for j, x in row.items()} or _EMPTY_ROW for row in num), den // g
+
+
+def _dense(row: Row, n: int, den: int) -> list[Fraction]:
     out = [ZERO] * n
     for j, x in row.items():
-        out[j] = x
+        out[j] = _fraction(x, den)
     return out
 
 
 class ExactMatrix:
-    """Immutable matrix of Fractions stored as sparse rows.
+    """Immutable rational matrix: sparse int numerator rows over one
+    positive denominator.
 
-    `sparse_rows[i]` maps column indices to the nonzero entries of row i;
-    zeros are never stored, so equality and hashing are value equality
-    however a matrix was built.  `cols` is kept so 0-row shapes survive.
-    `entries` is a dense view (a tuple of row tuples) built on first use
-    and cached; the kernels never read it.
+    `num[i]` maps column indices to the nonzero numerators of row i, and
+    entry (i, j) is num[i].get(j, 0) / den.  den > 0 and gcd(den, every
+    numerator) == 1, so the representation is unique: equality and hashing
+    are value equality however a matrix was built, and den == 1 exactly
+    when the matrix is integral.  `cols` is kept so 0-row shapes survive.
+    `entries` is a dense view of Fractions, built on first use and cached;
+    the kernels never read it.
     """
 
-    __slots__ = ("sparse_rows", "cols", "_entries", "_hash")
+    __slots__ = ("num", "den", "cols", "_entries", "_hash")
 
     def __init__(self, rows: Iterable[Mapping[int, Scalar]], cols: int):
         """Matrix from sparse rows: one mapping column -> value per row.
 
         Zero values are dropped; every column index must lie in range(cols).
         """
-        self._init(tuple(_sparse(row.items()) for row in rows), cols)
+        rows = list(rows)
+        _check_columns(rows, cols)
+        self._init(*_int_rows(row.items() for row in rows), cols)
 
     @classmethod
-    def _of(cls, rows: tuple[Row, ...], cols: int) -> "ExactMatrix":
-        """Wrap rows that already hold only nonzero Fractions."""
+    def from_ints(cls, rows: Iterable[Mapping[int, int]], cols: int, den: int = 1) -> "ExactMatrix":
+        """Matrix with entry (i, j) = rows[i].get(j, 0) / den, from int
+        numerators (zeros dropped; every column in range(cols)) and a
+        nonzero int denominator."""
+        if not den:
+            raise ZeroDivisionError("matrix denominator is zero")
+        rows = list(rows)
+        _check_columns(rows, cols)
+        num = tuple({j: x for j, x in row.items() if x} or _EMPTY_ROW for row in rows)
+        return cls._of(*_normalized(num, den), cols)
+
+    @classmethod
+    def _of(cls, num: tuple[Row, ...], den: int, cols: int) -> "ExactMatrix":
+        """Wrap rows that are already normalised: nonzero int numerators in
+        range(cols) over a positive den sharing no factor with all of them."""
         M = object.__new__(cls)
-        M._init(rows, cols)
+        M._init(num, den, cols)
         return M
 
-    def _init(self, rows: tuple[Row, ...], cols: int) -> None:
+    def _init(self, num: tuple[Row, ...], den: int, cols: int) -> None:
         setattr_ = object.__setattr__
-        setattr_(self, "sparse_rows", rows)
+        setattr_(self, "num", num)
+        setattr_(self, "den", den)
         setattr_(self, "cols", cols)
         setattr_(self, "_entries", None)
         setattr_(self, "_hash", None)
@@ -107,11 +182,11 @@ class ExactMatrix:
         raise AttributeError("ExactMatrix is immutable")
 
     def __reduce__(self):
-        return (ExactMatrix, (self.sparse_rows, self.cols))
+        return (ExactMatrix.from_ints, (self.num, self.cols, self.den))
 
     @property
     def rows(self) -> int:
-        return len(self.sparse_rows)
+        return len(self.num)
 
     @property
     def entries(self) -> tuple[Vec, ...]:
@@ -119,7 +194,7 @@ class ExactMatrix:
         if dense is None:
             zero_row = zero_vector(self.cols)
             dense = tuple(
-                tuple(_dense(row, self.cols)) if row else zero_row for row in self.sparse_rows
+                tuple(_dense(row, self.cols, self.den)) if row else zero_row for row in self.num
             )
             object.__setattr__(self, "_entries", dense)
         return dense
@@ -132,69 +207,59 @@ class ExactMatrix:
                 raise ValueError("ragged rows")
         elif cols is None:
             raise ValueError("empty matrix needs an explicit column count")
-        return ExactMatrix._of(tuple(_sparse(enumerate(r)) for r in data), cols)
+        return ExactMatrix._of(*_int_rows(enumerate(r) for r in data), cols)
 
     @staticmethod
     def identity(n: int) -> "ExactMatrix":
-        return ExactMatrix._of(tuple({i: ONE} for i in range(n)), n)
+        return ExactMatrix._of(tuple({i: 1} for i in range(n)), 1, n)
 
     @staticmethod
     def zero(m: int, n: int) -> "ExactMatrix":
-        return ExactMatrix._of((_EMPTY_ROW,) * m, n)
+        return ExactMatrix._of((_EMPTY_ROW,) * m, 1, n)
 
     @staticmethod
     def from_columns(cols: Sequence[Vec], rows: int | None = None) -> "ExactMatrix":
-        if not cols:
-            if rows is None:
-                raise ValueError("empty matrix needs an explicit row count")
-            return ExactMatrix.zero(rows, 0)
-        m = len(cols[0])
-        if any(len(c) != m for c in cols):
-            raise ValueError("ragged columns")
-        out: list[Row] = [{} for _ in range(m)]
-        for j, col in enumerate(cols):
-            for i, x in enumerate(col):
-                x = frac(x)
-                if x:
-                    out[i][j] = x
-        return ExactMatrix._of(tuple(r or _EMPTY_ROW for r in out), len(cols))
+        if not cols and rows is None:
+            raise ValueError("empty matrix needs an explicit row count")
+        return ExactMatrix.from_rows(cols, cols=rows).transpose()
 
     def row(self, i: int) -> Vec:
         if self._entries is not None:
             return self._entries[i]
-        return tuple(_dense(self.sparse_rows[i], self.cols))
+        return tuple(_dense(self.num[i], self.cols, self.den))
 
     def column(self, j: int) -> Vec:
-        return tuple(row.get(j, ZERO) for row in self.sparse_rows)
+        return tuple(_fraction(row.get(j, 0), self.den) for row in self.num)
 
     def transpose(self) -> "ExactMatrix":
         out: list[Row] = [{} for _ in range(self.cols)]
-        for i, row in enumerate(self.sparse_rows):
+        for i, row in enumerate(self.num):
             for j, x in row.items():
                 out[j][i] = x
-        return ExactMatrix._of(tuple(r or _EMPTY_ROW for r in out), self.rows)
+        return ExactMatrix._of(tuple(r or _EMPTY_ROW for r in out), self.den, self.rows)
 
     def flattened(self) -> "ExactMatrix":
         """The entries as one row of length rows * cols, in row-major order."""
         n = self.cols
-        flat = {i * n + j: x for i, row in enumerate(self.sparse_rows) for j, x in row.items()}
-        return ExactMatrix._of((flat or _EMPTY_ROW,), self.rows * n)
+        flat = {i * n + j: x for i, row in enumerate(self.num) for j, x in row.items()}
+        return ExactMatrix._of((flat or _EMPTY_ROW,), self.den, self.rows * n)
 
     @property
     def is_integral(self) -> bool:
-        return all(x.denominator == 1 for row in self.sparse_rows for x in row.values())
+        return self.den == 1
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return not any(self.sparse_rows)
+        return not any(self.num)
 
-    def trace(self) -> Fraction:
+    def trace(self) -> int | Fraction:
+        """The trace: an int when the matrix is integral, else a Fraction."""
         if not self.is_square:
             raise ValueError("trace of a non-square matrix")
-        return sum((row.get(i, ZERO) for i, row in enumerate(self.sparse_rows)), ZERO)
+        return _scalar(sum(row.get(i, 0) for i, row in enumerate(self.num)), self.den)
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         return self._entrywise(other, operator.add)
@@ -205,65 +270,51 @@ class ExactMatrix:
     def _entrywise(self, other: "ExactMatrix", op) -> "ExactMatrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
+        den = lcm(self.den, other.den)
         out = []
-        for a, b in zip(self.sparse_rows, other.sparse_rows):
-            if not b:
-                out.append(a)
-                continue
+        for a, b in zip(_rescaled(self, den), _rescaled(other, den)):
             acc = dict(a)
             for j, x in b.items():
-                acc[j] = op(acc.get(j, ZERO), x)
+                acc[j] = op(acc.get(j, 0), x)
             out.append({j: x for j, x in acc.items() if x} or _EMPTY_ROW)
-        return ExactMatrix._of(tuple(out), self.cols)
+        return ExactMatrix._of(*_normalized(tuple(out), den), self.cols)
 
     def __neg__(self) -> "ExactMatrix":
-        return self.scale(-ONE)
+        return self.scale(-1)
 
     def scale(self, c: Scalar) -> "ExactMatrix":
-        cf = frac(c)
-        if not cf:
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
+        if not c:
             return ExactMatrix.zero(self.rows, self.cols)
-        return ExactMatrix._of(
-            tuple({j: cf * x for j, x in row.items()} or _EMPTY_ROW for row in self.sparse_rows),
-            self.cols,
-        )
+        p = c.numerator
+        num = self.num
+        if p != 1:
+            num = tuple({j: p * x for j, x in row.items()} or _EMPTY_ROW for row in num)
+        return ExactMatrix._of(*_normalized(num, self.den * c.denominator), self.cols)
 
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        brows = other.sparse_rows
+        brows = other.num
         out = []
-        for arow in self.sparse_rows:
+        for arow in self.num:
             acc: Row = {}
             for k, a in arow.items():
                 for j, b in brows[k].items():
                     acc[j] = acc[j] + a * b if j in acc else a * b
             out.append({j: x for j, x in acc.items() if x} or _EMPTY_ROW)
-        return ExactMatrix._of(tuple(out), other.cols)
-
-    def power(self, k: int) -> "ExactMatrix":
-        if not self.is_square:
-            raise ValueError("power of a non-square matrix")
-        result = ExactMatrix.identity(self.rows)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base_needed = k >> 1
-            if base_needed:
-                base = base * base
-            k = base_needed
-        return result
+        return ExactMatrix._of(*_normalized(tuple(out), self.den * other.den), other.cols)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self.cols == other.cols and self.sparse_rows == other.sparse_rows
+        return self.cols == other.cols and self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.cols, tuple(frozenset(row.items()) for row in self.sparse_rows)))
+            h = hash((self.cols, self.den, tuple(frozenset(row.items()) for row in self.num)))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -276,63 +327,82 @@ class ExactMatrix:
         return "[" + "; ".join(" ".join(str(x) for x in row) for row in rows) + "]"
 
 
+def _check_columns(rows: Sequence[Mapping[int, Scalar]], cols: int) -> None:
+    for row in rows:
+        if row and (min(row) < 0 or max(row) >= cols):
+            raise ValueError(f"column index outside range({cols})")
+
+
 def mat_vec(M: ExactMatrix, v: Vec) -> Vec:
     """M applied to a column vector (returned as a tuple)."""
     if len(v) != M.cols:
         raise ValueError("dimension mismatch")
-    return tuple(sum((x * v[j] for j, x in row.items()), ZERO) for row in M.sparse_rows)
+    w, d = _int_row(enumerate(v))
+    d *= M.den
+    return tuple(_fraction(sum(x * w.get(j, 0) for j, x in row.items()), d) for row in M.num)
 
 
 def vec_mat(v: Vec, M: ExactMatrix) -> Vec:
     """Row vector times matrix."""
     if len(v) != M.rows:
         raise ValueError("dimension mismatch")
-    out = [ZERO] * M.cols
-    for c, row in zip(v, M.sparse_rows):
-        if c:
-            for j, x in row.items():
-                out[j] += c * x
-    return tuple(out)
+    w, d = _int_row(enumerate(v))
+    out = [0] * M.cols
+    for i, c in w.items():
+        for j, x in M.num[i].items():
+            out[j] += c * x
+    d *= M.den
+    return tuple(_fraction(x, d) for x in out)
 
 
-def trace_product(A: ExactMatrix, B: ExactMatrix) -> Fraction:
+def trace_product(A: ExactMatrix, B: ExactMatrix) -> int | Fraction:
     """trace(A * B) without forming the product: the sum of A[i][k] * B[k][i]
-    over the nonzero entries of A."""
+    over the nonzero entries of A.  An int when A and B are integral."""
     if A.cols != B.rows or A.rows != B.cols:
         raise ValueError(f"shape mismatch {A.rows}x{A.cols} * {B.rows}x{B.cols}")
-    brows = B.sparse_rows
-    total = ZERO
-    for i, row in enumerate(A.sparse_rows):
+    brows = B.num
+    total = 0
+    for i, row in enumerate(A.num):
         for k, a in row.items():
             b = brows[k].get(i)
             if b is not None:
                 total += a * b
-    return total
+    return _scalar(total, A.den * B.den)
+
+
+def _rescaled(M: ExactMatrix, den: int) -> tuple[Row, ...]:
+    """The numerator rows of M over den, a multiple of M.den."""
+    s = den // M.den
+    if s == 1:
+        return M.num
+    return tuple({j: s * x for j, x in row.items()} or _EMPTY_ROW for row in M.num)
 
 
 def stack_rows(blocks: Sequence[ExactMatrix]) -> ExactMatrix:
     cols = blocks[0].cols
+    if any(b.cols != cols for b in blocks):
+        raise ValueError("column mismatch in stack")
+    # each block is normalised, so the stack over the lcm of their
+    # denominators is too
+    den = lcm(*(b.den for b in blocks))
     rows: list[Row] = []
     for b in blocks:
-        if b.cols != cols:
-            raise ValueError("column mismatch in stack")
-        rows.extend(b.sparse_rows)
-    return ExactMatrix._of(tuple(rows), cols)
+        rows.extend(_rescaled(b, den))
+    return ExactMatrix._of(tuple(rows), den, cols)
 
 
 def block_diag(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
+    den = lcm(A.den, B.den)
     shift = A.cols
-    shifted = tuple({j + shift: x for j, x in row.items()} or _EMPTY_ROW for row in B.sparse_rows)
-    return ExactMatrix._of(A.sparse_rows + shifted, A.cols + B.cols)
+    shifted = tuple(
+        {j + shift: x for j, x in row.items()} or _EMPTY_ROW for row in _rescaled(B, den)
+    )
+    return ExactMatrix._of(_rescaled(A, den) + shifted, den, A.cols + B.cols)
 
 
 def lcm_denominators(M: ExactMatrix) -> int:
     """Least positive integer d with d*M integral."""
-    d = 1
-    for row in M.sparse_rows:
-        for x in row.values():
-            d = lcm(d, x.denominator)
-    return d
+    return M.den
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -351,14 +421,14 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def _to_int_lists(M: ExactMatrix) -> list[list[int]]:
-    if not M.is_integral:
+    if M.den != 1:
         raise NonIntegralMatrixError("integer algorithm applied to a non-integral matrix")
-    return [[int(x) for x in _dense(row, M.cols)] for row in M.sparse_rows]
+    return [[row.get(j, 0) for j in range(M.cols)] for row in M.num]
 
 
 def _wrap_int(A: list[list[int]], cols: int) -> ExactMatrix:
     return ExactMatrix._of(
-        tuple({j: Fraction(x) for j, x in enumerate(row) if x} or _EMPTY_ROW for row in A), cols
+        tuple({j: x for j, x in enumerate(row) if x} or _EMPTY_ROW for row in A), 1, cols
     )
 
 
@@ -426,23 +496,20 @@ def _hermite_completion(B: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
     return H, invert(U.transpose())
 
 
-def _subtract(row: Row, c: Fraction, other: Row) -> None:
-    """row -= c * other in place, dropping the entries that cancel."""
-    for j, x in other.items():
-        y = row.get(j, ZERO) - c * x
-        if y:
-            row[j] = y
-        else:
-            del row[j]
 
 
 class Echelon:
-    """Gauss-Jordan form of the rows added so far, grown one row at a time.
+    """Gauss-Jordan form of the rows added so far, grown one row at a time,
+    without fractions.
 
-    `rows` maps each pivot column to a sparse row that is 1 at its pivot, 0
-    at every other pivot and 0 left of its pivot, so the rows sorted by
-    pivot are the RREF of everything added.  To track combinations, add
-    [v_i | e_i]: a unit tag column per row, past the columns of the v_i.
+    `rows` maps each pivot column p to a primitive int row that is positive
+    at p, 0 at every other pivot and 0 left of p; its value is the row
+    divided by its pivot entry, so the values sorted by pivot are the RREF
+    of everything added, and each row is the unique primitive multiple of
+    its RREF row.  Vectors come in as int numerator rows; a common
+    denominator of the vector does not change its span.  To track
+    combinations, add [v_i | e_i]: a unit tag column per row, past the
+    columns of the v_i.
     """
 
     __slots__ = ("rows",)
@@ -450,50 +517,104 @@ class Echelon:
     def __init__(self) -> None:
         self.rows: dict[int, Row] = {}
 
-    def reduce(self, v: Row) -> Row:
-        """The residual of v: v minus v[p] times the row of each pivot p.
+    def reduce(self, v: Row) -> tuple[Row, int]:
+        """(r, d) with r / d the residual of v: v minus v[p] times the value
+        of the row of each pivot p.
 
-        It is 0 at every pivot, and empty iff v lies in the span.
+        Rows are 0 at every other pivot, so the residual is one step, taken
+        over D, the lcm of the pivot entries met: r = D*v - sum of
+        v[p] * (D / row[p]) * row.  It is 0 at every pivot, and empty iff v
+        lies in the span.
         """
-        res = dict(v)
         rows = self.rows
-        for p in [p for p in res if p in rows]:
-            _subtract(res, res[p], rows[p])
-        return res
+        hits = [(p, x) for p, x in v.items() if p in rows]
+        if not hits:
+            return dict(v), 1
+        D = lcm(*(rows[p][p] for p, _ in hits))
+        res = dict(v) if D == 1 else {j: D * x for j, x in v.items()}
+        for p, x in hits:
+            row = rows[p]
+            f = x * (D // row[p])
+            for j, y in row.items():
+                z = res.get(j, 0) - f * y
+                if z:
+                    res[j] = z
+                else:
+                    del res[j]
+        return res, D
 
     def add(self, v: Row) -> Row:
-        """Reduce v and keep a nonzero residual as a new row, normalised at
-        its first column and cleared from the older rows; returns the
-        residual before normalising."""
-        res = self.reduce(v)
+        """Reduce v and keep a nonzero residual as a new row, made primitive
+        and positive at its first column and cleared from the older rows;
+        returns the residual numerators of `reduce`, a positive multiple of
+        the residual."""
+        res, _ = self.reduce(v)
         if res:
             p = min(res)
-            inv = 1 / res[p]
-            new = {j: x * inv for j, x in res.items()}
+            g = gcd(*res.values())
+            if res[p] < 0:
+                g = -g
+            new = res if g == 1 else {j: x // g for j, x in res.items()}
+            a = new[p]
             for row in self.rows.values():
-                if p in row:
-                    _subtract(row, row[p], new)
-            self.rows[p] = new
+                c = row.get(p)
+                if c:
+                    # row <- (a*row - c*new) / content: positive at its own
+                    # pivot (a > 0, and new is 0 there) and 0 at p
+                    h = gcd(a, c)
+                    a1, c1 = a // h, c // h
+                    if a1 != 1:
+                        for j in row:
+                            row[j] *= a1
+                    for j, y in new.items():
+                        z = row.get(j, 0) - c1 * y
+                        if z:
+                            row[j] = z
+                        else:
+                            del row[j]
+                    h = gcd(*row.values())
+                    if h != 1:
+                        for j in row:
+                            row[j] //= h
+            self.rows[p] = dict(new) if new is res else new
         return res
+
+
+def _echelon_matrix(
+    E: Echelon, pivots: Sequence[int], shift: int, rows: int, cols: int
+) -> ExactMatrix:
+    """The values of E's rows at `pivots`, columns shifted left by `shift`,
+    padded with zero rows to `rows` rows.  Over the lcm of their pivot
+    entries the rows are normalised: for each prime of it, the row whose
+    pivot entry holds the highest power is scaled by a factor free of that
+    prime, and being primitive it has an entry free of it."""
+    den = lcm(*(E.rows[p][p] for p in pivots))
+    out = []
+    for p in pivots:
+        row = E.rows[p]
+        s = den // row[p]
+        out.append({j - shift: s * x for j, x in row.items()})
+    return ExactMatrix._of(tuple(out) + (_EMPTY_ROW,) * (rows - len(out)), den, cols)
 
 
 def _tagged(M: ExactMatrix) -> Echelon:
-    """The echelon of [M | I]: row i of M carries a 1 in column M.cols + i."""
+    """The echelon of [num | I] with num the numerators of M: row i carries
+    a 1 in column M.cols + i, so a combination x of the tagged rows is x
+    applied to num, which is M.den * M."""
     n = M.cols
     E = Echelon()
-    for i, row in enumerate(M.sparse_rows):
-        E.add({**row, n + i: ONE})
+    for i, row in enumerate(M.num):
+        E.add({**row, n + i: 1})
     return E
 
 
 def rref(M: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
     """Reduced row echelon form over the rationals; returns (R, pivot columns)."""
     E = Echelon()
-    for row in M.sparse_rows:
+    for row in M.num:
         E.add(row)
     pivots = tuple(sorted(E.rows))
-    R = tuple(E.rows[p] for p in pivots) + (_EMPTY_ROW,) * (M.rows - len(pivots))
-    return ExactMatrix._of(R, M.cols), pivots
+    return _echelon_matrix(E, pivots, 0, M.rows, M.cols), pivots
 
 
 def rank(M: ExactMatrix) -> int:
@@ -505,15 +626,13 @@ def invert(M: ExactMatrix) -> ExactMatrix:
     if not M.is_square:
         raise ValueError("inverse of a non-square matrix")
     n = M.rows
-    aug = ExactMatrix._of(
-        tuple({**row, n + i: ONE} for i, row in enumerate(M.sparse_rows)), 2 * n
-    )
+    # the RREF of [num | I] is [I | num^-1], and M^-1 = den * num^-1
+    aug = ExactMatrix._of(tuple({**row, n + i: 1} for i, row in enumerate(M.num)), 1, 2 * n)
     R, pivots = rref(aug)
     if pivots[:n] != tuple(range(n)):
         raise ValueError("matrix is singular")
-    return ExactMatrix._of(
-        tuple({j - n: x for j, x in row.items() if j >= n} for row in R.sparse_rows), n
-    )
+    inverse = ({j - n: M.den * x for j, x in row.items() if j >= n} for row in R.num)
+    return ExactMatrix.from_ints(inverse, n, R.den)
 
 
 def solve_right(A: ExactMatrix, b: Vec) -> Vec | None:
@@ -521,38 +640,63 @@ def solve_right(A: ExactMatrix, b: Vec) -> Vec | None:
     if len(b) != A.rows:
         raise ValueError("dimension mismatch")
     n = A.cols
-    aug = ExactMatrix(({**row, n: bi} for row, bi in zip(A.sparse_rows, b)), n + 1)
+    # (num / den) x = w / d  iff  d * num x = den * w
+    w, d = _int_row(enumerate(b))
+    rows = ({j: d * x for j, x in row.items()} for row in A.num)
+    aug = ExactMatrix.from_ints(
+        ({**row, n: A.den * w.get(i, 0)} for i, row in enumerate(rows)), n + 1
+    )
     R, pivots = rref(aug)
     if n in pivots:
         return None
     x = [ZERO] * n
-    for row, col in zip(R.sparse_rows, pivots):
-        x[col] = row.get(n, ZERO)
+    for row, col in zip(R.num, pivots):
+        x[col] = _fraction(row.get(n, 0), row[col])
     return tuple(x)
+
+
+def _int_left_solver(B: ExactMatrix) -> Callable[[Row, int], tuple[list[int], int] | None]:
+    """The map (w, d) -> (x, e) with (x / e) * B = w / d, for an int row w,
+    or None if w is outside the row span of B.
+
+    B is factored once as the echelon of [num | I]; each vector then costs
+    one sparse reduction of [w | 0], which leaves r / D = [0 | -y] with
+    y * num = w, so x / e = y * B.den / d.
+    """
+    k, n = B.rows, B.cols
+    E = _tagged(B)
+
+    def solve(w: Row, d: int) -> tuple[list[int], int] | None:
+        res, D = E.reduce(w)
+        if res and min(res) < n:
+            return None
+        x = [0] * k
+        s = -B.den
+        for j, y in res.items():
+            x[j - n] = s * y
+        return x, D * d
+
+    return solve
 
 
 def left_solver(B: ExactMatrix) -> Callable[[Vec], Vec | None]:
     """The map v -> x with x*B = v, or None if v is outside the row span.
 
-    B is factored once as the echelon of [B | I]; each vector then costs
-    one sparse reduction of [v | 0], which leaves [0 | -x] when v is in the
-    span.  When the rows of B are independent x is the only solution.
+    When the rows of B are independent x is the only solution.
     """
-    k, n = B.rows, B.cols
-    E = _tagged(B)
+    n = B.cols
+    solve = _int_left_solver(B)
 
-    def solve(v: Vec) -> Vec | None:
+    def solve_vec(v: Vec) -> Vec | None:
         if len(v) != n:
             raise ValueError("dimension mismatch")
-        res = E.reduce({j: x for j, x in enumerate(v) if x})
-        if any(j < n for j in res):
+        found = solve(*_int_row(enumerate(v)))
+        if found is None:
             return None
-        x = [ZERO] * k
-        for j, y in res.items():
-            x[j - n] = -y
-        return tuple(x)
+        x, e = found
+        return tuple(_fraction(c, e) for c in x)
 
-    return solve
+    return solve_vec
 
 
 def solve_left(B: ExactMatrix, v: Vec) -> Vec | None:
@@ -567,8 +711,8 @@ class Submodule:
     Over Z the basis is H/d where H is the Hermite form of d times the
     generators and d is their common denominator; over Q it is the RREF.
     Equality of Submodules is equality of the canonical data.  The basis is
-    factored once, on the first `coordinates` call, and the solver kept on
-    the instance (outside equality, hashing and repr).
+    factored once, on the first `coordinates` or `contains` call, and the
+    solver kept on the instance (outside equality, hashing and repr).
     """
 
     ambient_rank: int
@@ -584,18 +728,20 @@ class Submodule:
 
     @staticmethod
     def span(vectors: Sequence[Vec], ambient_rank: int, domain: str = "Z") -> "Submodule":
+        return Submodule.of_rows(ExactMatrix.from_rows(list(vectors), cols=ambient_rank), domain)
+
+    @staticmethod
+    def of_rows(M: ExactMatrix, domain: str) -> "Submodule":
+        """The canonical Submodule spanned by the rows of M."""
         if domain not in ("Z", "Q"):
             raise ValueError("domain must be 'Z' or 'Q'")
-        M = ExactMatrix.from_rows(list(vectors), cols=ambient_rank)
+        n = M.cols
         if domain == "Q":
             R, pivots = rref(M)
-            rows = R.sparse_rows[: len(pivots)]
-            return Submodule(ambient_rank, ExactMatrix._of(rows, ambient_rank), "Q")
-        d = lcm_denominators(M)
-        H, _ = hnf(M.scale(d))
-        rows = tuple(r for r in H.sparse_rows if r)
-        basis = ExactMatrix._of(rows, ambient_rank).scale(Fraction(1, d))
-        return Submodule(ambient_rank, basis, "Z")
+            return Submodule(n, ExactMatrix._of(R.num[: len(pivots)], R.den, n), "Q")
+        H, _ = hnf(ExactMatrix._of(M.num, 1, n))
+        rows = tuple(r for r in H.num if r)
+        return Submodule(n, ExactMatrix.from_ints(rows, n, M.den), "Z")
 
     @staticmethod
     def zero(ambient_rank: int, domain: str = "Z") -> "Submodule":
@@ -606,36 +752,62 @@ class Submodule:
         return Submodule(ambient_rank, ExactMatrix.identity(ambient_rank), domain)
 
     @cached_property
-    def _solve(self) -> Callable[[Vec], Vec | None]:
-        return left_solver(self.basis)
+    def _solve(self) -> Callable[[Row, int], tuple[list[int], int] | None]:
+        return _int_left_solver(self.basis)
 
     def __getstate__(self) -> dict:
         # the cached solver is a closure, which cannot be pickled; an
         # unpickled copy builds its own on first use
         return {k: v for k, v in self.__dict__.items() if k != "_solve"}
 
+    def _int_coordinates(self, w: Row, d: int) -> tuple[list[int], int] | None:
+        """Coordinates of w / d as (x, e), x / e, respecting the domain."""
+        found = self._solve(w, d)
+        if found is None:
+            return None
+        if self.domain == "Z":
+            x, e = found
+            if any(c % e for c in x):
+                return None
+        return found
+
     def coordinates(self, v: Vec) -> Vec | None:
         """Coordinates of v in the basis, respecting the domain (Z: integral)."""
-        x = self._solve(v)
-        if x is None:
+        if len(v) != self.ambient_rank:
+            raise ValueError("dimension mismatch")
+        found = self._int_coordinates(*_int_row(enumerate(v)))
+        if found is None:
             return None
-        if self.domain == "Z" and any(c.denominator != 1 for c in x):
-            return None
-        return x
+        x, e = found
+        return tuple(_fraction(c, e) for c in x)
 
     def contains(self, v: Vec) -> bool:
-        return self.coordinates(v) is not None
+        if len(v) != self.ambient_rank:
+            raise ValueError("dimension mismatch")
+        return self._int_coordinates(*_int_row(enumerate(v))) is not None
+
+    def coordinate_rows(self, M: ExactMatrix) -> ExactMatrix | None:
+        """The matrix X with X * basis = M, respecting the domain (Z:
+        integral), or None if a row of M has no such coordinates."""
+        found = [self._int_coordinates(row, M.den) for row in M.num]
+        if None in found:
+            return None
+        den = lcm(*(e for _, e in found))
+        rows = ({i: c * (den // e) for i, c in enumerate(x)} for x, e in found)
+        return ExactMatrix.from_ints(rows, self.rank, den)
+
+    def contains_rows(self, M: ExactMatrix) -> bool:
+        """Whether every row of M lies in the module."""
+        if M.cols != self.ambient_rank:
+            raise ValueError("dimension mismatch")
+        return all(self._int_coordinates(row, M.den) is not None for row in M.num)
 
     def contains_submodule(self, other: "Submodule") -> bool:
-        return all(self.contains(r) for r in other.basis.entries)
+        return self.contains_rows(other.basis)
 
     def sum(self, other: "Submodule") -> "Submodule":
         self._check_compatible(other)
-        return Submodule.span(
-            list(self.basis.entries) + list(other.basis.entries),
-            self.ambient_rank,
-            self.domain,
-        )
+        return Submodule.of_rows(stack_rows([self.basis, other.basis]), self.domain)
 
     def intersect(self, other: "Submodule") -> "Submodule":
         self._check_compatible(other)
@@ -643,21 +815,23 @@ class Submodule:
             return Submodule.zero(self.ambient_rank, self.domain)
         stacked = stack_rows([self.basis, -other.basis])
         if self.domain == "Q":
-            ker = [k for k in kernel_basis(stacked, "Q").basis.entries]
+            ker = kernel_basis(stacked, "Q").basis
         else:
-            d = lcm_denominators(stacked)
-            ker = [k for k in kernel_basis(stacked.scale(d), "Z").basis.entries]
-        vecs = [vec_mat(k[: self.rank], self.basis) for k in ker]
-        return Submodule.span(vecs, self.ambient_rank, self.domain)
+            ker = kernel_basis(ExactMatrix._of(stacked.num, 1, stacked.cols), "Z").basis
+        # the kernel's first self.rank coordinates combine self's basis
+        k = self.rank
+        left = ({j: x for j, x in row.items() if j < k} for row in ker.num)
+        left = ExactMatrix.from_ints(left, k, ker.den)
+        return Submodule.of_rows(left * self.basis, self.domain)
 
     def saturate(self) -> "Submodule":
         """Isolated closure: same Q-span, torsion-free quotient.  No-op over Q."""
         if self.domain == "Q" or self.rank == 0:
             return self
-        d = lcm_denominators(self.basis)
-        _, W = _hermite_completion(self.basis.scale(d))
-        sat = Submodule.span([W.row(i) for i in range(self.rank)], self.ambient_rank, "Z")
-        return Submodule(self.ambient_rank, sat.basis.scale(Fraction(1, d)), "Z")
+        n = self.ambient_rank
+        _, W = _hermite_completion(ExactMatrix._of(self.basis.num, 1, n))
+        sat = Submodule.of_rows(ExactMatrix._of(W.num[: self.rank], 1, n), "Z")
+        return Submodule(n, ExactMatrix.from_ints(sat.basis.num, n, self.basis.den), "Z")
 
     def _check_compatible(self, other: "Submodule") -> None:
         if self.ambient_rank != other.ambient_rank or self.domain != other.domain:
@@ -667,19 +841,19 @@ class Submodule:
 def kernel_basis(M: ExactMatrix, domain: str = "Q") -> Submodule:
     """Left kernel {v : v*M = 0}; over Z the saturated integral kernel.
 
-    Over Q the rows of the echelon of [M | I] that pivot in the tag columns
-    are [0 | k] with the k the RREF basis of the kernel.
+    Over Q the rows of the echelon of [num | I] that pivot in the tag
+    columns are [0 | k] with the k the RREF basis of the kernel.
     """
     if domain == "Q":
         n = M.cols
         E = _tagged(M)
-        rows = tuple({j - n: x for j, x in E.rows[p].items()} for p in sorted(E.rows) if p >= n)
-        return Submodule(M.rows, ExactMatrix._of(rows, M.rows), "Q")
+        pivots = [p for p in sorted(E.rows) if p >= n]
+        return Submodule(M.rows, _echelon_matrix(E, pivots, n, len(pivots), M.rows), "Q")
     # U is unimodular, so its rows at the zero rows of H = U*M span the
     # saturated kernel
     H, U = hnf(M)
-    rows = [U.row(i) for i, h in enumerate(H.sparse_rows) if not h]
-    return Submodule.span(rows, M.rows, "Z")
+    rows = tuple(u for u, h in zip(U.num, H.num) if not h)
+    return Submodule.of_rows(ExactMatrix._of(rows, 1, M.rows), "Z")
 
 
 def extend_basis(inner: Submodule, outer: Submodule) -> ExactMatrix:
@@ -688,32 +862,25 @@ def extend_basis(inner: Submodule, outer: Submodule) -> ExactMatrix:
     Over Z this requires inner to be isolated in outer (the coordinate
     matrix must be completable to a unimodular one).
     """
-    inner_coords = []
-    for r in inner.basis.entries:
-        x = outer.coordinates(r)
-        if x is None:
-            raise ValueError("inner is not contained in outer")
-        inner_coords.append(x)
+    C = outer.coordinate_rows(inner.basis)
+    if C is None:
+        raise ValueError("inner is not contained in outer")
     k, m = inner.rank, outer.rank
     if k == m:
         return ExactMatrix.zero(0, outer.ambient_rank)
     if outer.domain == "Q":
-        C = ExactMatrix.from_rows(inner_coords, cols=m)
         _, pivots = rref(C)
-        extra = [outer.basis.entries[c] for c in range(m) if c not in pivots]
-        return ExactMatrix.from_rows(extra[: m - k], cols=outer.ambient_rank)
-    C = ExactMatrix.from_rows(inner_coords, cols=m)
-    if not C.is_integral:
-        raise ValueError("inner has non-integral coordinates in outer")
+        extra = [outer.basis.num[c] for c in range(m) if c not in pivots]
+        return ExactMatrix.from_ints(extra[: m - k], outer.ambient_rank, outer.basis.den)
+    # over Z the coordinates are integral
     H, W = _hermite_completion(C)
     # C = [T | 0] * W; saturation forces |det T| = 1
-    det = ONE
+    det = 1
     for i in range(k):
-        det *= H.sparse_rows[i].get(i, ZERO)
+        det *= H.num[i].get(i, 0)
     if abs(det) != 1:
         raise ValueError("inner is not isolated in outer; cannot extend over Z")
-    rows = [vec_mat(W.row(i), outer.basis) for i in range(k, m)]
+    completion = ExactMatrix._of(W.num[k:], 1, m) * outer.basis
     # Unimodular transformations among the completion rows preserve the
     # property that inner + completion is a basis; canonicalize via HNF.
-    canon = Submodule.span(rows, outer.ambient_rank, "Z")
-    return canon.basis
+    return Submodule.of_rows(completion, "Z").basis

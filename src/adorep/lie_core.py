@@ -20,7 +20,6 @@ from .exact_linalg import (
     Vec,
     frac,
     kernel_basis,
-    lcm_denominators,
     left_solver,
     mat_vec,
     rank,
@@ -98,31 +97,33 @@ class LieLattice:
 
     def brackets(self, us: Sequence[Vec], vs: Sequence[Vec]) -> list[Vec]:
         """[u, v] for every u in us and v in vs, in the order
-        [u0, v0], [u0, v1], ..., [u1, v0], ...
-
-        Each vector is turned once into integer numerators over its own
-        denominator; the sums run in ints, and each nonzero output entry
-        becomes one Fraction.
-        """
+        [u0, v0], [u0, v1], ..., [u1, v0], ..."""
         r = self.rank
         if any(len(u) != r for u in us) or any(len(v) != r for v in vs):
             raise ValueError("dimension mismatch")
+        U, V = ExactMatrix.from_rows(us, cols=r), ExactMatrix.from_rows(vs, cols=r)
+        return list(self.bracket_rows(U, V).entries)
+
+    def bracket_rows(self, A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
+        """The matrix whose rows are [a, b] for every row a of A and b of B,
+        in the order of `brackets`.  The sums run in the int numerators of
+        A, B and the table, over the product of their denominators."""
+        r = self.rank
+        if A.cols != r or B.cols != r:
+            raise ValueError("dimension mismatch")
         den, T = self.table
-        vints = [_int_pairs(v) for v in vs]
         out = []
-        for u in us:
-            du, upairs = _int_pairs(u)
-            for dv, vpairs in vints:
+        for arow in A.num:
+            for brow in B.num:
                 acc = [0] * r
-                for i, a in upairs:
+                for i, a in arow.items():
                     Ti = T[i]
-                    for j, b in vpairs:
+                    for j, b in brow.items():
                         ab = a * b
                         for k, t in Ti[j]:
                             acc[k] += ab * t
-                d = du * dv * den
-                out.append(tuple(Fraction(x, d) if x else ZERO for x in acc))
-        return out
+                out.append({k: x for k, x in enumerate(acc) if x})
+        return ExactMatrix.from_ints(out, r, A.den * B.den * den)
 
     def bracket(self, u: Vec, v: Vec) -> Vec:
         return self.brackets((u,), (v,))[0]
@@ -141,8 +142,7 @@ class LieLattice:
                 for k, t in Tij:
                     row = rows[k]
                     row[j] = row.get(j, 0) + a * t
-        d = dv * den
-        return ExactMatrix(({j: Fraction(x, d) for j, x in row.items()} for row in rows), r)
+        return ExactMatrix.from_ints(rows, r, dv * den)
 
     def to_field(self) -> "LieLattice":
         """The same structure constants viewed over Q."""
@@ -236,8 +236,7 @@ def require_valid(L: LieLattice) -> None:
 
 def is_subalgebra(L: LieLattice, S: Submodule) -> bool:
     """Whether S is closed under the bracket: [u, v] in S for basis vectors u, v."""
-    rows = S.basis.entries
-    return all(S.contains(w) for w in L.brackets(rows, rows))
+    return S.contains_rows(L.bracket_rows(S.basis, S.basis))
 
 
 def is_ideal(L: LieLattice, S: Submodule) -> bool:
@@ -248,8 +247,7 @@ def is_ideal(L: LieLattice, S: Submodule) -> bool:
     is a combination of the x_i with coefficients in the domain, so the
     [x_i, v] test already implies closure and the subalgebra test is skipped.
     """
-    units = [unit(L.rank, i) for i in range(L.rank)]
-    brackets_inside = all(S.contains(w) for w in L.brackets(units, S.basis.entries))
+    brackets_inside = S.contains_rows(L.bracket_rows(ExactMatrix.identity(L.rank), S.basis))
     if S.domain == "Q" or S.basis.is_integral:
         return brackets_inside
     return brackets_inside and is_subalgebra(L, S)
@@ -257,8 +255,7 @@ def is_ideal(L: LieLattice, S: Submodule) -> bool:
 
 def span_bracket(L: LieLattice, A: Submodule, B: Submodule) -> Submodule:
     """Module spanned by [a, b] over basis vectors of A and B."""
-    vecs = L.brackets(A.basis.entries, B.basis.entries)
-    return Submodule.span(vecs, L.rank, L.domain)
+    return Submodule.of_rows(L.bracket_rows(A.basis, B.basis), L.domain)
 
 
 def bracket_series(
@@ -387,19 +384,13 @@ def nilradical(L: LieLattice, rs: Submodule | None = None) -> Submodule:
     if rs.is_zero():
         return rs
     r = L.rank
-    units = [unit(r, i) for i in range(r)]
-    ideal = Submodule.span(L.brackets(units, rs.basis.entries), r, "Q")
+    ideal = Submodule.of_rows(L.bracket_rows(ExactMatrix.identity(r), rs.basis), "Q")
     if ideal.is_zero():
         # R_s is central: abelian, hence nilpotent
         return rs
-    m = ideal.rank
-    products = L.brackets(rs.basis.entries, ideal.basis.entries)
-    gens = [
-        ExactMatrix.from_columns(
-            [ideal.coordinates(w) for w in products[a * m : (a + 1) * m]], rows=m
-        )
-        for a in range(rs.rank)
-    ]
+    # ad x|_I on the basis b_j of I: column j holds the coordinates of [x, b_j]
+    rows = (ExactMatrix.from_ints((x,), r, rs.basis.den) for x in rs.basis.num)
+    gens = [ideal.coordinate_rows(L.bracket_rows(x, ideal.basis)).transpose() for x in rows]
     envelope = _matrix_algebra_closure(gens)
     if not envelope:
         # ad R_s kills I, so (ad x)^2 = 0 on L for every x in R_s
@@ -409,17 +400,12 @@ def nilradical(L: LieLattice, rs: Submodule | None = None) -> Submodule:
         [tuple(trace_product(g, B) for B in envelope) for g in gens],
         cols=len(envelope),
     )
-    coeffs = kernel_basis(conditions, "Q")
-    vecs = []
-    for x in coeffs.basis.entries:
-        v = vec_mat(x, rs.basis)
-        if L.domain == "Z":
-            # clear denominators: saturation only sees the Q-span, and the
-            # isolated closure must live inside Z^n
-            den = lcm(*(entry.denominator for entry in v)) if v else 1
-            v = vec_scale(frac(den), v)
-        vecs.append(v)
-    candidate = Submodule.span(vecs, r, L.domain).saturate()
+    vecs = kernel_basis(conditions, "Q").basis * rs.basis
+    if L.domain == "Z":
+        # clear denominators: saturation only sees the Q-span, and the
+        # isolated closure must live inside Z^n
+        vecs = ExactMatrix.from_ints(vecs.num, r)
+    candidate = Submodule.of_rows(vecs, L.domain).saturate()
     if not is_ideal(L, candidate) or not is_nilpotent_submodule(L, candidate):
         raise RuntimeError("nilradical candidate failed verification")
     return candidate
@@ -434,7 +420,7 @@ def _matrix_algebra_closure(gens: Sequence[ExactMatrix]) -> list[ExactMatrix]:
     echelon = Echelon()
 
     def independent(A: ExactMatrix) -> bool:
-        return bool(echelon.add(A.flattened().sparse_rows[0]))
+        return bool(echelon.add(A.flattened().num[0]))
 
     # a rejected generator is a combination of accepted ones, so its
     # products with A are combinations of products already tried
@@ -460,11 +446,10 @@ def check_derivation(L: LieLattice, D: ExactMatrix) -> bool:
         return False
     # column t of D as (a, numerator) pairs: D x_t = sum_a D[a][t] x_a, and
     # both sides of the identity are numerators over den * d
-    d = lcm_denominators(D)
     cols: list[list[tuple[int, int]]] = [[] for _ in range(r)]
-    for a, row in enumerate(D.sparse_rows):
+    for a, row in enumerate(D.num):
         for t, x in row.items():
-            cols[t].append((a, x.numerator * (d // x.denominator)))
+            cols[t].append((a, x))
     T = L.table.pairs
     for i in range(r):
         for j in range(i + 1, r):

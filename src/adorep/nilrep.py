@@ -74,21 +74,6 @@ def burde_bound(r: int) -> Fraction:
     return eta_hi * 2**r * sqrt_r_hi / r
 
 
-def burde_bound_is_tight(r: int) -> bool:
-    """B(r) < (eta + 1/100) * 2^r / sqrt(r), decided in rational arithmetic."""
-    eta_lo, eta_hi = eta_interval()
-    sqrt_r_lo, sqrt_r_hi = _sqrt_interval(Fraction(r))
-    return eta_hi * sqrt_r_hi <= (eta_lo + Fraction(1, 100)) * sqrt_r_lo
-
-
-def count_satisfies_burde(count: int, r: int) -> bool:
-    """Decide count <= eta * 2^r / sqrt(r) via count^2 * r <= eta^2 * 4^r."""
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    eta_lo, _ = eta_interval()
-    return Fraction(count) ** 2 * r <= eta_lo**2 * 4**r
-
-
 def birkhoff_bounds(d: int, c: int) -> dict[str, Fraction]:
     """Classical nilpotent degree bounds, reported for comparison only."""
     geometric = Fraction(d ** (c + 1) - 1, d - 1) if d > 1 else Fraction(c + 1)

@@ -188,7 +188,8 @@ class TruncatedUEA:
             return ExactMatrix.zero(self.dimension, self.dimension)
         Pt = self.basis.change_of_basis.transpose()
         # Dad_cols[t]: the image of adapted letter t under D, in adapted coordinates
-        Dad_cols = (invert(Pt) * D * Pt).transpose().sparse_rows
+        Dad = (invert(Pt) * D * Pt).transpose()
+        Dad_cols = [{k: Fraction(x, Dad.den) for k, x in row.items()} for row in Dad.num]
         star: dict[Monomial, Element] = {self.monomials[0]: {}}  # D*(1) = 0
         for beta in self.monomials[1:]:
             l = next(t for t, e in enumerate(beta) if e)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 from typing import TYPE_CHECKING
 
 from .exact_linalg import ExactMatrix, Vec, block_diag
@@ -27,15 +27,17 @@ class LinearRep:
         return 0
 
     def matrix_of(self, v: Vec) -> ExactMatrix:
-        """Image of an arbitrary lattice vector, by linearity."""
-        n = self.degree
-        rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
-        for coeff, M in zip(v, self.matrices, strict=True):
-            if coeff:
-                for acc, row in zip(rows, M.sparse_rows):
-                    for j, x in row.items():
-                        acc[j] = acc[j] + coeff * x if j in acc else coeff * x
-        return ExactMatrix(rows, n)
+        """Image of an arbitrary lattice vector, by linearity, summed in int
+        numerators over the lcm of the denominators of the terms."""
+        terms = [(c, M) for c, M in zip(v, self.matrices, strict=True) if c]
+        den = lcm(*(c.denominator * M.den for c, M in terms))
+        rows: list[dict[int, int]] = [{} for _ in range(self.degree)]
+        for c, M in terms:
+            f = c.numerator * (den // (c.denominator * M.den))
+            for acc, row in zip(rows, M.num):
+                for j, x in row.items():
+                    acc[j] = acc[j] + f * x if j in acc else f * x
+        return ExactMatrix.from_ints(rows, self.degree, den)
 
     @property
     def is_integral(self) -> bool:

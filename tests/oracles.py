@@ -11,7 +11,9 @@ restricts them to the ideal [L, R_s].
 from fractions import Fraction
 from math import lcm
 
-from adorep.exact_linalg import Submodule
+from adorep import catalog
+from adorep.exact_linalg import ExactMatrix, Submodule
+from adorep.nilrep import _sqrt_interval, eta_interval
 
 ZERO = Fraction(0)
 
@@ -163,6 +165,49 @@ def _is_hnf_2x2(H):
     if not (0 <= b < d):
         return False
     return True
+
+
+# -- helpers that only the tests use --------------------------------------
+
+
+def nilpotent_entries(max_rank=6):
+    """The nilpotent catalog lattices of the acceptance suite up to max_rank."""
+    return [
+        e
+        for e in catalog.acceptance_entries()
+        if e.expected["nilpotency_class"] is not None and e.lattice.rank <= max_rank
+    ]
+
+
+def burde_bound_is_tight(r):
+    """B(r) < (eta + 1/100) * 2^r / sqrt(r), decided in rational arithmetic."""
+    eta_lo, eta_hi = eta_interval()
+    sqrt_r_lo, sqrt_r_hi = _sqrt_interval(Fraction(r))
+    return eta_hi * sqrt_r_hi <= (eta_lo + Fraction(1, 100)) * sqrt_r_lo
+
+
+def count_satisfies_burde(count, r):
+    """Decide count <= eta * 2^r / sqrt(r) via count^2 * r <= eta^2 * 4^r."""
+    if r < 1:
+        raise ValueError("r must be at least 1")
+    eta_lo, _ = eta_interval()
+    return Fraction(count) ** 2 * r <= eta_lo**2 * 4**r
+
+
+def power(M, k):
+    """M^k for a square ExactMatrix M and k >= 0, by repeated squaring."""
+    if k < 0:
+        raise ValueError("negative power of a matrix")
+    if not M.is_square:
+        raise ValueError("power of a non-square matrix")
+    result = ExactMatrix.identity(M.rows)
+    while k:
+        if k & 1:
+            result = result * M
+        k >>= 1
+        if k:
+            M = M * M
+    return result
 
 
 # -- plain list-of-lists Fraction matrices --------------------------------

@@ -19,7 +19,7 @@ from adorep.exact_linalg import (
     vector,
 )
 
-from oracles import brute_force_hnf, ref_minors_gcd
+from oracles import brute_force_hnf, power, ref_minors_gcd
 
 
 def M(rows):
@@ -208,3 +208,35 @@ def test_submodule_membership_and_ops():
     assert inter.rank == 1
     assert inter.contains(vector([6, 6]))
     assert not inter.contains(vector([1, 1]))
+
+
+def test_constructors_reject_columns_out_of_range():
+    for rows in ([{5: 1}], [{2: 1}], [{-1: 1}], [{0: 1}, {1: 3, 2: 0}]):
+        with pytest.raises(ValueError):
+            ExactMatrix(rows, 2)
+        with pytest.raises(ValueError):
+            ExactMatrix.from_ints(rows, 2)
+    # zero values are dropped, but their columns are checked too
+    assert ExactMatrix([{0: 1, 1: 0}], 2) == M([[1, 0]])
+    with pytest.raises(ZeroDivisionError):
+        ExactMatrix.from_ints([{0: 1}], 1, 0)
+
+
+def test_int_constructor_normalises():
+    A = ExactMatrix.from_ints([{0: 6, 1: -4}, {1: 2}], 2, -4)
+    assert (A.num, A.den) == (({0: -3, 1: 2}, {1: -1}), 2)
+    assert A == M([["-3/2", 1], [0, "-1/2"]])
+    assert ExactMatrix.from_ints([{}, {}], 3, 7) == ExactMatrix.zero(2, 3)
+    assert ExactMatrix.zero(2, 3).den == 1
+
+
+def test_power():
+    N = M([[0, 1], [0, 0]])
+    assert power(N, 0) == ExactMatrix.identity(2)
+    assert power(N, 1) == N
+    assert power(N, 2).is_zero()
+    assert power(M([[1, 1], [0, 1]]), 5) == M([[1, 5], [0, 1]])
+    with pytest.raises(ValueError):
+        power(N, -1)
+    with pytest.raises(ValueError):
+        power(M([[1, 2]]), 2)

@@ -1,13 +1,15 @@
-"""Property tests: the sparse ExactMatrix kernel, the incremental echelon
+"""Property tests: the sparse ExactMatrix kernel of int numerators over one
+denominator, the incremental echelon
 and the eliminations built on it (solves, kernels, minimal polynomials),
 the integer kernel and saturation built on the Hermite form, coordinates
 in submodules, trace forms and the matrix-algebra envelope
 against plain list-of-lists Fraction matrices (tests/oracles.py), on random
-sparse rational matrices that include 0-row and 0-column shapes."""
+sparse rational matrices that include 0-row and 0-column shapes, with
+small entries and with entries and denominators up to 2^70."""
 
 import pickle
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,8 @@ from adorep.exact_linalg import (
     Submodule,
     invert,
     kernel_basis,
+    left_solver,
+    mat_vec,
     rank,
     rref,
     solve_left,
@@ -52,6 +56,13 @@ ZERO = Fraction(0)
 CELLS = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 INTEGERS = st.integers(-4, 4).map(Fraction)
 DIMS = st.integers(0, 5)
+# entries up to 2^70 in size, integral or with denominators up to 2^70
+HUGE = 2**70
+WIDE = st.one_of(
+    CELLS,
+    st.integers(-HUGE, HUGE).map(Fraction),
+    st.builds(Fraction, st.integers(-HUGE, HUGE), st.integers(1, HUGE)),
+)
 
 KERNEL = settings(max_examples=150, deadline=None)
 
@@ -132,10 +143,15 @@ def test_echelon_is_the_rref_of_the_rows_added(a):
     A, m, n = a
     E = Echelon()
     for i, row in enumerate(A):
-        v = {j: x for j, x in enumerate(row) if x}
+        # the row's numerators over the lcm of its denominators
+        d = lcm(1, *(x.denominator for x in row))
+        v = {j: int(d * x) for j, x in enumerate(row) if x}
         E.add(v)
-        assert E.reduce(v) == {}
-        got = [[E.rows[p].get(j, ZERO) for j in range(n)] for p in sorted(E.rows)]
+        assert E.reduce(v)[0] == {}
+        # every row is the primitive int multiple of its RREF row
+        for p, r in E.rows.items():
+            assert min(r) == p and r[p] > 0 and gcd(*r.values()) == 1
+        got = [[Fraction(r.get(j, 0), r[p]) for j in range(n)] for p, r in sorted(E.rows.items())]
         assert got == [r for r in ref_rref(A[: i + 1], n)[0] if any(r)]
 
 
@@ -354,3 +370,85 @@ def test_matrix_algebra_closure_matches_rerank_oracle(n, data):
     gens = data.draw(st.lists(dense(n, n), max_size=3))
     got = _matrix_algebra_closure([mat(g, n) for g in gens])
     assert [listed(M) for M in got] == ref_matrix_algebra_closure(gens, n)
+
+
+def normalised(M):
+    """The storage invariants: nonzero numerators in range over a positive
+    denominator that shares no factor with all of them."""
+    nums = [x for row in M.num for x in row.values()]
+    return (
+        M.den > 0
+        and gcd(M.den, *nums) == 1
+        and 0 not in nums
+        and all(0 <= j < M.cols for row in M.num for j in row)
+    )
+
+
+@KERNEL
+@given(DIMS, DIMS, DIMS, st.data())
+def test_wide_arithmetic_matches_reference(m, k, n, data):
+    A, C = data.draw(dense(m, k, WIDE)), data.draw(dense(m, k, WIDE))
+    B, D = data.draw(dense(k, n, WIDE)), data.draw(dense(k, m, WIDE))
+    c = data.draw(WIDE)
+    MA, MC = mat(A, k), mat(C, k)
+    for got, want in (
+        (MA * mat(B, n), ref_mul(A, B, k, n)),
+        (MA + MC, ref_add(A, C)),
+        (MA - MC, ref_sub(A, C)),
+        (-MA, ref_scale(Fraction(-1), A)),
+        (MA.scale(c), ref_scale(c, A)),
+        (MA.transpose(), ref_transpose(A, k)),
+    ):
+        assert normalised(got)
+        assert listed(got) == want
+    assert trace_product(MA, mat(D, m)) == ref_trace(ref_mul(A, D, k, m))
+    x, y = data.draw(dense(1, m, WIDE))[0], data.draw(dense(1, k, WIDE))[0]
+    assert vec_mat(tuple(x), MA) == tuple(ref_mul([x], A, m, k)[0])
+    assert mat_vec(MA, tuple(y)) == tuple(r[0] for r in ref_mul(A, [[v] for v in y], k, 1))
+    assert MA.is_integral == all(v.denominator == 1 for row in A for v in row)
+
+
+@KERNEL
+@given(shaped(values=WIDE), st.data())
+def test_wide_eliminations_match_reference(a, data):
+    A, m, n = a
+    M = mat(A, n)
+    R, pivots = rref(M)
+    R_ref, pivots_ref = ref_rref(A, n)
+    assert normalised(R)
+    assert (listed(R), list(pivots)) == (R_ref, pivots_ref)
+    K = kernel_basis(M, "Q")
+    assert normalised(K.basis)
+    assert listed(K.basis) == ref_left_kernel(A, n)
+    solve = left_solver(M)
+    x = data.draw(dense(1, m, WIDE))[0]
+    inside = combination(x, A, n)
+    assert vec_mat(solve(inside), M) == inside
+    v = tuple(data.draw(dense(1, n, WIDE))[0])
+    got, want = solve(v), ref_solve_left(A, n, v)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert vec_mat(got, M) == v
+
+
+@KERNEL
+@given(shaped(values=WIDE), st.integers(1, HUGE), st.integers(1, HUGE))
+def test_one_value_has_one_representation(a, d, e):
+    A, m, n = a
+    M = mat(A, n)
+    assert normalised(M)
+    den = lcm(1, *(x.denominator for row in A for x in row))
+    ints = [{j: int(den * x) for j, x in enumerate(row)} for row in A]
+    # the same values over den, and over -e * den with every numerator
+    # carrying the factor -e
+    built = (
+        ExactMatrix.from_ints(ints, n, den),
+        ExactMatrix.from_ints([{j: -e * x for j, x in row.items()} for row in ints], n, -e * den),
+        M.scale(Fraction(1, d)).scale(d),
+        pickle.loads(pickle.dumps(M)),
+    )
+    for N in built:
+        assert normalised(N)
+        assert same_value(N, M)
+        assert (N.num, N.den) == (M.num, M.den)
+    assert M.is_integral == (M.den == 1)

@@ -14,7 +14,7 @@ from adorep.lie_core import (
 )
 from adorep.pbw import TruncatedUEA, build_weighted_basis
 
-from oracles import oracle_vector, ref_derivation_star
+from oracles import nilpotent_entries, oracle_vector, ref_derivation_star
 from pbw_words import apply_word, letter_matrices, multiply, unit_monomial, weight
 
 
@@ -160,7 +160,7 @@ def test_derivation_star_rejects_non_leibniz():
 
 def test_defining_ideal_relation():
     # x_i x_j - x_j x_i = [x_i, x_j], on the unit monomial and as matrices
-    for entry in catalog.nilpotent_entries():
+    for entry in nilpotent_entries():
         L = entry.lattice
         T = uea(L, 2 * max(build_weighted_basis(L).weights, default=1))
         mats = original_letters(T)
@@ -178,7 +178,7 @@ def test_defining_ideal_relation():
 
 def test_superadditivity_random():
     rng = random.Random(1234)
-    for entry in catalog.nilpotent_entries():
+    for entry in nilpotent_entries():
         L = entry.lattice
         B = build_weighted_basis(L)
         T = TruncatedUEA(B, B.nil_class)
@@ -199,7 +199,7 @@ def _random_element(rng, T, max_terms=3):
 
 def test_oracle_equivalence_random_words():
     rng = random.Random(2024)
-    targets = [e.lattice for e in catalog.nilpotent_entries() if e.lattice.rank <= 3]
+    targets = [e.lattice for e in nilpotent_entries() if e.lattice.rank <= 3]
     targets.append(filiform4())
     for L in targets:
         B = build_weighted_basis(L)
@@ -215,7 +215,7 @@ def test_derivation_star_matches_oracle():
     # inner derivations and combinations of a derivation basis, lifted at
     # the class and one past it
     rng = random.Random(31)
-    for entry in catalog.nilpotent_entries():
+    for entry in nilpotent_entries():
         L = entry.lattice
         B = build_weighted_basis(L)
         solved = derivation_basis(L)
@@ -234,7 +234,7 @@ def test_derivation_star_matches_oracle():
 
 def test_block_triangularity_of_lifted_derivations():
     rng = random.Random(5)
-    for entry in catalog.nilpotent_entries():
+    for entry in nilpotent_entries():
         L = entry.lattice
         B = build_weighted_basis(L)
         T = TruncatedUEA(B, B.nil_class + 1)  # one past the class
@@ -249,7 +249,7 @@ def test_block_triangularity_of_lifted_derivations():
 
 
 def test_integral_coefficients_over_z():
-    for entry in catalog.nilpotent_entries():
+    for entry in nilpotent_entries():
         L = entry.lattice
         B = build_weighted_basis(L)
         T = TruncatedUEA(B, B.nil_class)

@@ -10,6 +10,8 @@ from adorep.nilrep import burde_bound, monomial_count, nilpotent_faithful_rep
 from adorep.pbw import TruncatedUEA, build_weighted_basis
 from adorep.zassenhaus import splittable_rep
 
+from oracles import nilpotent_entries
+
 
 def test_solvable_example_degree3():
     # N = <b, x'> abelian, S = <z'> acting by b -> b, x' -> 0
@@ -62,7 +64,7 @@ def test_commutator_identity_for_solved_derivations():
     from adorep.lie_core import derivation_basis
 
     rng = random.Random(23)
-    for entry in catalog.nilpotent_entries():
+    for entry in nilpotent_entries():
         N = entry.lattice
         basis = derivation_basis(N)
         T = TruncatedUEA(build_weighted_basis(N), build_weighted_basis(N).nil_class)
@@ -87,7 +89,7 @@ def test_restriction_to_n_is_exactly_regular():
 
 
 def test_kernel_meets_n_trivially_and_degree_bound():
-    for entry in catalog.nilpotent_entries():
+    for entry in nilpotent_entries():
         N = entry.lattice
         if N.rank > 6:
             continue
