@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 mathematical failure (with a witness in the
 report), 2 I/O or format errors, 3 internal errors (a bug, not a property
 of the input).  Set ADO_LOG=info or ADO_LOG=debug for progress messages on
-stderr.
+stderr; ADO_LOG takes debug, info, warning, error or critical in any case,
+and any other value means warning.
 """
 
 from __future__ import annotations
@@ -227,10 +228,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("ADO_LOG", "warning").upper()
+    name = os.environ.get("ADO_LOG", "warning").upper()
+    known = name in ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
     logging.basicConfig(
         stream=sys.stderr,
-        level=getattr(logging, level, logging.WARNING),
+        level=getattr(logging, name) if known else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
     parser = build_parser()

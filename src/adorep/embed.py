@@ -16,7 +16,7 @@ import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from .exact_linalg import (
@@ -27,15 +27,9 @@ from .exact_linalg import (
     extend_basis,
     invert,
     kernel_basis,
-    left_solver,
-    mat_vec,
     rank,
-    solve_left,
     solve_right,
     stack_rows,
-    vec_mat,
-    vec_scale,
-    zero_vector,
 )
 from .lie_core import (
     LieLattice,
@@ -52,7 +46,6 @@ from .lie_core import (
     span_bracket,
     split_semidirect,
     subalgebra_lattice,
-    unit,
 )
 
 log = logging.getLogger(__name__)
@@ -222,11 +215,13 @@ def levi_decomposition(
     if rs.rank == r:
         return rs, Submodule.zero(r, "Q")
     try:
-        quotient, section = quotient_lattice(L, rs)
+        quotient, sigma = quotient_lattice(L, rs)
     except ValueError as exc:
         raise RuntimeError(f"construction produced a bad quotient: {exc}") from exc
     t = quotient.rank
-    sigma = [section.entries[i] for i in range(t)]
+    # row i*t + j: the coordinates of [q_i, q_j] in the quotient's basis
+    It = ExactMatrix.identity(t)
+    cq = quotient.bracket_rows(It, It)
 
     chain = bracket_series(L, rs)
 
@@ -236,67 +231,47 @@ def levi_decomposition(
         d = comp.rows
         if d == 0:
             continue
-        layer_solve = left_solver(stack_rows([Dk1.basis, comp]) if Dk1.rank else comp)
+        layer = Submodule(r, stack_rows([Dk1.basis, comp]), "Q")
 
-        def project(w: Vec) -> Vec:
-            coords = layer_solve(w)
+        def project(W: ExactMatrix) -> ExactMatrix:
+            """The comp coordinates of the rows of W, which must lie in Dk."""
+            coords = layer.coordinate_rows(W)
             if coords is None:
                 raise LiftingError("Levi defect escaped its derived-series layer")
-            return coords[Dk1.rank :]
+            return coords.take_columns(range(Dk1.rank, Dk1.rank + d))
 
-        acting = L.brackets(sigma, comp.entries)
-        action = [[project(acting[a * d + b]) for b in range(d)] for a in range(t)]
-        eq_rows: list[list[Fraction]] = []
-        rhs: list[Fraction] = []
+        # row a*d + b: [sigma_a, comp_b]; row i*t + j: the defect of the pair
+        action = project(L.bracket_rows(sigma, comp))
+        target = project(L.bracket_rows(sigma, sigma) - cq * sigma)
+        # unknown a*d + b is the coefficient of comp_b added to sigma_a, and
+        # column t*d holds the right-hand side; one equation per pair i < j
+        # and component e, all over one denominator
+        n = t * d
+        den = lcm(action.den, cq.den, target.den)
+        fa, fq, ft = den // action.den, den // cq.den, den // target.den
+        A, Q, B = action.num, cq.num, target.num
+        eq_rows: list[dict[int, int]] = []
         for i in range(t):
             for j in range(i + 1, t):
-                defect = list(L.bracket(sigma[i], sigma[j]))
-                for a in range(t):
-                    cq = quotient.c[i][j][a]
-                    if cq:
-                        for idx in range(r):
-                            defect[idx] -= cq * sigma[a][idx]
-                defect = tuple(defect)
-                target = project(defect)
-                for component in range(d):
-                    row = [ZERO] * (t * d)
+                for e in range(d):
+                    row: dict[int, int] = {}
                     for b in range(d):
-                        row[j * d + b] += action[i][b][component]
-                        row[i * d + b] -= action[j][b][component]
-                    for a in range(t):
-                        cq = quotient.c[i][j][a]
-                        if cq:
-                            row[a * d + component] -= cq
+                        row[j * d + b] = row.get(j * d + b, 0) + fa * A[i * d + b].get(e, 0)
+                        row[i * d + b] = row.get(i * d + b, 0) - fa * A[j * d + b].get(e, 0)
+                    for a, x in Q[i * t + j].items():
+                        row[a * d + e] = row.get(a * d + e, 0) - fq * x
+                    row[n] = -ft * B[i * t + j].get(e, 0)
                     eq_rows.append(row)
-                    rhs.append(-target[component])
-        if eq_rows:
-            system = ExactMatrix.from_rows(eq_rows, cols=t * d)
-            solution = solve_right(system, tuple(rhs))
-            if solution is None:
-                raise LiftingError("Levi correction system is inconsistent")
-            for a in range(t):
-                adjusted = list(sigma[a])
-                for b in range(d):
-                    coeff = solution[a * d + b]
-                    if coeff:
-                        for idx in range(r):
-                            adjusted[idx] += coeff * comp.entries[b][idx]
-                sigma[a] = tuple(adjusted)
+        system = ExactMatrix.from_ints(eq_rows, n + 1, den)
+        solution = solve_right(system.take_columns(range(n)), system.column(n))
+        if solution is None:
+            raise LiftingError("Levi correction system is inconsistent")
+        sigma = sigma + ExactMatrix.from_rows([solution]).reshape(t, d) * comp
 
-    closure = L.brackets(sigma, sigma)
-    for i in range(t):
-        for j in range(t):
-            got = closure[i * t + j]
-            want = list(zero_vector(r))
-            for a in range(t):
-                cq = quotient.c[i][j][a]
-                if cq:
-                    for idx in range(r):
-                        want[idx] += cq * sigma[a][idx]
-            if got != tuple(want):
-                raise LiftingError("lifted complement is not closed under the bracket")
+    if L.bracket_rows(sigma, sigma) != cq * sigma:
+        raise LiftingError("lifted complement is not closed under the bracket")
 
-    levi = Submodule.span(sigma, r, "Q")
+    levi = Submodule.of_rows(sigma, "Q")
     if levi.rank != t or not is_subalgebra(L, levi):
         raise LiftingError("lifted complement has the wrong rank or is not a subalgebra")
     levi_lat = _closed_sublattice(L, levi, "v")
@@ -336,8 +311,8 @@ class ExpansionState:
     Rn: Submodule
     rn_original: Submodule  # R_n of the original Z-lattice, in its coordinates
     embedding: ExactMatrix  # rows: images of the original basis in K coords
-    xprimes: tuple[Vec, ...]
-    zprimes: tuple[Vec, ...]
+    xprimes: ExactMatrix  # rows: the generators x' so far, in K coords
+    zprimes: ExactMatrix  # rows: the generators z' so far, in K coords
     trace: tuple[ExpansionStep, ...]
 
 
@@ -350,16 +325,16 @@ def initial_state(L: LieLattice) -> ExpansionState:
     rs = solvable_radical(L)
     rn = nilradical(L, rs)
     LQ = L.to_field()
-    rad, levi = levi_decomposition(LQ, Submodule.span(rs.basis.entries, L.rank, "Q"))
+    rad, levi = levi_decomposition(LQ, Submodule.of_rows(rs.basis, "Q"))
     state = ExpansionState(
         K=LQ,
         N=rad,
         S=levi,
-        Rn=Submodule.span(rn.basis.entries, L.rank, "Q"),
+        Rn=Submodule.of_rows(rn.basis, "Q"),
         rn_original=rn,
         embedding=ExactMatrix.identity(L.rank),
-        xprimes=(),
-        zprimes=(),
+        xprimes=ExactMatrix.zero(0, L.rank),
+        zprimes=ExactMatrix.zero(0, L.rank),
         trace=(),
     )
     _check_state_invariants(state)
@@ -374,8 +349,7 @@ def _check_state_invariants(state: ExpansionState) -> None:
         raise ExpansionError("solvable part and complement do not split the algebra")
     if not N.contains_submodule(Rn):
         raise ExpansionError("solvable part does not contain the nilpotent radical")
-    units = [unit(K.rank, i) for i in range(K.rank)]
-    if not all(Rn.contains(w) for w in K.brackets(units, N.basis.entries)):
+    if not Rn.contains_rows(K.bracket_rows(ExactMatrix.identity(K.rank), N.basis)):
         raise ExpansionError("[N, K] escapes the nilpotent radical")
 
 
@@ -394,87 +368,70 @@ def elementary_expansion(state: ExpansionState) -> ExpansionState:
 
     centralizer = _centralizer_in(K, N, S)
     avoid = Rn.sum(span_bracket(K, N, N))
-    y = next(
-        (row for row in centralizer.basis.entries if not avoid.contains(row)),
-        None,
-    )
-    if y is None:
+    candidates = (centralizer.basis.take_rows([q]) for q in range(centralizer.rank))
+    Y = next((row for row in candidates if not avoid.contains_rows(row)), None)
+    if Y is None:
         raise ExpansionError(
             "no centralizing direction outside the nilpotent radical; "
             "complete reducibility failed upstream"
         )
 
     comp = _extend_constructed(Rn, N)
-    split_n = stack_rows([Rn.basis, comp]) if Rn.rank else comp
-    ybar = solve_left(split_n, y)
+    ybar = Submodule(n, stack_rows([Rn.basis, comp]), "Q").coordinate_rows(Y)
     if ybar is None:
         raise ExpansionError("chosen direction is not in the solvable part")
-    ybar = ybar[Rn.rank :]
-    pivot = next(i for i, x in enumerate(ybar) if x)
-    ideal_rows = list(Rn.basis.entries) + [
-        comp.entries[q] for q in range(comp.rows) if q != pivot
-    ]
-    ideal = Submodule.span(ideal_rows, n, "Q")
-    if ideal.contains(y) or ideal.rank != N.rank - 1:
+    pivot = min(j for j in ybar.num[0] if j >= Rn.rank) - Rn.rank
+    kept = comp.take_rows(q for q in range(comp.rows) if q != pivot)
+    ideal = Submodule.of_rows(stack_rows([Rn.basis, kept]), "Q")
+    if ideal.contains_rows(Y) or ideal.rank != N.rank - 1:
         raise ExpansionError("codimension-one ideal construction failed")
 
-    ad_y = K.ad(y)
-    ds, dn = jordan_chevalley(ad_y)
+    y = Y.row(0)
+    ds, dn = jordan_chevalley(K.ad(y))
     for part, tag in ((ds, "semisimple"), (dn, "nilpotent")):
         if not check_derivation(K, part):
             raise ExpansionError(f"{tag} part of ad_y violates the Leibniz identity")
 
     k, t = ideal.rank, S.rank
-    old_vectors = list(ideal.basis.entries) + list(S.basis.entries)
-    split = stack_rows([ideal.basis, S.basis, ExactMatrix.from_rows([y])])
-    split_inv = invert(split)
-
-    def iota_coords(v: Vec) -> Vec:
-        alpha = vec_mat(v, split_inv)
-        return alpha[: k + t] + (alpha[k + t], alpha[k + t])
+    old = stack_rows([ideal.basis, S.basis])
+    split_inv = invert(stack_rows([old, Y]))
+    xp, zp = k + t, k + t + 1
+    # iota: K coordinates -> K2 coordinates, y's coordinate going to x' and z'
+    iota = split_inv.take_columns([*range(xp), xp, xp])
 
     step_no = len(state.trace) + 1
     names = tuple(f"v{step_no}_{p}" for p in range(k + t)) + (
         f"x'{step_no}",
         f"z'{step_no}",
     )
-    c: list[list[Vec]] = [[zero_vector(n + 1) for _ in range(n + 1)] for _ in range(n + 1)]
-    products = K.brackets(old_vectors, old_vectors)
-    for p in range(k + t):
-        for q in range(k + t):
-            alpha = vec_mat(products[p * (k + t) + q], split_inv)
-            if alpha[k + t] != 0:
-                raise ExpansionError("bracket of ideal+complement left their span")
-            c[p][q] = alpha[: k + t] + (ZERO, ZERO)
-    xp, zp = k + t, k + t + 1
-    for p in range(k + t):
-        w_n = iota_coords(mat_vec(dn, old_vectors[p]))
-        w_s = iota_coords(mat_vec(ds, old_vectors[p]))
-        c[xp][p] = w_n
-        c[p][xp] = vec_scale(Fraction(-1), w_n)
-        c[zp][p] = w_s
-        c[p][zp] = vec_scale(Fraction(-1), w_s)
-    K2 = LieLattice(names, tuple(tuple(row) for row in c), "Q")
+    # the brackets of K2 in the layout of `bracket_rows(I, I)`: those of the
+    # old vectors, and [x', v] = dn(v), [z', v] = ds(v) mapped by iota
+    products = K.bracket_rows(old, old) * split_inv
+    if any(xp in row for row in products.num):
+        raise ExpansionError("bracket of ideal+complement left their span")
+    w_n, w_s = (old * part.transpose() * iota for part in (dn, ds))
+    r2 = n + 1
+    den = lcm(products.den, w_n.den, w_s.den)
+    rows: list[dict[int, int]] = [{} for _ in range(r2 * r2)]
+    f = den // products.den
+    for p in range(xp):
+        for q in range(xp):
+            rows[p * r2 + q] = {j: f * x for j, x in products.num[p * xp + q].items()}
+        for z, W in ((xp, w_n), (zp, w_s)):
+            g = den // W.den
+            rows[z * r2 + p] = {j: g * x for j, x in W.num[p].items()}
+            rows[p * r2 + z] = {j: -g * x for j, x in W.num[p].items()}
+    K2 = LieLattice.from_bracket_rows(names, ExactMatrix.from_ints(rows, r2, den), "Q")
     require_valid(K2)
 
-    iota = ExactMatrix.from_rows([iota_coords(unit(n, i)) for i in range(n)])
-    images = iota.entries
-    for i in range(n):
-        for j, rhs in enumerate(K2.brackets(images[i : i + 1], images[i + 1 :]), start=i + 1):
-            if vec_mat(K.c[i][j], iota) != rhs:
-                raise ExpansionError("expansion embedding is not a homomorphism")
+    I = ExactMatrix.identity(n)
+    if K.bracket_rows(I, I) * iota != K2.bracket_rows(iota, iota):
+        raise ExpansionError("expansion embedding is not a homomorphism")
 
-    new_N = Submodule.span(
-        [unit(n + 1, p) for p in range(k)] + [unit(n + 1, xp)], n + 1, "Q"
-    )
-    new_S = Submodule.span(
-        [unit(n + 1, k + q) for q in range(t)] + [unit(n + 1, zp)], n + 1, "Q"
-    )
-    new_Rn = Submodule.span(
-        [vec_mat(row, iota) for row in Rn.basis.entries] + [unit(n + 1, xp)],
-        n + 1,
-        "Q",
-    )
+    E = ExactMatrix.identity(r2)
+    new_N = Submodule.of_rows(E.take_rows([*range(k), xp]), "Q")
+    new_S = Submodule.of_rows(E.take_rows([*range(k, xp), zp]), "Q")
+    new_Rn = Submodule.of_rows(stack_rows([Rn.basis * iota, E.take_rows([xp])]), "Q")
     recomputed = nilradical(K2)
     if recomputed != new_Rn:
         raise ExpansionError("nilpotent radical of the expansion is not R_n + x'")
@@ -505,8 +462,8 @@ def elementary_expansion(state: ExpansionState) -> ExpansionState:
         Rn=new_Rn,
         rn_original=state.rn_original,
         embedding=state.embedding * iota,
-        xprimes=tuple(vec_mat(x, iota) for x in state.xprimes) + (unit(n + 1, xp),),
-        zprimes=tuple(vec_mat(z, iota) for z in state.zprimes) + (unit(n + 1, zp),),
+        xprimes=stack_rows([state.xprimes * iota, E.take_rows([xp])]),
+        zprimes=stack_rows([state.zprimes * iota, E.take_rows([zp])]),
         trace=state.trace + (step,),
     )
     _check_state_invariants(new_state)
@@ -517,13 +474,10 @@ def _centralizer_in(K: LieLattice, N: Submodule, S: Submodule) -> Submodule:
     """{v in N : [v, S] = 0}."""
     if S.rank == 0:
         return N
-    m = S.rank
-    products = K.brackets(N.basis.entries, S.basis.entries)
-    rows = [sum(products[a * m : (a + 1) * m], ()) for a in range(N.rank)]
-    conditions = ExactMatrix.from_rows(rows, cols=S.rank * K.rank)
+    # row a: the brackets [n_a, s_b] for every b, side by side
+    conditions = K.bracket_rows(N.basis, S.basis).reshape(N.rank, S.rank * K.rank)
     coeffs = kernel_basis(conditions, "Q")
-    vecs = [vec_mat(x, N.basis) for x in coeffs.basis.entries]
-    return Submodule.span(vecs, K.rank, "Q")
+    return Submodule.of_rows(coeffs.basis * N.basis, "Q")
 
 
 # ---------------------------------------------------------------------------
@@ -544,16 +498,15 @@ class EmbeddingCertificate:
 
     @property
     def nilpotent_part(self) -> Submodule:
-        rows = [unit(self.extension.rank, i) for i in range(self.nilpotent_rank)]
-        return Submodule.span(rows, self.extension.rank, self.extension.domain)
+        return self._coordinate_span(range(self.nilpotent_rank))
 
     @property
     def complement(self) -> Submodule:
-        rows = [
-            unit(self.extension.rank, i)
-            for i in range(self.nilpotent_rank, self.extension.rank)
-        ]
-        return Submodule.span(rows, self.extension.rank, self.extension.domain)
+        return self._coordinate_span(range(self.nilpotent_rank, self.extension.rank))
+
+    def _coordinate_span(self, coordinates: range) -> Submodule:
+        units = ExactMatrix.identity(self.extension.rank).take_rows(coordinates)
+        return Submodule.of_rows(units, self.extension.domain)
 
     def split(self) -> tuple[LieLattice, LieLattice, list[ExactMatrix]]:
         return split_semidirect(self.extension, self.nilpotent_rank)
@@ -574,89 +527,74 @@ def integral_rescale(
     nK = K.rank
     rn_L = state.rn_original
     s = rn_L.rank
-    x_vecs = [vec_mat(row, state.embedding) for row in rn_L.basis.entries]
-    xp_vecs = list(state.xprimes)
-    r_new = len(xp_vecs)
-    images = list(state.embedding.entries)
+    X = rn_L.basis * state.embedding
+    XP = state.xprimes
+    r_new = XP.rows
+    images = state.embedding
 
-    span_check = Submodule.span(x_vecs + xp_vecs, nK, "Q")
+    span_check = Submodule.of_rows(stack_rows([X, XP]), "Q")
     if span_check != state.N or s + r_new != state.N.rank:
         raise ExpansionError("radical basis plus new generators do not span N")
 
-    solve_x = left_solver(ExactMatrix.from_rows(x_vecs, cols=nK))
+    in_x = Submodule(nK, X, "Q")
     mu = 1
-    bad: list[int] = []  # stays empty when max_scalar_search <= 0
+    bad: set[int] = set()  # stays empty when max_scalar_search <= 0
     for attempt in range(max_scalar_search):
-        bad = []
-        basis_rows = x_vecs + [vec_scale(Fraction(mu), xp) for xp in xp_vecs]
-        solve_basis = left_solver(ExactMatrix.from_rows(basis_rows, cols=nK))
-        for a in range(len(basis_rows)):
-            for w in K.brackets(basis_rows[a : a + 1], basis_rows[a + 1 :]):
-                coords = solve_basis(w)
-                if coords is None:
-                    raise ExpansionError("bracket left the span of the nilpotent part")
-                bad.extend(c.denominator for c in coords if c.denominator != 1)
-        # basis_rows[s:] are the scaled new generators
-        for br in K.brackets(basis_rows[s:], images):
-            coords = solve_x(br)
-            if coords is None:
-                raise ExpansionError(
-                    "new generator does not map the lattice into its nilpotent radical"
-                )
-            bad.extend(c.denominator for c in coords if c.denominator != 1)
+        scaled = XP.scale(mu)
+        n_mat = stack_rows([X, scaled])
+        closure = Submodule(nK, n_mat, "Q").coordinate_rows(K.bracket_rows(n_mat, n_mat))
+        if closure is None:
+            raise ExpansionError("bracket left the span of the nilpotent part")
+        into_x = in_x.coordinate_rows(K.bracket_rows(scaled, images))
+        if into_x is None:
+            raise ExpansionError(
+                "new generator does not map the lattice into its nilpotent radical"
+            )
+        bad = _denominators(closure) | _denominators(into_x)
         if not bad:
             break
         mu *= lcm(*bad)
         log.info("scalar search: escalating mu to %d", mu)
     else:
         raise ScalarSearchError(
-            f"mu search exceeded {max_scalar_search} rounds; offending denominators {sorted(set(bad))}"
+            f"mu search exceeded {max_scalar_search} rounds; offending denominators {sorted(bad)}"
         )
 
-    n_rows = x_vecs + [vec_scale(Fraction(mu), xp) for xp in xp_vecs]
-    n_mat = ExactMatrix.from_rows(n_rows, cols=nK) if n_rows else ExactMatrix.zero(0, nK)
+    # the loop ended at the final mu, so n_mat holds the scaled basis
     N_lat = _closed_sublattice(K, Submodule(nK, n_mat, "Z"), "n")
     if not is_nilpotent(N_lat):
         raise ExpansionError("scaled span of the nilpotent part is not nilpotent")
 
-    split = stack_rows([n_mat, state.S.basis]) if state.S.rank else n_mat
+    split = stack_rows([n_mat, state.S.basis])
     if split.rows != nK:
         raise ExpansionError("nilpotent part and complement do not fill the algebra")
-    split_inv = invert(split)
-
-    lam = 1
-    n_parts: list[Vec] = []
-    s_parts: list[Vec] = []
-    for w in images:
-        alpha = vec_mat(w, split_inv)
-        n_coords, s_coords = alpha[: s + r_new], alpha[s + r_new :]
-        lam = lcm(lam, *(c.denominator for c in n_coords)) if n_coords else lam
-        n_parts.append(vec_mat(n_coords, n_mat) if n_rows else zero_vector(nK))
-        s_parts.append(
-            vec_mat(s_coords, state.S.basis) if state.S.rank else zero_vector(nK)
-        )
+    alpha = images * invert(split)
+    n_coords = alpha.take_columns(range(s + r_new))
+    lam = n_coords.den
+    n_parts = n_coords * n_mat
+    s_parts = alpha.take_columns(range(s + r_new, nK)) * state.S.basis
 
     # Unsaturated lower-central terms of N_lat, nonzero ones only: the
     # rescaling needs gamma_i itself, and N_lat is nilpotent, so the chain
     # ends in its one zero term.
     full = Submodule.full(N_lat.rank, "Z")
     central_terms = bracket_series(N_lat, full, full, saturate=False)[:-1]
-    nbar_gens: list[Vec] = []
-    for i, term in enumerate(central_terms, start=1):
-        scale = Fraction(1, lam**i)
-        for row in term.basis.entries:
-            nbar_gens.append(vec_scale(scale, vec_mat(row, n_mat)))
-    nbar = Submodule.span(nbar_gens, nK, "Z")
+    nbar_gens = [
+        term.basis.scale(Fraction(1, lam**i)) * n_mat
+        for i, term in enumerate(central_terms, start=1)
+    ]
+    nbar = Submodule.of_rows(stack_rows([ExactMatrix.zero(0, nK), *nbar_gens]), "Z")
     if nbar.rank != s + r_new:
         raise ExpansionError("rescaled nilpotent part has the wrong rank")
     if not is_subalgebra(K, nbar):
         raise ExpansionError("rescaled nilpotent part is not closed under the bracket")
 
-    sbar = Submodule.span(s_parts, nK, "Z")
+    sbar = Submodule.of_rows(s_parts, "Z")
     if not is_subalgebra(K, sbar):
         raise ExpansionError("projected complement is not closed under the bracket")
-    acting = K.brackets(sbar.basis.entries, nbar.basis.entries)
-    if not all(nbar.contains(w) for w in acting):
+    # row a*m + b: the coordinates of [sbar_a, nbar_b] in nbar
+    acting = nbar.coordinate_rows(K.bracket_rows(sbar.basis, nbar.basis))
+    if acting is None:
         raise ExpansionError("complement does not normalize the nilpotent part")
 
     Nbar_lat = _closed_sublattice(K, nbar, "n")
@@ -664,22 +602,13 @@ def integral_rescale(
         raise ExpansionError("rescaled nilpotent part is not nilpotent")
     Sbar_lat = _closed_sublattice(K, sbar, "s")
     m = nbar.rank
-    action = [
-        ExactMatrix.from_columns(
-            [nbar.coordinates(w) for w in acting[a * m : (a + 1) * m]], rows=m
-        )
-        for a in range(sbar.rank)
-    ]
+    action = [acting.take_rows(range(a * m, (a + 1) * m)).transpose() for a in range(sbar.rank)]
     extension = semidirect_assemble(Nbar_lat, Sbar_lat, action)
 
-    inj_rows = []
-    for n_part, s_part in zip(n_parts, s_parts):
-        n_coords = nbar.coordinates(n_part)
-        s_coords = sbar.coordinates(s_part)
-        if n_coords is None or s_coords is None:
-            raise ExpansionError("image of the lattice is not integral in the extension")
-        inj_rows.append(tuple(n_coords) + tuple(s_coords))
-    injection = ExactMatrix.from_rows(inj_rows, cols=extension.rank)
+    n_inj, s_inj = nbar.coordinate_rows(n_parts), sbar.coordinate_rows(s_parts)
+    if n_inj is None or s_inj is None:
+        raise ExpansionError("image of the lattice is not integral in the extension")
+    injection = stack_rows([n_inj.transpose(), s_inj.transpose()]).transpose()
     if rank(injection) != L.rank:
         raise ExpansionError("injection into the extension is not injective")
 
@@ -700,6 +629,13 @@ def integral_rescale(
         rs_rank=state.N.rank,
         trace=state.trace,
     )
+
+
+def _denominators(M: ExactMatrix) -> set[int]:
+    """The denominators other than 1 of the entries of M."""
+    if M.den == 1:
+        return set()
+    return {M.den // gcd(x, M.den) for row in M.num for x in row.values()} - {1}
 
 
 def embed_splittable(L: LieLattice, max_scalar_search: int = 64) -> EmbeddingCertificate:

@@ -10,10 +10,12 @@ kernels) goes through one incremental sparse `Echelon`, which is
 fraction-free: each of its rows is a primitive int row whose value is the
 row over its own pivot entry.  The one integer normal form, Hermite, runs
 on dense int working copies.  Spans, isolated closures and kernels over Z
-all come from it.  Fractions appear only at the boundary: the dense views
-`entries`, `row` and `column`, the vectors that products and solves
-return, and the scalars of non-integral matrices.  No floating point
-anywhere.
+all come from it.  Vectors travel as the rows of a matrix: coordinates
+and membership take whole matrices (`Submodule.coordinate_rows`,
+`contains_rows`).  Fractions appear only at the boundary: the dense views
+`entries`, `row` and `column`, the one-vector wrappers `solve_left`,
+`solve_right` and `Submodule.coordinates`, and the scalars of
+non-integral matrices.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -39,24 +41,12 @@ class NonIntegralMatrixError(ValueError):
     """Raised when an integer-only algorithm receives fractional entries."""
 
 
-def frac(x: Scalar) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def vector(xs: Iterable[Scalar]) -> Vec:
-    return tuple(frac(x) for x in xs)
+    return tuple(x if isinstance(x, Fraction) else Fraction(x) for x in xs)
 
 
 def zero_vector(n: int) -> Vec:
     return (ZERO,) * n
-
-
-def vec_scale(c: Fraction, v: Vec) -> Vec:
-    return tuple(c * a for a in v)
-
-
-def is_zero_vector(v: Vec) -> bool:
-    return all(a == 0 for a in v)
 
 
 def _fraction(x: int, den: int) -> Fraction:
@@ -201,12 +191,14 @@ class ExactMatrix:
 
     @staticmethod
     def from_rows(data: Sequence[Sequence[Scalar]], cols: int | None = None) -> "ExactMatrix":
-        if data:
+        """Matrix from dense rows, each of length `cols` (default: the
+        length of the first row)."""
+        if cols is None:
+            if not data:
+                raise ValueError("empty matrix needs an explicit column count")
             cols = len(data[0])
-            if any(len(r) != cols for r in data):
-                raise ValueError("ragged rows")
-        elif cols is None:
-            raise ValueError("empty matrix needs an explicit column count")
+        if any(len(r) != cols for r in data):
+            raise ValueError(f"every row must have length {cols}")
         return ExactMatrix._of(*_int_rows(enumerate(r) for r in data), cols)
 
     @staticmethod
@@ -238,11 +230,34 @@ class ExactMatrix:
                 out[j][i] = x
         return ExactMatrix._of(tuple(r or _EMPTY_ROW for r in out), self.den, self.rows)
 
+    def reshape(self, rows: int, cols: int) -> "ExactMatrix":
+        """The entries, read in row-major order, as a rows x cols matrix."""
+        if rows * cols != self.rows * self.cols:
+            raise ValueError(f"cannot reshape {self.rows}x{self.cols} to {rows}x{cols}")
+        out: list[Row] = [{} for _ in range(rows)]
+        n = self.cols
+        for i, row in enumerate(self.num):
+            for j, x in row.items():
+                q, k = divmod(i * n + j, cols)
+                out[q][k] = x
+        return ExactMatrix._of(tuple(r or _EMPTY_ROW for r in out), self.den, cols)
+
     def flattened(self) -> "ExactMatrix":
         """The entries as one row of length rows * cols, in row-major order."""
-        n = self.cols
-        flat = {i * n + j: x for i, row in enumerate(self.num) for j, x in row.items()}
-        return ExactMatrix._of((flat or _EMPTY_ROW,), self.den, self.rows * n)
+        return self.reshape(1, self.rows * self.cols)
+
+    def take_rows(self, indices: Iterable[int]) -> "ExactMatrix":
+        """The rows at `indices`, in that order."""
+        return ExactMatrix.from_ints((self.num[i] for i in indices), self.cols, self.den)
+
+    def take_columns(self, indices: Sequence[int]) -> "ExactMatrix":
+        """The matrix whose column t is column indices[t] of this one; an
+        index may repeat."""
+        targets: dict[int, list[int]] = {}
+        for t, j in enumerate(indices):
+            targets.setdefault(j, []).append(t)
+        rows = ({t: x for j, x in row.items() for t in targets.get(j, ())} for row in self.num)
+        return ExactMatrix.from_ints(rows, len(indices), self.den)
 
     @property
     def is_integral(self) -> bool:
@@ -333,28 +348,6 @@ def _check_columns(rows: Sequence[Mapping[int, Scalar]], cols: int) -> None:
             raise ValueError(f"column index outside range({cols})")
 
 
-def mat_vec(M: ExactMatrix, v: Vec) -> Vec:
-    """M applied to a column vector (returned as a tuple)."""
-    if len(v) != M.cols:
-        raise ValueError("dimension mismatch")
-    w, d = _int_row(enumerate(v))
-    d *= M.den
-    return tuple(_fraction(sum(x * w.get(j, 0) for j, x in row.items()), d) for row in M.num)
-
-
-def vec_mat(v: Vec, M: ExactMatrix) -> Vec:
-    """Row vector times matrix."""
-    if len(v) != M.rows:
-        raise ValueError("dimension mismatch")
-    w, d = _int_row(enumerate(v))
-    out = [0] * M.cols
-    for i, c in w.items():
-        for j, x in M.num[i].items():
-            out[j] += c * x
-    d *= M.den
-    return tuple(_fraction(x, d) for x in out)
-
-
 def trace_product(A: ExactMatrix, B: ExactMatrix) -> int | Fraction:
     """trace(A * B) without forming the product: the sum of A[i][k] * B[k][i]
     over the nonzero entries of A.  An int when A and B are integral."""
@@ -398,11 +391,6 @@ def block_diag(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
         {j + shift: x for j, x in row.items()} or _EMPTY_ROW for row in _rescaled(B, den)
     )
     return ExactMatrix._of(_rescaled(A, den) + shifted, den, A.cols + B.cols)
-
-
-def lcm_denominators(M: ExactMatrix) -> int:
-    """Least positive integer d with d*M integral."""
-    return M.den
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -679,29 +667,18 @@ def _int_left_solver(B: ExactMatrix) -> Callable[[Row, int], tuple[list[int], in
     return solve
 
 
-def left_solver(B: ExactMatrix) -> Callable[[Vec], Vec | None]:
-    """The map v -> x with x*B = v, or None if v is outside the row span.
+def solve_left(B: ExactMatrix, v: Vec) -> Vec | None:
+    """Coordinates x with x*B = v, or None if v is outside the row span.
 
     When the rows of B are independent x is the only solution.
     """
-    n = B.cols
-    solve = _int_left_solver(B)
-
-    def solve_vec(v: Vec) -> Vec | None:
-        if len(v) != n:
-            raise ValueError("dimension mismatch")
-        found = solve(*_int_row(enumerate(v)))
-        if found is None:
-            return None
-        x, e = found
-        return tuple(_fraction(c, e) for c in x)
-
-    return solve_vec
-
-
-def solve_left(B: ExactMatrix, v: Vec) -> Vec | None:
-    """Coordinates x with x*B = v, or None if v is outside the row span."""
-    return left_solver(B)(v)
+    if len(v) != B.cols:
+        raise ValueError("dimension mismatch")
+    found = _int_left_solver(B)(*_int_row(enumerate(v)))
+    if found is None:
+        return None
+    x, e = found
+    return tuple(_fraction(c, e) for c in x)
 
 
 @dataclass(frozen=True)
@@ -711,8 +688,10 @@ class Submodule:
     Over Z the basis is H/d where H is the Hermite form of d times the
     generators and d is their common denominator; over Q it is the RREF.
     Equality of Submodules is equality of the canonical data.  The basis is
-    factored once, on the first `coordinates` or `contains` call, and the
-    solver kept on the instance (outside equality, hashing and repr).
+    factored once, on the first coordinate or membership query, and the
+    solver kept on the instance (outside equality, hashing and repr).  A
+    Submodule built directly from independent rows that are not canonical
+    takes coordinates in those rows.
     """
 
     ambient_rank: int
@@ -728,6 +707,7 @@ class Submodule:
 
     @staticmethod
     def span(vectors: Sequence[Vec], ambient_rank: int, domain: str = "Z") -> "Submodule":
+        """`of_rows` of the matrix whose rows are `vectors`."""
         return Submodule.of_rows(ExactMatrix.from_rows(list(vectors), cols=ambient_rank), domain)
 
     @staticmethod
@@ -771,24 +751,11 @@ class Submodule:
                 return None
         return found
 
-    def coordinates(self, v: Vec) -> Vec | None:
-        """Coordinates of v in the basis, respecting the domain (Z: integral)."""
-        if len(v) != self.ambient_rank:
-            raise ValueError("dimension mismatch")
-        found = self._int_coordinates(*_int_row(enumerate(v)))
-        if found is None:
-            return None
-        x, e = found
-        return tuple(_fraction(c, e) for c in x)
-
-    def contains(self, v: Vec) -> bool:
-        if len(v) != self.ambient_rank:
-            raise ValueError("dimension mismatch")
-        return self._int_coordinates(*_int_row(enumerate(v))) is not None
-
     def coordinate_rows(self, M: ExactMatrix) -> ExactMatrix | None:
         """The matrix X with X * basis = M, respecting the domain (Z:
         integral), or None if a row of M has no such coordinates."""
+        if M.cols != self.ambient_rank:
+            raise ValueError("dimension mismatch")
         found = [self._int_coordinates(row, M.den) for row in M.num]
         if None in found:
             return None
@@ -801,6 +768,15 @@ class Submodule:
         if M.cols != self.ambient_rank:
             raise ValueError("dimension mismatch")
         return all(self._int_coordinates(row, M.den) is not None for row in M.num)
+
+    def coordinates(self, v: Vec) -> Vec | None:
+        """`coordinate_rows` of the one vector v."""
+        X = self.coordinate_rows(ExactMatrix.from_rows([v], cols=self.ambient_rank))
+        return None if X is None else X.row(0)
+
+    def contains(self, v: Vec) -> bool:
+        """`contains_rows` of the one vector v."""
+        return self.contains_rows(ExactMatrix.from_rows([v], cols=self.ambient_rank))
 
     def contains_submodule(self, other: "Submodule") -> bool:
         return self.contains_rows(other.basis)
@@ -819,9 +795,7 @@ class Submodule:
         else:
             ker = kernel_basis(ExactMatrix._of(stacked.num, 1, stacked.cols), "Z").basis
         # the kernel's first self.rank coordinates combine self's basis
-        k = self.rank
-        left = ({j: x for j, x in row.items() if j < k} for row in ker.num)
-        left = ExactMatrix.from_ints(left, k, ker.den)
+        left = ker.take_columns(range(self.rank))
         return Submodule.of_rows(left * self.basis, self.domain)
 
     def saturate(self) -> "Submodule":

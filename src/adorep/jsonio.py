@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Any
 
 from .embed import EmbeddingCertificate, ExpansionStep
-from .exact_linalg import ExactMatrix, Vec, is_zero_vector
+from .exact_linalg import ExactMatrix, Vec
 from .lie_core import LieLattice
 from .pipeline import AdoReport, CertificateReport, VerificationReport
 from .rep import LinearRep
@@ -80,7 +80,7 @@ def lattice_to_json(L: LieLattice) -> dict:
     brackets = []
     for i in range(L.rank):
         for j in range(i + 1, L.rank):
-            if not is_zero_vector(L.c[i][j]):
+            if any(L.c[i][j]):
                 brackets.append({"i": i, "j": j, "coeffs": vec_to_json(L.c[i][j])})
     out = {"rank": L.rank, "names": list(L.names), "brackets": brackets}
     if L.domain != "Z":

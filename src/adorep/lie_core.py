@@ -18,15 +18,13 @@ from .exact_linalg import (
     ExactMatrix,
     Submodule,
     Vec,
-    frac,
+    extend_basis,
+    hnf,
+    invert,
     kernel_basis,
-    left_solver,
-    mat_vec,
     rank,
     stack_rows,
     trace_product,
-    vec_mat,
-    vec_scale,
     vector,
     zero_vector,
 )
@@ -50,7 +48,8 @@ class NotNilpotentError(ValueError):
 
 class StructureTable(NamedTuple):
     """The structure constants over one common denominator:
-    c[i][j][k] = n / den for each (k, n) in pairs[i][j], nonzeros only."""
+    c[i][j][k] = n / den for each (k, n) in pairs[i][j], nonzeros only, in
+    increasing k."""
 
     den: int
     pairs: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
@@ -95,19 +94,26 @@ class LieLattice:
         # a copy builds its own table from its own c
         return {k: v for k, v in self.__dict__.items() if k != "table"}
 
-    def brackets(self, us: Sequence[Vec], vs: Sequence[Vec]) -> list[Vec]:
-        """[u, v] for every u in us and v in vs, in the order
-        [u0, v0], [u0, v1], ..., [u1, v0], ..."""
-        r = self.rank
-        if any(len(u) != r for u in us) or any(len(v) != r for v in vs):
-            raise ValueError("dimension mismatch")
-        U, V = ExactMatrix.from_rows(us, cols=r), ExactMatrix.from_rows(vs, cols=r)
-        return list(self.bracket_rows(U, V).entries)
+    @staticmethod
+    def from_bracket_rows(names: Sequence[str], M: ExactMatrix, domain: str = "Z") -> "LieLattice":
+        """The lattice with c[i][j] the row i * rank + j of M, the layout of
+        `bracket_rows(I, I)`; its table is read off the numerators of M."""
+        r = len(names)
+        if M.rows != r * r or M.cols != r:
+            raise ValueError("a bracket matrix has rank^2 rows of length rank")
+        rows = M.entries
+        L = LieLattice(tuple(names), tuple(rows[i * r : (i + 1) * r] for i in range(r)), domain)
+        pairs = tuple(
+            tuple(tuple(sorted(M.num[i * r + j].items())) for j in range(r)) for i in range(r)
+        )
+        L.__dict__["table"] = StructureTable(M.den, pairs)
+        return L
 
     def bracket_rows(self, A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
         """The matrix whose rows are [a, b] for every row a of A and b of B,
-        in the order of `brackets`.  The sums run in the int numerators of
-        A, B and the table, over the product of their denominators."""
+        in the order [a0, b0], [a0, b1], ..., [a1, b0], ...  The sums run in
+        the int numerators of A, B and the table, over the product of their
+        denominators.  `bracket_rows(I, I)` holds c[i][j] in row i*rank + j."""
         r = self.rank
         if A.cols != r or B.cols != r:
             raise ValueError("dimension mismatch")
@@ -126,7 +132,10 @@ class LieLattice:
         return ExactMatrix.from_ints(out, r, A.den * B.den * den)
 
     def bracket(self, u: Vec, v: Vec) -> Vec:
-        return self.brackets((u,), (v,))[0]
+        """[u, v]: `bracket_rows` of one pair of vectors."""
+        if len(u) != self.rank or len(v) != self.rank:
+            raise ValueError("dimension mismatch")
+        return self.bracket_rows(ExactMatrix.from_rows([u]), ExactMatrix.from_rows([v])).row(0)
 
     def ad(self, v: Vec) -> ExactMatrix:
         """Matrix of ad_v = [v, .] acting on column vectors: entry (k, j) is
@@ -172,7 +181,7 @@ def lie_lattice(
         if len(v) != r:
             raise ValueError("bracket coefficient vector has wrong length")
         c[i][j] = v
-        c[j][i] = vec_scale(Fraction(-1), v)
+        c[j][i] = tuple(-x for x in v)
     return LieLattice(tuple(names), tuple(tuple(row) for row in c), domain)
 
 
@@ -192,24 +201,26 @@ class ValidationReport:
 
 
 def validate(L: LieLattice) -> ValidationReport:
-    """Report every violated (i, j, k) triple of the lattice axioms."""
+    """Report every violated (i, j, k) triple of the lattice axioms, read
+    from the int table: c[i][j][k] = n / den is integral iff den divides n,
+    and antisymmetric iff n plus the numerator of c[j][i][k] is 0."""
     r = L.rank
+    den, T = L.table
     anti = []
     integ = []
-    integral = L.domain == "Z"
+    check_integral = L.domain == "Z" and den != 1
     for i in range(r):
         for j in range(r):
-            cij, cji = L.c[i][j], L.c[j][i]
-            for k in range(r):
-                a, b = cij[k], cji[k]
-                if (a or b) and a != -b:
-                    anti.append((i, j, k))
-                if integral and a and a.denominator != 1:
-                    integ.append((i, j, k))
+            if T[i][j] or T[j][i]:
+                total = dict(T[i][j])
+                for k, x in T[j][i]:
+                    total[k] = total.get(k, 0) + x
+                anti.extend((i, j, k) for k in sorted(total) if total[k])
+            if check_integral:
+                integ.extend((i, j, k) for k, x in T[i][j] if x % den)
     # [[x_i,x_j],x_k] + [[x_j,x_k],x_i] + [[x_k,x_i],x_j]: every term is a
     # product of two table entries, so the sum is zero iff its numerators
     # over den^2 are
-    T = L.table.pairs
     jac = []
     for i in range(r):
         for j in range(i + 1, r):
@@ -389,7 +400,7 @@ def nilradical(L: LieLattice, rs: Submodule | None = None) -> Submodule:
         # R_s is central: abelian, hence nilpotent
         return rs
     # ad x|_I on the basis b_j of I: column j holds the coordinates of [x, b_j]
-    rows = (ExactMatrix.from_ints((x,), r, rs.basis.den) for x in rs.basis.num)
+    rows = (rs.basis.take_rows([q]) for q in range(rs.rank))
     gens = [ideal.coordinate_rows(L.bracket_rows(x, ideal.basis)).transpose() for x in rows]
     envelope = _matrix_algebra_closure(gens)
     if not envelope:
@@ -469,43 +480,34 @@ def check_derivation(L: LieLattice, D: ExactMatrix) -> bool:
 
 
 def derivation_basis(L: LieLattice) -> list[ExactMatrix]:
-    """Basis of the derivation algebra, by solving the Leibniz equations."""
+    """Basis of the derivation algebra, by solving the Leibniz equations.
+
+    The unknowns are the entries D[a][b], row-major, and each pair i < j
+    gives one equation per component k, read from the table over its
+    denominator (a scaling that leaves the solutions unchanged).
+    """
     r = L.rank
     if r == 0:
         return []
-    # unknowns D[a][b], row-major; one equation block per pair i < j
-    eq_rows: list[list[Fraction]] = []
+    T = L.table.pairs
+    eq_rows: list[dict[int, int]] = []
     for i in range(r):
         for j in range(i + 1, r):
-            cij = L.c[i][j]
-            for k in range(r):
-                row = [ZERO] * (r * r)
-                # D applied to [x_i,x_j]: sum_t c_ij^t D[k][t]
-                for t in range(r):
-                    if cij[t]:
-                        row[k * r + t] += cij[t]
-                # minus [D x_i, x_j]: D x_i = sum_a D[a][i] x_a
-                for a in range(r):
-                    if L.c[a][j][k]:
-                        row[a * r + i] -= L.c[a][j][k]
-                # minus [x_i, D x_j]
-                for a in range(r):
-                    if L.c[i][a][k]:
-                        row[a * r + j] -= L.c[i][a][k]
-                eq_rows.append(row)
-    if not eq_rows:
-        sys = ExactMatrix.zero(1, r * r)
-    else:
-        sys = ExactMatrix.from_rows(eq_rows, cols=r * r)
-    sols = kernel_basis(sys.transpose(), "Q")
-    out = []
-    for s in sols.basis.entries:
-        out.append(
-            ExactMatrix.from_rows(
-                [[s[a * r + b] for b in range(r)] for a in range(r)], cols=r
-            )
-        )
-    return out
+            eqs: list[dict[int, int]] = [{} for _ in range(r)]
+            # D applied to [x_i,x_j]: sum_t c_ij^t D[k][t]
+            for t, x in T[i][j]:
+                for k in range(r):
+                    eqs[k][k * r + t] = x
+            # minus [D x_i, x_j] and [x_i, D x_j], with D x_i = sum_a D[a][i] x_a
+            for a in range(r):
+                for k, x in T[a][j]:
+                    eqs[k][a * r + i] = eqs[k].get(a * r + i, 0) - x
+                for k, x in T[i][a]:
+                    eqs[k][a * r + j] = eqs[k].get(a * r + j, 0) - x
+            eq_rows.extend(eqs)
+    system = ExactMatrix.from_ints(eq_rows, r * r) if eq_rows else ExactMatrix.zero(1, r * r)
+    sols = kernel_basis(system.transpose(), "Q").basis
+    return [sols.take_rows([q]).reshape(r, r) for q in range(sols.rows)]
 
 
 def subalgebra_lattice(
@@ -518,21 +520,14 @@ def subalgebra_lattice(
     result is validated.  Returns the abstract lattice and the basis matrix
     (rows = basis vectors in the coordinates of L).
     """
-    rows = S.basis.entries
-    k = len(rows)
-    solve = left_solver(S.basis)
-    products = L.brackets(rows, rows)
-    c: list[list[Vec]] = [[zero_vector(k) for _ in range(k)] for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            coords = solve(products[i * k + j])
-            if coords is None:
-                raise ValueError("submodule is not closed under the bracket")
-            if S.domain == "Z" and any(x.denominator != 1 for x in coords):
-                raise ValueError("submodule has non-integral structure constants")
-            c[i][j] = coords
-    names = tuple(f"{prefix}{i}" for i in range(k))
-    lat = LieLattice(names, tuple(tuple(r) for r in c), S.domain)
+    products = L.bracket_rows(S.basis, S.basis)
+    coords = Submodule(S.ambient_rank, S.basis, "Q").coordinate_rows(products)
+    if coords is None:
+        raise ValueError("submodule is not closed under the bracket")
+    if S.domain == "Z" and not coords.is_integral:
+        raise ValueError("submodule has non-integral structure constants")
+    names = tuple(f"{prefix}{i}" for i in range(S.rank))
+    lat = LieLattice.from_bracket_rows(names, coords, S.domain)
     require_valid(lat)
     return lat, S.basis
 
@@ -557,27 +552,24 @@ def semidirect_assemble(
     r = nN + nS
     if names is None:
         names = tuple(N.names) + tuple(S.names)
-    c = [[zero_vector(r) for _ in range(r)] for _ in range(r)]
-
-    def emb_n(v: Vec) -> Vec:
-        return tuple(v) + zero_vector(nS)
-
-    def emb_s(v: Vec) -> Vec:
-        return zero_vector(nN) + tuple(v)
-
+    (dN, TN), (dS, TS) = N.table, S.table
+    den = lcm(dN, dS, *(D.den for D in action))
+    rows: list[dict[int, int]] = [{} for _ in range(r * r)]
     for i in range(nN):
         for j in range(nN):
-            c[i][j] = emb_n(N.c[i][j])
+            rows[i * r + j] = {k: x * (den // dN) for k, x in TN[i][j]}
     for a in range(nS):
         for b in range(nS):
-            c[nN + a][nN + b] = emb_s(S.c[a][b])
-    for a in range(nS):
-        for i in range(nN):
-            w = emb_n(mat_vec(action[a], unit(nN, i)))
-            c[nN + a][i] = w
-            c[i][nN + a] = vec_scale(Fraction(-1), w)
+            rows[(nN + a) * r + nN + b] = {nN + k: x * (den // dS) for k, x in TS[a][b]}
+    # [s_a, x_i] is column i of action[a]
+    for a, D in enumerate(action):
+        f = den // D.den
+        for k, row in enumerate(D.num):
+            for i, x in row.items():
+                rows[(nN + a) * r + i][k] = f * x
+                rows[i * r + nN + a][k] = -f * x
     domain = "Z" if N.domain == "Z" and S.domain == "Z" else "Q"
-    L = LieLattice(tuple(names), tuple(tuple(row) for row in c), domain)
+    L = LieLattice.from_bracket_rows(names, ExactMatrix.from_ints(rows, r, den), domain)
     require_valid(L)
     return L
 
@@ -593,43 +585,31 @@ def split_semidirect(
     """Recover (N, S, action) from a lattice whose first n_rank basis vectors
     span an ideal and whose remaining vectors span a subalgebra."""
     r = L.rank
-    k = r - n_rank
+    brackets = L.bracket_rows(ExactMatrix.identity(r), ExactMatrix.identity(r))
 
-    def n_part(v: Vec) -> Vec:
-        if any(x != 0 for x in v[n_rank:]):
-            raise ValueError("bracket leaves the claimed ideal block")
-        return v[:n_rank]
+    def block(pairs: Sequence[tuple[int, int]], cols: range, message: str) -> ExactMatrix:
+        """The brackets of `pairs`, which must lie in the coordinates `cols`."""
+        B = brackets.take_rows(a * r + b for a, b in pairs)
+        if any(j not in cols for row in B.num for j in row):
+            raise ValueError(message)
+        return B.take_columns(cols)
 
-    def s_part(v: Vec) -> Vec:
-        if any(x != 0 for x in v[:n_rank]):
-            raise ValueError("bracket leaves the claimed subalgebra block")
-        return v[n_rank:]
-
-    cN = tuple(
-        tuple(n_part(L.c[i][j]) for j in range(n_rank)) for i in range(n_rank)
-    )
-    N = LieLattice(L.names[:n_rank], cN, L.domain)
-    cS = tuple(
-        tuple(s_part(L.c[n_rank + a][n_rank + b]) for b in range(k))
-        for a in range(k)
-    )
-    S = LieLattice(L.names[n_rank:], cS, L.domain)
-    action = [
-        ExactMatrix.from_columns(
-            [n_part(L.c[n_rank + a][j]) for j in range(n_rank)], rows=n_rank
-        )
-        for a in range(k)
-    ]
+    ideal, sub = range(n_rank), range(n_rank, r)
+    leaves_ideal = "bracket leaves the claimed ideal block"
+    N_rows = block([(i, j) for i in ideal for j in ideal], ideal, leaves_ideal)
+    N = LieLattice.from_bracket_rows(L.names[:n_rank], N_rows, L.domain)
+    S_rows = block([(a, b) for a in sub for b in sub], sub, "bracket leaves the claimed subalgebra block")
+    S = LieLattice.from_bracket_rows(L.names[n_rank:], S_rows, L.domain)
+    # row j of the block of s_a is [s_a, x_j], column j of the action of s_a
+    action = [block([(a, j) for j in ideal], ideal, leaves_ideal).transpose() for a in sub]
     return N, S, action
 
 
 def scale_lattice(L: LieLattice, k: int, suffix: str = "'") -> LieLattice:
     """Structure constants of the sublattice spanned by k*x_i in its own basis."""
-    c = tuple(
-        tuple(vec_scale(frac(k), L.c[i][j]) for j in range(L.rank))
-        for i in range(L.rank)
-    )
-    return LieLattice(tuple(n + suffix for n in L.names), c, L.domain)
+    I = ExactMatrix.identity(L.rank)
+    names = tuple(n + suffix for n in L.names)
+    return LieLattice.from_bracket_rows(names, L.bracket_rows(I, I).scale(k), L.domain)
 
 
 def change_basis(L: LieLattice, P: ExactMatrix, prefix: str = "b") -> LieLattice:
@@ -638,20 +618,14 @@ def change_basis(L: LieLattice, P: ExactMatrix, prefix: str = "b") -> LieLattice
     Over Z the matrix must be unimodular for the result to be the same
     lattice; over Q any invertible matrix works.
     """
-    from .exact_linalg import invert
-
     n = L.rank
     if P.rows != n or P.cols != n:
         raise ValueError("change of basis must be square of the lattice rank")
     Pinv = invert(P)
-    products = L.brackets(P.entries, P.entries)
-    c = tuple(tuple(vec_mat(products[i * n + j], Pinv) for j in range(n)) for i in range(n))
-    if L.domain == "Z":
-        from .exact_linalg import hnf
-
-        if not P.is_integral or hnf(P)[0] != ExactMatrix.identity(n):
-            raise ValueError("change of basis is not unimodular over Z")
-    return LieLattice(tuple(f"{prefix}{i}" for i in range(n)), c, L.domain)
+    if L.domain == "Z" and (not P.is_integral or hnf(P)[0] != ExactMatrix.identity(n)):
+        raise ValueError("change of basis is not unimodular over Z")
+    names = tuple(f"{prefix}{i}" for i in range(n))
+    return LieLattice.from_bracket_rows(names, L.bracket_rows(P, P) * Pinv, L.domain)
 
 
 def quotient_lattice(
@@ -663,19 +637,12 @@ def quotient_lattice(
     representatives in L-coordinates).  The ideal must actually be an ideal;
     over Z it must also be isolated for the quotient to be free.
     """
-    from .exact_linalg import extend_basis
-
     comp = extend_basis(ideal, Submodule.full(L.rank, L.domain))
     k = comp.rows
-    split = stack_rows([ideal.basis, comp]) if ideal.rank else comp
-    solve = left_solver(split)
-    products = L.brackets(comp.entries, comp.entries)
-    c: list[list[Vec]] = [[zero_vector(k) for _ in range(k)] for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            coords = solve(products[i * k + j])
-            if coords is None:
-                raise ValueError("quotient section failed")
-            c[i][j] = tuple(coords[ideal.rank :])
+    split = Submodule(L.rank, stack_rows([ideal.basis, comp]), "Q")
+    coords = split.coordinate_rows(L.bracket_rows(comp, comp))
+    if coords is None:
+        raise ValueError("quotient section failed")
+    c = coords.take_columns(range(ideal.rank, ideal.rank + k))
     names = tuple(f"{prefix}{i}" for i in range(k))
-    return LieLattice(names, tuple(tuple(r) for r in c), L.domain), comp
+    return LieLattice.from_bracket_rows(names, c, L.domain), comp

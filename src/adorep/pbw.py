@@ -18,9 +18,10 @@ from .exact_linalg import (
     ExactMatrix,
     Submodule,
     Vec,
+    extend_basis,
     hnf,
     invert,
-    vec_mat,
+    stack_rows,
 )
 from .lie_core import (
     LieLattice,
@@ -59,21 +60,16 @@ def build_weighted_basis(L: LieLattice) -> WeightedPBWBasis:
     The first adapted vectors span the deepest nonzero term; each block
     extends the previous one, so the change of basis is unimodular over Z.
     """
-    from .exact_linalg import extend_basis
-
     chain = lower_central_series(L)
     if not chain[-1].is_zero():
         raise NotNilpotentError("weighted PBW basis requires a nilpotent lattice")
     c = len(chain) - 1
-    rows: list[Vec] = []
+    P = ExactMatrix.zero(0, L.rank)
     weights: list[int] = []
     for depth in range(c, 0, -1):
-        outer = chain[depth - 1]
-        inner = Submodule.span(rows, L.rank, L.domain)
-        new_rows = extend_basis(inner, outer)
-        rows.extend(new_rows.entries)
+        new_rows = extend_basis(Submodule.of_rows(P, L.domain), chain[depth - 1])
+        P = stack_rows([P, new_rows])
         weights.extend([depth] * new_rows.rows)
-    P = ExactMatrix.from_rows(rows, cols=L.rank)
     if L.rank:
         Pinv = invert(P)
         if L.domain == "Z":
@@ -160,7 +156,7 @@ class TruncatedUEA:
 
     def left_mult_matrix(self, v: Vec) -> ExactMatrix:
         """Matrix of left multiplication by a lattice vector on the monomials."""
-        coords = vec_mat(v, self.basis.inverse) if self.rank else ()
+        coords = (ExactMatrix.from_rows([v], cols=self.rank) * self.basis.inverse).row(0)
         letters = [(k, cf) for k, cf in enumerate(coords) if cf]
         cols = []
         for beta in self.monomials:

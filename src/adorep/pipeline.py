@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .embed import EmbeddingCertificate, embed_splittable
-from .exact_linalg import ExactMatrix, Vec, kernel_basis, rank, stack_rows, vec_mat
+from .exact_linalg import ExactMatrix, Vec, kernel_basis, rank, stack_rows
 from .lie_core import (
     LieLattice,
     adjoint_rep,
@@ -96,10 +96,11 @@ def verify_representation(L: LieLattice, rep: LinearRep) -> VerificationReport:
             witness = tuple(kernel_basis(stacked, "Q").basis.entries)
 
     rn = nilradical(L)
-    nil_violations = []
-    for idx, row in enumerate(rn.basis.entries):
-        if not _is_nilpotent_matrix(rep.matrix_of(row)):
-            nil_violations.append(idx)
+    nil_violations = [
+        idx
+        for idx, M in enumerate(rep.matrices_of_rows(rn.basis))
+        if not _is_nilpotent_matrix(M)
+    ]
     nilrep_ok = not nil_violations
 
     bound = degree_bound(L.rank) if L.rank >= 1 else Fraction(0)
@@ -161,12 +162,8 @@ def verify_certificate(cert: EmbeddingCertificate) -> CertificateReport:
 
     inj = cert.injection
     injective = rank(inj) == L.rank
-    rows = inj.entries
-    hom = all(
-        vec_mat(L.c[i][j], inj) == rhs
-        for i in range(L.rank)
-        for j, rhs in enumerate(ext.brackets(rows[i : i + 1], rows[i + 1 :]), start=i + 1)
-    )
+    I = ExactMatrix.identity(L.rank)
+    hom = L.bracket_rows(I, I) * inj == ext.bracket_rows(inj, inj)
 
     # radicals and series are defined for Lie lattices only, and the
     # nilpotency chain for a bracket-closed nbar only; elsewhere they may
@@ -179,10 +176,7 @@ def verify_certificate(cert: EmbeddingCertificate) -> CertificateReport:
 
     # one fresh R_s(L) serves both the rank check and R_n(L)
     rs = solvable_radical(L) if lie else None
-    rn_image = lie and all(
-        nbar.contains(vec_mat(row, inj))
-        for row in nilradical(L, rs).basis.entries
-    )
+    rn_image = lie and nbar.contains_rows(nilradical(L, rs).basis * inj)
     rank_matches = lie and nbar.rank == rs.rank
 
     return CertificateReport(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from .exact_linalg import ExactMatrix, Vec, block_diag
 
@@ -26,18 +26,28 @@ class LinearRep:
             return self.matrices[0].rows
         return 0
 
+    def matrices_of_rows(self, M: ExactMatrix) -> list[ExactMatrix]:
+        """The image of each row of M, a lattice vector, by linearity."""
+        if M.cols != len(self.matrices):
+            raise ValueError("dimension mismatch")
+        return [self._combination(row.items(), M.den) for row in M.num]
+
     def matrix_of(self, v: Vec) -> ExactMatrix:
-        """Image of an arbitrary lattice vector, by linearity, summed in int
-        numerators over the lcm of the denominators of the terms."""
-        terms = [(c, M) for c, M in zip(v, self.matrices, strict=True) if c]
-        den = lcm(*(c.denominator * M.den for c, M in terms))
+        """`matrices_of_rows` of the one vector v."""
+        return self.matrices_of_rows(ExactMatrix.from_rows([v], cols=len(self.matrices)))[0]
+
+    def _combination(self, terms: Iterable[tuple[int, int]], den: int) -> ExactMatrix:
+        """sum of (x / den) * matrices[i] over the (i, x) in terms, summed in
+        int numerators over den times the lcm of the matrices' denominators."""
+        terms = [(x, self.matrices[i]) for i, x in terms]
+        total = den * lcm(*(M.den for _, M in terms))
         rows: list[dict[int, int]] = [{} for _ in range(self.degree)]
         for c, M in terms:
-            f = c.numerator * (den // (c.denominator * M.den))
+            f = c * (total // (den * M.den))
             for acc, row in zip(rows, M.num):
                 for j, x in row.items():
                     acc[j] = acc[j] + f * x if j in acc else f * x
-        return ExactMatrix.from_ints(rows, self.degree, den)
+        return ExactMatrix.from_ints(rows, self.degree, total)
 
     @property
     def is_integral(self) -> bool:
@@ -46,10 +56,11 @@ class LinearRep:
     def homomorphism_violations(self) -> list[tuple[int, int]]:
         """Basis pairs where M([x_i,x_j]) != [M_i, M_j]."""
         L = self.lattice
+        den, T = L.table
         bad = []
         for i in range(L.rank):
             for j in range(i + 1, L.rank):
-                lhs = self.matrix_of(L.c[i][j])
+                lhs = self._combination(T[i][j], den)
                 rhs = self.matrices[i] * self.matrices[j] - self.matrices[j] * self.matrices[i]
                 if lhs != rhs:
                     bad.append((i, j))
@@ -64,7 +75,7 @@ def restrict_rep(
     `injection` rows are the images of the sublattice's basis vectors in the
     coordinates of rep.lattice.
     """
-    mats = tuple(rep.matrix_of(row) for row in injection.entries)
+    mats = tuple(rep.matrices_of_rows(injection))
     return LinearRep(lattice=lattice, matrices=mats, provenance=provenance)
 
 

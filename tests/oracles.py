@@ -483,11 +483,11 @@ def ref_nilradical(L):
     associative envelope of ad(R_s) on all of L, saturated over Z.
 
     The envelope multiplies each new matrix by every nonzero generator, on
-    both sides.  The library is used only for the bracket and to return the
-    result as a Submodule."""
+    both sides.  The library is used only to return the result as a
+    Submodule."""
     r = L.rank
     units = [tuple(Fraction(int(a == i)) for a in range(r)) for i in range(r)]
-    table = L.brackets(units, units)  # table[i * r + j] = [x_i, x_j]
+    table = [L.c[i][j] for i in range(r) for j in range(r)]  # [x_i, x_j]
     ads = [[[table[i * r + j][k] for j in range(r)] for k in range(r)] for i in range(r)]
 
     def combine(coeffs, mats):

@@ -11,9 +11,14 @@ words applied to the right factor.
 import math
 from fractions import Fraction
 
-from adorep.exact_linalg import mat_vec
+from adorep.exact_linalg import ExactMatrix
 
 ZERO = Fraction(0)
+
+
+def mat_vec(M, v):
+    """M applied to the column v, as a tuple."""
+    return (M * ExactMatrix.from_rows([v]).transpose()).column(0)
 
 
 def letter_matrices(T):

@@ -1,5 +1,7 @@
 """The benchmark's contract with the library: every name that bench/tracer.py
-wraps resolves, and every workload of bench/workloads.py builds.
+wraps resolves, every workload of bench/workloads.py builds, and the
+negative controls of bench/run.py, which read `L.c`, `.entries` and
+`ExactMatrix.from_rows`, still produce inputs that the verifiers reject.
 
 bench/run.py resolves the traced names after each untraced pass, so a
 library change that drops or renames one would otherwise break the
@@ -8,12 +10,14 @@ source and nothing is written under bench/.
 """
 
 import importlib.util
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
 from adorep.lie_core import LieLattice
+from adorep.pipeline import ado_representation, verify_certificate, verify_representation
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -53,3 +57,26 @@ def test_workload_builds(workload):
     for case in cases:
         assert isinstance(case.lattice, LieLattice)
         assert case.degree > 0
+
+
+def test_negative_controls_are_rejected(monkeypatch):
+    # run.py imports tracer.py by its bare name, from bench/ on sys.path
+    monkeypatch.syspath_prepend(str(BENCH))
+    had_tracer = "tracer" in sys.modules
+    try:
+        run = load("run")
+    finally:
+        if not had_tracer:
+            sys.modules.pop("tracer", None)
+    case = min(workloads.build("theorem-solvable", 23), key=lambda c: (c.degree, c.name))
+    rep, report, cert = ado_representation(case.lattice, strict=case.strict)
+    assert report.ok and report.degree == case.degree and verify_certificate(cert).ok
+    rng = random.Random(23)
+    bad_rep = run.corrupt_rep(rep, case.lattice, rng)
+    assert not verify_representation(case.lattice, bad_rep).ok
+    bad_cert = run.corrupt_certificate(cert, rng)
+    assert bad_cert.injection != cert.injection
+    # corrupt_certificate checks in its own arithmetic that the injection
+    # is no longer a homomorphism
+    report = verify_certificate(bad_cert)
+    assert not report.injection_homomorphism and not report.ok

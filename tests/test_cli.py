@@ -358,3 +358,24 @@ def test_cli_internal_quotient_error_exit_code(tmp_path, capsys, monkeypatch):
     assert out == ""
     assert "internal error: construction produced a bad quotient: quotient section failed" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "value, info",
+    [("Info", True), ("DEBUG", True), ("warning", False), ("basic_format", False), ("_styles", False), ("nonsense", False)],
+)
+def test_ado_log_takes_level_names_only(tmp_path, value, info):
+    # in a fresh interpreter: under pytest the root logger already has
+    # handlers, so basicConfig would not set the level in-process
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "ADO_LOG": value, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+    cmd = [sys.executable, "-m", "adorep.cli", "ado", write_lattice(tmp_path, "solv2")]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert ("INFO adorep.pipeline: ado path=" in proc.stderr) == info

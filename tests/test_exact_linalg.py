@@ -11,11 +11,9 @@ from adorep.exact_linalg import (
     hnf,
     invert,
     kernel_basis,
-    lcm_denominators,
     rank,
     rref,
     solve_left,
-    vec_mat,
     vector,
 )
 
@@ -96,8 +94,7 @@ def test_kernel_rows_annihilate_exactly():
         A = M([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
         for domain in ("Q", "Z"):
             ker = kernel_basis(A, domain)
-            for row in ker.basis.entries:
-                assert all(x == 0 for x in vec_mat(row, A))
+            assert (ker.basis * A).is_zero()
             assert ker.rank == m - rank(A)
 
 
@@ -126,9 +123,10 @@ def test_saturate_idempotent_rank_preserving_random():
 
 
 def test_lcm_denominators():
-    assert lcm_denominators(M([["1/2", "1/3"]])) == 6
-    assert lcm_denominators(M([[4, 7], [0, 1]])) == 1
-    assert lcm_denominators(M([["5/6"], ["1/4"]])) == 12
+    # the one denominator of a matrix is the lcm of its entries' denominators
+    assert M([["1/2", "1/3"]]).den == 6
+    assert M([[4, 7], [0, 1]]).den == 1
+    assert M([["5/6"], ["1/4"]]).den == 12
 
 
 def test_rref_and_solve():
@@ -220,6 +218,20 @@ def test_constructors_reject_columns_out_of_range():
     assert ExactMatrix([{0: 1, 1: 0}], 2) == M([[1, 0]])
     with pytest.raises(ZeroDivisionError):
         ExactMatrix.from_ints([{0: 1}], 1, 0)
+
+
+def test_from_rows_checks_rows_against_cols():
+    with pytest.raises(ValueError):
+        ExactMatrix.from_rows([[1, 2]], cols=3)
+    with pytest.raises(ValueError):
+        ExactMatrix.from_rows([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        Submodule.span([(1, 2, 3)], 2)
+    with pytest.raises(ValueError):
+        ExactMatrix.from_columns([(1, 2)], rows=3)
+    assert ExactMatrix.from_rows([[1, 2]], cols=2) == M([[1, 2]])
+    assert ExactMatrix.from_rows([], cols=3) == ExactMatrix.zero(0, 3)
+    assert Submodule.span([(2, 4)], 2).ambient_rank == 2
 
 
 def test_int_constructor_normalises():

@@ -22,14 +22,11 @@ from adorep.exact_linalg import (
     Submodule,
     invert,
     kernel_basis,
-    left_solver,
-    mat_vec,
     rank,
     rref,
     solve_left,
     solve_right,
     trace_product,
-    vec_mat,
 )
 from adorep.lie_core import _matrix_algebra_closure
 
@@ -93,6 +90,11 @@ def mat(rows, cols):
 def listed(M):
     assert M.rows == len(M.entries) and all(len(r) == M.cols for r in M.entries)
     return [list(r) for r in M.entries]
+
+
+def times(x, M):
+    """The row vector x times M, as a tuple."""
+    return (mat([x], M.rows) * M).row(0)
 
 
 @KERNEL
@@ -249,7 +251,7 @@ def test_solve_left_matches_reference(b, data):
     want = ref_solve_left(B, n, v)
     assert (got is None) == (want is None)
     if got is not None:
-        assert vec_mat(got, mat(B, n)) == v
+        assert times(got, mat(B, n)) == v
 
 
 @KERNEL
@@ -402,9 +404,6 @@ def test_wide_arithmetic_matches_reference(m, k, n, data):
         assert normalised(got)
         assert listed(got) == want
     assert trace_product(MA, mat(D, m)) == ref_trace(ref_mul(A, D, k, m))
-    x, y = data.draw(dense(1, m, WIDE))[0], data.draw(dense(1, k, WIDE))[0]
-    assert vec_mat(tuple(x), MA) == tuple(ref_mul([x], A, m, k)[0])
-    assert mat_vec(MA, tuple(y)) == tuple(r[0] for r in ref_mul(A, [[v] for v in y], k, 1))
     assert MA.is_integral == all(v.denominator == 1 for row in A for v in row)
 
 
@@ -420,15 +419,34 @@ def test_wide_eliminations_match_reference(a, data):
     K = kernel_basis(M, "Q")
     assert normalised(K.basis)
     assert listed(K.basis) == ref_left_kernel(A, n)
-    solve = left_solver(M)
     x = data.draw(dense(1, m, WIDE))[0]
     inside = combination(x, A, n)
-    assert vec_mat(solve(inside), M) == inside
+    assert times(solve_left(M, inside), M) == inside
     v = tuple(data.draw(dense(1, n, WIDE))[0])
-    got, want = solve(v), ref_solve_left(A, n, v)
+    got, want = solve_left(M, v), ref_solve_left(A, n, v)
     assert (got is None) == (want is None)
     if got is not None:
-        assert vec_mat(got, M) == v
+        assert times(got, M) == v
+
+
+@KERNEL
+@given(shaped(values=WIDE), st.data())
+def test_row_and_column_selection_match_reference(a, data):
+    A, m, n = a
+    M = mat(A, n)
+    rows = data.draw(st.lists(st.integers(0, m - 1), max_size=6)) if m else []
+    cols = data.draw(st.lists(st.integers(0, n - 1), max_size=6)) if n else []
+    for got, want in (
+        (M.take_rows(rows), [A[i] for i in rows]),
+        (M.take_columns(cols), [[row[j] for j in cols] for row in A]),
+        (M.flattened(), [[x for row in A for x in row]]),
+        (M.reshape(n, m), [[x for row in A for x in row][i * m : (i + 1) * m] for i in range(n)]),
+    ):
+        assert normalised(got)
+        assert listed(got) == want
+    assert M.reshape(n, m).reshape(m, n) == M
+    with pytest.raises(ValueError):
+        M.reshape(m + 1, n + 1)
 
 
 @KERNEL

@@ -2,7 +2,8 @@
 
 Every `Fraction` is built by `Fraction.__new__`; the test counts its calls
 while the library multiplies adjoint matrices, takes a trace form, row
-reduces an integral matrix and closes an envelope of integral generators.
+reduces an integral matrix, closes an envelope of integral generators and
+validates an integral lattice.
 A change that brings Fractions back into these kernels fails here.
 """
 
@@ -10,7 +11,7 @@ from fractions import Fraction
 
 from adorep import catalog
 from adorep.exact_linalg import ExactMatrix, rref, trace_product
-from adorep.lie_core import _matrix_algebra_closure, unit
+from adorep.lie_core import _matrix_algebra_closure, unit, validate
 
 
 def test_integral_kernels_build_no_fraction(monkeypatch):
@@ -31,6 +32,7 @@ def test_integral_kernels_build_no_fraction(monkeypatch):
     forms = [trace_product(X, Y) for X in ads for Y in ads]
     R, pivots = rref(A)
     envelope = _matrix_algebra_closure(ads[:3])
+    report = validate(L)
     assert built == []
     # the boundary still builds Fractions, so the counter does count
     R.entries
@@ -41,3 +43,4 @@ def test_integral_kernels_build_no_fraction(monkeypatch):
     assert all(isinstance(t, int) for t in forms)
     assert pivots == (0, 1) and R.den == 2
     assert envelope and all(B.is_integral for B in envelope)
+    assert report.ok

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adorep import catalog
-from adorep.exact_linalg import ExactMatrix, Submodule, rank, vec_scale, vector
+from adorep.exact_linalg import ExactMatrix, Submodule, rank, vector
 from adorep.lie_core import (
     LatticeValidationError,
     LeibnizError,
@@ -122,7 +122,7 @@ def test_ideal_and_subalgebra_predicates():
     assert not is_ideal(L, x_and_y)
     # over Z, span(x/2, y/2, z/2) holds every [x_i, v] but not
     # [x/2, y/2] = z/4: a fractional basis still gets the closure test
-    halves = Submodule.span([vec_scale(Fraction(1, 2), unit(3, i)) for i in range(3)], 3, "Z")
+    halves = Submodule.of_rows(ExactMatrix.identity(3).scale(Fraction(1, 2)), "Z")
     assert all(
         halves.contains(L.bracket(unit(3, i), v)) for i in range(3) for v in halves.basis.entries
     )
@@ -282,9 +282,7 @@ def test_split_semidirect_round_trip():
     S = lie_lattice(["s"], {})
     D = next(D for D in derivation_basis(N) if not D.is_zero())
     # integer-scaled derivation keeps everything over Z
-    from adorep.exact_linalg import lcm_denominators
-
-    D = D.scale(lcm_denominators(D))
+    D = D.scale(D.den)
     L = semidirect_assemble(N, S, [D])
     N2, S2, action = split_semidirect(L, 3)
     assert N2 == N
@@ -439,9 +437,9 @@ def test_bracket_brackets_and_ad_match_dense_loop(tensor, data):
     L = lattice_of(c, r, domain)
     us = data.draw(st.lists(vectors(r), min_size=1, max_size=3))
     vs = data.draw(st.lists(vectors(r), min_size=1, max_size=3))
-    batch = L.brackets(us, vs)
-    assert batch == [ref_bracket(c, u, v) for u in us for v in vs]
-    assert all(isinstance(x, Fraction) for w in batch for x in w)
+    batch = L.bracket_rows(ExactMatrix.from_rows(us, cols=r), ExactMatrix.from_rows(vs, cols=r))
+    assert list(batch.entries) == [ref_bracket(c, u, v) for u in us for v in vs]
+    assert all(isinstance(x, Fraction) for w in batch.entries for x in w)
     assert L.bracket(us[0], vs[0]) == ref_bracket(c, us[0], vs[0])
     for u in us:
         ad = L.ad(u)
@@ -524,20 +522,22 @@ def test_inner_derivations_pass_check_derivation(name):
 def test_brackets_rejects_any_dimension_mismatch():
     L = h3()
     good, short, long = unit(3, 0), unit(2, 0), unit(4, 0)
+    G = ExactMatrix.from_rows([good, good])
     for bad in (short, long):
-        for us, vs in (
-            ([bad], [good]),
-            ([good], [bad]),
-            ([good, bad], [good]),
-            ([good], [good, good, bad]),
-        ):
+        B = ExactMatrix.from_rows([bad])
+        for A, C in ((B, G), (G, B), (B, B)):
             with pytest.raises(ValueError, match="dimension mismatch"):
-                L.brackets(us, vs)
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            L.bracket(good, bad)
+                L.bracket_rows(A, C)
+        for u, v in ((good, bad), (bad, good)):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                L.bracket(u, v)
         with pytest.raises(ValueError, match="dimension mismatch"):
             L.ad(bad)
-    assert L.brackets([], [good]) == [] and L.brackets([good], []) == []
+    # a ragged list of vectors is no matrix
+    with pytest.raises(ValueError):
+        ExactMatrix.from_rows([good, short])
+    empty = ExactMatrix.zero(0, 3)
+    assert L.bracket_rows(empty, G) == L.bracket_rows(G, empty) == empty
 
 
 def test_table_is_outside_equality_hash_repr_and_pickles():
@@ -553,7 +553,7 @@ def test_table_is_outside_equality_hash_repr_and_pickles():
     assert copy == L and hash(copy) == hash(L) and "table" not in copy.__dict__
     assert copy.table == L.table
     H = h3()
-    thirds = tuple(tuple(vec_scale(Fraction(1, 3), v) for v in row) for row in H.c)
+    thirds = tuple(tuple(tuple(x / 3 for x in v) for v in row) for row in H.c)
     third = LieLattice(H.names, thirds, "Q")
     assert H.table.den == 1 and third.table.den == 3 and third.table.pairs == H.table.pairs
 

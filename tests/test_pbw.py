@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from adorep import catalog
-from adorep.exact_linalg import ExactMatrix, mat_vec, vector
+from adorep.exact_linalg import ExactMatrix, vector
 from adorep.lie_core import (
     LeibnizError,
     NotNilpotentError,
@@ -15,7 +15,7 @@ from adorep.lie_core import (
 from adorep.pbw import TruncatedUEA, build_weighted_basis
 
 from oracles import nilpotent_entries, oracle_vector, ref_derivation_star
-from pbw_words import apply_word, letter_matrices, multiply, unit_monomial, weight
+from pbw_words import apply_word, letter_matrices, mat_vec, multiply, unit_monomial, weight
 
 
 def h3():
