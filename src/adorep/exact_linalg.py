@@ -408,26 +408,46 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return x, y, g
 
 
-def _to_int_lists(M: ExactMatrix) -> list[list[int]]:
-    if M.den != 1:
-        raise NonIntegralMatrixError("integer algorithm applied to a non-integral matrix")
-    return [[row.get(j, 0) for j in range(M.cols)] for row in M.num]
+def _dense_ints(rows: Iterable[Row], n: int) -> list[list[int]]:
+    return [[row.get(j, 0) for j in range(n)] for row in rows]
 
 
-def _wrap_int(A: list[list[int]], cols: int) -> ExactMatrix:
-    return ExactMatrix._of(
-        tuple({j: x for j, x in enumerate(row) if x} or _EMPTY_ROW for row in A), 1, cols
-    )
-
-
-def _row_combine(
-    mats: Sequence[list[list[int]]], r: int, s: int, a: int, b: int, c: int, d: int
-) -> None:
-    """(row r, row s) <- (a*r + b*s, c*r + d*s) in each matrix, a*d - b*c = +-1."""
-    for T in mats:
-        Tr, Ts = T[r], T[s]
-        for k in range(len(Tr)):
-            Tr[k], Ts[k] = a * Tr[k] + b * Ts[k], c * Tr[k] + d * Ts[k]
+def _hermite(A: list[list[int]], n: int) -> int:
+    """Row Hermite form of the int rows A in their first n columns, in place;
+    returns the number of pivots.  Every row operation is unimodular and
+    spans the whole row, so columns past n ride along (on [M | I] they end
+    as the transform).  Pivots are positive, entries above a pivot lie in
+    [0, pivot), and the rows without a pivot sink to the bottom."""
+    m = len(A)
+    piv = 0
+    for col in range(n):
+        pivot_row = next((r for r in range(piv, m) if A[r][col]), None)
+        if pivot_row is None:
+            continue
+        A[piv], A[pivot_row] = A[pivot_row], A[piv]
+        P = A[piv]
+        for r in range(piv + 1, m):
+            R, a, b = A[r], P[col], A[r][col]
+            if not b:
+                continue
+            if b % a == 0:
+                q = b // a
+                A[r] = [y - q * x for x, y in zip(P, R)]
+            else:
+                # (P, R) <- (x*P + y*R, c*P + d*R), determinant x*d - y*c = 1
+                x, y, g = _xgcd(a, b)
+                c, d = -(b // g), a // g
+                P, A[r] = [x * u + y * v for u, v in zip(P, R)], [c * u + d * v for u, v in zip(P, R)]
+        if P[col] < 0:
+            P = [-v for v in P]
+        A[piv] = P
+        p = P[col]
+        for r in range(piv):
+            q = A[r][col] // p
+            if q:
+                A[r] = [v - q * w for v, w in zip(A[r], P)]
+        piv += 1
+    return piv
 
 
 def hnf(M: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
@@ -435,55 +455,15 @@ def hnf(M: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
 
     Returns (H, U) with H = U*M, U unimodular, pivots positive and entries
     above each pivot reduced into [0, pivot).  Zero rows sink to the bottom.
+    The Hermite loop runs on [M | I], whose right block ends as U.
     """
+    if M.den != 1:
+        raise NonIntegralMatrixError("integer algorithm applied to a non-integral matrix")
     m, n = M.rows, M.cols
-    A = _to_int_lists(M)
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    piv = 0
-    for col in range(n):
-        pivot_row = next((r for r in range(piv, m) if A[r][col]), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != piv:
-            A[piv], A[pivot_row] = A[pivot_row], A[piv]
-            U[piv], U[pivot_row] = U[pivot_row], U[piv]
-        for r in range(piv + 1, m):
-            if A[r][col] == 0:
-                continue
-            a, b = A[piv][col], A[r][col]
-            if b % a == 0:
-                q = b // a
-                _row_combine((A, U), piv, r, 1, 0, -q, 1)
-            else:
-                x, y, g = _xgcd(a, b)
-                _row_combine((A, U), piv, r, x, y, -(b // g), a // g)
-        if A[piv][col] < 0:
-            A[piv] = [-v for v in A[piv]]
-            U[piv] = [-v for v in U[piv]]
-        p = A[piv][col]
-        for r in range(piv):
-            q = A[r][col] // p
-            if q:
-                A[r] = [v - q * w for v, w in zip(A[r], A[piv])]
-                U[r] = [v - q * w for v, w in zip(U[r], U[piv])]
-        piv += 1
-        if piv == m:
-            break
-    return _wrap_int(A, n), _wrap_int(U, m)
-
-
-def _hermite_completion(B: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
-    """(H, W) with H the Hermite form of B^T and W unimodular, B = H^T * W.
-
-    For integral B (k x n) of rank k, H^T = [T | 0] with T (k x k)
-    triangular: the first k rows of W span the integer points of the
-    Q-span of B, which holds B with index |det T|, and the remaining rows
-    complete them to a basis of Z^n.
-    """
-    H, U = hnf(B.transpose())
-    return H, invert(U.transpose())
-
-
+    A = [row + [int(i == j) for j in range(m)] for i, row in enumerate(_dense_ints(M.num, n))]
+    _hermite(A, n)
+    H = ExactMatrix.from_ints((dict(enumerate(row[:n])) for row in A), n)
+    return H, ExactMatrix.from_ints((dict(enumerate(row[n:])) for row in A), m)
 
 
 class Echelon:
@@ -719,9 +699,9 @@ class Submodule:
         if domain == "Q":
             R, pivots = rref(M)
             return Submodule(n, ExactMatrix._of(R.num[: len(pivots)], R.den, n), "Q")
-        H, _ = hnf(ExactMatrix._of(M.num, 1, n))
-        rows = tuple(r for r in H.num if r)
-        return Submodule(n, ExactMatrix.from_ints(rows, n, M.den), "Z")
+        A = _dense_ints((row for row in M.num if row), n)
+        k = _hermite(A, n)
+        return Submodule(n, ExactMatrix.from_ints(map(dict, map(enumerate, A[:k])), n, M.den), "Z")
 
     @staticmethod
     def zero(ambient_rank: int, domain: str = "Z") -> "Submodule":
@@ -799,12 +779,31 @@ class Submodule:
         return Submodule.of_rows(left * self.basis, self.domain)
 
     def saturate(self) -> "Submodule":
-        """Isolated closure: same Q-span, torsion-free quotient.  No-op over Q."""
+        """Isolated closure: same Q-span, torsion-free quotient.  No-op over Q.
+
+        The basis rows must be independent.  With B their numerators (k x n)
+        and H the Hermite form of B^T, B = T * W for T = H[:k]^T triangular
+        and W spanning the integer points of the Q-span (see `extend_basis`),
+        so the closure is the Hermite form of W = T^-1 * B.
+        """
         if self.domain == "Q" or self.rank == 0:
             return self
-        n = self.ambient_rank
-        _, W = _hermite_completion(ExactMatrix._of(self.basis.num, 1, n))
-        sat = Submodule.of_rows(ExactMatrix._of(W.num[: self.rank], 1, n), "Z")
+        n, k = self.ambient_rank, self.rank
+        B = self.basis.num
+        H = _dense_ints(self.basis.transpose().num, k)
+        if _hermite(H, k) != k:
+            raise ValueError("saturate needs independent basis rows")
+        W: list[Row] = []
+        for i in range(k):
+            acc = dict(B[i])
+            for j in range(i):
+                t = H[j][i]
+                if t:
+                    for c, x in W[j].items():
+                        acc[c] = acc.get(c, 0) - t * x
+            p = H[i][i]
+            W.append({c: x // p for c, x in acc.items() if x})
+        sat = Submodule.of_rows(ExactMatrix._of(tuple(W), 1, n), "Z")
         return Submodule(n, ExactMatrix.from_ints(sat.basis.num, n, self.basis.den), "Z")
 
     def _check_compatible(self, other: "Submodule") -> None:
@@ -823,9 +822,9 @@ def kernel_basis(M: ExactMatrix, domain: str = "Q") -> Submodule:
         E = _tagged(M)
         pivots = [p for p in sorted(E.rows) if p >= n]
         return Submodule(M.rows, _echelon_matrix(E, pivots, n, len(pivots), M.rows), "Q")
-    # U is unimodular, so its rows at the zero rows of H = U*M span the
-    # saturated kernel
-    H, U = hnf(M)
+    # the integer kernel of M is that of its numerators den * M; U is
+    # unimodular, so its rows at the zero rows of H = U*num span it
+    H, U = hnf(ExactMatrix._of(M.num, 1, M.cols))
     rows = tuple(u for u, h in zip(U.num, H.num) if not h)
     return Submodule.of_rows(ExactMatrix._of(rows, 1, M.rows), "Z")
 
@@ -846,9 +845,13 @@ def extend_basis(inner: Submodule, outer: Submodule) -> ExactMatrix:
         _, pivots = rref(C)
         extra = [outer.basis.num[c] for c in range(m) if c not in pivots]
         return ExactMatrix.from_ints(extra[: m - k], outer.ambient_rank, outer.basis.den)
-    # over Z the coordinates are integral
-    H, W = _hermite_completion(C)
-    # C = [T | 0] * W; saturation forces |det T| = 1
+    # over Z the coordinates are integral.  With (H, U) the Hermite form of
+    # C^T, C = H^T * W for the unimodular W = (U^T)^-1, and H^T = [T | 0]
+    # with T (k x k) triangular: the first k rows of W span the integer
+    # points of the Q-span of C, which holds C with index |det T|, and the
+    # rest complete them to a basis of Z^m; saturation forces |det T| = 1
+    H, U = hnf(C.transpose())
+    W = invert(U.transpose())
     det = 1
     for i in range(k):
         det *= H.num[i].get(i, 0)

@@ -55,14 +55,6 @@ class StructureTable(NamedTuple):
     pairs: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
 
 
-def _int_pairs(v: Vec) -> tuple[int, list[tuple[int, int]]]:
-    """(d, [(i, d * v_i) for each nonzero v_i]) with d the lcm of the
-    denominators of v."""
-    nonzero = [(i, x) for i, x in enumerate(v) if x]
-    d = lcm(*(x.denominator for _, x in nonzero))
-    return d, [(i, x.numerator * (d // x.denominator)) for i, x in nonzero]
-
-
 @dataclass(frozen=True)
 class LieLattice:
     """Lie ring on a free module, encoded by [x_i, x_j] = sum_k c[i][j][k] x_k.
@@ -137,27 +129,25 @@ class LieLattice:
             raise ValueError("dimension mismatch")
         return self.bracket_rows(ExactMatrix.from_rows([u]), ExactMatrix.from_rows([v])).row(0)
 
-    def ad(self, v: Vec) -> ExactMatrix:
-        """Matrix of ad_v = [v, .] acting on column vectors: entry (k, j) is
-        sum_i v_i c[i][j][k]."""
+    def ad_rows(self, A: ExactMatrix) -> list[ExactMatrix]:
+        """The matrix of ad_a = [a, .] on column vectors for every row a of
+        A: entry (k, j) is sum_i a_i c[i][j][k], so ad_a is the transposed
+        block of `bracket_rows(A, I)` that holds [a, x_j] in its row j."""
         r = self.rank
-        if len(v) != r:
-            raise ValueError("dimension mismatch")
-        den, T = self.table
-        dv, vpairs = _int_pairs(v)
-        rows: list[dict[int, int]] = [{} for _ in range(r)]
-        for i, a in vpairs:
-            for j, Tij in enumerate(T[i]):
-                for k, t in Tij:
-                    row = rows[k]
-                    row[j] = row.get(j, 0) + a * t
-        return ExactMatrix.from_ints(rows, r, dv * den)
+        B = self.bracket_rows(A, ExactMatrix.identity(r))
+        return [B.take_rows(range(q * r, (q + 1) * r)).transpose() for q in range(A.rows)]
+
+    def ad(self, v: Vec) -> ExactMatrix:
+        """`ad_rows` of the one vector v."""
+        return self.ad_rows(ExactMatrix.from_rows([v]))[0]
 
     def to_field(self) -> "LieLattice":
-        """The same structure constants viewed over Q."""
+        """The same structure constants viewed over Q, sharing the table."""
         if self.domain == "Q":
             return self
-        return LieLattice(self.names, self.c, "Q")
+        L = LieLattice(self.names, self.c, "Q")
+        L.__dict__["table"] = self.table
+        return L
 
 
 def unit(n: int, i: int) -> Vec:
@@ -328,12 +318,12 @@ def nilpotency_class(L: LieLattice) -> int:
 
 
 def center(L: LieLattice) -> Submodule:
-    """Kernel of x -> ad_x, computed from the stacked ad matrix."""
+    """Kernel of x -> ad_x; row i of the reshaped bracket matrix holds every [x_i, x_j]."""
     r = L.rank
     if r == 0:
         return Submodule.zero(0, L.domain)
-    stacked = stack_rows([L.ad(unit(r, i)).flattened() for i in range(r)])
-    return kernel_basis(stacked, L.domain)
+    I = ExactMatrix.identity(r)
+    return kernel_basis(L.bracket_rows(I, I).reshape(r, r * r), L.domain)
 
 
 def killing_form(L: LieLattice) -> ExactMatrix:
@@ -343,7 +333,7 @@ def killing_form(L: LieLattice) -> ExactMatrix:
     triangle is computed and mirrored, even on a tensor that is not Lie.
     """
     r = L.rank
-    ads = [L.ad(unit(r, i)) for i in range(r)]
+    ads = L.ad_rows(ExactMatrix.identity(r))
     k = [[ZERO] * r for _ in range(r)]
     for i in range(r):
         for j in range(i, r):
@@ -352,31 +342,38 @@ def killing_form(L: LieLattice) -> ExactMatrix:
 
 
 def adjoint_rep(L: LieLattice) -> LinearRep:
-    return LinearRep(
-        lattice=L,
-        matrices=tuple(L.ad(unit(L.rank, i)) for i in range(L.rank)),
-        provenance="adjoint",
-    )
+    ads = L.ad_rows(ExactMatrix.identity(L.rank))
+    return LinearRep(lattice=L, matrices=tuple(ads), provenance="adjoint")
+
+
+def _integer_points(S: Submodule) -> Submodule:
+    """The Z-module of the integer points of the Q-span of S."""
+    n = S.ambient_rank
+    if S.rank == n:
+        return Submodule.full(n, "Z")
+    return Submodule(n, ExactMatrix.from_ints(S.basis.num, n), "Z").saturate()
 
 
 def solvable_radical(L: LieLattice) -> Submodule:
     """Cartan-criterion radical {x : k(x, [L, L]) = 0}, saturated.
 
-    Valid in characteristic zero; the result is checked to be a solvable
-    ideal and an internal error is raised otherwise.
+    Valid in characteristic zero, where the radical of a Z-lattice is the
+    integer points of the radical over Q: it is computed and checked to be
+    a solvable ideal over Q (the same check, see README), then saturated.
+    The derived series comes first: when it reaches 0 it is the check, and
+    L is its own radical; otherwise its second term is [L, L].
     """
-    r = L.rank
-    if r == 0:
-        return Submodule.zero(0, L.domain)
-    derived = span_bracket(L, Submodule.full(r, L.domain), Submodule.full(r, L.domain))
-    if derived.is_zero():
-        return Submodule.full(r, L.domain)
-    K = killing_form(L)
-    conditions = K * derived.basis.transpose()
-    candidate = kernel_basis(conditions, L.domain)
-    if not bracket_series(L, candidate)[-1].is_zero() or not is_ideal(L, candidate):
+    LQ = L.to_field()
+    chain = derived_series(LQ)
+    solvable = chain[-1].is_zero()
+    if solvable:
+        candidate = Submodule.full(L.rank, "Q")
+    else:
+        derived = chain[min(1, len(chain) - 1)]
+        candidate = kernel_basis(killing_form(LQ) * derived.basis.transpose(), "Q")
+    if not (solvable or bracket_series(LQ, candidate)[-1].is_zero()) or not is_ideal(LQ, candidate):
         raise RuntimeError("solvable radical candidate failed verification")
-    return candidate
+    return candidate if L.domain == "Q" else _integer_points(candidate)
 
 
 def nilradical(L: LieLattice, rs: Submodule | None = None) -> Submodule:
@@ -388,20 +385,23 @@ def nilradical(L: LieLattice, rs: Submodule | None = None) -> Submodule:
     I, so ad x is nilpotent iff ad x|_I is; Dickson's trace criterion holds
     for any representation of a solvable algebra, so x lies in the
     nilradical iff trace(ad x|_I * B) = 0 for every B in the envelope.
-    The candidate is verified nilpotent and an ideal before returning.
+    Like R_s it is computed over Q, verified nilpotent and an ideal there,
+    and saturated once for a Z-lattice.
     """
     if rs is None:
         rs = solvable_radical(L)
     if rs.is_zero():
         return rs
+    LQ = L.to_field()
     r = L.rank
-    ideal = Submodule.of_rows(L.bracket_rows(ExactMatrix.identity(r), rs.basis), "Q")
+    basis = ExactMatrix.from_ints(rs.basis.num, r)
+    ideal = Submodule.of_rows(LQ.bracket_rows(ExactMatrix.identity(r), basis), "Q")
     if ideal.is_zero():
         # R_s is central: abelian, hence nilpotent
         return rs
     # ad x|_I on the basis b_j of I: column j holds the coordinates of [x, b_j]
-    rows = (rs.basis.take_rows([q]) for q in range(rs.rank))
-    gens = [ideal.coordinate_rows(L.bracket_rows(x, ideal.basis)).transpose() for x in rows]
+    rows = (basis.take_rows([q]) for q in range(rs.rank))
+    gens = [ideal.coordinate_rows(LQ.bracket_rows(x, ideal.basis)).transpose() for x in rows]
     envelope = _matrix_algebra_closure(gens)
     if not envelope:
         # ad R_s kills I, so (ad x)^2 = 0 on L for every x in R_s
@@ -411,15 +411,10 @@ def nilradical(L: LieLattice, rs: Submodule | None = None) -> Submodule:
         [tuple(trace_product(g, B) for B in envelope) for g in gens],
         cols=len(envelope),
     )
-    vecs = kernel_basis(conditions, "Q").basis * rs.basis
-    if L.domain == "Z":
-        # clear denominators: saturation only sees the Q-span, and the
-        # isolated closure must live inside Z^n
-        vecs = ExactMatrix.from_ints(vecs.num, r)
-    candidate = Submodule.of_rows(vecs, L.domain).saturate()
-    if not is_ideal(L, candidate) or not is_nilpotent_submodule(L, candidate):
+    candidate = Submodule.of_rows(kernel_basis(conditions, "Q").basis * basis, "Q")
+    if not is_ideal(LQ, candidate) or not is_nilpotent_submodule(LQ, candidate):
         raise RuntimeError("nilradical candidate failed verification")
-    return candidate
+    return candidate if L.domain == "Q" else _integer_points(candidate)
 
 
 def _matrix_algebra_closure(gens: Sequence[ExactMatrix]) -> list[ExactMatrix]:

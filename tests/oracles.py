@@ -3,9 +3,12 @@
 These deliberately avoid the library's straightening and decomposition code
 paths: the tensor-algebra oracle reduces words by unordered rewriting to a
 fixed point (and lifts derivations word by word on top of it), and the
-polynomial helpers are self-contained.  `ref_nilradical` runs the envelope
-method on the full adjoint matrices in dense lists, where the library
-restricts them to the ideal [L, R_s].
+polynomial helpers are self-contained.  `ref_solvable_radical` and
+`ref_nilradical` work on the dense adjoint matrices of L over Q: the
+Killing-form radical and the envelope method on all of L, where the library
+runs the derived series first and restricts the envelope to the ideal
+[L, R_s].  `ref_hnf` is Euclid's column-by-column Hermite form, where the
+library combines rows by extended gcds.
 """
 
 from fractions import Fraction
@@ -165,6 +168,38 @@ def _is_hnf_2x2(H):
     if not (0 <= b < d):
         return False
     return True
+
+
+def ref_hnf(A, cols):
+    """Row Hermite normal form of an integral matrix by Euclid's algorithm
+    on each column: the row with the smallest nonzero |entry| at or below
+    the current row divides the rows below it with remainder until it is
+    their only nonzero entry; then it is made positive and the entries
+    above it are reduced into [0, pivot).  Zero rows come last."""
+    H = [[int(x) for x in row] for row in A]
+    m = len(H)
+    r = 0
+    for c in range(cols):
+        while True:
+            nonzero = [i for i in range(r, m) if H[i][c]]
+            if not nonzero:
+                break
+            p = min(nonzero, key=lambda i: abs(H[i][c]))
+            H[r], H[p] = H[p], H[r]
+            for i in range(r + 1, m):
+                q = H[i][c] // H[r][c]
+                H[i] = [x - q * y for x, y in zip(H[i], H[r])]
+            if not any(H[i][c] for i in range(r + 1, m)):
+                break
+        if r == m or not H[r][c]:
+            continue
+        if H[r][c] < 0:
+            H[r] = [-x for x in H[r]]
+        for i in range(r):
+            q = H[i][c] // H[r][c]
+            H[i] = [x - q * y for x, y in zip(H[i], H[r])]
+        r += 1
+    return H
 
 
 # -- helpers that only the tests use --------------------------------------
@@ -477,18 +512,50 @@ def _add_if_independent(echelon, v):
     return True
 
 
+def _ref_adjoints(L):
+    """(table, ads): table[i * r + j] = [x_i, x_j] as a dense vector and
+    ads[i] the dense matrix of ad(x_i), entry (k, j) = c[i][j][k]."""
+    r = L.rank
+    table = [L.c[i][j] for i in range(r) for j in range(r)]
+    ads = [[[table[i * r + j][k] for j in range(r)] for k in range(r)] for i in range(r)]
+    return table, ads
+
+
+def _ref_killing_radical(r, table, ads):
+    """R_s over Q as dense rows: [L, L]^perp under the Killing form."""
+    killing = [[ref_trace(ref_mul(A, B, r, r)) for B in ads] for A in ads]
+    derived = [w for w in table if any(w)]
+    if not derived:
+        return [[Fraction(int(a == i)) for a in range(r)] for i in range(r)]
+    pairing = [[sum((row[a] * w[a] for a in range(r)), ZERO) for w in derived] for row in killing]
+    return ref_left_kernel(pairing, len(derived))
+
+
+def _ref_module(rows, L):
+    """The span of dense rows in L's domain; over Z, with each row's
+    denominators cleared, saturated.  The library is used only to return
+    the result as a Submodule."""
+    if L.domain == "Z":
+        rows = [[lcm(*(e.denominator for e in v)) * e for e in v] for v in rows]
+    return Submodule.span([tuple(v) for v in rows], L.rank, L.domain).saturate()
+
+
+def ref_solvable_radical(L):
+    """Solvable radical of L on dense lists: the Killing-form radical
+    [L, L]^perp, saturated over Z."""
+    table, ads = _ref_adjoints(L)
+    return _ref_module(_ref_killing_radical(L.rank, table, ads), L)
+
+
 def ref_nilradical(L):
     """Nilradical of L on dense lists: R_s = [L, L]^perp under the Killing
     form, then the x in R_s with trace(ad_x * B) = 0 for every B in the
     associative envelope of ad(R_s) on all of L, saturated over Z.
 
     The envelope multiplies each new matrix by every nonzero generator, on
-    both sides.  The library is used only to return the result as a
-    Submodule."""
+    both sides."""
     r = L.rank
-    units = [tuple(Fraction(int(a == i)) for a in range(r)) for i in range(r)]
-    table = [L.c[i][j] for i in range(r) for j in range(r)]  # [x_i, x_j]
-    ads = [[[table[i * r + j][k] for j in range(r)] for k in range(r)] for i in range(r)]
+    table, ads = _ref_adjoints(L)
 
     def combine(coeffs, mats):
         return [
@@ -496,13 +563,7 @@ def ref_nilradical(L):
             for k in range(r)
         ]
 
-    killing = [[ref_trace(ref_mul(A, B, r, r)) for B in ads] for A in ads]
-    derived = [w for w in table if any(w)]
-    if derived:
-        pairing = [[sum((row[a] * w[a] for a in range(r)), ZERO) for w in derived] for row in killing]
-        rs = ref_left_kernel(pairing, len(derived))
-    else:
-        rs = [list(u) for u in units]
+    rs = _ref_killing_radical(r, table, ads)
     rs_ads = [combine(x, ads) for x in rs]
     gens = [A for A in rs_ads if not ref_is_zero(A)]
     echelon, envelope = [], []
@@ -522,6 +583,4 @@ def ref_nilradical(L):
         rn = [[sum((x[a] * rs[a][i] for a in range(len(rs))), ZERO) for i in range(r)] for x in coeffs]
     else:
         rn = rs
-    if L.domain == "Z":
-        rn = [[lcm(*(e.denominator for e in v)) * e for e in v] for v in rn]
-    return Submodule.span([tuple(v) for v in rn], r, L.domain).saturate()
+    return _ref_module(rn, L)

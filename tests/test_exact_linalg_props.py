@@ -1,7 +1,8 @@
 """Property tests: the sparse ExactMatrix kernel of int numerators over one
 denominator, the incremental echelon
 and the eliminations built on it (solves, kernels, minimal polynomials),
-the integer kernel and saturation built on the Hermite form, coordinates
+the Hermite form (against Euclid's, and the integer spans that are its
+nonzero rows), the integer kernel and saturation built on it, coordinates
 in submodules, trace forms and the matrix-algebra envelope
 against plain list-of-lists Fraction matrices (tests/oracles.py), on random
 sparse rational matrices that include 0-row and 0-column shapes, with
@@ -20,6 +21,7 @@ from adorep.exact_linalg import (
     Echelon,
     ExactMatrix,
     Submodule,
+    hnf,
     invert,
     kernel_basis,
     rank,
@@ -31,7 +33,9 @@ from adorep.exact_linalg import (
 from adorep.lie_core import _matrix_algebra_closure
 
 from oracles import (
+    brute_force_hnf,
     ref_add,
+    ref_hnf,
     ref_invert,
     ref_is_zero,
     ref_left_kernel,
@@ -181,6 +185,67 @@ def test_integer_kernel_is_the_saturated_rational_kernel(a):
     assert K.basis.is_integral
     assert ref_minors_gcd(rows, m) == 1
     assert span_rref(rows, m) == ref_left_kernel(A, n)
+
+
+@KERNEL
+@given(shaped())
+def test_integer_kernel_of_a_rational_matrix_is_that_of_its_numerators(a):
+    A, m, n = a
+    M = mat(A, n)
+    assert kernel_basis(M, "Z") == kernel_basis(M.scale(M.den), "Z")
+
+
+def test_integer_kernel_of_a_half():
+    K = kernel_basis(mat([[Fraction(1, 2)], [Fraction(1)]], 1), "Z")
+    assert K.basis == mat([[2, -1]], 2)
+
+
+# integral matrices up to r^2 x r, the shape of the bracket spans, with
+# entries up to 2^70
+WIDE_INTEGERS = st.one_of(INTEGERS, st.integers(-HUGE, HUGE).map(Fraction))
+
+
+@st.composite
+def tall(draw):
+    n = draw(st.integers(0, 4))
+    m = draw(st.integers(0, n * n))
+    return draw(dense(m, n, WIDE_INTEGERS)), m, n
+
+
+INTEGRAL = st.one_of(shaped(values=INTEGERS), tall())
+
+
+@KERNEL
+@given(INTEGRAL)
+def test_hnf_matches_the_euclid_reference(a):
+    A, m, n = a
+    H, U = hnf(mat(A, n))
+    assert listed(H) == ref_hnf(A, n)
+    # U is integral with an integral inverse, and U * A = H
+    U_rows = listed(U)
+    inverse = ref_invert(U_rows)
+    assert inverse is not None
+    assert all(x.denominator == 1 for row in U_rows + inverse for x in row)
+    assert ref_mul(U_rows, A, m, n) == listed(H)
+
+
+@KERNEL
+@given(INTEGRAL)
+def test_integer_span_is_the_hermite_form_without_its_zero_rows(a):
+    A, m, n = a
+    S = Submodule.of_rows(mat(A, n), "Z")
+    nonzero = [row for row in ref_hnf(A, n) if any(row)]
+    assert listed(S.basis) == nonzero
+    H, _ = hnf(mat(A, n))
+    assert S.basis == H.take_rows(range(len(nonzero)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=4, max_size=4).filter(lambda x: x[0] * x[3] != x[1] * x[2]))
+def test_integer_span_matches_the_brute_force_hermite_form(x):
+    A = ((x[0], x[1]), (x[2], x[3]))
+    basis = Submodule.of_rows(ExactMatrix.from_rows(A), "Z").basis
+    assert listed(basis) == [list(r) for r in brute_force_hnf(A)]
 
 
 @KERNEL

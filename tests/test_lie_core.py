@@ -41,7 +41,14 @@ from adorep.lie_core import (
 )
 from adorep.pipeline import ado_representation
 
-from oracles import power, ref_bracket, ref_is_derivation, ref_nilradical, ref_validate
+from oracles import (
+    power,
+    ref_bracket,
+    ref_is_derivation,
+    ref_nilradical,
+    ref_solvable_radical,
+    ref_validate,
+)
 
 
 def h3():
@@ -558,7 +565,7 @@ def test_table_is_outside_equality_hash_repr_and_pickles():
     assert H.table.den == 1 and third.table.den == 3 and third.table.pairs == H.table.pairs
 
 
-# -- the nilradical on [L, R_s] against the full adjoint envelope ----------
+# -- the radicals against dense references ---------------------------------
 
 
 def t2_power(k):
@@ -568,12 +575,10 @@ def t2_power(k):
     return L
 
 
-@st.composite
-def unimodular(draw, n):
-    """A product of integer shears: determinant one."""
+def shears(n, triples):
+    """The product of the integer shears I + x E_ij: determinant one."""
     M = ExactMatrix.identity(n)
-    shears = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-2, 2))
-    for i, j, x in draw(st.lists(shears, min_size=n, max_size=2 * n)):
+    for i, j, x in triples:
         if i != j:
             rows = [list(row) for row in ExactMatrix.identity(n).entries]
             rows[i][j] = Fraction(x)
@@ -581,16 +586,50 @@ def unimodular(draw, n):
     return M
 
 
+@st.composite
+def unimodular(draw, n):
+    """A product of integer shears: determinant one."""
+    triples = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-2, 2))
+    return shears(n, draw(st.lists(triples, min_size=n, max_size=2 * n)))
+
+
+def integer_points(S):
+    """The Z-module of the integer points of the Q-span of S."""
+    num = ExactMatrix.from_ints(S.basis.num, S.ambient_rank)
+    return Submodule.of_rows(num, "Z").saturate()
+
+
 def check_nilradical_matches_reference(L):
+    """R_s against the Killing-form reference and R_n against the full
+    adjoint envelope, over Z and over Q; the Z-radicals are the integer
+    points of the Q-radicals of `to_field()`."""
+    radicals = {}
     for K in (L, L.to_field()):
+        rs = solvable_radical(K)
+        assert rs == ref_solvable_radical(K)
         rn = nilradical(K)
         assert rn == ref_nilradical(K)
-        assert nilradical(K, solvable_radical(K)) == rn
+        assert nilradical(K, rs) == rn
+        radicals[K.domain] = rs, rn
+    if L.domain == "Z":
+        assert radicals["Z"] == tuple(integer_points(S) for S in radicals["Q"])
 
 
 @pytest.mark.parametrize("name", catalog.names())
 def test_nilradical_matches_reference_on_catalog(name):
     check_nilradical_matches_reference(catalog.get(name).lattice)
+
+
+def test_z_radicals_saturate_the_numerators_of_the_rational_radicals():
+    # in this basis of churkin_sl2_t2 the numerators of both Q-radicals span
+    # a sublattice of index > 1 in their integer points
+    P = shears(6, [(1, 3, -2), (3, 2, 2), (4, 1, 2), (3, 2, -2)])
+    L = change_basis(catalog.churkin_sl2_t2(), P)
+    for radical, reference in ((solvable_radical, ref_solvable_radical), (nilradical, ref_nilradical)):
+        Q = radical(L.to_field())
+        numerators = Submodule.of_rows(ExactMatrix.from_ints(Q.basis.num, L.rank), "Z")
+        assert numerators.saturate() != numerators
+        assert radical(L) == integer_points(Q) == numerators.saturate() == reference(L)
 
 
 SCRAMBLE_BASES = {
@@ -612,10 +651,27 @@ def square_int_matrices(n):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 3).flatmap(square_int_matrices))
-def test_nilradical_matches_reference_on_random_solvable_lattices(action):
-    # Z^n x| Z with a random action, as in test_nilradical_on_random_solvable_lattices
+@given(st.integers(1, 3).flatmap(square_int_matrices), st.booleans())
+def test_nilradical_matches_reference_on_random_solvable_lattices(action, with_sl2):
+    # Z^n x| Z with a random action, as in test_nilradical_on_random_solvable_lattices;
+    # beside sl2 it is the radical of a lattice that is not solvable
     n = len(action)
     y = lie_lattice(["y"], {})
     L = semidirect_assemble(catalog.abelian(n), y, [ExactMatrix.from_rows(action)])
-    check_nilradical_matches_reference(L)
+    check_nilradical_matches_reference(direct_sum(sl2(), L) if with_sl2 else L)
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_solvable_radical_builds_the_killing_form_only_off_the_solvable_path(name, monkeypatch):
+    """A derived series that reaches 0 is the radical's whole computation;
+    otherwise the Cartan conditions need the Killing form."""
+    import adorep.lie_core
+
+    L = catalog.get(name).lattice
+    built = []
+    monkeypatch.setattr(adorep.lie_core, "killing_form", lambda K: built.append(K) or killing_form(K))
+    rs = solvable_radical(L)
+    assert rs == ref_solvable_radical(L)
+    solvable = derived_series(L)[-1].is_zero()
+    assert (rs == Submodule.full(L.rank, "Z")) == solvable
+    assert len(built) == (0 if solvable else 1)
