@@ -12,10 +12,14 @@ row over its own pivot entry.  The one integer normal form, Hermite, runs
 on dense int working copies.  Spans, isolated closures and kernels over Z
 all come from it.  Vectors travel as the rows of a matrix: coordinates
 and membership take whole matrices (`Submodule.coordinate_rows`,
-`contains_rows`).  Fractions appear only at the boundary: the dense views
-`entries`, `row` and `column`, the one-vector wrappers `solve_left`,
-`solve_right` and `Submodule.coordinates`, and the scalars of
-non-integral matrices.  No floating point anywhere.
+`contains_rows`), each row one reduction against the Submodule's cached
+echelon; membership over Q reads only the residual.  The public
+constructors check their rows; rows a kernel built itself go through the
+private `ExactMatrix._trusted`, which only normalises.  `rref` stops adding
+rows once the rank reaches the column count.  Fractions appear only at the
+boundary: the dense views `entries`, `row` and `column`, the one-vector
+wrappers `solve_left`, `solve_right` and `Submodule.coordinates`, and the
+scalars of non-integral matrices.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, str, Fraction]
 Vec = tuple[Fraction, ...]
@@ -150,6 +154,13 @@ class ExactMatrix:
         rows = list(rows)
         _check_columns(rows, cols)
         num = tuple({j: x for j, x in row.items() if x} or _EMPTY_ROW for row in rows)
+        return cls._trusted(num, cols, den)
+
+    @classmethod
+    def _trusted(cls, num: tuple[Row, ...], cols: int, den: int = 1) -> "ExactMatrix":
+        """num / den from rows an internal caller built itself: nonzero int
+        numerators in range(cols) over a nonzero den.  It only normalises;
+        `from_ints` is the checked form."""
         return cls._of(*_normalized(num, den), cols)
 
     @classmethod
@@ -248,7 +259,7 @@ class ExactMatrix:
 
     def take_rows(self, indices: Iterable[int]) -> "ExactMatrix":
         """The rows at `indices`, in that order."""
-        return ExactMatrix.from_ints((self.num[i] for i in indices), self.cols, self.den)
+        return ExactMatrix._trusted(tuple(self.num[i] for i in indices), self.cols, self.den)
 
     def take_columns(self, indices: Sequence[int]) -> "ExactMatrix":
         """The matrix whose column t is column indices[t] of this one; an
@@ -256,8 +267,11 @@ class ExactMatrix:
         targets: dict[int, list[int]] = {}
         for t, j in enumerate(indices):
             targets.setdefault(j, []).append(t)
-        rows = ({t: x for j, x in row.items() for t in targets.get(j, ())} for row in self.num)
-        return ExactMatrix.from_ints(rows, len(indices), self.den)
+        rows = tuple(
+            {t: x for j, x in row.items() for t in targets.get(j, ())} or _EMPTY_ROW
+            for row in self.num
+        )
+        return ExactMatrix._trusted(rows, len(indices), self.den)
 
     @property
     def is_integral(self) -> bool:
@@ -577,10 +591,15 @@ def _tagged(M: ExactMatrix) -> Echelon:
 
 
 def rref(M: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
-    """Reduced row echelon form over the rationals; returns (R, pivot columns)."""
+    """Reduced row echelon form over the rationals; returns (R, pivot columns).
+
+    Rows stop being added once the rank reaches the column count: every
+    later row lies in the span."""
     E = Echelon()
     for row in M.num:
         E.add(row)
+        if len(E.rows) == M.cols:
+            break
     pivots = tuple(sorted(E.rows))
     return _echelon_matrix(E, pivots, 0, M.rows, M.cols), pivots
 
@@ -623,28 +642,20 @@ def solve_right(A: ExactMatrix, b: Vec) -> Vec | None:
     return tuple(x)
 
 
-def _int_left_solver(B: ExactMatrix) -> Callable[[Row, int], tuple[list[int], int] | None]:
-    """The map (w, d) -> (x, e) with (x / e) * B = w / d, for an int row w,
-    or None if w is outside the row span of B.
+def _left_coordinates(E: Echelon, B: ExactMatrix, w: Row, d: int) -> tuple[Row, int] | None:
+    """(x, e) with (x / e) * B = w / d and x sparse, for an int row w and E
+    the echelon of B's tagged rows (`_tagged`), or None if w is outside the
+    row span of B.
 
-    B is factored once as the echelon of [num | I]; each vector then costs
-    one sparse reduction of [w | 0], which leaves r / D = [0 | -y] with
-    y * num = w, so x / e = y * B.den / d.
+    One sparse reduction of [w | 0] leaves r / D = [0 | -y] with y * num = w,
+    so x / e = y * B.den / d.
     """
-    k, n = B.rows, B.cols
-    E = _tagged(B)
-
-    def solve(w: Row, d: int) -> tuple[list[int], int] | None:
-        res, D = E.reduce(w)
-        if res and min(res) < n:
-            return None
-        x = [0] * k
-        s = -B.den
-        for j, y in res.items():
-            x[j - n] = s * y
-        return x, D * d
-
-    return solve
+    res, D = E.reduce(w)
+    n = B.cols
+    if res and min(res) < n:
+        return None
+    s = -B.den
+    return {j - n: s * y for j, y in res.items()}, D * d
 
 
 def solve_left(B: ExactMatrix, v: Vec) -> Vec | None:
@@ -654,11 +665,11 @@ def solve_left(B: ExactMatrix, v: Vec) -> Vec | None:
     """
     if len(v) != B.cols:
         raise ValueError("dimension mismatch")
-    found = _int_left_solver(B)(*_int_row(enumerate(v)))
+    found = _left_coordinates(_tagged(B), B, *_int_row(enumerate(v)))
     if found is None:
         return None
     x, e = found
-    return tuple(_fraction(c, e) for c in x)
+    return tuple(_fraction(x.get(i, 0), e) for i in range(B.rows))
 
 
 @dataclass(frozen=True)
@@ -669,7 +680,7 @@ class Submodule:
     generators and d is their common denominator; over Q it is the RREF.
     Equality of Submodules is equality of the canonical data.  The basis is
     factored once, on the first coordinate or membership query, and the
-    solver kept on the instance (outside equality, hashing and repr).  A
+    echelon kept on the instance (outside equality, hashing and repr).  A
     Submodule built directly from independent rows that are not canonical
     takes coordinates in those rows.
     """
@@ -712,22 +723,22 @@ class Submodule:
         return Submodule(ambient_rank, ExactMatrix.identity(ambient_rank), domain)
 
     @cached_property
-    def _solve(self) -> Callable[[Row, int], tuple[list[int], int] | None]:
-        return _int_left_solver(self.basis)
+    def _echelon(self) -> Echelon:
+        return _tagged(self.basis)
 
     def __getstate__(self) -> dict:
-        # the cached solver is a closure, which cannot be pickled; an
-        # unpickled copy builds its own on first use
-        return {k: v for k, v in self.__dict__.items() if k != "_solve"}
+        # the cached echelon stays out of pickles; a copy builds its own on
+        # first use
+        return {k: v for k, v in self.__dict__.items() if k != "_echelon"}
 
-    def _int_coordinates(self, w: Row, d: int) -> tuple[list[int], int] | None:
+    def _int_coordinates(self, w: Row, d: int) -> tuple[Row, int] | None:
         """Coordinates of w / d as (x, e), x / e, respecting the domain."""
-        found = self._solve(w, d)
+        found = _left_coordinates(self._echelon, self.basis, w, d)
         if found is None:
             return None
         if self.domain == "Z":
             x, e = found
-            if any(c % e for c in x):
+            if any(c % e for c in x.values()):
                 return None
         return found
 
@@ -740,14 +751,25 @@ class Submodule:
         if None in found:
             return None
         den = lcm(*(e for _, e in found))
-        rows = ({i: c * (den // e) for i, c in enumerate(x)} for x, e in found)
-        return ExactMatrix.from_ints(rows, self.rank, den)
+        rows = tuple(
+            (x if e == den else {i: c * (den // e) for i, c in x.items()}) or _EMPTY_ROW
+            for x, e in found
+        )
+        return ExactMatrix._trusted(rows, self.rank, den)
 
     def contains_rows(self, M: ExactMatrix) -> bool:
-        """Whether every row of M lies in the module."""
+        """Whether every row of M lies in the module.
+
+        Over Q that is whether the residual of each row's reduction is zero
+        outside the tag columns, so no coordinates are built; over Z the
+        coordinates must also be integral.
+        """
         if M.cols != self.ambient_rank:
             raise ValueError("dimension mismatch")
-        return all(self._int_coordinates(row, M.den) is not None for row in M.num)
+        if self.domain == "Z":
+            return all(self._int_coordinates(row, M.den) is not None for row in M.num)
+        n = self.ambient_rank
+        return all(not res or min(res) >= n for res, _ in map(self._echelon.reduce, M.num))
 
     def coordinates(self, v: Vec) -> Vec | None:
         """`coordinate_rows` of the one vector v."""

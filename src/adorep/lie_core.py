@@ -11,11 +11,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .exact_linalg import (
     Echelon,
     ExactMatrix,
+    Row,
     Submodule,
     Vec,
     extend_basis,
@@ -109,19 +110,23 @@ class LieLattice:
         r = self.rank
         if A.cols != r or B.cols != r:
             raise ValueError("dimension mismatch")
-        den, T = self.table
+        return self._brackets(((a, b) for a in A.num for b in B.num), A.den * B.den)
+
+    def _brackets(self, pairs: Iterable[tuple[Row, Row]], den: int) -> ExactMatrix:
+        """The matrix whose rows are [a, b] / den for the int numerator rows
+        (a, b) of `pairs`, each summed sparsely from the table."""
+        tden, T = self.table
         out = []
-        for arow in A.num:
-            for brow in B.num:
-                acc = [0] * r
-                for i, a in arow.items():
-                    Ti = T[i]
-                    for j, b in brow.items():
-                        ab = a * b
-                        for k, t in Ti[j]:
-                            acc[k] += ab * t
-                out.append({k: x for k, x in enumerate(acc) if x})
-        return ExactMatrix.from_ints(out, r, A.den * B.den * den)
+        for arow, brow in pairs:
+            acc: Row = {}
+            for i, a in arow.items():
+                Ti = T[i]
+                for j, b in brow.items():
+                    ab = a * b
+                    for k, t in Ti[j]:
+                        acc[k] = acc[k] + ab * t if k in acc else ab * t
+            out.append({k: x for k, x in acc.items() if x})
+        return ExactMatrix._trusted(tuple(out), self.rank, den * tden)
 
     def bracket(self, u: Vec, v: Vec) -> Vec:
         """[u, v]: `bracket_rows` of one pair of vectors."""
@@ -244,10 +249,18 @@ def is_ideal(L: LieLattice, S: Submodule) -> bool:
     """Whether S is a subalgebra with [x_i, v] in S for every basis vector x_i
     of L and every basis vector v of S.
 
-    When S lies in L (over Q, or with an integral basis over Z) each u in S
-    is a combination of the x_i with coefficients in the domain, so the
-    [x_i, v] test already implies closure and the subalgebra test is skipped.
+    S must be a submodule of the ambient space of L (S.ambient_rank ==
+    L.rank).  When S lies in L (over Q, or with an integral basis over Z)
+    each u in S is a combination of the x_i with coefficients in the domain,
+    so the [x_i, v] test already implies closure and the subalgebra test is
+    skipped.  A Q-subspace of full rank is the whole space, an ideal by
+    definition, and is accepted without a bracket; over Z a full-rank
+    sublattice such as 2Z^n need not be an ideal and gets the full test.
     """
+    if S.ambient_rank != L.rank:
+        raise ValueError("dimension mismatch")
+    if S.domain == "Q" and S.rank == L.rank:
+        return True
     brackets_inside = S.contains_rows(L.bracket_rows(ExactMatrix.identity(L.rank), S.basis))
     if S.domain == "Q" or S.basis.is_integral:
         return brackets_inside
@@ -268,6 +281,11 @@ def bracket_series(
     """The chain S, [S, P], [[S, P], P], ... with P the partner, or the
     derived chain S, [S, S], ... when no partner is given.
 
+    The derived chain brackets only the pairs i < j of basis vectors, so
+    it needs an antisymmetric tensor (every validated lattice), on which
+    [a_i, a_i] = 0 and [a_j, a_i] = -[a_i, a_j] add nothing to the span; a
+    chain with a partner brackets every ordered pair and needs no such
+    property.
     Each new term is saturated unless `saturate` is false; the chain stops
     at the first stationary term, which is included once.  For a Lie
     tensor and a bracket-closed S the chains built here (nested saturated
@@ -278,7 +296,12 @@ def bracket_series(
     chain = [S]
     while True:
         last = chain[-1]
-        nxt = span_bracket(L, last, last if partner is None else partner)
+        if partner is None:
+            num = last.basis.num
+            pairs = ((a, b) for i, a in enumerate(num) for b in num[i + 1 :])
+            nxt = Submodule.of_rows(L._brackets(pairs, last.basis.den**2), L.domain)
+        else:
+            nxt = span_bracket(L, last, partner)
         if saturate:
             nxt = nxt.saturate()
         if nxt == last:
@@ -351,7 +374,7 @@ def _integer_points(S: Submodule) -> Submodule:
     n = S.ambient_rank
     if S.rank == n:
         return Submodule.full(n, "Z")
-    return Submodule(n, ExactMatrix.from_ints(S.basis.num, n), "Z").saturate()
+    return Submodule(n, ExactMatrix._of(S.basis.num, 1, n), "Z").saturate()
 
 
 def solvable_radical(L: LieLattice) -> Submodule:
@@ -394,14 +417,16 @@ def nilradical(L: LieLattice, rs: Submodule | None = None) -> Submodule:
         return rs
     LQ = L.to_field()
     r = L.rank
-    basis = ExactMatrix.from_ints(rs.basis.num, r)
+    basis = ExactMatrix._of(rs.basis.num, 1, r)
     ideal = Submodule.of_rows(LQ.bracket_rows(ExactMatrix.identity(r), basis), "Q")
     if ideal.is_zero():
         # R_s is central: abelian, hence nilpotent
         return rs
-    # ad x|_I on the basis b_j of I: column j holds the coordinates of [x, b_j]
-    rows = (basis.take_rows([q]) for q in range(rs.rank))
-    gens = [ideal.coordinate_rows(LQ.bracket_rows(x, ideal.basis)).transpose() for x in rows]
+    # ad x|_I on the basis b_j of I: column j holds the coordinates of
+    # [x, b_j], which are row j of the block of x in one batch
+    m = ideal.rank
+    coords = ideal.coordinate_rows(LQ.bracket_rows(basis, ideal.basis))
+    gens = [coords.take_rows(range(q * m, (q + 1) * m)).transpose() for q in range(rs.rank)]
     envelope = _matrix_algebra_closure(gens)
     if not envelope:
         # ad R_s kills I, so (ad x)^2 = 0 on L for every x in R_s

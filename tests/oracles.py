@@ -8,7 +8,9 @@ polynomial helpers are self-contained.  `ref_solvable_radical` and
 Killing-form radical and the envelope method on all of L, where the library
 runs the derived series first and restricts the envelope to the ideal
 [L, R_s].  `ref_hnf` is Euclid's column-by-column Hermite form, where the
-library combines rows by extended gcds.
+library combines rows by extended gcds.  `ref_derived_series` brackets all
+ordered pairs of basis vectors, where the library brackets the pairs
+i < j only.
 """
 
 from fractions import Fraction
@@ -319,6 +321,13 @@ def ref_solve_left(B, cols, v):
     return x
 
 
+def checked_storage(M):
+    """(num, den, cols) of `ExactMatrix.from_ints` applied to M's own rows:
+    what the checked int constructor stores for the same values."""
+    N = ExactMatrix.from_ints(M.num, M.cols, M.den)
+    return N.num, N.den, N.cols
+
+
 def ref_invert(A):
     """Inverse of a square matrix, or None when it is singular."""
     n = len(A)
@@ -439,6 +448,22 @@ def ref_bracket(c, u, v):
             for k in range(r):
                 out[k] += u[i] * v[j] * c[i][j][k]
     return tuple(out)
+
+
+def ref_derived_series(L, S):
+    """The derived chain S, [S, S], ... of L, each term spanned by the dense
+    brackets of all k^2 ordered pairs of its k basis vectors, saturated over
+    Z, up to the first stationary term (included once).  The library is used
+    only to span and saturate."""
+    chain = [S]
+    while True:
+        rows = chain[-1].basis.entries
+        brackets = [ref_bracket(L.c, u, v) for u in rows for v in rows]
+        nxt = Submodule.span(brackets, L.rank, L.domain).saturate()
+        if nxt == chain[-1]:
+            return chain
+        assert len(chain) <= S.rank, "derived chain of a Lie tensor longer than rank + 1"
+        chain.append(nxt)
 
 
 def ref_validate(c, integral):

@@ -34,6 +34,7 @@ from adorep.lie_core import _matrix_algebra_closure
 
 from oracles import (
     brute_force_hnf,
+    checked_storage,
     ref_add,
     ref_hnf,
     ref_invert,
@@ -141,6 +142,28 @@ def test_rref_and_rank_match_reference(a):
     assert list(pivots) == pivots_ref
     assert listed(R) == R_ref
     assert rank(mat(A, n)) == ref_rank(A, n)
+
+
+@st.composite
+def more_rows_than_columns(draw):
+    """(A, m, n) with m > n, sometimes led by the identity, so that the rank
+    reaches n before the last row."""
+    n = draw(st.integers(0, 4))
+    m = draw(st.integers(n + 1, n + 5))
+    A = draw(dense(m, n, WIDE))
+    if draw(st.booleans()):
+        A[:n] = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    return A, m, n
+
+
+@KERNEL
+@given(more_rows_than_columns())
+def test_rref_of_more_rows_than_columns_matches_reference(a):
+    A, m, n = a
+    R, pivots = rref(mat(A, n))
+    R_ref, pivots_ref = ref_rref(A, n)
+    assert list(pivots) == pivots_ref
+    assert listed(R) == R_ref
 
 
 @KERNEL
@@ -404,6 +427,48 @@ def test_coordinates_match_reference(b, domain, data):
     assert repr(as_given) == repr(fresh)
     copied = pickle.loads(pickle.dumps(as_given))
     assert copied == fresh and copied.coordinates(v) == as_given.coordinates(v)
+
+
+@KERNEL
+@given(independent_rows(), st.data())
+def test_rational_membership_is_the_residual_test(b, data):
+    """Over Q, `contains_rows` reads only the residual of each row; it must
+    agree with `coordinate_rows` and the reference solve, row by row and on
+    rows inside and outside the span together."""
+    B, n = b
+    k = len(B)
+    inside = [combination(x, B, n) for x in data.draw(dense(data.draw(st.integers(0, 3)), k))]
+    outside = [tuple(v) for v in data.draw(dense(data.draw(st.integers(0, 3)), n))]
+    for S in (Submodule(n, mat(B, n), "Q"), Submodule.span([tuple(r) for r in B], n, "Q")):
+        for v in inside + outside:
+            one = mat([v], n)
+            want = ref_solve_left(B, n, v) is not None
+            assert S.contains_rows(one) == (S.coordinate_rows(one) is not None) == want
+        M = mat(data.draw(st.permutations(inside + outside)), n)
+        assert S.contains_rows(M) == (S.coordinate_rows(M) is not None)
+
+
+@KERNEL
+@given(independent_rows(), st.sampled_from("ZQ"), st.data())
+def test_trusted_rows_store_what_from_ints_makes(b, domain, data):
+    """`take_rows`, `take_columns` and `coordinate_rows` wrap rows they
+    built themselves without the checks of `from_ints`, which must find
+    nothing to change: no stored zeros, the same den and cols."""
+    B, n = b
+    k = len(B)
+    A, m, _ = data.draw(shaped(n=n, values=WIDE))
+    M = mat(A, n)
+    picks = data.draw(st.lists(st.integers(0, m - 1), max_size=6)) if m else []
+    cols = data.draw(st.lists(st.integers(0, n - 1), max_size=6)) if n else []
+    # integral coefficients keep the combinations inside a Z-module too
+    X = data.draw(dense(data.draw(st.integers(0, 3)), k, INTEGERS if domain == "Z" else WIDE))
+    S = Submodule(n, mat(B, n), domain)
+    built = [M.take_rows(picks), M.take_rows(picks + picks), M.take_columns(cols + cols)]
+    built += [S.coordinate_rows(mat(X, k) * mat(B, n)), S.coordinate_rows(M)]
+    assert built[3] is not None
+    for got in built:
+        if got is not None:
+            assert (got.num, got.den, got.cols) == checked_storage(got)
 
 
 def test_coordinates_outside_the_span():

@@ -42,8 +42,10 @@ from adorep.lie_core import (
 from adorep.pipeline import ado_representation
 
 from oracles import (
+    checked_storage,
     power,
     ref_bracket,
+    ref_derived_series,
     ref_is_derivation,
     ref_nilradical,
     ref_solvable_radical,
@@ -175,6 +177,37 @@ def test_bracket_series_is_bounded_on_a_non_lie_tensor(alarm):
     alarm(10)
     with pytest.raises(LatticeValidationError, match=r"longer than rank \+ 1"):
         is_nilpotent_submodule(broken, cert.nilpotent_part)
+
+
+def test_derived_series_on_a_non_lie_tensor_ends(alarm):
+    # the derived chain brackets only the pairs i < j, which assumes an
+    # antisymmetric tensor; on the broken tensor of the test above it must
+    # still end, in a chain or in LatticeValidationError
+    _, _, cert = ado_representation(catalog.get("churkin_sl2_t2").lattice, strict=True)
+    c = [[list(v) for v in row] for row in cert.extension.c]
+    c[1][0][6] += 1
+    broken = LieLattice(cert.extension.names, tuple(tuple(map(tuple, row)) for row in c))
+    alarm(10)
+    try:
+        chain = derived_series(broken)
+    except LatticeValidationError:
+        return
+    assert chain[0] == Submodule.full(broken.rank, "Z")
+    assert len(chain) <= broken.rank + 1
+
+
+def test_full_rank_sublattice_that_brackets_escape_is_not_an_ideal():
+    # [x, y] = z: {x, y, 2z} has full rank, but [x, y] = z leaves it; only
+    # over Q is a full-rank submodule the whole space, an ideal unchecked
+    L = lie_lattice(["x", "y", "z"], {(0, 1): [0, 0, 1]})
+    rows = [(1, 0, 0), (0, 1, 0), (0, 0, 2)]
+    S = Submodule.span(rows, 3, "Z")
+    assert S.rank == L.rank
+    assert not is_ideal(L, S)
+    assert is_ideal(L, Submodule.full(3, "Z"))
+    assert is_ideal(L.to_field(), Submodule.span(rows, 3, "Q"))
+    with pytest.raises(ValueError):
+        is_ideal(L.to_field(), Submodule.full(4, "Q"))
 
 
 def test_killing_form():
@@ -446,6 +479,7 @@ def test_bracket_brackets_and_ad_match_dense_loop(tensor, data):
     vs = data.draw(st.lists(vectors(r), min_size=1, max_size=3))
     batch = L.bracket_rows(ExactMatrix.from_rows(us, cols=r), ExactMatrix.from_rows(vs, cols=r))
     assert list(batch.entries) == [ref_bracket(c, u, v) for u in us for v in vs]
+    assert (batch.num, batch.den, batch.cols) == checked_storage(batch)
     assert all(isinstance(x, Fraction) for w in batch.entries for x in w)
     assert L.bracket(us[0], vs[0]) == ref_bracket(c, us[0], vs[0])
     for u in us:
@@ -644,6 +678,27 @@ SCRAMBLE_BASES = {
 def test_nilradical_matches_reference_on_scrambled_bases(name, data):
     L = SCRAMBLE_BASES[name]()
     check_nilradical_matches_reference(change_basis(L, data.draw(unimodular(L.rank))))
+
+
+def check_derived_chains_match_reference(L):
+    """The derived series and the derived chains of the radicals and the
+    center, over Z and over Q, against the chains of all ordered pairs."""
+    for K in (L, L.to_field()):
+        assert derived_series(K) == ref_derived_series(K, Submodule.full(K.rank, K.domain))
+        for S in (solvable_radical(K), nilradical(K), center(K)):
+            assert bracket_series(K, S) == ref_derived_series(K, S)
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_derived_chains_match_the_all_pairs_reference_on_catalog(name):
+    check_derived_chains_match_reference(catalog.get(name).lattice)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(catalog.names()), st.data())
+def test_derived_chains_match_the_all_pairs_reference_on_scrambled_bases(name, data):
+    L = catalog.get(name).lattice
+    check_derived_chains_match_reference(change_basis(L, data.draw(unimodular(L.rank))))
 
 
 def square_int_matrices(n):
