@@ -43,7 +43,6 @@ from .lie_core import (
     require_valid,
     semidirect_assemble,
     solvable_radical,
-    span_bracket,
     split_semidirect,
     subalgebra_lattice,
 )
@@ -367,7 +366,8 @@ def elementary_expansion(state: ExpansionState) -> ExpansionState:
         raise ExpansionError("solvable part is already nilpotent; nothing to expand")
 
     centralizer = _centralizer_in(K, N, S)
-    avoid = Rn.sum(span_bracket(K, N, N))
+    # K is validated, so the pairs i < j span [N, N]
+    avoid = Rn.sum(Submodule.of_rows(K._pair_brackets(N.basis), K.domain))
     candidates = (centralizer.basis.take_rows([q]) for q in range(centralizer.rank))
     Y = next((row for row in candidates if not avoid.contains_rows(row)), None)
     if Y is None:

@@ -220,12 +220,6 @@ class ExactMatrix:
     def zero(m: int, n: int) -> "ExactMatrix":
         return ExactMatrix._of((_EMPTY_ROW,) * m, 1, n)
 
-    @staticmethod
-    def from_columns(cols: Sequence[Vec], rows: int | None = None) -> "ExactMatrix":
-        if not cols and rows is None:
-            raise ValueError("empty matrix needs an explicit row count")
-        return ExactMatrix.from_rows(cols, cols=rows).transpose()
-
     def row(self, i: int) -> Vec:
         if self._entries is not None:
             return self._entries[i]

@@ -77,11 +77,15 @@ def _is_index(x: Any) -> bool:
 
 
 def lattice_to_json(L: LieLattice) -> dict:
+    """The brackets [x_i, x_j], i < j, that are nonzero, read off the table."""
+    den, T = L.table
     brackets = []
     for i in range(L.rank):
         for j in range(i + 1, L.rank):
-            if any(L.c[i][j]):
-                brackets.append({"i": i, "j": j, "coeffs": vec_to_json(L.c[i][j])})
+            if T[i][j]:
+                coeffs = dict(T[i][j])
+                v = [Fraction(coeffs.get(k, 0), den) for k in range(L.rank)]
+                brackets.append({"i": i, "j": j, "coeffs": vec_to_json(v)})
     out = {"rank": L.rank, "names": list(L.names), "brackets": brackets}
     if L.domain != "Z":
         out["domain"] = L.domain

@@ -2,7 +2,9 @@
 
 Brackets, ideals, central and derived series, radicals, the Killing form
 and the adjoint representation.  Matrices act on column vectors; submodule
-bases are rows.
+bases are rows.  A lattice stores its structure constants once, as sparse
+int numerators over one denominator (`StructureTable`); the dense Fraction
+tensor `c` is a view of it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .exact_linalg import (
     stack_rows,
     trace_product,
     vector,
-    zero_vector,
 )
 from .rep import LinearRep
 
@@ -60,13 +61,17 @@ class StructureTable(NamedTuple):
 class LieLattice:
     """Lie ring on a free module, encoded by [x_i, x_j] = sum_k c[i][j][k] x_k.
 
-    Every bracket, `ad` and the Jacobi and Leibniz checks read `table`, one
-    sparse integer copy of `c` built on first use; it is not a field, so
-    equality, hashing and repr see `names`, `c` and `domain` only.
+    `table` is the one stored copy of the structure constants, canonical as
+    `from_bracket_rows` builds it (a normalised denominator, nonzeros only
+    in increasing k), so equality and hashing are value equality however a
+    lattice was built.  Every bracket, `ad` and the Jacobi and Leibniz
+    checks read it.  `c` is a dense view of Fractions, built on first use
+    and cached outside equality, hashing and repr; the library never reads
+    it.
     """
 
     names: tuple[str, ...]
-    c: tuple[tuple[Vec, ...], ...]
+    table: StructureTable
     domain: str = "Z"
 
     @property
@@ -74,33 +79,22 @@ class LieLattice:
         return len(self.names)
 
     @cached_property
-    def table(self) -> StructureTable:
-        nonzero = [[[(k, x) for k, x in enumerate(v) if x] for v in row] for row in self.c]
-        den = lcm(*(x.denominator for row in nonzero for v in row for _, x in v))
-        pairs = tuple(
-            tuple(tuple((k, x.numerator * (den // x.denominator)) for k, x in v) for v in row)
-            for row in nonzero
-        )
-        return StructureTable(den, pairs)
-
-    def __getstate__(self) -> dict:
-        # a copy builds its own table from its own c
-        return {k: v for k, v in self.__dict__.items() if k != "table"}
+    def c(self) -> tuple[tuple[Vec, ...], ...]:
+        r, (den, T) = self.rank, self.table
+        rows = ExactMatrix._of(tuple(dict(v) for row in T for v in row), den, r).entries
+        return tuple(rows[i * r : (i + 1) * r] for i in range(r))
 
     @staticmethod
     def from_bracket_rows(names: Sequence[str], M: ExactMatrix, domain: str = "Z") -> "LieLattice":
         """The lattice with c[i][j] the row i * rank + j of M, the layout of
-        `bracket_rows(I, I)`; its table is read off the numerators of M."""
+        `bracket_rows(I, I)`; its table is the numerators of M over M.den."""
         r = len(names)
         if M.rows != r * r or M.cols != r:
             raise ValueError("a bracket matrix has rank^2 rows of length rank")
-        rows = M.entries
-        L = LieLattice(tuple(names), tuple(rows[i * r : (i + 1) * r] for i in range(r)), domain)
         pairs = tuple(
             tuple(tuple(sorted(M.num[i * r + j].items())) for j in range(r)) for i in range(r)
         )
-        L.__dict__["table"] = StructureTable(M.den, pairs)
-        return L
+        return LieLattice(tuple(names), StructureTable(M.den, pairs), domain)
 
     def bracket_rows(self, A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
         """The matrix whose rows are [a, b] for every row a of A and b of B,
@@ -128,6 +122,14 @@ class LieLattice:
             out.append({k: x for k, x in acc.items() if x})
         return ExactMatrix._trusted(tuple(out), self.rank, den * tden)
 
+    def _pair_brackets(self, A: ExactMatrix) -> ExactMatrix:
+        """The rows [a_p, a_q] for the rows p < q of A.  On an antisymmetric
+        tensor, where [a_p, a_p] = 0 and [a_q, a_p] = -[a_p, a_q], they span
+        the same module as `bracket_rows(A, A)`; on any other they may not."""
+        num = A.num
+        pairs = ((a, b) for p, a in enumerate(num) for b in num[p + 1 :])
+        return self._brackets(pairs, A.den**2)
+
     def bracket(self, u: Vec, v: Vec) -> Vec:
         """[u, v]: `bracket_rows` of one pair of vectors."""
         if len(u) != self.rank or len(v) != self.rank:
@@ -150,9 +152,7 @@ class LieLattice:
         """The same structure constants viewed over Q, sharing the table."""
         if self.domain == "Q":
             return self
-        L = LieLattice(self.names, self.c, "Q")
-        L.__dict__["table"] = self.table
-        return L
+        return LieLattice(self.names, self.table, "Q")
 
 
 def unit(n: int, i: int) -> Vec:
@@ -168,16 +168,16 @@ def lie_lattice(
 ) -> LieLattice:
     """Build a lattice from the brackets of pairs i < j; antisymmetry is filled in."""
     r = len(names)
-    c = [[zero_vector(r) for _ in range(r)] for _ in range(r)]
+    rows: list[dict[int, Fraction]] = [{} for _ in range(r * r)]
     for (i, j), coeffs in brackets.items():
         if not (0 <= i < j < r):
             raise ValueError(f"bracket key ({i},{j}) must satisfy 0 <= i < j < rank")
         v = vector(coeffs)
         if len(v) != r:
             raise ValueError("bracket coefficient vector has wrong length")
-        c[i][j] = v
-        c[j][i] = tuple(-x for x in v)
-    return LieLattice(tuple(names), tuple(tuple(row) for row in c), domain)
+        rows[i * r + j] = {k: x for k, x in enumerate(v) if x}
+        rows[j * r + i] = {k: -x for k, x in rows[i * r + j].items()}
+    return LieLattice.from_bracket_rows(names, ExactMatrix(rows, r), domain)
 
 
 @dataclass(frozen=True)
@@ -241,8 +241,10 @@ def require_valid(L: LieLattice) -> None:
 
 
 def is_subalgebra(L: LieLattice, S: Submodule) -> bool:
-    """Whether S is closed under the bracket: [u, v] in S for basis vectors u, v."""
-    return S.contains_rows(L.bracket_rows(S.basis, S.basis))
+    """Whether S is closed under the bracket: [u, v] in S for basis vectors
+    u, v.  Only the pairs u before v are bracketed, so the tensor must be
+    antisymmetric, as on every validated lattice."""
+    return S.contains_rows(L._pair_brackets(S.basis))
 
 
 def is_ideal(L: LieLattice, S: Submodule) -> bool:
@@ -255,7 +257,8 @@ def is_ideal(L: LieLattice, S: Submodule) -> bool:
     so the [x_i, v] test already implies closure and the subalgebra test is
     skipped.  A Q-subspace of full rank is the whole space, an ideal by
     definition, and is accepted without a bracket; over Z a full-rank
-    sublattice such as 2Z^n need not be an ideal and gets the full test.
+    sublattice such as 2Z^n need not be an ideal and gets the full test,
+    whose `is_subalgebra` needs an antisymmetric tensor.
     """
     if S.ambient_rank != L.rank:
         raise ValueError("dimension mismatch")
@@ -267,11 +270,6 @@ def is_ideal(L: LieLattice, S: Submodule) -> bool:
     return brackets_inside and is_subalgebra(L, S)
 
 
-def span_bracket(L: LieLattice, A: Submodule, B: Submodule) -> Submodule:
-    """Module spanned by [a, b] over basis vectors of A and B."""
-    return Submodule.of_rows(L.bracket_rows(A.basis, B.basis), L.domain)
-
-
 def bracket_series(
     L: LieLattice,
     S: Submodule,
@@ -281,11 +279,10 @@ def bracket_series(
     """The chain S, [S, P], [[S, P], P], ... with P the partner, or the
     derived chain S, [S, S], ... when no partner is given.
 
-    The derived chain brackets only the pairs i < j of basis vectors, so
-    it needs an antisymmetric tensor (every validated lattice), on which
-    [a_i, a_i] = 0 and [a_j, a_i] = -[a_i, a_j] add nothing to the span; a
-    chain with a partner brackets every ordered pair and needs no such
-    property.
+    The derived chain brackets only the pairs i < j of basis vectors
+    (`LieLattice._pair_brackets`), so it needs an antisymmetric tensor
+    (every validated lattice); a chain with a partner brackets every
+    ordered pair and needs no such property.
     Each new term is saturated unless `saturate` is false; the chain stops
     at the first stationary term, which is included once.  For a Lie
     tensor and a bracket-closed S the chains built here (nested saturated
@@ -297,11 +294,10 @@ def bracket_series(
     while True:
         last = chain[-1]
         if partner is None:
-            num = last.basis.num
-            pairs = ((a, b) for i, a in enumerate(num) for b in num[i + 1 :])
-            nxt = Submodule.of_rows(L._brackets(pairs, last.basis.den**2), L.domain)
+            brackets = L._pair_brackets(last.basis)
         else:
-            nxt = span_bracket(L, last, partner)
+            brackets = L.bracket_rows(last.basis, partner.basis)
+        nxt = Submodule.of_rows(brackets, L.domain)
         if saturate:
             nxt = nxt.saturate()
         if nxt == last:

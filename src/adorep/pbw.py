@@ -137,10 +137,11 @@ class TruncatedUEA:
             for beta, cf in self._letter(i, rest).items():
                 for gamma, cf2 in self._letter(j, beta).items():
                     _acc(out, gamma, cf * cf2)
-            for k, ck in enumerate(self.basis.adapted.c[i][j]):
-                if ck:
-                    for beta, cf in self._letter(k, rest).items():
-                        _acc(out, beta, ck * cf)
+            den, T = self.basis.adapted.table
+            for k, n in T[i][j]:
+                ck = Fraction(n, den)
+                for beta, cf in self._letter(k, rest).items():
+                    _acc(out, beta, ck * cf)
         out = {a: cf for a, cf in out.items() if cf}
         if self._integral and any(cf.denominator != 1 for cf in out.values()):
             raise RuntimeError("straightening produced a non-integral coefficient over Z")

@@ -18,6 +18,8 @@ from math import lcm
 
 from adorep import catalog
 from adorep.exact_linalg import ExactMatrix, Submodule
+from adorep.jsonio import frac_to_str
+from adorep.lie_core import LieLattice, StructureTable
 from adorep.nilrep import _sqrt_interval, eta_interval
 
 ZERO = Fraction(0)
@@ -448,6 +450,40 @@ def ref_bracket(c, u, v):
             for k in range(r):
                 out[k] += u[i] * v[j] * c[i][j][k]
     return tuple(out)
+
+
+def tensor_lattice(names, c, domain="Z"):
+    """The lattice whose structure constants are the dense tensor c, Lie or
+    not: `LieLattice.from_bracket_rows` of its r^2 rows c[i][j]."""
+    r = len(names)
+    rows = [c[i][j] for i in range(r) for j in range(r)]
+    return LieLattice.from_bracket_rows(tuple(names), ExactMatrix.from_rows(rows, cols=r), domain)
+
+
+def ref_table(c):
+    """The table of the dense tensor c: the lcm of the denominators of its
+    entries and, for each pair (i, j), the nonzero (k, numerator) entries in
+    increasing k."""
+    den = lcm(*(Fraction(x).denominator for row in c for v in row for x in v))
+    pairs = tuple(
+        tuple(tuple((k, int(x * den)) for k, x in enumerate(v) if x) for v in row) for row in c
+    )
+    return StructureTable(den, pairs)
+
+
+def dense_lattice_json(L):
+    """The lattice JSON written from the dense tensor c: each nonzero
+    c[i][j], i < j, as number strings, and the domain unless it is Z."""
+    brackets = [
+        {"i": i, "j": j, "coeffs": [frac_to_str(x) for x in L.c[i][j]]}
+        for i in range(L.rank)
+        for j in range(i + 1, L.rank)
+        if any(L.c[i][j])
+    ]
+    out = {"rank": L.rank, "names": list(L.names), "brackets": brackets}
+    if L.domain != "Z":
+        out["domain"] = L.domain
+    return out
 
 
 def ref_derived_series(L, S):

@@ -10,14 +10,18 @@ source and nothing is written under bench/.
 """
 
 import importlib.util
+import json
 import random
 import sys
 from pathlib import Path
 
 import pytest
 
+from adorep.jsonio import lattice_to_json
 from adorep.lie_core import LieLattice
 from adorep.pipeline import ado_representation, verify_certificate, verify_representation
+
+from oracles import dense_lattice_json
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -57,6 +61,13 @@ def test_workload_builds(workload):
     for case in cases:
         assert isinstance(case.lattice, LieLattice)
         assert case.degree > 0
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_workload_lattice_json_is_the_dense_encoding_byte_for_byte(workload):
+    for case in workloads.build(workload, 23):
+        encoded = json.dumps(lattice_to_json(case.lattice))
+        assert encoded == json.dumps(dense_lattice_json(case.lattice)), case.name
 
 
 def test_negative_controls_are_rejected(monkeypatch):

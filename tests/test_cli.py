@@ -15,9 +15,11 @@ from adorep.jsonio import (
     rep_from_json,
     rep_to_json,
 )
-from adorep.lie_core import LieLattice
+from adorep.lie_core import lie_lattice
 from adorep.nilrep import nilpotent_faithful_rep
 from adorep.pipeline import ado_representation
+
+from oracles import dense_lattice_json, tensor_lattice
 
 
 def run(capsys, *argv):
@@ -47,6 +49,16 @@ def test_lattice_json_round_trip():
         assert lattice_from_json(lattice_to_json(L)) == L
     LQ = catalog.get("solv2").lattice.to_field()
     assert lattice_from_json(lattice_to_json(LQ)) == LQ
+
+
+FRACTIONAL = lie_lattice(["x", "y", "z"], {(0, 1): [0, 0, "-2/3"], (0, 2): ["1/2", 0, 0]}, "Q")
+
+
+@pytest.mark.parametrize("name", [*catalog.names(), "fractional"])
+def test_lattice_json_is_the_dense_encoding_byte_for_byte(name):
+    L = FRACTIONAL if name == "fractional" else catalog.get(name).lattice
+    for lattice in (L, L.to_field()):
+        assert json.dumps(lattice_to_json(lattice)) == json.dumps(dense_lattice_json(lattice))
 
 
 def test_rep_json_round_trip():
@@ -128,7 +140,7 @@ def test_cli_radicals_rejects_a_jacobi_break(tmp_path, capsys):
     c[0][1][2] += 1
     c[1][0][2] -= 1
     tensor = tuple(tuple(map(tuple, row)) for row in c)
-    broken = LieLattice(cert.extension.names, tensor, cert.extension.domain)
+    broken = tensor_lattice(cert.extension.names, tensor, cert.extension.domain)
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(lattice_to_json(broken)))
     code, out, err = run(capsys, "radicals", str(path))

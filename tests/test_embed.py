@@ -36,7 +36,7 @@ from adorep.lie_core import (
 )
 from adorep.pipeline import verify_certificate
 
-from oracles import is_squarefree, power
+from oracles import is_squarefree, power, tensor_lattice
 
 
 def jordan_block(eig, size):
@@ -235,9 +235,7 @@ def test_embed_nilpotent_identity_certificate():
 
 
 def _relabel(L, names):
-    from adorep.lie_core import LieLattice
-
-    return LieLattice(tuple(names), L.c, L.domain)
+    return tensor_lattice(names, L.c, L.domain)
 
 
 def test_embed_h3_plus_center():

@@ -49,7 +49,9 @@ from oracles import (
     ref_is_derivation,
     ref_nilradical,
     ref_solvable_radical,
+    ref_table,
     ref_validate,
+    tensor_lattice,
 )
 
 
@@ -75,7 +77,7 @@ def test_validate_reports_antisymmetry_violation():
     z = (Fraction(0),) * r
     one = (Fraction(1), Fraction(0))
     c = ((z, one), (one, z))  # c[0][1] = c[1][0] = e0: not antisymmetric
-    bad = LieLattice(("a", "b"), c, "Z")
+    bad = tensor_lattice(("a", "b"), c, "Z")
     report = validate(bad)
     assert not report.ok
     assert (0, 1, 0) in report.antisymmetry_violations
@@ -173,7 +175,7 @@ def test_bracket_series_is_bounded_on_a_non_lie_tensor(alarm):
     c = [[list(v) for v in row] for row in cert.extension.c]
     c[1][0][6] += 1
     tensor = tuple(tuple(map(tuple, row)) for row in c)
-    broken = LieLattice(cert.extension.names, tensor, cert.extension.domain)
+    broken = tensor_lattice(cert.extension.names, tensor, cert.extension.domain)
     alarm(10)
     with pytest.raises(LatticeValidationError, match=r"longer than rank \+ 1"):
         is_nilpotent_submodule(broken, cert.nilpotent_part)
@@ -186,7 +188,7 @@ def test_derived_series_on_a_non_lie_tensor_ends(alarm):
     _, _, cert = ado_representation(catalog.get("churkin_sl2_t2").lattice, strict=True)
     c = [[list(v) for v in row] for row in cert.extension.c]
     c[1][0][6] += 1
-    broken = LieLattice(cert.extension.names, tuple(tuple(map(tuple, row)) for row in c))
+    broken = tensor_lattice(cert.extension.names, tuple(tuple(map(tuple, row)) for row in c))
     alarm(10)
     try:
         chain = derived_series(broken)
@@ -459,7 +461,7 @@ def tensors(draw, antisymmetric=False, cells=None):
 
 
 def lattice_of(c, r, domain):
-    return LieLattice(tuple(f"x{i}" for i in range(r)), c, domain)
+    return tensor_lattice(tuple(f"x{i}" for i in range(r)), c, domain)
 
 
 def vectors(r):
@@ -581,22 +583,115 @@ def test_brackets_rejects_any_dimension_mismatch():
     assert L.bracket_rows(empty, G) == L.bracket_rows(G, empty) == empty
 
 
-def test_table_is_outside_equality_hash_repr_and_pickles():
+def test_c_view_is_outside_equality_hash_repr_and_pickles():
     # catalog lattices are shared between tests; replace gives new objects
     L = dataclasses.replace(catalog.get("churkin_sl2_t2").lattice)
     fresh = dataclasses.replace(L)
     before = (hash(L), repr(L))
-    assert "table" not in L.__dict__
-    L.bracket(unit(L.rank, 0), unit(L.rank, 1))
-    assert "table" in L.__dict__ and "table" not in fresh.__dict__
+    assert "c" not in L.__dict__
+    dense = L.c
+    assert L.__dict__["c"] is dense and L.c is dense and "c" not in fresh.__dict__
     assert L == fresh and (hash(L), repr(L)) == before == (hash(fresh), repr(fresh))
-    copy = pickle.loads(pickle.dumps(L))
-    assert copy == L and hash(copy) == hash(L) and "table" not in copy.__dict__
-    assert copy.table == L.table
+    assert "Fraction" not in repr(L)
+    for copy in (pickle.loads(pickle.dumps(L)), pickle.loads(pickle.dumps(fresh))):
+        assert copy == L and hash(copy) == hash(L) and copy.table == L.table
+        assert copy.c == dense
     H = h3()
     thirds = tuple(tuple(tuple(x / 3 for x in v) for v in row) for row in H.c)
-    third = LieLattice(H.names, thirds, "Q")
+    third = tensor_lattice(H.names, thirds, "Q")
     assert H.table.den == 1 and third.table.den == 3 and third.table.pairs == H.table.pairs
+    assert third.c == thirds
+
+
+# -- one stored table, one value per lattice -------------------------------
+
+
+@TENSORS
+@given(tensors())
+def test_the_table_is_the_one_store_and_c_its_view(tensor):
+    c, r, domain = tensor
+    L = lattice_of(c, r, domain)
+    assert [f.name for f in dataclasses.fields(LieLattice)] == ["names", "table", "domain"]
+    assert L.c == c
+    assert all(isinstance(x, Fraction) for row in L.c for v in row for x in v)
+    assert L.table == ref_table(c)
+    assert L.to_field().table is L.table
+
+
+def construction_paths(L):
+    """L rebuilt by every constructor: `lie_lattice` from its pairs i < j,
+    `from_bracket_rows` of its brackets, `change_basis` by the identity
+    (renamed back), a pickle round trip and the dense-tensor helper."""
+    r = L.rank
+    I = ExactMatrix.identity(r)
+    upper = {(i, j): L.c[i][j] for i in range(r) for j in range(i + 1, r) if any(L.c[i][j])}
+    return [
+        lie_lattice(L.names, upper, L.domain),
+        LieLattice.from_bracket_rows(L.names, L.bracket_rows(I, I), L.domain),
+        dataclasses.replace(change_basis(L, I), names=L.names),
+        pickle.loads(pickle.dumps(L)),
+        tensor_lattice(L.names, L.c, L.domain),
+    ]
+
+
+HALF_H3 = lie_lattice(["x", "y", "z"], {(0, 1): [0, 0, Fraction(1, 2)], (0, 2): ["-3/4", 0, 0]}, "Q")
+
+
+@pytest.mark.parametrize("name", [*catalog.names(), "half_h3"])
+def test_every_construction_path_gives_one_value(name):
+    L = HALF_H3 if name == "half_h3" else catalog.get(name).lattice
+    for lattice in (L, L.to_field()):
+        for built in construction_paths(lattice):
+            assert built == lattice and hash(built) == hash(lattice)
+            assert built.table == lattice.table and built.c == lattice.c
+
+
+def test_lie_lattice_rejects_bad_keys_and_lengths():
+    for key in ((1, 0), (0, 0), (-1, 1), (0, 3)):
+        with pytest.raises(ValueError, match="must satisfy"):
+            lie_lattice(["x", "y", "z"], {key: [0, 0, 1]})
+    for coeffs in ([0, 1], [0, 0, 0, 1]):
+        with pytest.raises(ValueError, match="wrong length"):
+            lie_lattice(["x", "y", "z"], {(0, 1): coeffs})
+
+
+# -- brackets of the pairs i < j against all ordered pairs -----------------
+
+
+def all_pairs_span(c, S):
+    """The span of the dense brackets of all ordered pairs of basis vectors."""
+    rows = S.basis.entries
+    brackets = [ref_bracket(c, u, v) for u in rows for v in rows]
+    return Submodule.span(brackets, S.ambient_rank, S.domain), brackets
+
+
+@TENSORS
+@given(tensors(antisymmetric=True), st.data())
+def test_pair_brackets_match_all_ordered_pairs(tensor, data):
+    c, r, domain = tensor
+    L = lattice_of(c, r, domain)
+    cells = INTS if domain == "Z" else FRACS
+    drawn = data.draw(st.lists(st.lists(cells, min_size=r, max_size=r), min_size=1, max_size=r))
+    full = Submodule.full(r, domain)
+    derived, _ = all_pairs_span(c, full)
+    # a line, the whole module and [L, L] are closed; drawn spans may not be
+    candidates = [Submodule.span(drawn, r, domain), Submodule.span(drawn[:1], r, domain), full, derived]
+    for S in candidates:
+        span, brackets = all_pairs_span(c, S)
+        assert is_subalgebra(L, S) == all(S.contains(w) for w in brackets)
+        assert Submodule.of_rows(L._pair_brackets(S.basis), domain) == span
+    assert is_subalgebra(L, candidates[1]) and is_subalgebra(L, full) and is_subalgebra(L, derived)
+    assert derived_series(L) == ref_derived_series(L, full)
+
+
+@pytest.mark.parametrize("domain", ["Z", "Q"])
+def test_is_subalgebra_on_a_closed_and_an_open_plane(domain):
+    # in h3, [x, z] = 0 closes span(x, z) and [x, y] = z leaves span(x, y)
+    L = h3() if domain == "Z" else h3().to_field()
+    closed = Submodule.span([unit(3, 0), unit(3, 2)], 3, domain)
+    open_plane = Submodule.span([unit(3, 0), unit(3, 1)], 3, domain)
+    assert is_subalgebra(L, closed) and not is_subalgebra(L, open_plane)
+    assert all_pairs_span(L.c, open_plane)[0] == Submodule.span([unit(3, 2)], 3, domain)
 
 
 # -- the radicals against dense references ---------------------------------

@@ -201,6 +201,9 @@ def test_oracle_equivalence_random_words():
     rng = random.Random(2024)
     targets = [e.lattice for e in nilpotent_entries() if e.lattice.rank <= 3]
     targets.append(filiform4())
+    # over Q the adapted constants keep a denominator (30 here)
+    brackets = {(0, 1): [0, 0, "1/2", 0], (0, 2): [0, 0, 0, "-2/3"], (1, 2): [0, 0, 0, "3/5"]}
+    targets.append(lie_lattice(["e1", "e2", "e3", "e4"], brackets, "Q"))
     for L in targets:
         B = build_weighted_basis(L)
         T = TruncatedUEA(B, B.nil_class)
