@@ -62,7 +62,7 @@ def churkin_sl2_t2() -> LieLattice:
     """sl_2(2Z) + t_2(2Z): the direct sum of trace-zero and upper triangular
     2x2 matrices over 2Z; not splittable, yet it embeds in a splittable
     lattice."""
-    return direct_sum(scale_lattice(sl2(), 2, ""), scale_lattice(t2_upper(), 2, ""))
+    return direct_sum(scale_lattice(sl2(), 2), scale_lattice(t2_upper(), 2))
 
 
 _BUILDERS: dict[str, Callable[[], LieLattice]] = {

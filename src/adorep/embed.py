@@ -38,6 +38,7 @@ from .lie_core import (
     is_nilpotent,
     is_subalgebra,
     killing_form,
+    lie_lattice,
     nilradical,
     quotient_lattice,
     require_valid,
@@ -244,7 +245,7 @@ def levi_decomposition(
         target = project(L.bracket_rows(sigma, sigma) - cq * sigma)
         # unknown a*d + b is the coefficient of comp_b added to sigma_a, and
         # column t*d holds the right-hand side; one equation per pair i < j
-        # and component e, all over one denominator
+        # and component e, all numerators over den, which cancels
         n = t * d
         den = lcm(action.den, cq.den, target.den)
         fa, fq, ft = den // action.den, den // cq.den, den // target.den
@@ -261,11 +262,10 @@ def levi_decomposition(
                         row[a * d + e] = row.get(a * d + e, 0) - fq * x
                     row[n] = -ft * B[i * t + j].get(e, 0)
                     eq_rows.append(row)
-        system = ExactMatrix.from_ints(eq_rows, n + 1, den)
-        solution = solve_right(system.take_columns(range(n)), system.column(n))
+        solution = solve_right(ExactMatrix.from_ints(eq_rows, n + 1))
         if solution is None:
             raise LiftingError("Levi correction system is inconsistent")
-        sigma = sigma + ExactMatrix.from_rows([solution]).reshape(t, d) * comp
+        sigma = sigma + solution.reshape(t, d) * comp
 
     if L.bracket_rows(sigma, sigma) != cq * sigma:
         raise LiftingError("lifted complement is not closed under the bracket")
@@ -276,7 +276,7 @@ def levi_decomposition(
     levi_lat = _closed_sublattice(L, levi, "v")
     if rank(killing_form(levi_lat)) != t:
         raise LiftingError("lifted complement is not semisimple")
-    if not rs.intersect(levi).is_zero():
+    if rs.sum(levi).rank != rs.rank + t:
         raise LiftingError("lifted complement meets the radical")
     return rs, levi
 
@@ -400,35 +400,25 @@ def elementary_expansion(state: ExpansionState) -> ExpansionState:
     iota = split_inv.take_columns([*range(xp), xp, xp])
 
     step_no = len(state.trace) + 1
-    names = tuple(f"v{step_no}_{p}" for p in range(k + t)) + (
-        f"x'{step_no}",
-        f"z'{step_no}",
-    )
-    # the brackets of K2 in the layout of `bracket_rows(I, I)`: those of the
-    # old vectors, and [x', v] = dn(v), [z', v] = ds(v) mapped by iota
+    # in the basis [old; y]: the brackets of old and the images of old under
+    # dn and ds.  [N, K] lies in R_n, inside the ideal, so none has a y entry
     products = K.bracket_rows(old, old) * split_inv
-    if any(xp in row for row in products.num):
-        raise ExpansionError("bracket of ideal+complement left their span")
-    w_n, w_s = (old * part.transpose() * iota for part in (dn, ds))
-    r2 = n + 1
-    den = lcm(products.den, w_n.den, w_s.den)
-    rows: list[dict[int, int]] = [{} for _ in range(r2 * r2)]
-    f = den // products.den
-    for p in range(xp):
-        for q in range(xp):
-            rows[p * r2 + q] = {j: f * x for j, x in products.num[p * xp + q].items()}
-        for z, W in ((xp, w_n), (zp, w_s)):
-            g = den // W.den
-            rows[z * r2 + p] = {j: g * x for j, x in W.num[p].items()}
-            rows[p * r2 + z] = {j: -g * x for j, x in W.num[p].items()}
-    K2 = LieLattice.from_bracket_rows(names, ExactMatrix.from_ints(rows, r2, den), "Q")
-    require_valid(K2)
+    w_n, w_s = (old * part.transpose() * split_inv for part in (dn, ds))
+    if any(xp in row for M in (products, w_n, w_s) for row in M.num):
+        raise ExpansionError("bracket of ideal+complement or a part of ad_y left their span")
+    # K2 = (ideal + S) extended by x' and z' acting as dn and ds
+    base = LieLattice.from_bracket_rows(
+        [f"v{step_no}_{p}" for p in range(xp)], products.take_columns(range(xp)), "Q"
+    )
+    generators = lie_lattice([f"x'{step_no}", f"z'{step_no}"], {}, "Q")
+    action = [W.take_columns(range(xp)).transpose() for W in (w_n, w_s)]
+    K2 = semidirect_assemble(base, generators, action)
 
     I = ExactMatrix.identity(n)
     if K.bracket_rows(I, I) * iota != K2.bracket_rows(iota, iota):
         raise ExpansionError("expansion embedding is not a homomorphism")
 
-    E = ExactMatrix.identity(r2)
+    E = ExactMatrix.identity(K2.rank)
     new_N = Submodule.of_rows(E.take_rows([*range(k), xp]), "Q")
     new_S = Submodule.of_rows(E.take_rows([*range(k, xp), zp]), "Q")
     new_Rn = Submodule.of_rows(stack_rows([Rn.basis * iota, E.take_rows([xp])]), "Q")
@@ -571,7 +561,6 @@ def integral_rescale(
     alpha = images * invert(split)
     n_coords = alpha.take_columns(range(s + r_new))
     lam = n_coords.den
-    n_parts = n_coords * n_mat
     s_parts = alpha.take_columns(range(s + r_new, nK)) * state.S.basis
 
     # Unsaturated lower-central terms of N_lat, nonzero ones only: the
@@ -586,29 +575,25 @@ def integral_rescale(
     nbar = Submodule.of_rows(stack_rows([ExactMatrix.zero(0, nK), *nbar_gens]), "Z")
     if nbar.rank != s + r_new:
         raise ExpansionError("rescaled nilpotent part has the wrong rank")
-    if not is_subalgebra(K, nbar):
-        raise ExpansionError("rescaled nilpotent part is not closed under the bracket")
 
+    # nbar and sbar lie in the two blocks of `split`, so their bases
+    # together are a basis of the extension; split_semidirect checks that
+    # nbar is an ideal and sbar a subalgebra
     sbar = Submodule.of_rows(s_parts, "Z")
-    if not is_subalgebra(K, sbar):
-        raise ExpansionError("projected complement is not closed under the bracket")
-    # row a*m + b: the coordinates of [sbar_a, nbar_b] in nbar
-    acting = nbar.coordinate_rows(K.bracket_rows(sbar.basis, nbar.basis))
-    if acting is None:
-        raise ExpansionError("complement does not normalize the nilpotent part")
-
-    Nbar_lat = _closed_sublattice(K, nbar, "n")
-    if not is_nilpotent(Nbar_lat):
-        raise ExpansionError("rescaled nilpotent part is not nilpotent")
-    Sbar_lat = _closed_sublattice(K, sbar, "s")
     m = nbar.rank
-    action = [acting.take_rows(range(a * m, (a + 1) * m)).transpose() for a in range(sbar.rank)]
-    extension = semidirect_assemble(Nbar_lat, Sbar_lat, action)
+    ext = Submodule(nK, stack_rows([nbar.basis, sbar.basis]), "Z")
+    names = tuple(f"n{i}" for i in range(m)) + tuple(f"s{a}" for a in range(sbar.rank))
+    extension = LieLattice(names, _closed_sublattice(K, ext, "n").table, "Z")
+    try:
+        nilpotent_block = split_semidirect(extension, m)[0]
+    except ValueError as exc:
+        raise ExpansionError(f"rescaled parts do not split the extension: {exc}") from exc
+    if not is_nilpotent(nilpotent_block):
+        raise ExpansionError("rescaled nilpotent part is not nilpotent")
 
-    n_inj, s_inj = nbar.coordinate_rows(n_parts), sbar.coordinate_rows(s_parts)
-    if n_inj is None or s_inj is None:
+    injection = ext.coordinate_rows(images)
+    if injection is None:
         raise ExpansionError("image of the lattice is not integral in the extension")
-    injection = stack_rows([n_inj.transpose(), s_inj.transpose()]).transpose()
     if rank(injection) != L.rank:
         raise ExpansionError("injection into the extension is not injective")
 
@@ -617,13 +602,13 @@ def integral_rescale(
         mu,
         lam,
         extension.rank,
-        nbar.rank,
+        m,
     )
     return EmbeddingCertificate(
         original=L,
         extension=extension,
         injection=injection,
-        nilpotent_rank=nbar.rank,
+        nilpotent_rank=m,
         mu=mu,
         lam=lam,
         rs_rank=state.N.rank,

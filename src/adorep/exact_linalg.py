@@ -18,8 +18,8 @@ constructors check their rows; rows a kernel built itself go through the
 private `ExactMatrix._trusted`, which only normalises.  `rref` stops adding
 rows once the rank reaches the column count.  Fractions appear only at the
 boundary: the dense views `entries`, `row` and `column`, the one-vector
-wrappers `solve_left`, `solve_right` and `Submodule.coordinates`, and the
-scalars of non-integral matrices.  No floating point anywhere.
+wrappers `solve_left` and `Submodule.coordinates`, and the scalars of
+non-integral matrices.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -616,24 +616,18 @@ def invert(M: ExactMatrix) -> ExactMatrix:
     return ExactMatrix.from_ints(inverse, n, R.den)
 
 
-def solve_right(A: ExactMatrix, b: Vec) -> Vec | None:
-    """One solution x of A x = b, or None if inconsistent."""
-    if len(b) != A.rows:
-        raise ValueError("dimension mismatch")
-    n = A.cols
-    # (num / den) x = w / d  iff  d * num x = den * w
-    w, d = _int_row(enumerate(b))
-    rows = ({j: d * x for j, x in row.items()} for row in A.num)
-    aug = ExactMatrix.from_ints(
-        ({**row, n: A.den * w.get(i, 0)} for i, row in enumerate(rows)), n + 1
-    )
+def solve_right(aug: ExactMatrix) -> ExactMatrix | None:
+    """The solution x of A x = b, as a 1-row matrix, for the augmented
+    matrix aug = [A | b], with every free variable 0; None if inconsistent.
+    """
+    n = aug.cols - 1
+    if n < 0:
+        raise ValueError("an augmented matrix has at least one column")
     R, pivots = rref(aug)
     if n in pivots:
         return None
-    x = [ZERO] * n
-    for row, col in zip(R.num, pivots):
-        x[col] = _fraction(row.get(n, 0), row[col])
-    return tuple(x)
+    # each RREF row holds R.den, a value of 1, at its pivot
+    return ExactMatrix.from_ints([{c: row.get(n, 0) for row, c in zip(R.num, pivots)}], n, R.den)
 
 
 def _left_coordinates(E: Echelon, B: ExactMatrix, w: Row, d: int) -> tuple[Row, int] | None:
@@ -780,19 +774,6 @@ class Submodule:
     def sum(self, other: "Submodule") -> "Submodule":
         self._check_compatible(other)
         return Submodule.of_rows(stack_rows([self.basis, other.basis]), self.domain)
-
-    def intersect(self, other: "Submodule") -> "Submodule":
-        self._check_compatible(other)
-        if self.rank == 0 or other.rank == 0:
-            return Submodule.zero(self.ambient_rank, self.domain)
-        stacked = stack_rows([self.basis, -other.basis])
-        if self.domain == "Q":
-            ker = kernel_basis(stacked, "Q").basis
-        else:
-            ker = kernel_basis(ExactMatrix._of(stacked.num, 1, stacked.cols), "Z").basis
-        # the kernel's first self.rank coordinates combine self's basis
-        left = ker.take_columns(range(self.rank))
-        return Submodule.of_rows(left * self.basis, self.domain)
 
     def saturate(self) -> "Submodule":
         """Isolated closure: same Q-span, torsion-free quotient.  No-op over Q.

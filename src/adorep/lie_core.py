@@ -22,7 +22,6 @@ from .exact_linalg import (
     Submodule,
     Vec,
     extend_basis,
-    hnf,
     invert,
     kernel_basis,
     rank,
@@ -73,6 +72,10 @@ class LieLattice:
     names: tuple[str, ...]
     table: StructureTable
     domain: str = "Z"
+
+    def __post_init__(self) -> None:
+        if self.domain not in ("Z", "Q"):
+            raise ValueError("domain must be 'Z' or 'Q'")
 
     @property
     def rank(self) -> int:
@@ -548,13 +551,9 @@ def subalgebra_lattice(
     return lat, S.basis
 
 
-def semidirect_assemble(
-    N: LieLattice,
-    S: LieLattice,
-    action: Sequence[ExactMatrix],
-    names: Sequence[str] | None = None,
-) -> LieLattice:
-    """Semidirect sum N x| S where [s_a, n] = action[a] applied to n.
+def semidirect_assemble(N: LieLattice, S: LieLattice, action: Sequence[ExactMatrix]) -> LieLattice:
+    """Semidirect sum N x| S where [s_a, n] = action[a] applied to n, with
+    the names of N followed by those of S.
 
     Each action matrix must be a derivation of N; the assembled tensor is
     validated (Jacobi failure indicates an inconsistent action).
@@ -566,8 +565,6 @@ def semidirect_assemble(
             raise LeibnizError(f"action of S basis vector {a} is not a derivation of N")
     nN, nS = N.rank, S.rank
     r = nN + nS
-    if names is None:
-        names = tuple(N.names) + tuple(S.names)
     (dN, TN), (dS, TS) = N.table, S.table
     den = lcm(dN, dS, *(D.den for D in action))
     rows: list[dict[int, int]] = [{} for _ in range(r * r)]
@@ -585,6 +582,7 @@ def semidirect_assemble(
                 rows[(nN + a) * r + i][k] = f * x
                 rows[i * r + nN + a][k] = -f * x
     domain = "Z" if N.domain == "Z" and S.domain == "Z" else "Q"
+    names = tuple(N.names) + tuple(S.names)
     L = LieLattice.from_bracket_rows(names, ExactMatrix.from_ints(rows, r, den), domain)
     require_valid(L)
     return L
@@ -621,37 +619,38 @@ def split_semidirect(
     return N, S, action
 
 
-def scale_lattice(L: LieLattice, k: int, suffix: str = "'") -> LieLattice:
-    """Structure constants of the sublattice spanned by k*x_i in its own basis."""
+def scale_lattice(L: LieLattice, k: int) -> LieLattice:
+    """Structure constants of the sublattice spanned by k*x_i in its own
+    basis, under the same names."""
     I = ExactMatrix.identity(L.rank)
-    names = tuple(n + suffix for n in L.names)
-    return LieLattice.from_bracket_rows(names, L.bracket_rows(I, I).scale(k), L.domain)
+    return LieLattice.from_bracket_rows(L.names, L.bracket_rows(I, I).scale(k), L.domain)
 
 
-def change_basis(L: LieLattice, P: ExactMatrix, prefix: str = "b") -> LieLattice:
-    """Structure constants in the basis whose vectors are the rows of P.
+def change_basis(L: LieLattice, P: ExactMatrix) -> LieLattice:
+    """Structure constants in the basis whose vectors are the rows of P,
+    named b0, b1, ...
 
     Over Z the matrix must be unimodular for the result to be the same
-    lattice; over Q any invertible matrix works.
+    lattice, that is integral with an integral inverse; over Q any
+    invertible matrix works.
     """
     n = L.rank
     if P.rows != n or P.cols != n:
         raise ValueError("change of basis must be square of the lattice rank")
     Pinv = invert(P)
-    if L.domain == "Z" and (not P.is_integral or hnf(P)[0] != ExactMatrix.identity(n)):
+    if L.domain == "Z" and not (P.is_integral and Pinv.is_integral):
         raise ValueError("change of basis is not unimodular over Z")
-    names = tuple(f"{prefix}{i}" for i in range(n))
+    names = tuple(f"b{i}" for i in range(n))
     return LieLattice.from_bracket_rows(names, L.bracket_rows(P, P) * Pinv, L.domain)
 
 
-def quotient_lattice(
-    L: LieLattice, ideal: Submodule, prefix: str = "q"
-) -> tuple[LieLattice, ExactMatrix]:
+def quotient_lattice(L: LieLattice, ideal: Submodule) -> tuple[LieLattice, ExactMatrix]:
     """Quotient L / ideal with a linear section.
 
-    Returns the quotient lattice and the section matrix (rows = coset
-    representatives in L-coordinates).  The ideal must actually be an ideal;
-    over Z it must also be isolated for the quotient to be free.
+    Returns the quotient lattice, named q0, q1, ..., and the section matrix
+    (rows = coset representatives in L-coordinates).  The ideal must
+    actually be an ideal; over Z it must also be isolated for the quotient
+    to be free.
     """
     comp = extend_basis(ideal, Submodule.full(L.rank, L.domain))
     k = comp.rows
@@ -660,5 +659,5 @@ def quotient_lattice(
     if coords is None:
         raise ValueError("quotient section failed")
     c = coords.take_columns(range(ideal.rank, ideal.rank + k))
-    names = tuple(f"{prefix}{i}" for i in range(k))
+    names = tuple(f"q{i}" for i in range(k))
     return LieLattice.from_bracket_rows(names, c, L.domain), comp

@@ -67,21 +67,19 @@ class LinearRep:
         return bad
 
 
-def restrict_rep(
-    rep: LinearRep, injection: ExactMatrix, lattice: "LieLattice", provenance: str = "restriction"
-) -> LinearRep:
+def restrict_rep(rep: LinearRep, injection: ExactMatrix, lattice: "LieLattice") -> LinearRep:
     """Pull a representation back along an embedding.
 
     `injection` rows are the images of the sublattice's basis vectors in the
     coordinates of rep.lattice.
     """
     mats = tuple(rep.matrices_of_rows(injection))
-    return LinearRep(lattice=lattice, matrices=mats, provenance=provenance)
+    return LinearRep(lattice=lattice, matrices=mats, provenance="restriction")
 
 
-def direct_sum_rep(a: LinearRep, b: LinearRep, provenance: str = "direct-sum") -> LinearRep:
+def direct_sum_rep(a: LinearRep, b: LinearRep) -> LinearRep:
     """Blockwise direct sum of two representations of the same lattice."""
     if a.lattice is not b.lattice and a.lattice != b.lattice:
         raise ValueError("direct sum requires representations of the same lattice")
     mats = tuple(block_diag(x, y) for x, y in zip(a.matrices, b.matrices, strict=True))
-    return LinearRep(lattice=a.lattice, matrices=mats, provenance=provenance)
+    return LinearRep(lattice=a.lattice, matrices=mats, provenance="direct-sum")

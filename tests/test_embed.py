@@ -132,7 +132,7 @@ def test_levi_examples():
     rad, levi = levi_decomposition(both)
     assert rad.rank == 2 and levi.rank == 3
     assert is_subalgebra(both, levi)
-    assert rad.intersect(levi).is_zero()
+    assert rad.sum(levi).rank == 5
 
 
 def test_levi_with_nontrivial_correction():
@@ -259,6 +259,17 @@ def test_embed_solv2_by_hand():
     ext = cert.extension
     assert ext.bracket(unit(3, 2), unit(3, 0)) == vector([1, 0, 0])
     assert ext.bracket(unit(3, 2), unit(3, 1)) == vector([0, 0, 0])
+
+
+def test_extension_is_the_semidirect_sum_of_its_split():
+    """The extension is the one sublattice [nbar; sbar], and each expansion
+    is a semidirect sum that keeps dim N."""
+    from adorep.lie_core import semidirect_assemble
+
+    for name in catalog.names():
+        cert = embed_splittable(catalog.get(name).lattice)
+        assert semidirect_assemble(*cert.split()) == cert.extension, name
+        assert all(step.dim_n_before == step.dim_n_after for step in cert.trace), name
 
 
 def test_embed_all_catalog_certificates():

@@ -202,10 +202,6 @@ def test_submodule_membership_and_ops():
     assert not a.contains(vector([1, 0]))
     b = Submodule.span([vector([1, 1])], 2, "Z")
     assert a.sum(b).rank == 2
-    inter = a.intersect(b)
-    assert inter.rank == 1
-    assert inter.contains(vector([6, 6]))
-    assert not inter.contains(vector([1, 1]))
 
 
 def test_constructors_reject_columns_out_of_range():

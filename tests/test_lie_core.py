@@ -655,6 +655,16 @@ def test_lie_lattice_rejects_bad_keys_and_lengths():
             lie_lattice(["x", "y", "z"], {(0, 1): coeffs})
 
 
+def test_lattice_rejects_a_domain_other_than_z_or_q():
+    # rejected where the lattice is built, not deep inside a later span
+    for domain in ("R", "z", ""):
+        with pytest.raises(ValueError, match="domain must be 'Z' or 'Q'"):
+            lie_lattice(["a", "b"], {(0, 1): [0, 1]}, domain)
+        with pytest.raises(ValueError, match="domain must be 'Z' or 'Q'"):
+            dataclasses.replace(catalog.sl2(), domain=domain)
+    assert lie_lattice(["a", "b"], {(0, 1): [0, 1]}, "Q").domain == "Q"
+
+
 # -- brackets of the pairs i < j against all ordered pairs -----------------
 
 
