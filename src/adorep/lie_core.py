@@ -599,6 +599,8 @@ def split_semidirect(
     """Recover (N, S, action) from a lattice whose first n_rank basis vectors
     span an ideal and whose remaining vectors span a subalgebra."""
     r = L.rank
+    if not 0 <= n_rank <= r:
+        raise ValueError(f"ideal block rank {n_rank} is outside 0..{r}")
     brackets = L.bracket_rows(ExactMatrix.identity(r), ExactMatrix.identity(r))
 
     def block(pairs: Sequence[tuple[int, int]], cols: range, message: str) -> ExactMatrix:

@@ -248,12 +248,11 @@ def ado_representation(
         cert_report = verify_certificate(cert)
         if not cert_report.ok:
             raise VerificationFailure("embedding certificate failed verification", cert_report)
-        N, S, action = cert.split()
-        phi = splittable_rep(N, S, action)
-        if phi.lattice != cert.extension:
-            raise VerificationFailure("splittable lattice mismatch", cert_report)
-        phi_on_L = restrict_rep(phi, cert.injection, L)
-        rep = direct_sum_rep(phi_on_L, adjoint_rep(L))
+        try:
+            phi = splittable_rep(cert.extension, cert.nilpotent_rank)
+        except ValueError as exc:  # on a certified extension, a bug
+            raise RuntimeError(f"construction produced a bad extension: {exc}") from exc
+        rep = direct_sum_rep(restrict_rep(phi, cert.injection, L), adjoint_rep(L))
         phi_degree = phi.degree
 
     report = verify_representation(L, rep)

@@ -5,25 +5,23 @@ truncated representation, so the whole thing is injective on N."""
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from .exact_linalg import ExactMatrix
-from .lie_core import LieLattice, semidirect_assemble, unit
+from .lie_core import LieLattice, require_valid, split_semidirect, unit
 from .pbw import TruncatedUEA, build_weighted_basis
 from .rep import LinearRep
 
 
-def splittable_rep(
-    N: LieLattice, S: LieLattice, action: Sequence[ExactMatrix]
-) -> LinearRep:
-    """Degree equals the monomial count of N at its nilpotency class.
-
-    The action matrices must be derivations of N (checked); the assembled
-    semidirect product is validated before any matrix is built.
+def splittable_rep(L: LieLattice, n_rank: int) -> LinearRep:
+    """Representation of the lattice L whose first n_rank basis vectors span
+    a nilpotent ideal N and the others a subalgebra S; its degree is the
+    monomial count of N at its nilpotency class.  L is validated and split
+    once, and is the result's lattice: it is the semidirect sum of its split,
+    as [n, n'] and [s, s'] are the blocks of N and S, [s, n] is the action
+    and [n, s] = -[s, n] by antisymmetry.
     """
-    ambient = semidirect_assemble(N, S, action)
+    require_valid(L)
+    N, _, action = split_semidirect(L, n_rank)
     basis = build_weighted_basis(N)
     T = TruncatedUEA(basis, basis.nil_class)
     matrices = [T.left_mult_matrix(unit(N.rank, i)) for i in range(N.rank)]
     matrices += [T.derivation_star(D) for D in action]
-    return LinearRep(lattice=ambient, matrices=tuple(matrices), provenance="zassenhaus")
+    return LinearRep(lattice=L, matrices=tuple(matrices), provenance="zassenhaus")

@@ -10,17 +10,26 @@ runs the derived series first and restricts the envelope to the ideal
 [L, R_s].  `ref_hnf` is Euclid's column-by-column Hermite form, where the
 library combines rows by extended gcds.  `ref_derived_series` brackets all
 ordered pairs of basis vectors, where the library brackets the pairs
-i < j only.
+i < j only.  `ref_splittable_rep` builds the representation of a split
+extension from its parts and re-assembles the lattice, where the library
+takes the assembled lattice and splits it once.
 """
 
+import importlib.util
+import sys
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 from adorep import catalog
 from adorep.exact_linalg import ExactMatrix, Submodule
 from adorep.jsonio import frac_to_str
-from adorep.lie_core import LieLattice, StructureTable
+from adorep.lie_core import LieLattice, StructureTable, semidirect_assemble, unit
 from adorep.nilrep import _sqrt_interval, eta_interval
+from adorep.pbw import TruncatedUEA, build_weighted_basis
+from adorep.rep import LinearRep
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 ZERO = Fraction(0)
 
@@ -645,3 +654,41 @@ def ref_nilradical(L):
     else:
         rn = rs
     return _ref_module(rn, L)
+
+
+def load_bench(name):
+    """The module bench/<name>.py, loaded from source as bench_<name>
+    without writing bytecode under bench/."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules while the class is built
+    sys.modules[spec.name] = module
+    writes_bytecode = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = writes_bytecode
+    return module
+
+
+def theorem_inputs(seed=23):
+    """(name, lattice) for every catalog lattice, then for every case of the
+    benchmark's theorem-solvable and theorem-scrambled workloads at seed."""
+    out = [(name, catalog.get(name).lattice) for name in catalog.names()]
+    workloads = load_bench("workloads")
+    for workload in ("theorem-solvable", "theorem-scrambled"):
+        out += [(f"{workload}:{c.name}", c.lattice) for c in workloads.build(workload, seed)]
+    return out
+
+
+def ref_splittable_rep(N, S, action):
+    """The representation of N x| S built from its parts: the lattice is
+    `semidirect_assemble(N, S, action)` (Leibniz checks and validation),
+    N acts by left multiplication and S by the lifts of its derivations."""
+    ambient = semidirect_assemble(N, S, action)
+    basis = build_weighted_basis(N)
+    T = TruncatedUEA(basis, basis.nil_class)
+    matrices = [T.left_mult_matrix(unit(N.rank, i)) for i in range(N.rank)]
+    matrices += [T.derivation_star(D) for D in action]
+    return LinearRep(lattice=ambient, matrices=tuple(matrices), provenance="zassenhaus")

@@ -9,11 +9,9 @@ benchmark without failing a test.  The bench modules are loaded from
 source and nothing is written under bench/.
 """
 
-import importlib.util
 import json
 import random
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -21,27 +19,10 @@ from adorep.jsonio import lattice_to_json
 from adorep.lie_core import LieLattice
 from adorep.pipeline import ado_representation, verify_certificate, verify_representation
 
-from oracles import dense_lattice_json
+from oracles import BENCH, dense_lattice_json, load_bench
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-
-
-def load(name):
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    # dataclasses look their module up in sys.modules while the class is built
-    sys.modules[spec.name] = module
-    writes_bytecode = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = writes_bytecode
-    return module
-
-
-tracer = load("tracer")
-workloads = load("workloads")
+tracer = load_bench("tracer")
+workloads = load_bench("workloads")
 
 
 TRACED = tracer.SPANS + tracer.COUNTED
@@ -75,7 +56,7 @@ def test_negative_controls_are_rejected(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     had_tracer = "tracer" in sys.modules
     try:
-        run = load("run")
+        run = load_bench("run")
     finally:
         if not had_tracer:
             sys.modules.pop("tracer", None)

@@ -15,7 +15,8 @@ from adorep.jsonio import (
     rep_from_json,
     rep_to_json,
 )
-from adorep.lie_core import lie_lattice
+from adorep.exact_linalg import ExactMatrix
+from adorep.lie_core import LeibnizError, direct_sum, lie_lattice
 from adorep.nilrep import nilpotent_faithful_rep
 from adorep.pipeline import ado_representation
 
@@ -369,6 +370,43 @@ def test_cli_internal_quotient_error_exit_code(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "internal error: construction produced a bad quotient: quotient section failed" in err
+    assert "Traceback" not in err
+
+
+def test_cli_expansion_leibniz_failure_is_internal(tmp_path, capsys, monkeypatch):
+    # a semisimple part that is no derivation of ideal + S is a bug of the
+    # Jordan-Chevalley step, not a property of t2 + t2
+    import adorep.embed
+
+    real = adorep.embed.jordan_chevalley
+
+    def shifted(A):
+        ds, dn = real(A)
+        return ds + ExactMatrix.identity(A.rows), dn
+
+    monkeypatch.setattr(adorep.embed, "jordan_chevalley", shifted)
+    path = tmp_path / "t2_squared.json"
+    L = direct_sum(catalog.t2_upper(), catalog.t2_upper())
+    path.write_text(json.dumps(lattice_to_json(L)))
+    code, out, err = run(capsys, "ado", str(path), "--strict-theorem-path")
+    assert code == 3
+    assert out == ""
+    assert "internal error:" in err and "violates the Leibniz identity" in err
+
+
+def test_cli_splittable_rep_value_error_is_internal(tmp_path, capsys, monkeypatch):
+    # the extension passed verify_certificate, so a ValueError from building
+    # its representation is a bug, not a mathematical failure
+    import adorep.pipeline
+
+    monkeypatch.setattr(
+        adorep.pipeline, "splittable_rep", _raising(LeibnizError("not a derivation"))
+    )
+    path = write_lattice(tmp_path, "t2_upper")
+    code, out, err = run(capsys, "ado", path, "--strict-theorem-path")
+    assert code == 3
+    assert out == ""
+    assert "internal error: construction produced a bad extension: not a derivation" in err
     assert "Traceback" not in err
 
 

@@ -36,7 +36,7 @@ from adorep.lie_core import (
 )
 from adorep.pipeline import verify_certificate
 
-from oracles import is_squarefree, power, tensor_lattice
+from oracles import is_squarefree, power, tensor_lattice, theorem_inputs
 
 
 def jordan_block(eig, size):
@@ -264,12 +264,42 @@ def test_embed_solv2_by_hand():
 def test_extension_is_the_semidirect_sum_of_its_split():
     """The extension is the one sublattice [nbar; sbar], and each expansion
     is a semidirect sum that keeps dim N."""
-    from adorep.lie_core import semidirect_assemble
+    from adorep.lie_core import semidirect_assemble, split_semidirect
 
     for name in catalog.names():
         cert = embed_splittable(catalog.get(name).lattice)
-        assert semidirect_assemble(*cert.split()) == cert.extension, name
+        parts = split_semidirect(cert.extension, cert.nilpotent_rank)
+        assert semidirect_assemble(*parts) == cert.extension, name
         assert all(step.dim_n_before == step.dim_n_after for step in cert.trace), name
+
+
+def test_parts_of_ad_y_are_derivations_of_the_whole_algebra():
+    """The Leibniz check on all of K that each expansion used to run, kept
+    as an oracle: replayed on every step, it never fails, so checking the
+    parts on ideal + S alone accepts the same inputs."""
+    for name, L in theorem_inputs():
+        state = initial_state(L)
+        while state.Rn.rank < state.N.rank:
+            K = state.K
+            state = elementary_expansion(state)
+            step = state.trace[-1]
+            assert check_derivation(K, step.semisimple_part), (name, step.index)
+            assert check_derivation(K, step.nilpotent_part), (name, step.index)
+
+
+def test_expansion_rejects_a_part_that_is_not_a_derivation(monkeypatch):
+    # ds + I is no derivation of the non-abelian ideal + S of t2 + t2
+    import adorep.embed
+
+    real = adorep.embed.jordan_chevalley
+
+    def shifted(A):
+        ds, dn = real(A)
+        return ds + ExactMatrix.identity(A.rows), dn
+
+    monkeypatch.setattr(adorep.embed, "jordan_chevalley", shifted)
+    with pytest.raises(ExpansionError, match="violates the Leibniz identity"):
+        embed_splittable(direct_sum(catalog.t2_upper(), catalog.t2_upper()))
 
 
 def test_embed_all_catalog_certificates():

@@ -332,6 +332,12 @@ def test_split_semidirect_round_trip():
     assert action[0] == D
 
 
+@pytest.mark.parametrize("n_rank", [-1, 4])
+def test_split_semidirect_rejects_n_rank_out_of_range(n_rank):
+    with pytest.raises(ValueError, match="outside 0..3"):
+        split_semidirect(h3(), n_rank)
+
+
 def test_derivation_basis_properties():
     for L in (h3(), sl2(), solv2()):
         basis = derivation_basis(L)

@@ -4,13 +4,26 @@ from fractions import Fraction
 import pytest
 
 from adorep import catalog
+from adorep.embed import embed_splittable
 from adorep.exact_linalg import ExactMatrix, rank, vector
-from adorep.lie_core import LeibnizError, lie_lattice, unit
+from adorep.lie_core import (
+    LatticeValidationError,
+    NotNilpotentError,
+    lie_lattice,
+    semidirect_assemble,
+    split_semidirect,
+    unit,
+)
 from adorep.nilrep import burde_bound, monomial_count, nilpotent_faithful_rep
 from adorep.pbw import TruncatedUEA, build_weighted_basis
 from adorep.zassenhaus import splittable_rep
 
-from oracles import nilpotent_entries
+from oracles import nilpotent_entries, ref_splittable_rep, tensor_lattice, theorem_inputs
+
+
+def assembled_rep(N, S, action):
+    """`splittable_rep` on the semidirect sum N x| S, built from its parts."""
+    return splittable_rep(semidirect_assemble(N, S, action), N.rank)
 
 
 def test_solvable_example_degree3():
@@ -18,7 +31,7 @@ def test_solvable_example_degree3():
     N = catalog.abelian(2)
     S = lie_lattice(["z'"], {})
     action = [ExactMatrix.from_rows([[1, 0], [0, 0]])]
-    rep = splittable_rep(N, S, action)
+    rep = assembled_rep(N, S, action)
     assert rep.degree == 3
     assert rep.lattice.rank == 3
     assert not rep.homomorphism_violations()
@@ -37,7 +50,7 @@ def test_solvable_example_degree3():
 def test_trivial_complement_is_regular_rep():
     N = catalog.get("heisenberg3").lattice
     S = lie_lattice([], {})
-    rep = splittable_rep(N, S, [])
+    rep = assembled_rep(N, S, [])
     base = nilpotent_faithful_rep(N)
     assert rep.degree == base.degree
     assert rep.matrices == base.matrices
@@ -51,7 +64,7 @@ def test_inner_action_commutator_identity():
     for _ in range(10):
         v = vector([rng.randint(-3, 3) for _ in range(3)])
         D = N.ad(v)
-        rep = splittable_rep(N, S, [D])
+        rep = assembled_rep(N, S, [D])
         T = TruncatedUEA(build_weighted_basis(N), 2)
         Dstar = T.derivation_star(D)
         for i in range(3):
@@ -83,7 +96,7 @@ def test_restriction_to_n_is_exactly_regular():
     N = catalog.get("heisenberg5").lattice
     S = lie_lattice(["s"], {})
     D = N.ad(vector([1, 2, 0, -1, 3]))
-    rep = splittable_rep(N, S, [D])
+    rep = assembled_rep(N, S, [D])
     base = nilpotent_faithful_rep(N)
     assert rep.matrices[: N.rank] == base.matrices
 
@@ -95,7 +108,7 @@ def test_kernel_meets_n_trivially_and_degree_bound():
             continue
         S = lie_lattice(["s"], {})
         D = N.ad(unit(N.rank, 0))
-        rep = splittable_rep(N, S, [D])
+        rep = assembled_rep(N, S, [D])
         n_block = rep.matrices[: N.rank]
         stacked = ExactMatrix.from_rows(
             [tuple(x for row in M.entries for x in row) for M in n_block],
@@ -106,9 +119,40 @@ def test_kernel_meets_n_trivially_and_degree_bound():
         assert Fraction(rep.degree) <= burde_bound(N.rank)
 
 
-def test_rejects_non_derivation_action():
-    N = catalog.get("heisenberg3").lattice
-    S = lie_lattice(["s"], {})
-    bad = ExactMatrix.from_rows([[0, 0, 0], [0, 0, 0], [0, 0, 1]])
-    with pytest.raises(LeibnizError):
-        splittable_rep(N, S, [bad])
+def test_matches_the_builder_from_the_parts():
+    """On every certificate the theorem path builds, the representation of
+    the extension equals `ref_splittable_rep` of its split, whose lattice,
+    re-assembled from the parts, is the extension itself."""
+    for name, L in theorem_inputs():
+        cert = embed_splittable(L)
+        ext, m = cert.extension, cert.nilpotent_rank
+        ref = ref_splittable_rep(*split_semidirect(ext, m))
+        rep = splittable_rep(ext, m)
+        assert ref.lattice == ext, name
+        assert rep.lattice is ext and rep.matrices == ref.matrices, name
+
+
+def test_rejects_invalid_lattice():
+    # [x, y] = z and [y, x] = z: not antisymmetric
+    c = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    c[0][1][2] = c[1][0][2] = 1
+    with pytest.raises(LatticeValidationError):
+        splittable_rep(tensor_lattice(["x", "y", "z"], c), 2)
+
+
+def test_rejects_first_block_that_is_not_an_ideal():
+    # in heisenberg3 <x> is not an ideal: [x, y] = z leaves it
+    with pytest.raises(ValueError, match="leaves the claimed ideal block"):
+        splittable_rep(catalog.get("heisenberg3").lattice, 1)
+
+
+def test_rejects_first_block_that_is_not_nilpotent():
+    # sl2 is an ideal of itself, with a zero complement, but not nilpotent
+    with pytest.raises(NotNilpotentError):
+        splittable_rep(catalog.sl2(), 3)
+
+
+@pytest.mark.parametrize("n_rank", [-1, 4])
+def test_rejects_n_rank_out_of_range(n_rank):
+    with pytest.raises(ValueError, match="outside 0..3"):
+        splittable_rep(catalog.get("heisenberg3").lattice, n_rank)
