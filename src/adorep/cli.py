@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 mathematical failure (with a witness in the
-report), 2 I/O or format errors, 3 internal errors (a bug, not a property
-of the input).  Set ADO_LOG=info or ADO_LOG=debug for progress messages on
+Exit codes: 0 success, 1 an invalid input or a failed verification (with
+a witness in the report), 2 I/O or format errors, 3 internal errors (a bug,
+not a property of the input); a failure of the construction itself is
+always exit 3.  Set ADO_LOG=info or ADO_LOG=debug for progress messages on
 stderr; ADO_LOG takes debug, info, warning, error or critical in any case,
 and any other value means warning.
 """
@@ -16,8 +17,6 @@ import os
 import sys
 
 from . import catalog
-from .embed import ScalarSearchError
-from .exact_linalg import NonIntegralMatrixError
 from .jsonio import (
     JsonFormatError,
     ado_report_to_json,
@@ -32,7 +31,6 @@ from .jsonio import (
     verification_report_to_json,
 )
 from .lie_core import (
-    LatticeValidationError,
     LieLattice,
     center,
     derived_series,
@@ -123,7 +121,7 @@ def cmd_embed(args) -> int:
     from .embed import embed_splittable
 
     L = _load_lattice(args.file)
-    cert = embed_splittable(L, max_scalar_search=args.max_scalar_search)
+    cert = embed_splittable(L)
     report = verify_certificate(cert)
     payload = certificate_to_json(cert)
     payload["report"] = certificate_report_to_json(report)
@@ -133,11 +131,7 @@ def cmd_embed(args) -> int:
 
 def cmd_ado(args) -> int:
     L = _load_lattice(args.file)
-    rep, report, cert = ado_representation(
-        L,
-        strict=args.strict_theorem_path,
-        max_scalar_search=args.max_scalar_search,
-    )
+    rep, report, cert = ado_representation(L, strict=args.strict_theorem_path)
     payload = {
         "representation": rep_to_json(rep),
         "report": ado_report_to_json(report),
@@ -200,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("embed", help="splittable extension certificate")
     p.add_argument("file")
-    p.add_argument("--max-scalar-search", type=int, default=64)
     common(p)
     p.set_defaults(func=cmd_embed)
 
@@ -209,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict-theorem-path", action="store_true",
                    help="disable the nilpotent and semisimple shortcuts")
     p.add_argument("--emit-certificate", action="store_true")
-    p.add_argument("--max-scalar-search", type=int, default=64)
     common(p)
     p.set_defaults(func=cmd_ado)
 
@@ -245,11 +237,8 @@ def main(argv=None) -> int:
     except VerificationFailure as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_MATH
-    except (LatticeValidationError, NonIntegralMatrixError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MATH
-    except ScalarSearchError as exc:
-        print(f"construction error: {exc}", file=sys.stderr)
         return EXIT_MATH
     except RuntimeError as exc:
         # includes ExpansionError, LiftingError and the radicals' self-checks:

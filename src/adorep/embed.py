@@ -7,7 +7,7 @@ nilpotent and semisimple parts of ad_y (y embeds as their sum).  Once the
 solvable part has become nilpotent, everything is rescaled by two integers
 mu and lambda so that the relevant spans are honest Z-lattices, giving an
 extension whose nilpotent radical has the rank of the original solvable
-radical.
+radical.  Both integers are lcms of denominators, computed in closed form.
 """
 
 from __future__ import annotations
@@ -58,10 +58,6 @@ class LiftingError(RuntimeError):
 
 class ExpansionError(RuntimeError):
     """An elementary expansion could not maintain its invariants."""
-
-
-class ScalarSearchError(RuntimeError):
-    """The search for the scaling integers exceeded its configured bound."""
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +170,12 @@ def jordan_chevalley(A: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
 # ---------------------------------------------------------------------------
 
 
-def _closed_sublattice(K: LieLattice, S: Submodule, prefix: str) -> LieLattice:
+def _closed_sublattice(K: LieLattice, S: Submodule) -> LieLattice:
     """`subalgebra_lattice` of a submodule the construction has already made
     closed and integral, so a failure is an internal error, not a property
     of the input."""
     try:
-        return subalgebra_lattice(K, S, prefix)[0]
+        return subalgebra_lattice(K, S)[0]
     except ValueError as exc:
         raise RuntimeError(f"construction produced a bad sublattice: {exc}") from exc
 
@@ -272,7 +268,7 @@ def levi_decomposition(
     levi = Submodule.of_rows(sigma, "Q")
     if levi.rank != t or not is_subalgebra(L, levi):
         raise LiftingError("lifted complement has the wrong rank or is not a subalgebra")
-    levi_lat = _closed_sublattice(L, levi, "v")
+    levi_lat = _closed_sublattice(L, levi)
     if rank(killing_form(levi_lat)) != t:
         raise LiftingError("lifted complement is not semisimple")
     if rs.sum(levi).rank != rs.rank + t:
@@ -503,9 +499,7 @@ class EmbeddingCertificate:
         return Submodule.of_rows(units, self.extension.domain)
 
 
-def integral_rescale(
-    L: LieLattice, state: ExpansionState, max_scalar_search: int = 64
-) -> EmbeddingCertificate:
+def integral_rescale(L: LieLattice, state: ExpansionState) -> EmbeddingCertificate:
     """Turn the final Q-splitting into a Z-lattice extension.
 
     mu makes the span of R_n(L) and the scaled new generators bracket-closed
@@ -513,6 +507,21 @@ def integral_rescale(
     clears the denominators of the image of L against that span.  The
     nilpotent part of the extension is the sum of the lower-central terms
     scaled by powers of 1/lambda.  R_n(L) is read from the state.
+
+    mu is the lcm of the denominators of the coordinates below at mu = 1.
+    Write the basis of N as (X, mu XP), with X the image of R_n(L) and XP
+    the new generators x'.  Every coordinate read has the form c mu^k:
+
+    - [X_i, X_j] has k = 0 and is integral: R_n(L) is an isolated ideal of
+      the Z-lattice L, and the embedding is a homomorphism;
+    - [X_i, mu x'_a] has k = 1 on X, and its part on XP is 0, because
+      `into_x` shows [x'_a, L] inside span_Q X and X_i lies in L;
+    - [mu x'_a, mu x'_b] has k = 2 on X and k = 1 on XP;
+    - `into_x`, the X coordinates of [mu x'_a, L], has k = 1.
+
+    Hence this mu clears every denominator, and a second escalation is never
+    needed.  The coordinates are recomputed once at mu as a self-check; a
+    denominator left over is an ExpansionError, a bug.
     """
     K = state.K
     nK = K.rank
@@ -528,9 +537,9 @@ def integral_rescale(
         raise ExpansionError("radical basis plus new generators do not span N")
 
     in_x = Submodule(nK, X, "Q")
-    mu = 1
-    bad: set[int] = set()  # stays empty when max_scalar_search <= 0
-    for attempt in range(max_scalar_search):
+
+    def scaled_basis(mu: int) -> tuple[ExactMatrix, set[int]]:
+        """The basis (X, mu XP) and the denominators of its coordinates."""
         scaled = XP.scale(mu)
         n_mat = stack_rows([X, scaled])
         closure = Submodule(nK, n_mat, "Q").coordinate_rows(K.bracket_rows(n_mat, n_mat))
@@ -541,18 +550,17 @@ def integral_rescale(
             raise ExpansionError(
                 "new generator does not map the lattice into its nilpotent radical"
             )
-        bad = _denominators(closure) | _denominators(into_x)
-        if not bad:
-            break
-        mu *= lcm(*bad)
-        log.info("scalar search: escalating mu to %d", mu)
-    else:
-        raise ScalarSearchError(
-            f"mu search exceeded {max_scalar_search} rounds; offending denominators {sorted(bad)}"
-        )
+        return n_mat, _denominators(closure) | _denominators(into_x)
 
-    # the loop ended at the final mu, so n_mat holds the scaled basis
-    N_lat = _closed_sublattice(K, Submodule(nK, n_mat, "Z"), "n")
+    n_mat, bad = scaled_basis(1)
+    mu = lcm(*bad)  # 1 when there is nothing to clear
+    if bad:
+        log.info("scalar search: escalating mu to %d", mu)
+        n_mat, bad = scaled_basis(mu)
+        if bad:
+            raise ExpansionError(f"denominators {sorted(bad)} remain at mu = {mu}")
+
+    N_lat = _closed_sublattice(K, Submodule(nK, n_mat, "Z"))
     if not is_nilpotent(N_lat):
         raise ExpansionError("scaled span of the nilpotent part is not nilpotent")
 
@@ -584,7 +592,7 @@ def integral_rescale(
     m = nbar.rank
     ext = Submodule(nK, stack_rows([nbar.basis, sbar.basis]), "Z")
     names = tuple(f"n{i}" for i in range(m)) + tuple(f"s{a}" for a in range(sbar.rank))
-    extension = LieLattice(names, _closed_sublattice(K, ext, "n").table, "Z")
+    extension = LieLattice(names, _closed_sublattice(K, ext).table, "Z")
     try:
         nilpotent_block = split_semidirect(extension, m)[0]
     except ValueError as exc:
@@ -624,7 +632,7 @@ def _denominators(M: ExactMatrix) -> set[int]:
     return {M.den // gcd(x, M.den) for row in M.num for x in row.values()} - {1}
 
 
-def embed_splittable(L: LieLattice, max_scalar_search: int = 64) -> EmbeddingCertificate:
+def embed_splittable(L: LieLattice) -> EmbeddingCertificate:
     """End-to-end embedding of a Z-Lie lattice into a splittable one.
 
     The expansion loop runs exactly rk R_s - rk R_n times: dim R_n grows by
@@ -637,4 +645,4 @@ def embed_splittable(L: LieLattice, max_scalar_search: int = 64) -> EmbeddingCer
     state = initial_state(L)
     while state.Rn.rank < state.N.rank:
         state = elementary_expansion(state)
-    return integral_rescale(L, state, max_scalar_search)
+    return integral_rescale(L, state)

@@ -529,15 +529,14 @@ def derivation_basis(L: LieLattice) -> list[ExactMatrix]:
     return [sols.take_rows([q]).reshape(r, r) for q in range(sols.rows)]
 
 
-def subalgebra_lattice(
-    L: LieLattice, S: Submodule, prefix: str = "v"
-) -> tuple[LieLattice, ExactMatrix]:
+def subalgebra_lattice(L: LieLattice, S: Submodule) -> tuple[LieLattice, ExactMatrix]:
     """Structure constants of a bracket-closed submodule in its own basis.
 
     The basis rows of S are used in the order given, and the result has the
-    domain of S; over Z every structure constant must be an integer.  The
-    result is validated.  Returns the abstract lattice and the basis matrix
-    (rows = basis vectors in the coordinates of L).
+    domain of S and the names v0, v1, ...; over Z every structure constant
+    must be an integer.  The result is validated.  Returns the abstract
+    lattice and the basis matrix (rows = basis vectors in the coordinates
+    of L).
     """
     products = L.bracket_rows(S.basis, S.basis)
     coords = Submodule(S.ambient_rank, S.basis, "Q").coordinate_rows(products)
@@ -545,7 +544,7 @@ def subalgebra_lattice(
         raise ValueError("submodule is not closed under the bracket")
     if S.domain == "Z" and not coords.is_integral:
         raise ValueError("submodule has non-integral structure constants")
-    names = tuple(f"{prefix}{i}" for i in range(S.rank))
+    names = tuple(f"v{i}" for i in range(S.rank))
     lat = LieLattice.from_bracket_rows(names, coords, S.domain)
     require_valid(lat)
     return lat, S.basis

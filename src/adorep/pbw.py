@@ -75,9 +75,7 @@ def build_weighted_basis(L: LieLattice) -> WeightedPBWBasis:
             raise RuntimeError("adapted change of basis is not unimodular")
     else:
         Pinv = ExactMatrix.zero(0, 0)
-    adapted, _ = subalgebra_lattice(
-        L, Submodule(L.rank, P, L.domain), prefix="a"
-    )
+    adapted, _ = subalgebra_lattice(L, Submodule(L.rank, P, L.domain))
     return WeightedPBWBasis(L, P, Pinv, tuple(weights), c, adapted)
 
 
@@ -180,9 +178,9 @@ class TruncatedUEA:
             raise LeibnizError("derivation_star requires a Leibniz-compatible matrix")
         if self.rank == 0:
             return ExactMatrix.zero(self.dimension, self.dimension)
-        Pt = self.basis.change_of_basis.transpose()
-        # Dad_cols[t]: the image of adapted letter t under D, in adapted coordinates
-        Dad = (invert(Pt) * D * Pt).transpose()
+        # Dad_cols[t]: the image of adapted letter t under D, in adapted
+        # coordinates; row t of P D^T P^-1 is that image
+        Dad = self.basis.change_of_basis * D.transpose() * self.basis.inverse
         Dad_cols = [{k: Fraction(x, Dad.den) for k, x in row.items()} for row in Dad.num]
         star: dict[Monomial, Element] = {self.monomials[0]: {}}  # D*(1) = 0
         for beta in self.monomials[1:]:

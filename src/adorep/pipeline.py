@@ -19,10 +19,9 @@ from .lie_core import (
     LieLattice,
     adjoint_rep,
     is_ideal,
-    is_nilpotent,
     is_nilpotent_submodule,
     is_semisimple,
-    nilpotency_class,
+    lower_central_series,
     nilradical,
     require_valid,
     solvable_radical,
@@ -211,9 +210,7 @@ class AdoReport:
 
 
 def ado_representation(
-    L: LieLattice,
-    strict: bool = False,
-    max_scalar_search: int = 64,
+    L: LieLattice, strict: bool = False
 ) -> tuple[LinearRep, AdoReport, EmbeddingCertificate | None]:
     """Faithful representation of degree at most rank + B(rank).
 
@@ -230,12 +227,14 @@ def ado_representation(
     cert_report: CertificateReport | None = None
     comparison = None
 
-    if not strict and is_nilpotent(L):
+    # the strict path never reads the series, so it does not compute it
+    chain = None if strict else lower_central_series(L)
+    if chain is not None and chain[-1].is_zero():
         path = "nilpotent-shortcut"
         rs_rank = r  # a nilpotent lattice is its own solvable radical
         rep = nilpotent_faithful_rep(L)
         phi_degree = rep.degree
-        comparison = birkhoff_bounds(r, nilpotency_class(L))
+        comparison = birkhoff_bounds(r, len(chain) - 1)
     elif not strict and is_semisimple(L.to_field()):
         path = "semisimple-shortcut"
         rs_rank = 0  # a nondegenerate Killing form means a zero radical
@@ -243,7 +242,7 @@ def ado_representation(
         phi_degree = None
     else:
         path = "theorem"
-        cert = embed_splittable(L, max_scalar_search)
+        cert = embed_splittable(L)
         rs_rank = cert.rs_rank
         cert_report = verify_certificate(cert)
         if not cert_report.ok:

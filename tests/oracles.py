@@ -12,7 +12,9 @@ library combines rows by extended gcds.  `ref_derived_series` brackets all
 ordered pairs of basis vectors, where the library brackets the pairs
 i < j only.  `ref_splittable_rep` builds the representation of a split
 extension from its parts and re-assembles the lattice, where the library
-takes the assembled lattice and splits it once.
+takes the assembled lattice and splits it once.  `ref_mu_search` searches
+for the rescaling integer mu round by round, where the library computes it
+in closed form.
 """
 
 import importlib.util
@@ -22,7 +24,7 @@ from math import lcm
 from pathlib import Path
 
 from adorep import catalog
-from adorep.exact_linalg import ExactMatrix, Submodule
+from adorep.exact_linalg import ExactMatrix, Submodule, stack_rows
 from adorep.jsonio import frac_to_str
 from adorep.lie_core import LieLattice, StructureTable, semidirect_assemble, unit
 from adorep.nilrep import _sqrt_interval, eta_interval
@@ -692,3 +694,24 @@ def ref_splittable_rep(N, S, action):
     matrices = [T.left_mult_matrix(unit(N.rank, i)) for i in range(N.rank)]
     matrices += [T.derivation_star(D) for D in action]
     return LinearRep(lattice=ambient, matrices=tuple(matrices), provenance="zassenhaus")
+
+
+def ref_mu_search(state, max_rounds=64):
+    """The bounded search for mu that `integral_rescale` ran before mu had a
+    closed form: while the coordinates of [N, N] in the basis (X, mu XP) or
+    of [mu XP, L] in X have a denominator, multiply mu by the lcm of the
+    denominators.  Returns (mu, number of escalations)."""
+    K, images, XP = state.K, state.embedding, state.xprimes
+    X = state.rn_original.basis * images
+    in_x = Submodule(K.rank, X, "Q")
+    mu = 1
+    for rounds in range(max_rounds):
+        scaled = XP.scale(mu)
+        n_mat = stack_rows([X, scaled])
+        closure = Submodule(K.rank, n_mat, "Q").coordinate_rows(K.bracket_rows(n_mat, n_mat))
+        into_x = in_x.coordinate_rows(K.bracket_rows(scaled, images))
+        dens = {x.denominator for M in (closure, into_x) for row in M.entries for x in row}
+        if dens <= {1}:
+            return mu, rounds
+        mu *= lcm(*dens)
+    raise AssertionError(f"mu search exceeded {max_rounds} rounds")

@@ -235,13 +235,26 @@ def test_cli_verify_rejects_adjoint_h3(tmp_path, capsys):
     assert data["kernel_witness"] == [["0", "0", "1"]]
 
 
-def test_cli_embed_without_scalar_search_rounds(tmp_path, capsys):
-    path = write_lattice(tmp_path, "heisenberg3")
-    code, _, err = run(capsys, "embed", path, "--max-scalar-search", "0")
-    # the user set the bound, so this is not an internal error
-    assert code == 1
-    assert err.startswith("construction error:")
-    assert "mu search exceeded 0 rounds" in err
+def test_cli_embed_leftover_denominator_is_internal(tmp_path, capsys, monkeypatch):
+    # mu clears every denominator by proof, so one left over is a bug
+    import adorep.embed
+
+    monkeypatch.setattr(adorep.embed, "_denominators", lambda M: {2})
+    path = write_lattice(tmp_path, "solv2")
+    code, out, err = run(capsys, "embed", path)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: denominators [2] remain at mu = 2")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["embed", "ado"])
+def test_cli_rejects_the_removed_max_scalar_search_flag(tmp_path, capsys, command):
+    path = write_lattice(tmp_path, "solv2")
+    with pytest.raises(SystemExit) as exc:
+        main([command, path, "--max-scalar-search", "64"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --max-scalar-search" in capsys.readouterr().err
 
 
 def test_cli_verify_ragged_matrix_is_format_error(tmp_path, capsys):

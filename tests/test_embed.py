@@ -36,7 +36,7 @@ from adorep.lie_core import (
 )
 from adorep.pipeline import verify_certificate
 
-from oracles import is_squarefree, power, tensor_lattice, theorem_inputs
+from oracles import is_squarefree, power, ref_mu_search, tensor_lattice, theorem_inputs
 
 
 def jordan_block(eig, size):
@@ -385,11 +385,28 @@ def test_scalar_search_with_fractional_jc_parts():
     assert verify_certificate(cert).ok
 
 
-def test_max_scalar_search_is_respected():
-    L = catalog.solv2()
-    # generous bound succeeds
-    cert = embed_splittable(L, max_scalar_search=4)
-    assert verify_certificate(cert).ok
+def test_mu_matches_the_bounded_search():
+    """The search for mu that the closed form replaced, kept as an oracle
+    (`ref_mu_search`): it escalates at most once and ends at the same mu."""
+    escalations = []
+    for name, L in theorem_inputs():
+        state = initial_state(L)
+        while state.Rn.rank < state.N.rank:
+            state = elementary_expansion(state)
+        mu, rounds = ref_mu_search(state)
+        assert rounds <= 1, name
+        assert integral_rescale(L, state).mu == mu, name
+        escalations.append(rounds)
+    # the inputs reach both branches of the closed form
+    assert 0 in escalations and 1 in escalations
+
+
+def test_leftover_denominator_is_an_expansion_error(monkeypatch):
+    import adorep.embed
+
+    monkeypatch.setattr(adorep.embed, "_denominators", lambda M: {2})
+    with pytest.raises(ExpansionError, match=r"denominators \[2\] remain at mu = 2"):
+        embed_splittable(catalog.solv2())
 
 
 def test_embed_rejects_rational_domain():

@@ -48,6 +48,18 @@ def test_ado_h3_both_paths():
     assert cert is not None and verify_certificate(cert).ok
 
 
+def test_ado_strict_path_computes_no_lower_central_series(monkeypatch):
+    # only the nilpotent shortcut reads the series
+    import adorep.pipeline
+
+    def refuse(L):
+        raise AssertionError("lower_central_series called on the strict path")
+
+    monkeypatch.setattr(adorep.pipeline, "lower_central_series", refuse)
+    _, report, _ = ado_representation(catalog.get("heisenberg3").lattice, strict=True)
+    assert report.path == "theorem" and report.ok
+
+
 def test_ado_solv2():
     L = catalog.get("solv2").lattice
     rep, report, _ = ado_representation(L, strict=True)
