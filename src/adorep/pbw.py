@@ -6,18 +6,26 @@ letter action x_i * x^alpha, straightened by the rewriting rule
 x_j x_i = x_i x_j - [x_i, x_j] with eager truncation of monomials whose
 weight exceeds the cutoff: left multiplications are sums of letter actions,
 and lifted derivations are built column by column from them by Leibniz.
+Coefficients are ints; a Fraction appears only where a lattice over Q has
+a non-integral structure constant in the adapted basis.  The coordinates
+of a vector and the entries of a derivation enter as int numerators over
+one denominator, which becomes the denominator of the matrix, and the
+matrices are assembled straight from int numerator rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from math import lcm
+from typing import Iterable, Sequence, Union
 
 from .exact_linalg import (
     ExactMatrix,
+    Row,
     Submodule,
     Vec,
+    _EMPTY_ROW,
     extend_basis,
     invert,
     stack_rows,
@@ -31,10 +39,14 @@ from .lie_core import (
     subalgebra_lattice,
 )
 
-ZERO = Fraction(0)
-
 Monomial = tuple[int, ...]
-Element = dict[Monomial, Fraction]
+# an int, or a Fraction only where a Q-lattice has a non-integral constant
+Coefficient = Union[int, Fraction]
+Element = dict[Monomial, Coefficient]
+
+# the letter action past the cutoff; shared and never stored in the memo,
+# as no caller mutates what `_letter` returns
+_TRUNCATED: Element = {}
 
 
 @dataclass(frozen=True)
@@ -92,15 +104,18 @@ class TruncatedUEA:
             raise ValueError("cutoff must be nonnegative")
         self.basis = basis
         self.cutoff = cutoff
-        self.monomials: tuple[Monomial, ...] = tuple(
-            sorted(
-                _enumerate_monomials(basis.weights, cutoff),
-                key=lambda a: (self.monomial_weight(a), a),
-            )
-        )
+        weight = {a: self.monomial_weight(a) for a in _enumerate_monomials(basis.weights, cutoff)}
+        self._weight = weight
+        self.monomials: tuple[Monomial, ...] = tuple(sorted(weight, key=lambda a: (weight[a], a)))
         self.index: dict[Monomial, int] = {a: i for i, a in enumerate(self.monomials)}
         self._memo: dict[tuple[int, Monomial], Element] = {}
-        self._integral = basis.lattice.domain == "Z"
+        # _consts[i][j]: the adapted [x_i, x_j] as (k, constant) pairs, each
+        # constant an int unless it really is non-integral
+        den, T = basis.adapted.table
+        self._consts = [[[(k, _constant(n, den)) for k, n in Tij] for Tij in Ti] for Ti in T]
+        # with den == 1 every coefficient is a sum of products of ints, so
+        # the integrality check can only fail over Z with den != 1
+        self._check_integral = basis.lattice.domain == "Z" and den != 1
 
     @property
     def dimension(self) -> int:
@@ -116,30 +131,29 @@ class TruncatedUEA:
     # -- letter-by-letter multiplication ---------------------------------
 
     def _letter(self, i: int, alpha: Monomial) -> Element:
-        """Normal form of x_i * x^alpha (adapted letters), truncated."""
-        if self.basis.weights[i] + self.monomial_weight(alpha) > self.cutoff:
-            return {}
+        """Normal form of x_i * x^alpha (adapted letters), truncated; alpha
+        is one of the monomials."""
         key = (i, alpha)
         cached = self._memo.get(key)
         if cached is not None:
             return cached
+        if self.basis.weights[i] + self._weight[alpha] > self.cutoff:
+            return _TRUNCATED
         j = next((t for t in range(len(alpha)) if alpha[t]), None)
         if j is None or i <= j:
-            out = {_inc(alpha, i): Fraction(1)}
+            out: Element = {_inc(alpha, i): 1}
         else:
             rest = _dec(alpha, j)
             out = {}
             for beta, cf in self._letter(i, rest).items():
                 for gamma, cf2 in self._letter(j, beta).items():
                     _acc(out, gamma, cf * cf2)
-            den, T = self.basis.adapted.table
-            for k, n in T[i][j]:
-                ck = Fraction(n, den)
+            for k, ck in self._consts[i][j]:
                 for beta, cf in self._letter(k, rest).items():
                     _acc(out, beta, ck * cf)
-        out = {a: cf for a, cf in out.items() if cf}
-        if self._integral and any(cf.denominator != 1 for cf in out.values()):
-            raise RuntimeError("straightening produced a non-integral coefficient over Z")
+            out = {a: cf for a, cf in out.items() if cf}
+            if self._check_integral and any(cf.denominator != 1 for cf in out.values()):
+                raise RuntimeError("straightening produced a non-integral coefficient over Z")
         self._memo[key] = out
         return out
 
@@ -151,9 +165,13 @@ class TruncatedUEA:
         return {a: cf for a, cf in out.items() if cf}
 
     def left_mult_matrix(self, v: Vec) -> ExactMatrix:
-        """Matrix of left multiplication by a lattice vector on the monomials."""
-        coords = (ExactMatrix.from_rows([v], cols=self.rank) * self.basis.inverse).row(0)
-        letters = [(k, cf) for k, cf in enumerate(coords) if cf]
+        """Matrix of left multiplication by a lattice vector on the monomials.
+
+        With the adapted coordinates of v as int numerators x_k over d, the
+        columns sum x_k * (x_k's letter action) and the matrix is over d.
+        """
+        coords = ExactMatrix.from_rows([v], cols=self.rank) * self.basis.inverse
+        letters = list(coords.num[0].items())
         cols = []
         for beta in self.monomials:
             col: Element = {}
@@ -161,7 +179,7 @@ class TruncatedUEA:
                 for gamma, cf2 in self._letter(k, beta).items():
                     _acc(col, gamma, cf * cf2)
             cols.append(col)
-        return self._matrix_of_columns(cols)
+        return self._matrix_of_columns(cols, coords.den)
 
     def derivation_star(self, D: ExactMatrix) -> ExactMatrix:
         """Matrix of the lifted derivation D* on the monomial basis.
@@ -171,35 +189,45 @@ class TruncatedUEA:
         filtration, so the truncation is well defined.  With l the first
         letter of x^beta = x_l x^rest, Leibniz gives
         D*(x^beta) = D(x_l) x^rest + x_l D*(x^rest), and x^rest has lower
-        weight, so its column comes earlier in the graded order.
+        weight, so its column comes earlier in the graded order.  D* is
+        linear in D, so the recursion runs on the int numerators of D in
+        adapted coordinates and the matrix is over their denominator.
         """
         L = self.basis.lattice
         if not check_derivation(L, D):
             raise LeibnizError("derivation_star requires a Leibniz-compatible matrix")
         if self.rank == 0:
             return ExactMatrix.zero(self.dimension, self.dimension)
-        # Dad_cols[t]: the image of adapted letter t under D, in adapted
-        # coordinates; row t of P D^T P^-1 is that image
+        # Dad.num[t]: the numerators of the image of adapted letter t under
+        # D, in adapted coordinates; row t of P D^T P^-1 is that image
         Dad = self.basis.change_of_basis * D.transpose() * self.basis.inverse
-        Dad_cols = [{k: Fraction(x, Dad.den) for k, x in row.items()} for row in Dad.num]
         star: dict[Monomial, Element] = {self.monomials[0]: {}}  # D*(1) = 0
         for beta in self.monomials[1:]:
             l = next(t for t, e in enumerate(beta) if e)
             rest = _dec(beta, l)
             col = self._apply_letter(l, star[rest])
-            for k, ck in Dad_cols[l].items():
+            for k, ck in Dad.num[l].items():
                 for gamma, cf in self._letter(k, rest).items():
                     _acc(col, gamma, ck * cf)
             star[beta] = col
-        return self._matrix_of_columns([star[beta] for beta in self.monomials])
+        return self._matrix_of_columns([star[beta] for beta in self.monomials], Dad.den)
 
-    def _matrix_of_columns(self, cols: Sequence[Element]) -> ExactMatrix:
-        """Matrix whose column j holds the element cols[j] on the monomials."""
+    def _matrix_of_columns(self, cols: Sequence[Element], den: int) -> ExactMatrix:
+        """The matrix over den whose column j holds the element cols[j] on
+        the monomials, as int numerator rows; Fraction coefficients are
+        brought over the lcm of their denominators first."""
         index = self.index
-        by_column = ExactMatrix(
-            ({index[alpha]: cf for alpha, cf in col.items()} for col in cols), self.dimension
-        )
-        return by_column.transpose()
+        rows: list[Row] = [{} for _ in range(self.dimension)]
+        fractions = [cf for col in cols for cf in col.values() if type(cf) is not int]
+        d = lcm(*(cf.denominator for cf in fractions))
+        for j, col in enumerate(cols):
+            for alpha, cf in col.items():
+                if fractions:
+                    cf = cf.numerator * (d // cf.denominator)
+                if cf:
+                    rows[index[alpha]][j] = cf
+        num = tuple(row or _EMPTY_ROW for row in rows)
+        return ExactMatrix._trusted(num, self.dimension, den * d)
 
 
 def _enumerate_monomials(weights: Sequence[int], cutoff: int) -> Iterable[Monomial]:
@@ -226,6 +254,12 @@ def _dec(alpha: Monomial, i: int) -> Monomial:
     return alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]
 
 
-def _acc(d: Element, key: Monomial, value: Fraction) -> None:
-    d[key] = d.get(key, ZERO) + value
+def _constant(n: int, den: int) -> Coefficient:
+    """n / den as an int when den divides n, else as a Fraction."""
+    q, m = divmod(n, den)
+    return Fraction(n, den) if m else q
+
+
+def _acc(d: Element, key: Monomial, value: Coefficient) -> None:
+    d[key] = d.get(key, 0) + value
 

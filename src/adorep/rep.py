@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import TYPE_CHECKING, Iterable
 
-from .exact_linalg import ExactMatrix, Vec, block_diag
+from .exact_linalg import ExactMatrix, Row, Vec, block_diag
 
 if TYPE_CHECKING:  # pragma: no cover
     from .lie_core import LieLattice
@@ -54,17 +54,65 @@ class LinearRep:
         return all(M.is_integral for M in self.matrices)
 
     def homomorphism_violations(self) -> list[tuple[int, int]]:
-        """Basis pairs where M([x_i,x_j]) != [M_i, M_j]."""
+        """Basis pairs i < j where M([x_i, x_j]) != [M_i, M_j], in order.
+
+        Write M_k = A_k / d_k with A_k its int numerators, [x_i, x_j] =
+        sum_k (t_k / den) x_k over the table, and D for the lcm of the d_k
+        of those k (1 if there are none).  Each pair sums, row by row, the
+        int table
+            den D (A_i A_j - A_j A_i) - d_i d_j sum_k t_k (D / d_k) A_k,
+        which is s ([M_i, M_j] - M([x_i, x_j])) for s = den d_i d_j D.
+        s is a product of positive integers, so it is nonzero, and a
+        rational matrix times a nonzero integer is zero exactly when the
+        matrix is: a pair is reported exactly when its two sides differ.
+        Every matrix must be n x n for the one degree n, with one matrix
+        per basis vector; otherwise a ValueError names the first offending
+        index before any product.
+        """
         L = self.lattice
+        if len(self.matrices) != L.rank:
+            raise ValueError("representation size does not match the lattice rank")
+        n = self.degree
+        for idx, M in enumerate(self.matrices):
+            if M.rows != n or M.cols != n:
+                raise ValueError(f"matrix {idx} is {M.rows}x{M.cols}, not {n}x{n}")
         den, T = L.table
+        num = [M.num for M in self.matrices]
+        dens = [M.den for M in self.matrices]
         bad = []
         for i in range(L.rank):
             for j in range(i + 1, L.rank):
-                lhs = self._combination(T[i][j], den)
-                rhs = self.matrices[i] * self.matrices[j] - self.matrices[j] * self.matrices[i]
-                if lhs != rhs:
+                terms = T[i][j]
+                D = lcm(*(dens[k] for k, _ in terms))
+                g = dens[i] * dens[j]
+                combo = [(num[k], g * t * (D // dens[k])) for k, t in terms]
+                if _commutator_differs(num[i], num[j], den * D, combo):
                     bad.append((i, j))
         return bad
+
+
+def _commutator_differs(
+    A: tuple[Row, ...], B: tuple[Row, ...], f: int, combo: list[tuple[tuple[Row, ...], int]]
+) -> bool:
+    """Whether f (A B - B A) - sum_k g_k C_k has a nonzero entry, for the
+    square int numerator rows A, B and the (C_k, g_k) of combo; it stops at
+    the first nonzero row."""
+    for r, (a, b) in enumerate(zip(A, B)):
+        acc: Row = {}
+        for k, x in a.items():
+            for c, y in B[k].items():
+                acc[c] = acc[c] + x * y if c in acc else x * y
+        for k, x in b.items():
+            for c, y in A[k].items():
+                acc[c] = acc[c] - x * y if c in acc else -x * y
+        if f != 1:
+            acc = {c: f * x for c, x in acc.items()}
+        for C, g in combo:
+            for c, x in C[r].items():
+                acc[c] = acc[c] - g * x if c in acc else -g * x
+        if any(acc.values()):
+            return True
+    return False
 
 
 def restrict_rep(rep: LinearRep, injection: ExactMatrix, lattice: "LieLattice") -> LinearRep:

@@ -14,7 +14,8 @@ i < j only.  `ref_splittable_rep` builds the representation of a split
 extension from its parts and re-assembles the lattice, where the library
 takes the assembled lattice and splits it once.  `ref_mu_search` searches
 for the rescaling integer mu round by round, where the library computes it
-in closed form.
+in closed form.  `ref_homomorphism_violations` compares two normalised
+matrices per basis pair, where the library sums one int table per pair.
 """
 
 import importlib.util
@@ -715,3 +716,18 @@ def ref_mu_search(state, max_rounds=64):
             return mu, rounds
         mu *= lcm(*dens)
     raise AssertionError(f"mu search exceeded {max_rounds} rounds")
+
+
+def ref_homomorphism_violations(rep):
+    """Basis pairs i < j where M([x_i, x_j]) != [M_i, M_j], each side a
+    normalised `ExactMatrix`: two products and their difference against
+    the image of the bracket vector by linearity."""
+    L, mats = rep.lattice, rep.matrices
+    bad = []
+    for i in range(L.rank):
+        for j in range(i + 1, L.rank):
+            lhs = rep.matrix_of(L.c[i][j])
+            rhs = mats[i] * mats[j] - mats[j] * mats[i]
+            if lhs != rhs:
+                bad.append((i, j))
+    return bad

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -15,7 +16,15 @@ from adorep.lie_core import (
 from adorep.pbw import TruncatedUEA, build_weighted_basis
 
 from oracles import nilpotent_entries, oracle_vector, ref_derivation_star
-from pbw_words import apply_word, letter_matrices, mat_vec, multiply, unit_monomial, weight
+from pbw_words import (
+    apply_word,
+    letter_matrices,
+    mat_vec,
+    monomial_word,
+    multiply,
+    unit_monomial,
+    weight,
+)
 
 
 def h3():
@@ -28,6 +37,12 @@ def filiform4():
         ["e1", "e2", "e3", "e4"],
         {(0, 1): [0, 0, 1, 0], (0, 2): [0, 0, 0, 1]},
     )
+
+
+def fractional_q4():
+    # over Q the adapted constants keep a denominator (30 here)
+    brackets = {(0, 1): [0, 0, "1/2", 0], (0, 2): [0, 0, 0, "-2/3"], (1, 2): [0, 0, 0, "3/5"]}
+    return lie_lattice(["e1", "e2", "e3", "e4"], brackets, "Q")
 
 
 def uea(L, cutoff):
@@ -200,10 +215,7 @@ def _random_element(rng, T, max_terms=3):
 def test_oracle_equivalence_random_words():
     rng = random.Random(2024)
     targets = [e.lattice for e in nilpotent_entries() if e.lattice.rank <= 3]
-    targets.append(filiform4())
-    # over Q the adapted constants keep a denominator (30 here)
-    brackets = {(0, 1): [0, 0, "1/2", 0], (0, 2): [0, 0, 0, "-2/3"], (1, 2): [0, 0, 0, "3/5"]}
-    targets.append(lie_lattice(["e1", "e2", "e3", "e4"], brackets, "Q"))
+    targets += [filiform4(), fractional_q4()]
     for L in targets:
         B = build_weighted_basis(L)
         T = TruncatedUEA(B, B.nil_class)
@@ -233,6 +245,52 @@ def test_derivation_star_matches_oracle():
                         D = D + basis_D.scale(rng.randint(-2, 2))
                 want = tuple(tuple(row) for row in ref_derivation_star(T, D))
                 assert T.derivation_star(D).entries == want
+
+
+def test_pbw_over_q_matches_oracles():
+    # non-integral constants and coordinates: the Fraction coefficients of
+    # the straightening and of the lifts still agree with the tensor oracle
+    rng = random.Random(7)
+    L = fractional_q4()
+    B = build_weighted_basis(L)
+    assert B.adapted.table.den != 1
+    solved = derivation_basis(L)
+    for cutoff in (B.nil_class, B.nil_class + 1):
+        T = TruncatedUEA(B, cutoff)
+        Pinv = B.inverse.entries
+        for k in range(4):
+            v = vector([Fraction(rng.randint(-4, 4), rng.choice([1, 2, 7])) for _ in range(L.rank)])
+            coords = [
+                sum((v[i] * Pinv[i][t] for i in range(L.rank)), Fraction(0)) for t in range(L.rank)
+            ]
+            want = [[Fraction(0)] * T.dimension for _ in range(T.dimension)]
+            for col, beta in enumerate(T.monomials):
+                for t, ct in enumerate(coords):
+                    for row, x in enumerate(oracle_vector([t] + monomial_word(beta), T)):
+                        want[row][col] += ct * x
+            M = T.left_mult_matrix(v)
+            assert M.entries == tuple(tuple(row) for row in want)
+            if k % 2 == 0:
+                D = L.ad(v)
+            else:
+                D = ExactMatrix.zero(L.rank, L.rank)
+                for basis_D in solved:
+                    D = D + basis_D.scale(Fraction(rng.randint(-2, 2), rng.choice([1, 3])))
+            want = tuple(tuple(row) for row in ref_derivation_star(T, D))
+            assert T.derivation_star(D).entries == want
+        assert not T.left_mult_matrix(unit(L.rank, 0)).is_integral
+
+
+def test_straightening_rejects_non_integral_over_z():
+    # a basis whose lattice claims Z but whose adapted constants are not
+    # integral: the first straightening that uses [x, y] = z/2 raises
+    L = lie_lattice(["x", "y", "z"], {(0, 1): [0, 0, "1/2"]}, "Q")
+    B = build_weighted_basis(L)
+    T = TruncatedUEA(dataclasses.replace(B, lattice=dataclasses.replace(L, domain="Z")), 2)
+    with pytest.raises(RuntimeError, match="non-integral coefficient over Z"):
+        T.left_mult_matrix(unit(3, 1))
+    # over Q the same straightening keeps the Fraction
+    assert not TruncatedUEA(B, 2).left_mult_matrix(unit(3, 1)).is_integral
 
 
 def test_block_triangularity_of_lifted_derivations():
