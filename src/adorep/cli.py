@@ -83,10 +83,11 @@ def cmd_validate(args) -> int:
 def cmd_radicals(args) -> int:
     L = _load_lattice(args.file)
     require_valid(L)
+    rs = solvable_radical(L)
     payload = {
         "center": matrix_to_json(center(L).basis),
-        "solvable_radical": matrix_to_json(solvable_radical(L).basis),
-        "nilradical": matrix_to_json(nilradical(L).basis),
+        "solvable_radical": matrix_to_json(rs.basis),
+        "nilradical": matrix_to_json(nilradical(L, rs).basis),
         "lower_central": [matrix_to_json(m.basis) for m in lower_central_series(L)],
         "derived": [matrix_to_json(m.basis) for m in derived_series(L)],
     }
@@ -99,6 +100,9 @@ def cmd_nilrep(args) -> int:
     from .nilrep import birkhoff_bounds
 
     L = _load_lattice(args.file)
+    if L.rank == 0:
+        # the same refusal as `ado`, before any work
+        raise ValueError("rank-zero lattice has nothing to represent")
     rep = nilpotent_faithful_rep(L)
     report = verify_representation(L, rep)
     _emit(

@@ -32,6 +32,7 @@ from .exact_linalg import (
     stack_rows,
 )
 from .lie_core import (
+    LatticeValidationError,
     LieLattice,
     bracket_series,
     is_nilpotent,
@@ -538,8 +539,9 @@ def integral_rescale(L: LieLattice, state: ExpansionState) -> EmbeddingCertifica
 
     in_x = Submodule(nK, X, "Q")
 
-    def scaled_basis(mu: int) -> tuple[ExactMatrix, set[int]]:
-        """The basis (X, mu XP) and the denominators of its coordinates."""
+    def scaled_basis(mu: int) -> tuple[ExactMatrix, ExactMatrix, set[int]]:
+        """The basis (X, mu XP), the coordinates of its brackets in it, and
+        the denominators of those and of `into_x`."""
         scaled = XP.scale(mu)
         n_mat = stack_rows([X, scaled])
         closure = Submodule(nK, n_mat, "Q").coordinate_rows(K.bracket_rows(n_mat, n_mat))
@@ -550,17 +552,22 @@ def integral_rescale(L: LieLattice, state: ExpansionState) -> EmbeddingCertifica
             raise ExpansionError(
                 "new generator does not map the lattice into its nilpotent radical"
             )
-        return n_mat, _denominators(closure) | _denominators(into_x)
+        return n_mat, closure, _denominators(closure) | _denominators(into_x)
 
-    n_mat, bad = scaled_basis(1)
+    n_mat, closure, bad = scaled_basis(1)
     mu = lcm(*bad)  # 1 when there is nothing to clear
     if bad:
         log.info("scalar search: escalating mu to %d", mu)
-        n_mat, bad = scaled_basis(mu)
+        n_mat, closure, bad = scaled_basis(mu)
         if bad:
             raise ExpansionError(f"denominators {sorted(bad)} remain at mu = {mu}")
 
-    N_lat = _closed_sublattice(K, Submodule(nK, n_mat, "Z"))
+    # the integral structure constants of N in the basis n_mat
+    N_lat = LieLattice.from_bracket_rows([f"v{i}" for i in range(n_mat.rows)], closure)
+    try:
+        require_valid(N_lat)
+    except LatticeValidationError as exc:
+        raise RuntimeError(f"construction produced a bad sublattice: {exc}") from exc
     if not is_nilpotent(N_lat):
         raise ExpansionError("scaled span of the nilpotent part is not nilpotent")
 

@@ -408,7 +408,10 @@ def nilradical(L: LieLattice, rs: Submodule | None = None) -> Submodule:
     for any representation of a solvable algebra, so x lies in the
     nilradical iff trace(ad x|_I * B) = 0 for every B in the envelope.
     Like R_s it is computed over Q, verified nilpotent and an ideal there,
-    and saturated once for a Z-lattice.
+    and saturated once for a Z-lattice.  When R_s has full rank, I = [L, L]
+    is spanned from the pairs i < j of basis vectors only
+    (`LieLattice._pair_brackets`), so the tensor must be antisymmetric, as
+    on every validated lattice.
     """
     if rs is None:
         rs = solvable_radical(L)
@@ -417,7 +420,12 @@ def nilradical(L: LieLattice, rs: Submodule | None = None) -> Submodule:
     LQ = L.to_field()
     r = L.rank
     basis = ExactMatrix._of(rs.basis.num, 1, r)
-    ideal = Submodule.of_rows(LQ.bracket_rows(ExactMatrix.identity(r), basis), "Q")
+    if rs.rank == r:
+        # I = [L, L], spanned by the pairs i < j of basis vectors
+        brackets = LQ._pair_brackets(ExactMatrix.identity(r))
+    else:
+        brackets = LQ.bracket_rows(ExactMatrix.identity(r), basis)
+    ideal = Submodule.of_rows(brackets, "Q")
     if ideal.is_zero():
         # R_s is central: abelian, hence nilpotent
         return rs

@@ -4,17 +4,21 @@ certificates.
 
 The checkers recompute everything they assert (brackets, radicals, ranks)
 from structure constants and exact linear algebra; they never trust state
-produced by the constructors.
+produced by the constructors.  Within one verification stage of
+`ado_representation` the two checkers share the radicals R_s(L) and R_n(L)
+of the input, computed once by the first of them that needs them; a direct
+call of a checker computes its own.
 """
 
 from __future__ import annotations
 
 import logging
+from contextvars import ContextVar
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .embed import EmbeddingCertificate, embed_splittable
-from .exact_linalg import ExactMatrix, Vec, kernel_basis, rank, stack_rows
+from .exact_linalg import ExactMatrix, Submodule, Vec, kernel_basis, rank, stack_rows
 from .lie_core import (
     LieLattice,
     adjoint_rep,
@@ -38,6 +42,38 @@ class VerificationFailure(RuntimeError):
     def __init__(self, message: str, report):
         super().__init__(message)
         self.report = report
+
+
+# The radicals of the lattices verified in the current verification stage of
+# `ado_representation`, keyed by lattice; None outside a stage, so that every
+# other caller of a checker computes its own.
+_stage_radicals: ContextVar[dict[LieLattice, tuple[Submodule, Submodule]] | None] = ContextVar(
+    "_stage_radicals", default=None
+)
+
+
+def _radicals(L: LieLattice) -> tuple[Submodule, Submodule]:
+    """(R_s(L), R_n(L)), computed from the structure constants of L, or read
+    from the table of the current verification stage, which holds only what
+    this function computed there."""
+    table = _stage_radicals.get()
+    if table is not None and L in table:
+        return table[L]
+    rs = solvable_radical(L)
+    radicals = rs, nilradical(L, rs)
+    if table is not None:
+        table[L] = radicals
+    return radicals
+
+
+def _in_stage(radicals: dict, check, *args):
+    """`check(*args)` with `radicals` as the table of the verification
+    stage; the table is unset again however the check ends."""
+    token = _stage_radicals.set(radicals)
+    try:
+        return check(*args)
+    finally:
+        _stage_radicals.reset(token)
 
 
 def degree_bound(r: int) -> Fraction:
@@ -94,7 +130,7 @@ def verify_representation(L: LieLattice, rep: LinearRep) -> VerificationReport:
         if not faithful_ok:
             witness = tuple(kernel_basis(stacked, "Q").basis.entries)
 
-    rn = nilradical(L)
+    rn = _radicals(L)[1]
     nil_violations = [
         idx
         for idx, M in enumerate(rep.matrices_of_rows(rn.basis))
@@ -153,7 +189,16 @@ class CertificateReport:
 
 
 def verify_certificate(cert: EmbeddingCertificate) -> CertificateReport:
-    """Re-verify an embedding certificate from scratch."""
+    """Re-verify an embedding certificate from scratch.
+
+    `nbar_is_nilradical` is checked first; when it holds, nbar is an ideal
+    and nilpotent without a further test.  `nilradical(ext)` returns the
+    integer points of a Q-ideal that it has itself checked to be nilpotent,
+    and `extension_valid` makes the structure constants of ext integral, so
+    those integer points are closed under the bracket with every basis
+    vector of ext and form a nilpotent Z-ideal.  When it fails, both properties are
+    tested on their own.
+    """
     L, ext = cert.original, cert.extension
     original_valid = validate(L).ok
     extension_valid = validate(ext).ok
@@ -169,13 +214,16 @@ def verify_certificate(cert: EmbeddingCertificate) -> CertificateReport:
     # fail or never end, so those checks fail unrun
     lie = original_valid and extension_valid
     nbar = cert.nilpotent_part
-    nbar_ideal = lie and is_ideal(ext, nbar)
-    nbar_nilp = nbar_ideal and is_nilpotent_submodule(ext, nbar)
     nbar_is_nilradical = lie and nilradical(ext) == nbar
+    if nbar_is_nilradical:
+        nbar_ideal = nbar_nilp = True
+    else:
+        nbar_ideal = lie and is_ideal(ext, nbar)
+        nbar_nilp = nbar_ideal and is_nilpotent_submodule(ext, nbar)
 
     # one fresh R_s(L) serves both the rank check and R_n(L)
-    rs = solvable_radical(L) if lie else None
-    rn_image = lie and nbar.contains_rows(nilradical(L, rs).basis * inj)
+    rs, rn = _radicals(L) if lie else (None, None)
+    rn_image = lie and nbar.contains_rows(rn.basis * inj)
     rank_matches = lie and nbar.rank == rs.rank
 
     return CertificateReport(
@@ -226,6 +274,8 @@ def ado_representation(
     cert: EmbeddingCertificate | None = None
     cert_report: CertificateReport | None = None
     comparison = None
+    # the verification stage's table: both checkers share the radicals of L
+    radicals: dict[LieLattice, tuple[Submodule, Submodule]] = {}
 
     # the strict path never reads the series, so it does not compute it
     chain = None if strict else lower_central_series(L)
@@ -244,7 +294,7 @@ def ado_representation(
         path = "theorem"
         cert = embed_splittable(L)
         rs_rank = cert.rs_rank
-        cert_report = verify_certificate(cert)
+        cert_report = _in_stage(radicals, verify_certificate, cert)
         if not cert_report.ok:
             raise VerificationFailure("embedding certificate failed verification", cert_report)
         try:
@@ -254,7 +304,7 @@ def ado_representation(
         rep = direct_sum_rep(restrict_rep(phi, cert.injection, L), adjoint_rep(L))
         phi_degree = phi.degree
 
-    report = verify_representation(L, rep)
+    report = _in_stage(radicals, verify_representation, L, rep)
     ado_report = AdoReport(
         path=path,
         degree=report.degree,

@@ -16,6 +16,9 @@ takes the assembled lattice and splits it once.  `ref_mu_search` searches
 for the rescaling integer mu round by round, where the library computes it
 in closed form.  `ref_homomorphism_violations` compares two normalised
 matrices per basis pair, where the library sums one int table per pair.
+`ref_verify_certificate` tests that nbar is an ideal and nilpotent before
+it compares nbar with the nilradical of the extension, where the library
+reads both properties off that comparison when it holds.
 """
 
 import importlib.util
@@ -25,11 +28,22 @@ from math import lcm
 from pathlib import Path
 
 from adorep import catalog
-from adorep.exact_linalg import ExactMatrix, Submodule, stack_rows
+from adorep.exact_linalg import ExactMatrix, Submodule, rank, stack_rows
 from adorep.jsonio import frac_to_str
-from adorep.lie_core import LieLattice, StructureTable, semidirect_assemble, unit
+from adorep.lie_core import (
+    LieLattice,
+    StructureTable,
+    is_ideal,
+    is_nilpotent_submodule,
+    nilradical,
+    semidirect_assemble,
+    solvable_radical,
+    unit,
+    validate,
+)
 from adorep.nilrep import _sqrt_interval, eta_interval
 from adorep.pbw import TruncatedUEA, build_weighted_basis
+from adorep.pipeline import CertificateReport
 from adorep.rep import LinearRep
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -731,3 +745,31 @@ def ref_homomorphism_violations(rep):
             if lhs != rhs:
                 bad.append((i, j))
     return bad
+
+
+def ref_verify_certificate(cert):
+    """The certificate check with every property tested on its own: nbar an
+    ideal, then nilpotent, then equal to a fresh nilradical of the
+    extension; the radicals of the original lattice are computed here."""
+    L, ext = cert.original, cert.extension
+    original_valid = validate(L).ok
+    extension_valid = validate(ext).ok
+    inj = cert.injection
+    I = ExactMatrix.identity(L.rank)
+    lie = original_valid and extension_valid
+    nbar = cert.nilpotent_part
+    nbar_ideal = lie and is_ideal(ext, nbar)
+    nbar_nilp = nbar_ideal and is_nilpotent_submodule(ext, nbar)
+    rs = solvable_radical(L) if lie else None
+    return CertificateReport(
+        original_valid=original_valid,
+        extension_valid=extension_valid,
+        extension_integral=ext.domain == "Z" and inj.is_integral,
+        injection_injective=rank(inj) == L.rank,
+        injection_homomorphism=L.bracket_rows(I, I) * inj == ext.bracket_rows(inj, inj),
+        nbar_is_ideal=nbar_ideal,
+        nbar_is_nilpotent=nbar_nilp,
+        nbar_is_nilradical=lie and nilradical(ext) == nbar,
+        rn_image_contained=lie and nbar.contains_rows(nilradical(L, rs).basis * inj),
+        rank_matches=lie and nbar.rank == rs.rank,
+    )

@@ -175,6 +175,22 @@ def test_cli_nilrep_rejects_a_fractional_bracket(tmp_path, capsys):
     assert "integrality ((0, 1, 2), (1, 0, 2))" in err
 
 
+def test_cli_nilrep_refuses_rank_zero_like_ado(tmp_path, capsys, monkeypatch):
+    # the degree-0 representation has no degree bound to report, so nilrep
+    # refuses a rank-0 lattice before any work, as ado does
+    import adorep.cli
+
+    def refuse(L):
+        raise AssertionError("nilrep built a representation of a rank-0 lattice")
+
+    monkeypatch.setattr(adorep.cli, "nilpotent_faithful_rep", refuse)
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"rank": 0, "names": [], "brackets": []}))
+    expected = (1, "", "error: rank-zero lattice has nothing to represent\n")
+    assert run(capsys, "nilrep", str(path)) == expected
+    assert run(capsys, "ado", str(path)) == expected
+
+
 def test_cli_embed(tmp_path, capsys):
     path = write_lattice(tmp_path, "churkin_sl2_t2")
     code, out, _ = run(capsys, "embed", path)

@@ -23,6 +23,7 @@ from adorep.exact_linalg import (
     vector,
 )
 from adorep.lie_core import (
+    LatticeValidationError,
     check_derivation,
     derivation_basis,
     direct_sum,
@@ -407,6 +408,22 @@ def test_leftover_denominator_is_an_expansion_error(monkeypatch):
     monkeypatch.setattr(adorep.embed, "_denominators", lambda M: {2})
     with pytest.raises(ExpansionError, match=r"denominators \[2\] remain at mu = 2"):
         embed_splittable(catalog.solv2())
+
+
+def test_invalid_scaled_sublattice_is_an_internal_error(monkeypatch):
+    # integral_rescale validates the lattice it reads off the scaled basis;
+    # on a valid input a failure there is a bug of the construction
+    import adorep.embed
+
+    L = catalog.t2_upper()
+    state = elementary_expansion(initial_state(L))
+
+    def refuse(M):
+        raise LatticeValidationError("invalid lattice: jacobi ((0, 1, 2),)")
+
+    monkeypatch.setattr(adorep.embed, "require_valid", refuse)
+    with pytest.raises(RuntimeError, match="construction produced a bad sublattice: invalid"):
+        integral_rescale(L, state)
 
 
 def test_embed_rejects_rational_domain():

@@ -19,6 +19,7 @@ from adorep.lie_core import (
 )
 from adorep.nilrep import burde_bound
 from adorep.pipeline import (
+    VerificationFailure,
     ado_representation,
     degree_bound,
     verify_certificate,
@@ -26,7 +27,7 @@ from adorep.pipeline import (
 )
 from adorep.rep import LinearRep
 
-from oracles import power, tensor_lattice
+from oracles import power, ref_verify_certificate, tensor_lattice, theorem_inputs
 
 
 def test_degree_bound_examples():
@@ -335,3 +336,98 @@ def test_verify_representation_validates_its_lattice():
     rep = LinearRep(half, (ExactMatrix.zero(1, 1),) * 3, "zero")
     with pytest.raises(LatticeValidationError, match=r"\(0, 1, 2\)"):
         verify_representation(half, rep)
+
+
+def _corrupted_certificates(cert):
+    """cert with nilpotent_rank off by one either way (where that still
+    names coordinates of the extension), one injection entry + 1, and one
+    extension structure constant + 1."""
+    ext = cert.extension
+    out = [
+        dataclasses.replace(cert, nilpotent_rank=k)
+        for k in (cert.nilpotent_rank - 1, cert.nilpotent_rank + 1)
+        if 0 <= k <= ext.rank
+    ]
+    rows = [list(row) for row in cert.injection.entries]
+    rows[0][0] += 1
+    out.append(dataclasses.replace(cert, injection=ExactMatrix.from_rows(rows, cols=ext.rank)))
+    c = [[list(v) for v in row] for row in ext.c]
+    c[0][ext.rank - 1][0] += 1
+    tensor = tuple(tuple(map(tuple, row)) for row in c)
+    out.append(dataclasses.replace(cert, extension=tensor_lattice(ext.names, tensor, ext.domain)))
+    return out
+
+
+@pytest.fixture(scope="module")
+def strict_runs():
+    """(name, lattice, rep, report, cert) of strict ado on every theorem input."""
+    return [
+        (name, L, *ado_representation(L, strict=True)) for name, L in theorem_inputs()
+    ]
+
+
+def test_certificate_reports_match_the_reference_check(strict_runs):
+    """`ref_verify_certificate` tests every property on its own; the library
+    reads ideal and nilpotency off a matching nilradical.  The corrupted
+    certificates reach both branches."""
+    branches = set()
+    for name, _, _, _, cert in strict_runs:
+        for case in [cert, *_corrupted_certificates(cert)]:
+            report = verify_certificate(case)
+            assert report == ref_verify_certificate(case), name
+            branches.add(report.nbar_is_nilradical)
+    assert branches == {False, True}
+
+
+def test_ado_reports_match_direct_checks(strict_runs):
+    for name, L, rep, report, cert in strict_runs:
+        assert report.verification == verify_representation(L, rep), name
+        assert report.certificate_report == verify_certificate(cert), name
+
+
+def test_stage_table_is_unset_after_ado(monkeypatch):
+    import adorep.pipeline
+
+    L = catalog.t2_upper()
+    ado_representation(L, strict=True)
+    assert adorep.pipeline._stage_radicals.get() is None
+    real = adorep.pipeline.embed_splittable
+
+    def not_injective(L):
+        # a zero image of the first basis vector
+        cert = real(L)
+        rows = [list(row) for row in cert.injection.entries]
+        rows[0] = [0] * len(rows[0])
+        return dataclasses.replace(cert, injection=ExactMatrix.from_rows(rows, cols=len(rows[0])))
+
+    monkeypatch.setattr(adorep.pipeline, "embed_splittable", not_injective)
+    with pytest.raises(VerificationFailure, match="certificate") as failure:
+        ado_representation(L, strict=True)
+    assert not failure.value.report.injection_injective
+    assert adorep.pipeline._stage_radicals.get() is None
+
+
+@pytest.mark.parametrize("name", ["t2_upper", "churkin_sl2_t2"])
+def test_strict_ado_computes_the_radicals_of_the_input_twice(monkeypatch, name):
+    """Once in the construction and once for both checkers, counted as in
+    `test_embedding_computes_the_radicals_of_the_input_once`."""
+    import adorep.embed
+    import adorep.lie_core
+    import adorep.pipeline
+
+    seen = {"solvable_radical": [], "nilradical": []}
+    for fname, calls in seen.items():
+        original = getattr(adorep.lie_core, fname)
+
+        def counting(L, *args, _original=original, _calls=calls):
+            _calls.append(L.rank)
+            return _original(L, *args)
+
+        for module in (adorep.lie_core, adorep.embed, adorep.pipeline):
+            monkeypatch.setattr(module, fname, counting)
+    L = catalog.get(name).lattice
+    ado_representation(L, strict=True)
+    assert {fname: calls.count(L.rank) for fname, calls in seen.items()} == {
+        "solvable_radical": 2,
+        "nilradical": 2,
+    }
