@@ -40,7 +40,7 @@ from .lie_core import (
     solvable_radical,
     validate,
 )
-from .nilrep import burde_bound, monomial_count, nilpotent_faithful_rep
+from .nilrep import burde_bound, nilpotent_faithful_rep
 from .pipeline import (
     VerificationFailure,
     ado_representation,
@@ -108,7 +108,8 @@ def cmd_nilrep(args) -> int:
     _emit(
         {
             "representation": rep_to_json(rep),
-            "monomial_count": monomial_count(L),
+            # rep acts on the truncated enveloping algebra, one PBW monomial per basis vector
+            "monomial_count": rep.degree,
             "burde_bound": frac_to_str(burde_bound(L.rank)),
             "comparison_bounds": {
                 k: frac_to_str(v)

@@ -13,6 +13,7 @@ radical.  Both integers are lcms of denominators, computed in closed form.
 from __future__ import annotations
 
 import logging
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
@@ -34,8 +35,9 @@ from .exact_linalg import (
 from .lie_core import (
     LatticeValidationError,
     LieLattice,
+    _assemble_semidirect,
     bracket_series,
-    is_nilpotent,
+    is_nilpotent_submodule,
     is_subalgebra,
     killing_form,
     lie_lattice,
@@ -311,6 +313,14 @@ class ExpansionState:
     trace: tuple[ExpansionStep, ...]
 
 
+# The states that `embed_splittable` has built in the current call, keyed by
+# id (the values keep them alive); None outside that loop, so that every
+# other caller of `elementary_expansion` gets the full checks.
+_own_states: ContextVar[dict[int, ExpansionState] | None] = ContextVar("_own_states", default=None)
+
+_NOT_THE_NILRADICAL = "nilpotent radical of the expansion is not R_n + x'"
+
+
 def initial_state(L: LieLattice) -> ExpansionState:
     """The unexpanded state of the Z-lattice L.
 
@@ -356,15 +366,44 @@ def elementary_expansion(state: ExpansionState) -> ExpansionState:
     dim N is unchanged while dim R_n grows by exactly one; both facts are
     re-verified on the expanded algebra.
 
-    Leibniz for dn and ds is checked on ideal + S only (`semidirect_assemble`):
-    as Jordan-Chevalley parts of the derivation ad_y they are derivations of
-    K (Humphreys 1972, 4.2), so a check on K rejects nothing, and they map
-    ideal + S into itself (the y-entry check), so they restrict to it.
+    Leibniz for dn and ds is checked on ideal + S only: as Jordan-Chevalley
+    parts of the derivation ad_y they are derivations of K (Humphreys 1972,
+    4.2), so a check on K rejects nothing, and they map ideal + S into
+    itself (the y-entry check), so they restrict to it.
+
+    A state that `embed_splittable` built itself in the current call is
+    certified from its parts; any other state (a direct call, or a state
+    made with `dataclasses.replace`) gets the full checks: `require_valid`
+    of K2 in `semidirect_assemble`, the homomorphism on all pairs and
+    `nilradical(K2) == new_Rn`.  On the states the loop builds the two
+    accept exactly the same expansions:
+
+    - Jacobi.  ideal + S is a bracket-closed subspace of the validated K
+      (the y-entry check), so the triples inside it hold; the triples with
+      one of x', z' are the Leibniz checks of its part; and the triple
+      (x', z', b) sums to [ds, dn] b.  So with the table antisymmetric by
+      construction, the one condition left is dn ds = ds dn on ideal + S.
+    - Homomorphism.  On the pairs inside ideal + S, iota reproduces the
+      very numbers `base` was built from.  By bilinearity, and the
+      antisymmetry of both brackets, the pairs (e_i, y) are the rest.
+    - Nilradical.  `_check_state_invariants(new_state)` gives new_Rn in
+      new_N and [new_N, K2] in new_Rn, so new_Rn is an ideal of K2, and
+      one nilpotency check makes it a nilpotent ideal, which lies in
+      nilradical(K2).  Conversely, R_n is the nilradical of K: this holds
+      at the start because `initial_state` computed it, and then by
+      induction.  iota is an injective homomorphism onto the
+      codimension-one subspace {v : v_x' = v_z'}, so nilradical(K2)
+      meets iota(K) in a nilpotent ideal of iota(K), a copy of K, which
+      lies in iota(R_n).  Hence dim nilradical(K2) <= rk R_n + 1 =
+      dim new_Rn, and a nilpotent ideal of that dimension is the
+      nilradical.
     """
     K, N, S, Rn = state.K, state.N, state.S, state.Rn
     n = K.rank
     if Rn.rank == N.rank:
         raise ExpansionError("solvable part is already nilpotent; nothing to expand")
+    own = _own_states.get()
+    trusted = own is not None and own.get(id(state)) is state
 
     centralizer = _centralizer_in(K, N, S)
     # K is validated, so the pairs i < j span [N, N]
@@ -410,22 +449,29 @@ def elementary_expansion(state: ExpansionState) -> ExpansionState:
     )
     generators = lie_lattice([f"x'{step_no}", f"z'{step_no}"], {}, "Q")
     action = [W.take_columns(range(xp)).transpose() for W in (w_n, w_s)]
+    assemble = _assemble_semidirect if trusted else semidirect_assemble
     try:
-        K2 = semidirect_assemble(base, generators, action)
+        K2 = assemble(base, generators, action)
     except ValueError as exc:
         raise ExpansionError(f"a part of ad_y violates the Leibniz identity: {exc}") from exc
 
     I = ExactMatrix.identity(n)
-    if K.bracket_rows(I, I) * iota != K2.bracket_rows(iota, iota):
+    if trusted:
+        on_ideal_n, on_ideal_s = action
+        if on_ideal_n * on_ideal_s != on_ideal_s * on_ideal_n:
+            raise ExpansionError("the parts of ad_y do not commute on ideal+complement")
+        right, right_image = Y, Y * iota
+    else:
+        right, right_image = I, iota
+    if K.bracket_rows(I, right) * iota != K2.bracket_rows(iota, right_image):
         raise ExpansionError("expansion embedding is not a homomorphism")
 
     E = ExactMatrix.identity(K2.rank)
     new_N = Submodule.of_rows(E.take_rows([*range(k), xp]), "Q")
     new_S = Submodule.of_rows(E.take_rows([*range(k, xp), zp]), "Q")
     new_Rn = Submodule.of_rows(stack_rows([Rn.basis * iota, E.take_rows([xp])]), "Q")
-    recomputed = nilradical(K2)
-    if recomputed != new_Rn:
-        raise ExpansionError("nilpotent radical of the expansion is not R_n + x'")
+    if not trusted and nilradical(K2) != new_Rn:
+        raise ExpansionError(_NOT_THE_NILRADICAL)
 
     step = ExpansionStep(
         index=step_no,
@@ -437,14 +483,6 @@ def elementary_expansion(state: ExpansionState) -> ExpansionState:
         dim_n_after=new_N.rank,
         dim_rn_before=Rn.rank,
         dim_rn_after=new_Rn.rank,
-    )
-    log.info(
-        "expansion %d: rank %d -> %d, dim R_n %d -> %d",
-        step_no,
-        n,
-        n + 1,
-        Rn.rank,
-        new_Rn.rank,
     )
     new_state = ExpansionState(
         K=K2,
@@ -458,6 +496,19 @@ def elementary_expansion(state: ExpansionState) -> ExpansionState:
         trace=state.trace + (step,),
     )
     _check_state_invariants(new_state)
+    if trusted:
+        # the invariants make new_Rn an ideal, so this is the nilradical check
+        if not is_nilpotent_submodule(K2, new_Rn):
+            raise ExpansionError(_NOT_THE_NILRADICAL)
+        own[id(new_state)] = new_state
+    log.info(
+        "expansion %d: rank %d -> %d, dim R_n %d -> %d",
+        step_no,
+        n,
+        n + 1,
+        Rn.rank,
+        new_Rn.rank,
+    )
     return new_state
 
 
@@ -523,6 +574,12 @@ def integral_rescale(L: LieLattice, state: ExpansionState) -> EmbeddingCertifica
     Hence this mu clears every denominator, and a second escalation is never
     needed.  The coordinates are recomputed once at mu as a self-check; a
     denominator left over is an ExpansionError, a bug.
+
+    Nilpotency is read off the one lower central chain of N_lat that the
+    rescaling needs (`_nilpotent_central_terms`).  The nilpotent block of
+    the extension needs no check of its own: nbar lies in span_Q(n_mat) and
+    has the same rank, so the block and N_lat are Z-forms of one Q-algebra,
+    and nilpotency does not depend on the basis.
     """
     K = state.K
     nK = K.rank
@@ -568,8 +625,7 @@ def integral_rescale(L: LieLattice, state: ExpansionState) -> EmbeddingCertifica
         require_valid(N_lat)
     except LatticeValidationError as exc:
         raise RuntimeError(f"construction produced a bad sublattice: {exc}") from exc
-    if not is_nilpotent(N_lat):
-        raise ExpansionError("scaled span of the nilpotent part is not nilpotent")
+    central_terms = _nilpotent_central_terms(N_lat)
 
     split = stack_rows([n_mat, state.S.basis])
     if split.rows != nK:
@@ -579,11 +635,7 @@ def integral_rescale(L: LieLattice, state: ExpansionState) -> EmbeddingCertifica
     lam = n_coords.den
     s_parts = alpha.take_columns(range(s + r_new, nK)) * state.S.basis
 
-    # Unsaturated lower-central terms of N_lat, nonzero ones only: the
-    # rescaling needs gamma_i itself, and N_lat is nilpotent, so the chain
-    # ends in its one zero term.
-    full = Submodule.full(N_lat.rank, "Z")
-    central_terms = bracket_series(N_lat, full, full, saturate=False)[:-1]
+    # the rescaling needs the unsaturated terms gamma_i themselves
     nbar_gens = [
         term.basis.scale(Fraction(1, lam**i)) * n_mat
         for i, term in enumerate(central_terms, start=1)
@@ -601,11 +653,9 @@ def integral_rescale(L: LieLattice, state: ExpansionState) -> EmbeddingCertifica
     names = tuple(f"n{i}" for i in range(m)) + tuple(f"s{a}" for a in range(sbar.rank))
     extension = LieLattice(names, _closed_sublattice(K, ext).table, "Z")
     try:
-        nilpotent_block = split_semidirect(extension, m)[0]
+        split_semidirect(extension, m)
     except ValueError as exc:
         raise ExpansionError(f"rescaled parts do not split the extension: {exc}") from exc
-    if not is_nilpotent(nilpotent_block):
-        raise ExpansionError("rescaled nilpotent part is not nilpotent")
 
     injection = ext.coordinate_rows(images)
     if injection is None:
@@ -632,6 +682,29 @@ def integral_rescale(L: LieLattice, state: ExpansionState) -> EmbeddingCertifica
     )
 
 
+def _nilpotent_central_terms(N: LieLattice) -> list[Submodule]:
+    """The nonzero terms of the unsaturated lower central series of the
+    Z-lattice N; ExpansionError if N is not nilpotent.
+
+    This accepts exactly the N that `is_nilpotent(N)` accepts.  Term by
+    term, the two chains have the same Q-spans: saturation keeps a Q-span,
+    and the Q-span of [U, N] depends only on that of U.  So they reach 0
+    together.  When N is nilpotent the Q-ranks drop at every step until 0,
+    so this chain ends in its one zero term within rank + 1 terms.
+    Otherwise it stops at a nonzero term, or keeps shrinking in index, which
+    `bracket_series` stops with LatticeValidationError.
+    """
+    full = Submodule.full(N.rank, "Z")
+    message = "scaled span of the nilpotent part is not nilpotent"
+    try:
+        chain = bracket_series(N, full, full, saturate=False)
+    except LatticeValidationError as exc:
+        raise ExpansionError(message) from exc
+    if not chain[-1].is_zero():
+        raise ExpansionError(message)
+    return chain[:-1]
+
+
 def _denominators(M: ExactMatrix) -> set[int]:
     """The denominators other than 1 of the entries of M."""
     if M.den == 1:
@@ -645,11 +718,19 @@ def embed_splittable(L: LieLattice) -> EmbeddingCertificate:
     The expansion loop runs exactly rk R_s - rk R_n times: dim R_n grows by
     one per round while dim N stays fixed.  Since R_n is the nilradical and
     lies in the ideal N, N is nilpotent exactly when the two ranks agree.
+    The states of the loop go into a private per-call table, so that
+    `elementary_expansion` certifies each of them from its parts.
     """
     if L.domain != "Z":
         raise ValueError("embedding is defined for lattices over Z")
     require_valid(L)
-    state = initial_state(L)
-    while state.Rn.rank < state.N.rank:
-        state = elementary_expansion(state)
+    own: dict[int, ExpansionState] = {}
+    token = _own_states.set(own)
+    try:
+        state = initial_state(L)
+        own[id(state)] = state
+        while state.Rn.rank < state.N.rank:
+            state = elementary_expansion(state)
+    finally:
+        _own_states.reset(token)
     return integral_rescale(L, state)

@@ -565,6 +565,16 @@ def semidirect_assemble(N: LieLattice, S: LieLattice, action: Sequence[ExactMatr
     Each action matrix must be a derivation of N; the assembled tensor is
     validated (Jacobi failure indicates an inconsistent action).
     """
+    L = _assemble_semidirect(N, S, action)
+    require_valid(L)
+    return L
+
+
+def _assemble_semidirect(N: LieLattice, S: LieLattice, action: Sequence[ExactMatrix]) -> LieLattice:
+    """`semidirect_assemble` without the final `require_valid`: the action
+    matrices are checked to be derivations of N and the table is built
+    (antisymmetric when those of N and S are), but the Jacobi triples of
+    the result are left to the caller."""
     if len(action) != S.rank:
         raise ValueError("one action matrix per S basis vector is required")
     for a, D in enumerate(action):
@@ -590,9 +600,7 @@ def semidirect_assemble(N: LieLattice, S: LieLattice, action: Sequence[ExactMatr
                 rows[i * r + nN + a][k] = -f * x
     domain = "Z" if N.domain == "Z" and S.domain == "Z" else "Q"
     names = tuple(N.names) + tuple(S.names)
-    L = LieLattice.from_bracket_rows(names, ExactMatrix.from_ints(rows, r, den), domain)
-    require_valid(L)
-    return L
+    return LieLattice.from_bracket_rows(names, ExactMatrix.from_ints(rows, r, den), domain)
 
 
 def direct_sum(L1: LieLattice, L2: LieLattice) -> LieLattice:

@@ -19,6 +19,12 @@ matrices per basis pair, where the library sums one int table per pair.
 `ref_verify_certificate` tests that nbar is an ideal and nilpotent before
 it compares nbar with the nilradical of the extension, where the library
 reads both properties off that comparison when it holds.
+`ref_expansion_checks` runs the full checks of one elementary expansion
+(Jacobi on every triple, the homomorphism on every pair, a fresh
+nilradical), where the library certifies the steps of its own loop from
+their parts.  `ref_rescale_nilpotency` tests the scaled nilpotent lattice
+and the nilpotent block of the extension with the saturated lower central
+series, where the library reads nilpotency off one unsaturated chain.
 """
 
 import importlib.util
@@ -28,16 +34,18 @@ from math import lcm
 from pathlib import Path
 
 from adorep import catalog
-from adorep.exact_linalg import ExactMatrix, Submodule, rank, stack_rows
+from adorep.exact_linalg import ExactMatrix, Submodule, invert, rank, stack_rows
 from adorep.jsonio import frac_to_str
 from adorep.lie_core import (
     LieLattice,
     StructureTable,
     is_ideal,
+    is_nilpotent,
     is_nilpotent_submodule,
     nilradical,
     semidirect_assemble,
     solvable_radical,
+    split_semidirect,
     unit,
     validate,
 )
@@ -773,3 +781,37 @@ def ref_verify_certificate(cert):
         rn_image_contained=lie and nbar.contains_rows(nilradical(L, rs).basis * inj),
         rank_matches=lie and nbar.rank == rs.rank,
     )
+
+
+def ref_expansion_checks(before, after):
+    """The checks every elementary expansion ran before the loop certified
+    its own steps from their parts, on the step from `before` to `after`:
+    (K2 passes `validate`, iota is a homomorphism on all pairs, the
+    nilradical of K2 is the claimed R_n).  iota is rebuilt from the step's
+    ideal, the complement and y: the inverse of the basis [ideal; S; y],
+    with the y coordinate going to both x' and z'."""
+    K, K2, step = before.K, after.K, after.trace[-1]
+    Y = ExactMatrix.from_rows([step.y], cols=K.rank)
+    split_inv = invert(stack_rows([step.ideal_basis, before.S.basis, Y]))
+    xp = K.rank - 1
+    iota = split_inv.take_columns([*range(xp), xp, xp])
+    I = ExactMatrix.identity(K.rank)
+    return (
+        validate(K2).ok,
+        K.bracket_rows(I, I) * iota == K2.bracket_rows(iota, iota),
+        nilradical(K2) == after.Rn,
+    )
+
+
+def ref_rescale_nilpotency(state, cert):
+    """The two nilpotency checks `integral_rescale` ran before it read
+    nilpotency off one unsaturated lower central chain: `is_nilpotent` of
+    N_lat, the span (X, mu XP) of the final state's nilpotent part in its
+    own basis, and of the nilpotent block of the extension."""
+    K = state.K
+    X = state.rn_original.basis * state.embedding
+    n_mat = stack_rows([X, state.xprimes.scale(cert.mu)])
+    closure = Submodule(K.rank, n_mat, "Q").coordinate_rows(K.bracket_rows(n_mat, n_mat))
+    N_lat = LieLattice.from_bracket_rows([f"v{i}" for i in range(n_mat.rows)], closure)
+    block = split_semidirect(cert.extension, cert.nilpotent_rank)[0]
+    return is_nilpotent(N_lat), is_nilpotent(block)

@@ -7,6 +7,7 @@ import pytest
 from adorep import catalog
 from adorep.embed import (
     ExpansionError,
+    _nilpotent_central_terms,
     elementary_expansion,
     embed_splittable,
     initial_state,
@@ -27,17 +28,27 @@ from adorep.lie_core import (
     check_derivation,
     derivation_basis,
     direct_sum,
+    is_nilpotent,
     is_nilpotent_submodule,
     is_subalgebra,
     lie_lattice,
     nilradical,
+    semidirect_assemble,
     solvable_radical,
     subalgebra_lattice,
     unit,
 )
 from adorep.pipeline import verify_certificate
 
-from oracles import is_squarefree, power, ref_mu_search, tensor_lattice, theorem_inputs
+from oracles import (
+    is_squarefree,
+    power,
+    ref_expansion_checks,
+    ref_mu_search,
+    ref_rescale_nilpotency,
+    tensor_lattice,
+    theorem_inputs,
+)
 
 
 def jordan_block(eig, size):
@@ -188,9 +199,27 @@ def test_elementary_expansion_rejects_a_state_missing_a_nilradical_row(name):
             elementary_expansion(bad)
 
 
+@pytest.mark.parametrize("name", ["t2_upper", "solv3_weights", "churkin_sl2_t2"])
+def test_a_replaced_state_inside_the_loop_gets_the_full_checks(monkeypatch, name):
+    """Only the states the loop built itself are certified from their parts:
+    a copy made with `dataclasses.replace` inside the loop is checked in
+    full, and its missing nilradical row is found."""
+    import adorep.embed
+
+    real = adorep.embed.elementary_expansion
+
+    def dropping(state):
+        rows = state.Rn.basis.entries[1:]
+        return real(dataclasses.replace(state, Rn=Submodule.span(rows, state.K.rank, "Q")))
+
+    monkeypatch.setattr(adorep.embed, "elementary_expansion", dropping)
+    with pytest.raises(ExpansionError, match="nilpotent radical of the expansion"):
+        embed_splittable(catalog.get(name).lattice)
+
+
 def test_embedding_computes_the_radicals_of_the_input_once(monkeypatch):
     """t2_upper takes one expansion: one R_s and one R_n of the input, and
-    one R_n (with its own R_s) of the expanded algebra."""
+    none of the expanded algebra, which the loop certifies from its parts."""
     import adorep.embed
     import adorep.lie_core
 
@@ -206,11 +235,107 @@ def test_embedding_computes_the_radicals_of_the_input_once(monkeypatch):
             monkeypatch.setattr(module, name, counting)
     L = catalog.t2_upper()
     cert = embed_splittable(L)
-    assert seen == {"solvable_radical": [3, 4], "nilradical": [3, 4]}
+    assert seen == {"solvable_radical": [3], "nilradical": [3]}
     monkeypatch.undo()
     # the stages still run on their own, computing what they were not given
     state = elementary_expansion(initial_state(L))
     assert integral_rescale(L, state) == cert
+
+
+def test_loop_steps_pass_the_full_checks(monkeypatch):
+    """Every step that `embed_splittable` certifies from its parts passes
+    the full checks a direct call runs (`ref_expansion_checks`), and a
+    direct call on the same state returns an equal state."""
+    import adorep.embed
+
+    real = adorep.embed.elementary_expansion
+    steps = []
+
+    def recording(state):
+        after = real(state)
+        steps.append((state, after))
+        return after
+
+    monkeypatch.setattr(adorep.embed, "elementary_expansion", recording)
+    for name, L in theorem_inputs():
+        steps.clear()
+        cert = embed_splittable(L)
+        assert len(steps) == len(cert.trace), name
+        for before, after in steps:
+            assert ref_expansion_checks(before, after) == (True, True, True), name
+            assert real(before) == after, name
+
+
+def _abelian_by_diag():
+    """Z^2 x| Z with y acting by diag(1, 2): one expansion, on an abelian
+    ideal, where every linear map is a derivation."""
+    diag = ExactMatrix.from_rows([[1, 0], [0, 2]])
+    return semidirect_assemble(catalog.abelian(2), lie_lattice(["y"], {}), [diag])
+
+
+def test_expansion_rejects_parts_that_do_not_commute(monkeypatch):
+    """Parts that sum to ad_y and are derivations of ideal + S, but do not
+    commute: the loop's commutator check and a direct call's Jacobi scan
+    both refuse them."""
+    import adorep.embed
+
+    def skewed(A):
+        # x_0 -> x_1 does not commute with diag(1, 2) on the ideal
+        X = ExactMatrix.from_rows(
+            [[1 if (a, b) == (1, 0) else 0 for b in range(A.rows)] for a in range(A.rows)]
+        )
+        return A - X, X
+
+    L = _abelian_by_diag()
+    assert len(embed_splittable(L).trace) == 1
+    monkeypatch.setattr(adorep.embed, "jordan_chevalley", skewed)
+    with pytest.raises(ExpansionError, match="parts of ad_y do not commute"):
+        embed_splittable(L)
+    with pytest.raises(ExpansionError, match=r"violates the Leibniz identity: .*jacobi \(\("):
+        elementary_expansion(initial_state(L))
+
+
+def test_expansion_rejects_parts_that_do_not_sum_to_ad_y(monkeypatch):
+    """Commuting derivations of ideal + S whose sum is not ad_y: the loop's
+    check on the pairs (e_i, y) and a direct call's check on all pairs both
+    find that iota is not a homomorphism."""
+    import adorep.embed
+
+    def shifted(A):
+        # the identity on the ideal x_0, x_1, zero on y
+        X = ExactMatrix.from_rows(
+            [[1 if a == b < 2 else 0 for b in range(A.rows)] for a in range(A.rows)]
+        )
+        return A + X, ExactMatrix.zero(A.rows, A.rows)
+
+    L = _abelian_by_diag()
+    monkeypatch.setattr(adorep.embed, "jordan_chevalley", shifted)
+    for run in (embed_splittable, lambda L: elementary_expansion(initial_state(L))):
+        with pytest.raises(ExpansionError, match="expansion embedding is not a homomorphism"):
+            run(L)
+
+
+def test_rescale_nilpotency_matches_the_old_checks():
+    """The two saturated nilpotency checks that the one unsaturated chain
+    of `integral_rescale` replaced hold on every certificate, and that
+    chain accepts exactly the lattices `is_nilpotent` accepts."""
+    causes = set()
+    for name, L in theorem_inputs():
+        state = initial_state(L)
+        while state.Rn.rank < state.N.rank:
+            state = elementary_expansion(state)
+        cert = integral_rescale(L, state)
+        assert ref_rescale_nilpotency(state, cert) == (True, True), name
+        try:
+            _nilpotent_central_terms(L)
+            accepted = True
+        except ExpansionError as exc:
+            accepted = False
+            causes.add(type(exc.__cause__))
+        assert accepted == is_nilpotent(L), name
+    # both ways to fail are reached: a repeated nonzero term, and a chain
+    # that keeps shrinking in index
+    assert causes == {type(None), LatticeValidationError}
 
 
 def test_elementary_expansion_solv3():

@@ -13,6 +13,7 @@ from adorep.jsonio import ado_report_to_json, certificate_to_json, lattice_to_js
 from adorep.lie_core import (
     LatticeValidationError,
     adjoint_rep,
+    direct_sum,
     lie_lattice,
     solvable_radical,
     unit,
@@ -93,6 +94,18 @@ def test_ado_expected_strict_degrees():
         rep, report, _ = ado_representation(entry.lattice, strict=True)
         assert report.degree == entry.expected["strict_ado_degree"], entry.name
         assert report.ok
+
+
+def test_strict_ado_of_t2_to_the_sixth():
+    """Six chained expansions, each certified from its parts, end in a
+    verified representation of degree 6 * 6 + 1."""
+    L = catalog.t2_upper()
+    for _ in range(5):
+        L = direct_sum(L, catalog.t2_upper())
+    rep, report, cert = ado_representation(L, strict=True)
+    assert len(cert.trace) == 6
+    assert report.degree == rep.degree == 37
+    assert report.ok and report.certificate_report.ok
 
 
 def test_phi_degree_bounded_by_rs_burde():
