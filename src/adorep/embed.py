@@ -321,14 +321,20 @@ _own_states: ContextVar[dict[int, ExpansionState] | None] = ContextVar("_own_sta
 _NOT_THE_NILRADICAL = "nilpotent radical of the expansion is not R_n + x'"
 
 
-def initial_state(L: LieLattice) -> ExpansionState:
+def initial_state(
+    L: LieLattice, radicals: tuple[Submodule, Submodule] | None = None
+) -> ExpansionState:
     """The unexpanded state of the Z-lattice L.
 
-    The Q-spans of its radicals are the canonical RREF bases that the same
-    radicals of `L.to_field()` return.
+    `radicals`, when given, must be `(solvable_radical(L), nilradical(L))`
+    of this Z-lattice; otherwise they are computed here.  Their Q-spans are
+    the canonical RREF bases that the same radicals of `L.to_field()`
+    return.
     """
-    rs = solvable_radical(L)
-    rn = nilradical(L, rs)
+    if radicals is None:
+        rs = solvable_radical(L)
+        radicals = rs, nilradical(L, rs)
+    rs, rn = radicals
     LQ = L.to_field()
     rad, levi = levi_decomposition(LQ, Submodule.of_rows(rs.basis, "Q"))
     state = ExpansionState(
@@ -346,15 +352,18 @@ def initial_state(L: LieLattice) -> ExpansionState:
     return state
 
 
-def _check_state_invariants(state: ExpansionState) -> None:
+def _check_state_invariants(state: ExpansionState, brackets: ExactMatrix | None = None) -> None:
     """K = N + S as modules, N a solvable ideal containing R_n with
-    [N, K] inside R_n."""
+    [N, K] inside R_n.  `brackets`, when given, must be rows that span
+    [K, N]; otherwise every basis vector of K is bracketed with N here."""
     K, N, S, Rn = state.K, state.N, state.S, state.Rn
     if N.rank + S.rank != K.rank or N.sum(S).rank != K.rank:
         raise ExpansionError("solvable part and complement do not split the algebra")
     if not N.contains_submodule(Rn):
         raise ExpansionError("solvable part does not contain the nilpotent radical")
-    if not Rn.contains_rows(K.bracket_rows(ExactMatrix.identity(K.rank), N.basis)):
+    if brackets is None:
+        brackets = K.bracket_rows(ExactMatrix.identity(K.rank), N.basis)
+    if not Rn.contains_rows(brackets):
         raise ExpansionError("[N, K] escapes the nilpotent radical")
 
 
@@ -397,6 +406,14 @@ def elementary_expansion(state: ExpansionState) -> ExpansionState:
       lies in iota(R_n).  Hence dim nilradical(K2) <= rk R_n + 1 =
       dim new_Rn, and a nilpotent ideal of that dimension is the
       nilradical.
+    - [new_N, K2] inside new_Rn.  It is read off the numbers the step
+      already holds rather than bracketed out.  new_N has the basis
+      ideal, x'.  In the basis [old; y], the rows p * (k + t) + q, q < k,
+      of `products` are [old_p, ideal_q]; row p of w_n is
+      [x', old_p] = dn old_p, the negative of [old_p, x']; row q < k of
+      w_s is [z', ideal_q]; and [x', x'] = [z', x'] = 0.  None has a y
+      entry, so the same rows, read in the coordinates of K2, span
+      [K2, new_N].
     """
     K, N, S, Rn = state.K, state.N, state.S, state.Rn
     n = K.rank
@@ -495,12 +512,18 @@ def elementary_expansion(state: ExpansionState) -> ExpansionState:
         zprimes=stack_rows([state.zprimes * iota, E.take_rows([zp])]),
         trace=state.trace + (step,),
     )
-    _check_state_invariants(new_state)
     if trusted:
+        # rows spanning [K2, new_N], read off the step (see the docstring)
+        ideal_pairs = [p * xp + q for p in range(xp) for q in range(k)]
+        spanning = stack_rows([products.take_rows(ideal_pairs), w_n, w_s.take_rows(range(k))])
+        brackets = ExactMatrix.from_ints(spanning.num, K2.rank, spanning.den)
+        _check_state_invariants(new_state, brackets)
         # the invariants make new_Rn an ideal, so this is the nilradical check
         if not is_nilpotent_submodule(K2, new_Rn):
             raise ExpansionError(_NOT_THE_NILRADICAL)
         own[id(new_state)] = new_state
+    else:
+        _check_state_invariants(new_state)
     log.info(
         "expansion %d: rank %d -> %d, dim R_n %d -> %d",
         step_no,
@@ -619,12 +642,11 @@ def integral_rescale(L: LieLattice, state: ExpansionState) -> EmbeddingCertifica
         if bad:
             raise ExpansionError(f"denominators {sorted(bad)} remain at mu = {mu}")
 
-    # the integral structure constants of N in the basis n_mat
+    # the integral structure constants of N in the basis n_mat.  Its rows
+    # are independent (rank s + r_new, checked above) and closed, and K is
+    # a Lie algebra, so N_lat is a Lie lattice without a check of its own,
+    # by the argument of `subalgebra_lattice`
     N_lat = LieLattice.from_bracket_rows([f"v{i}" for i in range(n_mat.rows)], closure)
-    try:
-        require_valid(N_lat)
-    except LatticeValidationError as exc:
-        raise RuntimeError(f"construction produced a bad sublattice: {exc}") from exc
     central_terms = _nilpotent_central_terms(N_lat)
 
     split = stack_rows([n_mat, state.S.basis])
@@ -712,8 +734,15 @@ def _denominators(M: ExactMatrix) -> set[int]:
     return {M.den // gcd(x, M.den) for row in M.num for x in row.values()} - {1}
 
 
-def embed_splittable(L: LieLattice) -> EmbeddingCertificate:
+def embed_splittable(
+    L: LieLattice, radicals: tuple[Submodule, Submodule] | None = None
+) -> EmbeddingCertificate:
     """End-to-end embedding of a Z-Lie lattice into a splittable one.
+
+    `radicals`, when given, must be `(solvable_radical(L), nilradical(L))`
+    of this Z-lattice, as the verification stage of `ado_representation`
+    computes them before it calls this; they go to `initial_state`, and
+    without them it computes its own.  L is validated here either way.
 
     The expansion loop runs exactly rk R_s - rk R_n times: dim R_n grows by
     one per round while dim N stays fixed.  Since R_n is the nilradical and
@@ -727,7 +756,7 @@ def embed_splittable(L: LieLattice) -> EmbeddingCertificate:
     own: dict[int, ExpansionState] = {}
     token = _own_states.set(own)
     try:
-        state = initial_state(L)
+        state = initial_state(L, radicals)
         own[id(state)] = state
         while state.Rn.rank < state.N.rank:
             state = elementary_expansion(state)

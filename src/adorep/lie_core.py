@@ -197,6 +197,15 @@ class ValidationReport:
             or self.integrality_violations
         )
 
+    def raise_if_invalid(self) -> None:
+        """LatticeValidationError naming every violation, unless `ok`."""
+        if not self.ok:
+            raise LatticeValidationError(
+                f"invalid lattice: antisymmetry {self.antisymmetry_violations}, "
+                f"jacobi {self.jacobi_violations}, "
+                f"integrality {self.integrality_violations}"
+            )
+
 
 def validate(L: LieLattice) -> ValidationReport:
     """Report every violated (i, j, k) triple of the lattice axioms, read
@@ -234,13 +243,7 @@ def validate(L: LieLattice) -> ValidationReport:
 
 
 def require_valid(L: LieLattice) -> None:
-    report = validate(L)
-    if not report.ok:
-        raise LatticeValidationError(
-            f"invalid lattice: antisymmetry {report.antisymmetry_violations}, "
-            f"jacobi {report.jacobi_violations}, "
-            f"integrality {report.integrality_violations}"
-        )
+    validate(L).raise_if_invalid()
 
 
 def is_subalgebra(L: LieLattice, S: Submodule) -> bool:
@@ -412,6 +415,13 @@ def nilradical(L: LieLattice, rs: Submodule | None = None) -> Submodule:
     is spanned from the pairs i < j of basis vectors only
     (`LieLattice._pair_brackets`), so the tensor must be antisymmetric, as
     on every validated lattice.
+
+    Nilpotent L.  When R_s has full rank, the lower central series of L is
+    continued from the I = [L, L] already held, its second term.  If it
+    reaches 0, L is nilpotent, hence its own nilradical, and R_s = L is
+    returned before the envelope is built.  This is the check the general
+    path runs last, `is_nilpotent_submodule(LQ, candidate)`, on the
+    candidate L it would return: that chain starts L, [L, L], ...
     """
     if rs is None:
         rs = solvable_radical(L)
@@ -428,6 +438,9 @@ def nilradical(L: LieLattice, rs: Submodule | None = None) -> Submodule:
     ideal = Submodule.of_rows(brackets, "Q")
     if ideal.is_zero():
         # R_s is central: abelian, hence nilpotent
+        return rs
+    if rs.rank == r and bracket_series(LQ, ideal, Submodule.full(r, "Q"))[-1].is_zero():
+        # L is nilpotent: its lower central series from [L, L] reached 0
         return rs
     # ad x|_I on the basis b_j of I: column j holds the coordinates of
     # [x, b_j], which are row j of the block of x in one batch
@@ -542,9 +555,19 @@ def subalgebra_lattice(L: LieLattice, S: Submodule) -> tuple[LieLattice, ExactMa
 
     The basis rows of S are used in the order given, and the result has the
     domain of S and the names v0, v1, ...; over Z every structure constant
-    must be an integer.  The result is validated.  Returns the abstract
-    lattice and the basis matrix (rows = basis vectors in the coordinates
-    of L).
+    must be an integer.  Returns the abstract lattice and the basis matrix
+    (rows = basis vectors in the coordinates of L).
+
+    Preconditions: L is a Lie lattice (antisymmetric and Jacobi), as every
+    validated lattice is, and the rows of S are independent, as those of
+    every canonical Submodule are.  Then the result is a Lie lattice too,
+    without a check of its own.  The coefficients c_ij are the exact
+    coordinates of [s_i, s_j] in the rows s_i, so the linear map
+    iota(e_i) = s_i is injective and iota([e_i, e_j]) = [s_i, s_j]: it
+    preserves the bracket.  An antisymmetry sum or a Jacobi sum of the
+    result maps under iota to the same sum in L, which is 0, and an
+    injective map sends only 0 to 0.  What is left to test is closure and,
+    over Z, integrality.
     """
     products = L.bracket_rows(S.basis, S.basis)
     coords = Submodule(S.ambient_rank, S.basis, "Q").coordinate_rows(products)
@@ -553,9 +576,7 @@ def subalgebra_lattice(L: LieLattice, S: Submodule) -> tuple[LieLattice, ExactMa
     if S.domain == "Z" and not coords.is_integral:
         raise ValueError("submodule has non-integral structure constants")
     names = tuple(f"v{i}" for i in range(S.rank))
-    lat = LieLattice.from_bracket_rows(names, coords, S.domain)
-    require_valid(lat)
-    return lat, S.basis
+    return LieLattice.from_bracket_rows(names, coords, S.domain), S.basis
 
 
 def semidirect_assemble(N: LieLattice, S: LieLattice, action: Sequence[ExactMatrix]) -> LieLattice:

@@ -85,6 +85,7 @@ def birkhoff_bounds(d: int, c: int) -> dict[str, Fraction]:
 
 def monomial_count(L: LieLattice) -> int:
     """Number of PBW monomials of weight at most the nilpotency class."""
+    require_valid(L)
     basis = build_weighted_basis(L)
     return TruncatedUEA(basis, basis.nil_class).dimension
 

@@ -70,6 +70,8 @@ def build_weighted_basis(L: LieLattice) -> WeightedPBWBasis:
 
     The first adapted vectors span the deepest nonzero term; each block
     extends the previous one, so the change of basis is unimodular over Z.
+    L must be a Lie lattice (validated); `subalgebra_lattice` reads the
+    adapted constants without a check of its own.
     """
     chain = lower_central_series(L)
     if not chain[-1].is_zero():

@@ -2,18 +2,22 @@
 degree bound, plus independent checkers for representations and embedding
 certificates.
 
-The checkers recompute everything they assert (brackets, radicals, ranks)
-from structure constants and exact linear algebra; they never trust state
-produced by the constructors.  Within one verification stage of
-`ado_representation` the two checkers share the radicals R_s(L) and R_n(L)
-of the input, computed once by the first of them that needs them; a direct
-call of a checker computes its own.
+The checkers recompute everything they assert (validity, brackets,
+radicals, ranks) from structure constants and exact linear algebra; they
+never trust state produced by the constructors.  `ado_representation`
+runs its verification stage first on the input: the stage validates L and,
+on the theorem path, computes R_s(L) and R_n(L) before the construction,
+which reads them.  The stage's table then serves the same facts to both
+checkers, so each is computed once per call; the construction may trust
+the verifier, never the other way round.  A direct call of a checker
+validates and computes its own.
 """
 
 from __future__ import annotations
 
 import logging
 from contextvars import ContextVar
+from typing import Callable
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -27,7 +31,6 @@ from .lie_core import (
     is_semisimple,
     lower_central_series,
     nilradical,
-    require_valid,
     solvable_radical,
     validate,
 )
@@ -44,36 +47,41 @@ class VerificationFailure(RuntimeError):
         self.report = report
 
 
-# The radicals of the lattices verified in the current verification stage of
-# `ado_representation`, keyed by lattice; None outside a stage, so that every
+# What the current verification stage of `ado_representation` has computed
+# about the lattices it verifies, keyed by (function, lattice): their
+# `validate` reports and `_radicals`.  None outside a stage, so that every
 # other caller of a checker computes its own.
-_stage_radicals: ContextVar[dict[LieLattice, tuple[Submodule, Submodule]] | None] = ContextVar(
-    "_stage_radicals", default=None
+_stage_table: ContextVar[dict[tuple[Callable, LieLattice], object] | None] = ContextVar(
+    "_stage_table", default=None
 )
 
 
+def _stage_fact(compute: Callable, L: LieLattice):
+    """`compute(L)`, once per verification stage: the stage's table holds
+    only what this function put there."""
+    table = _stage_table.get()
+    if table is None:
+        return compute(L)
+    key = (compute, L)
+    if key not in table:
+        table[key] = compute(L)
+    return table[key]
+
+
 def _radicals(L: LieLattice) -> tuple[Submodule, Submodule]:
-    """(R_s(L), R_n(L)), computed from the structure constants of L, or read
-    from the table of the current verification stage, which holds only what
-    this function computed there."""
-    table = _stage_radicals.get()
-    if table is not None and L in table:
-        return table[L]
+    """(R_s(L), R_n(L)) from the structure constants of L."""
     rs = solvable_radical(L)
-    radicals = rs, nilradical(L, rs)
-    if table is not None:
-        table[L] = radicals
-    return radicals
+    return rs, nilradical(L, rs)
 
 
-def _in_stage(radicals: dict, check, *args):
-    """`check(*args)` with `radicals` as the table of the verification
-    stage; the table is unset again however the check ends."""
-    token = _stage_radicals.set(radicals)
+def _in_stage(table: dict, step, *args):
+    """`step(*args)` with `table` as the table of the verification stage;
+    the table is unset again however the step ends."""
+    token = _stage_table.set(table)
     try:
-        return check(*args)
+        return step(*args)
     finally:
-        _stage_radicals.reset(token)
+        _stage_table.reset(token)
 
 
 def degree_bound(r: int) -> Fraction:
@@ -113,7 +121,7 @@ def verify_representation(L: LieLattice, rep: LinearRep) -> VerificationReport:
     """Independent checks: homomorphism on all basis pairs, integrality over
     Z, faithfulness via the rank of the stacked matrices, nilpotency of the
     images of the nilpotent radical, and the degree bound."""
-    require_valid(L)
+    _stage_fact(validate, L).raise_if_invalid()
     if len(rep.matrices) != L.rank:
         raise ValueError("representation size does not match the lattice rank")
     n = rep.degree
@@ -130,7 +138,7 @@ def verify_representation(L: LieLattice, rep: LinearRep) -> VerificationReport:
         if not faithful_ok:
             witness = tuple(kernel_basis(stacked, "Q").basis.entries)
 
-    rn = _radicals(L)[1]
+    rn = _stage_fact(_radicals, L)[1]
     nil_violations = [
         idx
         for idx, M in enumerate(rep.matrices_of_rows(rn.basis))
@@ -200,8 +208,8 @@ def verify_certificate(cert: EmbeddingCertificate) -> CertificateReport:
     tested on their own.
     """
     L, ext = cert.original, cert.extension
-    original_valid = validate(L).ok
-    extension_valid = validate(ext).ok
+    original_valid = _stage_fact(validate, L).ok
+    extension_valid = _stage_fact(validate, ext).ok
     extension_integral = ext.domain == "Z" and cert.injection.is_integral
 
     inj = cert.injection
@@ -222,7 +230,7 @@ def verify_certificate(cert: EmbeddingCertificate) -> CertificateReport:
         nbar_nilp = nbar_ideal and is_nilpotent_submodule(ext, nbar)
 
     # one fresh R_s(L) serves both the rank check and R_n(L)
-    rs, rn = _radicals(L) if lie else (None, None)
+    rs, rn = _stage_fact(_radicals, L) if lie else (None, None)
     rn_image = lie and nbar.contains_rows(rn.basis * inj)
     rank_matches = lie and nbar.rank == rs.rank
 
@@ -266,16 +274,19 @@ def ado_representation(
     representation alone and semisimple ones the adjoint alone; the strict
     path always runs the embedding construction and the direct sum with the
     adjoint.
+
+    The verification stage runs first: it validates L and, on the theorem
+    path, computes the radicals of L, which `embed_splittable` reads.  Both
+    checkers then read these facts from the stage's table.
     """
-    require_valid(L)
+    stage: dict[tuple[Callable, LieLattice], object] = {}
+    _in_stage(stage, _stage_fact, validate, L).raise_if_invalid()
     r = L.rank
     if r == 0:
         raise ValueError("rank-zero lattice has nothing to represent")
     cert: EmbeddingCertificate | None = None
     cert_report: CertificateReport | None = None
     comparison = None
-    # the verification stage's table: both checkers share the radicals of L
-    radicals: dict[LieLattice, tuple[Submodule, Submodule]] = {}
 
     # the strict path never reads the series, so it does not compute it
     chain = None if strict else lower_central_series(L)
@@ -292,9 +303,9 @@ def ado_representation(
         phi_degree = None
     else:
         path = "theorem"
-        cert = embed_splittable(L)
+        cert = embed_splittable(L, _in_stage(stage, _stage_fact, _radicals, L))
         rs_rank = cert.rs_rank
-        cert_report = _in_stage(radicals, verify_certificate, cert)
+        cert_report = _in_stage(stage, verify_certificate, cert)
         if not cert_report.ok:
             raise VerificationFailure("embedding certificate failed verification", cert_report)
         try:
@@ -304,7 +315,7 @@ def ado_representation(
         rep = direct_sum_rep(restrict_rep(phi, cert.injection, L), adjoint_rep(L))
         phi_degree = phi.degree
 
-    report = _in_stage(radicals, verify_representation, L, rep)
+    report = _in_stage(stage, verify_representation, L, rep)
     ado_report = AdoReport(
         path=path,
         degree=report.degree,

@@ -803,6 +803,19 @@ def ref_expansion_checks(before, after):
     )
 
 
+def ref_state_invariants(state):
+    """The invariants of an expansion state as `_check_state_invariants`
+    checked them before the loop read [N, K] off its own steps: (K = N + S
+    as modules, N contains R_n, [K, N] inside R_n), the last by bracketing
+    every basis vector of K with every basis vector of N."""
+    K, N, S, Rn = state.K, state.N, state.S, state.Rn
+    return (
+        N.rank + S.rank == K.rank and N.sum(S).rank == K.rank,
+        N.contains_submodule(Rn),
+        Rn.contains_rows(K.bracket_rows(ExactMatrix.identity(K.rank), N.basis)),
+    )
+
+
 def ref_rescale_nilpotency(state, cert):
     """The two nilpotency checks `integral_rescale` ran before it read
     nilpotency off one unsaturated lower central chain: `is_nilpotent` of

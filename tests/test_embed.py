@@ -37,8 +37,9 @@ from adorep.lie_core import (
     solvable_radical,
     subalgebra_lattice,
     unit,
+    validate,
 )
-from adorep.pipeline import verify_certificate
+from adorep.pipeline import ado_representation, verify_certificate
 
 from oracles import (
     is_squarefree,
@@ -46,6 +47,7 @@ from oracles import (
     ref_expansion_checks,
     ref_mu_search,
     ref_rescale_nilpotency,
+    ref_state_invariants,
     tensor_lattice,
     theorem_inputs,
 )
@@ -264,6 +266,39 @@ def test_loop_steps_pass_the_full_checks(monkeypatch):
         for before, after in steps:
             assert ref_expansion_checks(before, after) == (True, True, True), name
             assert real(before) == after, name
+
+
+def test_loop_reads_the_state_invariants_off_its_steps(monkeypatch):
+    """On its own steps the loop hands `_check_state_invariants` rows read
+    off the step instead of bracketing K2 with new_N.  They span [K2, new_N],
+    so the check agrees with the full one (`ref_state_invariants`); a state
+    whose R_n is cut to x' fails both."""
+    import adorep.embed
+
+    real = adorep.embed._check_state_invariants
+    calls = []
+
+    def recording(state, brackets=None):
+        calls.append((state, brackets))
+        return real(state, brackets)
+
+    monkeypatch.setattr(adorep.embed, "_check_state_invariants", recording)
+    for name, L in theorem_inputs():
+        calls.clear()
+        cert = embed_splittable(L)
+        read_off = [(state, B) for state, B in calls if B is not None]
+        assert len(read_off) == len(cert.trace), name
+        for state, B in read_off:
+            K, N = state.K, state.N
+            full = K.bracket_rows(ExactMatrix.identity(K.rank), N.basis)
+            assert Submodule.of_rows(B, "Q") == Submodule.of_rows(full, "Q"), name
+            assert ref_state_invariants(state) == (True, True, True), name
+    state, B = next((state, B) for state, B in calls if B is not None)
+    xp = state.K.rank - 2
+    cut = dataclasses.replace(state, Rn=Submodule.span([unit(state.K.rank, xp)], state.K.rank, "Q"))
+    assert ref_state_invariants(cut) == (True, True, False)
+    with pytest.raises(ExpansionError, match="escapes the nilpotent radical"):
+        real(cut, B)
 
 
 def _abelian_by_diag():
@@ -535,20 +570,40 @@ def test_leftover_denominator_is_an_expansion_error(monkeypatch):
         embed_splittable(catalog.solv2())
 
 
-def test_invalid_scaled_sublattice_is_an_internal_error(monkeypatch):
-    # integral_rescale validates the lattice it reads off the scaled basis;
-    # on a valid input a failure there is a bug of the construction
+def test_every_sublattice_the_construction_builds_is_valid(monkeypatch):
+    """`subalgebra_lattice` and `integral_rescale` no longer validate the
+    sublattices they read off a Lie lattice: the Levi complement, N_lat, the
+    extension and the PBW-adapted lattice pass `validate` on every theorem
+    input all the same."""
     import adorep.embed
+    import adorep.pbw
 
-    L = catalog.t2_upper()
-    state = elementary_expansion(initial_state(L))
+    built = {"levi": [], "N_lat": [], "extension": [], "adapted": []}
 
-    def refuse(M):
-        raise LatticeValidationError("invalid lattice: jacobi ((0, 1, 2),)")
+    def embed_sublattice(L, S):
+        lat, basis = subalgebra_lattice(L, S)
+        # the Levi complement is read off L over Q, the extension over Z
+        built["levi" if lat.domain == "Q" else "extension"].append(lat)
+        return lat, basis
 
-    monkeypatch.setattr(adorep.embed, "require_valid", refuse)
-    with pytest.raises(RuntimeError, match="construction produced a bad sublattice: invalid"):
-        integral_rescale(L, state)
+    def adapted_sublattice(L, S):
+        lat, basis = subalgebra_lattice(L, S)
+        built["adapted"].append(lat)
+        return lat, basis
+
+    def central_terms(N):
+        built["N_lat"].append(N)
+        return _nilpotent_central_terms(N)
+
+    monkeypatch.setattr(adorep.embed, "subalgebra_lattice", embed_sublattice)
+    monkeypatch.setattr(adorep.pbw, "subalgebra_lattice", adapted_sublattice)
+    monkeypatch.setattr(adorep.embed, "_nilpotent_central_terms", central_terms)
+    for name, L in theorem_inputs():
+        ado_representation(L, strict=True)
+    assert all(built.values())
+    for kind, lattices in built.items():
+        for lat in lattices:
+            assert validate(lat).ok, kind
 
 
 def test_embed_rejects_rational_domain():

@@ -2,6 +2,7 @@ import dataclasses
 import pickle
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -439,6 +440,20 @@ def test_subalgebra_and_quotient():
     assert is_semisimple(quot)
 
 
+def test_subalgebra_lattice_checks_closure_and_integrality():
+    """With the validation gone, these are the checks it keeps: in
+    heisenberg3 [x, y] = z leaves span(x, y), and over Z the sublattice
+    with basis x, y, 2z has [x, y] = (1/2) 2z."""
+    with pytest.raises(ValueError, match="not closed under the bracket"):
+        subalgebra_lattice(h3(), Submodule.span([unit(3, 0), unit(3, 1)], 3, "Z"))
+    half = Submodule.span([unit(3, 0), unit(3, 1), vector([0, 0, 2])], 3, "Z")
+    with pytest.raises(ValueError, match="non-integral structure constants"):
+        subalgebra_lattice(h3(), half)
+    # over Q the same span is all of L, with integral constants
+    sub, _ = subalgebra_lattice(h3(), Submodule.span(half.basis.entries, 3, "Q"))
+    assert validate(sub).ok
+
+
 # -- the sparse integer table against the dense triple loop ----------------
 
 TENSORS = settings(max_examples=120, deadline=None)
@@ -825,6 +840,49 @@ def test_nilradical_matches_reference_on_random_solvable_lattices(action, with_s
     y = lie_lattice(["y"], {})
     L = semidirect_assemble(catalog.abelian(n), y, [ExactMatrix.from_rows(action)])
     check_nilradical_matches_reference(direct_sum(sl2(), L) if with_sl2 else L)
+
+
+def strictly_upper_int_matrices(n):
+    """n x n integer matrices that vanish on and below the diagonal: the
+    nilpotent derivations of Z^n used below."""
+    return st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n).map(
+        lambda xs: [[xs[i * n + j] if j > i else 0 for j in range(n)] for i in range(n)]
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 4).flatmap(strictly_upper_int_matrices), st.booleans(), st.data())
+def test_nilradical_of_a_nilpotent_lattice_skips_the_envelope(action, with_h3, data):
+    """Z^n x| Z with a nilpotent action is nilpotent; its lower central
+    series from [L, L] reaches 0, so `nilradical` returns L without building
+    the envelope, and agrees with the reference in a scrambled basis too."""
+    import adorep.lie_core
+
+    def unreachable(gens):
+        raise AssertionError("envelope built for a nilpotent lattice")
+
+    y = lie_lattice(["y"], {})
+    L = semidirect_assemble(catalog.abelian(len(action)), y, [ExactMatrix.from_rows(action)])
+    if with_h3:
+        L = direct_sum(h3(), L)
+    L = change_basis(L, data.draw(unimodular(L.rank)))
+    assert is_nilpotent(L)
+    with mock.patch.object(adorep.lie_core, "_matrix_algebra_closure", unreachable):
+        check_nilradical_matches_reference(L)
+        assert nilradical(L) == Submodule.full(L.rank, "Z")
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_nilradical_builds_the_envelope_only_off_the_nilpotent_path(name, monkeypatch):
+    import adorep.lie_core
+
+    L = catalog.get(name).lattice
+    built = []
+    real = adorep.lie_core._matrix_algebra_closure
+    monkeypatch.setattr(adorep.lie_core, "_matrix_algebra_closure", lambda g: built.append(g) or real(g))
+    assert nilradical(L) == ref_nilradical(L)
+    if is_nilpotent(L):
+        assert not built
 
 
 @pytest.mark.parametrize("name", catalog.names())

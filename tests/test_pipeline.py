@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from adorep.jsonio import ado_report_to_json, certificate_to_json, lattice_to_js
 from adorep.lie_core import (
     LatticeValidationError,
     adjoint_rep,
+    change_basis,
     direct_sum,
     lie_lattice,
     solvable_radical,
@@ -28,7 +30,7 @@ from adorep.pipeline import (
 )
 from adorep.rep import LinearRep
 
-from oracles import power, ref_verify_certificate, tensor_lattice, theorem_inputs
+from oracles import load_bench, power, ref_verify_certificate, tensor_lattice, theorem_inputs
 
 
 def test_degree_bound_examples():
@@ -403,12 +405,12 @@ def test_stage_table_is_unset_after_ado(monkeypatch):
 
     L = catalog.t2_upper()
     ado_representation(L, strict=True)
-    assert adorep.pipeline._stage_radicals.get() is None
+    assert adorep.pipeline._stage_table.get() is None
     real = adorep.pipeline.embed_splittable
 
-    def not_injective(L):
+    def not_injective(L, *args):
         # a zero image of the first basis vector
-        cert = real(L)
+        cert = real(L, *args)
         rows = [list(row) for row in cert.injection.entries]
         rows[0] = [0] * len(rows[0])
         return dataclasses.replace(cert, injection=ExactMatrix.from_rows(rows, cols=len(rows[0])))
@@ -417,18 +419,17 @@ def test_stage_table_is_unset_after_ado(monkeypatch):
     with pytest.raises(VerificationFailure, match="certificate") as failure:
         ado_representation(L, strict=True)
     assert not failure.value.report.injection_injective
-    assert adorep.pipeline._stage_radicals.get() is None
+    assert adorep.pipeline._stage_table.get() is None
 
 
-@pytest.mark.parametrize("name", ["t2_upper", "churkin_sl2_t2"])
-def test_strict_ado_computes_the_radicals_of_the_input_twice(monkeypatch, name):
-    """Once in the construction and once for both checkers, counted as in
-    `test_embedding_computes_the_radicals_of_the_input_once`."""
+def _counting(monkeypatch, fnames):
+    """The ranks of the lattices that each `adorep.lie_core` function in
+    `fnames` is called on, wherever the library calls it from."""
     import adorep.embed
     import adorep.lie_core
     import adorep.pipeline
 
-    seen = {"solvable_radical": [], "nilradical": []}
+    seen = {fname: [] for fname in fnames}
     for fname, calls in seen.items():
         original = getattr(adorep.lie_core, fname)
 
@@ -437,10 +438,75 @@ def test_strict_ado_computes_the_radicals_of_the_input_twice(monkeypatch, name):
             return _original(L, *args)
 
         for module in (adorep.lie_core, adorep.embed, adorep.pipeline):
-            monkeypatch.setattr(module, fname, counting)
+            if hasattr(module, fname):
+                monkeypatch.setattr(module, fname, counting)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["t2_upper", "churkin_sl2_t2"])
+def test_strict_ado_computes_the_radicals_of_the_input_once(monkeypatch, name):
+    """The verification stage computes them before the construction, which
+    reads them, and both checkers read them from the stage's table."""
+    seen = _counting(monkeypatch, ["solvable_radical", "nilradical"])
     L = catalog.get(name).lattice
     ado_representation(L, strict=True)
     assert {fname: calls.count(L.rank) for fname, calls in seen.items()} == {
-        "solvable_radical": 2,
-        "nilradical": 2,
+        "solvable_radical": 1,
+        "nilradical": 1,
+    }
+
+
+def _scrambled_t2_squared():
+    workloads = load_bench("workloads")
+    P, _ = workloads.random_unimodular(random.Random(23), 6)
+    return change_basis(workloads.t2_power(2), ExactMatrix.from_rows(P))
+
+
+@pytest.mark.parametrize(
+    "L",
+    [catalog.t2_upper(), catalog.churkin_sl2_t2(), _scrambled_t2_squared()],
+    ids=["t2_upper", "churkin_sl2_t2", "scrambled t2^2"],
+)
+def test_strict_ado_validates_at_most_four_times(monkeypatch, L):
+    """L in the verification stage and in `embed_splittable`, the extension
+    in `verify_certificate` and in `splittable_rep`; no sublattice the
+    construction builds is validated on its own."""
+    seen = _counting(monkeypatch, ["validate"])
+    ado_representation(L, strict=True)
+    assert len(seen["validate"]) <= 4
+    assert seen["validate"].count(L.rank) <= 2
+
+
+def test_nilpotent_shortcut_validates_at_most_twice(monkeypatch):
+    """L in the verification stage and in `nilpotent_faithful_rep`."""
+    seen = _counting(monkeypatch, ["validate"])
+    _, report, _ = ado_representation(catalog.get("heisenberg5").lattice)
+    assert report.path == "nilpotent-shortcut"
+    assert len(seen["validate"]) <= 2
+
+
+def test_direct_checker_calls_validate_and_compute_their_own_radicals(monkeypatch):
+    """Outside `ado_representation` there is no stage table: each call of a
+    checker validates its lattices and computes the radicals of L afresh."""
+    L = catalog.churkin_sl2_t2()
+    rep, _, cert = ado_representation(L, strict=True)
+    seen = _counting(monkeypatch, ["validate", "solvable_radical", "nilradical"])
+    for _ in range(2):
+        assert verify_certificate(cert).ok
+    # L and the extension, each with both radicals (the nilradical of the
+    # extension computes its own R_s)
+    ext = cert.extension.rank
+    assert seen == {
+        "validate": [L.rank, ext] * 2,
+        "solvable_radical": [ext, L.rank] * 2,
+        "nilradical": [ext, L.rank] * 2,
+    }
+    for calls in seen.values():
+        calls.clear()
+    for _ in range(2):
+        assert verify_representation(L, rep).ok
+    assert seen == {
+        "validate": [L.rank] * 2,
+        "solvable_radical": [L.rank] * 2,
+        "nilradical": [L.rank] * 2,
     }
