@@ -40,7 +40,7 @@ from .lie_core import (
     solvable_radical,
     validate,
 )
-from .nilrep import burde_bound, nilpotent_faithful_rep
+from .nilrep import birkhoff_bounds, burde_bound, nilpotent_faithful_rep
 from .pipeline import (
     VerificationFailure,
     ado_representation,
@@ -96,14 +96,14 @@ def cmd_radicals(args) -> int:
 
 
 def cmd_nilrep(args) -> int:
-    from .lie_core import nilpotency_class
-    from .nilrep import birkhoff_bounds
-
     L = _load_lattice(args.file)
     if L.rank == 0:
         # the same refusal as `ado`, before any work
         raise ValueError("rank-zero lattice has nothing to represent")
-    rep = nilpotent_faithful_rep(L)
+    require_valid(L)
+    # one series: the construction builds on it, and its length is the class
+    chain = lower_central_series(L)
+    rep = nilpotent_faithful_rep(L, chain)
     report = verify_representation(L, rep)
     _emit(
         {
@@ -113,7 +113,7 @@ def cmd_nilrep(args) -> int:
             "burde_bound": frac_to_str(burde_bound(L.rank)),
             "comparison_bounds": {
                 k: frac_to_str(v)
-                for k, v in birkhoff_bounds(L.rank, nilpotency_class(L)).items()
+                for k, v in birkhoff_bounds(L.rank, len(chain) - 1).items()
             },
             "report": verification_report_to_json(report),
         },

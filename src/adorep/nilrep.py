@@ -11,7 +11,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
+from typing import Sequence
 
+from .exact_linalg import Submodule
 from .lie_core import LieLattice, require_valid, unit
 from .pbw import TruncatedUEA, build_weighted_basis
 from .rep import LinearRep
@@ -90,12 +92,19 @@ def monomial_count(L: LieLattice) -> int:
     return TruncatedUEA(basis, basis.nil_class).dimension
 
 
-def nilpotent_faithful_rep(L: LieLattice) -> LinearRep:
+def nilpotent_faithful_rep(L: LieLattice, chain: Sequence[Submodule] | None = None) -> LinearRep:
     """Left regular representation on the enveloping algebra truncated at the
     nilpotency class; faithful because the lattice meets the discarded ideal
-    trivially."""
-    require_valid(L)
-    basis = build_weighted_basis(L)  # raises NotNilpotentError if not nilpotent
+    trivially.
+
+    `chain`, when given, must be `lower_central_series(L)` of a validated L,
+    as `ado_representation` and `adorep nilrep` compute it after their own
+    validation; it goes to `build_weighted_basis`.  Without it, L is
+    validated here and the series is computed there.
+    """
+    if chain is None:
+        require_valid(L)
+    basis = build_weighted_basis(L, chain)  # raises NotNilpotentError if not nilpotent
     T = TruncatedUEA(basis, basis.nil_class)
     matrices = tuple(T.left_mult_matrix(unit(L.rank, i)) for i in range(L.rank))
     return LinearRep(lattice=L, matrices=matrices, provenance="regular-truncated")

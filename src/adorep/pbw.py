@@ -65,15 +65,20 @@ class WeightedPBWBasis:
         return self.lattice.rank
 
 
-def build_weighted_basis(L: LieLattice) -> WeightedPBWBasis:
+def build_weighted_basis(
+    L: LieLattice, chain: Sequence[Submodule] | None = None
+) -> WeightedPBWBasis:
     """Adapted basis and weight function from the isolated lower central series.
 
     The first adapted vectors span the deepest nonzero term; each block
     extends the previous one, so the change of basis is unimodular over Z.
     L must be a Lie lattice (validated); `subalgebra_lattice` reads the
-    adapted constants without a check of its own.
+    adapted constants without a check of its own.  `chain`, when given,
+    must be `lower_central_series(L)`, as a caller that has just computed
+    it hands it over; without it the series is computed here.
     """
-    chain = lower_central_series(L)
+    if chain is None:
+        chain = lower_central_series(L)
     if not chain[-1].is_zero():
         raise NotNilpotentError("weighted PBW basis requires a nilpotent lattice")
     c = len(chain) - 1

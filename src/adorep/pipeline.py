@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .embed import EmbeddingCertificate, embed_splittable
-from .exact_linalg import ExactMatrix, Submodule, Vec, kernel_basis, rank, stack_rows
+from .exact_linalg import Echelon, ExactMatrix, Submodule, Vec, kernel_basis, rank, stack_rows
 from .lie_core import (
     LieLattice,
     adjoint_rep,
@@ -120,13 +120,63 @@ class VerificationReport:
 def verify_representation(L: LieLattice, rep: LinearRep) -> VerificationReport:
     """Independent checks: homomorphism on all basis pairs, integrality over
     Z, faithfulness via the rank of the stacked matrices, nilpotency of the
-    images of the nilpotent radical, and the degree bound."""
+    images of the nilpotent radical, and the degree bound.
+
+    Two checks run on generators first.  Each falls back to its full scan,
+    merged in the scan's order, when the reduced check reports anything, so
+    every report is the full scan's.  The proofs below show that a reduced
+    check that reports nothing implies a full scan that reports nothing.
+    Write rho for the linear map x -> matrix, and G for the rows of the
+    basis of R_n = R_n(L) that are independent modulo [R_n, R_n] and the
+    rows before them (`_generators`).  Over Q, G and [R_n, R_n] span R_n.
+
+    Homomorphism, when R_n = L (L nilpotent): only the pairs i < j with i
+    or j in G are checked; all spans are over Q.
+    (1) H = {x : rho[x, y] = [rho x, rho y] for all y} is a subspace, and
+    it holds x_g for every g in G.  Both sides are linear in y, so basis
+    vectors y = x_j suffice.  For j != g the pair {g, j} is checked, and
+    swapping it negates both sides, by the antisymmetry of the validated L
+    and of the commutator; for j = g both sides are 0.
+    (2) H is a subalgebra.  For x, x' in H, Jacobi in L and then in the
+    matrices gives rho[[x, x'], y] = rho[x, [x', y]] - rho[x', [x, y]]
+    = [rho x, [rho x', rho y]] - [rho x', [rho x, rho y]]
+    = [[rho x, rho x'], rho y] = [rho [x, x'], rho y].
+    (3) A set that spans a nilpotent L modulo [L, L] generates it.  Let M
+    be the subalgebra it generates and g_k the k-th term of the lower
+    central series (g_1 = L, g_(c+1) = 0), so that L = M + g_2.  g_k is
+    spanned by the brackets [y_1, [y_2, ..., y_k]] of elements of L.
+    Write each y_i = m_i + n_i with m_i in M and n_i in g_2 and expand: the
+    bracket of the m_i lies in M, and every other term has an entry in g_2,
+    so it lies in g_(k+1).  Hence L = M + g_k implies L = M + g_(k+1), and
+    by induction L = M + g_(c+1) = M.  By (1)-(3), H = L.
+
+    Nilpotency, once the homomorphism check has passed: only the images of
+    the rows of R_n in G are checked.  rho(R_n) is then a Lie algebra of
+    matrices, the image of a nilpotent one, so it is solvable.  By Lie's
+    theorem it is upper triangular in a basis over the algebraic closure;
+    its diagonal entries are linear forms on it, and they vanish on its
+    derived algebra, as a commutator of upper triangular matrices is
+    strictly upper triangular (these are the weights of Jacobson, Lie
+    Algebras, 1962, ch. II).  rho(G) spans rho(R_n) modulo
+    rho[R_n, R_n] = [rho R_n, rho R_n], so when every rho(g) is nilpotent,
+    every diagonal form vanishes on all of rho(R_n), and every image of R_n
+    is nilpotent.  When R_n = L, its canonical basis is the identity, and
+    its images are read from `rep.matrices`.
+    """
     _stage_fact(validate, L).raise_if_invalid()
-    if len(rep.matrices) != L.rank:
-        raise ValueError("representation size does not match the lattice rank")
     n = rep.degree
     bound_to_L = LinearRep(lattice=L, matrices=rep.matrices, provenance=rep.provenance)
-    violations = tuple(bound_to_L.homomorphism_violations())
+    bound_to_L.check_shapes()
+    rn = _stage_fact(_radicals, L)[1]
+    gens = _generators(L, rn.basis)
+    full = rn.rank == L.rank
+    if full:
+        pairs = [(i, j) for i in range(L.rank) for j in range(i + 1, L.rank)]
+        violations = _reduced(
+            bound_to_L.homomorphism_violations, pairs, lambda p: p[0] in gens or p[1] in gens
+        )
+    else:
+        violations = bound_to_L.homomorphism_violations()
     integral_ok = rep.is_integral if L.domain == "Z" else True
 
     witness: tuple[Vec, ...] = ()
@@ -138,12 +188,18 @@ def verify_representation(L: LieLattice, rep: LinearRep) -> VerificationReport:
         if not faithful_ok:
             witness = tuple(kernel_basis(stacked, "Q").basis.entries)
 
-    rn = _stage_fact(_radicals, L)[1]
-    nil_violations = [
-        idx
-        for idx, M in enumerate(rep.matrices_of_rows(rn.basis))
-        if not _is_nilpotent_matrix(M)
-    ]
+    def not_nilpotent(rows: list[int]) -> list[int]:
+        if full:
+            images = [rep.matrices[i] for i in rows]
+        else:
+            images = rep.matrices_of_rows(rn.basis.take_rows(rows))
+        return [i for i, M in zip(rows, images) if not _is_nilpotent_matrix(M)]
+
+    rows = list(range(rn.rank))
+    if violations:
+        nil_violations = not_nilpotent(rows)
+    else:
+        nil_violations = _reduced(not_nilpotent, rows, gens.__contains__)
     nilrep_ok = not nil_violations
 
     bound = degree_bound(L.rank) if L.rank >= 1 else Fraction(0)
@@ -153,7 +209,7 @@ def verify_representation(L: LieLattice, rep: LinearRep) -> VerificationReport:
         degree=n,
         bound=bound,
         homomorphism_ok=not violations,
-        homomorphism_violations=violations,
+        homomorphism_violations=tuple(violations),
         integral_ok=integral_ok,
         faithful_ok=faithful_ok,
         kernel_witness=witness,
@@ -161,6 +217,35 @@ def verify_representation(L: LieLattice, rep: LinearRep) -> VerificationReport:
         nilrep_violations=tuple(nil_violations),
         degree_ok=degree_ok,
     )
+
+
+def _generators(L: LieLattice, B: ExactMatrix) -> set[int]:
+    """The indices of the rows of B, a basis of a subalgebra S of L, that
+    are independent modulo [S, S] and the rows before them: one Echelon
+    seeded with the pair brackets of B takes the rows in order.  Over Q the
+    rows at these indices and [S, S] span S."""
+    E = Echelon()
+    for row in L._pair_brackets(B).num:
+        if row:
+            E.add(row)
+    gens = set()
+    for i, row in enumerate(B.num):
+        if len(E.rows) == B.rows:  # E spans S: every later row is dependent
+            break
+        if E.add(row):
+            gens.add(i)
+    return gens
+
+
+def _reduced(check: Callable[[list], list], items: list, first: Callable[[object], bool]) -> list:
+    """`check(items)`, for a check that reports the items it rejects in
+    order, run on the items for which `first` holds; only when that reports
+    anything are the other items checked, and the two reports are merged
+    in the order of the sorted items."""
+    bad = check([x for x in items if first(x)])
+    if bad:
+        bad = sorted(bad + check([x for x in items if not first(x)]))
+    return bad
 
 
 def _is_nilpotent_matrix(M: ExactMatrix) -> bool:
@@ -277,7 +362,9 @@ def ado_representation(
 
     The verification stage runs first: it validates L and, on the theorem
     path, computes the radicals of L, which `embed_splittable` reads.  Both
-    checkers then read these facts from the stage's table.
+    checkers then read these facts from the stage's table.  Off the strict
+    path the lower central series of the validated L is computed once: it
+    picks the nilpotent shortcut, and `nilpotent_faithful_rep` builds on it.
     """
     stage: dict[tuple[Callable, LieLattice], object] = {}
     _in_stage(stage, _stage_fact, validate, L).raise_if_invalid()
@@ -293,7 +380,7 @@ def ado_representation(
     if chain is not None and chain[-1].is_zero():
         path = "nilpotent-shortcut"
         rs_rank = r  # a nilpotent lattice is its own solvable radical
-        rep = nilpotent_faithful_rep(L)
+        rep = nilpotent_faithful_rep(L, chain)
         phi_degree = rep.degree
         comparison = birkhoff_bounds(r, len(chain) - 1)
     elif not strict and is_semisimple(L.to_field()):

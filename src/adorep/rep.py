@@ -53,8 +53,22 @@ class LinearRep:
     def is_integral(self) -> bool:
         return all(M.is_integral for M in self.matrices)
 
-    def homomorphism_violations(self) -> list[tuple[int, int]]:
-        """Basis pairs i < j where M([x_i, x_j]) != [M_i, M_j], in order.
+    def check_shapes(self) -> None:
+        """Raise a ValueError unless there is one matrix per basis vector
+        and every matrix is n x n for the one degree n; it names the first
+        offending index."""
+        if len(self.matrices) != self.lattice.rank:
+            raise ValueError("representation size does not match the lattice rank")
+        n = self.degree
+        for idx, M in enumerate(self.matrices):
+            if M.rows != n or M.cols != n:
+                raise ValueError(f"matrix {idx} is {M.rows}x{M.cols}, not {n}x{n}")
+
+    def homomorphism_violations(
+        self, pairs: Iterable[tuple[int, int]] | None = None
+    ) -> list[tuple[int, int]]:
+        """Basis pairs i < j where M([x_i, x_j]) != [M_i, M_j], in order;
+        with `pairs`, only those pairs i < j are checked, in their order.
 
         Write M_k = A_k / d_k with A_k its int numerators, [x_i, x_j] =
         sum_k (t_k / den) x_k over the table, and D for the lcm of the d_k
@@ -65,29 +79,23 @@ class LinearRep:
         s is a product of positive integers, so it is nonzero, and a
         rational matrix times a nonzero integer is zero exactly when the
         matrix is: a pair is reported exactly when its two sides differ.
-        Every matrix must be n x n for the one degree n, with one matrix
-        per basis vector; otherwise a ValueError names the first offending
-        index before any product.
+        `check_shapes` runs before any product.
         """
+        self.check_shapes()
         L = self.lattice
-        if len(self.matrices) != L.rank:
-            raise ValueError("representation size does not match the lattice rank")
-        n = self.degree
-        for idx, M in enumerate(self.matrices):
-            if M.rows != n or M.cols != n:
-                raise ValueError(f"matrix {idx} is {M.rows}x{M.cols}, not {n}x{n}")
+        if pairs is None:
+            pairs = ((i, j) for i in range(L.rank) for j in range(i + 1, L.rank))
         den, T = L.table
         num = [M.num for M in self.matrices]
         dens = [M.den for M in self.matrices]
         bad = []
-        for i in range(L.rank):
-            for j in range(i + 1, L.rank):
-                terms = T[i][j]
-                D = lcm(*(dens[k] for k, _ in terms))
-                g = dens[i] * dens[j]
-                combo = [(num[k], g * t * (D // dens[k])) for k, t in terms]
-                if _commutator_differs(num[i], num[j], den * D, combo):
-                    bad.append((i, j))
+        for i, j in pairs:
+            terms = T[i][j]
+            D = lcm(*(dens[k] for k, _ in terms))
+            g = dens[i] * dens[j]
+            combo = [(num[k], g * t * (D // dens[k])) for k, t in terms]
+            if _commutator_differs(num[i], num[j], den * D, combo):
+                bad.append((i, j))
         return bad
 
 

@@ -16,6 +16,10 @@ takes the assembled lattice and splits it once.  `ref_mu_search` searches
 for the rescaling integer mu round by round, where the library computes it
 in closed form.  `ref_homomorphism_violations` compares two normalised
 matrices per basis pair, where the library sums one int table per pair.
+`ref_nilrep_violations` raises the image of every row of R_n to the
+degree, and `ref_verify_representation` builds the representation report
+from these two full scans, where the library checks pairs with a
+generator, and images of generators, first.
 `ref_verify_certificate` tests that nbar is an ideal and nilpotent before
 it compares nbar with the nilradical of the extension, where the library
 reads both properties off that comparison when it holds.
@@ -34,7 +38,7 @@ from math import lcm
 from pathlib import Path
 
 from adorep import catalog
-from adorep.exact_linalg import ExactMatrix, Submodule, invert, rank, stack_rows
+from adorep.exact_linalg import ExactMatrix, Submodule, invert, kernel_basis, rank, stack_rows
 from adorep.jsonio import frac_to_str
 from adorep.lie_core import (
     LieLattice,
@@ -51,7 +55,7 @@ from adorep.lie_core import (
 )
 from adorep.nilrep import _sqrt_interval, eta_interval
 from adorep.pbw import TruncatedUEA, build_weighted_basis
-from adorep.pipeline import CertificateReport
+from adorep.pipeline import CertificateReport, VerificationReport, degree_bound
 from adorep.rep import LinearRep
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -753,6 +757,43 @@ def ref_homomorphism_violations(rep):
             if lhs != rhs:
                 bad.append((i, j))
     return bad
+
+
+def ref_nilrep_violations(rep):
+    """Rows of a fresh R_n(L) whose image is not nilpotent: every row of
+    R_n, its image recombined from the matrices and raised to the degree."""
+    rn = nilradical(rep.lattice)
+    return [
+        idx
+        for idx, M in enumerate(rep.matrices_of_rows(rn.basis))
+        if not power(M, rep.degree).is_zero()
+    ]
+
+
+def ref_verify_representation(L, rep):
+    """The representation report with both scans run in full: the
+    homomorphism on every pair of basis vectors (`ref_homomorphism_violations`)
+    and nilpotency on every row of R_n (`ref_nilrep_violations`)."""
+    rep = LinearRep(lattice=L, matrices=rep.matrices, provenance=rep.provenance)
+    violations = tuple(ref_homomorphism_violations(rep))
+    nil = tuple(ref_nilrep_violations(rep))
+    stacked = ExactMatrix.from_rows(
+        [[x for row in M.entries for x in row] for M in rep.matrices], cols=rep.degree**2
+    )
+    faithful = rank(stacked) == L.rank
+    bound = degree_bound(L.rank)
+    return VerificationReport(
+        degree=rep.degree,
+        bound=bound,
+        homomorphism_ok=not violations,
+        homomorphism_violations=violations,
+        integral_ok=rep.is_integral if L.domain == "Z" else True,
+        faithful_ok=faithful,
+        kernel_witness=() if faithful else tuple(kernel_basis(stacked, "Q").basis.entries),
+        nilrep_ok=not nil,
+        nilrep_violations=nil,
+        degree_ok=rep.degree <= bound,
+    )
 
 
 def ref_verify_certificate(cert):

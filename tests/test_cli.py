@@ -160,6 +160,11 @@ def test_cli_nilrep(tmp_path, capsys):
     assert data["report"]["ok"] is True
 
 
+def test_cli_nilrep_refuses_a_lattice_that_is_not_nilpotent(tmp_path, capsys):
+    expected = (1, "", "error: weighted PBW basis requires a nilpotent lattice\n")
+    assert run(capsys, "nilrep", write_lattice(tmp_path, "solv2")) == expected
+
+
 def write_half_heisenberg(tmp_path):
     # [x, y] = z/2 satisfies the Lie axioms over Q but is not a Z-lattice
     path = tmp_path / "half.json"
