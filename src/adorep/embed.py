@@ -13,7 +13,6 @@ radical.  Both integers are lcms of denominators, computed in closed form.
 from __future__ import annotations
 
 import logging
-from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
@@ -38,13 +37,11 @@ from .lie_core import (
     _assemble_semidirect,
     bracket_series,
     is_nilpotent_submodule,
-    is_subalgebra,
     killing_form,
     lie_lattice,
     nilradical,
     quotient_lattice,
     require_valid,
-    semidirect_assemble,
     solvable_radical,
     split_semidirect,
     subalgebra_lattice,
@@ -202,6 +199,12 @@ def levi_decomposition(
     solves the classical cocycle system, which Levi's theorem guarantees to
     be consistent.  `rs`, when given, must be `solvable_radical(L.to_field())`;
     a caller that already holds it saves recomputing it.
+
+    The returned complement is a subalgebra without a check of its own.
+    With s_1, ..., s_t the rows of sigma, the checked equation
+    `L.bracket_rows(sigma, sigma) == cq * sigma` says that every [s_i, s_j]
+    is a combination of the s_a, so by bilinearity span(sigma) is closed
+    under the bracket; once `levi.rank == t`, that span is `levi`.
     """
     if L.domain != "Q":
         L = L.to_field()
@@ -269,8 +272,8 @@ def levi_decomposition(
         raise LiftingError("lifted complement is not closed under the bracket")
 
     levi = Submodule.of_rows(sigma, "Q")
-    if levi.rank != t or not is_subalgebra(L, levi):
-        raise LiftingError("lifted complement has the wrong rank or is not a subalgebra")
+    if levi.rank != t:
+        raise LiftingError("lifted complement has the wrong rank")
     levi_lat = _closed_sublattice(L, levi)
     if rank(killing_form(levi_lat)) != t:
         raise LiftingError("lifted complement is not semisimple")
@@ -313,14 +316,6 @@ class ExpansionState:
     trace: tuple[ExpansionStep, ...]
 
 
-# The states that `embed_splittable` has built in the current call, keyed by
-# id (the values keep them alive); None outside that loop, so that every
-# other caller of `elementary_expansion` gets the full checks.
-_own_states: ContextVar[dict[int, ExpansionState] | None] = ContextVar("_own_states", default=None)
-
-_NOT_THE_NILRADICAL = "nilpotent radical of the expansion is not R_n + x'"
-
-
 def initial_state(
     L: LieLattice, radicals: tuple[Submodule, Submodule] | None = None
 ) -> ExpansionState:
@@ -348,21 +343,18 @@ def initial_state(
         zprimes=ExactMatrix.zero(0, L.rank),
         trace=(),
     )
-    _check_state_invariants(state)
+    _check_state_invariants(state, LQ.bracket_rows(ExactMatrix.identity(LQ.rank), rad.basis))
     return state
 
 
-def _check_state_invariants(state: ExpansionState, brackets: ExactMatrix | None = None) -> None:
+def _check_state_invariants(state: ExpansionState, brackets: ExactMatrix) -> None:
     """K = N + S as modules, N a solvable ideal containing R_n with
-    [N, K] inside R_n.  `brackets`, when given, must be rows that span
-    [K, N]; otherwise every basis vector of K is bracketed with N here."""
+    [N, K] inside R_n.  `brackets` must be rows that span [K, N]."""
     K, N, S, Rn = state.K, state.N, state.S, state.Rn
     if N.rank + S.rank != K.rank or N.sum(S).rank != K.rank:
         raise ExpansionError("solvable part and complement do not split the algebra")
     if not N.contains_submodule(Rn):
         raise ExpansionError("solvable part does not contain the nilpotent radical")
-    if brackets is None:
-        brackets = K.bracket_rows(ExactMatrix.identity(K.rank), N.basis)
     if not Rn.contains_rows(brackets):
         raise ExpansionError("[N, K] escapes the nilpotent radical")
 
@@ -375,18 +367,21 @@ def elementary_expansion(state: ExpansionState) -> ExpansionState:
     dim N is unchanged while dim R_n grows by exactly one; both facts are
     re-verified on the expanded algebra.
 
-    Leibniz for dn and ds is checked on ideal + S only: as Jordan-Chevalley
-    parts of the derivation ad_y they are derivations of K (Humphreys 1972,
-    4.2), so a check on K rejects nothing, and they map ideal + S into
-    itself (the y-entry check), so they restrict to it.
+    `state` must be one that `initial_state` or `elementary_expansion`
+    returned: then K is a validated Lie algebra, R_n is its nilradical and
+    the state invariants hold.  The step is certified from its parts: the
+    Leibniz checks of the assembler, dn ds == ds dn on ideal + S, the
+    homomorphism on the pairs (e_i, y), the state invariants of the new
+    state read off `products`, `w_n` and `w_s`, and one nilpotency check of
+    new_Rn.  What the step does with any other state is unspecified;
+    `verify_certificate` re-checks the final extension on its own either
+    way.  Why these checks suffice on such a state:
 
-    A state that `embed_splittable` built itself in the current call is
-    certified from its parts; any other state (a direct call, or a state
-    made with `dataclasses.replace`) gets the full checks: `require_valid`
-    of K2 in `semidirect_assemble`, the homomorphism on all pairs and
-    `nilradical(K2) == new_Rn`.  On the states the loop builds the two
-    accept exactly the same expansions:
-
+    - Leibniz.  It is checked for dn and ds on ideal + S only: as
+      Jordan-Chevalley parts of the derivation ad_y they are derivations
+      of K (Humphreys 1972, 4.2), so a check on K rejects nothing, and
+      they map ideal + S into itself (the y-entry check), so they restrict
+      to it.
     - Jacobi.  ideal + S is a bracket-closed subspace of the validated K
       (the y-entry check), so the triples inside it hold; the triples with
       one of x', z' are the Leibniz checks of its part; and the triple
@@ -395,7 +390,7 @@ def elementary_expansion(state: ExpansionState) -> ExpansionState:
     - Homomorphism.  On the pairs inside ideal + S, iota reproduces the
       very numbers `base` was built from.  By bilinearity, and the
       antisymmetry of both brackets, the pairs (e_i, y) are the rest.
-    - Nilradical.  `_check_state_invariants(new_state)` gives new_Rn in
+    - Nilradical.  The state invariants of new_state give new_Rn in
       new_N and [new_N, K2] in new_Rn, so new_Rn is an ideal of K2, and
       one nilpotency check makes it a nilpotent ideal, which lies in
       nilradical(K2).  Conversely, R_n is the nilradical of K: this holds
@@ -419,8 +414,6 @@ def elementary_expansion(state: ExpansionState) -> ExpansionState:
     n = K.rank
     if Rn.rank == N.rank:
         raise ExpansionError("solvable part is already nilpotent; nothing to expand")
-    own = _own_states.get()
-    trusted = own is not None and own.get(id(state)) is state
 
     centralizer = _centralizer_in(K, N, S)
     # K is validated, so the pairs i < j span [N, N]
@@ -466,29 +459,20 @@ def elementary_expansion(state: ExpansionState) -> ExpansionState:
     )
     generators = lie_lattice([f"x'{step_no}", f"z'{step_no}"], {}, "Q")
     action = [W.take_columns(range(xp)).transpose() for W in (w_n, w_s)]
-    assemble = _assemble_semidirect if trusted else semidirect_assemble
     try:
-        K2 = assemble(base, generators, action)
+        K2 = _assemble_semidirect(base, generators, action)
     except ValueError as exc:
         raise ExpansionError(f"a part of ad_y violates the Leibniz identity: {exc}") from exc
-
-    I = ExactMatrix.identity(n)
-    if trusted:
-        on_ideal_n, on_ideal_s = action
-        if on_ideal_n * on_ideal_s != on_ideal_s * on_ideal_n:
-            raise ExpansionError("the parts of ad_y do not commute on ideal+complement")
-        right, right_image = Y, Y * iota
-    else:
-        right, right_image = I, iota
-    if K.bracket_rows(I, right) * iota != K2.bracket_rows(iota, right_image):
+    on_ideal_n, on_ideal_s = action
+    if on_ideal_n * on_ideal_s != on_ideal_s * on_ideal_n:
+        raise ExpansionError("the parts of ad_y do not commute on ideal+complement")
+    if K.bracket_rows(ExactMatrix.identity(n), Y) * iota != K2.bracket_rows(iota, Y * iota):
         raise ExpansionError("expansion embedding is not a homomorphism")
 
     E = ExactMatrix.identity(K2.rank)
     new_N = Submodule.of_rows(E.take_rows([*range(k), xp]), "Q")
     new_S = Submodule.of_rows(E.take_rows([*range(k, xp), zp]), "Q")
     new_Rn = Submodule.of_rows(stack_rows([Rn.basis * iota, E.take_rows([xp])]), "Q")
-    if not trusted and nilradical(K2) != new_Rn:
-        raise ExpansionError(_NOT_THE_NILRADICAL)
 
     step = ExpansionStep(
         index=step_no,
@@ -512,18 +496,14 @@ def elementary_expansion(state: ExpansionState) -> ExpansionState:
         zprimes=stack_rows([state.zprimes * iota, E.take_rows([zp])]),
         trace=state.trace + (step,),
     )
-    if trusted:
-        # rows spanning [K2, new_N], read off the step (see the docstring)
-        ideal_pairs = [p * xp + q for p in range(xp) for q in range(k)]
-        spanning = stack_rows([products.take_rows(ideal_pairs), w_n, w_s.take_rows(range(k))])
-        brackets = ExactMatrix.from_ints(spanning.num, K2.rank, spanning.den)
-        _check_state_invariants(new_state, brackets)
-        # the invariants make new_Rn an ideal, so this is the nilradical check
-        if not is_nilpotent_submodule(K2, new_Rn):
-            raise ExpansionError(_NOT_THE_NILRADICAL)
-        own[id(new_state)] = new_state
-    else:
-        _check_state_invariants(new_state)
+    # rows spanning [K2, new_N], read off the step (see the docstring)
+    ideal_pairs = [p * xp + q for p in range(xp) for q in range(k)]
+    spanning = stack_rows([products.take_rows(ideal_pairs), w_n, w_s.take_rows(range(k))])
+    brackets = ExactMatrix.from_ints(spanning.num, K2.rank, spanning.den)
+    _check_state_invariants(new_state, brackets)
+    # the invariants make new_Rn an ideal, so this is the nilradical check
+    if not is_nilpotent_submodule(K2, new_Rn):
+        raise ExpansionError("nilpotent radical of the expansion is not R_n + x'")
     log.info(
         "expansion %d: rank %d -> %d, dim R_n %d -> %d",
         step_no,
@@ -747,19 +727,14 @@ def embed_splittable(
     The expansion loop runs exactly rk R_s - rk R_n times: dim R_n grows by
     one per round while dim N stays fixed.  Since R_n is the nilradical and
     lies in the ideal N, N is nilpotent exactly when the two ranks agree.
-    The states of the loop go into a private per-call table, so that
-    `elementary_expansion` certifies each of them from its parts.
+    Each state the loop hands to `elementary_expansion` is one that
+    `initial_state` or the step itself returned, so each step is certified
+    from its parts.
     """
     if L.domain != "Z":
         raise ValueError("embedding is defined for lattices over Z")
     require_valid(L)
-    own: dict[int, ExpansionState] = {}
-    token = _own_states.set(own)
-    try:
-        state = initial_state(L, radicals)
-        own[id(state)] = state
-        while state.Rn.rank < state.N.rank:
-            state = elementary_expansion(state)
-    finally:
-        _own_states.reset(token)
+    state = initial_state(L, radicals)
+    while state.Rn.rank < state.N.rank:
+        state = elementary_expansion(state)
     return integral_rescale(L, state)

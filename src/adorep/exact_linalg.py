@@ -764,10 +764,6 @@ class Submodule:
         X = self.coordinate_rows(ExactMatrix.from_rows([v], cols=self.ambient_rank))
         return None if X is None else X.row(0)
 
-    def contains(self, v: Vec) -> bool:
-        """`contains_rows` of the one vector v."""
-        return self.contains_rows(ExactMatrix.from_rows([v], cols=self.ambient_rank))
-
     def contains_submodule(self, other: "Submodule") -> bool:
         return self.contains_rows(other.basis)
 

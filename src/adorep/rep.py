@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import TYPE_CHECKING, Iterable
 
-from .exact_linalg import ExactMatrix, Row, Vec, block_diag
+from .exact_linalg import ExactMatrix, Row, block_diag
 
 if TYPE_CHECKING:  # pragma: no cover
     from .lie_core import LieLattice
@@ -31,10 +31,6 @@ class LinearRep:
         if M.cols != len(self.matrices):
             raise ValueError("dimension mismatch")
         return [self._combination(row.items(), M.den) for row in M.num]
-
-    def matrix_of(self, v: Vec) -> ExactMatrix:
-        """`matrices_of_rows` of the one vector v."""
-        return self.matrices_of_rows(ExactMatrix.from_rows([v], cols=len(self.matrices)))[0]
 
     def _combination(self, terms: Iterable[tuple[int, int]], den: int) -> ExactMatrix:
         """sum of (x / den) * matrices[i] over the (i, x) in terms, summed in

@@ -25,10 +25,10 @@ it compares nbar with the nilradical of the extension, where the library
 reads both properties off that comparison when it holds.
 `ref_expansion_checks` runs the full checks of one elementary expansion
 (Jacobi on every triple, the homomorphism on every pair, a fresh
-nilradical), where the library certifies the steps of its own loop from
-their parts.  `ref_rescale_nilpotency` tests the scaled nilpotent lattice
-and the nilpotent block of the extension with the saturated lower central
-series, where the library reads nilpotency off one unsaturated chain.
+nilradical), where the library certifies every step from its parts.
+`ref_rescale_nilpotency` tests the scaled nilpotent lattice and the
+nilpotent block of the extension with the saturated lower central series,
+where the library reads nilpotency off one unsaturated chain.
 """
 
 import importlib.util
@@ -752,7 +752,7 @@ def ref_homomorphism_violations(rep):
     bad = []
     for i in range(L.rank):
         for j in range(i + 1, L.rank):
-            lhs = rep.matrix_of(L.c[i][j])
+            lhs = rep.matrices_of_rows(ExactMatrix.from_rows([L.c[i][j]], cols=L.rank))[0]
             rhs = mats[i] * mats[j] - mats[j] * mats[i]
             if lhs != rhs:
                 bad.append((i, j))
@@ -825,10 +825,11 @@ def ref_verify_certificate(cert):
 
 
 def ref_expansion_checks(before, after):
-    """The checks every elementary expansion ran before the loop certified
-    its own steps from their parts, on the step from `before` to `after`:
-    (K2 passes `validate`, iota is a homomorphism on all pairs, the
-    nilradical of K2 is the claimed R_n).  iota is rebuilt from the step's
+    """The full checks of the elementary expansion from `before` to
+    `after`, which `elementary_expansion` replaces by checks on the step's
+    parts: (K2 passes `validate`, iota is a homomorphism on all pairs, the
+    nilradical of K2 is the claimed R_n).  On a state outside the step's
+    contract the two can disagree.  iota is rebuilt from the step's
     ideal, the complement and y: the inverse of the basis [ideal; S; y],
     with the y coordinate going to both x' and z'."""
     K, K2, step = before.K, after.K, after.trace[-1]

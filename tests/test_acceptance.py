@@ -253,8 +253,8 @@ def test_criterion_08_nil_representation():
         L = entry.lattice
         rep, report, _ = ado_representation(L, strict=True)
         n = rep.degree
-        for row in nilradical(L).basis.entries:
-            if not power(rep.matrix_of(row), n).is_zero():
+        for M in rep.matrices_of_rows(nilradical(L).basis):
+            if not power(M, n).is_zero():
                 ok = False
     _report(8, "nil-representation", ok)
 

@@ -167,6 +167,19 @@ def test_levi_with_nontrivial_correction():
     assert rank(killing_form(sub)) == 3
 
 
+def test_levi_complement_is_a_subalgebra_on_every_theorem_input():
+    """`levi_decomposition` proves, rather than checks, that its complement
+    is a subalgebra (the equation it checks on the lifted section implies
+    it); `is_subalgebra` is the oracle here."""
+    ranks = []
+    for name, L in theorem_inputs():
+        LQ = L.to_field()
+        _, levi = levi_decomposition(LQ)
+        assert is_subalgebra(LQ, levi), name
+        ranks.append(levi.rank)
+    assert max(ranks) > 0
+
+
 def test_elementary_expansion_solv2():
     state = initial_state(catalog.solv2())
     assert state.N.rank == 2 and state.S.rank == 0 and state.Rn.rank == 1
@@ -193,19 +206,30 @@ def test_elementary_expansion_requires_non_nilpotent():
 
 @pytest.mark.parametrize("name", ["t2_upper", "solv3_weights", "churkin_sl2_t2"])
 def test_elementary_expansion_rejects_a_state_missing_a_nilradical_row(name):
+    """A state whose R_n lacks a row of the nilradical is outside the step's
+    contract.  The new state's invariants reject it, or the step returns an
+    expansion whose claimed R_n is not the nilradical of K2, which the full
+    checks (`ref_expansion_checks`) find."""
     state = initial_state(catalog.get(name).lattice)
+    returned = []
     for drop in range(state.Rn.rank):
         rows = [row for i, row in enumerate(state.Rn.basis.entries) if i != drop]
         bad = dataclasses.replace(state, Rn=Submodule.span(rows, state.K.rank, "Q"))
-        with pytest.raises(ExpansionError, match="nilpotent radical of the expansion"):
-            elementary_expansion(bad)
+        try:
+            after = elementary_expansion(bad)
+        except ExpansionError as exc:
+            assert str(exc) == "[N, K] escapes the nilpotent radical"
+        else:
+            assert ref_expansion_checks(bad, after) == (True, True, False)
+            returned.append(drop)
+    assert returned == {"t2_upper": [0], "churkin_sl2_t2": [0]}.get(name, [])
 
 
 @pytest.mark.parametrize("name", ["t2_upper", "solv3_weights", "churkin_sl2_t2"])
-def test_a_replaced_state_inside_the_loop_gets_the_full_checks(monkeypatch, name):
-    """Only the states the loop built itself are certified from their parts:
-    a copy made with `dataclasses.replace` inside the loop is checked in
-    full, and its missing nilradical row is found."""
+def test_a_replaced_state_inside_the_loop_escapes_the_nilpotent_radical(monkeypatch, name):
+    """A copy made with `dataclasses.replace` inside the loop, its R_n cut
+    by a row, is outside the step's contract, but the loop still ends in an
+    ExpansionError: the bracket rows read off the step leave the cut R_n."""
     import adorep.embed
 
     real = adorep.embed.elementary_expansion
@@ -215,8 +239,34 @@ def test_a_replaced_state_inside_the_loop_gets_the_full_checks(monkeypatch, name
         return real(dataclasses.replace(state, Rn=Submodule.span(rows, state.K.rank, "Q")))
 
     monkeypatch.setattr(adorep.embed, "elementary_expansion", dropping)
-    with pytest.raises(ExpansionError, match="nilpotent radical of the expansion"):
+    with pytest.raises(ExpansionError, match=r"^\[N, K\] escapes the nilpotent radical$"):
         embed_splittable(catalog.get(name).lattice)
+
+
+@pytest.mark.parametrize("name", ["t2_upper", "solv3_weights", "churkin_sl2_t2"])
+def test_a_direct_step_computes_no_radical_and_no_validation(monkeypatch, name):
+    """A step called outside `embed_splittable`, on a state `initial_state`
+    returned, is certified from its parts like a step of the loop: it
+    validates nothing and computes no nilradical."""
+    import adorep.embed
+    import adorep.lie_core
+
+    state = initial_state(catalog.get(name).lattice)
+    seen = {"validate": 0, "nilradical": 0}
+    for fname in seen:
+        original = getattr(adorep.lie_core, fname)
+
+        def counting(*args, _original=original, _name=fname, **kwargs):
+            seen[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (adorep.lie_core, adorep.embed):
+            if hasattr(module, fname):
+                monkeypatch.setattr(module, fname, counting)
+    after = elementary_expansion(state)
+    assert seen == {"validate": 0, "nilradical": 0}
+    monkeypatch.undo()
+    assert ref_expansion_checks(state, after) == (True, True, True)
 
 
 def test_embedding_computes_the_radicals_of_the_input_once(monkeypatch):
@@ -269,16 +319,17 @@ def test_loop_steps_pass_the_full_checks(monkeypatch):
 
 
 def test_loop_reads_the_state_invariants_off_its_steps(monkeypatch):
-    """On its own steps the loop hands `_check_state_invariants` rows read
-    off the step instead of bracketing K2 with new_N.  They span [K2, new_N],
-    so the check agrees with the full one (`ref_state_invariants`); a state
-    whose R_n is cut to x' fails both."""
+    """`initial_state` hands `_check_state_invariants` every bracket of K
+    with N, and each step of the loop hands it rows read off the step
+    instead of bracketing K2 with new_N.  They span [K2, new_N], so the
+    check agrees with the full one (`ref_state_invariants`); a state whose
+    R_n is cut to x' fails both."""
     import adorep.embed
 
     real = adorep.embed._check_state_invariants
     calls = []
 
-    def recording(state, brackets=None):
+    def recording(state, brackets):
         calls.append((state, brackets))
         return real(state, brackets)
 
@@ -286,14 +337,13 @@ def test_loop_reads_the_state_invariants_off_its_steps(monkeypatch):
     for name, L in theorem_inputs():
         calls.clear()
         cert = embed_splittable(L)
-        read_off = [(state, B) for state, B in calls if B is not None]
-        assert len(read_off) == len(cert.trace), name
-        for state, B in read_off:
+        assert len(calls) == len(cert.trace) + 1, name
+        for state, B in calls:
             K, N = state.K, state.N
             full = K.bracket_rows(ExactMatrix.identity(K.rank), N.basis)
             assert Submodule.of_rows(B, "Q") == Submodule.of_rows(full, "Q"), name
             assert ref_state_invariants(state) == (True, True, True), name
-    state, B = next((state, B) for state, B in calls if B is not None)
+    state, B = calls[1]  # the first step's
     xp = state.K.rank - 2
     cut = dataclasses.replace(state, Rn=Submodule.span([unit(state.K.rank, xp)], state.K.rank, "Q"))
     assert ref_state_invariants(cut) == (True, True, False)
@@ -310,8 +360,8 @@ def _abelian_by_diag():
 
 def test_expansion_rejects_parts_that_do_not_commute(monkeypatch):
     """Parts that sum to ad_y and are derivations of ideal + S, but do not
-    commute: the loop's commutator check and a direct call's Jacobi scan
-    both refuse them."""
+    commute: the commutator check refuses them, in the loop and in a direct
+    call."""
     import adorep.embed
 
     def skewed(A):
@@ -324,16 +374,15 @@ def test_expansion_rejects_parts_that_do_not_commute(monkeypatch):
     L = _abelian_by_diag()
     assert len(embed_splittable(L).trace) == 1
     monkeypatch.setattr(adorep.embed, "jordan_chevalley", skewed)
-    with pytest.raises(ExpansionError, match="parts of ad_y do not commute"):
-        embed_splittable(L)
-    with pytest.raises(ExpansionError, match=r"violates the Leibniz identity: .*jacobi \(\("):
-        elementary_expansion(initial_state(L))
+    for run in (embed_splittable, lambda L: elementary_expansion(initial_state(L))):
+        with pytest.raises(ExpansionError, match="parts of ad_y do not commute"):
+            run(L)
 
 
 def test_expansion_rejects_parts_that_do_not_sum_to_ad_y(monkeypatch):
-    """Commuting derivations of ideal + S whose sum is not ad_y: the loop's
-    check on the pairs (e_i, y) and a direct call's check on all pairs both
-    find that iota is not a homomorphism."""
+    """Commuting derivations of ideal + S whose sum is not ad_y: the check
+    on the pairs (e_i, y) finds that iota is not a homomorphism, in the loop
+    and in a direct call."""
     import adorep.embed
 
     def shifted(A):
@@ -498,9 +547,7 @@ def test_expansion_structural_invariants():
         rn_img = Submodule.span(
             (nilradical(L).basis * state.embedding).entries, K.rank, "Q"
         )
-        for xp in state.xprimes.entries:
-            for row in state.embedding.entries:
-                assert rn_img.contains(K.bracket(xp, row))
+        assert rn_img.contains_rows(K.bracket_rows(state.xprimes, state.embedding))
         # dim R_n of the expanded algebra equals rk R_s(L)
         assert state.Rn.rank == solvable_radical(L).rank
         assert nilradical(K) == state.Rn

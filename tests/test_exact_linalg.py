@@ -198,8 +198,8 @@ def test_span_is_canonical_under_generator_shuffles():
 
 def test_submodule_membership_and_ops():
     a = Submodule.span([vector([2, 0]), vector([0, 3])], 2, "Z")
-    assert a.contains(vector([2, 3]))
-    assert not a.contains(vector([1, 0]))
+    assert a.contains_rows(ExactMatrix.from_rows([[2, 3]]))
+    assert not a.contains_rows(ExactMatrix.from_rows([[1, 0]]))
     b = Submodule.span([vector([1, 1])], 2, "Z")
     assert a.sum(b).rank == 2
 

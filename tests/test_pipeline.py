@@ -176,8 +176,8 @@ def test_nil_representation_property():
         from adorep.lie_core import nilradical
 
         n = rep.degree
-        for row in nilradical(L).basis.entries:
-            assert power(rep.matrix_of(row), n).is_zero()
+        for M in rep.matrices_of_rows(nilradical(L).basis):
+            assert power(M, n).is_zero()
 
 
 def test_ado_rejects_invalid_lattice():
