@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 1 an invalid input or a failed verification (with
 a witness in the report), 2 I/O or format errors, 3 internal errors (a bug,
-not a property of the input); a failure of the construction itself is
-always exit 3.  Set ADO_LOG=info or ADO_LOG=debug for progress messages on
-stderr; ADO_LOG takes debug, info, warning, error or critical in any case,
-and any other value means warning.
+not a property of the input).  A construction that has passed its input
+checks cannot fail, so `embed_splittable` and `ado_representation` raise
+every failure inside it as a RuntimeError, exit 3.  Set ADO_LOG=info or
+ADO_LOG=debug for progress messages on stderr; ADO_LOG takes debug, info,
+warning, error or critical in any case, and any other value means warning.
 """
 
 from __future__ import annotations
@@ -150,7 +151,6 @@ def cmd_ado(args) -> int:
 
 def cmd_verify(args) -> int:
     L = _load_lattice(args.lattice)
-    require_valid(L)
     with open(args.representation, "r", encoding="utf-8") as fh:
         rep = rep_from_json(json.load(fh), L)
     report = verify_representation(L, rep)
@@ -246,8 +246,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH
     except RuntimeError as exc:
-        # includes ExpansionError, LiftingError and the radicals' self-checks:
-        # on a valid lattice the construction cannot fail, so these are bugs
+        # ExpansionError, LiftingError, the radicals' self-checks and the
+        # construction's "construction failed" re-raises: all bugs
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

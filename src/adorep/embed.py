@@ -8,6 +8,9 @@ solvable part has become nilpotent, everything is rescaled by two integers
 mu and lambda so that the relevant spans are honest Z-lattices, giving an
 extension whose nilpotent radical has the rank of the original solvable
 radical.  Both integers are lcms of denominators, computed in closed form.
+
+On a valid Z-lattice the construction cannot fail, so `embed_splittable`
+files any ValueError raised after its input checks as a bug (RuntimeError).
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from .exact_linalg import (
     stack_rows,
 )
 from .lie_core import (
-    LatticeValidationError,
     LieLattice,
     _assemble_semidirect,
     bracket_series,
@@ -170,25 +172,6 @@ def jordan_chevalley(A: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
 # ---------------------------------------------------------------------------
 
 
-def _closed_sublattice(K: LieLattice, S: Submodule) -> LieLattice:
-    """`subalgebra_lattice` of a submodule the construction has already made
-    closed and integral, so a failure is an internal error, not a property
-    of the input."""
-    try:
-        return subalgebra_lattice(K, S)[0]
-    except ValueError as exc:
-        raise RuntimeError(f"construction produced a bad sublattice: {exc}") from exc
-
-
-def _extend_constructed(inner: Submodule, outer: Submodule) -> ExactMatrix:
-    """`extend_basis` of two submodules the construction has already nested,
-    so a failure is an internal error, not a property of the input."""
-    try:
-        return extend_basis(inner, outer)
-    except ValueError as exc:
-        raise RuntimeError(f"construction produced submodules that do not nest: {exc}") from exc
-
-
 def levi_decomposition(
     L: LieLattice, rs: Submodule | None = None
 ) -> tuple[Submodule, Submodule]:
@@ -215,10 +198,7 @@ def levi_decomposition(
         return rs, Submodule.full(r, "Q")
     if rs.rank == r:
         return rs, Submodule.zero(r, "Q")
-    try:
-        quotient, sigma = quotient_lattice(L, rs)
-    except ValueError as exc:
-        raise RuntimeError(f"construction produced a bad quotient: {exc}") from exc
+    quotient, sigma = quotient_lattice(L, rs)
     t = quotient.rank
     # row i*t + j: the coordinates of [q_i, q_j] in the quotient's basis
     It = ExactMatrix.identity(t)
@@ -228,7 +208,7 @@ def levi_decomposition(
 
     for depth in range(len(chain) - 1):
         Dk, Dk1 = chain[depth], chain[depth + 1]
-        comp = _extend_constructed(Dk1, Dk)
+        comp = extend_basis(Dk1, Dk)
         d = comp.rows
         if d == 0:
             continue
@@ -274,7 +254,7 @@ def levi_decomposition(
     levi = Submodule.of_rows(sigma, "Q")
     if levi.rank != t:
         raise LiftingError("lifted complement has the wrong rank")
-    levi_lat = _closed_sublattice(L, levi)
+    levi_lat = subalgebra_lattice(L, levi)[0]
     if rank(killing_form(levi_lat)) != t:
         raise LiftingError("lifted complement is not semisimple")
     if rs.sum(levi).rank != rs.rank + t:
@@ -426,7 +406,7 @@ def elementary_expansion(state: ExpansionState) -> ExpansionState:
             "complete reducibility failed upstream"
         )
 
-    comp = _extend_constructed(Rn, N)
+    comp = extend_basis(Rn, N)
     ybar = Submodule(n, stack_rows([Rn.basis, comp]), "Q").coordinate_rows(Y)
     if ybar is None:
         raise ExpansionError("chosen direction is not in the solvable part")
@@ -459,10 +439,7 @@ def elementary_expansion(state: ExpansionState) -> ExpansionState:
     )
     generators = lie_lattice([f"x'{step_no}", f"z'{step_no}"], {}, "Q")
     action = [W.take_columns(range(xp)).transpose() for W in (w_n, w_s)]
-    try:
-        K2 = _assemble_semidirect(base, generators, action)
-    except ValueError as exc:
-        raise ExpansionError(f"a part of ad_y violates the Leibniz identity: {exc}") from exc
+    K2 = _assemble_semidirect(base, generators, action)
     on_ideal_n, on_ideal_s = action
     if on_ideal_n * on_ideal_s != on_ideal_s * on_ideal_n:
         raise ExpansionError("the parts of ad_y do not commute on ideal+complement")
@@ -653,11 +630,8 @@ def integral_rescale(L: LieLattice, state: ExpansionState) -> EmbeddingCertifica
     m = nbar.rank
     ext = Submodule(nK, stack_rows([nbar.basis, sbar.basis]), "Z")
     names = tuple(f"n{i}" for i in range(m)) + tuple(f"s{a}" for a in range(sbar.rank))
-    extension = LieLattice(names, _closed_sublattice(K, ext).table, "Z")
-    try:
-        split_semidirect(extension, m)
-    except ValueError as exc:
-        raise ExpansionError(f"rescaled parts do not split the extension: {exc}") from exc
+    extension = LieLattice(names, subalgebra_lattice(K, ext)[0].table, "Z")
+    split_semidirect(extension, m)
 
     injection = ext.coordinate_rows(images)
     if injection is None:
@@ -686,24 +660,22 @@ def integral_rescale(L: LieLattice, state: ExpansionState) -> EmbeddingCertifica
 
 def _nilpotent_central_terms(N: LieLattice) -> list[Submodule]:
     """The nonzero terms of the unsaturated lower central series of the
-    Z-lattice N; ExpansionError if N is not nilpotent.
+    Z-lattice N; an error if N is not nilpotent.
 
     This accepts exactly the N that `is_nilpotent(N)` accepts.  Term by
     term, the two chains have the same Q-spans: saturation keeps a Q-span,
     and the Q-span of [U, N] depends only on that of U.  So they reach 0
     together.  When N is nilpotent the Q-ranks drop at every step until 0,
     so this chain ends in its one zero term within rank + 1 terms.
-    Otherwise it stops at a nonzero term, or keeps shrinking in index, which
-    `bracket_series` stops with LatticeValidationError.
+    Otherwise it stops at a nonzero term, an ExpansionError here, or keeps
+    shrinking in index, which `bracket_series` stops with its
+    LatticeValidationError; `embed_splittable` files that ValueError as a
+    construction failure.
     """
     full = Submodule.full(N.rank, "Z")
-    message = "scaled span of the nilpotent part is not nilpotent"
-    try:
-        chain = bracket_series(N, full, full, saturate=False)
-    except LatticeValidationError as exc:
-        raise ExpansionError(message) from exc
+    chain = bracket_series(N, full, full, saturate=False)
     if not chain[-1].is_zero():
-        raise ExpansionError(message)
+        raise ExpansionError("scaled span of the nilpotent part is not nilpotent")
     return chain[:-1]
 
 
@@ -720,9 +692,13 @@ def embed_splittable(
     """End-to-end embedding of a Z-Lie lattice into a splittable one.
 
     `radicals`, when given, must be `(solvable_radical(L), nilradical(L))`
-    of this Z-lattice, as the verification stage of `ado_representation`
-    computes them before it calls this; they go to `initial_state`, and
-    without them it computes its own.  L is validated here either way.
+    of this Z-lattice, validated, as the verification stage of
+    `ado_representation` provides them; without them L is validated here
+    and `initial_state` computes its own.
+
+    Levi's theorem and the proofs of the steps make the construction
+    succeed on a valid Z-lattice, so after the input checks any ValueError
+    is a bug: it is re-raised as RuntimeError("construction failed: ...").
 
     The expansion loop runs exactly rk R_s - rk R_n times: dim R_n grows by
     one per round while dim N stays fixed.  Since R_n is the nilradical and
@@ -733,8 +709,12 @@ def embed_splittable(
     """
     if L.domain != "Z":
         raise ValueError("embedding is defined for lattices over Z")
-    require_valid(L)
-    state = initial_state(L, radicals)
-    while state.Rn.rank < state.N.rank:
-        state = elementary_expansion(state)
-    return integral_rescale(L, state)
+    if radicals is None:
+        require_valid(L)
+    try:
+        state = initial_state(L, radicals)
+        while state.Rn.rank < state.N.rank:
+            state = elementary_expansion(state)
+        return integral_rescale(L, state)
+    except ValueError as exc:
+        raise RuntimeError(f"construction failed: {exc}") from exc

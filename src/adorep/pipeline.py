@@ -395,11 +395,11 @@ def ado_representation(
         cert_report = _in_stage(stage, verify_certificate, cert)
         if not cert_report.ok:
             raise VerificationFailure("embedding certificate failed verification", cert_report)
-        try:
+        try:  # on a certified extension, a ValueError is a bug
             phi = splittable_rep(cert.extension, cert.nilpotent_rank)
-        except ValueError as exc:  # on a certified extension, a bug
-            raise RuntimeError(f"construction produced a bad extension: {exc}") from exc
-        rep = direct_sum_rep(restrict_rep(phi, cert.injection, L), adjoint_rep(L))
+            rep = direct_sum_rep(restrict_rep(phi, cert.injection, L), adjoint_rep(L))
+        except ValueError as exc:
+            raise RuntimeError(f"construction failed: {exc}") from exc
         phi_degree = phi.degree
 
     report = _in_stage(stage, verify_representation, L, rep)

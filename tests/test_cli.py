@@ -242,6 +242,42 @@ def test_cli_verify_rejects_a_fractional_bracket(tmp_path, capsys):
     assert "integrality ((0, 1, 2), (1, 0, 2))" in err
 
 
+def test_cli_verify_validates_the_lattice_once(tmp_path, capsys, monkeypatch):
+    # verify_representation validates L itself, so the command does not
+    import adorep.lie_core
+    import adorep.pipeline
+
+    lat_path = write_lattice(tmp_path, "heisenberg3")
+    rep = nilpotent_faithful_rep(catalog.get("heisenberg3").lattice)
+    rep_path = tmp_path / "rep.json"
+    rep_path.write_text(json.dumps(rep_to_json(rep)))
+    calls = []
+    original = adorep.lie_core.validate
+
+    def counting(L):
+        calls.append(L.rank)
+        return original(L)
+
+    for module in (adorep.lie_core, adorep.pipeline):
+        monkeypatch.setattr(module, "validate", counting)
+    code, _, _ = run(capsys, "verify", lat_path, str(rep_path))
+    assert code == 0
+    assert calls == [3]
+
+
+def test_cli_verify_reads_the_representation_before_validating(tmp_path, capsys):
+    # an invalid lattice with a malformed representation file is a format
+    # error: the file is read before verify_representation validates L
+    rep_json = rep_to_json(nilpotent_faithful_rep(catalog.get("heisenberg3").lattice))
+    rep_json["matrices"][1][3] = rep_json["matrices"][1][3][:-1]
+    rep_path = tmp_path / "ragged.json"
+    rep_path.write_text(json.dumps(rep_json))
+    code, out, err = run(capsys, "verify", write_half_heisenberg(tmp_path), str(rep_path))
+    assert code == 2
+    assert out == ""
+    assert "every matrix row must have length 7" in err
+
+
 def test_cli_verify_rejects_adjoint_h3(tmp_path, capsys):
     from adorep.lie_core import adjoint_rep
 
@@ -359,7 +395,7 @@ def _raising(exc):
          "nilradical candidate failed verification"),
         # a ValueError from extending a basis the construction nested itself
         ("embed", "extend_basis", _raising(ValueError("inner is not contained in outer")),
-         "construction produced submodules that do not nest: inner is not contained in outer"),
+         "construction failed: inner is not contained in outer"),
     ],
     ids=["newton", "levi-lift", "expansion", "solvable-radical-check", "nilradical-check",
          "extend-basis"],
@@ -403,7 +439,7 @@ def test_cli_internal_quotient_error_exit_code(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "ado", path, "--strict-theorem-path")
     assert code == 3
     assert out == ""
-    assert "internal error: construction produced a bad quotient: quotient section failed" in err
+    assert "internal error: construction failed: quotient section failed" in err
     assert "Traceback" not in err
 
 
@@ -425,7 +461,7 @@ def test_cli_expansion_leibniz_failure_is_internal(tmp_path, capsys, monkeypatch
     code, out, err = run(capsys, "ado", str(path), "--strict-theorem-path")
     assert code == 3
     assert out == ""
-    assert "internal error:" in err and "violates the Leibniz identity" in err
+    assert "internal error:" in err and "is not a derivation" in err
 
 
 def test_cli_splittable_rep_value_error_is_internal(tmp_path, capsys, monkeypatch):
@@ -440,8 +476,39 @@ def test_cli_splittable_rep_value_error_is_internal(tmp_path, capsys, monkeypatc
     code, out, err = run(capsys, "ado", path, "--strict-theorem-path")
     assert code == 3
     assert out == ""
-    assert "internal error: construction produced a bad extension: not a derivation" in err
+    assert "internal error: construction failed: not a derivation" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, module, name",
+    [
+        *[(command, "embed", name)
+          for command in ("ado", "embed")
+          for name in ("invert", "solve_right", "kernel_basis", "jordan_chevalley")],
+        ("ado", "pipeline", "restrict_rep"),
+        ("ado", "pipeline", "direct_sum_rep"),
+    ],
+)
+def test_cli_construction_value_error_is_internal(tmp_path, capsys, monkeypatch, command, module, name):
+    # after the input checks, a ValueError anywhere in the construction is a
+    # bug: one boundary per entry point files it as exit 3
+    monkeypatch.setattr(
+        importlib.import_module(f"adorep.{module}"), name, _raising(ValueError("planted"))
+    )
+    path = write_lattice(tmp_path, "churkin_sl2_t2")
+    argv = [command, path] + (["--strict-theorem-path"] if command == "ado" else [])
+    assert run(capsys, *argv) == (3, "", "internal error: construction failed: planted\n")
+
+
+@pytest.mark.parametrize("argv", [["embed"], ["ado", "--strict-theorem-path"]])
+def test_cli_rational_domain_is_an_input_error(tmp_path, capsys, argv):
+    # the domain check runs before the construction's boundary, so a lattice
+    # over Q is a property of the input: exit 1, not 3
+    path = tmp_path / "t2_q.json"
+    path.write_text(json.dumps(lattice_to_json(catalog.t2_upper().to_field())))
+    expected = (1, "", "error: embedding is defined for lattices over Z\n")
+    assert run(capsys, argv[0], str(path), *argv[1:]) == expected
 
 
 @pytest.mark.parametrize(
