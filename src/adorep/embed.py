@@ -434,7 +434,7 @@ def elementary_expansion(state: ExpansionState) -> ExpansionState:
     if any(xp in row for M in (products, w_n, w_s) for row in M.num):
         raise ExpansionError("bracket of ideal+complement or a part of ad_y left their span")
     # K2 = (ideal + S) extended by x' and z' acting as dn and ds
-    base = LieLattice.from_bracket_rows(
+    base = LieLattice(
         [f"v{step_no}_{p}" for p in range(xp)], products.take_columns(range(xp)), "Q"
     )
     generators = lie_lattice([f"x'{step_no}", f"z'{step_no}"], {}, "Q")
@@ -603,7 +603,7 @@ def integral_rescale(L: LieLattice, state: ExpansionState) -> EmbeddingCertifica
     # are independent (rank s + r_new, checked above) and closed, and K is
     # a Lie algebra, so N_lat is a Lie lattice without a check of its own,
     # by the argument of `subalgebra_lattice`
-    N_lat = LieLattice.from_bracket_rows([f"v{i}" for i in range(n_mat.rows)], closure)
+    N_lat = LieLattice([f"v{i}" for i in range(n_mat.rows)], closure)
     central_terms = _nilpotent_central_terms(N_lat)
 
     split = stack_rows([n_mat, state.S.basis])

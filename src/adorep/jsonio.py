@@ -78,14 +78,12 @@ def _is_index(x: Any) -> bool:
 
 def lattice_to_json(L: LieLattice) -> dict:
     """The brackets [x_i, x_j], i < j, that are nonzero, read off the table."""
-    den, T = L.table
+    r = L.rank
     brackets = []
-    for i in range(L.rank):
-        for j in range(i + 1, L.rank):
-            if T[i][j]:
-                coeffs = dict(T[i][j])
-                v = [Fraction(coeffs.get(k, 0), den) for k in range(L.rank)]
-                brackets.append({"i": i, "j": j, "coeffs": vec_to_json(v)})
+    for i in range(r):
+        for j in range(i + 1, r):
+            if L.table.num[i * r + j]:
+                brackets.append({"i": i, "j": j, "coeffs": vec_to_json(L.table.row(i * r + j))})
     out = {"rank": L.rank, "names": list(L.names), "brackets": brackets}
     if L.domain != "Z":
         out["domain"] = L.domain

@@ -2,18 +2,18 @@
 
 Brackets, ideals, central and derived series, radicals, the Killing form
 and the adjoint representation.  Matrices act on column vectors; submodule
-bases are rows.  A lattice stores its structure constants once, as sparse
-int numerators over one denominator (`StructureTable`); the dense Fraction
-tensor `c` is a view of it.
+bases are rows.  A lattice stores its structure constants once, as the
+rank^2 x rank `ExactMatrix` whose row i*rank + j is [x_i, x_j]; the dense
+Fraction tensor `c` is a view of it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .exact_linalg import (
     Echelon,
@@ -47,35 +47,32 @@ class NotNilpotentError(ValueError):
     """Raised when an operation requires a nilpotent lattice."""
 
 
-class StructureTable(NamedTuple):
-    """The structure constants over one common denominator:
-    c[i][j][k] = n / den for each (k, n) in pairs[i][j], nonzeros only, in
-    increasing k."""
-
-    den: int
-    pairs: tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
-
-
 @dataclass(frozen=True)
 class LieLattice:
     """Lie ring on a free module, encoded by [x_i, x_j] = sum_k c[i][j][k] x_k.
 
-    `table` is the one stored copy of the structure constants, canonical as
-    `from_bracket_rows` builds it (a normalised denominator, nonzeros only
-    in increasing k), so equality and hashing are value equality however a
-    lattice was built.  Every bracket, `ad` and the Jacobi and Leibniz
-    checks read it.  `c` is a dense view of Fractions, built on first use
+    `table` is the one stored copy of the structure constants: the
+    rank^2 x rank matrix with c[i][j] in row i*rank + j, the layout of
+    `bracket_rows(I, I)`.  An ExactMatrix is canonical, so equality and
+    hashing are value equality however a lattice was built; it is left out
+    of repr.  Every bracket, `ad` and the Jacobi and Leibniz checks read its
+    sparse int rows `table.num` over `table.den`, whose keys come in no
+    particular order.  `c` is a dense view of Fractions, built on first use
     and cached outside equality, hashing and repr; the library never reads
     it.
     """
 
     names: tuple[str, ...]
-    table: StructureTable
+    table: ExactMatrix = field(repr=False)
     domain: str = "Z"
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "names", tuple(self.names))
         if self.domain not in ("Z", "Q"):
             raise ValueError("domain must be 'Z' or 'Q'")
+        r = len(self.names)
+        if self.table.rows != r * r or self.table.cols != r:
+            raise ValueError("a bracket matrix has rank^2 rows of length rank")
 
     @property
     def rank(self) -> int:
@@ -83,27 +80,15 @@ class LieLattice:
 
     @cached_property
     def c(self) -> tuple[tuple[Vec, ...], ...]:
-        r, (den, T) = self.rank, self.table
-        rows = ExactMatrix._of(tuple(dict(v) for row in T for v in row), den, r).entries
+        r, rows = self.rank, self.table.entries
         return tuple(rows[i * r : (i + 1) * r] for i in range(r))
-
-    @staticmethod
-    def from_bracket_rows(names: Sequence[str], M: ExactMatrix, domain: str = "Z") -> "LieLattice":
-        """The lattice with c[i][j] the row i * rank + j of M, the layout of
-        `bracket_rows(I, I)`; its table is the numerators of M over M.den."""
-        r = len(names)
-        if M.rows != r * r or M.cols != r:
-            raise ValueError("a bracket matrix has rank^2 rows of length rank")
-        pairs = tuple(
-            tuple(tuple(sorted(M.num[i * r + j].items())) for j in range(r)) for i in range(r)
-        )
-        return LieLattice(tuple(names), StructureTable(M.den, pairs), domain)
 
     def bracket_rows(self, A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
         """The matrix whose rows are [a, b] for every row a of A and b of B,
         in the order [a0, b0], [a0, b1], ..., [a1, b0], ...  The sums run in
         the int numerators of A, B and the table, over the product of their
-        denominators.  `bracket_rows(I, I)` holds c[i][j] in row i*rank + j."""
+        denominators.  `bracket_rows(I, I)` is `table`, c[i][j] in row
+        i*rank + j."""
         r = self.rank
         if A.cols != r or B.cols != r:
             raise ValueError("dimension mismatch")
@@ -112,18 +97,17 @@ class LieLattice:
     def _brackets(self, pairs: Iterable[tuple[Row, Row]], den: int) -> ExactMatrix:
         """The matrix whose rows are [a, b] / den for the int numerator rows
         (a, b) of `pairs`, each summed sparsely from the table."""
-        tden, T = self.table
+        r, T = self.rank, self.table.num
         out = []
         for arow, brow in pairs:
             acc: Row = {}
             for i, a in arow.items():
-                Ti = T[i]
                 for j, b in brow.items():
                     ab = a * b
-                    for k, t in Ti[j]:
+                    for k, t in T[i * r + j].items():
                         acc[k] = acc[k] + ab * t if k in acc else ab * t
             out.append({k: x for k, x in acc.items() if x})
-        return ExactMatrix._trusted(tuple(out), self.rank, den * tden)
+        return ExactMatrix._trusted(tuple(out), r, den * self.table.den)
 
     def _pair_brackets(self, A: ExactMatrix) -> ExactMatrix:
         """The rows [a_p, a_q] for the rows p < q of A.  On an antisymmetric
@@ -180,7 +164,7 @@ def lie_lattice(
             raise ValueError("bracket coefficient vector has wrong length")
         rows[i * r + j] = {k: x for k, x in enumerate(v) if x}
         rows[j * r + i] = {k: -x for k, x in rows[i * r + j].items()}
-    return LieLattice.from_bracket_rows(names, ExactMatrix(rows, r), domain)
+    return LieLattice(names, ExactMatrix(rows, r), domain)
 
 
 @dataclass(frozen=True)
@@ -210,21 +194,23 @@ class ValidationReport:
 def validate(L: LieLattice) -> ValidationReport:
     """Report every violated (i, j, k) triple of the lattice axioms, read
     from the int table: c[i][j][k] = n / den is integral iff den divides n,
-    and antisymmetric iff n plus the numerator of c[j][i][k] is 0."""
+    and antisymmetric iff n plus the numerator of c[j][i][k] is 0.  Each
+    list comes in increasing (i, j, k), whatever the key order of a row."""
     r = L.rank
-    den, T = L.table
+    T, den = L.table.num, L.table.den
     anti = []
     integ = []
     check_integral = L.domain == "Z" and den != 1
     for i in range(r):
         for j in range(r):
-            if T[i][j] or T[j][i]:
-                total = dict(T[i][j])
-                for k, x in T[j][i]:
+            tij, tji = T[i * r + j], T[j * r + i]
+            if tij or tji:
+                total = dict(tij)
+                for k, x in tji.items():
                     total[k] = total.get(k, 0) + x
                 anti.extend((i, j, k) for k in sorted(total) if total[k])
             if check_integral:
-                integ.extend((i, j, k) for k, x in T[i][j] if x % den)
+                integ.extend((i, j, k) for k in sorted(tij) if tij[k] % den)
     # [[x_i,x_j],x_k] + [[x_j,x_k],x_i] + [[x_k,x_i],x_j]: every term is a
     # product of two table entries, so the sum is zero iff its numerators
     # over den^2 are
@@ -234,8 +220,8 @@ def validate(L: LieLattice) -> ValidationReport:
             for k in range(j + 1, r):
                 acc = [0] * r
                 for p, q, t in ((i, j, k), (j, k, i), (k, i, j)):
-                    for a, x in T[p][q]:
-                        for b, y in T[a][t]:
+                    for a, x in T[p * r + q].items():
+                        for b, y in T[a * r + t].items():
                             acc[b] += x * y
                 if any(acc):
                     jac.append((i, j, k))
@@ -343,12 +329,11 @@ def nilpotency_class(L: LieLattice) -> int:
 
 
 def center(L: LieLattice) -> Submodule:
-    """Kernel of x -> ad_x; row i of the reshaped bracket matrix holds every [x_i, x_j]."""
+    """Kernel of x -> ad_x; row i of the reshaped table holds every [x_i, x_j]."""
     r = L.rank
     if r == 0:
         return Submodule.zero(0, L.domain)
-    I = ExactMatrix.identity(r)
-    return kernel_basis(L.bracket_rows(I, I).reshape(r, r * r), L.domain)
+    return kernel_basis(L.table.reshape(r, r * r), L.domain)
 
 
 def killing_form(L: LieLattice) -> ExactMatrix:
@@ -501,18 +486,18 @@ def check_derivation(L: LieLattice, D: ExactMatrix) -> bool:
     for a, row in enumerate(D.num):
         for t, x in row.items():
             cols[t].append((a, x))
-    T = L.table.pairs
+    T = L.table.num
     for i in range(r):
         for j in range(i + 1, r):
             acc = [0] * r
-            for t, x in T[i][j]:
+            for t, x in T[i * r + j].items():
                 for a, y in cols[t]:
                     acc[a] += x * y
             for a, y in cols[i]:
-                for k, x in T[a][j]:
+                for k, x in T[a * r + j].items():
                     acc[k] -= y * x
             for a, y in cols[j]:
-                for k, x in T[i][a]:
+                for k, x in T[i * r + a].items():
                     acc[k] -= y * x
             if any(acc):
                 return False
@@ -529,20 +514,20 @@ def derivation_basis(L: LieLattice) -> list[ExactMatrix]:
     r = L.rank
     if r == 0:
         return []
-    T = L.table.pairs
+    T = L.table.num
     eq_rows: list[dict[int, int]] = []
     for i in range(r):
         for j in range(i + 1, r):
             eqs: list[dict[int, int]] = [{} for _ in range(r)]
             # D applied to [x_i,x_j]: sum_t c_ij^t D[k][t]
-            for t, x in T[i][j]:
+            for t, x in T[i * r + j].items():
                 for k in range(r):
                     eqs[k][k * r + t] = x
             # minus [D x_i, x_j] and [x_i, D x_j], with D x_i = sum_a D[a][i] x_a
             for a in range(r):
-                for k, x in T[a][j]:
+                for k, x in T[a * r + j].items():
                     eqs[k][a * r + i] = eqs[k].get(a * r + i, 0) - x
-                for k, x in T[i][a]:
+                for k, x in T[i * r + a].items():
                     eqs[k][a * r + j] = eqs[k].get(a * r + j, 0) - x
             eq_rows.extend(eqs)
     system = ExactMatrix.from_ints(eq_rows, r * r) if eq_rows else ExactMatrix.zero(1, r * r)
@@ -576,7 +561,7 @@ def subalgebra_lattice(L: LieLattice, S: Submodule) -> tuple[LieLattice, ExactMa
     if S.domain == "Z" and not coords.is_integral:
         raise ValueError("submodule has non-integral structure constants")
     names = tuple(f"v{i}" for i in range(S.rank))
-    return LieLattice.from_bracket_rows(names, coords, S.domain), S.basis
+    return LieLattice(names, coords, S.domain), S.basis
 
 
 def semidirect_assemble(N: LieLattice, S: LieLattice, action: Sequence[ExactMatrix]) -> LieLattice:
@@ -603,15 +588,14 @@ def _assemble_semidirect(N: LieLattice, S: LieLattice, action: Sequence[ExactMat
             raise LeibnizError(f"action of S basis vector {a} is not a derivation of N")
     nN, nS = N.rank, S.rank
     r = nN + nS
-    (dN, TN), (dS, TS) = N.table, S.table
-    den = lcm(dN, dS, *(D.den for D in action))
-    rows: list[dict[int, int]] = [{} for _ in range(r * r)]
-    for i in range(nN):
-        for j in range(nN):
-            rows[i * r + j] = {k: x * (den // dN) for k, x in TN[i][j]}
-    for a in range(nS):
-        for b in range(nS):
-            rows[(nN + a) * r + nN + b] = {nN + k: x * (den // dS) for k, x in TS[a][b]}
+    den = lcm(N.table.den, S.table.den, *(D.den for D in action))
+    rows: list[Row] = [{} for _ in range(r * r)]
+    # the tables of N and S as diagonal blocks, S shifted by nN
+    for T, shift, n in ((N.table, 0, nN), (S.table, nN, nS)):
+        f = den // T.den
+        for p, row in enumerate(T.num):
+            a, b = divmod(p, n)
+            rows[(shift + a) * r + shift + b] = {shift + k: f * x for k, x in row.items()}
     # [s_a, x_i] is column i of action[a]
     for a, D in enumerate(action):
         f = den // D.den
@@ -620,8 +604,7 @@ def _assemble_semidirect(N: LieLattice, S: LieLattice, action: Sequence[ExactMat
                 rows[(nN + a) * r + i][k] = f * x
                 rows[i * r + nN + a][k] = -f * x
     domain = "Z" if N.domain == "Z" and S.domain == "Z" else "Q"
-    names = tuple(N.names) + tuple(S.names)
-    return LieLattice.from_bracket_rows(names, ExactMatrix.from_ints(rows, r, den), domain)
+    return LieLattice(N.names + S.names, ExactMatrix._trusted(tuple(rows), r, den), domain)
 
 
 def direct_sum(L1: LieLattice, L2: LieLattice) -> LieLattice:
@@ -637,11 +620,10 @@ def split_semidirect(
     r = L.rank
     if not 0 <= n_rank <= r:
         raise ValueError(f"ideal block rank {n_rank} is outside 0..{r}")
-    brackets = L.bracket_rows(ExactMatrix.identity(r), ExactMatrix.identity(r))
 
     def block(pairs: Sequence[tuple[int, int]], cols: range, message: str) -> ExactMatrix:
         """The brackets of `pairs`, which must lie in the coordinates `cols`."""
-        B = brackets.take_rows(a * r + b for a, b in pairs)
+        B = L.table.take_rows(a * r + b for a, b in pairs)
         if any(j not in cols for row in B.num for j in row):
             raise ValueError(message)
         return B.take_columns(cols)
@@ -649,9 +631,9 @@ def split_semidirect(
     ideal, sub = range(n_rank), range(n_rank, r)
     leaves_ideal = "bracket leaves the claimed ideal block"
     N_rows = block([(i, j) for i in ideal for j in ideal], ideal, leaves_ideal)
-    N = LieLattice.from_bracket_rows(L.names[:n_rank], N_rows, L.domain)
+    N = LieLattice(L.names[:n_rank], N_rows, L.domain)
     S_rows = block([(a, b) for a in sub for b in sub], sub, "bracket leaves the claimed subalgebra block")
-    S = LieLattice.from_bracket_rows(L.names[n_rank:], S_rows, L.domain)
+    S = LieLattice(L.names[n_rank:], S_rows, L.domain)
     # row j of the block of s_a is [s_a, x_j], column j of the action of s_a
     action = [block([(a, j) for j in ideal], ideal, leaves_ideal).transpose() for a in sub]
     return N, S, action
@@ -660,8 +642,7 @@ def split_semidirect(
 def scale_lattice(L: LieLattice, k: int) -> LieLattice:
     """Structure constants of the sublattice spanned by k*x_i in its own
     basis, under the same names."""
-    I = ExactMatrix.identity(L.rank)
-    return LieLattice.from_bracket_rows(L.names, L.bracket_rows(I, I).scale(k), L.domain)
+    return LieLattice(L.names, L.table.scale(k), L.domain)
 
 
 def change_basis(L: LieLattice, P: ExactMatrix) -> LieLattice:
@@ -679,7 +660,7 @@ def change_basis(L: LieLattice, P: ExactMatrix) -> LieLattice:
     if L.domain == "Z" and not (P.is_integral and Pinv.is_integral):
         raise ValueError("change of basis is not unimodular over Z")
     names = tuple(f"b{i}" for i in range(n))
-    return LieLattice.from_bracket_rows(names, L.bracket_rows(P, P) * Pinv, L.domain)
+    return LieLattice(names, L.bracket_rows(P, P) * Pinv, L.domain)
 
 
 def quotient_lattice(L: LieLattice, ideal: Submodule) -> tuple[LieLattice, ExactMatrix]:
@@ -698,4 +679,4 @@ def quotient_lattice(L: LieLattice, ideal: Submodule) -> tuple[LieLattice, Exact
         raise ValueError("quotient section failed")
     c = coords.take_columns(range(ideal.rank, ideal.rank + k))
     names = tuple(f"q{i}" for i in range(k))
-    return LieLattice.from_bracket_rows(names, c, L.domain), comp
+    return LieLattice(names, c, L.domain), comp

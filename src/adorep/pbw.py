@@ -118,11 +118,12 @@ class TruncatedUEA:
         self._memo: dict[tuple[int, Monomial], Element] = {}
         # _consts[i][j]: the adapted [x_i, x_j] as (k, constant) pairs, each
         # constant an int unless it really is non-integral
-        den, T = basis.adapted.table
-        self._consts = [[[(k, _constant(n, den)) for k, n in Tij] for Tij in Ti] for Ti in T]
+        T, r = basis.adapted.table, basis.rank
+        consts = [[(k, _constant(n, T.den)) for k, n in row.items()] for row in T.num]
+        self._consts = [consts[i * r : (i + 1) * r] for i in range(r)]
         # with den == 1 every coefficient is a sum of products of ints, so
         # the integrality check can only fail over Z with den != 1
-        self._check_integral = basis.lattice.domain == "Z" and den != 1
+        self._check_integral = basis.lattice.domain == "Z" and T.den != 1
 
     @property
     def dimension(self) -> int:

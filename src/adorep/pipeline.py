@@ -299,8 +299,7 @@ def verify_certificate(cert: EmbeddingCertificate) -> CertificateReport:
 
     inj = cert.injection
     injective = rank(inj) == L.rank
-    I = ExactMatrix.identity(L.rank)
-    hom = L.bracket_rows(I, I) * inj == ext.bracket_rows(inj, inj)
+    hom = L.table * inj == ext.bracket_rows(inj, inj)
 
     # radicals and series are defined for Lie lattices only, and the
     # nilpotency chain for a bracket-closed nbar only; elsewhere they may
@@ -377,30 +376,31 @@ def ado_representation(
 
     # the strict path never reads the series, so it does not compute it
     chain = None if strict else lower_central_series(L)
-    if chain is not None and chain[-1].is_zero():
+    nilpotent = chain is not None and chain[-1].is_zero()
+    if nilpotent:
         path = "nilpotent-shortcut"
         rs_rank = r  # a nilpotent lattice is its own solvable radical
-        rep = nilpotent_faithful_rep(L, chain)
-        phi_degree = rep.degree
         comparison = birkhoff_bounds(r, len(chain) - 1)
     elif not strict and is_semisimple(L.to_field()):
         path = "semisimple-shortcut"
         rs_rank = 0  # a nondegenerate Killing form means a zero radical
-        rep = adjoint_rep(L)
-        phi_degree = None
     else:
         path = "theorem"
+        # outside the boundary below: its Z-domain check is an input error
         cert = embed_splittable(L, _in_stage(stage, _stage_fact, _radicals, L))
         rs_rank = cert.rs_rank
         cert_report = _in_stage(stage, verify_certificate, cert)
         if not cert_report.ok:
             raise VerificationFailure("embedding certificate failed verification", cert_report)
-        try:  # on a certified extension, a ValueError is a bug
+    try:  # on a validated L and a certified extension, a ValueError is a bug
+        if cert is not None:
             phi = splittable_rep(cert.extension, cert.nilpotent_rank)
             rep = direct_sum_rep(restrict_rep(phi, cert.injection, L), adjoint_rep(L))
-        except ValueError as exc:
-            raise RuntimeError(f"construction failed: {exc}") from exc
-        phi_degree = phi.degree
+        else:
+            phi = rep = nilpotent_faithful_rep(L, chain) if nilpotent else adjoint_rep(L)
+    except ValueError as exc:
+        raise RuntimeError(f"construction failed: {exc}") from exc
+    phi_degree = None if path == "semisimple-shortcut" else phi.degree
 
     report = _in_stage(stage, verify_representation, L, rep)
     ado_report = AdoReport(

@@ -81,15 +81,15 @@ class LinearRep:
         L = self.lattice
         if pairs is None:
             pairs = ((i, j) for i in range(L.rank) for j in range(i + 1, L.rank))
-        den, T = L.table
+        r, T, den = L.rank, L.table.num, L.table.den
         num = [M.num for M in self.matrices]
         dens = [M.den for M in self.matrices]
         bad = []
         for i, j in pairs:
-            terms = T[i][j]
-            D = lcm(*(dens[k] for k, _ in terms))
+            terms = T[i * r + j]
+            D = lcm(*(dens[k] for k in terms))
             g = dens[i] * dens[j]
-            combo = [(num[k], g * t * (D // dens[k])) for k, t in terms]
+            combo = [(num[k], g * t * (D // dens[k])) for k, t in terms.items()]
             if _commutator_differs(num[i], num[j], den * D, combo):
                 bad.append((i, j))
         return bad

@@ -42,7 +42,6 @@ from adorep.exact_linalg import ExactMatrix, Submodule, invert, kernel_basis, ra
 from adorep.jsonio import frac_to_str
 from adorep.lie_core import (
     LieLattice,
-    StructureTable,
     is_ideal,
     is_nilpotent,
     is_nilpotent_submodule,
@@ -492,21 +491,17 @@ def ref_bracket(c, u, v):
 
 def tensor_lattice(names, c, domain="Z"):
     """The lattice whose structure constants are the dense tensor c, Lie or
-    not: `LieLattice.from_bracket_rows` of its r^2 rows c[i][j]."""
+    not: its table has the r^2 rows c[i][j]."""
     r = len(names)
     rows = [c[i][j] for i in range(r) for j in range(r)]
-    return LieLattice.from_bracket_rows(tuple(names), ExactMatrix.from_rows(rows, cols=r), domain)
+    return LieLattice(names, ExactMatrix.from_rows(rows, cols=r), domain)
 
 
 def ref_table(c):
-    """The table of the dense tensor c: the lcm of the denominators of its
-    entries and, for each pair (i, j), the nonzero (k, numerator) entries in
-    increasing k."""
-    den = lcm(*(Fraction(x).denominator for row in c for v in row for x in v))
-    pairs = tuple(
-        tuple(tuple((k, int(x * den)) for k, x in enumerate(v) if x) for v in row) for row in c
-    )
-    return StructureTable(den, pairs)
+    """The table of the dense tensor c: the dense matrix whose row i*r + j
+    is c[i][j]."""
+    r = len(c)
+    return ExactMatrix.from_rows([c[i][j] for i in range(r) for j in range(r)], cols=r)
 
 
 def dense_lattice_json(L):
@@ -867,6 +862,6 @@ def ref_rescale_nilpotency(state, cert):
     X = state.rn_original.basis * state.embedding
     n_mat = stack_rows([X, state.xprimes.scale(cert.mu)])
     closure = Submodule(K.rank, n_mat, "Q").coordinate_rows(K.bracket_rows(n_mat, n_mat))
-    N_lat = LieLattice.from_bracket_rows([f"v{i}" for i in range(n_mat.rows)], closure)
+    N_lat = LieLattice([f"v{i}" for i in range(n_mat.rows)], closure)
     block = split_semidirect(cert.extension, cert.nilpotent_rank)[0]
     return is_nilpotent(N_lat), is_nilpotent(block)

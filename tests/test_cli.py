@@ -488,16 +488,23 @@ def test_cli_splittable_rep_value_error_is_internal(tmp_path, capsys, monkeypatc
           for name in ("invert", "solve_right", "kernel_basis", "jordan_chevalley")],
         ("ado", "pipeline", "restrict_rep"),
         ("ado", "pipeline", "direct_sum_rep"),
+        ("ado", "nilrep", "build_weighted_basis"),
+        ("ado", "pipeline", "adjoint_rep"),
     ],
 )
 def test_cli_construction_value_error_is_internal(tmp_path, capsys, monkeypatch, command, module, name):
     # after the input checks, a ValueError anywhere in the construction is a
-    # bug: one boundary per entry point files it as exit 3
+    # bug: one boundary per entry point files it as exit 3.  The builders of
+    # the two non-strict shortcuts run on a lattice that takes the shortcut
     monkeypatch.setattr(
         importlib.import_module(f"adorep.{module}"), name, _raising(ValueError("planted"))
     )
-    path = write_lattice(tmp_path, "churkin_sl2_t2")
-    argv = [command, path] + (["--strict-theorem-path"] if command == "ado" else [])
+    shortcut = {"build_weighted_basis": "heisenberg3", "adjoint_rep": "sl2"}.get(name)
+    if shortcut is not None:
+        argv = [command, write_lattice(tmp_path, shortcut)]
+    else:
+        path = write_lattice(tmp_path, "churkin_sl2_t2")
+        argv = [command, path] + (["--strict-theorem-path"] if command == "ado" else [])
     assert run(capsys, *argv) == (3, "", "internal error: construction failed: planted\n")
 
 

@@ -32,6 +32,7 @@ from adorep.lie_core import (
     nilpotency_class,
     nilradical,
     quotient_lattice,
+    scale_lattice,
     semidirect_assemble,
     solvable_radical,
     split_semidirect,
@@ -616,7 +617,7 @@ def test_c_view_is_outside_equality_hash_repr_and_pickles():
     H = h3()
     thirds = tuple(tuple(tuple(x / 3 for x in v) for v in row) for row in H.c)
     third = tensor_lattice(H.names, thirds, "Q")
-    assert H.table.den == 1 and third.table.den == 3 and third.table.pairs == H.table.pairs
+    assert H.table.den == 1 and third.table.den == 3 and third.table.num == H.table.num
     assert third.c == thirds
 
 
@@ -637,14 +638,14 @@ def test_the_table_is_the_one_store_and_c_its_view(tensor):
 
 def construction_paths(L):
     """L rebuilt by every constructor: `lie_lattice` from its pairs i < j,
-    `from_bracket_rows` of its brackets, `change_basis` by the identity
+    the constructor on its brackets, `change_basis` by the identity
     (renamed back), a pickle round trip and the dense-tensor helper."""
     r = L.rank
     I = ExactMatrix.identity(r)
     upper = {(i, j): L.c[i][j] for i in range(r) for j in range(i + 1, r) if any(L.c[i][j])}
     return [
         lie_lattice(L.names, upper, L.domain),
-        LieLattice.from_bracket_rows(L.names, L.bracket_rows(I, I), L.domain),
+        LieLattice(L.names, L.bracket_rows(I, I), L.domain),
         dataclasses.replace(change_basis(L, I), names=L.names),
         pickle.loads(pickle.dumps(L)),
         tensor_lattice(L.names, L.c, L.domain),
@@ -661,6 +662,56 @@ def test_every_construction_path_gives_one_value(name):
         for built in construction_paths(lattice):
             assert built == lattice and hash(built) == hash(lattice)
             assert built.table == lattice.table and built.c == lattice.c
+
+
+@pytest.mark.parametrize("name", catalog.names())
+@pytest.mark.parametrize("domain", ["Z", "Q"])
+def test_the_table_is_the_bracket_matrix_on_every_construction_path(name, domain):
+    # every constructor stores c[i][j] in row i*r + j, the matrix that
+    # `bracket_rows(I, I)` recomputes from the table
+    L = catalog.get(name).lattice
+    L = L if domain == "Z" else L.to_field()
+    r = L.rank
+    upper = {(i, j): L.c[i][j] for i in range(r) for j in range(i + 1, r) if any(L.c[i][j])}
+    unimodular = ExactMatrix.from_rows([[int(j in (i, i + 1)) for j in range(r)] for i in range(r)])
+    built = [
+        lie_lattice(L.names, upper, L.domain),
+        change_basis(L, unimodular),
+        scale_lattice(L, 3),
+        L.to_field(),
+        pickle.loads(pickle.dumps(L)),
+    ]
+    for term in lower_central_series(L):
+        built += [subalgebra_lattice(L, term)[0], quotient_lattice(L, term)[0]]
+    # L extended by one vector y acting as the inner derivation ad x_0
+    D = L.ad(unit(r, 0))
+    ext = semidirect_assemble(L, lie_lattice(["y"], {}, L.domain), [D])
+    N, S, action = split_semidirect(ext, r)
+    assert N == L and S.rank == 1 and action == [D]
+    for M in [*built, ext, N, S]:
+        I = ExactMatrix.identity(M.rank)
+        assert M.table == M.bracket_rows(I, I)
+
+
+def test_constructor_rejects_a_table_of_the_wrong_shape():
+    for rows, cols in ((4, 3), (3, 2), (2, 2), (8, 2), (0, 2)):
+        with pytest.raises(ValueError, match=r"rank\^2 rows of length rank"):
+            LieLattice(("x", "y"), ExactMatrix.zero(rows, cols))
+    assert LieLattice(["x", "y"], ExactMatrix.zero(4, 2)).names == ("x", "y")
+
+
+def test_validate_lists_integrality_triples_in_order_from_unsorted_rows():
+    # [x_0, x_1] = (x_1 + x_2) / 2, its row's keys stored as 2 before 1
+    rows = [{} for _ in range(9)]
+    rows[0 * 3 + 1] = {2: 1, 1: 1}
+    rows[1 * 3 + 0] = {2: -1, 1: -1}
+    L = LieLattice(("x", "y", "z"), ExactMatrix.from_ints(rows, 3, 2))
+    assert L.table.den == 2 and list(L.table.num[1]) == [2, 1]
+    report = validate(L)
+    assert report.integrality_violations == ((0, 1, 1), (0, 1, 2), (1, 0, 1), (1, 0, 2))
+    assert not report.antisymmetry_violations and not report.jacobi_violations
+    anti, jac, integ = ref_validate(L.c, True)
+    assert list(report.integrality_violations) == integ and not anti and not jac
 
 
 def test_lie_lattice_rejects_bad_keys_and_lengths():

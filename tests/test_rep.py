@@ -86,10 +86,9 @@ def test_q_cases_reach_unrelated_denominators():
     dens = [M.den for M in rep.matrices]
     assert any(
         unrelated(dens[k], dens[l])
-        for row in rep.lattice.table.pairs
-        for terms in row
-        for k, _ in terms
-        for l, _ in terms
+        for terms in rep.lattice.table.num
+        for k in terms
+        for l in terms
     )
 
 
