@@ -44,6 +44,8 @@ from .lie_core import (
 from .nilrep import birkhoff_bounds, burde_bound, nilpotent_faithful_rep
 from .pipeline import (
     VerificationFailure,
+    _in_stage,
+    _stage_fact,
     ado_representation,
     degree_bound,
     verify_certificate,
@@ -101,11 +103,14 @@ def cmd_nilrep(args) -> int:
     if L.rank == 0:
         # the same refusal as `ado`, before any work
         raise ValueError("rank-zero lattice has nothing to represent")
-    require_valid(L)
+    # validated once, before the series: verify_representation reads the
+    # report from the stage's table
+    stage: dict = {}
+    _in_stage(stage, _stage_fact, validate, L).raise_if_invalid()
     # one series: the construction builds on it, and its length is the class
     chain = lower_central_series(L)
     rep = nilpotent_faithful_rep(L, chain)
-    report = verify_representation(L, rep)
+    report = _in_stage(stage, verify_representation, L, rep)
     _emit(
         {
             "representation": rep_to_json(rep),

@@ -36,6 +36,7 @@ from .exact_linalg import (
 )
 from .lie_core import (
     LieLattice,
+    _antisymmetric_table,
     _assemble_semidirect,
     bracket_series,
     is_nilpotent_submodule,
@@ -188,6 +189,11 @@ def levi_decomposition(
     `L.bracket_rows(sigma, sigma) == cq * sigma` says that every [s_i, s_j]
     is a combination of the s_a, so by bilinearity span(sigma) is closed
     under the bracket; once `levi.rank == t`, that span is `levi`.
+
+    The brackets of sigma and the quotient's table cq are read from the
+    pairs i < j and mirrored (`_antisymmetric_table`): L is a validated
+    Lie algebra, so its bracket is antisymmetric, and so is that of the
+    quotient, whose table `quotient_lattice` builds that way.
     """
     if L.domain != "Q":
         L = L.to_field()
@@ -201,8 +207,7 @@ def levi_decomposition(
     quotient, sigma = quotient_lattice(L, rs)
     t = quotient.rank
     # row i*t + j: the coordinates of [q_i, q_j] in the quotient's basis
-    It = ExactMatrix.identity(t)
-    cq = quotient.bracket_rows(It, It)
+    cq = quotient.table
 
     chain = bracket_series(L, rs)
 
@@ -223,7 +228,7 @@ def levi_decomposition(
 
         # row a*d + b: [sigma_a, comp_b]; row i*t + j: the defect of the pair
         action = project(L.bracket_rows(sigma, comp))
-        target = project(L.bracket_rows(sigma, sigma) - cq * sigma)
+        target = project(_antisymmetric_table(L._pair_brackets(sigma), t) - cq * sigma)
         # unknown a*d + b is the coefficient of comp_b added to sigma_a, and
         # column t*d holds the right-hand side; one equation per pair i < j
         # and component e, all numerators over den, which cancels
@@ -248,7 +253,7 @@ def levi_decomposition(
             raise LiftingError("Levi correction system is inconsistent")
         sigma = sigma + solution.reshape(t, d) * comp
 
-    if L.bracket_rows(sigma, sigma) != cq * sigma:
+    if _antisymmetric_table(L._pair_brackets(sigma), t) != cq * sigma:
         raise LiftingError("lifted complement is not closed under the bracket")
 
     levi = Submodule.of_rows(sigma, "Q")
@@ -428,8 +433,9 @@ def elementary_expansion(state: ExpansionState) -> ExpansionState:
 
     step_no = len(state.trace) + 1
     # in the basis [old; y]: the brackets of old and the images of old under
-    # dn and ds.  [N, K] lies in R_n, inside the ideal, so none has a y entry
-    products = K.bracket_rows(old, old) * split_inv
+    # dn and ds.  [N, K] lies in R_n, inside the ideal, so none has a y entry.
+    # K is validated, so the brackets of the pairs p < q give the rest
+    products = _antisymmetric_table(K._pair_brackets(old) * split_inv, xp)
     w_n, w_s = (old * part.transpose() * split_inv for part in (dn, ds))
     if any(xp in row for M in (products, w_n, w_s) for row in M.num):
         raise ExpansionError("bracket of ideal+complement or a part of ad_y left their span")
@@ -578,12 +584,17 @@ def integral_rescale(L: LieLattice, state: ExpansionState) -> EmbeddingCertifica
 
     def scaled_basis(mu: int) -> tuple[ExactMatrix, ExactMatrix, set[int]]:
         """The basis (X, mu XP), the coordinates of its brackets in it, and
-        the denominators of those and of `into_x`."""
+        the denominators of those and of `into_x`.  Only the pairs i < j
+        are bracketed and solved for, and the table is mirrored from them:
+        K is antisymmetric, the validated input or a step's K2, which
+        `_assemble_semidirect` builds antisymmetric from antisymmetric
+        parts."""
         scaled = XP.scale(mu)
         n_mat = stack_rows([X, scaled])
-        closure = Submodule(nK, n_mat, "Q").coordinate_rows(K.bracket_rows(n_mat, n_mat))
-        if closure is None:
+        half = Submodule(nK, n_mat, "Q").coordinate_rows(K._pair_brackets(n_mat))
+        if half is None:
             raise ExpansionError("bracket left the span of the nilpotent part")
+        closure = _antisymmetric_table(half, n_mat.rows)
         into_x = in_x.coordinate_rows(K.bracket_rows(scaled, images))
         if into_x is None:
             raise ExpansionError(

@@ -12,14 +12,19 @@ row over its own pivot entry.  The one integer normal form, Hermite, runs
 on dense int working copies.  Spans, isolated closures and kernels over Z
 all come from it.  Vectors travel as the rows of a matrix: coordinates
 and membership take whole matrices (`Submodule.coordinate_rows`,
-`contains_rows`), each row one reduction against the Submodule's cached
-echelon; membership over Q reads only the residual.  The public
+`contains_rows`).  A basis in reduced echelon form, as every Q-Submodule
+from `of_rows` has, is read at its pivots: a row's coordinates are its
+entries there, and it lies in the span iff the residual is empty.  Any
+other basis costs one reduction per row against the Submodule's cached
+tagged echelon; membership over Q reads only the residual.  The public
 constructors check their rows; rows a kernel built itself go through the
-private `ExactMatrix._trusted`, which only normalises.  `rref` stops adding
+private `ExactMatrix._trusted`, which only normalises, and `_of` wraps
+normalised rows setting only `num`, `den` and `cols`.  `rref` stops adding
 rows once the rank reaches the column count.  Fractions appear only at the
 boundary: the dense views `entries`, `row` and `column`, the one-vector
 wrappers `solve_left` and `Submodule.coordinates`, and the scalars of
-non-integral matrices.  No floating point anywhere.
+non-integral matrices.  The dense view and the hash fill their slots on
+first use.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -39,6 +44,10 @@ ZERO = Fraction(0)
 
 # Shared by every row without nonzeros; rows are never mutated once built.
 _EMPTY_ROW: Row = {}
+
+# ExactMatrix refuses attribute writes; its constructors and caches write
+# through object.__setattr__.
+_set = object.__setattr__
 
 
 class NonIntegralMatrixError(ValueError):
@@ -130,7 +139,8 @@ class ExactMatrix:
     are value equality however a matrix was built, and den == 1 exactly
     when the matrix is integral.  `cols` is kept so 0-row shapes survive.
     `entries` is a dense view of Fractions, built on first use and cached;
-    the kernels never read it.
+    the kernels never read it.  Its slot and that of the hash stay unset
+    until then.
     """
 
     __slots__ = ("num", "den", "cols", "_entries", "_hash")
@@ -142,7 +152,10 @@ class ExactMatrix:
         """
         rows = list(rows)
         _check_columns(rows, cols)
-        self._init(*_int_rows(row.items() for row in rows), cols)
+        num, den = _int_rows(row.items() for row in rows)
+        _set(self, "num", num)
+        _set(self, "den", den)
+        _set(self, "cols", cols)
 
     @classmethod
     def from_ints(cls, rows: Iterable[Mapping[int, int]], cols: int, den: int = 1) -> "ExactMatrix":
@@ -168,16 +181,10 @@ class ExactMatrix:
         """Wrap rows that are already normalised: nonzero int numerators in
         range(cols) over a positive den sharing no factor with all of them."""
         M = object.__new__(cls)
-        M._init(num, den, cols)
+        _set(M, "num", num)
+        _set(M, "den", den)
+        _set(M, "cols", cols)
         return M
-
-    def _init(self, num: tuple[Row, ...], den: int, cols: int) -> None:
-        setattr_ = object.__setattr__
-        setattr_(self, "num", num)
-        setattr_(self, "den", den)
-        setattr_(self, "cols", cols)
-        setattr_(self, "_entries", None)
-        setattr_(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
@@ -191,13 +198,13 @@ class ExactMatrix:
 
     @property
     def entries(self) -> tuple[Vec, ...]:
-        dense = self._entries
+        dense = getattr(self, "_entries", None)
         if dense is None:
             zero_row = zero_vector(self.cols)
             dense = tuple(
                 tuple(_dense(row, self.cols, self.den)) if row else zero_row for row in self.num
             )
-            object.__setattr__(self, "_entries", dense)
+            _set(self, "_entries", dense)
         return dense
 
     @staticmethod
@@ -221,8 +228,9 @@ class ExactMatrix:
         return ExactMatrix._of((_EMPTY_ROW,) * m, 1, n)
 
     def row(self, i: int) -> Vec:
-        if self._entries is not None:
-            return self._entries[i]
+        dense = getattr(self, "_entries", None)
+        if dense is not None:
+            return dense[i]
         return tuple(_dense(self.num[i], self.cols, self.den))
 
     def column(self, j: int) -> Vec:
@@ -335,10 +343,10 @@ class ExactMatrix:
         return self.cols == other.cols and self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
-        h = self._hash
+        h = getattr(self, "_hash", None)
         if h is None:
             h = hash((self.cols, self.den, tuple(frozenset(row.items()) for row in self.num)))
-            object.__setattr__(self, "_hash", h)
+            _set(self, "_hash", h)
         return h
 
     def __repr__(self) -> str:
@@ -666,11 +674,13 @@ class Submodule:
 
     Over Z the basis is H/d where H is the Hermite form of d times the
     generators and d is their common denominator; over Q it is the RREF.
-    Equality of Submodules is equality of the canonical data.  The basis is
-    factored once, on the first coordinate or membership query, and the
-    echelon kept on the instance (outside equality, hashing and repr).  A
-    Submodule built directly from independent rows that are not canonical
-    takes coordinates in those rows.
+    Equality of Submodules is equality of the canonical data.  On the first
+    coordinate or membership query the basis is checked once for reduced
+    echelon form; a basis in that form is read at its pivots, any other is
+    factored once into a tagged echelon.  Both are kept on the instance
+    (outside equality, hashing, repr and pickles).  A Submodule built
+    directly from independent rows that are not canonical takes
+    coordinates in those rows.
     """
 
     ambient_rank: int
@@ -711,17 +721,60 @@ class Submodule:
         return Submodule(ambient_rank, ExactMatrix.identity(ambient_rank), domain)
 
     @cached_property
+    def _pivots(self) -> dict[int, int] | None:
+        """{first column: row index} when the basis is in reduced echelon
+        form: each row 1 at its first column and 0 at the first columns of
+        the other rows, as the basis of every Q-Submodule from `of_rows`
+        is.  None for any other basis."""
+        B = self.basis
+        pivots: dict[int, int] = {}
+        for i, row in enumerate(B.num):
+            if not row:
+                return None
+            p = min(row)
+            if row[p] != B.den or p in pivots:
+                return None
+            pivots[p] = i
+        if any(sum(j in pivots for j in row) != 1 for row in B.num):
+            return None
+        return pivots
+
+    @cached_property
     def _echelon(self) -> Echelon:
         return _tagged(self.basis)
 
     def __getstate__(self) -> dict:
-        # the cached echelon stays out of pickles; a copy builds its own on
-        # first use
-        return {k: v for k, v in self.__dict__.items() if k != "_echelon"}
+        # the cached factorisations stay out of pickles; a copy builds its
+        # own on first use
+        return {k: v for k, v in self.__dict__.items() if k not in ("_pivots", "_echelon")}
+
+    def _pivot_coordinates(self, w: Row) -> Row | None:
+        """For a basis in reduced echelon form, the numerators x of the
+        coordinates of w / d, over the same d, or None if w is outside the
+        span.  Row i of the basis is the only one nonzero at its pivot p_i,
+        where it is 1, so x_i is w at p_i, and w lies in the span iff the
+        residual den * w - sum of x_i * num_i is empty."""
+        pivots, rows = self._pivots, self.basis.num
+        s = self.basis.den
+        res = dict(w) if s == 1 else {j: s * c for j, c in w.items()}
+        x: Row = {}
+        for p, c in w.items():
+            i = pivots.get(p)
+            if i is not None:
+                x[i] = c
+                for j, y in rows[i].items():
+                    res[j] = res.get(j, 0) - c * y
+        return None if any(res.values()) else x
 
     def _int_coordinates(self, w: Row, d: int) -> tuple[Row, int] | None:
-        """Coordinates of w / d as (x, e), x / e, respecting the domain."""
-        found = _left_coordinates(self._echelon, self.basis, w, d)
+        """Coordinates of w / d as (x, e), x / e, respecting the domain:
+        read at the pivots of a basis in reduced echelon form, else from
+        the tagged echelon of the basis."""
+        if self._pivots is None:
+            found = _left_coordinates(self._echelon, self.basis, w, d)
+        else:
+            x = self._pivot_coordinates(w)
+            found = None if x is None else (x, d)
         if found is None:
             return None
         if self.domain == "Z":
@@ -748,13 +801,15 @@ class Submodule:
     def contains_rows(self, M: ExactMatrix) -> bool:
         """Whether every row of M lies in the module.
 
-        Over Q that is whether the residual of each row's reduction is zero
-        outside the tag columns, so no coordinates are built; over Z the
-        coordinates must also be integral.
+        Over Q that is whether the residual of each row is empty: read at
+        the pivots of a basis in reduced echelon form, else the reduction
+        against the tagged echelon, zero outside the tag columns, where no
+        coordinates are built.  Over Z the coordinates must also be
+        integral.
         """
         if M.cols != self.ambient_rank:
             raise ValueError("dimension mismatch")
-        if self.domain == "Z":
+        if self.domain == "Z" or self._pivots is not None:
             return all(self._int_coordinates(row, M.den) is not None for row in M.num)
         n = self.ambient_rank
         return all(not res or min(res) >= n for res, _ in map(self._echelon.reduce, M.num))

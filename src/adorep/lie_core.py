@@ -59,7 +59,11 @@ class LieLattice:
     sparse int rows `table.num` over `table.den`, whose keys come in no
     particular order.  `c` is a dense view of Fractions, built on first use
     and cached outside equality, hashing and repr; the library never reads
-    it.
+    it.  The rows of a table are never mutated: a bracket of two
+    single-entry rows may be a row of the table itself.  The tables that
+    the construction builds from a lattice it holds as valid (subalgebras,
+    quotients, the scaled nilpotent span, each expansion step) bracket only
+    the pairs p < q of a basis and mirror them (`_antisymmetric_table`).
     """
 
     names: tuple[str, ...]
@@ -96,10 +100,21 @@ class LieLattice:
 
     def _brackets(self, pairs: Iterable[tuple[Row, Row]], den: int) -> ExactMatrix:
         """The matrix whose rows are [a, b] / den for the int numerator rows
-        (a, b) of `pairs`, each summed sparsely from the table."""
+        (a, b) of `pairs`, each summed sparsely from the table.
+
+        The bracket of the single-entry rows {i: a} and {j: b} is a*b times
+        the table row T[i*r + j], and that row itself when a*b == 1: rows
+        are never mutated, so the result may share it with the table.
+        """
         r, T = self.rank, self.table.num
         out = []
         for arow, brow in pairs:
+            if len(arow) == 1 and len(brow) == 1:
+                ((i, a),) = arow.items()
+                ((j, b),) = brow.items()
+                ab, row = a * b, T[i * r + j]
+                out.append(row if ab == 1 else {k: ab * t for k, t in row.items()})
+                continue
             acc: Row = {}
             for i, a in arow.items():
                 for j, b in brow.items():
@@ -140,6 +155,22 @@ class LieLattice:
         if self.domain == "Q":
             return self
         return LieLattice(self.names, self.table, "Q")
+
+
+def _antisymmetric_table(half: ExactMatrix, k: int) -> ExactMatrix:
+    """The k^2-row matrix whose row p*k + q, p < q, is the row of `half`
+    for the pair (p, q), pairs in the order (0, 1), (0, 2), ..., (1, 2), ...;
+    row q*k + p is its negative and row p*k + p is empty.  Negation keeps
+    the gcds, so the rows stay normalised over half.den."""
+    rows: list[Row] = [{}] * (k * k)  # one shared empty row; rows are never mutated
+    t = 0
+    for p in range(k):
+        for q in range(p + 1, k):
+            row = half.num[t]
+            rows[p * k + q] = row
+            rows[q * k + p] = {j: -x for j, x in row.items()}
+            t += 1
+    return ExactMatrix._of(tuple(rows), half.den, half.cols)
 
 
 def unit(n: int, i: int) -> Vec:
@@ -452,6 +483,15 @@ def _matrix_algebra_closure(gens: Sequence[ExactMatrix]) -> list[ExactMatrix]:
 
     A candidate is accepted iff it is independent of those accepted before:
     adding its flattened entries to their echelon leaves a nonzero residual.
+    Candidates are the generators, then A * g for every A accepted in the
+    previous round and every accepted generator g; products g * A are not
+    needed.  Let V be the span of the accepted matrices and G that of the
+    generators.  A rejected generator is a combination of accepted ones, so
+    G lies in V; and every accepted A was multiplied on the right by every
+    accepted generator, each product accepted or already in the span, so
+    V * G lies in V.  A word g_1 g_2 ... g_m is then in V by induction on
+    m, so V holds the whole algebra, and every accepted matrix is a word.
+    The basis may differ from a two-sided closure's; its span does not.
     """
     echelon = Echelon()
 
@@ -463,7 +503,7 @@ def _matrix_algebra_closure(gens: Sequence[ExactMatrix]) -> list[ExactMatrix]:
     gens = [g for g in gens if not g.is_zero() and independent(g)]
     basis = frontier = gens
     while frontier:
-        frontier = [P for A in frontier for g in gens for P in (A * g, g * A) if independent(P)]
+        frontier = [P for A in frontier for g in gens if independent(P := A * g)]
         basis = basis + frontier
     return basis
 
@@ -553,15 +593,19 @@ def subalgebra_lattice(L: LieLattice, S: Submodule) -> tuple[LieLattice, ExactMa
     result maps under iota to the same sum in L, which is 0, and an
     injective map sends only 0 to 0.  What is left to test is closure and,
     over Z, integrality.
+
+    Only the pairs i < j are bracketed and solved for.  L is antisymmetric,
+    so [s_i, s_i] = 0 and [s_j, s_i] = -[s_i, s_j], and the coordinates of
+    those are 0 and the negatives of the ones solved
+    (`_antisymmetric_table`).
     """
-    products = L.bracket_rows(S.basis, S.basis)
-    coords = Submodule(S.ambient_rank, S.basis, "Q").coordinate_rows(products)
-    if coords is None:
+    half = Submodule(S.ambient_rank, S.basis, "Q").coordinate_rows(L._pair_brackets(S.basis))
+    if half is None:
         raise ValueError("submodule is not closed under the bracket")
-    if S.domain == "Z" and not coords.is_integral:
+    if S.domain == "Z" and not half.is_integral:
         raise ValueError("submodule has non-integral structure constants")
     names = tuple(f"v{i}" for i in range(S.rank))
-    return LieLattice(names, coords, S.domain), S.basis
+    return LieLattice(names, _antisymmetric_table(half, S.rank), S.domain), S.basis
 
 
 def semidirect_assemble(N: LieLattice, S: LieLattice, action: Sequence[ExactMatrix]) -> LieLattice:
@@ -669,14 +713,16 @@ def quotient_lattice(L: LieLattice, ideal: Submodule) -> tuple[LieLattice, Exact
     Returns the quotient lattice, named q0, q1, ..., and the section matrix
     (rows = coset representatives in L-coordinates).  The ideal must
     actually be an ideal; over Z it must also be isolated for the quotient
-    to be free.
+    to be free.  L must be antisymmetric, as every validated lattice is:
+    only the pairs i < j of representatives are bracketed, and the table
+    is mirrored from them (`_antisymmetric_table`).
     """
     comp = extend_basis(ideal, Submodule.full(L.rank, L.domain))
     k = comp.rows
     split = Submodule(L.rank, stack_rows([ideal.basis, comp]), "Q")
-    coords = split.coordinate_rows(L.bracket_rows(comp, comp))
+    coords = split.coordinate_rows(L._pair_brackets(comp))
     if coords is None:
         raise ValueError("quotient section failed")
-    c = coords.take_columns(range(ideal.rank, ideal.rank + k))
+    half = coords.take_columns(range(ideal.rank, ideal.rank + k))
     names = tuple(f"q{i}" for i in range(k))
-    return LieLattice(names, c, L.domain), comp
+    return LieLattice(names, _antisymmetric_table(half, k), L.domain), comp

@@ -29,6 +29,14 @@ nilradical), where the library certifies every step from its parts.
 `ref_rescale_nilpotency` tests the scaled nilpotent lattice and the
 nilpotent block of the extension with the saturated lower central series,
 where the library reads nilpotency off one unsaturated chain.
+`ref_brackets` sums every pair term by term, where the library reads the
+bracket of two single-entry rows off one table row; `ref_coordinate_rows`
+solves on the tagged echelon of any basis, where the library reads a basis
+in reduced echelon form at its pivots; `ref_subalgebra_lattice` and
+`ref_quotient_lattice` bracket all ordered pairs, where the library
+brackets the pairs p < q and mirrors them.  `ref_matrix_algebra_closure`
+and `ref_nilradical` close the envelope on both sides, where the library
+multiplies on the right only.
 """
 
 import importlib.util
@@ -38,7 +46,16 @@ from math import lcm
 from pathlib import Path
 
 from adorep import catalog
-from adorep.exact_linalg import ExactMatrix, Submodule, invert, kernel_basis, rank, stack_rows
+from adorep.exact_linalg import (
+    Echelon,
+    ExactMatrix,
+    Submodule,
+    extend_basis,
+    invert,
+    kernel_basis,
+    rank,
+    stack_rows,
+)
 from adorep.jsonio import frac_to_str
 from adorep.lie_core import (
     LieLattice,
@@ -446,9 +463,10 @@ def ref_minimal_polynomial(A, n):
 
 def ref_matrix_algebra_closure(gens, n):
     """Basis of the associative algebra (no identity) generated by the n x n
-    matrices gens.  Candidates come in the library's order (the generators,
-    then A*g and g*A for each A found in the previous round); each is kept
-    iff the rank of all kept matrices, flattened, rises with it."""
+    matrices gens, closed on both sides: candidates are the generators,
+    then A*g and g*A for each A found in the previous round, where the
+    library takes A*g only; each is kept iff the rank of all kept
+    matrices, flattened, rises with it."""
     gens = [g for g in gens if not ref_is_zero(g)]
     basis = []
 
@@ -471,6 +489,75 @@ def ref_matrix_algebra_closure(gens, n):
                         new.append(P)
         frontier = new
     return basis
+
+
+# -- the kernels before single-term brackets, pivot coordinates and tables
+# from the pairs p < q -------------------------------------------------------
+
+
+def ref_brackets(L, pairs, den):
+    """The rows [a, b] / den for the int numerator rows (a, b) of `pairs`,
+    every one summed term by term from the table, single-entry rows too."""
+    r, T = L.rank, L.table.num
+    out = []
+    for arow, brow in pairs:
+        acc = {}
+        for i, a in arow.items():
+            for j, b in brow.items():
+                for k, t in T[i * r + j].items():
+                    acc[k] = acc.get(k, 0) + a * b * t
+        out.append({k: x for k, x in acc.items() if x})
+    return ExactMatrix.from_ints(out, r, den * L.table.den)
+
+
+def ref_coordinate_rows(S, M):
+    """The X with X * S.basis = M, integral over Z, or None, from the
+    echelon of the tagged rows [num_i | e_i] of the basis, whatever its
+    form: one reduction of [w | 0] leaves [0 | -y] with y * num = w."""
+    B, n = S.basis, S.ambient_rank
+    E = Echelon()
+    for i, row in enumerate(B.num):
+        E.add({**row, n + i: 1})
+    found = []
+    for w in M.num:
+        res, D = E.reduce(w)
+        if res and min(res) < n:
+            return None
+        x, e = {j - n: -B.den * y for j, y in res.items()}, D * M.den
+        if S.domain == "Z" and any(c % e for c in x.values()):
+            return None
+        found.append((x, e))
+    den = lcm(*(e for _, e in found))
+    rows = [{i: c * (den // e) for i, c in x.items()} for x, e in found]
+    return ExactMatrix.from_ints(rows, S.rank, den)
+
+
+def ref_contains_rows(S, M):
+    return ref_coordinate_rows(S, M) is not None
+
+
+def _all_pairs(A):
+    return [(a, b) for a in A.num for b in A.num]
+
+
+def ref_subalgebra_lattice(L, S):
+    """`subalgebra_lattice` from the brackets of all k^2 ordered pairs of
+    basis rows, solved on the tagged echelon."""
+    products = ref_brackets(L, _all_pairs(S.basis), S.basis.den**2)
+    coords = ref_coordinate_rows(Submodule(S.ambient_rank, S.basis, "Q"), products)
+    assert coords is not None and (S.domain == "Q" or coords.is_integral)
+    return LieLattice(tuple(f"v{i}" for i in range(S.rank)), coords, S.domain), S.basis
+
+
+def ref_quotient_lattice(L, ideal):
+    """`quotient_lattice` from the brackets of all k^2 ordered pairs of
+    coset representatives, solved on the tagged echelon."""
+    comp = extend_basis(ideal, Submodule.full(L.rank, L.domain))
+    k = comp.rows
+    split = Submodule(L.rank, stack_rows([ideal.basis, comp]), "Q")
+    coords = ref_coordinate_rows(split, ref_brackets(L, _all_pairs(comp), comp.den**2))
+    table = coords.take_columns(range(ideal.rank, ideal.rank + k))
+    return LieLattice(tuple(f"q{i}" for i in range(k)), table, L.domain), comp
 
 
 # -- dense structure-constant tensors -------------------------------------

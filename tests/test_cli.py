@@ -265,6 +265,46 @@ def test_cli_verify_validates_the_lattice_once(tmp_path, capsys, monkeypatch):
     assert calls == [3]
 
 
+def test_cli_nilrep_validates_the_lattice_once(tmp_path, capsys, monkeypatch):
+    # the command validates L before the series, and verify_representation
+    # reads that report instead of validating again
+    import adorep.cli
+    import adorep.lie_core
+    import adorep.pipeline
+
+    calls = []
+    original = adorep.lie_core.validate
+
+    def counting(L):
+        calls.append(L.rank)
+        return original(L)
+
+    for module in (adorep.lie_core, adorep.pipeline, adorep.cli):
+        monkeypatch.setattr(module, "validate", counting)
+    code, _, _ = run(capsys, "nilrep", write_lattice(tmp_path, "heisenberg5"))
+    assert code == 0
+    assert calls == [5]
+
+
+def test_cli_nilrep_reports_an_invalid_lattice_before_the_series(tmp_path, capsys, monkeypatch):
+    import adorep.cli
+
+    def unreachable(L):
+        raise AssertionError("series computed for an invalid lattice")
+
+    monkeypatch.setattr(adorep.cli, "lower_central_series", unreachable)
+    # [x0, x1] = x2 and [x0, x2] = x0: the Jacobi sum of (0, 1, 2) is -x2
+    path = tmp_path / "bad.json"
+    brackets = [
+        {"i": 0, "j": 1, "coeffs": ["0", "0", "1"]},
+        {"i": 0, "j": 2, "coeffs": ["1", "0", "0"]},
+    ]
+    path.write_text(json.dumps({"rank": 3, "names": ["x0", "x1", "x2"], "brackets": brackets}))
+    code, out, err = run(capsys, "nilrep", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: invalid lattice:") and "jacobi ((0, 1, 2),)" in err
+
+
 def test_cli_verify_reads_the_representation_before_validating(tmp_path, capsys):
     # an invalid lattice with a malformed representation file is a format
     # error: the file is read before verify_representation validates L

@@ -36,6 +36,8 @@ from oracles import (
     brute_force_hnf,
     checked_storage,
     ref_add,
+    ref_contains_rows,
+    ref_coordinate_rows,
     ref_hnf,
     ref_invert,
     ref_is_zero,
@@ -429,6 +431,50 @@ def test_coordinates_match_reference(b, domain, data):
 
 
 @KERNEL
+@given(
+    independent_rows(),
+    st.sampled_from(["drawn", "reduced", "unit leads"]),
+    st.sampled_from("ZQ"),
+    st.data(),
+)
+def test_coordinates_read_at_the_pivots_match_the_tagged_echelon(b, form, domain, data):
+    """A basis in reduced echelon form is read at its pivots, any other is
+    solved on its tagged echelon: both give the oracle's coordinates and
+    membership, None included, row by row and for whole matrices.  With
+    "unit leads" each row of the RREF gains multiples of the later rows: it
+    is still 1 at its first column, but not 0 at the first columns of the
+    others."""
+    B, n = b
+    k = len(B)
+    if form != "drawn":
+        E = [row for row in ref_rref(B, n)[0] if any(row)]
+        leads = form == "unit leads"
+        U = [
+            [data.draw(CELLS) if leads and j > i else Fraction(int(i == j)) for j in range(k)]
+            for i in range(k)
+        ]
+        B = ref_mul(U, E, k, n)
+    inside = [
+        combination(x, B, n)
+        for values in (INTEGERS, CELLS)
+        for x in data.draw(dense(data.draw(st.integers(0, 2)), k, values))
+    ]
+    outside = [tuple(v) for v in data.draw(dense(data.draw(st.integers(0, 2)), n))]
+    rows = data.draw(st.permutations(inside + outside))
+    as_given = Submodule(n, mat(B, n), domain)
+    canonical = Submodule.of_rows(mat(B, n), domain)
+    if form == "reduced":
+        assert as_given._pivots is not None
+    if domain == "Q":
+        assert canonical._pivots is not None
+    for S in (as_given, canonical):
+        for part in [rows] + [[v] for v in rows]:
+            M = mat(part, n)
+            assert S.coordinate_rows(M) == ref_coordinate_rows(S, M)
+            assert S.contains_rows(M) == ref_contains_rows(S, M)
+
+
+@KERNEL
 @given(independent_rows(), st.data())
 def test_rational_membership_is_the_residual_test(b, data):
     """Over Q, `contains_rows` reads only the residual of each row; it must
@@ -498,9 +544,17 @@ def test_trace_product_matches_reference(m, n, data):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 4), st.data())
 def test_matrix_algebra_closure_matches_rerank_oracle(n, data):
+    """The library multiplies on the right only, the oracle on both sides:
+    the bases may differ, their spans may not."""
     gens = data.draw(st.lists(dense(n, n), max_size=3))
-    got = _matrix_algebra_closure([mat(g, n) for g in gens])
-    assert [listed(M) for M in got] == ref_matrix_algebra_closure(gens, n)
+    got = [listed(M) for M in _matrix_algebra_closure([mat(g, n) for g in gens])]
+    want = ref_matrix_algebra_closure(gens, n)
+
+    def flat(Ms):
+        return [[x for row in M for x in row] for M in Ms]
+
+    assert len(got) == len(want) == ref_rank(flat(got), n * n)
+    assert ref_rank(flat(got + want), n * n) == len(want)
 
 
 def normalised(M):

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import pickle
 import random
@@ -14,6 +15,7 @@ from adorep.lie_core import (
     LatticeValidationError,
     LeibnizError,
     LieLattice,
+    _matrix_algebra_closure,
     adjoint_rep,
     bracket_series,
     center,
@@ -47,10 +49,15 @@ from oracles import (
     checked_storage,
     power,
     ref_bracket,
+    ref_brackets,
     ref_derived_series,
     ref_is_derivation,
+    ref_matrix_algebra_closure,
     ref_nilradical,
+    ref_quotient_lattice,
+    ref_rank,
     ref_solvable_radical,
+    ref_subalgebra_lattice,
     ref_table,
     ref_validate,
     tensor_lattice,
@@ -451,6 +458,19 @@ def test_subalgebra_lattice_checks_closure_and_integrality():
     assert validate(sub).ok
 
 
+@pytest.mark.parametrize("name", catalog.names())
+def test_subalgebra_and_quotient_lattices_match_the_all_pairs_forms(name):
+    """On every lower central term of the lattice and of a scrambled copy,
+    over Z and over Q, the tables from the pairs p < q, mirrored, equal the
+    tables of all ordered pairs solved on the tagged echelon."""
+    L = catalog.get(name).lattice
+    scrambled = change_basis(L, shears(L.rank, [(i, (i + 1) % L.rank, -1) for i in range(L.rank)]))
+    for K in (L, scrambled, L.to_field(), scrambled.to_field()):
+        for term in lower_central_series(K):
+            assert subalgebra_lattice(K, term) == ref_subalgebra_lattice(K, term)
+            assert quotient_lattice(K, term) == ref_quotient_lattice(K, term)
+
+
 # -- the sparse integer table against the dense triple loop ----------------
 
 TENSORS = settings(max_examples=120, deadline=None)
@@ -506,6 +526,43 @@ def test_bracket_brackets_and_ad_match_dense_loop(tensor, data):
         ad = L.ad(u)
         columns = [ref_bracket(c, u, unit(r, j)) for j in range(r)]
         assert [list(row) for row in ad.entries] == [[col[k] for col in columns] for k in range(r)]
+
+
+def int_rows(r):
+    """Up to four sparse int rows of length r: single-entry rows, unit rows
+    among them, rows with several entries, and the empty row."""
+    single = st.tuples(st.integers(0, r - 1), st.sampled_from([1, 1, -1, 2, -3]))
+    several = st.dictionaries(st.integers(0, r - 1), st.integers(-3, 3).filter(bool), max_size=r)
+    return st.lists(single.map(lambda t: {t[0]: t[1]}) | several, max_size=4)
+
+
+@TENSORS
+@given(tensors(), st.data())
+def test_single_term_brackets_match_the_general_loop(tensor, data):
+    """A pair of single-entry rows is read off one table row; every pair
+    summed term by term gives the same matrix, on any tensor."""
+    c, r, domain = tensor
+    L = lattice_of(c, r, domain)
+    A, B = (
+        ExactMatrix.from_ints(data.draw(int_rows(r)), r, data.draw(st.integers(1, 3)))
+        for _ in range(2)
+    )
+    got = L.bracket_rows(A, B)
+    assert got == ref_brackets(L, [(a, b) for a in A.num for b in B.num], A.den * B.den)
+    assert (got.num, got.den, got.cols) == checked_storage(got)
+    pairs = [(a, b) for p, a in enumerate(A.num) for b in A.num[p + 1 :]]
+    assert L._pair_brackets(A) == ref_brackets(L, pairs, A.den**2)
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_strict_ado_leaves_the_input_table_unchanged(name):
+    """The bracket of two unit rows is the table row itself, shared with
+    the result; nothing the construction or the checkers do with such a
+    result may write to it."""
+    L = catalog.get(name).lattice
+    before = copy.deepcopy(L.table.num)
+    ado_representation(L, strict=True)
+    assert L.table.num == before
 
 
 def check_validate(c, r, domain):
@@ -822,9 +879,25 @@ def check_nilradical_matches_reference(L):
         assert radicals["Z"] == tuple(integer_points(S) for S in radicals["Q"])
 
 
+def check_envelope_spans_the_two_sided_closure(L):
+    """The envelope of ad(R_s), closed by right products, spans what the
+    two-sided oracle closure spans."""
+    r = L.rank
+    gens = L.ad_rows(solvable_radical(L).basis)
+    got = [[list(row) for row in M.entries] for M in _matrix_algebra_closure(gens)]
+    want = ref_matrix_algebra_closure([[list(row) for row in M.entries] for M in gens], r)
+    flat = [[x for row in M for x in row] for M in got + want]
+    assert len(got) == len(want) == ref_rank(flat[: len(got)], r * r) == ref_rank(flat, r * r)
+
+
 @pytest.mark.parametrize("name", catalog.names())
 def test_nilradical_matches_reference_on_catalog(name):
-    check_nilradical_matches_reference(catalog.get(name).lattice)
+    """On the lattice and on its strict extension, whose envelopes the
+    strict path builds."""
+    L = catalog.get(name).lattice
+    for K in (L, ado_representation(L, strict=True)[2].extension):
+        check_nilradical_matches_reference(K)
+        check_envelope_spans_the_two_sided_closure(K)
 
 
 def test_z_radicals_saturate_the_numerators_of_the_rational_radicals():
@@ -886,7 +959,9 @@ def test_nilradical_matches_reference_on_random_solvable_lattices(action, with_s
     n = len(action)
     y = lie_lattice(["y"], {})
     L = semidirect_assemble(catalog.abelian(n), y, [ExactMatrix.from_rows(action)])
-    check_nilradical_matches_reference(direct_sum(sl2(), L) if with_sl2 else L)
+    L = direct_sum(sl2(), L) if with_sl2 else L
+    check_nilradical_matches_reference(L)
+    check_envelope_spans_the_two_sided_closure(L)
 
 
 def strictly_upper_int_matrices(n):
