@@ -36,16 +36,13 @@ from .lie_core import (
     center,
     derived_series,
     lower_central_series,
-    nilradical,
+    radical_pair,
     require_valid,
-    solvable_radical,
     validate,
 )
 from .nilrep import birkhoff_bounds, burde_bound, nilpotent_faithful_rep
 from .pipeline import (
     VerificationFailure,
-    _in_stage,
-    _stage_fact,
     ado_representation,
     degree_bound,
     verify_certificate,
@@ -86,11 +83,11 @@ def cmd_validate(args) -> int:
 def cmd_radicals(args) -> int:
     L = _load_lattice(args.file)
     require_valid(L)
-    rs = solvable_radical(L)
+    rs, rn = radical_pair(L)
     payload = {
         "center": matrix_to_json(center(L).basis),
         "solvable_radical": matrix_to_json(rs.basis),
-        "nilradical": matrix_to_json(nilradical(L, rs).basis),
+        "nilradical": matrix_to_json(rn.basis),
         "lower_central": [matrix_to_json(m.basis) for m in lower_central_series(L)],
         "derived": [matrix_to_json(m.basis) for m in derived_series(L)],
     }
@@ -103,14 +100,13 @@ def cmd_nilrep(args) -> int:
     if L.rank == 0:
         # the same refusal as `ado`, before any work
         raise ValueError("rank-zero lattice has nothing to represent")
-    # validated once, before the series: verify_representation reads the
-    # report from the stage's table
-    stage: dict = {}
-    _in_stage(stage, _stage_fact, validate, L).raise_if_invalid()
+    # validated once, before the series; handed the radicals,
+    # verify_representation does not validate again
+    require_valid(L)
     # one series: the construction builds on it, and its length is the class
     chain = lower_central_series(L)
     rep = nilpotent_faithful_rep(L, chain)
-    report = _in_stage(stage, verify_representation, L, rep)
+    report = verify_representation(L, rep, radical_pair(L))
     _emit(
         {
             "representation": rep_to_json(rep),

@@ -42,8 +42,8 @@ from .lie_core import (
     is_nilpotent_submodule,
     killing_form,
     lie_lattice,
-    nilradical,
     quotient_lattice,
+    radical_pair,
     require_valid,
     solvable_radical,
     split_semidirect,
@@ -186,14 +186,17 @@ def levi_decomposition(
 
     The returned complement is a subalgebra without a check of its own.
     With s_1, ..., s_t the rows of sigma, the checked equation
-    `L.bracket_rows(sigma, sigma) == cq * sigma` says that every [s_i, s_j]
-    is a combination of the s_a, so by bilinearity span(sigma) is closed
-    under the bracket; once `levi.rank == t`, that span is `levi`.
+    `L._pair_brackets(sigma) == cq * sigma` says that every [s_i, s_j],
+    i < j, is a combination of the s_a; so is every other pair, as
+    [s_i, s_i] = 0 and [s_j, s_i] = -[s_i, s_j].  By bilinearity
+    span(sigma) is closed under the bracket; once `levi.rank == t`, that
+    span is `levi`.
 
-    The brackets of sigma and the quotient's table cq are read from the
-    pairs i < j and mirrored (`_antisymmetric_table`): L is a validated
-    Lie algebra, so its bracket is antisymmetric, and so is that of the
-    quotient, whose table `quotient_lattice` builds that way.
+    The brackets of sigma and the rows of the quotient's table cq are read,
+    solved and checked on the pairs i < j only: L is a validated Lie
+    algebra, so its bracket is antisymmetric, and so is that of the
+    quotient, whose table `quotient_lattice` builds that way; the other
+    rows of the full equation are zero or the negatives of these.
     """
     if L.domain != "Q":
         L = L.to_field()
@@ -206,8 +209,10 @@ def levi_decomposition(
         return rs, Submodule.zero(r, "Q")
     quotient, sigma = quotient_lattice(L, rs)
     t = quotient.rank
-    # row i*t + j: the coordinates of [q_i, q_j] in the quotient's basis
-    cq = quotient.table
+    pairs = [(i, j) for i in range(t) for j in range(i + 1, t)]
+    # row p: the coordinates of [q_i, q_j] in the quotient's basis, for the
+    # p-th pair (i, j) of `pairs`, the order of `_pair_brackets`
+    cq = quotient.table.take_rows(i * t + j for i, j in pairs)
 
     chain = bracket_series(L, rs)
 
@@ -226,34 +231,33 @@ def levi_decomposition(
                 raise LiftingError("Levi defect escaped its derived-series layer")
             return coords.take_columns(range(Dk1.rank, Dk1.rank + d))
 
-        # row a*d + b: [sigma_a, comp_b]; row i*t + j: the defect of the pair
+        # row a*d + b: [sigma_a, comp_b]; row p: the defect of the p-th pair
         action = project(L.bracket_rows(sigma, comp))
-        target = project(_antisymmetric_table(L._pair_brackets(sigma), t) - cq * sigma)
+        target = project(L._pair_brackets(sigma) - cq * sigma)
         # unknown a*d + b is the coefficient of comp_b added to sigma_a, and
         # column t*d holds the right-hand side; one equation per pair i < j
         # and component e, all numerators over den, which cancels
         n = t * d
         den = lcm(action.den, cq.den, target.den)
         fa, fq, ft = den // action.den, den // cq.den, den // target.den
-        A, Q, B = action.num, cq.num, target.num
+        A = action.num
         eq_rows: list[dict[int, int]] = []
-        for i in range(t):
-            for j in range(i + 1, t):
-                for e in range(d):
-                    row: dict[int, int] = {}
-                    for b in range(d):
-                        row[j * d + b] = row.get(j * d + b, 0) + fa * A[i * d + b].get(e, 0)
-                        row[i * d + b] = row.get(i * d + b, 0) - fa * A[j * d + b].get(e, 0)
-                    for a, x in Q[i * t + j].items():
-                        row[a * d + e] = row.get(a * d + e, 0) - fq * x
-                    row[n] = -ft * B[i * t + j].get(e, 0)
-                    eq_rows.append(row)
+        for (i, j), q_row, b_row in zip(pairs, cq.num, target.num):
+            for e in range(d):
+                row: dict[int, int] = {}
+                for b in range(d):
+                    row[j * d + b] = row.get(j * d + b, 0) + fa * A[i * d + b].get(e, 0)
+                    row[i * d + b] = row.get(i * d + b, 0) - fa * A[j * d + b].get(e, 0)
+                for a, x in q_row.items():
+                    row[a * d + e] = row.get(a * d + e, 0) - fq * x
+                row[n] = -ft * b_row.get(e, 0)
+                eq_rows.append(row)
         solution = solve_right(ExactMatrix.from_ints(eq_rows, n + 1))
         if solution is None:
             raise LiftingError("Levi correction system is inconsistent")
         sigma = sigma + solution.reshape(t, d) * comp
 
-    if _antisymmetric_table(L._pair_brackets(sigma), t) != cq * sigma:
+    if L._pair_brackets(sigma) != cq * sigma:
         raise LiftingError("lifted complement is not closed under the bracket")
 
     levi = Submodule.of_rows(sigma, "Q")
@@ -306,15 +310,11 @@ def initial_state(
 ) -> ExpansionState:
     """The unexpanded state of the Z-lattice L.
 
-    `radicals`, when given, must be `(solvable_radical(L), nilradical(L))`
-    of this Z-lattice; otherwise they are computed here.  Their Q-spans are
-    the canonical RREF bases that the same radicals of `L.to_field()`
-    return.
+    `radicals`, when given, must be `radical_pair(L)` of this Z-lattice;
+    otherwise they are computed here.  Their Q-spans are the canonical
+    RREF bases that the same radicals of `L.to_field()` return.
     """
-    if radicals is None:
-        rs = solvable_radical(L)
-        radicals = rs, nilradical(L, rs)
-    rs, rn = radicals
+    rs, rn = radicals or radical_pair(L)
     LQ = L.to_field()
     rad, levi = levi_decomposition(LQ, Submodule.of_rows(rs.basis, "Q"))
     state = ExpansionState(
@@ -421,8 +421,7 @@ def elementary_expansion(state: ExpansionState) -> ExpansionState:
     if ideal.contains_rows(Y) or ideal.rank != N.rank - 1:
         raise ExpansionError("codimension-one ideal construction failed")
 
-    y = Y.row(0)
-    ds, dn = jordan_chevalley(K.ad(y))
+    ds, dn = jordan_chevalley(K.ad_rows(Y)[0])
 
     k, t = ideal.rank, S.rank
     old = stack_rows([ideal.basis, S.basis])
@@ -459,7 +458,7 @@ def elementary_expansion(state: ExpansionState) -> ExpansionState:
 
     step = ExpansionStep(
         index=step_no,
-        y=y,
+        y=Y.row(0),
         ideal_basis=ideal.basis,
         semisimple_part=ds,
         nilpotent_part=dn,
@@ -702,10 +701,9 @@ def embed_splittable(
 ) -> EmbeddingCertificate:
     """End-to-end embedding of a Z-Lie lattice into a splittable one.
 
-    `radicals`, when given, must be `(solvable_radical(L), nilradical(L))`
-    of this Z-lattice, validated, as the verification stage of
-    `ado_representation` provides them; without them L is validated here
-    and `initial_state` computes its own.
+    `radicals`, when given, must be `radical_pair(L)` of this Z-lattice,
+    validated, as `ado_representation` passes them; without them L is
+    validated here and `initial_state` computes its own.
 
     Levi's theorem and the proofs of the steps make the construction
     succeed on a valid Z-lattice, so after the input checks any ValueError

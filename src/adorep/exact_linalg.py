@@ -16,7 +16,7 @@ and membership take whole matrices (`Submodule.coordinate_rows`,
 from `of_rows` has, is read at its pivots: a row's coordinates are its
 entries there, and it lies in the span iff the residual is empty.  Any
 other basis costs one reduction per row against the Submodule's cached
-tagged echelon; membership over Q reads only the residual.  The public
+tagged echelon; membership takes the same coordinates.  The public
 constructors check their rows; rows a kernel built itself go through the
 private `ExactMatrix._trusted`, which only normalises, and `_of` wraps
 normalised rows setting only `num`, `den` and `cols`.  `rref` stops adding
@@ -799,20 +799,11 @@ class Submodule:
         return ExactMatrix._trusted(rows, self.rank, den)
 
     def contains_rows(self, M: ExactMatrix) -> bool:
-        """Whether every row of M lies in the module.
-
-        Over Q that is whether the residual of each row is empty: read at
-        the pivots of a basis in reduced echelon form, else the reduction
-        against the tagged echelon, zero outside the tag columns, where no
-        coordinates are built.  Over Z the coordinates must also be
-        integral.
-        """
+        """Whether every row of M has coordinates in the basis, respecting
+        the domain (`_int_coordinates`)."""
         if M.cols != self.ambient_rank:
             raise ValueError("dimension mismatch")
-        if self.domain == "Z" or self._pivots is not None:
-            return all(self._int_coordinates(row, M.den) is not None for row in M.num)
-        n = self.ambient_rank
-        return all(not res or min(res) >= n for res, _ in map(self._echelon.reduce, M.num))
+        return all(self._int_coordinates(row, M.den) is not None for row in M.num)
 
     def coordinates(self, v: Vec) -> Vec | None:
         """`coordinate_rows` of the one vector v."""

@@ -478,6 +478,12 @@ def nilradical(L: LieLattice, rs: Submodule | None = None) -> Submodule:
     return candidate if L.domain == "Q" else _integer_points(candidate)
 
 
+def radical_pair(L: LieLattice) -> tuple[Submodule, Submodule]:
+    """(R_s(L), R_n(L)), one `solvable_radical` serving both."""
+    rs = solvable_radical(L)
+    return rs, nilradical(L, rs)
+
+
 def _matrix_algebra_closure(gens: Sequence[ExactMatrix]) -> list[ExactMatrix]:
     """Basis of the associative algebra (no identity) generated by gens.
 

@@ -5,18 +5,16 @@ certificates.
 The checkers recompute everything they assert (validity, brackets,
 radicals, ranks) from structure constants and exact linear algebra; they
 never trust state produced by the constructors.  `ado_representation`
-runs its verification stage first on the input: the stage validates L and,
-on the theorem path, computes R_s(L) and R_n(L) before the construction,
-which reads them.  The stage's table then serves the same facts to both
-checkers, so each is computed once per call; the construction may trust
-the verifier, never the other way round.  A direct call of a checker
-validates and computes its own.
+validates L and computes `radical_pair(L)` first, and passes the radicals
+as an argument to the construction (`embed_splittable`) and to both
+checkers, so each fact about L is computed once per call; the construction
+may trust the verifier, never the other way round.  A checker called
+without `radicals` validates L and computes them itself.
 """
 
 from __future__ import annotations
 
 import logging
-from contextvars import ContextVar
 from typing import Callable
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -28,10 +26,9 @@ from .lie_core import (
     adjoint_rep,
     is_ideal,
     is_nilpotent_submodule,
-    is_semisimple,
     lower_central_series,
     nilradical,
-    solvable_radical,
+    radical_pair,
     validate,
 )
 from .nilrep import birkhoff_bounds, burde_bound, nilpotent_faithful_rep
@@ -45,43 +42,6 @@ class VerificationFailure(RuntimeError):
     def __init__(self, message: str, report):
         super().__init__(message)
         self.report = report
-
-
-# What the current verification stage of `ado_representation` has computed
-# about the lattices it verifies, keyed by (function, lattice): their
-# `validate` reports and `_radicals`.  None outside a stage, so that every
-# other caller of a checker computes its own.
-_stage_table: ContextVar[dict[tuple[Callable, LieLattice], object] | None] = ContextVar(
-    "_stage_table", default=None
-)
-
-
-def _stage_fact(compute: Callable, L: LieLattice):
-    """`compute(L)`, once per verification stage: the stage's table holds
-    only what this function put there."""
-    table = _stage_table.get()
-    if table is None:
-        return compute(L)
-    key = (compute, L)
-    if key not in table:
-        table[key] = compute(L)
-    return table[key]
-
-
-def _radicals(L: LieLattice) -> tuple[Submodule, Submodule]:
-    """(R_s(L), R_n(L)) from the structure constants of L."""
-    rs = solvable_radical(L)
-    return rs, nilradical(L, rs)
-
-
-def _in_stage(table: dict, step, *args):
-    """`step(*args)` with `table` as the table of the verification stage;
-    the table is unset again however the step ends."""
-    token = _stage_table.set(table)
-    try:
-        return step(*args)
-    finally:
-        _stage_table.reset(token)
 
 
 def degree_bound(r: int) -> Fraction:
@@ -117,10 +77,16 @@ class VerificationReport:
         }
 
 
-def verify_representation(L: LieLattice, rep: LinearRep) -> VerificationReport:
+def verify_representation(
+    L: LieLattice, rep: LinearRep, radicals: tuple[Submodule, Submodule] | None = None
+) -> VerificationReport:
     """Independent checks: homomorphism on all basis pairs, integrality over
     Z, faithfulness via the rank of the stacked matrices, nilpotency of the
     images of the nilpotent radical, and the degree bound.
+
+    `radicals`, when given, must be `radical_pair(L)` of an L that the
+    caller has validated; L is then not validated again.  Without them L is
+    validated here and its radicals are computed here.
 
     Two checks run on generators first.  Each falls back to its full scan,
     merged in the scan's order, when the reduced check reports anything, so
@@ -163,11 +129,12 @@ def verify_representation(L: LieLattice, rep: LinearRep) -> VerificationReport:
     is nilpotent.  When R_n = L, its canonical basis is the identity, and
     its images are read from `rep.matrices`.
     """
-    _stage_fact(validate, L).raise_if_invalid()
+    if radicals is None:
+        validate(L).raise_if_invalid()
     n = rep.degree
     bound_to_L = LinearRep(lattice=L, matrices=rep.matrices, provenance=rep.provenance)
     bound_to_L.check_shapes()
-    rn = _stage_fact(_radicals, L)[1]
+    rn = (radicals or radical_pair(L))[1]
     gens = _generators(L, rn.basis)
     full = rn.rank == L.rank
     if full:
@@ -281,8 +248,15 @@ class CertificateReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def verify_certificate(cert: EmbeddingCertificate) -> CertificateReport:
+def verify_certificate(
+    cert: EmbeddingCertificate, radicals: tuple[Submodule, Submodule] | None = None
+) -> CertificateReport:
     """Re-verify an embedding certificate from scratch.
+
+    `radicals`, when given, must be `radical_pair(L)` of the original L,
+    which the caller has validated; L is then not validated again, and
+    `original_valid` is True.  Without them L is validated here and its
+    radicals are computed here.  The extension is always validated.
 
     `nbar_is_nilradical` is checked first; when it holds, nbar is an ideal
     and nilpotent without a further test.  `nilradical(ext)` returns the
@@ -293,8 +267,8 @@ def verify_certificate(cert: EmbeddingCertificate) -> CertificateReport:
     tested on their own.
     """
     L, ext = cert.original, cert.extension
-    original_valid = _stage_fact(validate, L).ok
-    extension_valid = _stage_fact(validate, ext).ok
+    original_valid = radicals is not None or validate(L).ok
+    extension_valid = validate(ext).ok
     extension_integral = ext.domain == "Z" and cert.injection.is_integral
 
     inj = cert.injection
@@ -313,8 +287,8 @@ def verify_certificate(cert: EmbeddingCertificate) -> CertificateReport:
         nbar_ideal = lie and is_ideal(ext, nbar)
         nbar_nilp = nbar_ideal and is_nilpotent_submodule(ext, nbar)
 
-    # one fresh R_s(L) serves both the rank check and R_n(L)
-    rs, rn = _stage_fact(_radicals, L) if lie else (None, None)
+    # one R_s(L) serves both the rank check and R_n(L)
+    rs, rn = (radicals or radical_pair(L)) if lie else (None, None)
     rn_image = lie and nbar.contains_rows(rn.basis * inj)
     rank_matches = lie and nbar.rank == rs.rank
 
@@ -359,17 +333,18 @@ def ado_representation(
     path always runs the embedding construction and the direct sum with the
     adjoint.
 
-    The verification stage runs first: it validates L and, on the theorem
-    path, computes the radicals of L, which `embed_splittable` reads.  Both
-    checkers then read these facts from the stage's table.  Off the strict
-    path the lower central series of the validated L is computed once: it
-    picks the nilpotent shortcut, and `nilpotent_faithful_rep` builds on it.
+    L is validated once, and `radical_pair(L)` computed once, first, on
+    every path; the radicals go as an argument to `embed_splittable`,
+    `verify_certificate` and `verify_representation`, none of which then
+    validates L or computes them again.  Off the strict path the lower
+    central series of the validated L is computed once: it picks the
+    nilpotent shortcut, and `nilpotent_faithful_rep` builds on it.
     """
-    stage: dict[tuple[Callable, LieLattice], object] = {}
-    _in_stage(stage, _stage_fact, validate, L).raise_if_invalid()
+    validate(L).raise_if_invalid()
     r = L.rank
     if r == 0:
         raise ValueError("rank-zero lattice has nothing to represent")
+    radicals = radical_pair(L)
     cert: EmbeddingCertificate | None = None
     cert_report: CertificateReport | None = None
     comparison = None
@@ -381,15 +356,16 @@ def ado_representation(
         path = "nilpotent-shortcut"
         rs_rank = r  # a nilpotent lattice is its own solvable radical
         comparison = birkhoff_bounds(r, len(chain) - 1)
-    elif not strict and is_semisimple(L.to_field()):
+    elif not strict and radicals[0].is_zero():
+        # in characteristic zero a zero radical is semisimplicity (Cartan)
         path = "semisimple-shortcut"
-        rs_rank = 0  # a nondegenerate Killing form means a zero radical
+        rs_rank = 0
     else:
         path = "theorem"
         # outside the boundary below: its Z-domain check is an input error
-        cert = embed_splittable(L, _in_stage(stage, _stage_fact, _radicals, L))
+        cert = embed_splittable(L, radicals)
         rs_rank = cert.rs_rank
-        cert_report = _in_stage(stage, verify_certificate, cert)
+        cert_report = verify_certificate(cert, radicals)
         if not cert_report.ok:
             raise VerificationFailure("embedding certificate failed verification", cert_report)
     try:  # on a validated L and a certified extension, a ValueError is a bug
@@ -402,7 +378,7 @@ def ado_representation(
         raise RuntimeError(f"construction failed: {exc}") from exc
     phi_degree = None if path == "semisimple-shortcut" else phi.degree
 
-    report = _in_stage(stage, verify_representation, L, rep)
+    report = verify_representation(L, rep, radicals)
     ado_report = AdoReport(
         path=path,
         degree=report.degree,

@@ -783,6 +783,18 @@ def load_bench(name):
     return module
 
 
+def load_bench_run(monkeypatch):
+    """bench/run.py, which imports tracer.py by its bare name, from bench/
+    on sys.path; a tracer module it imports is dropped again."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    had_tracer = "tracer" in sys.modules
+    try:
+        return load_bench("run")
+    finally:
+        if not had_tracer:
+            sys.modules.pop("tracer", None)
+
+
 def theorem_inputs(seed=23):
     """(name, lattice) for every catalog lattice, then for every case of the
     benchmark's theorem-solvable and theorem-scrambled workloads at seed."""

@@ -11,7 +11,6 @@ source and nothing is written under bench/.
 
 import json
 import random
-import sys
 
 import pytest
 
@@ -19,7 +18,7 @@ from adorep.jsonio import lattice_to_json
 from adorep.lie_core import LieLattice
 from adorep.pipeline import ado_representation, verify_certificate, verify_representation
 
-from oracles import BENCH, dense_lattice_json, load_bench
+from oracles import dense_lattice_json, load_bench, load_bench_run
 
 tracer = load_bench("tracer")
 workloads = load_bench("workloads")
@@ -52,14 +51,7 @@ def test_workload_lattice_json_is_the_dense_encoding_byte_for_byte(workload):
 
 
 def test_negative_controls_are_rejected(monkeypatch):
-    # run.py imports tracer.py by its bare name, from bench/ on sys.path
-    monkeypatch.syspath_prepend(str(BENCH))
-    had_tracer = "tracer" in sys.modules
-    try:
-        run = load_bench("run")
-    finally:
-        if not had_tracer:
-            sys.modules.pop("tracer", None)
+    run = load_bench_run(monkeypatch)
     case = min(workloads.build("theorem-solvable", 23), key=lambda c: (c.degree, c.name))
     rep, report, cert = ado_representation(case.lattice, strict=case.strict)
     assert report.ok and report.degree == case.degree and verify_certificate(cert).ok

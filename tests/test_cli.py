@@ -266,8 +266,8 @@ def test_cli_verify_validates_the_lattice_once(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_nilrep_validates_the_lattice_once(tmp_path, capsys, monkeypatch):
-    # the command validates L before the series, and verify_representation
-    # reads that report instead of validating again
+    # the command validates L before the series, and verify_representation,
+    # handed the radicals, does not validate again
     import adorep.cli
     import adorep.lie_core
     import adorep.pipeline

@@ -284,7 +284,8 @@ def test_embedding_computes_the_radicals_of_the_input_once(monkeypatch):
             return _original(L, *args)
 
         for module in (adorep.lie_core, adorep.embed):
-            monkeypatch.setattr(module, name, counting)
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
     L = catalog.t2_upper()
     cert = embed_splittable(L)
     assert seen == {"solvable_radical": [3], "nilradical": [3]}

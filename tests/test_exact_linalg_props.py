@@ -477,9 +477,9 @@ def test_coordinates_read_at_the_pivots_match_the_tagged_echelon(b, form, domain
 @KERNEL
 @given(independent_rows(), st.data())
 def test_rational_membership_is_the_residual_test(b, data):
-    """Over Q, `contains_rows` reads only the residual of each row; it must
-    agree with `coordinate_rows` and the reference solve, row by row and on
-    rows inside and outside the span together."""
+    """Over Q, `contains_rows` must agree with `coordinate_rows` and the
+    reference solve, on a basis as given and on its reduced echelon form,
+    row by row and on rows inside and outside the span together."""
     B, n = b
     k = len(B)
     inside = [combination(x, B, n) for x in data.draw(dense(data.draw(st.integers(0, 3)), k))]

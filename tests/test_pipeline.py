@@ -17,6 +17,7 @@ from adorep.lie_core import (
     change_basis,
     direct_sum,
     lie_lattice,
+    radical_pair,
     solvable_radical,
     unit,
 )
@@ -30,7 +31,14 @@ from adorep.pipeline import (
 )
 from adorep.rep import LinearRep
 
-from oracles import load_bench, power, ref_verify_certificate, tensor_lattice, theorem_inputs
+from oracles import (
+    load_bench,
+    load_bench_run,
+    power,
+    ref_verify_certificate,
+    tensor_lattice,
+    theorem_inputs,
+)
 
 
 def test_degree_bound_examples():
@@ -400,12 +408,34 @@ def test_ado_reports_match_direct_checks(strict_runs):
         assert report.certificate_report == verify_certificate(cert), name
 
 
-def test_stage_table_is_unset_after_ado(monkeypatch):
+def test_checkers_handed_the_radicals_report_what_they_compute_alone(strict_runs, monkeypatch):
+    """`radical_pair(L)` of a validated L, handed to a checker, changes no
+    report: on every catalog lattice, and on one corrupted matrix and one
+    corrupted injection, made as the benchmark's negative controls make
+    them."""
+    run = load_bench_run(monkeypatch)
+    rng = random.Random(23)
+    catalog_runs = [r for r in strict_runs if r[0] in catalog.names()]
+    assert len(catalog_runs) == len(catalog.names())
+    for name, L, rep, _, cert in catalog_runs:
+        radicals = radical_pair(L)
+        assert verify_representation(L, rep, radicals) == verify_representation(L, rep), name
+        assert verify_certificate(cert, radicals) == verify_certificate(cert), name
+    _, L, rep, _, cert = next(r for r in catalog_runs if r[0] == "t2_upper")
+    radicals = radical_pair(L)
+    bad_rep = run.corrupt_rep(rep, L, rng)
+    report = verify_representation(L, bad_rep, radicals)
+    assert report == verify_representation(L, bad_rep) and not report.homomorphism_ok
+    bad_cert = run.corrupt_certificate(cert, rng)
+    cert_report = verify_certificate(bad_cert, radicals)
+    assert cert_report == verify_certificate(bad_cert) and not cert_report.injection_homomorphism
+
+
+def test_ado_rejects_a_non_injective_certificate(monkeypatch):
     import adorep.pipeline
 
     L = catalog.t2_upper()
-    ado_representation(L, strict=True)
-    assert adorep.pipeline._stage_table.get() is None
+    assert ado_representation(L, strict=True)[1].ok
     real = adorep.pipeline.embed_splittable
 
     def not_injective(L, *args):
@@ -419,7 +449,6 @@ def test_stage_table_is_unset_after_ado(monkeypatch):
     with pytest.raises(VerificationFailure, match="certificate") as failure:
         ado_representation(L, strict=True)
     assert not failure.value.report.injection_injective
-    assert adorep.pipeline._stage_table.get() is None
 
 
 def _counting(monkeypatch, fnames):
@@ -445,8 +474,8 @@ def _counting(monkeypatch, fnames):
 
 @pytest.mark.parametrize("name", ["t2_upper", "churkin_sl2_t2"])
 def test_strict_ado_computes_the_radicals_of_the_input_once(monkeypatch, name):
-    """The verification stage computes them before the construction, which
-    reads them, and both checkers read them from the stage's table."""
+    """`ado_representation` computes them before the construction and
+    passes them to it and to both checkers."""
     seen = _counting(monkeypatch, ["solvable_radical", "nilradical"])
     L = catalog.get(name).lattice
     ado_representation(L, strict=True)
@@ -468,8 +497,9 @@ def _scrambled_t2_squared():
     ids=["t2_upper", "churkin_sl2_t2", "scrambled t2^2"],
 )
 def test_strict_ado_validates_at_most_three_times(monkeypatch, L):
-    """L once, in the verification stage (`embed_splittable` trusts the
-    radicals it is handed, and with them the validation), the extension in
+    """L once, first in `ado_representation` (`embed_splittable` and the
+    checkers trust the radicals they are handed, and with them the
+    validation), the extension in
     `verify_certificate` and in `splittable_rep`; no sublattice the
     construction builds is validated on its own."""
     seen = _counting(monkeypatch, ["validate"])
@@ -479,7 +509,7 @@ def test_strict_ado_validates_at_most_three_times(monkeypatch, L):
 
 
 def test_nilpotent_shortcut_validates_at_most_twice(monkeypatch):
-    """L in the verification stage and in `nilpotent_faithful_rep`."""
+    """L first in `ado_representation` and in `nilpotent_faithful_rep`."""
     seen = _counting(monkeypatch, ["validate"])
     _, report, _ = ado_representation(catalog.get("heisenberg5").lattice)
     assert report.path == "nilpotent-shortcut"
@@ -487,8 +517,8 @@ def test_nilpotent_shortcut_validates_at_most_twice(monkeypatch):
 
 
 def test_direct_checker_calls_validate_and_compute_their_own_radicals(monkeypatch):
-    """Outside `ado_representation` there is no stage table: each call of a
-    checker validates its lattices and computes the radicals of L afresh."""
+    """Called without `radicals`, each call of a checker validates its
+    lattices and computes the radicals of L afresh."""
     L = catalog.churkin_sl2_t2()
     rep, _, cert = ado_representation(L, strict=True)
     seen = _counting(monkeypatch, ["validate", "solvable_radical", "nilradical"])

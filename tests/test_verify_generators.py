@@ -143,7 +143,7 @@ def counters(monkeypatch):
 
 
 def test_f7_computes_its_lower_central_series_once_and_validates_once(monkeypatch):
-    # the stage validates L and computes the series; nilpotent_faithful_rep
+    # ado_representation validates L and computes the series; nilpotent_faithful_rep
     # and build_weighted_basis take it from there
     import adorep.lie_core
 
