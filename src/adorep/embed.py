@@ -45,7 +45,6 @@ from .lie_core import (
     quotient_lattice,
     radical_pair,
     require_valid,
-    solvable_radical,
     split_semidirect,
     subalgebra_lattice,
 )
@@ -173,16 +172,15 @@ def jordan_chevalley(A: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
 # ---------------------------------------------------------------------------
 
 
-def levi_decomposition(
-    L: LieLattice, rs: Submodule | None = None
-) -> tuple[Submodule, Submodule]:
-    """Solvable radical and a semisimple complement closed under the bracket.
+def levi_decomposition(L: LieLattice, rs: Submodule) -> Submodule:
+    """A semisimple complement to the solvable radical `rs`, closed under
+    the bracket.  `rs` must be `solvable_radical(L.to_field())`, which the
+    caller already holds.
 
     The complement starts as a linear section of L / R_s and is corrected
     layer by layer along the derived series of the radical; each correction
     solves the classical cocycle system, which Levi's theorem guarantees to
-    be consistent.  `rs`, when given, must be `solvable_radical(L.to_field())`;
-    a caller that already holds it saves recomputing it.
+    be consistent.
 
     The returned complement is a subalgebra without a check of its own.
     With s_1, ..., s_t the rows of sigma, the checked equation
@@ -201,12 +199,10 @@ def levi_decomposition(
     if L.domain != "Q":
         L = L.to_field()
     r = L.rank
-    if rs is None:
-        rs = solvable_radical(L)
     if rs.rank == 0:
-        return rs, Submodule.full(r, "Q")
+        return Submodule.full(r, "Q")
     if rs.rank == r:
-        return rs, Submodule.zero(r, "Q")
+        return Submodule.zero(r, "Q")
     quotient, sigma = quotient_lattice(L, rs)
     t = quotient.rank
     pairs = [(i, j) for i in range(t) for j in range(i + 1, t)]
@@ -268,7 +264,7 @@ def levi_decomposition(
         raise LiftingError("lifted complement is not semisimple")
     if rs.sum(levi).rank != rs.rank + t:
         raise LiftingError("lifted complement meets the radical")
-    return rs, levi
+    return levi
 
 
 # ---------------------------------------------------------------------------
@@ -298,37 +294,28 @@ class ExpansionState:
     N: Submodule
     S: Submodule
     Rn: Submodule
-    rn_original: Submodule  # R_n of the original Z-lattice, in its coordinates
     embedding: ExactMatrix  # rows: images of the original basis in K coords
     xprimes: ExactMatrix  # rows: the generators x' so far, in K coords
-    zprimes: ExactMatrix  # rows: the generators z' so far, in K coords
     trace: tuple[ExpansionStep, ...]
 
 
-def initial_state(
-    L: LieLattice, radicals: tuple[Submodule, Submodule] | None = None
-) -> ExpansionState:
-    """The unexpanded state of the Z-lattice L.
-
-    `radicals`, when given, must be `radical_pair(L)` of this Z-lattice;
-    otherwise they are computed here.  Their Q-spans are the canonical
-    RREF bases that the same radicals of `L.to_field()` return.
+def initial_state(L: LieLattice, rs: Submodule, rn: Submodule) -> ExpansionState:
+    """The unexpanded state of the Z-lattice L, from its radicals
+    `(rs, rn) = radical_pair(L)`.  Their Q-spans are the canonical RREF
+    bases that the same radicals of `L.to_field()` return.
     """
-    rs, rn = radicals or radical_pair(L)
     LQ = L.to_field()
-    rad, levi = levi_decomposition(LQ, Submodule.of_rows(rs.basis, "Q"))
+    N = Submodule.of_rows(rs.basis, "Q")
     state = ExpansionState(
         K=LQ,
-        N=rad,
-        S=levi,
+        N=N,
+        S=levi_decomposition(LQ, N),
         Rn=Submodule.of_rows(rn.basis, "Q"),
-        rn_original=rn,
         embedding=ExactMatrix.identity(L.rank),
         xprimes=ExactMatrix.zero(0, L.rank),
-        zprimes=ExactMatrix.zero(0, L.rank),
         trace=(),
     )
-    _check_state_invariants(state, LQ.bracket_rows(ExactMatrix.identity(LQ.rank), rad.basis))
+    _check_state_invariants(state, LQ.bracket_rows(ExactMatrix.identity(LQ.rank), N.basis))
     return state
 
 
@@ -379,7 +366,7 @@ def elementary_expansion(state: ExpansionState) -> ExpansionState:
       new_N and [new_N, K2] in new_Rn, so new_Rn is an ideal of K2, and
       one nilpotency check makes it a nilpotent ideal, which lies in
       nilradical(K2).  Conversely, R_n is the nilradical of K: this holds
-      at the start because `initial_state` computed it, and then by
+      at the start because `initial_state` takes R_n(L), and then by
       induction.  iota is an injective homomorphism onto the
       codimension-one subspace {v : v_x' = v_z'}, so nilradical(K2)
       meets iota(K) in a nilpotent ideal of iota(K), a copy of K, which
@@ -472,10 +459,8 @@ def elementary_expansion(state: ExpansionState) -> ExpansionState:
         N=new_N,
         S=new_S,
         Rn=new_Rn,
-        rn_original=state.rn_original,
         embedding=state.embedding * iota,
         xprimes=stack_rows([state.xprimes * iota, E.take_rows([xp])]),
-        zprimes=stack_rows([state.zprimes * iota, E.take_rows([zp])]),
         trace=state.trace + (step,),
     )
     # rows spanning [K2, new_N], read off the step (see the docstring)
@@ -536,14 +521,15 @@ class EmbeddingCertificate:
         return Submodule.of_rows(units, self.extension.domain)
 
 
-def integral_rescale(L: LieLattice, state: ExpansionState) -> EmbeddingCertificate:
+def integral_rescale(L: LieLattice, state: ExpansionState, rn: Submodule) -> EmbeddingCertificate:
     """Turn the final Q-splitting into a Z-lattice extension.
 
     mu makes the span of R_n(L) and the scaled new generators bracket-closed
     with the new generators mapping the image of L into R_n(L); lambda
     clears the denominators of the image of L against that span.  The
     nilpotent part of the extension is the sum of the lower-central terms
-    scaled by powers of 1/lambda.  R_n(L) is read from the state.
+    scaled by powers of 1/lambda.  `rn` must be R_n(L), the radical the
+    loop started from.
 
     mu is the lcm of the denominators of the coordinates below at mu = 1.
     Write the basis of N as (X, mu XP), with X the image of R_n(L) and XP
@@ -568,9 +554,8 @@ def integral_rescale(L: LieLattice, state: ExpansionState) -> EmbeddingCertifica
     """
     K = state.K
     nK = K.rank
-    rn_L = state.rn_original
-    s = rn_L.rank
-    X = rn_L.basis * state.embedding
+    s = rn.rank
+    X = rn.basis * state.embedding
     XP = state.xprimes
     r_new = XP.rows
     images = state.embedding
@@ -703,7 +688,8 @@ def embed_splittable(
 
     `radicals`, when given, must be `radical_pair(L)` of this Z-lattice,
     validated, as `ado_representation` passes them; without them L is
-    validated here and `initial_state` computes its own.
+    validated here and they are computed once.  Both stages read them:
+    `initial_state` both radicals, `integral_rescale` R_n(L).
 
     Levi's theorem and the proofs of the steps make the construction
     succeed on a valid Z-lattice, so after the input checks any ValueError
@@ -721,9 +707,10 @@ def embed_splittable(
     if radicals is None:
         require_valid(L)
     try:
-        state = initial_state(L, radicals)
+        rs, rn = radicals or radical_pair(L)
+        state = initial_state(L, rs, rn)
         while state.Rn.rank < state.N.rank:
             state = elementary_expansion(state)
-        return integral_rescale(L, state)
+        return integral_rescale(L, state, rn)
     except ValueError as exc:
         raise RuntimeError(f"construction failed: {exc}") from exc

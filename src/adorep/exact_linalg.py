@@ -9,22 +9,22 @@ the number of cells.  Every rational elimination (RREF, inverses, solves,
 kernels) goes through one incremental sparse `Echelon`, which is
 fraction-free: each of its rows is a primitive int row whose value is the
 row over its own pivot entry.  The one integer normal form, Hermite, runs
-on dense int working copies.  Spans, isolated closures and kernels over Z
-all come from it.  Vectors travel as the rows of a matrix: coordinates
-and membership take whole matrices (`Submodule.coordinate_rows`,
-`contains_rows`).  A basis in reduced echelon form, as every Q-Submodule
-from `of_rows` has, is read at its pivots: a row's coordinates are its
-entries there, and it lies in the span iff the residual is empty.  Any
-other basis costs one reduction per row against the Submodule's cached
-tagged echelon; membership takes the same coordinates.  The public
-constructors check their rows; rows a kernel built itself go through the
-private `ExactMatrix._trusted`, which only normalises, and `_of` wraps
-normalised rows setting only `num`, `den` and `cols`.  `rref` stops adding
-rows once the rank reaches the column count.  Fractions appear only at the
-boundary: the dense views `entries`, `row` and `column`, the one-vector
-wrappers `solve_left` and `Submodule.coordinates`, and the scalars of
-non-integral matrices.  The dense view and the hash fill their slots on
-first use.  No floating point anywhere.
+on dense int working copies.  Spans and isolated closures over Z come
+from it; the kernel over Z is the isolated closure of the rational one.
+Vectors travel as the rows of a matrix: coordinates and membership take
+whole matrices (`Submodule.coordinate_rows`, `contains_rows`).  A basis in
+reduced echelon form, as every Q-Submodule from `of_rows` has, is read at
+its pivots: a row's coordinates are its entries there, and it lies in the
+span iff the residual is empty.  Any other basis costs one reduction per
+row against the Submodule's cached tagged echelon; membership takes the
+same coordinates.  The public constructors check their rows; rows a kernel
+built itself go through the private `ExactMatrix._trusted`, which only
+normalises, and `_of` wraps normalised rows setting only `num`, `den` and
+`cols`.  `rref` stops adding rows once the rank reaches the column count.
+Fractions appear only at the boundary: the dense views `entries` and
+`row`, the one-vector wrappers `solve_left` and `Submodule.coordinates`,
+and the scalars of non-integral matrices.  The dense view and the hash fill
+their slots on first use.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -232,9 +232,6 @@ class ExactMatrix:
         if dense is not None:
             return dense[i]
         return tuple(_dense(self.num[i], self.cols, self.den))
-
-    def column(self, j: int) -> Vec:
-        return tuple(_fraction(row.get(j, 0), self.den) for row in self.num)
 
     def transpose(self) -> "ExactMatrix":
         out: list[Row] = [{} for _ in range(self.cols)]
@@ -695,11 +692,6 @@ class Submodule:
         return self.rank == 0
 
     @staticmethod
-    def span(vectors: Sequence[Vec], ambient_rank: int, domain: str = "Z") -> "Submodule":
-        """`of_rows` of the matrix whose rows are `vectors`."""
-        return Submodule.of_rows(ExactMatrix.from_rows(list(vectors), cols=ambient_rank), domain)
-
-    @staticmethod
     def of_rows(M: ExactMatrix, domain: str) -> "Submodule":
         """The canonical Submodule spanned by the rows of M."""
         if domain not in ("Z", "Q"):
@@ -854,18 +846,17 @@ def kernel_basis(M: ExactMatrix, domain: str = "Q") -> Submodule:
     """Left kernel {v : v*M = 0}; over Z the saturated integral kernel.
 
     Over Q the rows of the echelon of [num | I] that pivot in the tag
-    columns are [0 | k] with the k the RREF basis of the kernel.
+    columns are [0 | k] with the k the RREF basis of the kernel.  Over Z
+    the numerators of those rows span a full-rank sublattice of the
+    integer points of that Q-space, so their saturation is all of them.
     """
+    n = M.cols
+    E = _tagged(M)
+    pivots = [p for p in sorted(E.rows) if p >= n]
+    basis = _echelon_matrix(E, pivots, n, len(pivots), M.rows)
     if domain == "Q":
-        n = M.cols
-        E = _tagged(M)
-        pivots = [p for p in sorted(E.rows) if p >= n]
-        return Submodule(M.rows, _echelon_matrix(E, pivots, n, len(pivots), M.rows), "Q")
-    # the integer kernel of M is that of its numerators den * M; U is
-    # unimodular, so its rows at the zero rows of H = U*num span it
-    H, U = hnf(ExactMatrix._of(M.num, 1, M.cols))
-    rows = tuple(u for u, h in zip(U.num, H.num) if not h)
-    return Submodule.of_rows(ExactMatrix._of(rows, 1, M.rows), "Z")
+        return Submodule(M.rows, basis, "Q")
+    return Submodule(M.rows, ExactMatrix._of(basis.num, 1, M.rows), "Z").saturate()
 
 
 def extend_basis(inner: Submodule, outer: Submodule) -> ExactMatrix:

@@ -24,7 +24,6 @@ from .exact_linalg import (
     extend_basis,
     invert,
     kernel_basis,
-    rank,
     stack_rows,
     trace_product,
     vector,
@@ -55,9 +54,9 @@ class LieLattice:
     rank^2 x rank matrix with c[i][j] in row i*rank + j, the layout of
     `bracket_rows(I, I)`.  An ExactMatrix is canonical, so equality and
     hashing are value equality however a lattice was built; it is left out
-    of repr.  Every bracket, `ad` and the Jacobi and Leibniz checks read its
-    sparse int rows `table.num` over `table.den`, whose keys come in no
-    particular order.  `c` is a dense view of Fractions, built on first use
+    of repr.  Every bracket, `ad_rows` and the Jacobi and Leibniz checks
+    read its sparse int rows `table.num` over `table.den`, whose keys come
+    in no particular order.  `c` is a dense view of Fractions, built on first use
     and cached outside equality, hashing and repr; the library never reads
     it.  The rows of a table are never mutated: a bracket of two
     single-entry rows may be a row of the table itself.  The tables that
@@ -145,10 +144,6 @@ class LieLattice:
         r = self.rank
         B = self.bracket_rows(A, ExactMatrix.identity(r))
         return [B.take_rows(range(q * r, (q + 1) * r)).transpose() for q in range(A.rows)]
-
-    def ad(self, v: Vec) -> ExactMatrix:
-        """`ad_rows` of the one vector v."""
-        return self.ad_rows(ExactMatrix.from_rows([v]))[0]
 
     def to_field(self) -> "LieLattice":
         """The same structure constants viewed over Q, sharing the table."""
@@ -512,13 +507,6 @@ def _matrix_algebra_closure(gens: Sequence[ExactMatrix]) -> list[ExactMatrix]:
         frontier = [P for A in frontier for g in gens if independent(P := A * g)]
         basis = basis + frontier
     return basis
-
-
-def is_semisimple(L: LieLattice) -> bool:
-    """Nondegenerate Killing form over Q together with trivial center."""
-    if L.rank == 0:
-        return False
-    return center(L).is_zero() and rank(killing_form(L)) == L.rank
 
 
 def check_derivation(L: LieLattice, D: ExactMatrix) -> bool:

@@ -36,7 +36,12 @@ in reduced echelon form at its pivots; `ref_subalgebra_lattice` and
 `ref_quotient_lattice` bracket all ordered pairs, where the library
 brackets the pairs p < q and mirrors them.  `ref_matrix_algebra_closure`
 and `ref_nilradical` close the envelope on both sides, where the library
-multiplies on the right only.
+multiplies on the right only.  `ref_integer_kernel` reads the integer
+kernel off the Hermite transform, where the library saturates the rational
+kernel.  `is_semisimple` tests a trivial centre and a full-rank Killing
+form, where the library reads semisimplicity off Cartan's criterion,
+R_s = 0.  `ref_zprimes` replays the expansion maps to follow the
+generators z', which the library's loop does not carry.
 """
 
 import importlib.util
@@ -51,6 +56,7 @@ from adorep.exact_linalg import (
     ExactMatrix,
     Submodule,
     extend_basis,
+    hnf,
     invert,
     kernel_basis,
     rank,
@@ -59,9 +65,11 @@ from adorep.exact_linalg import (
 from adorep.jsonio import frac_to_str
 from adorep.lie_core import (
     LieLattice,
+    center,
     is_ideal,
     is_nilpotent,
     is_nilpotent_submodule,
+    killing_form,
     nilradical,
     semidirect_assemble,
     solvable_radical,
@@ -77,6 +85,21 @@ from adorep.rep import LinearRep
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 ZERO = Fraction(0)
+
+
+def span(vectors, n, domain="Z"):
+    """The canonical Submodule spanned by dense vectors of length n."""
+    return Submodule.of_rows(ExactMatrix.from_rows(list(vectors), cols=n), domain)
+
+
+def ad(L, v):
+    """The matrix of ad_v on column vectors, for one dense vector v."""
+    return L.ad_rows(ExactMatrix.from_rows([v], cols=L.rank))[0]
+
+
+def column(M, j):
+    """Column j of M as a dense vector."""
+    return M.transpose().row(j)
 
 
 def tensor_normal_form(word, adapted_c, weights, cutoff):
@@ -408,6 +431,16 @@ def ref_left_kernel(A, cols):
     return [row for row in ref_rref(basis, len(A))[0] if any(row)]
 
 
+def ref_integer_kernel(M):
+    """{v in Z^m : v*M = 0} as the library built it before it saturated the
+    rational kernel: with (H, U) the Hermite form of the numerators of M,
+    which have the same integer kernel, the rows of the unimodular U at
+    the zero rows of H = U*num span it."""
+    H, U = hnf(ExactMatrix.from_ints(M.num, M.cols))
+    rows = [u for u, h in zip(U.num, H.num) if not h]
+    return Submodule.of_rows(ExactMatrix.from_ints(rows, M.rows), "Z")
+
+
 def ref_det(A):
     """Determinant of a square matrix by Laplace expansion along the first row."""
     if not A:
@@ -615,7 +648,7 @@ def ref_derived_series(L, S):
     while True:
         rows = chain[-1].basis.entries
         brackets = [ref_bracket(L.c, u, v) for u in rows for v in rows]
-        nxt = Submodule.span(brackets, L.rank, L.domain).saturate()
+        nxt = span(brackets, L.rank, L.domain).saturate()
         if nxt == chain[-1]:
             return chain
         assert len(chain) <= S.rank, "derived chain of a Lie tensor longer than rank + 1"
@@ -718,7 +751,7 @@ def _ref_module(rows, L):
     the result as a Submodule."""
     if L.domain == "Z":
         rows = [[lcm(*(e.denominator for e in v)) * e for e in v] for v in rows]
-    return Submodule.span([tuple(v) for v in rows], L.rank, L.domain).saturate()
+    return span([tuple(v) for v in rows], L.rank, L.domain).saturate()
 
 
 def ref_solvable_radical(L):
@@ -817,13 +850,14 @@ def ref_splittable_rep(N, S, action):
     return LinearRep(lattice=ambient, matrices=tuple(matrices), provenance="zassenhaus")
 
 
-def ref_mu_search(state, max_rounds=64):
+def ref_mu_search(state, rn, max_rounds=64):
     """The bounded search for mu that `integral_rescale` ran before mu had a
     closed form: while the coordinates of [N, N] in the basis (X, mu XP) or
     of [mu XP, L] in X have a denominator, multiply mu by the lcm of the
-    denominators.  Returns (mu, number of escalations)."""
+    denominators.  X is the image of rn, R_n(L).  Returns (mu, number of
+    escalations)."""
     K, images, XP = state.K, state.embedding, state.xprimes
-    X = state.rn_original.basis * images
+    X = rn.basis * images
     in_x = Submodule(K.rank, X, "Q")
     mu = 1
     for rounds in range(max_rounds):
@@ -924,19 +958,44 @@ def ref_expansion_checks(before, after):
     parts: (K2 passes `validate`, iota is a homomorphism on all pairs, the
     nilradical of K2 is the claimed R_n).  On a state outside the step's
     contract the two can disagree.  iota is rebuilt from the step's
-    ideal, the complement and y: the inverse of the basis [ideal; S; y],
-    with the y coordinate going to both x' and z'."""
-    K, K2, step = before.K, after.K, after.trace[-1]
-    Y = ExactMatrix.from_rows([step.y], cols=K.rank)
-    split_inv = invert(stack_rows([step.ideal_basis, before.S.basis, Y]))
-    xp = K.rank - 1
-    iota = split_inv.take_columns([*range(xp), xp, xp])
+    ideal, the complement and y (`_ref_iota`)."""
+    K, K2 = before.K, after.K
+    iota = _ref_iota(before, after.trace[-1])
     I = ExactMatrix.identity(K.rank)
     return (
         validate(K2).ok,
         K.bracket_rows(I, I) * iota == K2.bracket_rows(iota, iota),
         nilradical(K2) == after.Rn,
     )
+
+
+def _ref_iota(before, step):
+    """The map of the expansion `step` from the coordinates of `before.K`
+    to those of the expanded algebra: the inverse of the basis
+    [ideal; S; y], with the y coordinate going to both x' and z'."""
+    Y = ExactMatrix.from_rows([step.y], cols=before.K.rank)
+    split_inv = invert(stack_rows([step.ideal_basis, before.S.basis, Y]))
+    xp = before.K.rank - 1
+    return split_inv.take_columns([*range(xp), xp, xp])
+
+
+def ref_zprimes(states):
+    """The generators z' of every expansion in the coordinates of the last
+    state, for the states of one loop, each the expansion of the one
+    before.  Each step maps the z' so far forward by its iota and adds its
+    own z', the last coordinate of the expanded algebra."""
+    Z = ExactMatrix.zero(0, states[0].K.rank)
+    for before, after in zip(states, states[1:]):
+        zp = ExactMatrix.identity(after.K.rank).take_rows([after.K.rank - 1])
+        Z = stack_rows([Z * _ref_iota(before, after.trace[-1]), zp])
+    return Z
+
+
+def is_semisimple(L):
+    """A nonzero L with trivial centre and a Killing form of full rank over
+    Q: a second definition of semisimplicity, against the library's
+    Cartan criterion R_s = 0."""
+    return L.rank > 0 and center(L).is_zero() and rank(killing_form(L)) == L.rank
 
 
 def ref_state_invariants(state):
@@ -952,13 +1011,14 @@ def ref_state_invariants(state):
     )
 
 
-def ref_rescale_nilpotency(state, cert):
+def ref_rescale_nilpotency(state, rn, cert):
     """The two nilpotency checks `integral_rescale` ran before it read
     nilpotency off one unsaturated lower central chain: `is_nilpotent` of
     N_lat, the span (X, mu XP) of the final state's nilpotent part in its
-    own basis, and of the nilpotent block of the extension."""
+    own basis, X the image of rn = R_n(L), and of the nilpotent block of
+    the extension."""
     K = state.K
-    X = state.rn_original.basis * state.embedding
+    X = rn.basis * state.embedding
     n_mat = stack_rows([X, state.xprimes.scale(cert.mu)])
     closure = Submodule(K.rank, n_mat, "Q").coordinate_rows(K.bracket_rows(n_mat, n_mat))
     N_lat = LieLattice([f"v{i}" for i in range(n_mat.rows)], closure)

@@ -18,7 +18,7 @@ ZERO = Fraction(0)
 
 def mat_vec(M, v):
     """M applied to the column v, as a tuple."""
-    return (M * ExactMatrix.from_rows([v]).transpose()).column(0)
+    return (ExactMatrix.from_rows([v]) * M.transpose()).row(0)
 
 
 def letter_matrices(T):

@@ -27,7 +27,14 @@ from adorep.pipeline import (
     verify_representation,
 )
 
-from oracles import count_satisfies_burde, is_squarefree, nilpotent_entries, oracle_vector, power
+from oracles import (
+    ad,
+    count_satisfies_burde,
+    is_squarefree,
+    nilpotent_entries,
+    oracle_vector,
+    power,
+)
 from pbw_words import apply_word, letter_matrices, multiply, unit_monomial, weight
 
 
@@ -119,7 +126,7 @@ def test_criterion_04_derivation_lift_identities():
         for k in range(per_entry):
             if k % 2 == 0:
                 v = vector([rng.randint(-4, 4) for _ in range(L.rank)])
-                D = L.ad(v)
+                D = ad(L, v)
             else:
                 D = ExactMatrix.zero(L.rank, L.rank)
                 for Bmat in solved:

@@ -25,6 +25,7 @@ from adorep.exact_linalg import (
 )
 from adorep.lie_core import (
     LatticeValidationError,
+    change_basis,
     check_derivation,
     derivation_basis,
     direct_sum,
@@ -33,6 +34,7 @@ from adorep.lie_core import (
     is_subalgebra,
     lie_lattice,
     nilradical,
+    radical_pair,
     semidirect_assemble,
     solvable_radical,
     subalgebra_lattice,
@@ -48,9 +50,21 @@ from oracles import (
     ref_mu_search,
     ref_rescale_nilpotency,
     ref_state_invariants,
+    ref_zprimes,
+    span,
     tensor_lattice,
     theorem_inputs,
 )
+
+
+def start(L):
+    """The unexpanded state of the Z-lattice L, from its radicals."""
+    return initial_state(L, *radical_pair(L))
+
+
+def levi(LQ):
+    """The Levi complement of the Q-algebra LQ, from its solvable radical."""
+    return levi_decomposition(LQ, solvable_radical(LQ))
 
 
 def jordan_block(eig, size):
@@ -135,18 +149,16 @@ def test_jordan_chevalley_properties_random():
 
 def test_levi_examples():
     sl2 = catalog.sl2().to_field()
-    rad, levi = levi_decomposition(sl2)
-    assert rad.rank == 0 and levi.rank == 3
+    assert levi(sl2).rank == 3
 
     solv = catalog.solv2().to_field()
-    rad, levi = levi_decomposition(solv)
-    assert rad.rank == 2 and levi.rank == 0
+    assert levi(solv).rank == 0
 
     both = direct_sum(catalog.sl2(), catalog.solv2()).to_field()
-    rad, levi = levi_decomposition(both)
-    assert rad.rank == 2 and levi.rank == 3
-    assert is_subalgebra(both, levi)
-    assert rad.sum(levi).rank == 5
+    rad, complement = solvable_radical(both), levi(both)
+    assert rad.rank == 2 and complement.rank == 3
+    assert is_subalgebra(both, complement)
+    assert rad.sum(complement).rank == 5
 
 
 def test_levi_with_nontrivial_correction():
@@ -158,10 +170,10 @@ def test_levi_with_nontrivial_correction():
     from adorep.lie_core import semidirect_assemble
 
     aff = semidirect_assemble(catalog.abelian(2), catalog.sl2(), act).to_field()
-    rad, levi = levi_decomposition(aff)
-    assert rad.rank == 2 and levi.rank == 3
-    assert is_subalgebra(aff, levi)
-    sub, _ = subalgebra_lattice(aff, levi)
+    complement = levi(aff)
+    assert complement.rank == 3
+    assert is_subalgebra(aff, complement)
+    sub, _ = subalgebra_lattice(aff, complement)
     from adorep.lie_core import killing_form
 
     assert rank(killing_form(sub)) == 3
@@ -174,32 +186,33 @@ def test_levi_complement_is_a_subalgebra_on_every_theorem_input():
     ranks = []
     for name, L in theorem_inputs():
         LQ = L.to_field()
-        _, levi = levi_decomposition(LQ)
-        assert is_subalgebra(LQ, levi), name
-        ranks.append(levi.rank)
+        complement = levi(LQ)
+        assert is_subalgebra(LQ, complement), name
+        ranks.append(complement.rank)
     assert max(ranks) > 0
 
 
 def test_elementary_expansion_solv2():
-    state = initial_state(catalog.solv2())
+    state = start(catalog.solv2())
     assert state.N.rank == 2 and state.S.rank == 0 and state.Rn.rank == 1
     new = elementary_expansion(state)
+    zprimes = ref_zprimes([state, new])
     assert new.K.rank == 3
     assert new.N.rank == 2  # dim N is unchanged
     assert new.Rn.rank == 2  # dim R_n grew by one
     assert new.S.rank == 1
-    assert new.xprimes.rows == 1 and new.zprimes.rows == 1
+    assert new.xprimes.rows == 1 and zprimes.rows == 1
     # the chosen y is a (the non-nilpotent direction), d_n = 0
     step = new.trace[0]
     assert step.y == vector([1, 0])
     assert step.nilpotent_part.is_zero()
     assert is_nilpotent_submodule(new.K, new.N)
     # the embedded copy of y = a is x' + z'
-    assert new.embedding.take_rows([0]) == new.xprimes + new.zprimes
+    assert new.embedding.take_rows([0]) == new.xprimes + zprimes
 
 
 def test_elementary_expansion_requires_non_nilpotent():
-    state = initial_state(catalog.get("heisenberg3").lattice)
+    state = start(catalog.get("heisenberg3").lattice)
     with pytest.raises(ExpansionError):
         elementary_expansion(state)
 
@@ -210,11 +223,11 @@ def test_elementary_expansion_rejects_a_state_missing_a_nilradical_row(name):
     contract.  The new state's invariants reject it, or the step returns an
     expansion whose claimed R_n is not the nilradical of K2, which the full
     checks (`ref_expansion_checks`) find."""
-    state = initial_state(catalog.get(name).lattice)
+    state = start(catalog.get(name).lattice)
     returned = []
     for drop in range(state.Rn.rank):
         rows = [row for i, row in enumerate(state.Rn.basis.entries) if i != drop]
-        bad = dataclasses.replace(state, Rn=Submodule.span(rows, state.K.rank, "Q"))
+        bad = dataclasses.replace(state, Rn=span(rows, state.K.rank, "Q"))
         try:
             after = elementary_expansion(bad)
         except ExpansionError as exc:
@@ -236,7 +249,7 @@ def test_a_replaced_state_inside_the_loop_escapes_the_nilpotent_radical(monkeypa
 
     def dropping(state):
         rows = state.Rn.basis.entries[1:]
-        return real(dataclasses.replace(state, Rn=Submodule.span(rows, state.K.rank, "Q")))
+        return real(dataclasses.replace(state, Rn=span(rows, state.K.rank, "Q")))
 
     monkeypatch.setattr(adorep.embed, "elementary_expansion", dropping)
     with pytest.raises(ExpansionError, match=r"^\[N, K\] escapes the nilpotent radical$"):
@@ -251,7 +264,7 @@ def test_a_direct_step_computes_no_radical_and_no_validation(monkeypatch, name):
     import adorep.embed
     import adorep.lie_core
 
-    state = initial_state(catalog.get(name).lattice)
+    state = start(catalog.get(name).lattice)
     seen = {"validate": 0, "nilradical": 0}
     for fname in seen:
         original = getattr(adorep.lie_core, fname)
@@ -290,9 +303,21 @@ def test_embedding_computes_the_radicals_of_the_input_once(monkeypatch):
     cert = embed_splittable(L)
     assert seen == {"solvable_radical": [3], "nilradical": [3]}
     monkeypatch.undo()
-    # the stages still run on their own, computing what they were not given
-    state = elementary_expansion(initial_state(L))
-    assert integral_rescale(L, state) == cert
+    # the stages run on their own from the radicals they are given
+    rs, rn = radical_pair(L)
+    state = elementary_expansion(initial_state(L, rs, rn))
+    assert integral_rescale(L, state, rn) == cert
+
+
+def test_given_radicals_give_the_same_certificate():
+    """The path `ado_representation` takes, `embed_splittable` given
+    `radical_pair(L)`, returns the certificate that computing the radicals
+    in `embed_splittable` returns, on every theorem input, plain and in a
+    random unimodular basis."""
+    rng = random.Random(29)
+    for name, L in theorem_inputs():
+        for M in (L, change_basis(L, random_unimodular(rng, L.rank))):
+            assert embed_splittable(M, radical_pair(M)) == embed_splittable(M), name
 
 
 def test_loop_steps_pass_the_full_checks(monkeypatch):
@@ -346,7 +371,7 @@ def test_loop_reads_the_state_invariants_off_its_steps(monkeypatch):
             assert ref_state_invariants(state) == (True, True, True), name
     state, B = calls[1]  # the first step's
     xp = state.K.rank - 2
-    cut = dataclasses.replace(state, Rn=Submodule.span([unit(state.K.rank, xp)], state.K.rank, "Q"))
+    cut = dataclasses.replace(state, Rn=span([unit(state.K.rank, xp)], state.K.rank, "Q"))
     assert ref_state_invariants(cut) == (True, True, False)
     with pytest.raises(ExpansionError, match="escapes the nilpotent radical"):
         real(cut, B)
@@ -375,7 +400,7 @@ def test_expansion_rejects_parts_that_do_not_commute(monkeypatch):
     L = _abelian_by_diag()
     assert len(embed_splittable(L).trace) == 1
     monkeypatch.setattr(adorep.embed, "jordan_chevalley", skewed)
-    for run in (embed_splittable, lambda L: elementary_expansion(initial_state(L))):
+    for run in (embed_splittable, lambda L: elementary_expansion(start(L))):
         with pytest.raises(ExpansionError, match="parts of ad_y do not commute"):
             run(L)
 
@@ -395,7 +420,7 @@ def test_expansion_rejects_parts_that_do_not_sum_to_ad_y(monkeypatch):
 
     L = _abelian_by_diag()
     monkeypatch.setattr(adorep.embed, "jordan_chevalley", shifted)
-    for run in (embed_splittable, lambda L: elementary_expansion(initial_state(L))):
+    for run in (embed_splittable, lambda L: elementary_expansion(start(L))):
         with pytest.raises(ExpansionError, match="expansion embedding is not a homomorphism"):
             run(L)
 
@@ -406,11 +431,12 @@ def test_rescale_nilpotency_matches_the_old_checks():
     chain accepts exactly the lattices `is_nilpotent` accepts."""
     causes = set()
     for name, L in theorem_inputs():
-        state = initial_state(L)
+        rs, rn = radical_pair(L)
+        state = initial_state(L, rs, rn)
         while state.Rn.rank < state.N.rank:
             state = elementary_expansion(state)
-        cert = integral_rescale(L, state)
-        assert ref_rescale_nilpotency(state, cert) == (True, True), name
+        cert = integral_rescale(L, state, rn)
+        assert ref_rescale_nilpotency(state, rn, cert) == (True, True), name
         try:
             _nilpotent_central_terms(L)
             accepted = True
@@ -424,7 +450,7 @@ def test_rescale_nilpotency_matches_the_old_checks():
 
 
 def test_elementary_expansion_solv3():
-    state = initial_state(catalog.solv3_weights())
+    state = start(catalog.solv3_weights())
     new = elementary_expansion(state)
     assert new.K.rank == 4
     assert new.Rn.rank == 3
@@ -489,7 +515,7 @@ def test_parts_of_ad_y_are_derivations_of_the_whole_algebra():
     as an oracle: replayed on every step, it never fails, so checking the
     parts on ideal + S alone accepts the same inputs."""
     for name, L in theorem_inputs():
-        state = initial_state(L)
+        state = start(L)
         while state.Rn.rank < state.N.rank:
             K = state.K
             state = elementary_expansion(state)
@@ -534,20 +560,18 @@ def test_loop_variant_across_catalog():
 def test_expansion_structural_invariants():
     for entry in catalog.acceptance_entries():
         L = entry.lattice
-        state = initial_state(L)
-        levi_basis = list(state.S.basis.entries)
-        while not is_nilpotent_submodule(state.K, state.N):
-            state = elementary_expansion(state)
+        states = [start(L)]
+        while not is_nilpotent_submodule(states[-1].K, states[-1].N):
+            states.append(elementary_expansion(states[-1]))
+        state = states[-1]
         K = state.K
         # the z' vectors commute with the whole complement, which contains
         # both the other z' and the Levi part
-        for z in state.zprimes.entries:
+        for z in ref_zprimes(states).entries:
             for s in state.S.basis.entries:
                 assert all(x == 0 for x in K.bracket(z, s))
         # each [x'_j, image of L] lands inside the image of R_n(L)
-        rn_img = Submodule.span(
-            (nilradical(L).basis * state.embedding).entries, K.rank, "Q"
-        )
+        rn_img = Submodule.of_rows(nilradical(L).basis * state.embedding, "Q")
         assert rn_img.contains_rows(K.bracket_rows(state.xprimes, state.embedding))
         # dim R_n of the expanded algebra equals rk R_s(L)
         assert state.Rn.rank == solvable_radical(L).rank
@@ -599,12 +623,13 @@ def test_mu_matches_the_bounded_search():
     (`ref_mu_search`): it escalates at most once and ends at the same mu."""
     escalations = []
     for name, L in theorem_inputs():
-        state = initial_state(L)
+        rs, rn = radical_pair(L)
+        state = initial_state(L, rs, rn)
         while state.Rn.rank < state.N.rank:
             state = elementary_expansion(state)
-        mu, rounds = ref_mu_search(state)
+        mu, rounds = ref_mu_search(state, rn)
         assert rounds <= 1, name
-        assert integral_rescale(L, state).mu == mu, name
+        assert integral_rescale(L, state, rn).mu == mu, name
         escalations.append(rounds)
     # the inputs reach both branches of the closed form
     assert 0 in escalations and 1 in escalations

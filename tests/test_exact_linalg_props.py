@@ -2,8 +2,8 @@
 denominator, the incremental echelon
 and the eliminations built on it (solves, kernels, minimal polynomials),
 the Hermite form (against Euclid's, and the integer spans that are its
-nonzero rows), the integer kernel and saturation built on it, coordinates
-in submodules, trace forms and the matrix-algebra envelope
+nonzero rows), saturation built on it and the integer kernel as the
+saturated rational one, coordinates in submodules, trace forms and the matrix-algebra envelope
 against plain list-of-lists Fraction matrices (tests/oracles.py), on random
 sparse rational matrices that include 0-row and 0-column shapes, with
 small entries and with entries and denominators up to 2^70."""
@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adorep.embed import minimal_polynomial
@@ -39,6 +39,7 @@ from oracles import (
     ref_contains_rows,
     ref_coordinate_rows,
     ref_hnf,
+    ref_integer_kernel,
     ref_invert,
     ref_is_zero,
     ref_left_kernel,
@@ -220,6 +221,20 @@ def test_integer_kernel_of_a_rational_matrix_is_that_of_its_numerators(a):
     assert kernel_basis(M, "Z") == kernel_basis(M.scale(M.den), "Z")
 
 
+@KERNEL
+@given(st.sampled_from((INTEGERS, CELLS, WIDE)).flatmap(lambda values: shaped(values=values)))
+@example(([], 0, 3))
+@example(([[], [], []], 3, 0))
+@example(([[ZERO, ZERO], [Fraction(1, 2), Fraction(1, 3)], [ZERO, ZERO]], 3, 2))
+def test_integer_kernel_matches_the_hermite_transform_reference(a):
+    """The saturated rational kernel is the module the Hermite transform
+    of the numerators spans (`ref_integer_kernel`), as the same canonical
+    Submodule, on shapes with no rows, no columns and zero rows."""
+    A, m, n = a
+    M = mat(A, n)
+    assert kernel_basis(M, "Z") == ref_integer_kernel(M)
+
+
 def test_integer_kernel_of_a_half():
     K = kernel_basis(mat([[Fraction(1, 2)], [Fraction(1)]], 1), "Z")
     assert K.basis == mat([[2, -1]], 2)
@@ -277,7 +292,7 @@ def test_integer_span_matches_the_brute_force_hermite_form(x):
 @given(st.sampled_from((INTEGERS, CELLS)).flatmap(lambda values: shaped(values=values)))
 def test_saturate_matches_the_minors_oracle(a):
     A, m, n = a
-    s = Submodule.span([tuple(row) for row in A], n, "Z")
+    s = Submodule.of_rows(mat(A, n), "Z")
     sat = s.saturate()
     # a fractional basis saturates inside (1/d) Z^n, d its common denominator
     d = lcm(1, *(x.denominator for row in listed(s.basis) for x in row))
@@ -286,7 +301,7 @@ def test_saturate_matches_the_minors_oracle(a):
     assert ref_minors_gcd(scaled, n) == 1
     assert span_rref(scaled, n) == span_rref(A, n)
     # canonical, and holding s
-    assert sat == Submodule.span(sat.basis.entries, n, "Z")
+    assert sat == Submodule.of_rows(sat.basis, "Z")
     assert sat.contains_submodule(s)
     assert sat.saturate() == sat
 
@@ -365,7 +380,7 @@ def test_dense_view_round_trip(a):
     assert listed(M) == A
     assert ExactMatrix.from_rows(M.entries, cols=n) == M
     assert [M.row(i) for i in range(m)] == [tuple(r) for r in A]
-    assert [M.column(j) for j in range(n)] == [tuple(r) for r in ref_transpose(A, n)]
+    assert [M.transpose().row(j) for j in range(n)] == [tuple(r) for r in ref_transpose(A, n)]
 
 
 def same_value(M, N):
@@ -420,7 +435,7 @@ def test_coordinates_match_reference(b, domain, data):
         want = None
     as_given = Submodule(n, mat(B, n), domain)
     assert as_given.coordinates(v) == (None if want is None else tuple(want))
-    canonical = Submodule.span([tuple(row) for row in B], n, domain)
+    canonical = Submodule.of_rows(mat(B, n), domain)
     assert canonical.contains_rows(mat([v], n)) == (want is not None)
     # the cached solver stays out of equality, hashing, repr and pickles
     fresh = Submodule(n, mat(B, n), domain)
@@ -484,7 +499,7 @@ def test_rational_membership_is_the_residual_test(b, data):
     k = len(B)
     inside = [combination(x, B, n) for x in data.draw(dense(data.draw(st.integers(0, 3)), k))]
     outside = [tuple(v) for v in data.draw(dense(data.draw(st.integers(0, 3)), n))]
-    for S in (Submodule(n, mat(B, n), "Q"), Submodule.span([tuple(r) for r in B], n, "Q")):
+    for S in (Submodule(n, mat(B, n), "Q"), Submodule.of_rows(mat(B, n), "Q")):
         for v in inside + outside:
             one = mat([v], n)
             want = ref_solve_left(B, n, v) is not None
@@ -517,12 +532,12 @@ def test_trusted_rows_store_what_from_ints_makes(b, domain, data):
 
 
 def test_coordinates_outside_the_span():
-    for S in (Submodule.span([(2, 0)], 2, "Z"), Submodule(2, mat([[2, 0]], 2), "Z")):
+    for S in (Submodule.of_rows(mat([[2, 0]], 2), "Z"), Submodule(2, mat([[2, 0]], 2), "Z")):
         # (1, 0) is in the Q-span of (2, 0) but not in its Z-span
         assert S.coordinates((Fraction(1), ZERO)) is None
         assert S.coordinates((Fraction(4), ZERO)) == (Fraction(2),)
         assert S.coordinates((ZERO, Fraction(1))) is None
-    S = Submodule.span([(2, 0)], 2, "Q")
+    S = Submodule.of_rows(mat([[2, 0]], 2), "Q")
     assert S.coordinates((Fraction(1), ZERO)) == (Fraction(1),)
     assert S.coordinates((ZERO, Fraction(1))) is None
     assert solve_left(mat([[2, 0]], 2), (Fraction(1), ZERO)) == (Fraction(1, 2),)

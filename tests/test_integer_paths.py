@@ -28,7 +28,7 @@ from adorep.lie_core import (
 from adorep.nilrep import nilpotent_faithful_rep
 from adorep.zassenhaus import splittable_rep
 
-from oracles import load_bench
+from oracles import ad, load_bench
 
 
 def test_integral_kernels_build_no_fraction(monkeypatch):
@@ -45,7 +45,7 @@ def test_integral_kernels_build_no_fraction(monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", counting_new)
-    ads = [L.ad(u) for u in units]
+    ads = [ad(L, u) for u in units]
     products = [X * Y for X in ads for Y in ads]
     forms = [trace_product(X, Y) for X in ads for Y in ads]
     R, pivots = rref(A)

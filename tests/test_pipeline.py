@@ -293,7 +293,7 @@ def test_catalog_ado_output_digest_is_pinned():
 
 # SHA-256 of the output of `adorep radicals` on every catalog lattice, in
 # catalog order: it fixes the canonical bases that kernel_basis and
-# Submodule.span return.
+# Submodule.of_rows return.
 RADICALS_GOLDEN = "0b26cb2f0c9ac43f0ec3467db1ab1c95c7c4a7ef6e7ffccc6d29f0a06a8e6d65"
 
 
