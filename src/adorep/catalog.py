@@ -141,11 +141,3 @@ def get(name: str) -> CatalogEntry:
             ),
         )
     raise KeyError(name)
-
-
-def acceptance_entries() -> list[CatalogEntry]:
-    """Concrete lattices the acceptance suite runs over (all of rank <= 6)."""
-    out = [get(n) for n in names() if n != "abelian_r"]
-    out += [get(f"abelian_{r}") for r in range(1, 7)]
-    return out
-

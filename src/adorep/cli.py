@@ -128,8 +128,12 @@ def cmd_embed(args) -> int:
     from .embed import embed_splittable
 
     L = _load_lattice(args.file)
-    cert = embed_splittable(L)
-    report = verify_certificate(cert)
+    # validated once, and its radicals computed once; handed them, neither
+    # embed_splittable nor verify_certificate does either again
+    require_valid(L)
+    radicals = radical_pair(L)
+    cert = embed_splittable(L, radicals)
+    report = verify_certificate(cert, radicals)
     payload = certificate_to_json(cert)
     payload["report"] = certificate_report_to_json(report)
     _emit(payload, args.pretty)

@@ -182,13 +182,19 @@ def levi_decomposition(L: LieLattice, rs: Submodule) -> Submodule:
     solves the classical cocycle system, which Levi's theorem guarantees to
     be consistent.
 
+    The rows of sigma stay independent modulo `rs`, so the complement has
+    rank t and meets `rs` in 0, without a check: sigma starts as the unit
+    rows that complete `rs` (`quotient_lattice`), and every correction is a
+    combination of comp, which lies in a derived term of `rs`.
+
     The returned complement is a subalgebra without a check of its own.
     With s_1, ..., s_t the rows of sigma, the checked equation
     `L._pair_brackets(sigma) == cq * sigma` says that every [s_i, s_j],
     i < j, is a combination of the s_a; so is every other pair, as
     [s_i, s_i] = 0 and [s_j, s_i] = -[s_i, s_j].  By bilinearity
-    span(sigma) is closed under the bracket; once `levi.rank == t`, that
-    span is `levi`.
+    span(sigma) is closed under the bracket, and it is `levi`.  The Killing
+    check stays: it tests that `rs` is the whole radical, a precondition
+    rather than a fact of the lift.
 
     The brackets of sigma and the rows of the quotient's table cq are read,
     solved and checked on the pairs i < j only: L is a validated Lie
@@ -257,13 +263,8 @@ def levi_decomposition(L: LieLattice, rs: Submodule) -> Submodule:
         raise LiftingError("lifted complement is not closed under the bracket")
 
     levi = Submodule.of_rows(sigma, "Q")
-    if levi.rank != t:
-        raise LiftingError("lifted complement has the wrong rank")
-    levi_lat = subalgebra_lattice(L, levi)[0]
-    if rank(killing_form(levi_lat)) != t:
+    if rank(killing_form(subalgebra_lattice(L, levi)[0])) != t:
         raise LiftingError("lifted complement is not semisimple")
-    if rs.sum(levi).rank != rs.rank + t:
-        raise LiftingError("lifted complement meets the radical")
     return levi
 
 
@@ -303,6 +304,11 @@ def initial_state(L: LieLattice, rs: Submodule, rn: Submodule) -> ExpansionState
     """The unexpanded state of the Z-lattice L, from its radicals
     `(rs, rn) = radical_pair(L)`.  Their Q-spans are the canonical RREF
     bases that the same radicals of `L.to_field()` return.
+
+    Two invariants of the state hold by construction: S is Levi's
+    complement to N = R_s (`levi_decomposition`), so K = N + S as modules,
+    and `nilradical` builds R_n inside R_s = N.  `_check_state_invariants`
+    tests the third, [N, K] inside R_n.
     """
     LQ = L.to_field()
     N = Submodule.of_rows(rs.basis, "Q")
@@ -320,14 +326,10 @@ def initial_state(L: LieLattice, rs: Submodule, rn: Submodule) -> ExpansionState
 
 
 def _check_state_invariants(state: ExpansionState, brackets: ExactMatrix) -> None:
-    """K = N + S as modules, N a solvable ideal containing R_n with
-    [N, K] inside R_n.  `brackets` must be rows that span [K, N]."""
-    K, N, S, Rn = state.K, state.N, state.S, state.Rn
-    if N.rank + S.rank != K.rank or N.sum(S).rank != K.rank:
-        raise ExpansionError("solvable part and complement do not split the algebra")
-    if not N.contains_submodule(Rn):
-        raise ExpansionError("solvable part does not contain the nilpotent radical")
-    if not Rn.contains_rows(brackets):
+    """[N, K] inside R_n.  `brackets` must be rows that span [K, N].  The
+    other invariants, K = N + S as modules and R_n inside N, hold by
+    construction (`initial_state`, `elementary_expansion`)."""
+    if not state.Rn.contains_rows(brackets):
         raise ExpansionError("[N, K] escapes the nilpotent radical")
 
 
@@ -336,8 +338,7 @@ def elementary_expansion(state: ExpansionState) -> ExpansionState:
     radical, split ad_y into semisimple and nilpotent parts, and replace y
     by formal generators z', x' carrying those parts (y = x' + z').
 
-    dim N is unchanged while dim R_n grows by exactly one; both facts are
-    re-verified on the expanded algebra.
+    dim N is unchanged while dim R_n grows by exactly one.
 
     `state` must be one that `initial_state` or `elementary_expansion`
     returned: then K is a validated Lie algebra, R_n is its nilradical and
@@ -347,7 +348,21 @@ def elementary_expansion(state: ExpansionState) -> ExpansionState:
     state read off `products`, `w_n` and `w_s`, and one nilpotency check of
     new_Rn.  What the step does with any other state is unspecified;
     `verify_certificate` re-checks the final extension on its own either
-    way.  Why these checks suffice on such a state:
+    way.
+
+    Facts of the construction, which hold for any R_n inside N and are not
+    checked:
+
+    - Y lies in N: it is a row of the centralizer's basis, and
+      `_centralizer_in` builds that basis from combinations of N's rows.
+    - ideal has rank dim N - 1 and misses Y: [R_n; comp] is a basis of N,
+      ideal keeps every row of it but comp's pivot row, and Y's coordinate
+      on that row is nonzero.
+    - new_N and new_S are complementary unit spans of K2, and new_Rn lies
+      in new_N: iota sends the rows of ideal, R_n among their
+      combinations, to the first k coordinates, and x' is a row of new_N.
+
+    Why the checks suffice on such a state:
 
     - Leibniz.  It is checked for dn and ds on ideal + S only: as
       Jordan-Chevalley parts of the derivation ad_y they are derivations
@@ -362,8 +377,8 @@ def elementary_expansion(state: ExpansionState) -> ExpansionState:
     - Homomorphism.  On the pairs inside ideal + S, iota reproduces the
       very numbers `base` was built from.  By bilinearity, and the
       antisymmetry of both brackets, the pairs (e_i, y) are the rest.
-    - Nilradical.  The state invariants of new_state give new_Rn in
-      new_N and [new_N, K2] in new_Rn, so new_Rn is an ideal of K2, and
+    - Nilradical.  new_Rn lies in new_N, and the state check gives
+      [new_N, K2] in new_Rn, so new_Rn is an ideal of K2, and
       one nilpotency check makes it a nilpotent ideal, which lies in
       nilradical(K2).  Conversely, R_n is the nilradical of K: this holds
       at the start because `initial_state` takes R_n(L), and then by
@@ -399,14 +414,11 @@ def elementary_expansion(state: ExpansionState) -> ExpansionState:
         )
 
     comp = extend_basis(Rn, N)
+    # Y lies in N, and outside R_n, so it has a nonzero comp coordinate
     ybar = Submodule(n, stack_rows([Rn.basis, comp]), "Q").coordinate_rows(Y)
-    if ybar is None:
-        raise ExpansionError("chosen direction is not in the solvable part")
     pivot = min(j for j in ybar.num[0] if j >= Rn.rank) - Rn.rank
     kept = comp.take_rows(q for q in range(comp.rows) if q != pivot)
     ideal = Submodule.of_rows(stack_rows([Rn.basis, kept]), "Q")
-    if ideal.contains_rows(Y) or ideal.rank != N.rank - 1:
-        raise ExpansionError("codimension-one ideal construction failed")
 
     ds, dn = jordan_chevalley(K.ad_rows(Y)[0])
 
@@ -529,7 +541,16 @@ def integral_rescale(L: LieLattice, state: ExpansionState, rn: Submodule) -> Emb
     clears the denominators of the image of L against that span.  The
     nilpotent part of the extension is the sum of the lower-central terms
     scaled by powers of 1/lambda.  `rn` must be R_n(L), the radical the
-    loop started from.
+    loop started from, and `state` the state the loop ended in.
+
+    Four facts of that state are not checked.  (X, XP), with X the image
+    of R_n(L) and XP the generators x', is a basis of N: its rows span R_n
+    at the start, each step maps them by iota and adds x', so they span
+    iota(R_n) + x' = new_R_n, of rank one more, and the loop ends when
+    R_n = N.  So `split` is a basis of K, by the split invariant K = N + S.
+    nbar has the rank of N: the first central term of N_lat is all of it.
+    And the injection is injective: `embedding` is a product of injective
+    maps iota, and the rows of ext are independent.
 
     mu is the lcm of the denominators of the coordinates below at mu = 1.
     Write the basis of N as (X, mu XP), with X the image of R_n(L) and XP
@@ -554,15 +575,9 @@ def integral_rescale(L: LieLattice, state: ExpansionState, rn: Submodule) -> Emb
     """
     K = state.K
     nK = K.rank
-    s = rn.rank
     X = rn.basis * state.embedding
     XP = state.xprimes
-    r_new = XP.rows
     images = state.embedding
-
-    span_check = Submodule.of_rows(stack_rows([X, XP]), "Q")
-    if span_check != state.N or s + r_new != state.N.rank:
-        raise ExpansionError("radical basis plus new generators do not span N")
 
     in_x = Submodule(nK, X, "Q")
 
@@ -595,19 +610,16 @@ def integral_rescale(L: LieLattice, state: ExpansionState, rn: Submodule) -> Emb
             raise ExpansionError(f"denominators {sorted(bad)} remain at mu = {mu}")
 
     # the integral structure constants of N in the basis n_mat.  Its rows
-    # are independent (rank s + r_new, checked above) and closed, and K is
+    # are independent (a basis of N, see the docstring) and closed, and K is
     # a Lie algebra, so N_lat is a Lie lattice without a check of its own,
     # by the argument of `subalgebra_lattice`
     N_lat = LieLattice([f"v{i}" for i in range(n_mat.rows)], closure)
     central_terms = _nilpotent_central_terms(N_lat)
 
     split = stack_rows([n_mat, state.S.basis])
-    if split.rows != nK:
-        raise ExpansionError("nilpotent part and complement do not fill the algebra")
     alpha = images * invert(split)
-    n_coords = alpha.take_columns(range(s + r_new))
-    lam = n_coords.den
-    s_parts = alpha.take_columns(range(s + r_new, nK)) * state.S.basis
+    lam = alpha.take_columns(range(n_mat.rows)).den
+    s_parts = alpha.take_columns(range(n_mat.rows, nK)) * state.S.basis
 
     # the rescaling needs the unsaturated terms gamma_i themselves
     nbar_gens = [
@@ -615,8 +627,6 @@ def integral_rescale(L: LieLattice, state: ExpansionState, rn: Submodule) -> Emb
         for i, term in enumerate(central_terms, start=1)
     ]
     nbar = Submodule.of_rows(stack_rows([ExactMatrix.zero(0, nK), *nbar_gens]), "Z")
-    if nbar.rank != s + r_new:
-        raise ExpansionError("rescaled nilpotent part has the wrong rank")
 
     # nbar and sbar lie in the two blocks of `split`, so their bases
     # together are a basis of the extension; split_semidirect checks that
@@ -631,8 +641,6 @@ def integral_rescale(L: LieLattice, state: ExpansionState, rn: Submodule) -> Emb
     injection = ext.coordinate_rows(images)
     if injection is None:
         raise ExpansionError("image of the lattice is not integral in the extension")
-    if rank(injection) != L.rank:
-        raise ExpansionError("injection into the extension is not injective")
 
     log.info(
         "rescale: mu=%d lambda=%d, extension rank %d, nilpotent rank %d",
@@ -657,11 +665,11 @@ def _nilpotent_central_terms(N: LieLattice) -> list[Submodule]:
     """The nonzero terms of the unsaturated lower central series of the
     Z-lattice N; an error if N is not nilpotent.
 
-    This accepts exactly the N that `is_nilpotent(N)` accepts.  Term by
-    term, the two chains have the same Q-spans: saturation keeps a Q-span,
-    and the Q-span of [U, N] depends only on that of U.  So they reach 0
-    together.  When N is nilpotent the Q-ranks drop at every step until 0,
-    so this chain ends in its one zero term within rank + 1 terms.
+    This accepts exactly the N whose `lower_central_series` reaches 0.
+    Term by term, the two chains have the same Q-spans: saturation keeps a
+    Q-span, and the Q-span of [U, N] depends only on that of U.  So they
+    reach 0 together.  When N is nilpotent the Q-ranks drop at every step
+    until 0, so this chain ends in its one zero term within rank + 1 terms.
     Otherwise it stops at a nonzero term, an ExpansionError here, or keeps
     shrinking in index, which `bracket_series` stops with its
     LatticeValidationError; `embed_splittable` files that ValueError as a

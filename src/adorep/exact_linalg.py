@@ -802,9 +802,6 @@ class Submodule:
         X = self.coordinate_rows(ExactMatrix.from_rows([v], cols=self.ambient_rank))
         return None if X is None else X.row(0)
 
-    def contains_submodule(self, other: "Submodule") -> bool:
-        return self.contains_rows(other.basis)
-
     def sum(self, other: "Submodule") -> "Submodule":
         self._check_compatible(other)
         return Submodule.of_rows(stack_rows([self.basis, other.basis]), self.domain)

@@ -343,17 +343,6 @@ def is_nilpotent_submodule(L: LieLattice, S: Submodule) -> bool:
     return bracket_series(L, S, S)[-1].is_zero()
 
 
-def is_nilpotent(L: LieLattice) -> bool:
-    return lower_central_series(L)[-1].is_zero()
-
-
-def nilpotency_class(L: LieLattice) -> int:
-    chain = lower_central_series(L)
-    if not chain[-1].is_zero():
-        raise NotNilpotentError("lattice is not nilpotent")
-    return len(chain) - 1
-
-
 def center(L: LieLattice) -> Submodule:
     """Kernel of x -> ad_x; row i of the reshaped table holds every [x_i, x_j]."""
     r = L.rank
@@ -536,37 +525,6 @@ def check_derivation(L: LieLattice, D: ExactMatrix) -> bool:
             if any(acc):
                 return False
     return True
-
-
-def derivation_basis(L: LieLattice) -> list[ExactMatrix]:
-    """Basis of the derivation algebra, by solving the Leibniz equations.
-
-    The unknowns are the entries D[a][b], row-major, and each pair i < j
-    gives one equation per component k, read from the table over its
-    denominator (a scaling that leaves the solutions unchanged).
-    """
-    r = L.rank
-    if r == 0:
-        return []
-    T = L.table.num
-    eq_rows: list[dict[int, int]] = []
-    for i in range(r):
-        for j in range(i + 1, r):
-            eqs: list[dict[int, int]] = [{} for _ in range(r)]
-            # D applied to [x_i,x_j]: sum_t c_ij^t D[k][t]
-            for t, x in T[i * r + j].items():
-                for k in range(r):
-                    eqs[k][k * r + t] = x
-            # minus [D x_i, x_j] and [x_i, D x_j], with D x_i = sum_a D[a][i] x_a
-            for a in range(r):
-                for k, x in T[a * r + j].items():
-                    eqs[k][a * r + i] = eqs[k].get(a * r + i, 0) - x
-                for k, x in T[i * r + a].items():
-                    eqs[k][a * r + j] = eqs[k].get(a * r + j, 0) - x
-            eq_rows.extend(eqs)
-    system = ExactMatrix.from_ints(eq_rows, r * r) if eq_rows else ExactMatrix.zero(1, r * r)
-    sols = kernel_basis(system.transpose(), "Q").basis
-    return [sols.take_rows([q]).reshape(r, r) for q in range(sols.rows)]
 
 
 def subalgebra_lattice(L: LieLattice, S: Submodule) -> tuple[LieLattice, ExactMatrix]:

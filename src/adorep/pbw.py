@@ -71,7 +71,10 @@ def build_weighted_basis(
     """Adapted basis and weight function from the isolated lower central series.
 
     The first adapted vectors span the deepest nonzero term; each block
-    extends the previous one, so the change of basis is unimodular over Z.
+    extends the previous one.  Over Z the change of basis P is unimodular
+    without a check: each block completes a Z-basis of one isolated term to
+    one of the next (`extend_basis` over Z), so by induction P is a Z-basis
+    of the first term, Z^r.
     L must be a Lie lattice (validated); `subalgebra_lattice` reads the
     adapted constants without a check of its own.  `chain`, when given,
     must be `lower_central_series(L)`, as a caller that has just computed
@@ -88,14 +91,8 @@ def build_weighted_basis(
         new_rows = extend_basis(Submodule.of_rows(P, L.domain), chain[depth - 1])
         P = stack_rows([P, new_rows])
         weights.extend([depth] * new_rows.rows)
-    if L.rank:
-        Pinv = invert(P)
-        if L.domain == "Z" and not (P.is_integral and Pinv.is_integral):
-            raise RuntimeError("adapted change of basis is not unimodular")
-    else:
-        Pinv = ExactMatrix.zero(0, 0)
     adapted, _ = subalgebra_lattice(L, Submodule(L.rank, P, L.domain))
-    return WeightedPBWBasis(L, P, Pinv, tuple(weights), c, adapted)
+    return WeightedPBWBasis(L, P, invert(P), tuple(weights), c, adapted)
 
 
 class TruncatedUEA:

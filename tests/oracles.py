@@ -29,6 +29,10 @@ nilradical), where the library certifies every step from its parts.
 `ref_rescale_nilpotency` tests the scaled nilpotent lattice and the
 nilpotent block of the extension with the saturated lower central series,
 where the library reads nilpotency off one unsaturated chain.
+`ref_levi_facts`, `ref_state_invariants`, `ref_step_facts`,
+`ref_rescale_facts` and `ref_unimodular` run the construction checks that
+the library dropped: it proves those facts in the docstrings of the
+functions that build the rows, rather than checking them.
 `ref_brackets` sums every pair term by term, where the library reads the
 bracket of two single-entry rows off one table row; `ref_coordinate_rows`
 solves on the tagged echelon of any basis, where the library reads a basis
@@ -65,11 +69,12 @@ from adorep.exact_linalg import (
 from adorep.jsonio import frac_to_str
 from adorep.lie_core import (
     LieLattice,
+    NotNilpotentError,
     center,
     is_ideal,
-    is_nilpotent,
     is_nilpotent_submodule,
     killing_form,
+    lower_central_series,
     nilradical,
     semidirect_assemble,
     solvable_radical,
@@ -286,13 +291,33 @@ def ref_hnf(A, cols):
 # -- helpers that only the tests use --------------------------------------
 
 
+def acceptance_entries():
+    """Concrete lattices the acceptance suite runs over (all of rank <= 6)."""
+    out = [catalog.get(n) for n in catalog.names() if n != "abelian_r"]
+    out += [catalog.get(f"abelian_{r}") for r in range(1, 7)]
+    return out
+
+
 def nilpotent_entries(max_rank=6):
     """The nilpotent catalog lattices of the acceptance suite up to max_rank."""
     return [
         e
-        for e in catalog.acceptance_entries()
+        for e in acceptance_entries()
         if e.expected["nilpotency_class"] is not None and e.lattice.rank <= max_rank
     ]
+
+
+def is_nilpotent(L):
+    """Whether the isolated lower central series of L reaches 0."""
+    return lower_central_series(L)[-1].is_zero()
+
+
+def nilpotency_class(L):
+    """The length of the isolated lower central series of a nilpotent L."""
+    chain = lower_central_series(L)
+    if not chain[-1].is_zero():
+        raise NotNilpotentError("lattice is not nilpotent")
+    return len(chain) - 1
 
 
 def burde_bound_is_tight(r):
@@ -697,6 +722,38 @@ def ref_is_derivation(c, D):
     return True
 
 
+def derivation_basis(L):
+    """Basis of the derivation algebra of L over Q, by solving the Leibniz
+    equations: a generator of test derivations.
+
+    The unknowns are the entries D[a][b], row-major, and each pair i < j
+    gives one equation per component k, read from the table over its
+    denominator (a scaling that leaves the solutions unchanged).
+    """
+    r = L.rank
+    if r == 0:
+        return []
+    T = L.table.num
+    eq_rows = []
+    for i in range(r):
+        for j in range(i + 1, r):
+            eqs = [{} for _ in range(r)]
+            # D applied to [x_i,x_j]: sum_t c_ij^t D[k][t]
+            for t, x in T[i * r + j].items():
+                for k in range(r):
+                    eqs[k][k * r + t] = x
+            # minus [D x_i, x_j] and [x_i, D x_j], with D x_i = sum_a D[a][i] x_a
+            for a in range(r):
+                for k, x in T[a * r + j].items():
+                    eqs[k][a * r + i] = eqs[k].get(a * r + i, 0) - x
+                for k, x in T[i * r + a].items():
+                    eqs[k][a * r + j] = eqs[k].get(a * r + j, 0) - x
+            eq_rows.extend(eqs)
+    system = ExactMatrix.from_ints(eq_rows, r * r) if eq_rows else ExactMatrix.zero(1, r * r)
+    sols = kernel_basis(system.transpose(), "Q").basis
+    return [sols.take_rows([q]).reshape(r, r) for q in range(sols.rows)]
+
+
 # -- the nilradical from the full adjoint representation --------------------
 
 
@@ -998,17 +1055,60 @@ def is_semisimple(L):
     return L.rank > 0 and center(L).is_zero() and rank(killing_form(L)) == L.rank
 
 
+def ref_levi_facts(rs, levi, r):
+    """The two checks `levi_decomposition` ran on its complement `levi` to
+    the radical `rs` in rank r, which hold by construction: (the complement
+    has rank r - rk R_s, it meets the radical in 0)."""
+    t = r - rs.rank
+    return levi.rank == t, rs.sum(levi).rank == rs.rank + t
+
+
 def ref_state_invariants(state):
     """The invariants of an expansion state as `_check_state_invariants`
-    checked them before the loop read [N, K] off its own steps: (K = N + S
-    as modules, N contains R_n, [K, N] inside R_n), the last by bracketing
+    checked them before the loop read [N, K] off its own steps and before
+    the first two were proved to hold by construction: (K = N + S as
+    modules, N contains R_n, [K, N] inside R_n), the last by bracketing
     every basis vector of K with every basis vector of N."""
     K, N, S, Rn = state.K, state.N, state.S, state.Rn
     return (
         N.rank + S.rank == K.rank and N.sum(S).rank == K.rank,
-        N.contains_submodule(Rn),
+        N.contains_rows(Rn.basis),
         Rn.contains_rows(K.bracket_rows(ExactMatrix.identity(K.rank), N.basis)),
     )
+
+
+def ref_step_facts(before, after):
+    """The two checks an elementary expansion ran on its direction y and
+    its ideal, which hold by construction: (y lies in N, the ideal misses y
+    and has codimension one in N)."""
+    step = after.trace[-1]
+    Y = ExactMatrix.from_rows([step.y], cols=before.K.rank)
+    ideal = Submodule.of_rows(step.ideal_basis, "Q")
+    codim_one = not ideal.contains_rows(Y) and ideal.rank == before.N.rank - 1
+    return before.N.contains_rows(Y), codim_one
+
+
+def ref_rescale_facts(state, rn, cert):
+    """The four checks `integral_rescale` ran on the final state and the
+    certificate, which hold by construction: ((X, XP) spans N with
+    rk N rows, X the image of rn = R_n(L) and XP the generators x';
+    (X, XP) and S have as many rows as K; nbar has rank rk N; the
+    injection is injective)."""
+    X, XP = rn.basis * state.embedding, state.xprimes
+    n = X.rows + XP.rows
+    spans = Submodule.of_rows(stack_rows([X, XP]), "Q") == state.N and n == state.N.rank
+    return (
+        spans,
+        n + state.S.rank == state.K.rank,
+        cert.nilpotent_rank == n,
+        rank(cert.injection) == cert.original.rank,
+    )
+
+
+def ref_unimodular(basis):
+    """The check `build_weighted_basis` ran on a basis over Z, which holds
+    by construction: the change of basis and its inverse are integral."""
+    return basis.change_of_basis.is_integral and basis.inverse.is_integral
 
 
 def ref_rescale_nilpotency(state, rn, cert):

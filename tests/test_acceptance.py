@@ -13,7 +13,6 @@ from adorep.embed import embed_splittable, jordan_chevalley, minimal_polynomial
 from adorep.exact_linalg import ExactMatrix, block_diag, invert, solve_left, vector
 from adorep.lie_core import (
     adjoint_rep,
-    derivation_basis,
     nilradical,
     unit,
     validate,
@@ -28,8 +27,10 @@ from adorep.pipeline import (
 )
 
 from oracles import (
+    acceptance_entries,
     ad,
     count_satisfies_burde,
+    derivation_basis,
     is_squarefree,
     nilpotent_entries,
     oracle_vector,
@@ -46,7 +47,7 @@ def _report(num, name, ok):
 @pytest.fixture(scope="module")
 def certificates():
     out = {}
-    for entry in catalog.acceptance_entries():
+    for entry in acceptance_entries():
         t0 = time.monotonic()
         cert = embed_splittable(entry.lattice)
         out[entry.name] = (cert, time.monotonic() - t0)
@@ -55,7 +56,7 @@ def certificates():
 
 def test_criterion_01_end_to_end_degree_bound():
     ok = True
-    for entry in catalog.acceptance_entries():
+    for entry in acceptance_entries():
         L = entry.lattice
         assert L.rank <= 6
         t0 = time.monotonic()
@@ -224,7 +225,7 @@ def test_criterion_05_jordan_chevalley():
 
 def test_criterion_06_embedding_certificates(certificates):
     ok = True
-    for entry in catalog.acceptance_entries():
+    for entry in acceptance_entries():
         cert, elapsed = certificates[entry.name]
         report = verify_certificate(cert)
         if not report.ok:
@@ -242,7 +243,7 @@ def test_criterion_06_embedding_certificates(certificates):
 
 def test_criterion_07_loop_variant(certificates):
     ok = True
-    for entry in catalog.acceptance_entries():
+    for entry in acceptance_entries():
         cert, _ = certificates[entry.name]
         if len(cert.trace) != entry.expected["rs_rank"] - entry.expected["rn_rank"]:
             ok = False
@@ -256,7 +257,7 @@ def test_criterion_07_loop_variant(certificates):
 
 def test_criterion_08_nil_representation():
     ok = True
-    for entry in catalog.acceptance_entries():
+    for entry in acceptance_entries():
         L = entry.lattice
         rep, report, _ = ado_representation(L, strict=True)
         n = rep.degree

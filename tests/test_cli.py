@@ -207,6 +207,43 @@ def test_cli_embed(tmp_path, capsys):
     assert len(data["trace"]) == 1
 
 
+def test_cli_embed_validates_and_takes_the_radicals_of_the_input_once(
+    tmp_path, capsys, monkeypatch
+):
+    """`adorep embed` validates the input and computes its radicals once,
+    as `ado` does, and hands the radicals to both the construction and the
+    verifier; its output is the certificate and report it printed before."""
+    import adorep.cli
+    import adorep.embed
+    import adorep.lie_core
+    import adorep.pipeline
+
+    from adorep.embed import embed_splittable
+    from adorep.jsonio import certificate_report_to_json, certificate_to_json
+    from adorep.pipeline import verify_certificate
+
+    path = write_lattice(tmp_path, "churkin_sl2_t2")
+    L = catalog.get("churkin_sl2_t2").lattice
+    cert = embed_splittable(L)
+    expected = certificate_to_json(cert)
+    expected["report"] = certificate_report_to_json(verify_certificate(cert))
+
+    calls = {"validate": [], "solvable_radical": []}
+    for name, seen in calls.items():
+        original = getattr(adorep.lie_core, name)
+
+        def counting(M, *args, _original=original, _seen=seen):
+            _seen.append(M.rank)
+            return _original(M, *args)
+
+        for module in (adorep.lie_core, adorep.embed, adorep.pipeline, adorep.cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
+    assert run(capsys, "embed", path) == (0, json.dumps(expected) + "\n", "")
+    # the input (rank 6) once each, then the extension (rank 7) in the verifier
+    assert calls == {"validate": [6, 7], "solvable_radical": [6, 7]}
+
+
 def test_cli_ado_strict_and_certificate(tmp_path, capsys):
     path = write_lattice(tmp_path, "heisenberg3")
     code, out, _ = run(

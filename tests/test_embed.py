@@ -27,9 +27,7 @@ from adorep.lie_core import (
     LatticeValidationError,
     change_basis,
     check_derivation,
-    derivation_basis,
     direct_sum,
-    is_nilpotent,
     is_nilpotent_submodule,
     is_subalgebra,
     lie_lattice,
@@ -37,19 +35,28 @@ from adorep.lie_core import (
     radical_pair,
     semidirect_assemble,
     solvable_radical,
+    split_semidirect,
     subalgebra_lattice,
     unit,
     validate,
 )
+from adorep.pbw import build_weighted_basis
 from adorep.pipeline import ado_representation, verify_certificate
 
 from oracles import (
+    acceptance_entries,
+    derivation_basis,
+    is_nilpotent,
     is_squarefree,
     power,
     ref_expansion_checks,
+    ref_levi_facts,
     ref_mu_search,
+    ref_rescale_facts,
     ref_rescale_nilpotency,
     ref_state_invariants,
+    ref_step_facts,
+    ref_unimodular,
     ref_zprimes,
     span,
     tensor_lattice,
@@ -377,6 +384,31 @@ def test_loop_reads_the_state_invariants_off_its_steps(monkeypatch):
         real(cut, B)
 
 
+def test_checks_proved_by_construction_hold_on_every_stage():
+    """The checks the construction no longer runs, because the lines that
+    build their rows make them hold (the proofs are in the docstrings of
+    `levi_decomposition`, `initial_state`, `elementary_expansion`,
+    `integral_rescale` and `build_weighted_basis`), kept as oracles: each
+    holds on every stage of every theorem input, plain and in one random
+    unimodular basis."""
+    rng = random.Random(31)
+    for name, L in theorem_inputs():
+        for M in (L, change_basis(L, random_unimodular(rng, L.rank))):
+            rs, rn = radical_pair(M)
+            states = [initial_state(M, rs, rn)]
+            assert ref_levi_facts(states[0].N, states[0].S, M.rank) == (True, True), name
+            while states[-1].Rn.rank < states[-1].N.rank:
+                states.append(elementary_expansion(states[-1]))
+            for state in states:
+                assert ref_state_invariants(state) == (True, True, True), name
+            for before, after in zip(states, states[1:]):
+                assert ref_step_facts(before, after) == (True, True), name
+            cert = integral_rescale(M, states[-1], rn)
+            assert ref_rescale_facts(states[-1], rn, cert) == (True, True, True, True), name
+            block = split_semidirect(cert.extension, cert.nilpotent_rank)[0]
+            assert ref_unimodular(build_weighted_basis(block)), name
+
+
 def _abelian_by_diag():
     """Z^2 x| Z with y acting by diag(1, 2): one expansion, on an abelian
     ideal, where every linear map is a derivation."""
@@ -540,7 +572,7 @@ def test_expansion_rejects_a_part_that_is_not_a_derivation(monkeypatch):
 
 
 def test_embed_all_catalog_certificates():
-    for entry in catalog.acceptance_entries():
+    for entry in acceptance_entries():
         cert = embed_splittable(entry.lattice)
         report = verify_certificate(cert)
         assert report.ok, f"{entry.name}: {report.checks()}"
@@ -548,7 +580,7 @@ def test_embed_all_catalog_certificates():
 
 
 def test_loop_variant_across_catalog():
-    for entry in catalog.acceptance_entries():
+    for entry in acceptance_entries():
         cert = embed_splittable(entry.lattice)
         expected_steps = entry.expected["rs_rank"] - entry.expected["rn_rank"]
         assert len(cert.trace) == expected_steps
@@ -558,7 +590,7 @@ def test_loop_variant_across_catalog():
 
 
 def test_expansion_structural_invariants():
-    for entry in catalog.acceptance_entries():
+    for entry in acceptance_entries():
         L = entry.lattice
         states = [start(L)]
         while not is_nilpotent_submodule(states[-1].K, states[-1].N):

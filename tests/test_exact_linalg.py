@@ -117,7 +117,7 @@ def test_saturate_idempotent_rank_preserving_random():
         sat = s.saturate()
         assert sat.rank == s.rank
         assert sat.saturate() == sat
-        assert sat.contains_submodule(s)
+        assert sat.contains_rows(s.basis)
         assert sat.basis.is_integral
         assert ref_minors_gcd([list(r) for r in sat.basis.entries], n) == 1
 

@@ -9,13 +9,19 @@ from adorep.exact_linalg import ExactMatrix, vector
 from adorep.lie_core import (
     LeibnizError,
     NotNilpotentError,
-    derivation_basis,
     lie_lattice,
     unit,
 )
 from adorep.pbw import TruncatedUEA, build_weighted_basis
 
-from oracles import ad, column, nilpotent_entries, oracle_vector, ref_derivation_star
+from oracles import (
+    ad,
+    column,
+    derivation_basis,
+    nilpotent_entries,
+    oracle_vector,
+    ref_derivation_star,
+)
 from pbw_words import (
     apply_word,
     letter_matrices,

@@ -32,6 +32,7 @@ from adorep.pipeline import (
 from adorep.rep import LinearRep
 
 from oracles import (
+    acceptance_entries,
     load_bench,
     load_bench_run,
     power,
@@ -100,7 +101,7 @@ def test_ado_semisimple_shortcut():
 
 
 def test_ado_expected_strict_degrees():
-    for entry in catalog.acceptance_entries():
+    for entry in acceptance_entries():
         rep, report, _ = ado_representation(entry.lattice, strict=True)
         assert report.degree == entry.expected["strict_ado_degree"], entry.name
         assert report.ok
@@ -120,7 +121,7 @@ def test_strict_ado_of_t2_to_the_sixth():
 
 def test_phi_degree_bounded_by_rs_burde():
     # deg Phi <= B(rk R_s) <= B(r), with the rank-one edge evaluated directly
-    for entry in catalog.acceptance_entries():
+    for entry in acceptance_entries():
         rep, report, _ = ado_representation(entry.lattice, strict=True)
         r = entry.lattice.rank
         q = report.rs_rank
@@ -178,7 +179,7 @@ def test_verify_flags_non_integral_over_z():
 
 
 def test_nil_representation_property():
-    for entry in catalog.acceptance_entries():
+    for entry in acceptance_entries():
         L = entry.lattice
         rep, report, _ = ado_representation(L, strict=True)
         from adorep.lie_core import nilradical
@@ -271,9 +272,7 @@ def test_catalog_ado_output_digest_is_pinned():
 
     The same recipe over the cases of `bench/workloads.build(workload, seed)`,
     in that order and with each case's own `strict`, gives the benchmark's
-    per-workload output digest; at seed 23 its first 16 hex digits read
-    6102f2a4f0f4fd29 (nilpotent-regular), 5961fdd2a1940ba3 (theorem-solvable)
-    and f139ac5c0a283de1 (theorem-scrambled).
+    per-workload output digest, which `WORKLOAD_ADO_GOLDEN` pins at seed 23.
     """
     digest = hashlib.sha256()
     for name in catalog.names():
@@ -289,6 +288,34 @@ def test_catalog_ado_output_digest_is_pinned():
             )
             digest.update(text.encode())
     assert digest.hexdigest() == CATALOG_ADO_GOLDEN
+
+
+# The benchmark's per-workload output digest at seed 23: the recipe of
+# `test_catalog_ado_output_digest_is_pinned` over the workload's cases.
+# theorem-scrambled is the one input set on which the Levi correction
+# solves a nonzero system.
+WORKLOAD_ADO_GOLDEN = {
+    "nilpotent-regular": "6102f2a4f0f4fd29735c4639fd9c2257c82fc3bb49fc7ce530edca5deaa4fa10",
+    "theorem-solvable": "5961fdd2a1940ba36b7ef88cb7f1e0f44bdf49fb765bd0a3be0151ea0eb72f86",
+    "theorem-scrambled": "f139ac5c0a283de10d88666850c93ce324ddf64e7c353bf5df564291458b9fbe",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_ADO_GOLDEN))
+def test_workload_ado_output_digest_is_pinned(workload):
+    digest = hashlib.sha256()
+    for case in load_bench("workloads").build(workload, 23):
+        rep, report, cert = ado_representation(case.lattice, strict=case.strict)
+        text = json.dumps(
+            [
+                rep_to_json(rep),
+                ado_report_to_json(report),
+                None if cert is None else certificate_to_json(cert),
+            ],
+            sort_keys=True,
+        )
+        digest.update(text.encode())
+    assert digest.hexdigest() == WORKLOAD_ADO_GOLDEN[workload]
 
 
 # SHA-256 of the output of `adorep radicals` on every catalog lattice, in

@@ -21,6 +21,7 @@ from adorep.zassenhaus import splittable_rep
 from oracles import (
     ad,
     column,
+    derivation_basis,
     nilpotent_entries,
     ref_splittable_rep,
     tensor_lattice,
@@ -81,7 +82,6 @@ def test_inner_action_commutator_identity():
 
 
 def test_commutator_identity_for_solved_derivations():
-    from adorep.lie_core import derivation_basis
 
     rng = random.Random(23)
     for entry in nilpotent_entries():
