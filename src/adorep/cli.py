@@ -83,12 +83,13 @@ def cmd_validate(args) -> int:
 def cmd_radicals(args) -> int:
     L = _load_lattice(args.file)
     require_valid(L)
-    rs, rn = radical_pair(L)
+    chain = lower_central_series(L)
+    rs, rn = radical_pair(L, chain)
     payload = {
         "center": matrix_to_json(center(L).basis),
         "solvable_radical": matrix_to_json(rs.basis),
         "nilradical": matrix_to_json(rn.basis),
-        "lower_central": [matrix_to_json(m.basis) for m in lower_central_series(L)],
+        "lower_central": [matrix_to_json(m.basis) for m in chain],
         "derived": [matrix_to_json(m.basis) for m in derived_series(L)],
     }
     _emit(payload, args.pretty)
@@ -103,10 +104,11 @@ def cmd_nilrep(args) -> int:
     # validated once, before the series; handed the radicals,
     # verify_representation does not validate again
     require_valid(L)
-    # one series: the construction builds on it, and its length is the class
+    # one series: the construction builds on it, its length is the class,
+    # and on a nilpotent L both radicals are read off it
     chain = lower_central_series(L)
     rep = nilpotent_faithful_rep(L, chain)
-    report = verify_representation(L, rep, radical_pair(L))
+    report = verify_representation(L, rep, radical_pair(L, chain))
     _emit(
         {
             "representation": rep_to_json(rep),

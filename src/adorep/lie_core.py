@@ -462,8 +462,22 @@ def nilradical(L: LieLattice, rs: Submodule | None = None) -> Submodule:
     return candidate if L.domain == "Q" else _integer_points(candidate)
 
 
-def radical_pair(L: LieLattice) -> tuple[Submodule, Submodule]:
-    """(R_s(L), R_n(L)), one `solvable_radical` serving both."""
+def radical_pair(
+    L: LieLattice, chain: Sequence[Submodule] | None = None
+) -> tuple[Submodule, Submodule]:
+    """(R_s(L), R_n(L)), one `solvable_radical` serving both.
+
+    `chain`, when given, must be `lower_central_series(L)` of a validated L.
+    If it reaches 0, L is nilpotent and both radicals are L, returned
+    without computing anything: a nilpotent L is solvable, so R_s = L, and
+    L is a nilpotent ideal of itself, so R_n = L.  L is isolated in itself,
+    so these are the full modules that `solvable_radical` and `nilradical`
+    return for it (the latter by the same fact, when its own lower central
+    series reaches 0).  Otherwise the chain is not read.
+    """
+    if chain is not None and chain[-1].is_zero():
+        full = Submodule.full(L.rank, L.domain)
+        return full, full
     rs = solvable_radical(L)
     return rs, nilradical(L, rs)
 

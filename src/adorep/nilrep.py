@@ -67,8 +67,10 @@ def eta_interval() -> tuple[Fraction, Fraction]:
     return (s_lo * product, s_hi * product * tail_hi)
 
 
+@lru_cache(maxsize=128)
 def burde_bound(r: int) -> Fraction:
-    """Certified rational upper bound B(r) for eta * 2^r / sqrt(r)."""
+    """Certified rational upper bound B(r) for eta * 2^r / sqrt(r); a pure
+    function of r, cached because every verification recomputes it."""
     if r < 1:
         raise ValueError("r must be at least 1")
     _, eta_hi = eta_interval()

@@ -5,11 +5,12 @@ certificates.
 The checkers recompute everything they assert (validity, brackets,
 radicals, ranks) from structure constants and exact linear algebra; they
 never trust state produced by the constructors.  `ado_representation`
-validates L and computes `radical_pair(L)` first, and passes the radicals
-as an argument to the construction (`embed_splittable`) and to both
-checkers, so each fact about L is computed once per call; the construction
-may trust the verifier, never the other way round.  A checker called
-without `radicals` validates L and computes them itself.
+validates L and computes `radical_pair(L)` before any construction, and
+passes the radicals as an argument to the construction
+(`embed_splittable`) and to both checkers, so each fact about L is computed
+once per call; the construction may trust the verifier, never the other
+way round.  A checker called without `radicals` validates L and computes
+them itself.
 """
 
 from __future__ import annotations
@@ -85,7 +86,8 @@ def verify_representation(
     images of the nilpotent radical, and the degree bound.
 
     `radicals`, when given, must be `radical_pair(L)` of an L that the
-    caller has validated; L is then not validated again.  Without them L is
+    caller has validated (or `radical_pair(L, lower_central_series(L))`,
+    which is equal); L is then not validated again.  Without them L is
     validated here and its radicals are computed here.
 
     Two checks run on generators first.  Each falls back to its full scan,
@@ -127,7 +129,10 @@ def verify_representation(
     rho[R_n, R_n] = [rho R_n, rho R_n], so when every rho(g) is nilpotent,
     every diagonal form vanishes on all of rho(R_n), and every image of R_n
     is nilpotent.  When R_n = L, its canonical basis is the identity, and
-    its images are read from `rep.matrices`.
+    its images are read from `rep.matrices`.  Each image checked goes to
+    `_is_nilpotent_matrix`: a support graph without a cycle proves it
+    nilpotent in time linear in its nonzeros, and repeated squaring decides
+    the rest.
     """
     if radicals is None:
         validate(L).raise_if_invalid()
@@ -216,9 +221,33 @@ def _reduced(check: Callable[[list], list], items: list, first: Callable[[object
 
 
 def _is_nilpotent_matrix(M: ExactMatrix) -> bool:
-    """Whether M^n = 0 for the n x n matrix M, by repeated squaring that
-    stops at the first zero power: M^(2^j) = 0 implies M^n = 0, and a
-    nonzero M^e with e >= n means M is not nilpotent."""
+    """Whether M^n = 0 for the n x n matrix M.
+
+    First the support graph, with an edge i -> j for every nonzero entry
+    (i, j), is sorted topologically (Kahn), in time linear in the nonzeros.
+    If it has no cycle, ordering the indices by that sort makes M strictly
+    upper triangular, P M P^-1 for a permutation matrix P, so M^n = 0 and M
+    is accepted.  If it has a cycle (a nonzero diagonal entry is one), the
+    support decides nothing, [[1, 1], [-1, -1]] is nilpotent, and M goes to
+    repeated squaring that stops at the first zero power: M^(2^j) = 0
+    implies M^n = 0, and a nonzero M^e with e >= n means M is not
+    nilpotent.  Squaring alone accepts exactly the nilpotent matrices, and
+    the support test accepts only nilpotent ones, so the two together
+    accept exactly the matrices that squaring alone does.
+    """
+    rows = M.num
+    indegree = [0] * M.cols
+    for row in rows:
+        for j in row:
+            indegree[j] += 1
+    ready = [i for i, d in enumerate(indegree) if not d]
+    for i in ready:  # the loop also visits the indices appended below
+        for j in rows[i]:
+            indegree[j] -= 1
+            if not indegree[j]:
+                ready.append(j)
+    if len(ready) == M.rows:
+        return True
     P, e = M, 1
     while not P.is_zero():
         if e >= M.rows:
@@ -333,25 +362,27 @@ def ado_representation(
     path always runs the embedding construction and the direct sum with the
     adjoint.
 
-    L is validated once, and `radical_pair(L)` computed once, first, on
+    L is validated once, first, and `radical_pair(L)` is computed once on
     every path; the radicals go as an argument to `embed_splittable`,
     `verify_certificate` and `verify_representation`, none of which then
     validates L or computes them again.  Off the strict path the lower
-    central series of the validated L is computed once: it picks the
-    nilpotent shortcut, and `nilpotent_faithful_rep` builds on it.
+    central series of the validated L is computed once, before the
+    radicals: it picks the nilpotent shortcut, `nilpotent_faithful_rep`
+    builds on it, and `radical_pair(L, chain)` reads both radicals off it
+    when it reaches 0 (a nilpotent L is its own R_s and R_n).  The strict
+    path computes `radical_pair(L)` from scratch.
     """
     validate(L).raise_if_invalid()
     r = L.rank
     if r == 0:
         raise ValueError("rank-zero lattice has nothing to represent")
-    radicals = radical_pair(L)
-    cert: EmbeddingCertificate | None = None
-    cert_report: CertificateReport | None = None
-    comparison = None
-
     # the strict path never reads the series, so it does not compute it
     chain = None if strict else lower_central_series(L)
     nilpotent = chain is not None and chain[-1].is_zero()
+    radicals = radical_pair(L, chain)
+    cert: EmbeddingCertificate | None = None
+    cert_report: CertificateReport | None = None
+    comparison = None
     if nilpotent:
         path = "nilpotent-shortcut"
         rs_rank = r  # a nilpotent lattice is its own solvable radical

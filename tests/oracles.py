@@ -19,7 +19,9 @@ matrices per basis pair, where the library sums one int table per pair.
 `ref_nilrep_violations` raises the image of every row of R_n to the
 degree, and `ref_verify_representation` builds the representation report
 from these two full scans, where the library checks pairs with a
-generator, and images of generators, first.
+generator, and images of generators, first.  `ref_is_nilpotent_matrix`
+decides nilpotency by repeated squaring alone, where the library first
+looks for a cycle in the support graph.
 `ref_verify_certificate` tests that nbar is an ideal and nilpotent before
 it compares nbar with the nilradical of the extension, where the library
 reads both properties off that comparison when it holds.
@@ -29,6 +31,8 @@ nilradical), where the library certifies every step from its parts.
 `ref_rescale_nilpotency` tests the scaled nilpotent lattice and the
 nilpotent block of the extension with the saturated lower central series,
 where the library reads nilpotency off one unsaturated chain.
+`ref_avoid` is the span R_n + [N, N] that an elementary expansion took
+its direction outside of, where the library takes it outside R_n alone.
 `ref_levi_facts`, `ref_state_invariants`, `ref_step_facts`,
 `ref_rescale_facts` and `ref_unimodular` run the construction checks that
 the library dropped: it proves those facts in the docstrings of the
@@ -955,6 +959,18 @@ def ref_nilrep_violations(rep):
     ]
 
 
+def ref_is_nilpotent_matrix(M):
+    """Whether M^n = 0 for the n x n matrix M, by repeated squaring alone,
+    stopping at the first zero power: M^(2^j) = 0 implies M^n = 0, and a
+    nonzero M^e with e >= n means M is not nilpotent."""
+    P, e = M, 1
+    while not P.is_zero():
+        if e >= M.rows:
+            return False
+        P, e = P * P, 2 * e
+    return True
+
+
 def ref_verify_representation(L, rep):
     """The representation report with both scans run in full: the
     homomorphism on every pair of basis vectors (`ref_homomorphism_violations`)
@@ -1075,6 +1091,14 @@ def ref_state_invariants(state):
         N.contains_rows(Rn.basis),
         Rn.contains_rows(K.bracket_rows(ExactMatrix.identity(K.rank), N.basis)),
     )
+
+
+def ref_avoid(state):
+    """R_n + [N, N], the span an elementary expansion took its direction y
+    outside of before it read the state invariant [N, K] inside R_n as
+    making it R_n: [N, N] spanned from the pairs i < j of N's basis."""
+    K, N = state.K, state.N
+    return state.Rn.sum(Submodule.of_rows(K._pair_brackets(N.basis), K.domain))
 
 
 def ref_step_facts(before, after):

@@ -323,6 +323,45 @@ def test_cli_nilrep_validates_the_lattice_once(tmp_path, capsys, monkeypatch):
     assert calls == [5]
 
 
+def test_cli_nilrep_reads_the_radicals_off_its_series(tmp_path, capsys, monkeypatch):
+    """On F7 the command computes neither radical: the series it holds
+    reaches 0, so both are F7 itself.  The output is the one a verifier
+    that computes its own radicals gives."""
+    import adorep.cli
+    import adorep.lie_core
+    import adorep.pipeline
+    from adorep.jsonio import verification_report_to_json
+    from adorep.nilrep import birkhoff_bounds, burde_bound
+    from adorep.pipeline import verify_representation
+
+    from oracles import load_bench
+
+    L = load_bench("workloads").filiform(7)
+    rep = nilpotent_faithful_rep(L)
+    expected = {
+        "representation": rep_to_json(rep),
+        "monomial_count": rep.degree,
+        "burde_bound": frac_to_str(burde_bound(7)),
+        "comparison_bounds": {k: frac_to_str(v) for k, v in birkhoff_bounds(7, 6).items()},
+        "report": verification_report_to_json(verify_representation(L, rep)),
+    }
+    path = tmp_path / "F7.json"
+    path.write_text(json.dumps(lattice_to_json(L)))
+
+    calls = []
+
+    def unreachable(M, *args):
+        calls.append(M.rank)
+        raise AssertionError("radical computed for a nilpotent lattice")
+
+    for name in ("solvable_radical", "nilradical"):
+        for module in (adorep.lie_core, adorep.pipeline, adorep.cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, unreachable)
+    assert run(capsys, "nilrep", str(path)) == (0, json.dumps(expected) + "\n", "")
+    assert calls == []
+
+
 def test_cli_nilrep_reports_an_invalid_lattice_before_the_series(tmp_path, capsys, monkeypatch):
     import adorep.cli
 

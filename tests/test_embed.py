@@ -49,6 +49,7 @@ from oracles import (
     is_nilpotent,
     is_squarefree,
     power,
+    ref_avoid,
     ref_expansion_checks,
     ref_levi_facts,
     ref_mu_search,
@@ -407,6 +408,23 @@ def test_checks_proved_by_construction_hold_on_every_stage():
             assert ref_rescale_facts(states[-1], rn, cert) == (True, True, True, True), name
             block = split_semidirect(cert.extension, cert.nilpotent_rank)[0]
             assert ref_unimodular(build_weighted_basis(block)), name
+
+
+def test_a_step_avoids_exactly_the_nilpotent_radical():
+    """An expansion takes y outside R_n, where it took y outside
+    R_n + [N, N] (`ref_avoid`); the state invariant [N, K] inside R_n makes
+    the two equal on the state of every step of every theorem input, plain
+    and in one random unimodular basis."""
+    rng = random.Random(37)
+    steps = 0
+    for name, L in theorem_inputs():
+        for M in (L, change_basis(L, random_unimodular(rng, L.rank))):
+            state = initial_state(M, *radical_pair(M))
+            while state.Rn.rank < state.N.rank:
+                assert ref_avoid(state) == Submodule.of_rows(state.Rn.basis, "Q"), name
+                state = elementary_expansion(state)
+                steps += 1
+    assert steps > 0
 
 
 def _abelian_by_diag():

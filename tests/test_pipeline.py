@@ -9,7 +9,7 @@ import pytest
 from adorep import catalog
 from adorep.cli import main
 from adorep.embed import EmbeddingCertificate
-from adorep.exact_linalg import ExactMatrix
+from adorep.exact_linalg import ExactMatrix, invert
 from adorep.jsonio import ado_report_to_json, certificate_to_json, lattice_to_json, rep_to_json
 from adorep.lie_core import (
     LatticeValidationError,
@@ -17,6 +17,7 @@ from adorep.lie_core import (
     change_basis,
     direct_sum,
     lie_lattice,
+    lower_central_series,
     radical_pair,
     solvable_radical,
     unit,
@@ -201,13 +202,31 @@ def jordan_block(n):
 
 @pytest.mark.parametrize("n", [5, 7, 9])
 def test_verify_accepts_jordan_block_of_full_index(n):
-    # J_n has index exactly n, which is not a power of two: the squaring
-    # check must go past the nonzero J^(2^j) with 2^j < n to the first zero
-    # power (J^8 for n = 5, 7 and J^16 for n = 9).
+    # J_n has index exactly n, which is not a power of two; its support is
+    # acyclic, which proves it nilpotent without a power (the conjugate
+    # below reaches the squaring)
     J = jordan_block(n)
     assert not power(J, n - 1).is_zero() and power(J, n).is_zero()
     L = catalog.abelian(2)
     report = verify_representation(L, LinearRep(L, (J, J * J), "jordan"))
+    assert report.nilrep_ok and report.nilrep_violations == ()
+    assert report.ok
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_verify_accepts_a_cyclic_conjugate_of_a_jordan_block(n):
+    # the support of J_n conjugated by U = I + E_(n-1, 0) has the cycle
+    # 1 -> 2 -> ... -> n-1 -> 1, so the squaring check must go past the
+    # nonzero powers 2^j < n to the first zero power (the 8th for n = 5, 7
+    # and the 16th for n = 9)
+    U = ExactMatrix.identity(n) + ExactMatrix.from_rows(
+        [[int((i, j) == (n - 1, 0)) for j in range(n)] for i in range(n)]
+    )
+    C = U * jordan_block(n) * invert(U)
+    assert C.num[n - 1].get(1) == 1
+    assert not power(C, n - 1).is_zero() and power(C, n).is_zero()
+    L = catalog.abelian(2)
+    report = verify_representation(L, LinearRep(L, (C, C * C), "conjugate"))
     assert report.nilrep_ok and report.nilrep_violations == ()
     assert report.ok
 
@@ -510,6 +529,59 @@ def test_strict_ado_computes_the_radicals_of_the_input_once(monkeypatch, name):
         "solvable_radical": 1,
         "nilradical": 1,
     }
+
+
+@pytest.mark.parametrize("name", ["F7", "heisenberg9"])
+def test_nilpotent_ado_reads_the_radicals_off_its_series(monkeypatch, name):
+    """Off the strict path a nilpotent L is its own R_s and R_n, read off
+    the lower central series that picks the shortcut, so neither radical
+    is computed; the strict path computes each once for L."""
+    import adorep.embed
+    import adorep.lie_core
+    import adorep.pipeline
+
+    cases = {c.name: c.lattice for c in load_bench("workloads").build("nilpotent-regular", 23)}
+    L = cases[name]
+    seen = {"solvable_radical": [], "nilradical": []}
+    for fname, calls in seen.items():
+        original = getattr(adorep.lie_core, fname)
+
+        def recording(M, *args, _original=original, _calls=calls):
+            _calls.append(M is L)
+            return _original(M, *args)
+
+        for module in (adorep.lie_core, adorep.embed, adorep.pipeline):
+            if hasattr(module, fname):
+                monkeypatch.setattr(module, fname, recording)
+    _, report, _ = ado_representation(L)
+    assert report.path == "nilpotent-shortcut"
+    assert seen == {"solvable_radical": [], "nilradical": []}
+    # the strict verifier also computes both radicals of the extension,
+    # which for a nilpotent L has L's rank
+    ado_representation(L, strict=True)
+    assert {fname: calls.count(True) for fname, calls in seen.items()} == {
+        "solvable_radical": 1,
+        "nilradical": 1,
+    }
+
+
+def _radical_inputs():
+    """(name, lattice) for every catalog lattice and every nilpotent-regular
+    lattice at seed 23, each plain and in one seeded unimodular basis."""
+    workloads = load_bench("workloads")
+    plain = [(name, catalog.get(name).lattice) for name in catalog.names()]
+    plain += [(c.name, c.lattice) for c in workloads.build("nilpotent-regular", 23)]
+    rng = random.Random(23)
+    out = []
+    for name, L in plain:
+        P = ExactMatrix.from_rows(workloads.random_unimodular(rng, L.rank)[0])
+        out += [(name, L), (f"scrambled {name}", change_basis(L, P))]
+    return out
+
+
+@pytest.mark.parametrize("name, L", _radical_inputs(), ids=[n for n, _ in _radical_inputs()])
+def test_radicals_read_off_the_series_equal_the_computed_ones(name, L):
+    assert radical_pair(L, lower_central_series(L)) == radical_pair(L)
 
 
 def _scrambled_t2_squared():

@@ -15,20 +15,27 @@ not nilpotent.
 import random
 import sys
 from dataclasses import fields
+from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adorep import catalog
-from adorep.exact_linalg import ExactMatrix, Submodule, block_diag, kernel_basis
+from adorep.exact_linalg import ExactMatrix, Submodule, block_diag, invert, kernel_basis
 from adorep.lie_core import change_basis, lower_central_series
 from adorep.nilrep import nilpotent_faithful_rep
-from adorep.pipeline import VerificationReport, ado_representation, verify_representation
+from adorep.pipeline import (
+    VerificationReport,
+    _is_nilpotent_matrix,
+    ado_representation,
+    verify_representation,
+)
 from adorep.rep import LinearRep, restrict_rep
 
-from oracles import load_bench, ref_verify_representation
+from oracles import load_bench, ref_is_nilpotent_matrix, ref_verify_representation
 
 
 @lru_cache(maxsize=None)
@@ -180,3 +187,65 @@ def test_f7_with_a_changed_entry_falls_back_to_the_full_scans(monkeypatch):
     # 11 pairs with a generator, then the other 10; every image once
     assert len(pairs) == 21
     assert len(powers) == 7
+
+
+# -- nilpotency from the support graph --------------------------------------
+
+
+@st.composite
+def square_matrices(draw):
+    """(kind, M): a permuted strictly triangular matrix, a unimodular
+    conjugate of one (nilpotent, and its support mostly has a cycle), a
+    sparse random matrix or a scalar matrix, over a denominator of 1 to 4."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(("permuted", "conjugate", "random", "scalar")))
+    entries = st.integers(-3, 3)
+    if kind == "scalar":
+        M = ExactMatrix.identity(n).scale(draw(entries))
+    elif kind == "random":
+        sparse = st.sampled_from((0, 0, 0, 1, -1, 2))
+        M = ExactMatrix.from_rows([[draw(sparse) for _ in range(n)] for _ in range(n)])
+    else:
+        T = [[draw(entries) if i < j else 0 for j in range(n)] for i in range(n)]
+        p = draw(st.permutations(range(n)))
+        M = ExactMatrix.from_rows([[T[p[i]][p[j]] for j in range(n)] for i in range(n)])
+        if kind == "conjugate":
+            # unit upper times unit lower bidiagonal: unimodular
+            signs = [draw(st.sampled_from((-1, 1))) for _ in range(2 * n)]
+            upper = [[int(i == j) or signs[i] * int(j == i + 1) for j in range(n)] for i in range(n)]
+            lower = [[int(i == j) or signs[n + j] * int(i == j + 1) for j in range(n)] for i in range(n)]
+            U = ExactMatrix.from_rows(upper) * ExactMatrix.from_rows(lower)
+            M = U * M * invert(U)
+    return kind, M.scale(Fraction(1, draw(st.integers(1, 4))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices())
+def test_nilpotency_check_agrees_with_squaring_alone(case):
+    kind, M = case
+    nilpotent = _is_nilpotent_matrix(M)
+    assert nilpotent == ref_is_nilpotent_matrix(M)
+    if kind in ("permuted", "conjugate"):
+        assert nilpotent
+
+
+@pytest.mark.parametrize(
+    "rows, nilpotent",
+    [([[1, 1], [-1, -1]], True), ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], False)],
+    ids=["nilpotent with a cyclic support", "3-cycle permutation"],
+)
+def test_nilpotency_check_on_cyclic_supports(rows, nilpotent):
+    M = ExactMatrix.from_rows(rows)
+    assert _is_nilpotent_matrix(M) == ref_is_nilpotent_matrix(M) == nilpotent
+
+
+def test_f7_images_are_proved_nilpotent_without_a_product(monkeypatch):
+    """The truncated regular representation raises the PBW weight, so the
+    support of every image is acyclic and no power is taken."""
+    rep = nilpotent_faithful_rep(f7())
+
+    def no_product(self, other):
+        raise AssertionError("a matrix product in the nilpotency check")
+
+    monkeypatch.setattr(ExactMatrix, "__mul__", no_product)
+    assert all(_is_nilpotent_matrix(M) for M in rep.matrices)
