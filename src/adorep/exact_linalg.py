@@ -11,6 +11,9 @@ fraction-free: each of its rows is a primitive int row whose value is the
 row over its own pivot entry.  The one integer normal form, Hermite, runs
 on dense int working copies.  Spans and isolated closures over Z come
 from it; the kernel over Z is the isolated closure of the rational one.
+`extend_basis` over Z reads the inverse transpose of the Hermite
+transform off the same loop, which keeps it up to date operation by
+operation, so no transform is inverted.
 Vectors travel as the rows of a matrix: coordinates and membership take
 whole matrices (`Submodule.coordinate_rows`, `contains_rows`).  A basis in
 reduced echelon form, as every Q-Submodule from `of_rows` has, is read at
@@ -253,8 +256,11 @@ class ExactMatrix:
         return ExactMatrix._of(tuple(r or _EMPTY_ROW for r in out), self.den, cols)
 
     def flattened(self) -> "ExactMatrix":
-        """The entries as one row of length rows * cols, in row-major order."""
-        return self.reshape(1, self.rows * self.cols)
+        """The entries as one row of length rows * cols, in row-major order:
+        the rows concatenated, row i shifted right by i * cols."""
+        n = self.cols
+        flat = {i * n + j: x for i, row in enumerate(self.num) for j, x in row.items()}
+        return ExactMatrix._of((flat or _EMPTY_ROW,), self.den, self.rows * n)
 
     def take_rows(self, indices: Iterable[int]) -> "ExactMatrix":
         """The rows at `indices`, in that order."""
@@ -425,12 +431,19 @@ def _dense_ints(rows: Iterable[Row], n: int) -> list[list[int]]:
     return [[row.get(j, 0) for j in range(n)] for row in rows]
 
 
-def _hermite(A: list[list[int]], n: int) -> int:
+def _hermite(A: list[list[int]], n: int, W: list[list[int]] | None = None) -> int:
     """Row Hermite form of the int rows A in their first n columns, in place;
     returns the number of pivots.  Every row operation is unimodular and
     spans the whole row, so columns past n ride along (on [M | I] they end
     as the transform).  Pivots are positive, entries above a pivot lie in
-    [0, pivot), and the rows without a pivot sink to the bottom."""
+    [0, pivot), and the rows without a pivot sink to the bottom.
+
+    With W given, each row operation E on A also maps the rows of W by
+    (E^T)^-1, which is the inverse of E as a column operation on W^T: a
+    swap swaps, row_r -= q*row_p makes W_p += q*W_r, and a sign flip
+    flips.  W starts as the identity, so it ends as (U^T)^-1 for the
+    transform U of the whole loop, U^-1 transposed, with no inversion.
+    """
     m = len(A)
     piv = 0
     for col in range(n):
@@ -438,6 +451,8 @@ def _hermite(A: list[list[int]], n: int) -> int:
         if pivot_row is None:
             continue
         A[piv], A[pivot_row] = A[pivot_row], A[piv]
+        if W is not None:
+            W[piv], W[pivot_row] = W[pivot_row], W[piv]
         P = A[piv]
         for r in range(piv + 1, m):
             R, a, b = A[r], P[col], A[r][col]
@@ -446,19 +461,30 @@ def _hermite(A: list[list[int]], n: int) -> int:
             if b % a == 0:
                 q = b // a
                 A[r] = [y - q * x for x, y in zip(P, R)]
+                if W is not None:
+                    W[piv] = [u + q * v for u, v in zip(W[piv], W[r])]
             else:
-                # (P, R) <- (x*P + y*R, c*P + d*R), determinant x*d - y*c = 1
+                # (P, R) <- (x*P + y*R, c*P + d*R), determinant x*d - y*c = 1;
+                # the inverse transpose of [[x, y], [c, d]] is [[d, -c], [-y, x]]
                 x, y, g = _xgcd(a, b)
                 c, d = -(b // g), a // g
                 P, A[r] = [x * u + y * v for u, v in zip(P, R)], [c * u + d * v for u, v in zip(P, R)]
+                if W is not None:
+                    Wp, Wr = W[piv], W[r]
+                    W[piv] = [d * u - c * v for u, v in zip(Wp, Wr)]
+                    W[r] = [x * v - y * u for u, v in zip(Wp, Wr)]
         if P[col] < 0:
             P = [-v for v in P]
+            if W is not None:
+                W[piv] = [-v for v in W[piv]]
         A[piv] = P
         p = P[col]
         for r in range(piv):
             q = A[r][col] // p
             if q:
                 A[r] = [v - q * w for v, w in zip(A[r], P)]
+                if W is not None:
+                    W[piv] = [u + q * v for u, v in zip(W[piv], W[r])]
         piv += 1
     return piv
 
@@ -872,19 +898,23 @@ def extend_basis(inner: Submodule, outer: Submodule) -> ExactMatrix:
         _, pivots = rref(C)
         extra = [outer.basis.num[c] for c in range(m) if c not in pivots]
         return ExactMatrix.from_ints(extra[: m - k], outer.ambient_rank, outer.basis.den)
-    # over Z the coordinates are integral.  With (H, U) the Hermite form of
-    # C^T, C = H^T * W for the unimodular W = (U^T)^-1, and H^T = [T | 0]
-    # with T (k x k) triangular: the first k rows of W span the integer
-    # points of the Q-span of C, which holds C with index |det T|, and the
-    # rest complete them to a basis of Z^m; saturation forces |det T| = 1
-    H, U = hnf(C.transpose())
-    W = invert(U.transpose())
+    # over Z the coordinates are integral.  With H = U * C^T the Hermite
+    # form of C^T and U its transform, C = H^T * W for the unimodular
+    # W = (U^T)^-1, which the Hermite loop keeps up to date itself, and
+    # H^T = [T | 0] with T (k x k) triangular: the first k rows of W span
+    # the integer points of the Q-span of C, which holds C with index
+    # |det T|, and the rest complete them to a basis of Z^m; saturation
+    # forces |det T| = 1
+    H = _dense_ints(C.transpose().num, k)
+    W = [[int(i == j) for j in range(m)] for i in range(m)]
+    _hermite(H, k, W)
     det = 1
     for i in range(k):
-        det *= H.num[i].get(i, 0)
+        det *= H[i][i]
     if abs(det) != 1:
         raise ValueError("inner is not isolated in outer; cannot extend over Z")
-    completion = ExactMatrix._of(W.num[k:], 1, m) * outer.basis
+    rest = tuple({j: x for j, x in enumerate(row) if x} for row in W[k:])
+    completion = ExactMatrix._of(rest, 1, m) * outer.basis
     # Unimodular transformations among the completion rows preserve the
     # property that inner + completion is a basis; canonicalize via HNF.
     return Submodule.of_rows(completion, "Z").basis

@@ -328,9 +328,21 @@ def bracket_series(
 
 
 def lower_central_series(L: LieLattice) -> list[Submodule]:
-    """Isolated lower central series; stops at the first stationary term."""
+    """Isolated lower central series; stops at the first stationary term.
+
+    The tensor must be antisymmetric, as on every validated lattice: the
+    first step [L, L] is then spanned by the brackets of the pairs i < j of
+    basis vectors (`LieLattice._pair_brackets`), as in `derived_series`.
+    The later steps [C_k, L] go through `bracket_series` with L as the
+    partner, whose stopping rule and length bound they keep: that chain
+    starts at [L, L], so it has at most rank([L, L]) + 1 <= rank terms
+    unless [L, L] = L, where the series is L alone.
+    """
     full = Submodule.full(L.rank, L.domain)
-    return bracket_series(L, full, full)
+    first = Submodule.of_rows(L._pair_brackets(full.basis), L.domain).saturate()
+    if first == full:
+        return [full]
+    return [full] + bracket_series(L, first, full)
 
 
 def derived_series(L: LieLattice) -> list[Submodule]:

@@ -10,7 +10,11 @@ Coefficients are ints; a Fraction appears only where a lattice over Q has
 a non-integral structure constant in the adapted basis.  The coordinates
 of a vector and the entries of a derivation enter as int numerators over
 one denominator, which becomes the denominator of the matrix, and the
-matrices are assembled straight from int numerator rows.
+matrices are assembled straight from int numerator rows.  The adapted basis
+extends each lower central term to the next, with the terms themselves as
+the inner modules.  The coordinates of a unit vector are a row of the
+basis inverse; where that row is one letter with numerator 1, the matrix
+columns are the letter's memo entries, shared and never mutated.
 """
 
 from __future__ import annotations
@@ -71,10 +75,17 @@ def build_weighted_basis(
     """Adapted basis and weight function from the isolated lower central series.
 
     The first adapted vectors span the deepest nonzero term; each block
-    extends the previous one.  Over Z the change of basis P is unimodular
-    without a check: each block completes a Z-basis of one isolated term to
-    one of the next (`extend_basis` over Z), so by induction P is a Z-basis
-    of the first term, Z^r.
+    extends the previous one.  The step at depth d extends the term
+    chain[d] to chain[d - 1], and after it the rows of P are a basis
+    (a Z-basis over Z) of chain[d - 1].  By induction on the steps: before
+    the first, at depth c, P is empty and chain[c] is 0; a step takes rows
+    that extend the basis of chain[d] to one of chain[d - 1], and P is a
+    basis of the same module chain[d], so P and those rows are a basis of
+    chain[d - 1] too.  So each step's inner module is the chain term
+    itself, already canonical, and is never rebuilt from P.  Over Z the
+    change of basis P is unimodular without a check: each block completes
+    a Z-basis of one isolated term to one of the next (`extend_basis`
+    over Z), so P ends as a Z-basis of the first term, Z^r.
     L must be a Lie lattice (validated); `subalgebra_lattice` reads the
     adapted constants without a check of its own.  `chain`, when given,
     must be `lower_central_series(L)`, as a caller that has just computed
@@ -88,7 +99,7 @@ def build_weighted_basis(
     P = ExactMatrix.zero(0, L.rank)
     weights: list[int] = []
     for depth in range(c, 0, -1):
-        new_rows = extend_basis(Submodule.of_rows(P, L.domain), chain[depth - 1])
+        new_rows = extend_basis(chain[depth], chain[depth - 1])
         P = stack_rows([P, new_rows])
         weights.extend([depth] * new_rows.rows)
     adapted, _ = subalgebra_lattice(L, Submodule(L.rank, P, L.domain))
@@ -108,7 +119,7 @@ class TruncatedUEA:
             raise ValueError("cutoff must be nonnegative")
         self.basis = basis
         self.cutoff = cutoff
-        weight = {a: self.monomial_weight(a) for a in _enumerate_monomials(basis.weights, cutoff)}
+        weight = dict(_enumerate_monomials(basis.weights, cutoff))
         self._weight = weight
         self.monomials: tuple[Monomial, ...] = tuple(sorted(weight, key=lambda a: (weight[a], a)))
         self.index: dict[Monomial, int] = {a: i for i, a in enumerate(self.monomials)}
@@ -119,8 +130,10 @@ class TruncatedUEA:
         consts = [[(k, _constant(n, T.den)) for k, n in row.items()] for row in T.num]
         self._consts = [consts[i * r : (i + 1) * r] for i in range(r)]
         # with den == 1 every coefficient is a sum of products of ints, so
-        # the integrality check can only fail over Z with den != 1
-        self._check_integral = basis.lattice.domain == "Z" and T.den != 1
+        # no Fraction arises and the integrality check can only fail over Z
+        # with den != 1
+        self._integral = T.den == 1
+        self._check_integral = basis.lattice.domain == "Z" and not self._integral
 
     @property
     def dimension(self) -> int:
@@ -174,9 +187,25 @@ class TruncatedUEA:
 
         With the adapted coordinates of v as int numerators x_k over d, the
         columns sum x_k * (x_k's letter action) and the matrix is over d.
+        The coordinates of the unit vector e_i are row i of the basis
+        inverse.  When they are one letter with numerator 1, as wherever
+        e_i is itself an adapted basis vector, the columns are that
+        letter's memo entries themselves, which `_matrix_of_columns` only
+        reads.
         """
-        coords = ExactMatrix.from_rows([v], cols=self.rank) * self.basis.inverse
-        letters = list(coords.num[0].items())
+        if len(v) != self.rank:
+            raise ValueError(f"every row must have length {self.rank}")
+        inverse = self.basis.inverse
+        support = [i for i, x in enumerate(v) if x]
+        if len(support) == 1 and v[support[0]] == 1:
+            row, den = inverse.num[support[0]], inverse.den
+        else:
+            coords = ExactMatrix.from_rows([v], cols=self.rank) * inverse
+            row, den = coords.num[0], coords.den
+        letters = list(row.items())
+        if len(letters) == 1 and letters[0][1] == 1:
+            k = letters[0][0]
+            return self._matrix_of_columns([self._letter(k, beta) for beta in self.monomials], den)
         cols = []
         for beta in self.monomials:
             col: Element = {}
@@ -184,7 +213,7 @@ class TruncatedUEA:
                 for gamma, cf2 in self._letter(k, beta).items():
                     _acc(col, gamma, cf * cf2)
             cols.append(col)
-        return self._matrix_of_columns(cols, coords.den)
+        return self._matrix_of_columns(cols, den)
 
     def derivation_star(self, D: ExactMatrix) -> ExactMatrix:
         """Matrix of the lifted derivation D* on the monomial basis.
@@ -220,10 +249,14 @@ class TruncatedUEA:
     def _matrix_of_columns(self, cols: Sequence[Element], den: int) -> ExactMatrix:
         """The matrix over den whose column j holds the element cols[j] on
         the monomials, as int numerator rows; Fraction coefficients are
-        brought over the lcm of their denominators first."""
+        brought over the lcm of their denominators first.  An integral
+        adapted table makes every coefficient an int, so the scan for
+        Fractions is skipped."""
         index = self.index
         rows: list[Row] = [{} for _ in range(self.dimension)]
-        fractions = [cf for col in cols for cf in col.values() if type(cf) is not int]
+        fractions = (
+            [] if self._integral else [cf for col in cols for cf in col.values() if type(cf) is not int]
+        )
         d = lcm(*(cf.denominator for cf in fractions))
         for j, col in enumerate(cols):
             for alpha, cf in col.items():
@@ -235,12 +268,13 @@ class TruncatedUEA:
         return ExactMatrix._trusted(num, self.dimension, den * d)
 
 
-def _enumerate_monomials(weights: Sequence[int], cutoff: int) -> Iterable[Monomial]:
+def _enumerate_monomials(weights: Sequence[int], cutoff: int) -> Iterable[tuple[Monomial, int]]:
+    """Every monomial of weight at most the cutoff, with its weight."""
     r = len(weights)
 
     def rec(i: int, remaining: int, prefix: tuple[int, ...]):
         if i == r:
-            yield prefix
+            yield prefix, cutoff - remaining
             return
         w = weights[i]
         e = 0

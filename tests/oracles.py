@@ -37,6 +37,15 @@ its direction outside of, where the library takes it outside R_n alone.
 `ref_rescale_facts` and `ref_unimodular` run the construction checks that
 the library dropped: it proves those facts in the docstrings of the
 functions that build the rows, rather than checking them.
+`ref_extend_basis` inverts the Hermite transform of `hnf` by rational
+elimination, where the library's Hermite loop keeps (U^T)^-1 as it goes.
+`ref_lower_central_series` spans [L, L] from all ordered pairs, where the
+library brackets the pairs i < j for that step.  `ref_build_weighted_basis`
+spans each step's inner module anew from the rows so far, where the
+library reads it off the chain, and `RefTruncatedUEA` takes the
+coordinates of every vector by a product with the basis inverse and
+accumulates every column, where the library reads a unit vector's
+coordinates off the inverse and a one-letter column off the memo.
 `ref_brackets` sums every pair term by term, where the library reads the
 bracket of two single-entry rows off one table row; `ref_coordinate_rows`
 solves on the tagged echelon of any basis, where the library reads a basis
@@ -53,8 +62,10 @@ generators z', which the library's loop does not carry.
 """
 
 import importlib.util
+import random
 import sys
 from fractions import Fraction
+from itertools import product
 from math import lcm
 from pathlib import Path
 
@@ -63,6 +74,7 @@ from adorep.exact_linalg import (
     Echelon,
     ExactMatrix,
     Submodule,
+    _EMPTY_ROW,
     extend_basis,
     hnf,
     invert,
@@ -74,7 +86,9 @@ from adorep.jsonio import frac_to_str
 from adorep.lie_core import (
     LieLattice,
     NotNilpotentError,
+    bracket_series,
     center,
+    change_basis,
     is_ideal,
     is_nilpotent_submodule,
     killing_form,
@@ -83,11 +97,12 @@ from adorep.lie_core import (
     semidirect_assemble,
     solvable_radical,
     split_semidirect,
+    subalgebra_lattice,
     unit,
     validate,
 )
 from adorep.nilrep import _sqrt_interval, eta_interval
-from adorep.pbw import TruncatedUEA, build_weighted_basis
+from adorep.pbw import Element, TruncatedUEA, WeightedPBWBasis, _acc, build_weighted_basis
 from adorep.pipeline import CertificateReport, VerificationReport, degree_bound
 from adorep.rep import LinearRep
 
@@ -230,8 +245,6 @@ def is_squarefree(p):
 def brute_force_hnf(M_rows, op_bound=6):
     """Canonical Hermite form of a small integer matrix found by searching
     unimodular row transforms with bounded entries.  2x2 only."""
-    from itertools import product
-
     best = None
     for a, b, c, d in product(range(-op_bound, op_bound + 1), repeat=4):
         if a * d - b * c not in (1, -1):
@@ -290,6 +303,98 @@ def ref_hnf(A, cols):
             H[i] = [x - q * y for x, y in zip(H[i], H[r])]
         r += 1
     return H
+
+
+def ref_extend_basis(inner, outer):
+    """`extend_basis` as the library built it before its Hermite loop kept
+    (U^T)^-1 up to date: over Z, the transform U of the Hermite form of
+    C^T (`hnf`), transposed and inverted by rational elimination."""
+    C = outer.coordinate_rows(inner.basis)
+    if C is None:
+        raise ValueError("inner is not contained in outer")
+    k, m = inner.rank, outer.rank
+    if k == m:
+        return ExactMatrix.zero(0, outer.ambient_rank)
+    if outer.domain == "Q":
+        return extend_basis(inner, outer)
+    H, U = hnf(C.transpose())
+    W = invert(U.transpose())
+    det = 1
+    for i in range(k):
+        det *= H.num[i].get(i, 0)
+    if abs(det) != 1:
+        raise ValueError("inner is not isolated in outer; cannot extend over Z")
+    completion = ExactMatrix.from_ints(W.num[k:], m) * outer.basis
+    return Submodule.of_rows(completion, "Z").basis
+
+
+def ref_lower_central_series(L):
+    """The lower central series with [L, L] spanned by the brackets of all
+    r^2 ordered pairs of basis vectors, where the library brackets the
+    pairs i < j for that first step."""
+    full = Submodule.full(L.rank, L.domain)
+    return bracket_series(L, full, full)
+
+
+def ref_build_weighted_basis(L):
+    """`build_weighted_basis` as the library built it before it read each
+    step's inner module off the chain: the inner module spanned anew by the
+    rows so far, on `ref_lower_central_series`, extended by
+    `ref_extend_basis`."""
+    chain = ref_lower_central_series(L)
+    if not chain[-1].is_zero():
+        raise NotNilpotentError("weighted PBW basis requires a nilpotent lattice")
+    c = len(chain) - 1
+    P = ExactMatrix.zero(0, L.rank)
+    weights = []
+    for depth in range(c, 0, -1):
+        new_rows = ref_extend_basis(Submodule.of_rows(P, L.domain), chain[depth - 1])
+        P = stack_rows([P, new_rows])
+        weights.extend([depth] * new_rows.rows)
+    adapted, _ = subalgebra_lattice(L, Submodule(L.rank, P, L.domain))
+    return WeightedPBWBasis(L, P, invert(P), tuple(weights), c, adapted)
+
+
+class RefTruncatedUEA(TruncatedUEA):
+    """`TruncatedUEA` as the library built it before it read unit vectors
+    off the basis inverse: the monomials come from the full exponent box,
+    each weighed by `monomial_weight`; the coordinates of every vector are
+    its product with the basis inverse; every column is accumulated letter
+    by letter; and every column set is scanned for Fractions."""
+
+    def __init__(self, basis, cutoff):
+        super().__init__(basis, cutoff)
+        box = product(*(range(cutoff // w + 1) for w in basis.weights))
+        weighed = ((a, self.monomial_weight(a)) for a in box)
+        weight = {a: w for a, w in weighed if w <= cutoff}
+        self._weight = weight
+        self.monomials = tuple(sorted(weight, key=lambda a: (weight[a], a)))
+        self.index = {a: i for i, a in enumerate(self.monomials)}
+
+    def left_mult_matrix(self, v):
+        coords = ExactMatrix.from_rows([v], cols=self.rank) * self.basis.inverse
+        letters = list(coords.num[0].items())
+        cols = []
+        for beta in self.monomials:
+            col: Element = {}
+            for k, cf in letters:
+                for gamma, cf2 in self._letter(k, beta).items():
+                    _acc(col, gamma, cf * cf2)
+            cols.append(col)
+        return self._matrix_of_columns(cols, coords.den)
+
+    def _matrix_of_columns(self, cols, den):
+        rows = [{} for _ in range(self.dimension)]
+        fractions = [cf for col in cols for cf in col.values() if type(cf) is not int]
+        d = lcm(*(cf.denominator for cf in fractions))
+        for j, col in enumerate(cols):
+            for alpha, cf in col.items():
+                if fractions:
+                    cf = cf.numerator * (d // cf.denominator)
+                if cf:
+                    rows[self.index[alpha]][j] = cf
+        num = tuple(row or _EMPTY_ROW for row in rows)
+        return ExactMatrix._trusted(num, self.dimension, den * d)
 
 
 # -- helpers that only the tests use --------------------------------------
@@ -896,6 +1001,20 @@ def theorem_inputs(seed=23):
     workloads = load_bench("workloads")
     for workload in ("theorem-solvable", "theorem-scrambled"):
         out += [(f"{workload}:{c.name}", c.lattice) for c in workloads.build(workload, seed)]
+    return out
+
+
+def series_inputs():
+    """(name, lattice) for every catalog lattice and every nilpotent-regular
+    lattice at seed 23, each plain and in one seeded unimodular basis."""
+    workloads = load_bench("workloads")
+    plain = [(name, catalog.get(name).lattice) for name in catalog.names()]
+    plain += [(c.name, c.lattice) for c in workloads.build("nilpotent-regular", 23)]
+    rng = random.Random(23)
+    out = []
+    for name, L in plain:
+        P = ExactMatrix.from_rows(workloads.random_unimodular(rng, L.rank)[0])
+        out += [(name, L), (f"scrambled {name}", change_basis(L, P))]
     return out
 
 

@@ -21,6 +21,8 @@ from adorep.exact_linalg import (
     Echelon,
     ExactMatrix,
     Submodule,
+    _hermite,
+    extend_basis,
     hnf,
     invert,
     kernel_basis,
@@ -28,6 +30,7 @@ from adorep.exact_linalg import (
     rref,
     solve_left,
     solve_right,
+    stack_rows,
     trace_product,
 )
 from adorep.lie_core import _matrix_algebra_closure
@@ -38,6 +41,7 @@ from oracles import (
     ref_add,
     ref_contains_rows,
     ref_coordinate_rows,
+    ref_extend_basis,
     ref_hnf,
     ref_integer_kernel,
     ref_invert,
@@ -267,6 +271,13 @@ def test_hnf_matches_the_euclid_reference(a):
     assert inverse is not None
     assert all(x.denominator == 1 for row in U_rows + inverse for x in row)
     assert ref_mul(U_rows, A, m, n) == listed(H)
+    # the same loop, handed W = I, ends with W = (U^T)^-1, the transpose of
+    # that inverse, in every row, also in those extend_basis does not read
+    B = [[int(x) for x in row] for row in A]
+    W = [[int(i == j) for j in range(m)] for i in range(m)]
+    _hermite(B, n, W)
+    assert B == listed(H)
+    assert W == [list(col) for col in zip(*inverse)]
 
 
 @KERNEL
@@ -278,6 +289,57 @@ def test_integer_span_is_the_hermite_form_without_its_zero_rows(a):
     assert listed(S.basis) == nonzero
     H, _ = hnf(mat(A, n))
     assert S.basis == H.take_rows(range(len(nonzero)))
+
+
+@st.composite
+def isolated_chains(draw):
+    """(outer, G, d): outer a Z-span of random integer rows with entries up
+    to 2^70; G the rows of a unimodular m x m matrix, m = outer.rank, a unit
+    lower times a unit upper triangular one with entries up to 2^70 and its
+    rows permuted, so the first k rows of G * outer.basis span a sublattice
+    isolated in outer for every k; and d a factor that breaks the isolation."""
+    n = draw(st.integers(1, 5))
+    A, _, _ = draw(shaped(draw(st.integers(1, 5)), n, values=WIDE_INTEGERS))
+    outer = Submodule.of_rows(mat(A, n), "Z")
+    m = outer.rank
+    entry = st.one_of(st.integers(-3, 3), st.integers(-HUGE, HUGE))
+
+    def unit_triangular(below):
+        return [
+            [1 if i == j else draw(entry) if (j < i) == below else 0 for j in range(m)]
+            for i in range(m)
+        ]
+
+    G = mat(unit_triangular(True), m) * mat(unit_triangular(False), m)
+    G = G.take_rows(draw(st.permutations(range(m))))
+    return outer, G, draw(st.sampled_from((2, 3, HUGE)))
+
+
+@KERNEL
+@given(isolated_chains())
+def test_extend_basis_matches_the_inverted_hermite_transform(chain):
+    # every k from 0 to m, isolated; then, for 0 < k < m, with one
+    # generator scaled by d, which both reject (k = m needs no completion
+    # and is not checked)
+    outer, G, d = chain
+    m = outer.rank
+    for k in range(m + 1):
+        inner = Submodule.of_rows(G.take_rows(range(k)) * outer.basis, "Z")
+        extra = extend_basis(inner, outer)
+        assert extra == ref_extend_basis(inner, outer)
+        assert extra.rows == m - k
+        assert Submodule.of_rows(stack_rows([inner.basis, extra]), "Z") == outer
+        # hnf keeps its (H, U) contract, U * M = H
+        CT = outer.coordinate_rows(inner.basis).transpose()
+        H, U = hnf(CT)
+        assert U * CT == H
+        if 0 < k < m:
+            scaled = G.take_rows(range(k)) * outer.basis
+            scaled = stack_rows([scaled.take_rows(range(k - 1)), scaled.take_rows([k - 1]).scale(d)])
+            inner = Submodule.of_rows(scaled, "Z")
+            for extend in (extend_basis, ref_extend_basis):
+                with pytest.raises(ValueError, match="not isolated"):
+                    extend(inner, outer)
 
 
 @settings(max_examples=40, deadline=None)

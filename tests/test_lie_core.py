@@ -55,6 +55,7 @@ from oracles import (
     ref_brackets,
     ref_derived_series,
     ref_is_derivation,
+    ref_lower_central_series,
     ref_matrix_algebra_closure,
     ref_nilradical,
     ref_quotient_lattice,
@@ -63,6 +64,7 @@ from oracles import (
     ref_subalgebra_lattice,
     ref_table,
     ref_validate,
+    series_inputs,
     span,
     tensor_lattice,
 )
@@ -120,6 +122,12 @@ def test_lower_central_series():
     chain = lower_central_series(solv2())
     assert [m.rank for m in chain] == [2, 1]
     assert not is_nilpotent(solv2())
+
+
+@pytest.mark.parametrize("name, L", series_inputs(), ids=[n for n, _ in series_inputs()])
+def test_lower_central_series_equals_the_all_ordered_pairs_chain(name, L):
+    # [L, L] from the pairs i < j spans what all r^2 ordered pairs span
+    assert lower_central_series(L) == ref_lower_central_series(L)
 
 
 def test_derived_series():

@@ -15,12 +15,16 @@ from adorep.lie_core import (
 from adorep.pbw import TruncatedUEA, build_weighted_basis
 
 from oracles import (
+    RefTruncatedUEA,
     ad,
     column,
     derivation_basis,
+    is_nilpotent,
     nilpotent_entries,
     oracle_vector,
+    ref_build_weighted_basis,
     ref_derivation_star,
+    series_inputs,
 )
 from pbw_words import (
     apply_word,
@@ -322,3 +326,58 @@ def test_integral_coefficients_over_z():
         T = TruncatedUEA(B, B.nil_class)
         for i in range(L.rank):
             assert T.left_mult_matrix(unit(L.rank, i)).is_integral
+
+
+def _construction_inputs():
+    """(name, lattice): every nilpotent catalog lattice and every
+    nilpotent-regular lattice at seed 23, plain and in one seeded unimodular
+    basis, and a Q-lattice whose adapted constants are not integral."""
+    out = [(name, L) for name, L in series_inputs() if is_nilpotent(L)]
+    return out + [("fractional_q4", fractional_q4())]
+
+
+def _single_letter(row):
+    return len(row) == 1 and 1 in row.values()
+
+
+@pytest.mark.parametrize(
+    "name, L", _construction_inputs(), ids=[n for n, _ in _construction_inputs()]
+)
+def test_pbw_construction_equals_the_old_code(name, L):
+    B = build_weighted_basis(L)
+    assert B == ref_build_weighted_basis(L)
+    rng = random.Random(name)
+    r = L.rank
+    vectors = [unit(r, i) for i in range(r)]
+    vectors += [vector([rng.randint(-3, 3) for _ in range(r)]) for _ in range(2)]
+    for cutoff in (B.nil_class, B.nil_class + 1):
+        T, R = TruncatedUEA(B, cutoff), RefTruncatedUEA(B, cutoff)
+        assert T.monomials == R.monomials
+        # the weights enumerated with the monomials are monomial_weight's
+        assert T._weight == R._weight
+        first = [T.left_mult_matrix(v) for v in vectors]
+        assert first == [R.left_mult_matrix(v) for v in vectors]
+        derivations = [ad(L, v) for v in vectors]
+        assert [T.derivation_star(D) for D in derivations] == [
+            R.derivation_star(D) for D in derivations
+        ]
+        # the one-letter columns are the memo's own entries; nothing that
+        # ran since has changed them
+        assert [T.left_mult_matrix(v) for v in vectors] == first
+        with pytest.raises(ValueError):
+            T.left_mult_matrix(vector([1] + [0] * r))
+        with pytest.raises(ValueError):
+            T.left_mult_matrix(vector([0] * (r - 1)))
+
+
+def test_pbw_construction_inputs_take_both_letter_paths():
+    # a unit vector's coordinates are one letter with numerator 1 on the
+    # plain nilpotent-regular lattices, and more than that on some of their
+    # scrambled copies; the Q-lattice's adapted table is not integral
+    rows = {
+        name: build_weighted_basis(L).inverse.num for name, L in _construction_inputs()
+    }
+    assert all(_single_letter(row) for row in rows["F7"] + rows["heisenberg9"])
+    scrambled = [row for name, num in rows.items() if name.startswith("scrambled F") for row in num]
+    assert not all(_single_letter(row) for row in scrambled)
+    assert build_weighted_basis(fractional_q4()).adapted.table.den != 1

@@ -38,6 +38,7 @@ from oracles import (
     load_bench_run,
     power,
     ref_verify_certificate,
+    series_inputs,
     tensor_lattice,
     theorem_inputs,
 )
@@ -565,21 +566,7 @@ def test_nilpotent_ado_reads_the_radicals_off_its_series(monkeypatch, name):
     }
 
 
-def _radical_inputs():
-    """(name, lattice) for every catalog lattice and every nilpotent-regular
-    lattice at seed 23, each plain and in one seeded unimodular basis."""
-    workloads = load_bench("workloads")
-    plain = [(name, catalog.get(name).lattice) for name in catalog.names()]
-    plain += [(c.name, c.lattice) for c in workloads.build("nilpotent-regular", 23)]
-    rng = random.Random(23)
-    out = []
-    for name, L in plain:
-        P = ExactMatrix.from_rows(workloads.random_unimodular(rng, L.rank)[0])
-        out += [(name, L), (f"scrambled {name}", change_basis(L, P))]
-    return out
-
-
-@pytest.mark.parametrize("name, L", _radical_inputs(), ids=[n for n, _ in _radical_inputs()])
+@pytest.mark.parametrize("name, L", series_inputs(), ids=[n for n, _ in series_inputs()])
 def test_radicals_read_off_the_series_equal_the_computed_ones(name, L):
     assert radical_pair(L, lower_central_series(L)) == radical_pair(L)
 
