@@ -23,7 +23,10 @@ row against the Submodule's cached tagged echelon; membership takes the
 same coordinates.  The public constructors check their rows; rows a kernel
 built itself go through the private `ExactMatrix._trusted`, which only
 normalises, and `_of` wraps normalised rows setting only `num`, `den` and
-`cols`.  `rref` stops adding rows once the rank reaches the column count.
+`cols`.  Canonical inputs come back as they are (the forms are unique):
+`rref` of an RREF matrix, `of_rows` over Z of Hermite rows, `saturate` of
+a Hermite basis with pivots 1, `invert` of or a product with the identity.
+Otherwise `rref` stops adding rows once the rank reaches the column count.
 Fractions appear only at the boundary: the dense views `entries` and
 `row`, the one-vector wrappers `solve_left` and `Submodule.coordinates`,
 and the scalars of non-integral matrices.  The dense view and the hash fill
@@ -48,8 +51,8 @@ ZERO = Fraction(0)
 # Shared by every row without nonzeros; rows are never mutated once built.
 _EMPTY_ROW: Row = {}
 
-# ExactMatrix refuses attribute writes; its constructors and caches write
-# through object.__setattr__.
+# ExactMatrix refuses attribute writes: its caches write through
+# object.__setattr__, its constructors through the slots' own setters.
 _set = object.__setattr__
 
 
@@ -154,11 +157,12 @@ class ExactMatrix:
         Zero values are dropped; every column index must lie in range(cols).
         """
         rows = list(rows)
-        _check_columns(rows, cols)
+        if any(row and (min(row) < 0 or max(row) >= cols) for row in rows):
+            raise ValueError(f"column index outside range({cols})")
         num, den = _int_rows(row.items() for row in rows)
-        _set(self, "num", num)
-        _set(self, "den", den)
-        _set(self, "cols", cols)
+        _set_num(self, num)
+        _set_den(self, den)
+        _set_cols(self, cols)
 
     @classmethod
     def from_ints(cls, rows: Iterable[Mapping[int, int]], cols: int, den: int = 1) -> "ExactMatrix":
@@ -167,16 +171,24 @@ class ExactMatrix:
         nonzero int denominator."""
         if not den:
             raise ZeroDivisionError("matrix denominator is zero")
-        rows = list(rows)
-        _check_columns(rows, cols)
-        num = tuple({j: x for j, x in row.items() if x} or _EMPTY_ROW for row in rows)
-        return cls._trusted(num, cols, den)
+        num = []
+        for row in rows:
+            kept = {}
+            for j, x in row.items():
+                if not 0 <= j < cols:
+                    raise ValueError(f"column index outside range({cols})")
+                if x:
+                    kept[j] = x
+            num.append(kept or _EMPTY_ROW)
+        return cls._trusted(tuple(num), cols, den)
 
     @classmethod
     def _trusted(cls, num: tuple[Row, ...], cols: int, den: int = 1) -> "ExactMatrix":
         """num / den from rows an internal caller built itself: nonzero int
         numerators in range(cols) over a nonzero den.  It only normalises;
         `from_ints` is the checked form."""
+        if den == 1:
+            return cls._of(num, 1, cols)
         return cls._of(*_normalized(num, den), cols)
 
     @classmethod
@@ -184,9 +196,9 @@ class ExactMatrix:
         """Wrap rows that are already normalised: nonzero int numerators in
         range(cols) over a positive den sharing no factor with all of them."""
         M = object.__new__(cls)
-        _set(M, "num", num)
-        _set(M, "den", den)
-        _set(M, "cols", cols)
+        _set_num(M, num)
+        _set_den(M, den)
+        _set_cols(M, cols)
         return M
 
     def __setattr__(self, name, value):
@@ -328,8 +340,13 @@ class ExactMatrix:
         return ExactMatrix._of(*_normalized(num, self.den * c.denominator), self.cols)
 
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
+        """The product; I * A and A * I return A as it is."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
+        if _is_identity(self):
+            return other
+        if _is_identity(other):
+            return self
         brows = other.num
         out = []
         for arow in self.num:
@@ -361,10 +378,39 @@ class ExactMatrix:
         return "[" + "; ".join(" ".join(str(x) for x in row) for row in rows) + "]"
 
 
-def _check_columns(rows: Sequence[Mapping[int, Scalar]], cols: int) -> None:
-    for row in rows:
-        if row and (min(row) < 0 or max(row) >= cols):
-            raise ValueError(f"column index outside range({cols})")
+_set_num, _set_den, _set_cols = (ExactMatrix.__dict__[s].__set__ for s in ("num", "den", "cols"))
+
+
+def _is_identity(M: ExactMatrix) -> bool:
+    """Whether M is an identity matrix, read up to its first other row."""
+    if M.den != 1 or len(M.num) != M.cols:
+        return False
+    for i, row in enumerate(M.num):
+        if len(row) != 1 or row.get(i) != 1:
+            return False
+    return True
+
+
+def _echelon_pivots(rows: Sequence[Row], unit: int = 0, ordered: bool = True) -> dict[int, int] | None:
+    """{first column: row index} of the rows before the first zero row, or
+    None unless they are in Hermite form (positive first entries, others in
+    those columns in [0, that entry)), or with `unit` reduced (first entries
+    `unit`, others 0: RREF of rows / unit), first columns rising if `ordered`."""
+    pivots: dict[int, int] = {}
+    last = -1
+    for i, row in enumerate(rows):
+        if not row:
+            break
+        p = min(row)
+        if (row[p] != unit if unit else row[p] <= 0) or p in pivots or (ordered and p < last):
+            return None
+        pivots[p], last = i, p
+    for row, p in zip(rows, pivots):
+        for j, x in row.items():
+            i = pivots.get(j)
+            if i is not None and j != p and (unit or not 0 <= x < rows[i][j]):
+                return None
+    return pivots
 
 
 def trace_product(A: ExactMatrix, B: ExactMatrix) -> int | Fraction:
@@ -618,8 +664,12 @@ def _tagged(M: ExactMatrix) -> Echelon:
 def rref(M: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
     """Reduced row echelon form over the rationals; returns (R, pivot columns).
 
-    Rows stop being added once the rank reaches the column count: every
-    later row lies in the span."""
+    An M already in RREF, zero rows only at the end, is returned as it is:
+    the RREF is unique.  Otherwise rows stop being added once the rank
+    reaches the column count: every later row lies in the span."""
+    pivots = _echelon_pivots(M.num, M.den)
+    if pivots is not None and not any(M.num[len(pivots) :]):
+        return M, tuple(pivots)
     E = Echelon()
     for row in M.num:
         E.add(row)
@@ -634,9 +684,11 @@ def rank(M: ExactMatrix) -> int:
 
 
 def invert(M: ExactMatrix) -> ExactMatrix:
-    """Exact inverse of a square matrix; raises on singular input."""
+    """Exact inverse of a square matrix (of the identity, itself); raises on singular input."""
     if not M.is_square:
         raise ValueError("inverse of a non-square matrix")
+    if _is_identity(M):
+        return M
     n = M.rows
     # the RREF of [num | I] is [I | num^-1], and M^-1 = den * num^-1
     aug = ExactMatrix._of(tuple({**row, n + i: 1} for i, row in enumerate(M.num)), 1, 2 * n)
@@ -719,16 +771,19 @@ class Submodule:
 
     @staticmethod
     def of_rows(M: ExactMatrix, domain: str) -> "Submodule":
-        """The canonical Submodule spanned by the rows of M."""
+        """The canonical Submodule spanned by the rows of M.  Over Z, nonzero
+        rows in Hermite form are kept: `_hermite` makes no operation on them."""
         if domain not in ("Z", "Q"):
             raise ValueError("domain must be 'Z' or 'Q'")
         n = M.cols
         if domain == "Q":
             R, pivots = rref(M)
             return Submodule(n, ExactMatrix._of(R.num[: len(pivots)], R.den, n), "Q")
-        A = _dense_ints((row for row in M.num if row), n)
-        k = _hermite(A, n)
-        return Submodule(n, ExactMatrix.from_ints(map(dict, map(enumerate, A[:k])), n, M.den), "Z")
+        rows = tuple(row for row in M.num if row)
+        if _echelon_pivots(rows) is None:
+            A = _dense_ints(rows, n)
+            rows = tuple({j: x for j, x in enumerate(row) if x} for row in A[: _hermite(A, n)])
+        return Submodule(n, ExactMatrix._trusted(rows, n, M.den), "Z")
 
     @staticmethod
     def zero(ambient_rank: int, domain: str = "Z") -> "Submodule":
@@ -743,19 +798,10 @@ class Submodule:
         """{first column: row index} when the basis is in reduced echelon
         form: each row 1 at its first column and 0 at the first columns of
         the other rows, as the basis of every Q-Submodule from `of_rows`
-        is.  None for any other basis."""
+        is, in any row order.  None for any other basis."""
         B = self.basis
-        pivots: dict[int, int] = {}
-        for i, row in enumerate(B.num):
-            if not row:
-                return None
-            p = min(row)
-            if row[p] != B.den or p in pivots:
-                return None
-            pivots[p] = i
-        if any(sum(j in pivots for j in row) != 1 for row in B.num):
-            return None
-        return pivots
+        pivots = _echelon_pivots(B.num, B.den, ordered=False)
+        return pivots if len(pivots or ()) == B.rows else None
 
     @cached_property
     def _echelon(self) -> Echelon:
@@ -833,14 +879,18 @@ class Submodule:
         return Submodule.of_rows(stack_rows([self.basis, other.basis]), self.domain)
 
     def saturate(self) -> "Submodule":
-        """Isolated closure: same Q-span, torsion-free quotient.  No-op over Q.
+        """The closure in (1/d) * Z^n, d the basis's denominator: the points
+        of (1/d) * Z^n in the Q-span.  For d = 1 that is the isolated
+        closure; Z(1/2, 0) + Z(0, 1/3) closes to (1/6) * Z^2.  No-op over Q.
 
         The basis rows must be independent.  With B their numerators (k x n)
         and H the Hermite form of B^T, B = T * W for T = H[:k]^T triangular
         and W spanning the integer points of the Q-span (see `extend_basis`),
-        so the closure is the Hermite form of W = T^-1 * B.
-        """
-        if self.domain == "Q" or self.rank == 0:
+        so the closure is the Hermite form of W = T^-1 * B, over d.  If B is
+        in Hermite form with pivots 1, its minor at the pivots is
+        unitriangular: back-substitution gives every integer point of its
+        Q-span integral coordinates, so B spans them, and the closure is self."""
+        if self.domain == "Q" or len(_echelon_pivots(self.basis.num, 1) or ()) == self.rank:
             return self
         n, k = self.ambient_rank, self.rank
         B = self.basis.num

@@ -59,6 +59,10 @@ kernel.  `is_semisimple` tests a trivial centre and a full-rank Killing
 form, where the library reads semisimplicity off Cartan's criterion,
 R_s = 0.  `ref_zprimes` replays the expansion maps to follow the
 generators z', which the library's loop does not carry.
+`ref_of_rows_z` and `ref_saturate` always run the Hermite loop, and
+`ref_rref` and `ref_invert` always eliminate, where the library returns an
+input already in canonical form (RREF, Hermite form, a saturated basis,
+the identity) as it is.
 """
 
 import importlib.util
@@ -75,6 +79,8 @@ from adorep.exact_linalg import (
     ExactMatrix,
     Submodule,
     _EMPTY_ROW,
+    _dense_ints,
+    _hermite,
     extend_basis,
     hnf,
     invert,
@@ -303,6 +309,38 @@ def ref_hnf(A, cols):
             H[i] = [x - q * y for x, y in zip(H[i], H[r])]
         r += 1
     return H
+
+
+def ref_of_rows_z(M):
+    """`Submodule.of_rows(M, "Z")` by the Hermite loop whatever M is: the
+    Hermite form of the nonzero numerator rows, without its zero rows, over
+    M.den."""
+    n = M.cols
+    A = _dense_ints((row for row in M.num if row), n)
+    k = _hermite(A, n)
+    return Submodule(n, ExactMatrix.from_ints(map(dict, map(enumerate, A[:k])), n, M.den), "Z")
+
+
+def ref_saturate(S):
+    """`S.saturate()` over Z by the Hermite loop whatever the basis is:
+    with B the numerators and H the Hermite form of B^T, the Hermite form
+    of T^-1 * B for T = H[:k]^T, over the basis's denominator."""
+    if S.rank == 0:
+        return S
+    n, k = S.ambient_rank, S.rank
+    B = S.basis.num
+    H = _dense_ints(S.basis.transpose().num, k)
+    if _hermite(H, k) != k:
+        raise ValueError("saturate needs independent basis rows")
+    W = []
+    for i in range(k):
+        acc = dict(B[i])
+        for j in range(i):
+            for c, x in W[j].items():
+                acc[c] = acc.get(c, 0) - H[j][i] * x
+        W.append({c: x // H[i][i] for c, x in acc.items() if x})
+    sat = ref_of_rows_z(ExactMatrix.from_ints(W, n))
+    return Submodule(n, ExactMatrix.from_ints(sat.basis.num, n, S.basis.den), "Z")
 
 
 def ref_extend_basis(inner, outer):

@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
+from adorep import catalog, exact_linalg
 from adorep.exact_linalg import (
+    Echelon,
     ExactMatrix,
     NonIntegralMatrixError,
     Submodule,
@@ -16,6 +19,8 @@ from adorep.exact_linalg import (
     solve_left,
     vector,
 )
+from adorep.lie_core import direct_sum
+from adorep.pipeline import ado_representation
 
 from oracles import brute_force_hnf, power, ref_minors_gcd, span
 
@@ -105,6 +110,15 @@ def test_saturate_examples():
     assert t.saturate() == t
     u = span([vector([2, 4]), vector([0, 6])], 2, "Z")
     assert u.saturate() == Submodule.full(2, "Z")
+
+
+def test_saturate_of_a_fractional_basis_keeps_its_denominator():
+    # the closure in (1/6) * Z^2 of Z(1/2, 0) + Z(0, 1/3); the saturated
+    # input (1/6) * Z^2 comes back as it is
+    S = Submodule.of_rows(M([[Fraction(1, 2), 0], [0, Fraction(1, 3)]]), "Z")
+    sat = S.saturate()
+    assert sat.basis == M([[Fraction(1, 6), 0], [0, Fraction(1, 6)]])
+    assert sat.saturate() is sat
 
 
 def test_saturate_idempotent_rank_preserving_random():
@@ -243,3 +257,55 @@ def test_power():
         power(N, -1)
     with pytest.raises(ValueError):
         power(M([[1, 2]]), 2)
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """Counts of the Echelons built, the rows added to them and the Hermite
+    loops run, from the moment the fixture is set up."""
+    counts = {"Echelon": 0, "add": 0, "_hermite": 0}
+    init, add, hermite = Echelon.__init__, Echelon.add, exact_linalg._hermite
+
+    def counting_init(self):
+        counts["Echelon"] += 1
+        init(self)
+
+    def counting_add(self, v):
+        counts["add"] += 1
+        return add(self, v)
+
+    def counting_hermite(*args):
+        counts["_hermite"] += 1
+        return hermite(*args)
+
+    monkeypatch.setattr(Echelon, "__init__", counting_init)
+    monkeypatch.setattr(Echelon, "add", counting_add)
+    monkeypatch.setattr(exact_linalg, "_hermite", counting_hermite)
+    return counts
+
+
+def test_canonical_inputs_skip_elimination(eliminations):
+    R = M([[1, 0, Fraction(2, 3)], [0, 1, 5], [0, 0, 0]])
+    assert rref(R) == (R, (0, 1))
+    H = M([[1, 0, 7], [0, 1, -3]])
+    S = Submodule.of_rows(H, "Z")
+    assert S.basis == H
+    assert S.saturate() is S
+    I, A = ExactMatrix.identity(3), M([[1, 2, 3], [4, 5, 6]])
+    At = A.transpose()
+    assert invert(I) is I
+    assert A * I is A
+    assert I * At is At
+    assert eliminations == {"Echelon": 0, "add": 0, "_hermite": 0}
+    # a near miss of each form eliminates
+    rref(M([[0, 1], [1, 0]]))
+    Submodule.of_rows(M([[0, 1], [2, 0]]), "Z").saturate()
+    assert eliminations == {"Echelon": 1, "add": 2, "_hermite": 2}
+
+
+def test_strict_ado_of_t2_cubed_eliminates_less(eliminations):
+    """One strict ado of t2^3 runs 2 Hermite loops and 451 Echelon.add;
+    eliminating every input, canonical or not, takes 13 and 908."""
+    _, report, _ = ado_representation(reduce(direct_sum, [catalog.t2_upper()] * 3), strict=True)
+    assert report.degree == 19
+    assert (eliminations["_hermite"], eliminations["add"]) == (2, 451)

@@ -6,7 +6,9 @@ nonzero rows), saturation built on it and the integer kernel as the
 saturated rational one, coordinates in submodules, trace forms and the matrix-algebra envelope
 against plain list-of-lists Fraction matrices (tests/oracles.py), on random
 sparse rational matrices that include 0-row and 0-column shapes, with
-small entries and with entries and denominators up to 2^70."""
+small entries and with entries and denominators up to 2^70.  Inputs already
+in canonical form (RREF, Hermite form, identity), and near misses of it,
+are checked against the elimination paths that they skip."""
 
 import pickle
 from fractions import Fraction
@@ -51,8 +53,10 @@ from oracles import (
     ref_minimal_polynomial,
     ref_minors_gcd,
     ref_mul,
+    ref_of_rows_z,
     ref_rank,
     ref_rref,
+    ref_saturate,
     ref_scale,
     ref_solve_left,
     ref_solve_right,
@@ -730,3 +734,103 @@ def test_one_value_has_one_representation(a, d, e):
         assert same_value(N, M)
         assert (N.num, N.den) == (M.num, M.den)
     assert M.is_integral == (M.den == 1)
+
+
+@st.composite
+def canonical_or_near(draw):
+    """(A, n): the values of rows in canonical form or a near miss of it.
+
+    The k x n int rows are in Hermite form (positive pivots in increasing
+    columns, every entry above a pivot in [0, pivot)), or, when drawn
+    reduced, in RREF (pivots 1, zeros above them).  The other entries are
+    ints, or fractions, up to 2^70, and zero rows may follow.  One change
+    may then break the form: two rows swapped, a negative pivot, an entry
+    above a pivot equal to the pivot, a pivot of 2, or an interior zero row.
+    Last, every row is divided by d, 1, 2, 3 or 2^70.
+    """
+    n = draw(st.integers(1, 6))
+    pivots = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    reduced = draw(st.booleans())
+    head = {p: 1 if reduced else draw(st.one_of(st.integers(1, 4), st.integers(1, HUGE))) for p in pivots}
+    other = draw(st.sampled_from((WIDE_INTEGERS, WIDE)))
+    rows = []
+    for p in pivots:
+        row = [ZERO] * n
+        row[p] = Fraction(head[p])
+        for j in range(p + 1, n):
+            row[j] = Fraction(draw(st.integers(0, head[j] - 1))) if j in head else draw(other)
+        rows.append(row)
+    k = len(rows)
+    near = draw(st.sampled_from((None, "negate", "two", "zero") + (("swap", "above") if k > 1 else ())))
+    i = draw(st.integers(1 if near in ("swap", "above") else 0, k - 1))
+    r = draw(st.integers(0, i - 1)) if i else 0
+    if near == "swap":
+        rows[r], rows[i] = rows[i], rows[r]
+    elif near == "negate":
+        rows[i] = [-x for x in rows[i]]
+    elif near == "two":
+        rows[i] = [2 * x for x in rows[i]]
+    elif near == "above":
+        rows[r][pivots[i]] = rows[i][pivots[i]]
+    elif near == "zero":
+        rows.insert(i, [ZERO] * n)
+    rows += [[ZERO] * n] * draw(st.integers(0, 2))
+    d = draw(st.sampled_from((1, 2, 3, HUGE)))
+    return [[x / d for x in row] for row in rows], n
+
+
+@KERNEL
+@given(canonical_or_near())
+@example(([[Fraction(1), ZERO], [ZERO, Fraction(1)]], 2))
+@example(([[Fraction(1, 2), ZERO], [ZERO, Fraction(1, 3)]], 2))
+@example(([[Fraction(1, 2), ZERO, Fraction(3, 2)], [ZERO, Fraction(1, 2), ZERO]], 3))
+@example(([[Fraction(1), ZERO, Fraction(1, 3)], [ZERO, Fraction(1), Fraction(-2, 5)], [ZERO] * 3], 3))
+def test_canonical_inputs_and_near_misses_match_the_elimination_paths(a):
+    A, n = a
+    M = mat(A, n)
+    R, pivots = rref(M)
+    assert (listed(R), list(pivots)) == ref_rref(A, n)
+    assert rank(M) == len(pivots)
+    assert Submodule.of_rows(M, "Z") == ref_of_rows_z(M)
+    if M.rows == n:
+        want = ref_invert(A)
+        if want is None:
+            with pytest.raises(ValueError, match="singular"):
+                invert(M)
+        else:
+            assert listed(invert(M)) == want
+    S = Submodule(n, M, "Z")
+    if len(pivots) == M.rows:
+        assert S.saturate() == ref_saturate(S)
+    else:
+        for saturate in (Submodule.saturate, ref_saturate):
+            with pytest.raises(ValueError, match="independent"):
+                saturate(S)
+
+
+@KERNEL
+@given(
+    shaped(values=WIDE),
+    st.booleans(),
+    st.sampled_from((None, "swap", "negate", "two", "zero", "off", "den")),
+)
+def test_products_with_an_identity_or_a_near_miss_match_reference(a, left, near):
+    A, m, n = a
+    size = m if left else n
+    I = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
+    if size > 1 and near == "swap":
+        I[0], I[1] = I[1], I[0]
+    elif size > 1 and near == "off":
+        I[0][1] = Fraction(1)
+    elif size and near in ("negate", "two", "zero", "den"):
+        I[0][0] = {"negate": Fraction(-1), "two": Fraction(2), "zero": ZERO, "den": Fraction(1, 2)}[near]
+    if left:
+        assert listed(mat(I, size) * mat(A, n)) == ref_mul(I, A, m, n)
+    else:
+        assert listed(mat(A, n) * mat(I, size)) == ref_mul(A, I, n, n)
+    want = ref_invert(I)
+    if want is None:
+        with pytest.raises(ValueError, match="singular"):
+            invert(mat(I, size))
+    else:
+        assert listed(invert(mat(I, size))) == want
