@@ -24,8 +24,10 @@ same coordinates.  The public constructors check their rows; rows a kernel
 built itself go through the private `ExactMatrix._trusted`, which only
 normalises, and `_of` wraps normalised rows setting only `num`, `den` and
 `cols`.  Canonical inputs come back as they are (the forms are unique):
-`rref` of an RREF matrix, `of_rows` over Z of Hermite rows, `saturate` of
-a Hermite basis with pivots 1, `invert` of or a product with the identity.
+`rref` of an RREF matrix (reduced rows in another order, or with zero rows
+between them, sorted by pivot), `of_rows` over Z of Hermite rows,
+`saturate` of a Hermite basis with pivots 1, `invert` of or a product with
+the identity.
 Otherwise `rref` stops adding rows once the rank reaches the column count.
 Fractions appear only at the boundary: the dense views `entries` and
 `row`, the one-vector wrappers `solve_left` and `Submodule.coordinates`,
@@ -392,23 +394,23 @@ def _is_identity(M: ExactMatrix) -> bool:
 
 
 def _echelon_pivots(rows: Sequence[Row], unit: int = 0, ordered: bool = True) -> dict[int, int] | None:
-    """{first column: row index} of the rows before the first zero row, or
-    None unless they are in Hermite form (positive first entries, others in
+    """{first column: row index} of the nonzero rows, in row order, or None
+    unless they are in Hermite form (positive first entries, others in
     those columns in [0, that entry)), or with `unit` reduced (first entries
     `unit`, others 0: RREF of rows / unit), first columns rising if `ordered`."""
     pivots: dict[int, int] = {}
     last = -1
     for i, row in enumerate(rows):
         if not row:
-            break
+            continue
         p = min(row)
         if (row[p] != unit if unit else row[p] <= 0) or p in pivots or (ordered and p < last):
             return None
         pivots[p], last = i, p
-    for row, p in zip(rows, pivots):
-        for j, x in row.items():
-            i = pivots.get(j)
-            if i is not None and j != p and (unit or not 0 <= x < rows[i][j]):
+    for p, i in pivots.items():
+        for j, x in rows[i].items():
+            k = pivots.get(j)
+            if k is not None and j != p and (unit or not 0 <= x < rows[k][j]):
                 return None
     return pivots
 
@@ -664,12 +666,19 @@ def _tagged(M: ExactMatrix) -> Echelon:
 def rref(M: ExactMatrix) -> tuple[ExactMatrix, tuple[int, ...]]:
     """Reduced row echelon form over the rationals; returns (R, pivot columns).
 
-    An M already in RREF, zero rows only at the end, is returned as it is:
-    the RREF is unique.  Otherwise rows stop being added once the rank
-    reaches the column count: every later row lies in the span."""
-    pivots = _echelon_pivots(M.num, M.den)
-    if pivots is not None and not any(M.num[len(pivots) :]):
-        return M, tuple(pivots)
+    An M already in RREF, zero rows only at the end, is returned as it is,
+    and reduced nonzero rows in another order, or with zero rows between
+    them, are sorted by pivot over zero rows: the RREF is unique.  One scan
+    decides both.  Otherwise rows stop being added once the rank reaches
+    the column count: every later row lies in the span."""
+    found = _echelon_pivots(M.num, M.den, ordered=False)
+    if found is not None:
+        pivots = tuple(sorted(found))
+        indices = [found[p] for p in pivots]
+        if indices == list(range(len(indices))):
+            return M, pivots
+        num = tuple(M.num[i] for i in indices) + (_EMPTY_ROW,) * (M.rows - len(indices))
+        return ExactMatrix._of(num, M.den, M.cols), pivots
     E = Echelon()
     for row in M.num:
         E.add(row)

@@ -12,7 +12,10 @@ of a vector and the entries of a derivation enter as int numerators over
 one denominator, which becomes the denominator of the matrix, and the
 matrices are assembled straight from int numerator rows.  The adapted basis
 extends each lower central term to the next, with the terms themselves as
-the inner modules.  The coordinates of a unit vector are a row of the
+the inner modules; where every term is spanned by lattice basis vectors it
+is a permutation of the lattice basis, read off the chain without
+elimination.  Monomials are enumerated letter by letter, without
+recursion.  The coordinates of a unit vector are a row of the
 basis inverse; where that row is one letter with numerator 1, the matrix
 columns are the letter's memo entries, shared and never mutated.
 """
@@ -22,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .exact_linalg import (
     ExactMatrix,
@@ -86,6 +89,19 @@ def build_weighted_basis(
     change of basis P is unimodular without a check: each block completes
     a Z-basis of one isolated term to one of the next (`extend_basis`
     over Z), so P ends as a Z-basis of the first term, Z^r.
+    A graded chain, each term's basis made of unit rows (den 1, one entry
+    1), is read off without elimination, to the same result: each block
+    is the unit rows of chain[d - 1] missing from chain[d], in increasing
+    column order.  There the coordinates C of chain[d] in chain[d - 1] are
+    0/1 rows selecting columns in increasing order, so over Q the pivots
+    of C are the selected columns and the rest are the block; over Z the
+    Hermite loop on C^T only swaps rows, as each of its columns has one
+    nonzero, a 1, so W is a permutation matrix, W[k:] are the unselected
+    unit rows and the Hermite form of their span is those rows in
+    increasing order.  P is then a permutation matrix, whose inverse is
+    its transpose, and `subalgebra_lattice` reads the coordinates of
+    [x_a, x_b] at the permuted columns; its mirrored rows are the table's
+    own, re-indexed, as a validated L is antisymmetric.
     L must be a Lie lattice (validated); `subalgebra_lattice` reads the
     adapted constants without a check of its own.  `chain`, when given,
     must be `lower_central_series(L)`, as a caller that has just computed
@@ -95,14 +111,32 @@ def build_weighted_basis(
         chain = lower_central_series(L)
     if not chain[-1].is_zero():
         raise NotNilpotentError("weighted PBW basis requires a nilpotent lattice")
-    c = len(chain) - 1
-    P = ExactMatrix.zero(0, L.rank)
+    c, r = len(chain) - 1, L.rank
     weights: list[int] = []
+    graded = all(
+        S.basis.den == 1 and all(list(row.values()) == [1] for row in S.basis.num) for S in chain
+    )
+    if graded:
+        order: list[int] = []  # the column of each unit row of P
+        for depth in range(c, 0, -1):
+            below = {j for row in chain[depth].basis.num for j in row}
+            block = [j for row in chain[depth - 1].basis.num for j in row if j not in below]
+            order += block
+            weights += [depth] * len(block)
+        P = ExactMatrix._of(tuple({j: 1} for j in order), 1, r)
+        position, T = {j: t for t, j in enumerate(order)}, L.table
+        num = tuple(
+            {position[k]: x for k, x in T.num[a * r + b].items()} for a in order for b in order
+        )
+        names = tuple(f"v{t}" for t in range(r))
+        adapted = LieLattice(names, ExactMatrix._of(num, T.den, r), L.domain)
+        return WeightedPBWBasis(L, P, P.transpose(), tuple(weights), c, adapted)
+    P = ExactMatrix.zero(0, r)
     for depth in range(c, 0, -1):
         new_rows = extend_basis(chain[depth], chain[depth - 1])
         P = stack_rows([P, new_rows])
         weights.extend([depth] * new_rows.rows)
-    adapted, _ = subalgebra_lattice(L, Submodule(L.rank, P, L.domain))
+    adapted, _ = subalgebra_lattice(L, Submodule(r, P, L.domain))
     return WeightedPBWBasis(L, P, invert(P), tuple(weights), c, adapted)
 
 
@@ -119,9 +153,9 @@ class TruncatedUEA:
             raise ValueError("cutoff must be nonnegative")
         self.basis = basis
         self.cutoff = cutoff
-        weight = dict(_enumerate_monomials(basis.weights, cutoff))
-        self._weight = weight
-        self.monomials: tuple[Monomial, ...] = tuple(sorted(weight, key=lambda a: (weight[a], a)))
+        by_weight = sorted((w, alpha) for alpha, w in _enumerate_monomials(basis.weights, cutoff))
+        self._weight = {alpha: w for w, alpha in by_weight}
+        self.monomials: tuple[Monomial, ...] = tuple(alpha for _, alpha in by_weight)
         self.index: dict[Monomial, int] = {a: i for i, a in enumerate(self.monomials)}
         self._memo: dict[tuple[int, Monomial], Element] = {}
         # _consts[i][j]: the adapted [x_i, x_j] as (k, constant) pairs, each
@@ -268,21 +302,16 @@ class TruncatedUEA:
         return ExactMatrix._trusted(num, self.dimension, den * d)
 
 
-def _enumerate_monomials(weights: Sequence[int], cutoff: int) -> Iterable[tuple[Monomial, int]]:
-    """Every monomial of weight at most the cutoff, with its weight."""
-    r = len(weights)
-
-    def rec(i: int, remaining: int, prefix: tuple[int, ...]):
-        if i == r:
-            yield prefix, cutoff - remaining
-            return
-        w = weights[i]
-        e = 0
-        while e * w <= remaining:
-            yield from rec(i + 1, remaining - e * w, prefix + (e,))
-            e += 1
-
-    yield from rec(0, cutoff, ())
+def _enumerate_monomials(weights: Sequence[int], cutoff: int) -> list[tuple[Monomial, int]]:
+    """Every monomial of weight at most the cutoff, with its weight, in
+    lexicographic order: letter by letter, each prefix in turn is extended
+    by every exponent of the next letter that fits."""
+    level: list[tuple[Monomial, int]] = [((), 0)]
+    for w in weights:
+        level = [
+            (alpha + (e,), s + e * w) for alpha, s in level for e in range((cutoff - s) // w + 1)
+        ]
+    return level
 
 
 def _inc(alpha: Monomial, i: int) -> Monomial:

@@ -41,8 +41,11 @@ functions that build the rows, rather than checking them.
 elimination, where the library's Hermite loop keeps (U^T)^-1 as it goes.
 `ref_lower_central_series` spans [L, L] from all ordered pairs, where the
 library brackets the pairs i < j for that step.  `ref_build_weighted_basis`
-spans each step's inner module anew from the rows so far, where the
-library reads it off the chain, and `RefTruncatedUEA` takes the
+spans each step's inner module anew from the rows so far and always
+eliminates, where the library reads the inner module off the chain and a
+graded chain's adapted basis off its unit rows; `ref_enumerate_monomials`
+recurses over the letters, where the library extends prefixes letter by
+letter; and `RefTruncatedUEA` takes the
 coordinates of every vector by a product with the basis inverse and
 accumulates every column, where the library reads a unit vector's
 coordinates off the inverse and a one-letter column off the memo.
@@ -376,9 +379,11 @@ def ref_lower_central_series(L):
 
 def ref_build_weighted_basis(L):
     """`build_weighted_basis` as the library built it before it read each
-    step's inner module off the chain: the inner module spanned anew by the
-    rows so far, on `ref_lower_central_series`, extended by
-    `ref_extend_basis`."""
+    step's inner module off the chain, or a graded chain's basis as a
+    permutation: always by elimination, the inner module spanned anew by
+    the rows so far, on `ref_lower_central_series`, extended by
+    `ref_extend_basis`, then inverted and solved for the adapted
+    constants."""
     chain = ref_lower_central_series(L)
     if not chain[-1].is_zero():
         raise NotNilpotentError("weighted PBW basis requires a nilpotent lattice")
@@ -391,6 +396,25 @@ def ref_build_weighted_basis(L):
         weights.extend([depth] * new_rows.rows)
     adapted, _ = subalgebra_lattice(L, Submodule(L.rank, P, L.domain))
     return WeightedPBWBasis(L, P, invert(P), tuple(weights), c, adapted)
+
+
+def ref_enumerate_monomials(weights, cutoff):
+    """Every monomial of weight at most the cutoff, with its weight, in
+    lexicographic order, by a recursive generator over the letters, where
+    the library extends the prefixes letter by letter."""
+    r = len(weights)
+
+    def rec(i, remaining, prefix):
+        if i == r:
+            yield prefix, cutoff - remaining
+            return
+        w = weights[i]
+        e = 0
+        while e * w <= remaining:
+            yield from rec(i + 1, remaining - e * w, prefix + (e,))
+            e += 1
+
+    yield from rec(0, cutoff, ())
 
 
 class RefTruncatedUEA(TruncatedUEA):

@@ -745,7 +745,8 @@ def canonical_or_near(draw):
     reduced, in RREF (pivots 1, zeros above them).  The other entries are
     ints, or fractions, up to 2^70, and zero rows may follow.  One change
     may then break the form: two rows swapped, a negative pivot, an entry
-    above a pivot equal to the pivot, a pivot of 2, or an interior zero row.
+    above a pivot equal to the pivot, a pivot of 2, an interior zero row,
+    or every row shuffled with zero rows between them.
     Last, every row is divided by d, 1, 2, 3 or 2^70.
     """
     n = draw(st.integers(1, 6))
@@ -761,10 +762,16 @@ def canonical_or_near(draw):
             row[j] = Fraction(draw(st.integers(0, head[j] - 1))) if j in head else draw(other)
         rows.append(row)
     k = len(rows)
-    near = draw(st.sampled_from((None, "negate", "two", "zero") + (("swap", "above") if k > 1 else ())))
+    near = draw(
+        st.sampled_from((None, "negate", "two", "zero", "shuffle") + (("swap", "above") if k > 1 else ()))
+    )
     i = draw(st.integers(1 if near in ("swap", "above") else 0, k - 1))
     r = draw(st.integers(0, i - 1)) if i else 0
-    if near == "swap":
+    if near == "shuffle":
+        rows = draw(st.permutations(rows))
+        for _ in range(draw(st.integers(0, 2))):
+            rows.insert(draw(st.integers(0, len(rows))), [ZERO] * n)
+    elif near == "swap":
         rows[r], rows[i] = rows[i], rows[r]
     elif near == "negate":
         rows[i] = [-x for x in rows[i]]
@@ -785,6 +792,7 @@ def canonical_or_near(draw):
 @example(([[Fraction(1, 2), ZERO], [ZERO, Fraction(1, 3)]], 2))
 @example(([[Fraction(1, 2), ZERO, Fraction(3, 2)], [ZERO, Fraction(1, 2), ZERO]], 3))
 @example(([[Fraction(1), ZERO, Fraction(1, 3)], [ZERO, Fraction(1), Fraction(-2, 5)], [ZERO] * 3], 3))
+@example(([[ZERO] * 3, [ZERO, Fraction(1), Fraction(-2, 5)], [ZERO] * 3, [Fraction(1), ZERO, Fraction(1, 3)]], 3))
 def test_canonical_inputs_and_near_misses_match_the_elimination_paths(a):
     A, n = a
     M = mat(A, n)

@@ -3,16 +3,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from adorep import catalog
+from adorep import catalog, nilrep, pbw
 from adorep.exact_linalg import ExactMatrix, vector
 from adorep.lie_core import (
     LeibnizError,
     NotNilpotentError,
+    change_basis,
     lie_lattice,
     unit,
 )
-from adorep.pbw import TruncatedUEA, build_weighted_basis
+from adorep.pbw import TruncatedUEA, _enumerate_monomials, build_weighted_basis
+from adorep.pipeline import ado_representation
 
 from oracles import (
     RefTruncatedUEA,
@@ -24,6 +28,7 @@ from oracles import (
     oracle_vector,
     ref_build_weighted_basis,
     ref_derivation_star,
+    ref_enumerate_monomials,
     series_inputs,
 )
 from pbw_words import (
@@ -330,9 +335,14 @@ def test_integral_coefficients_over_z():
 
 def _construction_inputs():
     """(name, lattice): every nilpotent catalog lattice and every
-    nilpotent-regular lattice at seed 23, plain and in one seeded unimodular
-    basis, and a Q-lattice whose adapted constants are not integral."""
+    nilpotent-regular lattice at seed 23, plain, in one seeded unimodular
+    basis and in one seeded permutation of its basis, and a Q-lattice whose
+    adapted constants are not integral."""
     out = [(name, L) for name, L in series_inputs() if is_nilpotent(L)]
+    rng = random.Random(23)
+    for name, L in out[::2]:
+        perm = ExactMatrix.from_ints([{j: 1} for j in rng.sample(range(L.rank), L.rank)], L.rank)
+        out.append((f"permuted {name}", change_basis(L, perm)))
     return out + [("fractional_q4", fractional_q4())]
 
 
@@ -343,15 +353,23 @@ def _single_letter(row):
 @pytest.mark.parametrize(
     "name, L", _construction_inputs(), ids=[n for n, _ in _construction_inputs()]
 )
-def test_pbw_construction_equals_the_old_code(name, L):
+def test_pbw_construction_equals_the_old_code(name, L, monkeypatch):
+    # the plain and permuted lower central series are spanned by basis
+    # vectors, so the adapted basis is read off them; a scrambled one is
+    # not, unless the lattice is abelian
+    steps = []
+    extend = pbw.extend_basis
+    monkeypatch.setattr(pbw, "extend_basis", lambda *args: steps.append(args) or extend(*args))
     B = build_weighted_basis(L)
-    assert B == ref_build_weighted_basis(L)
+    ref = ref_build_weighted_basis(L)
+    assert B == ref
+    assert (not steps) == (not name.startswith("scrambled") or B.nil_class == 1)
     rng = random.Random(name)
     r = L.rank
     vectors = [unit(r, i) for i in range(r)]
     vectors += [vector([rng.randint(-3, 3) for _ in range(r)]) for _ in range(2)]
     for cutoff in (B.nil_class, B.nil_class + 1):
-        T, R = TruncatedUEA(B, cutoff), RefTruncatedUEA(B, cutoff)
+        T, R = TruncatedUEA(B, cutoff), RefTruncatedUEA(ref, cutoff)
         assert T.monomials == R.monomials
         # the weights enumerated with the monomials are monomial_weight's
         assert T._weight == R._weight
@@ -381,3 +399,30 @@ def test_pbw_construction_inputs_take_both_letter_paths():
     scrambled = [row for name, num in rows.items() if name.startswith("scrambled F") for row in num]
     assert not all(_single_letter(row) for row in scrambled)
     assert build_weighted_basis(fractional_q4()).adapted.table.den != 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 4), max_size=6), st.integers(0, 8))
+def test_monomials_are_enumerated_in_the_recursive_order(weights, cutoff):
+    assert _enumerate_monomials(weights, cutoff) == list(ref_enumerate_monomials(weights, cutoff))
+
+
+@pytest.mark.parametrize("name", ["F7", "heisenberg9"])
+def test_graded_chains_build_the_adapted_basis_without_elimination(name, eliminations, monkeypatch):
+    # a non-strict ado of the plain lattice runs no Hermite loop and no
+    # Echelon in `build_weighted_basis`; one of its scrambled copy does
+    inputs = dict(series_inputs())
+    counts = []
+
+    def counted(L, chain=None):
+        before = dict(eliminations)
+        B = build_weighted_basis(L, chain)
+        counts.append(tuple(eliminations[k] - before[k] for k in ("_hermite", "Echelon")))
+        return B
+
+    monkeypatch.setattr(nilrep, "build_weighted_basis", counted)
+    for L in (inputs[name], inputs[f"scrambled {name}"]):
+        assert ado_representation(L)[1].ok
+    plain, scrambled = counts
+    assert plain == (0, 0)
+    assert scrambled[0] > 0 and scrambled[1] > 0
