@@ -158,11 +158,14 @@ class TruncatedUEA:
         self.monomials: tuple[Monomial, ...] = tuple(alpha for _, alpha in by_weight)
         self.index: dict[Monomial, int] = {a: i for i, a in enumerate(self.monomials)}
         self._memo: dict[tuple[int, Monomial], Element] = {}
-        # _consts[i][j]: the adapted [x_i, x_j] as (k, constant) pairs, each
-        # constant an int unless it really is non-integral
+        # _consts[i][j], j < i (the only pairs `_letter` reads): the adapted
+        # [x_i, x_j] as (k, constant) pairs, each constant an int unless it
+        # really is non-integral
         T, r = basis.adapted.table, basis.rank
-        consts = [[(k, _constant(n, T.den)) for k, n in row.items()] for row in T.num]
-        self._consts = [consts[i * r : (i + 1) * r] for i in range(r)]
+        self._consts = [
+            [[(k, _constant(n, T.den)) for k, n in T.num[i * r + j].items()] for j in range(i)]
+            for i in range(r)
+        ]
         # with den == 1 every coefficient is a sum of products of ints, so
         # no Fraction arises and the integrality check can only fail over Z
         # with den != 1

@@ -82,8 +82,8 @@ def verify_representation(
     L: LieLattice, rep: LinearRep, radicals: tuple[Submodule, Submodule] | None = None
 ) -> VerificationReport:
     """Independent checks: homomorphism on all basis pairs, integrality over
-    Z, faithfulness via the rank of the stacked matrices, nilpotency of the
-    images of the nilpotent radical, and the degree bound.
+    Z, faithfulness via a rank (of column 0, then of the stacked matrices),
+    nilpotency of the images of the nilpotent radical, and the degree bound.
 
     `radicals`, when given, must be `radical_pair(L)` of an L that the
     caller has validated (or `radical_pair(L, lower_central_series(L))`,
@@ -117,6 +117,13 @@ def verify_representation(
     bracket of the m_i lies in M, and every other term has an entry in g_2,
     so it lies in g_(k+1).  Hence L = M + g_k implies L = M + g_(k+1), and
     by induction L = M + g_(c+1) = M.  By (1)-(3), H = L.
+
+    Faithfulness: the rank of the r x n matrix whose row i is column 0 of
+    M_i is taken first (a positive multiple of each row, which keeps the
+    rank).  If it is r, then sum_i c_i M_i = 0 gives sum_i c_i M_i e_0 = 0,
+    so every c_i = 0 and rho is injective; otherwise the rank of the
+    flattened matrices decides, and their kernel is the witness.  On the
+    nilpotent shortcut rho(x) 1 = x, so the first rank is always r.
 
     Nilpotency, once the homomorphism check has passed: only the images of
     the rows of R_n in G are checked.  rho(R_n) is then a Lie algebra of
@@ -152,9 +159,12 @@ def verify_representation(
     integral_ok = rep.is_integral if L.domain == "Z" else True
 
     witness: tuple[Vec, ...] = ()
-    if L.rank == 0:
-        faithful_ok = True
-    else:
+    # row i is d_i times column 0 of M_i = A_i / d_i
+    first = ExactMatrix.from_ints(
+        ({q: row[0] for q, row in enumerate(M.num) if 0 in row} for M in rep.matrices), n
+    )
+    faithful_ok = rank(first) == L.rank
+    if not faithful_ok:
         stacked = stack_rows([M.flattened() for M in rep.matrices])
         faithful_ok = rank(stacked) == L.rank
         if not faithful_ok:

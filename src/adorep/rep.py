@@ -68,55 +68,59 @@ class LinearRep:
 
         Write M_k = A_k / d_k with A_k its int numerators, [x_i, x_j] =
         sum_k (t_k / den) x_k over the table, and D for the lcm of the d_k
-        of those k (1 if there are none).  Each pair sums, row by row, the
-        int table
+        of those k (1 if there are none).  Each pair sums the int table
             den D (A_i A_j - A_j A_i) - d_i d_j sum_k t_k (D / d_k) A_k,
         which is s ([M_i, M_j] - M([x_i, x_j])) for s = den d_i d_j D.
         s is a product of positive integers, so it is nonzero, and a
         rational matrix times a nonzero integer is zero exactly when the
         matrix is: a pair is reported exactly when its two sides differ.
-        `check_shapes` runs before any product.
+        `check_shapes` runs before any product; the nonzero rows of every
+        A_k are collected once per call, and each pair reads only those.
         """
         self.check_shapes()
         L = self.lattice
         if pairs is None:
             pairs = ((i, j) for i in range(L.rank) for j in range(i + 1, L.rank))
-        r, T, den = L.rank, L.table.num, L.table.den
-        num = [M.num for M in self.matrices]
+        r, n, T, den = L.rank, self.degree, L.table.num, L.table.den
+        nonzero = [{q: row for q, row in enumerate(M.num) if row} for M in self.matrices]
         dens = [M.den for M in self.matrices]
         bad = []
         for i, j in pairs:
             terms = T[i * r + j]
             D = lcm(*(dens[k] for k in terms))
             g = dens[i] * dens[j]
-            combo = [(num[k], g * t * (D // dens[k])) for k, t in terms.items()]
-            if _commutator_differs(num[i], num[j], den * D, combo):
+            combo = [(nonzero[k], g * t * (D // dens[k])) for k, t in terms.items()]
+            if _commutator_differs(nonzero[i], nonzero[j], den * D, combo, n):
                 bad.append((i, j))
         return bad
 
 
 def _commutator_differs(
-    A: tuple[Row, ...], B: tuple[Row, ...], f: int, combo: list[tuple[tuple[Row, ...], int]]
+    A: dict[int, Row], B: dict[int, Row], f: int, combo: list[tuple[dict[int, Row], int]], n: int
 ) -> bool:
     """Whether f (A B - B A) - sum_k g_k C_k has a nonzero entry, for the
-    square int numerator rows A, B and the (C_k, g_k) of combo; it stops at
-    the first nonzero row."""
-    for r, (a, b) in enumerate(zip(A, B)):
-        acc: Row = {}
-        for k, x in a.items():
-            for c, y in B[k].items():
-                acc[c] = acc[c] + x * y if c in acc else x * y
-        for k, x in b.items():
-            for c, y in A[k].items():
-                acc[c] = acc[c] - x * y if c in acc else -x * y
-        if f != 1:
-            acc = {c: f * x for c, x in acc.items()}
-        for C, g in combo:
-            for c, x in C[r].items():
-                acc[c] = acc[c] - g * x if c in acc else -g * x
-        if any(acc.values()):
-            return True
-    return False
+    n x n int numerator matrices A, B and the (C_k, g_k) of combo, each
+    given as its nonzero rows {q: row}.  All terms are summed into one dict
+    keyed q n + c for entry (q, c), visiting nonzero rows only: a zero row
+    of A (or B) adds nothing to A B (or B A), and row k of B (or A) is read
+    only for a nonzero entry in column k."""
+    acc: dict[int, int] = {}
+    for X, Y, s in ((A, B, f), (B, A, -f)):
+        for q, row in X.items():
+            base = q * n
+            for k, x in row.items():
+                if k in Y:
+                    sx = s * x
+                    for c, y in Y[k].items():
+                        key = base + c
+                        acc[key] = acc[key] + sx * y if key in acc else sx * y
+    for C, g in combo:
+        for q, row in C.items():
+            base = q * n
+            for c, x in row.items():
+                key = base + c
+                acc[key] = acc[key] - g * x if key in acc else -g * x
+    return any(acc.values())
 
 
 def restrict_rep(rep: LinearRep, injection: ExactMatrix, lattice: "LieLattice") -> LinearRep:

@@ -15,7 +15,9 @@ extension from its parts and re-assembles the lattice, where the library
 takes the assembled lattice and splits it once.  `ref_mu_search` searches
 for the rescaling integer mu round by round, where the library computes it
 in closed form.  `ref_homomorphism_violations` compares two normalised
-matrices per basis pair, where the library sums one int table per pair.
+matrices per basis pair, where the library sums one int table per pair;
+`ref_commutator_differs` sums that table row by row over every row, where
+the library sums it in one dict over the nonzero rows only.
 `ref_nilrep_violations` raises the image of every row of R_n to the
 degree, and `ref_verify_representation` builds the representation report
 from these two full scans, where the library checks pairs with a
@@ -1127,6 +1129,28 @@ def ref_homomorphism_violations(rep):
             if lhs != rhs:
                 bad.append((i, j))
     return bad
+
+
+def ref_commutator_differs(A, B, f, combo):
+    """Whether f (A B - B A) - sum_k g_k C_k has a nonzero entry, for the
+    square int numerator rows A, B and the (C_k, g_k) of combo, summed row
+    by row over every row and stopping at the first nonzero row."""
+    for r, (a, b) in enumerate(zip(A, B)):
+        acc = {}
+        for k, x in a.items():
+            for c, y in B[k].items():
+                acc[c] = acc[c] + x * y if c in acc else x * y
+        for k, x in b.items():
+            for c, y in A[k].items():
+                acc[c] = acc[c] - x * y if c in acc else -x * y
+        if f != 1:
+            acc = {c: f * x for c, x in acc.items()}
+        for C, g in combo:
+            for c, x in C[r].items():
+                acc[c] = acc[c] - g * x if c in acc else -g * x
+        if any(acc.values()):
+            return True
+    return False
 
 
 def ref_nilrep_violations(rep):

@@ -644,6 +644,21 @@ def test_check_derivation_matches_dense_leibniz(case):
     assert check_derivation(L, ExactMatrix.from_rows(D, cols=r)) == ref_is_derivation(c, D)
 
 
+@pytest.mark.parametrize(
+    "brackets, entry",
+    [({(0, 1): [0, 0, 1, 0]}, (0, 3)), ({(1, 2): [0, 0, 0, 1]}, (1, 0))],
+    ids=["column j only", "column i only"],
+)
+def test_check_derivation_reads_a_pair_with_one_nonzero_column(brackets, entry):
+    """Heisenberg plus a central x3 (or a central x0 plus Heisenberg), and D
+    whose one nonzero entry D[a][b] = 1 maps x_b to x_a: D x3 = x0 breaks
+    Leibniz only at (1, 3), and D x0 = x1 only at (0, 2), pairs whose
+    bracket and other column of D are 0."""
+    L = lie_lattice([f"x{i}" for i in range(4)], brackets)
+    D = [[int((a, b) == entry) for b in range(4)] for a in range(4)]
+    assert check_derivation(L, ExactMatrix.from_rows(D)) is ref_is_derivation(L.c, D) is False
+
+
 @pytest.mark.parametrize("name", catalog.names())
 def test_inner_derivations_pass_check_derivation(name):
     L = catalog.get(name).lattice

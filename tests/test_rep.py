@@ -7,7 +7,9 @@ report the same pairs for representations with one corrupted entry: the
 truncated regular representations of the nilpotent-regular lattices, the
 strict representations of the catalog, and representations over Q whose
 structure constants are not integral and whose matrices have denominators
-that do not divide one another.
+that do not divide one another.  `_commutator_differs`, which sums one
+pair's table over nonzero rows only, must give the verdict of
+`ref_commutator_differs`, the row-by-row sum over every row.
 """
 
 from fractions import Fraction
@@ -22,9 +24,9 @@ from adorep.exact_linalg import ExactMatrix
 from adorep.lie_core import change_basis
 from adorep.nilrep import nilpotent_faithful_rep
 from adorep.pipeline import ado_representation, verify_representation
-from adorep.rep import LinearRep, restrict_rep
+from adorep.rep import LinearRep, _commutator_differs, restrict_rep
 
-from oracles import load_bench, ref_homomorphism_violations
+from oracles import load_bench, ref_commutator_differs, ref_homomorphism_violations
 
 # new bases over Q, one row per basis vector in the old coordinates
 Q_BASES = {
@@ -117,6 +119,73 @@ def test_corrupted_entry_is_reported():
     bad = LinearRep(lattice=rep.lattice, matrices=tuple(mats), provenance="corrupted")
     found = bad.homomorphism_violations()
     assert found and found == ref_homomorphism_violations(bad)
+
+
+def commutator(A, B, f):
+    """The rows of f (A B - B A), zeros dropped."""
+    out = []
+    for a, b in zip(A, B):
+        acc = {}
+        for X, Y, s in ((a, B, f), (b, A, -f)):
+            for k, x in X.items():
+                for c, y in Y[k].items():
+                    acc[c] = acc.get(c, 0) + s * x * y
+        out.append({c: x for c, x in acc.items() if x})
+    return out
+
+
+NONZERO = st.sampled_from((-3, -2, -1, 1, 2, 3))
+
+
+@st.composite
+def commutator_cases(draw):
+    """(n, A, B, f, combo, exact): sparse n x n int matrices as rows, each
+    row empty or not by a coin; with `exact`, the last term of combo (or
+    B = A when combo is empty) makes f (A B - B A) = sum g_k C_k, and then
+    one entry of one matrix may be changed (`exact` is then False)."""
+    n = draw(st.integers(0, 8))
+    cell = st.sampled_from((0, 0, 0, 1, -1, 2, -3))
+
+    def matrix():
+        return [
+            {} if draw(st.booleans()) else {c: x for c in range(n) if (x := draw(cell))}
+            for _ in range(n)
+        ]
+
+    A, B = matrix(), matrix()
+    f = draw(st.sampled_from((1, 2, 6)))
+    combo = [(matrix(), draw(NONZERO)) for _ in range(draw(st.integers(0, 3)))]
+    exact = draw(st.booleans())
+    if exact and combo:
+        rest = commutator(A, B, f)
+        for C, g in combo[:-1]:
+            for acc, row in zip(rest, C):
+                for c, x in row.items():
+                    acc[c] = acc.get(c, 0) - g * x
+        combo[-1] = ([{c: x for c, x in row.items() if x} for row in rest], 1)
+    elif exact:
+        B = [dict(row) for row in A]
+    if exact and n and draw(st.booleans()):
+        M = draw(st.sampled_from([A, B] + [C for C, _ in combo]))
+        q, c = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        M[q] = {**M[q], c: M[q].get(c, 0) + draw(NONZERO)}
+        M[q] = {k: x for k, x in M[q].items() if x}
+        exact = False
+    return n, A, B, f, combo, exact
+
+
+@settings(max_examples=300, deadline=None)
+@given(commutator_cases())
+def test_commutator_kernel_matches_the_row_by_row_sum(case):
+    n, A, B, f, combo, exact = case
+
+    def nonzero(M):
+        return {q: row for q, row in enumerate(M) if row}
+
+    got = _commutator_differs(nonzero(A), nonzero(B), f, [(nonzero(C), g) for C, g in combo], n)
+    assert got == ref_commutator_differs(A, B, f, combo)
+    if exact:
+        assert not got
 
 
 @pytest.mark.parametrize(

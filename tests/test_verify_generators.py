@@ -9,7 +9,10 @@ reports must agree field by field on valid representations, on
 representations with one entry changed, and on representations with a
 1 x 1 block chi appended: chi is 0 on [L, L] and nonzero somewhere, so the
 sum is still a faithful homomorphism, but the image of some generator is
-not nilpotent.
+not nilpotent.  Faithfulness takes the rank of column 0 of the matrices
+first and flattens them only when that rank falls short of rank L; the
+reports must agree on representations that need the flattened rank, and on
+unfaithful ones, where the kernel witness comes from it.
 """
 
 import random
@@ -25,7 +28,7 @@ from hypothesis import strategies as st
 
 from adorep import catalog
 from adorep.exact_linalg import ExactMatrix, Submodule, block_diag, invert, kernel_basis
-from adorep.lie_core import change_basis, lower_central_series
+from adorep.lie_core import adjoint_rep, change_basis, lie_lattice, lower_central_series
 from adorep.nilrep import nilpotent_faithful_rep
 from adorep.pipeline import (
     VerificationReport,
@@ -187,6 +190,70 @@ def test_f7_with_a_changed_entry_falls_back_to_the_full_scans(monkeypatch):
     # 11 pairs with a generator, then the other 10; every image once
     assert len(pairs) == 21
     assert len(powers) == 7
+
+
+def flattened_calls(monkeypatch):
+    """The matrices that `ExactMatrix.flattened` is called on, in order."""
+    original = ExactMatrix.flattened
+    calls = []
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(ExactMatrix, "flattened", counting)
+    return calls
+
+
+def test_faithfulness_flattens_only_when_column_zero_falls_short(monkeypatch):
+    # rho(x) 1 = x on the nilpotent shortcut: column 0 has rank L
+    pairs, _ = counters(monkeypatch)
+    flat = flattened_calls(monkeypatch)
+    _, report, _ = ado_representation(f7())
+    assert report.ok
+    assert len(flat) == 0
+    assert len(pairs) == 11
+    # the strict churkin_sl2_t2 needs the flattened rank: its matrices are
+    # flattened once each (the construction flattens other matrices)
+    rep, report, _ = ado_representation(catalog.churkin_sl2_t2(), strict=True)
+    assert report.ok
+    mine = [M for M in flat if any(M is N for N in rep.matrices)]
+    assert len(mine) == len(rep.matrices) == len({id(M) for M in mine})
+
+
+def faithfulness_cases():
+    """name -> (rep, faithful) for representations whose column 0 has rank
+    below rank L, so faithfulness needs the flattened rank."""
+    churkin = catalog.churkin_sl2_t2()
+    # unit upper times unit lower bidiagonal: unimodular
+    U = ExactMatrix.from_rows([[int(j == i) + int(j == i + 1) * (-1) ** i for j in range(6)] for i in range(6)])
+    D = ExactMatrix.from_rows([[int(j == i) + int(j == i - 1) * (-1) ** i for j in range(6)] for i in range(6)])
+    L = f7()
+    mats = nilpotent_faithful_rep(L).matrices
+    return {
+        "adjoint sl2": (adjoint_rep(catalog.sl2()), True),
+        "strict churkin_sl2_t2": (ado_representation(churkin, strict=True)[0], True),
+        "strict churkin_sl2_t2, bidiagonal basis": (
+            ado_representation(change_basis(churkin, U * D), strict=True)[0],
+            True,
+        ),
+        "F7, last matrix the sum of the first two": (
+            LinearRep(L, mats[:-1] + (mats[0] + mats[1],), "sum"),
+            False,
+        ),
+        "F7, a repeated matrix": (LinearRep(L, (mats[0],) + mats[:-1], "repeated"), False),
+        "degree 0, rank 1": (LinearRep(lie_lattice(["x"], {}), (ExactMatrix.zero(0, 0),), "zero"), False),
+    }
+
+
+@pytest.mark.parametrize("name", list(faithfulness_cases()))
+def test_faithfulness_fallback_gives_the_full_scans_report(monkeypatch, name):
+    rep, faithful = faithfulness_cases()[name]
+    flat = flattened_calls(monkeypatch)
+    report = assert_same_report(rep.lattice, rep)
+    assert flat, "column 0 decided faithfulness"
+    assert report.faithful_ok == faithful
+    assert bool(report.kernel_witness) == (not faithful)
 
 
 # -- nilpotency from the support graph --------------------------------------
