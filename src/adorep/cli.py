@@ -31,15 +31,7 @@ from .jsonio import (
     rep_to_json,
     verification_report_to_json,
 )
-from .lie_core import (
-    LieLattice,
-    center,
-    derived_series,
-    lower_central_series,
-    radical_pair,
-    require_valid,
-    validate,
-)
+from .lie_core import Known, LieLattice, center, derived_series, validate
 from .nilrep import birkhoff_bounds, burde_bound, nilpotent_faithful_rep
 from .pipeline import (
     VerificationFailure,
@@ -82,9 +74,10 @@ def cmd_validate(args) -> int:
 
 def cmd_radicals(args) -> int:
     L = _load_lattice(args.file)
-    require_valid(L)
-    chain = lower_central_series(L)
-    rs, rn = radical_pair(L, chain)
+    known = Known()
+    known.require_valid(L)
+    chain = known.series(L)
+    rs, rn = known.radicals(L)
     payload = {
         "center": matrix_to_json(center(L).basis),
         "solvable_radical": matrix_to_json(rs.basis),
@@ -101,14 +94,14 @@ def cmd_nilrep(args) -> int:
     if L.rank == 0:
         # the same refusal as `ado`, before any work
         raise ValueError("rank-zero lattice has nothing to represent")
-    # validated once, before the series; handed the radicals,
-    # verify_representation does not validate again
-    require_valid(L)
-    # one series: the construction builds on it, its length is the class,
-    # and on a nilpotent L both radicals are read off it
-    chain = lower_central_series(L)
-    rep = nilpotent_faithful_rep(L, chain)
-    report = verify_representation(L, rep, radical_pair(L, chain))
+    # one Known: L is validated once, before the series; the construction
+    # builds on that one series, its length is the class, and on a
+    # nilpotent L the verifier reads both radicals off it
+    known = Known()
+    known.require_valid(L)
+    chain = known.series(L)
+    rep = nilpotent_faithful_rep(L, known)
+    report = verify_representation(L, rep, known)
     _emit(
         {
             "representation": rep_to_json(rep),
@@ -130,12 +123,12 @@ def cmd_embed(args) -> int:
     from .embed import embed_splittable
 
     L = _load_lattice(args.file)
-    # validated once, and its radicals computed once; handed them, neither
-    # embed_splittable nor verify_certificate does either again
-    require_valid(L)
-    radicals = radical_pair(L)
-    cert = embed_splittable(L, radicals)
-    report = verify_certificate(cert, radicals)
+    # one Known: L is validated first, and its radicals are computed once
+    # for both the construction and the verifier
+    known = Known()
+    known.require_valid(L)
+    cert = embed_splittable(L, known)
+    report = verify_certificate(cert, known)
     payload = certificate_to_json(cert)
     payload["report"] = certificate_report_to_json(report)
     _emit(payload, args.pretty)

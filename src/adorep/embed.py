@@ -35,6 +35,7 @@ from .exact_linalg import (
     stack_rows,
 )
 from .lie_core import (
+    Known,
     LieLattice,
     _antisymmetric_table,
     _assemble_semidirect,
@@ -43,8 +44,6 @@ from .lie_core import (
     killing_form,
     lie_lattice,
     quotient_lattice,
-    radical_pair,
-    require_valid,
     split_semidirect,
     subalgebra_lattice,
 )
@@ -302,7 +301,7 @@ class ExpansionState:
 
 def initial_state(L: LieLattice, rs: Submodule, rn: Submodule) -> ExpansionState:
     """The unexpanded state of the Z-lattice L, from its radicals
-    `(rs, rn) = radical_pair(L)`.  Their Q-spans are the canonical RREF
+    `(rs, rn) = Known().radicals(L)`.  Their Q-spans are the canonical RREF
     bases that the same radicals of `L.to_field()` return.
 
     Two invariants of the state hold by construction: S is Levi's
@@ -691,15 +690,13 @@ def _denominators(M: ExactMatrix) -> set[int]:
     return {M.den // gcd(x, M.den) for row in M.num for x in row.values()} - {1}
 
 
-def embed_splittable(
-    L: LieLattice, radicals: tuple[Submodule, Submodule] | None = None
-) -> EmbeddingCertificate:
+def embed_splittable(L: LieLattice, known: Known | None = None) -> EmbeddingCertificate:
     """End-to-end embedding of a Z-Lie lattice into a splittable one.
 
-    `radicals`, when given, must be `radical_pair(L)` of this Z-lattice,
-    validated, as `ado_representation` passes them; without them L is
-    validated here and they are computed once.  Both stages read them:
-    `initial_state` both radicals, `integral_rescale` R_n(L).
+    After the domain check L is validated and its radicals are read from
+    `known` (a fresh Known if none is given), which computes each unless
+    the call already holds it.  Both stages read the radicals:
+    `initial_state` both, `integral_rescale` R_n(L).
 
     Levi's theorem and the proofs of the steps make the construction
     succeed on a valid Z-lattice, so after the input checks any ValueError
@@ -714,10 +711,10 @@ def embed_splittable(
     """
     if L.domain != "Z":
         raise ValueError("embedding is defined for lattices over Z")
-    if radicals is None:
-        require_valid(L)
+    known = known or Known()
+    known.require_valid(L)
     try:
-        rs, rn = radicals or radical_pair(L)
+        rs, rn = known.radicals(L)
         state = initial_state(L, rs, rn)
         while state.Rn.rank < state.N.rank:
             state = elementary_expansion(state)

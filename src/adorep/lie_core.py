@@ -260,10 +260,6 @@ def validate(L: LieLattice) -> ValidationReport:
     return ValidationReport(tuple(anti), tuple(jac), tuple(integ))
 
 
-def require_valid(L: LieLattice) -> None:
-    validate(L).raise_if_invalid()
-
-
 def is_subalgebra(L: LieLattice, S: Submodule) -> bool:
     """Whether S is closed under the bracket: [u, v] in S for basis vectors
     u, v.  Only the pairs u before v are bracketed, so the tensor must be
@@ -419,12 +415,12 @@ def solvable_radical(L: LieLattice) -> Submodule:
     return candidate if L.domain == "Q" else _integer_points(candidate)
 
 
-def nilradical(L: LieLattice, rs: Submodule | None = None) -> Submodule:
+def nilradical(L: LieLattice, rs: Submodule) -> Submodule:
     """Largest nilpotent ideal, via the trace-form radical of the associative
     envelope of ad(R_s) restricted to I = [L, R_s] (characteristic zero only).
 
-    `rs`, when given, must be `solvable_radical(L)`; a caller that already
-    holds it saves recomputing it.  For x in R_s, ad x maps L into the ideal
+    `rs` must be `solvable_radical(L)`, which the caller computes first
+    (`Known.radicals` does both).  For x in R_s, ad x maps L into the ideal
     I, so ad x is nilpotent iff ad x|_I is; Dickson's trace criterion holds
     for any representation of a solvable algebra, so x lies in the
     nilradical iff trace(ad x|_I * B) = 0 for every B in the envelope.
@@ -441,8 +437,6 @@ def nilradical(L: LieLattice, rs: Submodule | None = None) -> Submodule:
     path runs last, `is_nilpotent_submodule(LQ, candidate)`, on the
     candidate L it would return: that chain starts L, [L, L], ...
     """
-    if rs is None:
-        rs = solvable_radical(L)
     if rs.is_zero():
         return rs
     LQ = L.to_field()
@@ -480,24 +474,61 @@ def nilradical(L: LieLattice, rs: Submodule | None = None) -> Submodule:
     return candidate if L.domain == "Q" else _integer_points(candidate)
 
 
-def radical_pair(
-    L: LieLattice, chain: Sequence[Submodule] | None = None
-) -> tuple[Submodule, Submodule]:
-    """(R_s(L), R_n(L)), one `solvable_radical` serving both.
+class Known:
+    """The facts that one call has computed about the lattices it reads:
+    the validation report, the lower central series and the radicals
+    (R_s, R_n) of each.
 
-    `chain`, when given, must be `lower_central_series(L)` of a validated L.
-    If it reaches 0, L is nilpotent and both radicals are L, returned
-    without computing anything: a nilpotent L is solvable, so R_s = L, and
-    L is a nilpotent ideal of itself, so R_n = L.  L is isolated in itself,
-    so these are the full modules that `solvable_radical` and `nilradical`
-    return for it (the latter by the same fact, when its own lower central
-    series reaches 0).  Otherwise the chain is not read.
+    Each fact is computed on first use, by the module functions `validate`,
+    `lower_central_series`, `solvable_radical` and `nilradical`, and no
+    method stores a value that a caller supplies, so a stage handed a Known
+    cannot be handed a fact about another lattice.  Facts are keyed by
+    `id(L)`, with L kept beside them so that its id is not reused.  A Known
+    lives for one call: `ado_representation` and the commands `radicals`,
+    `nilrep` and `embed` make one, and a stage called without one makes its
+    own, so a bare call computes every fact afresh.  None is kept on a lattice, at module level or in a
+    returned object, where it would serve facts across calls.
     """
-    if chain is not None and chain[-1].is_zero():
-        full = Submodule.full(L.rank, L.domain)
-        return full, full
-    rs = solvable_radical(L)
-    return rs, nilradical(L, rs)
+
+    def __init__(self) -> None:
+        self._facts: dict[tuple[str, int], tuple[LieLattice, object]] = {}
+
+    def _fact(self, kind: str, L: LieLattice, compute):
+        fact = self._facts.get((kind, id(L)))
+        if fact is None:
+            fact = self._facts[kind, id(L)] = (L, compute(L))
+        return fact[1]
+
+    def validation(self, L: LieLattice) -> ValidationReport:
+        return self._fact("validation", L, validate)
+
+    def require_valid(self, L: LieLattice) -> None:
+        self.validation(L).raise_if_invalid()
+
+    def series(self, L: LieLattice) -> list[Submodule]:
+        return self._fact("series", L, lower_central_series)
+
+    def radicals(self, L: LieLattice) -> tuple[Submodule, Submodule]:
+        """(R_s(L), R_n(L)) of a Lie lattice L, one `solvable_radical`
+        serving both.
+
+        If this Known holds the lower central series of L and it reaches 0,
+        L is nilpotent and both radicals are L, returned without computing
+        anything: a nilpotent L is solvable, so R_s = L, and L is a
+        nilpotent ideal of itself, so R_n = L.  L is isolated in itself, so
+        these are the full modules that `solvable_radical` and `nilradical`
+        return for it (the latter by the same fact, when its own lower
+        central series reaches 0).
+        """
+        return self._fact("radicals", L, self._radicals)
+
+    def _radicals(self, L: LieLattice) -> tuple[Submodule, Submodule]:
+        series = self._facts.get(("series", id(L)))
+        if series is not None and series[1][-1].is_zero():
+            full = Submodule.full(L.rank, L.domain)
+            return full, full
+        rs = solvable_radical(L)
+        return rs, nilradical(L, rs)
 
 
 def _matrix_algebra_closure(gens: Sequence[ExactMatrix]) -> list[ExactMatrix]:
@@ -604,12 +635,12 @@ def semidirect_assemble(N: LieLattice, S: LieLattice, action: Sequence[ExactMatr
     validated (Jacobi failure indicates an inconsistent action).
     """
     L = _assemble_semidirect(N, S, action)
-    require_valid(L)
+    validate(L).raise_if_invalid()
     return L
 
 
 def _assemble_semidirect(N: LieLattice, S: LieLattice, action: Sequence[ExactMatrix]) -> LieLattice:
-    """`semidirect_assemble` without the final `require_valid`: the action
+    """`semidirect_assemble` without the final validation: the action
     matrices are checked to be derivations of N and the table is built
     (antisymmetric when those of N and S are), but the Jacobi triples of
     the result are left to the caller."""

@@ -11,10 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
-from typing import Sequence
 
-from .exact_linalg import Submodule
-from .lie_core import LieLattice, require_valid, unit
+from .lie_core import Known, LieLattice, unit, validate
 from .pbw import TruncatedUEA, build_weighted_basis
 from .rep import LinearRep
 
@@ -89,24 +87,21 @@ def birkhoff_bounds(d: int, c: int) -> dict[str, Fraction]:
 
 def monomial_count(L: LieLattice) -> int:
     """Number of PBW monomials of weight at most the nilpotency class."""
-    require_valid(L)
+    validate(L).raise_if_invalid()
     basis = build_weighted_basis(L)
     return TruncatedUEA(basis, basis.nil_class).dimension
 
 
-def nilpotent_faithful_rep(L: LieLattice, chain: Sequence[Submodule] | None = None) -> LinearRep:
+def nilpotent_faithful_rep(L: LieLattice, known: Known | None = None) -> LinearRep:
     """Left regular representation on the enveloping algebra truncated at the
     nilpotency class; faithful because the lattice meets the discarded ideal
-    trivially.
-
-    `chain`, when given, must be `lower_central_series(L)` of a validated L,
-    as `ado_representation` and `adorep nilrep` compute it after their own
-    validation; it goes to `build_weighted_basis`.  Without it, L is
-    validated here and the series is computed there.
+    trivially.  L is validated, and its series read, by `known` (a fresh
+    Known if none is given), so neither is computed again in a call that
+    holds it, as `ado_representation` and `adorep nilrep` do.
     """
-    if chain is None:
-        require_valid(L)
-    basis = build_weighted_basis(L, chain)  # raises NotNilpotentError if not nilpotent
+    known = known or Known()
+    known.require_valid(L)
+    basis = build_weighted_basis(L, known)  # raises NotNilpotentError if not nilpotent
     T = TruncatedUEA(basis, basis.nil_class)
     matrices = tuple(T.left_mult_matrix(unit(L.rank, i)) for i in range(L.rank))
     return LinearRep(lattice=L, matrices=matrices, provenance="regular-truncated")

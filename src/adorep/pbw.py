@@ -38,11 +38,11 @@ from .exact_linalg import (
     stack_rows,
 )
 from .lie_core import (
+    Known,
     LieLattice,
     LeibnizError,
     NotNilpotentError,
     check_derivation,
-    lower_central_series,
     subalgebra_lattice,
 )
 
@@ -72,9 +72,7 @@ class WeightedPBWBasis:
         return self.lattice.rank
 
 
-def build_weighted_basis(
-    L: LieLattice, chain: Sequence[Submodule] | None = None
-) -> WeightedPBWBasis:
+def build_weighted_basis(L: LieLattice, known: Known | None = None) -> WeightedPBWBasis:
     """Adapted basis and weight function from the isolated lower central series.
 
     The first adapted vectors span the deepest nonzero term; each block
@@ -103,12 +101,11 @@ def build_weighted_basis(
     [x_a, x_b] at the permuted columns; its mirrored rows are the table's
     own, re-indexed, as a validated L is antisymmetric.
     L must be a Lie lattice (validated); `subalgebra_lattice` reads the
-    adapted constants without a check of its own.  `chain`, when given,
-    must be `lower_central_series(L)`, as a caller that has just computed
-    it hands it over; without it the series is computed here.
+    adapted constants without a check of its own.  The series `chain` is
+    read from `known` (a fresh Known if none is given), which computes it
+    unless the call already holds it.
     """
-    if chain is None:
-        chain = lower_central_series(L)
+    chain = (known or Known()).series(L)
     if not chain[-1].is_zero():
         raise NotNilpotentError("weighted PBW basis requires a nilpotent lattice")
     c, r = len(chain) - 1, L.rank

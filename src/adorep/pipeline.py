@@ -5,12 +5,12 @@ certificates.
 The checkers recompute everything they assert (validity, brackets,
 radicals, ranks) from structure constants and exact linear algebra; they
 never trust state produced by the constructors.  `ado_representation`
-validates L and computes `radical_pair(L)` before any construction, and
-passes the radicals as an argument to the construction
-(`embed_splittable`) and to both checkers, so each fact about L is computed
-once per call; the construction may trust the verifier, never the other
-way round.  A checker called without `radicals` validates L and computes
-them itself.
+makes one `Known`, the facts the call computes about the lattices it
+reads, validates L with it first, and hands it to the construction
+(`embed_splittable`, `splittable_rep`, `nilpotent_faithful_rep`) and to
+both checkers, so each fact about a lattice is computed once per call; the
+construction may trust the verifier, never the other way round.  A stage
+called without a Known makes its own and computes every fact itself.
 """
 
 from __future__ import annotations
@@ -21,17 +21,8 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .embed import EmbeddingCertificate, embed_splittable
-from .exact_linalg import Echelon, ExactMatrix, Submodule, Vec, kernel_basis, rank, stack_rows
-from .lie_core import (
-    LieLattice,
-    adjoint_rep,
-    is_ideal,
-    is_nilpotent_submodule,
-    lower_central_series,
-    nilradical,
-    radical_pair,
-    validate,
-)
+from .exact_linalg import Echelon, ExactMatrix, Vec, kernel_basis, rank, stack_rows
+from .lie_core import Known, LieLattice, adjoint_rep, is_ideal, is_nilpotent_submodule
 from .nilrep import birkhoff_bounds, burde_bound, nilpotent_faithful_rep
 from .rep import LinearRep, direct_sum_rep, restrict_rep
 from .zassenhaus import splittable_rep
@@ -79,16 +70,13 @@ class VerificationReport:
 
 
 def verify_representation(
-    L: LieLattice, rep: LinearRep, radicals: tuple[Submodule, Submodule] | None = None
+    L: LieLattice, rep: LinearRep, known: Known | None = None
 ) -> VerificationReport:
     """Independent checks: homomorphism on all basis pairs, integrality over
     Z, faithfulness via a rank (of column 0, then of the stacked matrices),
     nilpotency of the images of the nilpotent radical, and the degree bound.
-
-    `radicals`, when given, must be `radical_pair(L)` of an L that the
-    caller has validated (or `radical_pair(L, lower_central_series(L))`,
-    which is equal); L is then not validated again.  Without them L is
-    validated here and its radicals are computed here.
+    L is validated and R_n(L) computed by `known` (a fresh Known if none
+    is given), so each is computed here unless the call already holds it.
 
     Two checks run on generators first.  Each falls back to its full scan,
     merged in the scan's order, when the reduced check reports anything, so
@@ -141,12 +129,12 @@ def verify_representation(
     nilpotent in time linear in its nonzeros, and repeated squaring decides
     the rest.
     """
-    if radicals is None:
-        validate(L).raise_if_invalid()
+    known = known or Known()
+    known.require_valid(L)
     n = rep.degree
     bound_to_L = LinearRep(lattice=L, matrices=rep.matrices, provenance=rep.provenance)
     bound_to_L.check_shapes()
-    rn = (radicals or radical_pair(L))[1]
+    rn = known.radicals(L)[1]
     gens = _generators(L, rn.basis)
     full = rn.rank == L.rank
     if full:
@@ -287,27 +275,25 @@ class CertificateReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def verify_certificate(
-    cert: EmbeddingCertificate, radicals: tuple[Submodule, Submodule] | None = None
-) -> CertificateReport:
+def verify_certificate(cert: EmbeddingCertificate, known: Known | None = None) -> CertificateReport:
     """Re-verify an embedding certificate from scratch.
 
-    `radicals`, when given, must be `radical_pair(L)` of the original L,
-    which the caller has validated; L is then not validated again, and
-    `original_valid` is True.  Without them L is validated here and its
-    radicals are computed here.  The extension is always validated.
+    The validity of both lattices, R_s(L), R_n(L) and R_n(ext) are read
+    from `known` (a fresh Known if none is given), which computes each one
+    that the call does not already hold.
 
     `nbar_is_nilradical` is checked first; when it holds, nbar is an ideal
-    and nilpotent without a further test.  `nilradical(ext)` returns the
+    and nilpotent without a further test.  `nilradical` of ext returns the
     integer points of a Q-ideal that it has itself checked to be nilpotent,
     and `extension_valid` makes the structure constants of ext integral, so
     those integer points are closed under the bracket with every basis
     vector of ext and form a nilpotent Z-ideal.  When it fails, both properties are
     tested on their own.
     """
+    known = known or Known()
     L, ext = cert.original, cert.extension
-    original_valid = radicals is not None or validate(L).ok
-    extension_valid = validate(ext).ok
+    original_valid = known.validation(L).ok
+    extension_valid = known.validation(ext).ok
     extension_integral = ext.domain == "Z" and cert.injection.is_integral
 
     inj = cert.injection
@@ -319,7 +305,7 @@ def verify_certificate(
     # fail or never end, so those checks fail unrun
     lie = original_valid and extension_valid
     nbar = cert.nilpotent_part
-    nbar_is_nilradical = lie and nilradical(ext) == nbar
+    nbar_is_nilradical = lie and known.radicals(ext)[1] == nbar
     if nbar_is_nilradical:
         nbar_ideal = nbar_nilp = True
     else:
@@ -327,7 +313,7 @@ def verify_certificate(
         nbar_nilp = nbar_ideal and is_nilpotent_submodule(ext, nbar)
 
     # one R_s(L) serves both the rank check and R_n(L)
-    rs, rn = (radicals or radical_pair(L)) if lie else (None, None)
+    rs, rn = known.radicals(L) if lie else (None, None)
     rn_image = lie and nbar.contains_rows(rn.basis * inj)
     rank_matches = lie and nbar.rank == rs.rank
 
@@ -372,54 +358,49 @@ def ado_representation(
     path always runs the embedding construction and the direct sum with the
     adjoint.
 
-    L is validated once, first, and `radical_pair(L)` is computed once on
-    every path; the radicals go as an argument to `embed_splittable`,
-    `verify_certificate` and `verify_representation`, none of which then
-    validates L or computes them again.  Off the strict path the lower
-    central series of the validated L is computed once, before the
-    radicals: it picks the nilpotent shortcut, `nilpotent_faithful_rep`
-    builds on it, and `radical_pair(L, chain)` reads both radicals off it
-    when it reaches 0 (a nilpotent L is its own R_s and R_n).  The strict
-    path computes `radical_pair(L)` from scratch.
+    One Known serves the whole call: L is validated first, and every stage
+    reads its facts about L and the extension from it, so each is computed
+    once.  Off the strict path the lower central series of L is computed
+    first: it picks the nilpotent shortcut, `nilpotent_faithful_rep` builds
+    on it, and the radicals of a nilpotent L are read off it.  The strict
+    path never reads the series of L, so it does not compute it.
     """
-    validate(L).raise_if_invalid()
+    known = Known()
+    known.require_valid(L)
     r = L.rank
     if r == 0:
         raise ValueError("rank-zero lattice has nothing to represent")
-    # the strict path never reads the series, so it does not compute it
-    chain = None if strict else lower_central_series(L)
-    nilpotent = chain is not None and chain[-1].is_zero()
-    radicals = radical_pair(L, chain)
+    nilpotent = not strict and known.series(L)[-1].is_zero()
     cert: EmbeddingCertificate | None = None
     cert_report: CertificateReport | None = None
     comparison = None
     if nilpotent:
         path = "nilpotent-shortcut"
         rs_rank = r  # a nilpotent lattice is its own solvable radical
-        comparison = birkhoff_bounds(r, len(chain) - 1)
-    elif not strict and radicals[0].is_zero():
+        comparison = birkhoff_bounds(r, len(known.series(L)) - 1)
+    elif not strict and known.radicals(L)[0].is_zero():
         # in characteristic zero a zero radical is semisimplicity (Cartan)
         path = "semisimple-shortcut"
         rs_rank = 0
     else:
         path = "theorem"
         # outside the boundary below: its Z-domain check is an input error
-        cert = embed_splittable(L, radicals)
+        cert = embed_splittable(L, known)
         rs_rank = cert.rs_rank
-        cert_report = verify_certificate(cert, radicals)
+        cert_report = verify_certificate(cert, known)
         if not cert_report.ok:
             raise VerificationFailure("embedding certificate failed verification", cert_report)
     try:  # on a validated L and a certified extension, a ValueError is a bug
         if cert is not None:
-            phi = splittable_rep(cert.extension, cert.nilpotent_rank)
+            phi = splittable_rep(cert.extension, cert.nilpotent_rank, known)
             rep = direct_sum_rep(restrict_rep(phi, cert.injection, L), adjoint_rep(L))
         else:
-            phi = rep = nilpotent_faithful_rep(L, chain) if nilpotent else adjoint_rep(L)
+            phi = rep = nilpotent_faithful_rep(L, known) if nilpotent else adjoint_rep(L)
     except ValueError as exc:
         raise RuntimeError(f"construction failed: {exc}") from exc
     phi_degree = None if path == "semisimple-shortcut" else phi.degree
 
-    report = verify_representation(L, rep, radicals)
+    report = verify_representation(L, rep, known)
     ado_report = AdoReport(
         path=path,
         degree=report.degree,

@@ -1156,7 +1156,7 @@ def ref_commutator_differs(A, B, f, combo):
 def ref_nilrep_violations(rep):
     """Rows of a fresh R_n(L) whose image is not nilpotent: every row of
     R_n, its image recombined from the matrices and raised to the degree."""
-    rn = nilradical(rep.lattice)
+    rn = nilradical(rep.lattice, solvable_radical(rep.lattice))
     return [
         idx
         for idx, M in enumerate(rep.matrices_of_rows(rn.basis))
@@ -1224,7 +1224,7 @@ def ref_verify_certificate(cert):
         injection_homomorphism=L.bracket_rows(I, I) * inj == ext.bracket_rows(inj, inj),
         nbar_is_ideal=nbar_ideal,
         nbar_is_nilpotent=nbar_nilp,
-        nbar_is_nilradical=lie and nilradical(ext) == nbar,
+        nbar_is_nilradical=lie and nilradical(ext, solvable_radical(ext)) == nbar,
         rn_image_contained=lie and nbar.contains_rows(nilradical(L, rs).basis * inj),
         rank_matches=lie and nbar.rank == rs.rank,
     )
@@ -1243,7 +1243,7 @@ def ref_expansion_checks(before, after):
     return (
         validate(K2).ok,
         K.bracket_rows(I, I) * iota == K2.bracket_rows(iota, iota),
-        nilradical(K2) == after.Rn,
+        nilradical(K2, solvable_radical(K2)) == after.Rn,
     )
 
 

@@ -14,6 +14,7 @@ from adorep.exact_linalg import ExactMatrix, block_diag, invert, solve_left, vec
 from adorep.lie_core import (
     adjoint_rep,
     nilradical,
+    solvable_radical,
     unit,
     validate,
 )
@@ -261,7 +262,7 @@ def test_criterion_08_nil_representation():
         L = entry.lattice
         rep, report, _ = ado_representation(L, strict=True)
         n = rep.degree
-        for M in rep.matrices_of_rows(nilradical(L).basis):
+        for M in rep.matrices_of_rows(nilradical(L, solvable_radical(L)).basis):
             if not power(M, n).is_zero():
                 ok = False
     _report(8, "nil-representation", ok)

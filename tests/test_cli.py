@@ -282,7 +282,6 @@ def test_cli_verify_rejects_a_fractional_bracket(tmp_path, capsys):
 def test_cli_verify_validates_the_lattice_once(tmp_path, capsys, monkeypatch):
     # verify_representation validates L itself, so the command does not
     import adorep.lie_core
-    import adorep.pipeline
 
     lat_path = write_lattice(tmp_path, "heisenberg3")
     rep = nilpotent_faithful_rep(catalog.get("heisenberg3").lattice)
@@ -295,8 +294,8 @@ def test_cli_verify_validates_the_lattice_once(tmp_path, capsys, monkeypatch):
         calls.append(L.rank)
         return original(L)
 
-    for module in (adorep.lie_core, adorep.pipeline):
-        monkeypatch.setattr(module, "validate", counting)
+    # the library validates through `Known`, which calls the lie_core global
+    monkeypatch.setattr(adorep.lie_core, "validate", counting)
     code, _, _ = run(capsys, "verify", lat_path, str(rep_path))
     assert code == 0
     assert calls == [3]
@@ -304,10 +303,9 @@ def test_cli_verify_validates_the_lattice_once(tmp_path, capsys, monkeypatch):
 
 def test_cli_nilrep_validates_the_lattice_once(tmp_path, capsys, monkeypatch):
     # the command validates L before the series, and verify_representation,
-    # handed the radicals, does not validate again
+    # handed the command's Known, does not validate again
     import adorep.cli
     import adorep.lie_core
-    import adorep.pipeline
 
     calls = []
     original = adorep.lie_core.validate
@@ -316,7 +314,7 @@ def test_cli_nilrep_validates_the_lattice_once(tmp_path, capsys, monkeypatch):
         calls.append(L.rank)
         return original(L)
 
-    for module in (adorep.lie_core, adorep.pipeline, adorep.cli):
+    for module in (adorep.lie_core, adorep.cli):
         monkeypatch.setattr(module, "validate", counting)
     code, _, _ = run(capsys, "nilrep", write_lattice(tmp_path, "heisenberg5"))
     assert code == 0
@@ -363,12 +361,13 @@ def test_cli_nilrep_reads_the_radicals_off_its_series(tmp_path, capsys, monkeypa
 
 
 def test_cli_nilrep_reports_an_invalid_lattice_before_the_series(tmp_path, capsys, monkeypatch):
-    import adorep.cli
+    import adorep.lie_core
 
     def unreachable(L):
         raise AssertionError("series computed for an invalid lattice")
 
-    monkeypatch.setattr(adorep.cli, "lower_central_series", unreachable)
+    # the command's Known computes the series through the lie_core global
+    monkeypatch.setattr(adorep.lie_core, "lower_central_series", unreachable)
     # [x0, x1] = x2 and [x0, x2] = x0: the Jacobi sum of (0, 1, 2) is -x2
     path = tmp_path / "bad.json"
     brackets = [

@@ -24,6 +24,7 @@ from adorep.exact_linalg import (
     vector,
 )
 from adorep.lie_core import (
+    Known,
     LatticeValidationError,
     change_basis,
     check_derivation,
@@ -32,7 +33,6 @@ from adorep.lie_core import (
     is_subalgebra,
     lie_lattice,
     nilradical,
-    radical_pair,
     semidirect_assemble,
     solvable_radical,
     split_semidirect,
@@ -67,7 +67,7 @@ from oracles import (
 
 def start(L):
     """The unexpanded state of the Z-lattice L, from its radicals."""
-    return initial_state(L, *radical_pair(L))
+    return initial_state(L, *Known().radicals(L))
 
 
 def levi(LQ):
@@ -312,20 +312,23 @@ def test_embedding_computes_the_radicals_of_the_input_once(monkeypatch):
     assert seen == {"solvable_radical": [3], "nilradical": [3]}
     monkeypatch.undo()
     # the stages run on their own from the radicals they are given
-    rs, rn = radical_pair(L)
+    rs, rn = Known().radicals(L)
     state = elementary_expansion(initial_state(L, rs, rn))
     assert integral_rescale(L, state, rn) == cert
 
 
 def test_given_radicals_give_the_same_certificate():
-    """The path `ado_representation` takes, `embed_splittable` given
-    `radical_pair(L)`, returns the certificate that computing the radicals
-    in `embed_splittable` returns, on every theorem input, plain and in a
-    random unimodular basis."""
+    """The path `ado_representation` takes, `embed_splittable` handed a
+    Known that already holds the validation and the radicals of L, returns
+    the certificate that computing them in `embed_splittable` returns, on
+    every theorem input, plain and in a random unimodular basis."""
     rng = random.Random(29)
     for name, L in theorem_inputs():
         for M in (L, change_basis(L, random_unimodular(rng, L.rank))):
-            assert embed_splittable(M, radical_pair(M)) == embed_splittable(M), name
+            known = Known()
+            known.require_valid(M)
+            known.radicals(M)
+            assert embed_splittable(M, known) == embed_splittable(M), name
 
 
 def test_loop_steps_pass_the_full_checks(monkeypatch):
@@ -395,7 +398,7 @@ def test_checks_proved_by_construction_hold_on_every_stage():
     rng = random.Random(31)
     for name, L in theorem_inputs():
         for M in (L, change_basis(L, random_unimodular(rng, L.rank))):
-            rs, rn = radical_pair(M)
+            rs, rn = Known().radicals(M)
             states = [initial_state(M, rs, rn)]
             assert ref_levi_facts(states[0].N, states[0].S, M.rank) == (True, True), name
             while states[-1].Rn.rank < states[-1].N.rank:
@@ -419,7 +422,7 @@ def test_a_step_avoids_exactly_the_nilpotent_radical():
     steps = 0
     for name, L in theorem_inputs():
         for M in (L, change_basis(L, random_unimodular(rng, L.rank))):
-            state = initial_state(M, *radical_pair(M))
+            state = initial_state(M, *Known().radicals(M))
             while state.Rn.rank < state.N.rank:
                 assert ref_avoid(state) == Submodule.of_rows(state.Rn.basis, "Q"), name
                 state = elementary_expansion(state)
@@ -481,7 +484,7 @@ def test_rescale_nilpotency_matches_the_old_checks():
     chain accepts exactly the lattices `is_nilpotent` accepts."""
     causes = set()
     for name, L in theorem_inputs():
-        rs, rn = radical_pair(L)
+        rs, rn = Known().radicals(L)
         state = initial_state(L, rs, rn)
         while state.Rn.rank < state.N.rank:
             state = elementary_expansion(state)
@@ -621,11 +624,11 @@ def test_expansion_structural_invariants():
             for s in state.S.basis.entries:
                 assert all(x == 0 for x in K.bracket(z, s))
         # each [x'_j, image of L] lands inside the image of R_n(L)
-        rn_img = Submodule.of_rows(nilradical(L).basis * state.embedding, "Q")
+        rn_img = Submodule.of_rows(nilradical(L, solvable_radical(L)).basis * state.embedding, "Q")
         assert rn_img.contains_rows(K.bracket_rows(state.xprimes, state.embedding))
         # dim R_n of the expanded algebra equals rk R_s(L)
         assert state.Rn.rank == solvable_radical(L).rank
-        assert nilradical(K) == state.Rn
+        assert nilradical(K, solvable_radical(K)) == state.Rn
 
 
 def test_jc_parts_of_derivations_are_derivations():
@@ -673,7 +676,7 @@ def test_mu_matches_the_bounded_search():
     (`ref_mu_search`): it escalates at most once and ends at the same mu."""
     escalations = []
     for name, L in theorem_inputs():
-        rs, rn = radical_pair(L)
+        rs, rn = Known().radicals(L)
         state = initial_state(L, rs, rn)
         while state.Rn.rank < state.N.rank:
             state = elementary_expansion(state)

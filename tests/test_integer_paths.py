@@ -51,7 +51,7 @@ def test_integral_kernels_build_no_fraction(monkeypatch):
     R, pivots = rref(A)
     envelope = _matrix_algebra_closure(ads[:3])
     report = validate(L)
-    radicals = [(solvable_radical(K), nilradical(K)) for K in (L, t2)]
+    radicals = [(rs := solvable_radical(K), nilradical(K, rs)) for K in (L, t2)]
     series = [lower_central_series(K) for K in (L, t2)]
     sat = Submodule.of_rows(A, "Z").saturate()
     assert built == []

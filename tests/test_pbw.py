@@ -414,9 +414,9 @@ def test_graded_chains_build_the_adapted_basis_without_elimination(name, elimina
     inputs = dict(series_inputs())
     counts = []
 
-    def counted(L, chain=None):
+    def counted(L, known=None):
         before = dict(eliminations)
-        B = build_weighted_basis(L, chain)
+        B = build_weighted_basis(L, known)
         counts.append(tuple(eliminations[k] - before[k] for k in ("_hermite", "Echelon")))
         return B
 

@@ -8,17 +8,17 @@ import pytest
 
 from adorep import catalog
 from adorep.cli import main
-from adorep.embed import EmbeddingCertificate
-from adorep.exact_linalg import ExactMatrix, invert
+from adorep.embed import EmbeddingCertificate, embed_splittable
+from adorep.exact_linalg import ExactMatrix, Submodule, invert
 from adorep.jsonio import ado_report_to_json, certificate_to_json, lattice_to_json, rep_to_json
 from adorep.lie_core import (
+    Known,
     LatticeValidationError,
     adjoint_rep,
     change_basis,
     direct_sum,
     lie_lattice,
-    lower_central_series,
-    radical_pair,
+    nilradical,
     solvable_radical,
     unit,
 )
@@ -31,6 +31,7 @@ from adorep.pipeline import (
     verify_representation,
 )
 from adorep.rep import LinearRep
+from adorep.zassenhaus import splittable_rep
 
 from oracles import (
     acceptance_entries,
@@ -64,14 +65,20 @@ def test_ado_h3_both_paths():
 
 
 def test_ado_strict_path_computes_no_lower_central_series(monkeypatch):
-    # only the nilpotent shortcut reads the series
-    import adorep.pipeline
+    # only the nilpotent shortcut reads the series of L; `splittable_rep`
+    # still computes the series of the extension's nilpotent block
+    import adorep.lie_core
 
-    def refuse(L):
-        raise AssertionError("lower_central_series called on the strict path")
+    L = catalog.get("heisenberg3").lattice
+    real = adorep.lie_core.lower_central_series
 
-    monkeypatch.setattr(adorep.pipeline, "lower_central_series", refuse)
-    _, report, _ = ado_representation(catalog.get("heisenberg3").lattice, strict=True)
+    def refuse(M):
+        if M is L:
+            raise AssertionError("lower_central_series of L called on the strict path")
+        return real(M)
+
+    monkeypatch.setattr(adorep.lie_core, "lower_central_series", refuse)
+    _, report, _ = ado_representation(L, strict=True)
     assert report.path == "theorem" and report.ok
 
 
@@ -187,7 +194,7 @@ def test_nil_representation_property():
         from adorep.lie_core import nilradical
 
         n = rep.degree
-        for M in rep.matrices_of_rows(nilradical(L).basis):
+        for M in rep.matrices_of_rows(nilradical(L, solvable_radical(L)).basis):
             assert power(M, n).is_zero()
 
 
@@ -455,26 +462,35 @@ def test_ado_reports_match_direct_checks(strict_runs):
         assert report.certificate_report == verify_certificate(cert), name
 
 
+def _holding_the_facts_of(L):
+    """A Known that holds the validation and the radicals of L, as the one
+    of `ado_representation` does when it reaches the checkers."""
+    known = Known()
+    known.require_valid(L)
+    known.radicals(L)
+    return known
+
+
 def test_checkers_handed_the_radicals_report_what_they_compute_alone(strict_runs, monkeypatch):
-    """`radical_pair(L)` of a validated L, handed to a checker, changes no
-    report: on every catalog lattice, and on one corrupted matrix and one
-    corrupted injection, made as the benchmark's negative controls make
-    them."""
+    """A Known holding the validation and radicals of L, handed to a
+    checker, changes no report: on every catalog lattice, and on one
+    corrupted matrix and one corrupted injection, made as the benchmark's
+    negative controls make them."""
     run = load_bench_run(monkeypatch)
     rng = random.Random(23)
     catalog_runs = [r for r in strict_runs if r[0] in catalog.names()]
     assert len(catalog_runs) == len(catalog.names())
     for name, L, rep, _, cert in catalog_runs:
-        radicals = radical_pair(L)
-        assert verify_representation(L, rep, radicals) == verify_representation(L, rep), name
-        assert verify_certificate(cert, radicals) == verify_certificate(cert), name
+        known = _holding_the_facts_of(L)
+        assert verify_representation(L, rep, known) == verify_representation(L, rep), name
+        assert verify_certificate(cert, known) == verify_certificate(cert), name
     _, L, rep, _, cert = next(r for r in catalog_runs if r[0] == "t2_upper")
-    radicals = radical_pair(L)
+    known = _holding_the_facts_of(L)
     bad_rep = run.corrupt_rep(rep, L, rng)
-    report = verify_representation(L, bad_rep, radicals)
+    report = verify_representation(L, bad_rep, known)
     assert report == verify_representation(L, bad_rep) and not report.homomorphism_ok
     bad_cert = run.corrupt_certificate(cert, rng)
-    cert_report = verify_certificate(bad_cert, radicals)
+    cert_report = verify_certificate(bad_cert, known)
     assert cert_report == verify_certificate(bad_cert) and not cert_report.injection_homomorphism
 
 
@@ -498,9 +514,10 @@ def test_ado_rejects_a_non_injective_certificate(monkeypatch):
     assert not failure.value.report.injection_injective
 
 
-def _counting(monkeypatch, fnames):
-    """The ranks of the lattices that each `adorep.lie_core` function in
-    `fnames` is called on, wherever the library calls it from."""
+def _counting(monkeypatch, fnames, key=lambda L: L.rank):
+    """`key` (by default the rank) of the lattices that each
+    `adorep.lie_core` function in `fnames` is called on, wherever the
+    library calls it from."""
     import adorep.embed
     import adorep.lie_core
     import adorep.pipeline
@@ -510,7 +527,7 @@ def _counting(monkeypatch, fnames):
         original = getattr(adorep.lie_core, fname)
 
         def counting(L, *args, _original=original, _calls=calls):
-            _calls.append(L.rank)
+            _calls.append(key(L))
             return _original(L, *args)
 
         for module in (adorep.lie_core, adorep.embed, adorep.pipeline):
@@ -568,7 +585,12 @@ def test_nilpotent_ado_reads_the_radicals_off_its_series(monkeypatch, name):
 
 @pytest.mark.parametrize("name, L", series_inputs(), ids=[n for n, _ in series_inputs()])
 def test_radicals_read_off_the_series_equal_the_computed_ones(name, L):
-    assert radical_pair(L, lower_central_series(L)) == radical_pair(L)
+    known = Known()
+    if known.series(L)[-1].is_zero():
+        full = Submodule.full(L.rank, L.domain)
+        assert known.radicals(L) == (full, full)
+    computed = solvable_radical(L)
+    assert known.radicals(L) == (computed, nilradical(L, computed))
 
 
 def _scrambled_t2_squared():
@@ -582,24 +604,39 @@ def _scrambled_t2_squared():
     [catalog.t2_upper(), catalog.churkin_sl2_t2(), _scrambled_t2_squared()],
     ids=["t2_upper", "churkin_sl2_t2", "scrambled t2^2"],
 )
-def test_strict_ado_validates_at_most_three_times(monkeypatch, L):
-    """L once, first in `ado_representation` (`embed_splittable` and the
-    checkers trust the radicals they are handed, and with them the
-    validation), the extension in
-    `verify_certificate` and in `splittable_rep`; no sublattice the
-    construction builds is validated on its own."""
-    seen = _counting(monkeypatch, ["validate"])
-    ado_representation(L, strict=True)
-    assert len(seen["validate"]) <= 3
-    assert seen["validate"].count(L.rank) <= 1
+def test_strict_ado_validates_each_lattice_once(monkeypatch, L):
+    """One Known serves the whole call: `validate` runs on L, first in
+    `ado_representation`, and on the extension, in `verify_certificate`,
+    whose validation `splittable_rep` reads; each radical is computed once
+    for L and once for the extension.  No sublattice the construction
+    builds is validated on its own."""
+    seen = _counting(monkeypatch, ["validate", "solvable_radical", "nilradical"], key=lambda M: M)
+    _, _, cert = ado_representation(L, strict=True)
+    named = {
+        fname: ["L" if M is L else "ext" if M is cert.extension else M.rank for M in calls]
+        for fname, calls in seen.items()
+    }
+    assert named == {fname: ["L", "ext"] for fname in seen}
+
+
+def test_no_fact_outlives_its_call(monkeypatch):
+    """Two calls on the same lattice object each validate it and compute
+    its series and radicals: a Known lives for one call."""
+    L = catalog.churkin_sl2_t2()
+    fnames = ["validate", "lower_central_series", "solvable_radical", "nilradical"]
+    seen = _counting(monkeypatch, fnames, key=lambda M: M is L)
+    for _ in range(2):
+        assert ado_representation(L)[1].path == "theorem"
+    assert {fname: calls.count(True) for fname, calls in seen.items()} == dict.fromkeys(fnames, 2)
 
 
 def test_nilpotent_shortcut_validates_at_most_twice(monkeypatch):
-    """L first in `ado_representation` and in `nilpotent_faithful_rep`."""
+    """L once, first in `ado_representation`; `nilpotent_faithful_rep` and
+    the checker read that validation from the call's Known."""
     seen = _counting(monkeypatch, ["validate"])
     _, report, _ = ado_representation(catalog.get("heisenberg5").lattice)
     assert report.path == "nilpotent-shortcut"
-    assert len(seen["validate"]) <= 2
+    assert seen["validate"] == [5]
 
 
 def test_direct_checker_calls_validate_and_compute_their_own_radicals(monkeypatch):
@@ -626,4 +663,33 @@ def test_direct_checker_calls_validate_and_compute_their_own_radicals(monkeypatc
         "validate": [L.rank] * 2,
         "solvable_radical": [L.rank] * 2,
         "nilradical": [L.rank] * 2,
+    }
+
+
+def test_direct_construction_calls_validate_and_compute_their_own_facts(monkeypatch):
+    """Called without a Known, `embed_splittable` validates L and computes
+    its radicals on each call, and `splittable_rep` validates the extension
+    and computes the series of its nilpotent block on each call."""
+    L = catalog.churkin_sl2_t2()
+    _, report, cert = ado_representation(L, strict=True)
+    fnames = ["validate", "lower_central_series", "solvable_radical", "nilradical"]
+    seen = _counting(monkeypatch, fnames)
+    for _ in range(2):
+        assert embed_splittable(L) == cert
+    assert seen == {
+        "validate": [L.rank] * 2,
+        "lower_central_series": [],
+        "solvable_radical": [L.rank] * 2,
+        "nilradical": [L.rank] * 2,
+    }
+    for calls in seen.values():
+        calls.clear()
+    ext, m = cert.extension, cert.nilpotent_rank
+    for _ in range(2):
+        assert splittable_rep(ext, m).degree == report.phi_degree
+    assert seen == {
+        "validate": [ext.rank] * 2,
+        "lower_central_series": [m] * 2,
+        "solvable_radical": [],
+        "nilradical": [],
     }
