@@ -13,7 +13,7 @@ from functools import lru_cache
 from math import comb, isqrt
 
 from .lie_core import Known, LieLattice, unit, validate
-from .pbw import TruncatedUEA, build_weighted_basis
+from .pbw import TruncatedUEA, _enumerate_monomials, build_weighted_basis
 from .rep import LinearRep
 
 _SQRT_PRECISION = 10**30
@@ -86,10 +86,11 @@ def birkhoff_bounds(d: int, c: int) -> dict[str, Fraction]:
 
 
 def monomial_count(L: LieLattice) -> int:
-    """Number of PBW monomials of weight at most the nilpotency class."""
+    """Number of PBW monomials of weight at most the nilpotency class, the
+    dimension of `TruncatedUEA` at the class, counted without building it."""
     validate(L).raise_if_invalid()
     basis = build_weighted_basis(L)
-    return TruncatedUEA(basis, basis.nil_class).dimension
+    return len(_enumerate_monomials(basis.weights, basis.nil_class))
 
 
 def nilpotent_faithful_rep(L: LieLattice, known: Known | None = None) -> LinearRep:

@@ -1,11 +1,15 @@
 """Weighted truncations of universal enveloping algebras of nilpotent lattices.
 
 The monomial basis is indexed by exponent vectors over an adapted basis
-(deepest lower-central terms first).  Everything rests on one memoised
-letter action x_i * x^alpha, straightened by the rewriting rule
+(deepest lower-central terms first); inside `TruncatedUEA` a monomial is
+its index in graded order.  Every matrix rests on the letter action
+x_i * x^alpha.  Where i is at most the first letter of alpha the product
+is already ordered, and it is read off a (first letter, rest) table built
+once; the other products are straightened by the rewriting rule
 x_j x_i = x_i x_j - [x_i, x_j] with eager truncation of monomials whose
-weight exceeds the cutoff: left multiplications are sums of letter actions,
-and lifted derivations are built column by column from them by Leibniz.
+weight exceeds the cutoff, memoised in one list per letter.  Left
+multiplications are sums of letter actions, and lifted derivations are
+built column by column from them by Leibniz.
 Coefficients are ints; a Fraction appears only where a lattice over Q has
 a non-integral structure constant in the adapted basis.  The coordinates
 of a vector and the entries of a derivation enter as int numerators over
@@ -15,13 +19,13 @@ extends each lower central term to the next, with the terms themselves as
 the inner modules; where every term is spanned by lattice basis vectors it
 is a permutation of the lattice basis, read off the chain without
 elimination.  Monomials are enumerated letter by letter, without
-recursion.  The coordinates of a unit vector are a row of the
-basis inverse; where that row is one letter with numerator 1, the matrix
-columns are the letter's memo entries, shared and never mutated.
+recursion.  The coordinates of a unit vector are a row of the basis
+inverse.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -29,7 +33,6 @@ from typing import Sequence, Union
 
 from .exact_linalg import (
     ExactMatrix,
-    Row,
     Submodule,
     Vec,
     _EMPTY_ROW,
@@ -49,7 +52,8 @@ from .lie_core import (
 Monomial = tuple[int, ...]
 # an int, or a Fraction only where a Q-lattice has a non-integral constant
 Coefficient = Union[int, Fraction]
-Element = dict[Monomial, Coefficient]
+# an element of the truncated algebra: monomial index -> coefficient
+Element = dict[int, Coefficient]
 
 # the letter action past the cutoff; shared and never stored in the memo,
 # as no caller mutates what `_letter` returns
@@ -140,9 +144,32 @@ def build_weighted_basis(L: LieLattice, known: Known | None = None) -> WeightedP
 class TruncatedUEA:
     """Enveloping algebra of a nilpotent lattice modulo weight > cutoff.
 
-    Monomials are enumerated in graded-lexicographic order.  Instances are
-    immutable apart from an internal memo table whose entries are idempotent,
-    so concurrent calls are safe and agree.
+    Monomials are enumerated in graded-lexicographic order, and inside the
+    class a monomial is its index m in `monomials`.  Three tables locate
+    the ordered products: `first[m]` is the first letter of m (the rank r
+    for the unit 1, which has none), `rest[m]` is the index of m with one
+    x_first removed (0 for the unit), and `up[i]` maps rest[m'] to m' over
+    the m' with first[m'] == i.
+
+    Let i <= first(alpha).  Then x_i x^alpha is already ordered: it is the
+    monomial alpha + e_i, of weight weight(alpha) + w_i.  Every monomial of
+    weight at most the cutoff is enumerated, so the product is kept exactly
+    when that weight fits.  When kept, it is a monomial m' whose first
+    letter is i, as alpha has no letter before i, and whose rest is alpha.
+    A monomial is rest + e_first, so it is determined by (first, rest), and
+    m' is the unique monomial with (first, rest) = (i, alpha): up[i][alpha].
+    Conversely each m' in up[i] is x_i x^rest[m'], as rest[m'] has no letter
+    before i.  So the ordered columns of letter i are the pairs
+    (rest[m'], m') over up[i], each a single 1 in row m', and only the
+    columns m with first(m) < i are straightened.
+
+    Straightening rewrites x_i x_j = x_j x_i + [x_i, x_j] with i > j; the
+    bracket lies deeper in the series, so no term has lower weight than the
+    product, and a product whose weight exceeds the cutoff is truncated at
+    once.  The monomials are sorted by weight, so the m with x_i x^m inside
+    the cutoff are a prefix, range(_fits[i]).  Instances are immutable
+    apart from an internal memo, one list per letter, whose entries are
+    idempotent, so concurrent calls are safe and agree.
     """
 
     def __init__(self, basis: WeightedPBWBasis, cutoff: int):
@@ -150,15 +177,26 @@ class TruncatedUEA:
             raise ValueError("cutoff must be nonnegative")
         self.basis = basis
         self.cutoff = cutoff
+        r = basis.rank
         by_weight = sorted((w, alpha) for alpha, w in _enumerate_monomials(basis.weights, cutoff))
-        self._weight = {alpha: w for w, alpha in by_weight}
         self.monomials: tuple[Monomial, ...] = tuple(alpha for _, alpha in by_weight)
-        self.index: dict[Monomial, int] = {a: i for i, a in enumerate(self.monomials)}
-        self._memo: dict[tuple[int, Monomial], Element] = {}
+        self.index: dict[Monomial, int] = {a: m for m, a in enumerate(self.monomials)}
+        first, rest = [r], [0]
+        for alpha in self.monomials[1:]:
+            j = alpha.index(next(filter(None, alpha)))  # the letter of the first nonzero exponent
+            first.append(j)
+            rest.append(self.index[alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]])
+        self.first, self.rest = tuple(first), tuple(rest)
+        self.up: tuple[dict[int, int], ...] = tuple({} for _ in range(r))
+        for m in range(1, len(first)):
+            self.up[first[m]][rest[m]] = m
+        ordered = [w for w, _ in by_weight]
+        self._fits = [bisect_right(ordered, cutoff - w) for w in basis.weights]
+        self._memo: list[list[Element | None]] = [[None] * n for n in self._fits]
         # _consts[i][j], j < i (the only pairs `_letter` reads): the adapted
         # [x_i, x_j] as (k, constant) pairs, each constant an int unless it
         # really is non-integral
-        T, r = basis.adapted.table, basis.rank
+        T = basis.adapted.table
         self._consts = [
             [[(k, _constant(n, T.den)) for k, n in T.num[i * r + j].items()] for j in range(i)]
             for i in range(r)
@@ -182,50 +220,43 @@ class TruncatedUEA:
 
     # -- letter-by-letter multiplication ---------------------------------
 
-    def _letter(self, i: int, alpha: Monomial) -> Element:
-        """Normal form of x_i * x^alpha (adapted letters), truncated; alpha
-        is one of the monomials."""
-        key = (i, alpha)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        if self.basis.weights[i] + self._weight[alpha] > self.cutoff:
+    def _letter(self, i: int, m: int) -> Element:
+        """Normal form of x_i * x^m (adapted letter i, monomial index m),
+        truncated."""
+        if m >= self._fits[i]:
             return _TRUNCATED
-        j = next((t for t in range(len(alpha)) if alpha[t]), None)
-        if j is None or i <= j:
-            out: Element = {_inc(alpha, i): 1}
+        memo = self._memo[i]
+        out = memo[m]
+        if out is not None:
+            return out
+        j = self.first[m]
+        if i <= j:
+            out = {self.up[i][m]: 1}
         else:
-            rest = _dec(alpha, j)
-            out = {}
+            rest = self.rest[m]
+            acc: Element = {}
             for beta, cf in self._letter(i, rest).items():
                 for gamma, cf2 in self._letter(j, beta).items():
-                    _acc(out, gamma, cf * cf2)
+                    acc[gamma] = acc.get(gamma, 0) + cf * cf2
             for k, ck in self._consts[i][j]:
                 for beta, cf in self._letter(k, rest).items():
-                    _acc(out, beta, ck * cf)
-            out = {a: cf for a, cf in out.items() if cf}
+                    acc[beta] = acc.get(beta, 0) + ck * cf
+            out = {a: cf for a, cf in acc.items() if cf}
             if self._check_integral and any(cf.denominator != 1 for cf in out.values()):
                 raise RuntimeError("straightening produced a non-integral coefficient over Z")
-        self._memo[key] = out
+        memo[m] = out
         return out
-
-    def _apply_letter(self, i: int, elem: Element) -> Element:
-        out: Element = {}
-        for alpha, cf in elem.items():
-            for beta, cf2 in self._letter(i, alpha).items():
-                _acc(out, beta, cf * cf2)
-        return {a: cf for a, cf in out.items() if cf}
 
     def left_mult_matrix(self, v: Vec) -> ExactMatrix:
         """Matrix of left multiplication by a lattice vector on the monomials.
 
         With the adapted coordinates of v as int numerators x_k over d, the
-        columns sum x_k * (x_k's letter action) and the matrix is over d.
+        matrix is the sum of x_k times letter k's matrix, over d: the
+        ordered columns of letter k read off up[k], the others straightened.
         The coordinates of the unit vector e_i are row i of the basis
-        inverse.  When they are one letter with numerator 1, as wherever
-        e_i is itself an adapted basis vector, the columns are that
-        letter's memo entries themselves, which `_matrix_of_columns` only
-        reads.
+        inverse.  With one letter, each entry is written once, as the
+        ordered and the straightened columns are disjoint; with more, sums
+        may cancel, and zero entries are dropped.
         """
         if len(v) != self.rank:
             raise ValueError(f"every row must have length {self.rank}")
@@ -236,27 +267,29 @@ class TruncatedUEA:
         else:
             coords = ExactMatrix.from_rows([v], cols=self.rank) * inverse
             row, den = coords.num[0], coords.den
-        letters = list(row.items())
-        if len(letters) == 1 and letters[0][1] == 1:
-            k = letters[0][0]
-            return self._matrix_of_columns([self._letter(k, beta) for beta in self.monomials], den)
-        cols = []
-        for beta in self.monomials:
-            col: Element = {}
-            for k, cf in letters:
-                for gamma, cf2 in self._letter(k, beta).items():
-                    _acc(col, gamma, cf * cf2)
-            cols.append(col)
-        return self._matrix_of_columns(cols, den)
+        rows: list[Element] = [{} for _ in range(self.dimension)]
+        first = self.first
+        for k, x in row.items():
+            for alpha, m in self.up[k].items():
+                entries = rows[m]
+                entries[alpha] = entries.get(alpha, 0) + x
+            for beta in range(self._fits[k]):
+                if first[beta] < k:
+                    for m, cf in self._letter(k, beta).items():
+                        entries = rows[m]
+                        entries[beta] = entries.get(beta, 0) + x * cf
+        if len(row) > 1:
+            rows = [{j: cf for j, cf in entries.items() if cf} for entries in rows]
+        return self._matrix_of_rows(rows, den)
 
     def derivation_star(self, D: ExactMatrix) -> ExactMatrix:
         """Matrix of the lifted derivation D* on the monomial basis.
 
         D is given on the original lattice basis and must satisfy the
         Leibniz identity there; D*(1) = 0 and the lift preserves the weight
-        filtration, so the truncation is well defined.  With l the first
-        letter of x^beta = x_l x^rest, Leibniz gives
-        D*(x^beta) = D(x_l) x^rest + x_l D*(x^rest), and x^rest has lower
+        filtration, so the truncation is well defined.  With l = first[m],
+        x^m = x_l x^rest[m], and Leibniz gives
+        D*(x^m) = D(x_l) x^rest + x_l D*(x^rest), and x^rest has lower
         weight, so its column comes earlier in the graded order.  D* is
         linear in D, so the recursion runs on the int numerators of D in
         adapted coordinates and the matrix is over their denominator.
@@ -269,36 +302,37 @@ class TruncatedUEA:
         # Dad.num[t]: the numerators of the image of adapted letter t under
         # D, in adapted coordinates; row t of P D^T P^-1 is that image
         Dad = self.basis.change_of_basis * D.transpose() * self.basis.inverse
-        star: dict[Monomial, Element] = {self.monomials[0]: {}}  # D*(1) = 0
-        for beta in self.monomials[1:]:
-            l = next(t for t, e in enumerate(beta) if e)
-            rest = _dec(beta, l)
-            col = self._apply_letter(l, star[rest])
+        letter = self._letter
+        rows: list[Element] = [{} for _ in range(self.dimension)]
+        star: list[Element] = [{}]  # D*(1) = 0
+        for m in range(1, self.dimension):
+            l, rest = self.first[m], self.rest[m]
+            col: Element = {}
+            for alpha, cf in star[rest].items():
+                for gamma, cf2 in letter(l, alpha).items():
+                    col[gamma] = col.get(gamma, 0) + cf * cf2
             for k, ck in Dad.num[l].items():
-                for gamma, cf in self._letter(k, rest).items():
-                    _acc(col, gamma, ck * cf)
-            star[beta] = col
-        return self._matrix_of_columns([star[beta] for beta in self.monomials], Dad.den)
+                for gamma, cf in letter(k, rest).items():
+                    col[gamma] = col.get(gamma, 0) + ck * cf
+            col = {gamma: cf for gamma, cf in col.items() if cf}
+            for gamma, cf in col.items():
+                rows[gamma][m] = cf
+            star.append(col)
+        return self._matrix_of_rows(rows, Dad.den)
 
-    def _matrix_of_columns(self, cols: Sequence[Element], den: int) -> ExactMatrix:
-        """The matrix over den whose column j holds the element cols[j] on
-        the monomials, as int numerator rows; Fraction coefficients are
-        brought over the lcm of their denominators first.  An integral
-        adapted table makes every coefficient an int, so the scan for
-        Fractions is skipped."""
-        index = self.index
-        rows: list[Row] = [{} for _ in range(self.dimension)]
-        fractions = (
-            [] if self._integral else [cf for col in cols for cf in col.values() if type(cf) is not int]
-        )
-        d = lcm(*(cf.denominator for cf in fractions))
-        for j, col in enumerate(cols):
-            for alpha, cf in col.items():
-                if fractions:
-                    cf = cf.numerator * (d // cf.denominator)
-                if cf:
-                    rows[index[alpha]][j] = cf
-        num = tuple(row or _EMPTY_ROW for row in rows)
+    def _matrix_of_rows(self, rows: list[Element], den: int) -> ExactMatrix:
+        """The matrix over den whose rows hold the nonzero coefficients
+        `rows`, keyed by column; Fraction coefficients are brought over the
+        lcm of their denominators first.  An integral adapted table makes
+        every coefficient an int, so the scan for Fractions is skipped."""
+        d = 1
+        if not self._integral:
+            d = lcm(*(cf.denominator for entries in rows for cf in entries.values()))
+            rows = [
+                {j: cf.numerator * (d // cf.denominator) for j, cf in entries.items()}
+                for entries in rows
+            ]
+        num = tuple(entries or _EMPTY_ROW for entries in rows)
         return ExactMatrix._trusted(num, self.dimension, den * d)
 
 
@@ -314,20 +348,8 @@ def _enumerate_monomials(weights: Sequence[int], cutoff: int) -> list[tuple[Mono
     return level
 
 
-def _inc(alpha: Monomial, i: int) -> Monomial:
-    return alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
-
-
-def _dec(alpha: Monomial, i: int) -> Monomial:
-    return alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]
-
-
 def _constant(n: int, den: int) -> Coefficient:
     """n / den as an int when den divides n, else as a Fraction."""
     q, m = divmod(n, den)
     return Fraction(n, den) if m else q
-
-
-def _acc(d: Element, key: Monomial, value: Coefficient) -> None:
-    d[key] = d.get(key, 0) + value
 

@@ -47,10 +47,11 @@ spans each step's inner module anew from the rows so far and always
 eliminates, where the library reads the inner module off the chain and a
 graded chain's adapted basis off its unit rows; `ref_enumerate_monomials`
 recurses over the letters, where the library extends prefixes letter by
-letter; and `RefTruncatedUEA` takes the
-coordinates of every vector by a product with the basis inverse and
-accumulates every column, where the library reads a unit vector's
-coordinates off the inverse and a one-letter column off the memo.
+letter; and `RefTruncatedUEA` straightens every letter action on exponent
+tuples, ordered products included, takes the coordinates of every vector
+by a product with the basis inverse and accumulates every column, where
+the library works on monomial indices, reads the ordered products off its
+(first letter, rest) table and a unit vector's coordinates off the inverse.
 `ref_brackets` sums every pair term by term, where the library reads the
 bracket of two single-entry rows off one table row; `ref_coordinate_rows`
 solves on the tagged echelon of any basis, where the library reads a basis
@@ -113,7 +114,7 @@ from adorep.lie_core import (
     validate,
 )
 from adorep.nilrep import _sqrt_interval, eta_interval
-from adorep.pbw import Element, TruncatedUEA, WeightedPBWBasis, _acc, build_weighted_basis
+from adorep.pbw import TruncatedUEA, WeightedPBWBasis, build_weighted_basis
 from adorep.pipeline import CertificateReport, VerificationReport, degree_bound
 from adorep.rep import LinearRep
 
@@ -419,33 +420,88 @@ def ref_enumerate_monomials(weights, cutoff):
     yield from rec(0, cutoff, ())
 
 
-class RefTruncatedUEA(TruncatedUEA):
-    """`TruncatedUEA` as the library built it before it read unit vectors
-    off the basis inverse: the monomials come from the full exponent box,
-    each weighed by `monomial_weight`; the coordinates of every vector are
-    its product with the basis inverse; every column is accumulated letter
-    by letter; and every column set is scanned for Fractions."""
+class RefTruncatedUEA:
+    """`TruncatedUEA` as the library built it before it straightened on
+    monomial indices, read unit vectors off the basis inverse and wrote
+    ordered columns off its (first letter, rest) tables: the monomials are
+    exponent tuples from the full exponent box, each weighed here; every
+    letter action x_i x^alpha, ordered or not, is straightened on tuples and
+    memoised by (i, alpha); the coordinates of every vector are its product
+    with the basis inverse; every column is accumulated letter by letter;
+    the adapted constants enter as Fractions; and every column set is
+    scanned for Fractions."""
 
     def __init__(self, basis, cutoff):
-        super().__init__(basis, cutoff)
+        self.basis, self.cutoff, self.rank = basis, cutoff, basis.rank
         box = product(*(range(cutoff // w + 1) for w in basis.weights))
-        weighed = ((a, self.monomial_weight(a)) for a in box)
+        weighed = ((a, sum(e * w for e, w in zip(a, basis.weights))) for a in box)
         weight = {a: w for a, w in weighed if w <= cutoff}
-        self._weight = weight
+        self.weight = weight
         self.monomials = tuple(sorted(weight, key=lambda a: (weight[a], a)))
         self.index = {a: i for i, a in enumerate(self.monomials)}
+        self.dimension = len(self.monomials)
+        T, r = basis.adapted.table, basis.rank
+        self._consts = [
+            [[(k, Fraction(n, T.den)) for k, n in T.num[i * r + j].items()] for j in range(i)]
+            for i in range(r)
+        ]
+        self._memo = {}
+
+    def _letter(self, i, alpha):
+        """Normal form of x_i * x^alpha (adapted letters), truncated."""
+        key = (i, alpha)
+        if key in self._memo:
+            return self._memo[key]
+        if self.basis.weights[i] + self.weight[alpha] > self.cutoff:
+            return {}
+        j = next((t for t in range(len(alpha)) if alpha[t]), None)
+        if j is None or i <= j:
+            out = {alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]: 1}
+        else:
+            rest = alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]
+            out = {}
+            for beta, cf in self._letter(i, rest).items():
+                for gamma, cf2 in self._letter(j, beta).items():
+                    _acc(out, gamma, cf * cf2)
+            for k, ck in self._consts[i][j]:
+                for beta, cf in self._letter(k, rest).items():
+                    _acc(out, beta, ck * cf)
+            out = {a: cf for a, cf in out.items() if cf}
+        self._memo[key] = out
+        return out
+
+    def _apply_letter(self, i, elem):
+        out = {}
+        for alpha, cf in elem.items():
+            for beta, cf2 in self._letter(i, alpha).items():
+                _acc(out, beta, cf * cf2)
+        return {a: cf for a, cf in out.items() if cf}
 
     def left_mult_matrix(self, v):
         coords = ExactMatrix.from_rows([v], cols=self.rank) * self.basis.inverse
         letters = list(coords.num[0].items())
         cols = []
         for beta in self.monomials:
-            col: Element = {}
+            col = {}
             for k, cf in letters:
                 for gamma, cf2 in self._letter(k, beta).items():
                     _acc(col, gamma, cf * cf2)
             cols.append(col)
         return self._matrix_of_columns(cols, coords.den)
+
+    def derivation_star(self, D):
+        """D*(x^beta) = D(x_l) x^rest + x_l D*(x^rest), l the first letter."""
+        Dad = self.basis.change_of_basis * D.transpose() * self.basis.inverse
+        star = {self.monomials[0]: {}}
+        for beta in self.monomials[1:]:
+            l = next(t for t, e in enumerate(beta) if e)
+            rest = beta[:l] + (beta[l] - 1,) + beta[l + 1 :]
+            col = self._apply_letter(l, star[rest])
+            for k, ck in Dad.num[l].items():
+                for gamma, cf in self._letter(k, rest).items():
+                    _acc(col, gamma, ck * cf)
+            star[beta] = col
+        return self._matrix_of_columns([star[beta] for beta in self.monomials], Dad.den)
 
     def _matrix_of_columns(self, cols, den):
         rows = [{} for _ in range(self.dimension)]
@@ -459,6 +515,10 @@ class RefTruncatedUEA(TruncatedUEA):
                     rows[self.index[alpha]][j] = cf
         num = tuple(row or _EMPTY_ROW for row in rows)
         return ExactMatrix._trusted(num, self.dimension, den * d)
+
+
+def _acc(d, key, value):
+    d[key] = d.get(key, 0) + value
 
 
 # -- helpers that only the tests use --------------------------------------

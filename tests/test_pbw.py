@@ -24,6 +24,7 @@ from oracles import (
     column,
     derivation_basis,
     is_nilpotent,
+    load_bench,
     nilpotent_entries,
     oracle_vector,
     ref_build_weighted_basis,
@@ -371,8 +372,12 @@ def test_pbw_construction_equals_the_old_code(name, L, monkeypatch):
     for cutoff in (B.nil_class, B.nil_class + 1):
         T, R = TruncatedUEA(B, cutoff), RefTruncatedUEA(ref, cutoff)
         assert T.monomials == R.monomials
-        # the weights enumerated with the monomials are monomial_weight's
-        assert T._weight == R._weight
+        # each monomial's weight is the oracle's, and the products x_i x^m
+        # inside the cutoff are the monomials of weight <= cutoff - w_i
+        assert [T.monomial_weight(a) for a in T.monomials] == [R.weight[a] for a in R.monomials]
+        assert T._fits == [
+            sum(R.weight[a] + w <= cutoff for a in R.monomials) for w in B.weights
+        ]
         first = [T.left_mult_matrix(v) for v in vectors]
         assert first == [R.left_mult_matrix(v) for v in vectors]
         derivations = [ad(L, v) for v in vectors]
@@ -399,6 +404,73 @@ def test_pbw_construction_inputs_take_both_letter_paths():
     scrambled = [row for name, num in rows.items() if name.startswith("scrambled F") for row in num]
     assert not all(_single_letter(row) for row in scrambled)
     assert build_weighted_basis(fractional_q4()).adapted.table.den != 1
+
+
+def test_straightening_over_z_refuses_a_half_integral_adapted_table():
+    # a weighted basis whose lattice is heisenberg3 over Z and whose adapted
+    # table is [x, y] = z/2, denominator 2: straightening y x = x y - z/2
+    # raises, on the left multiplication by y and on the lift of D with
+    # D(y) = x, whose column y^2 straightens y * D(y) = y x
+    half = build_weighted_basis(lie_lattice(["x", "y", "z"], {(0, 1): [0, 0, "1/2"]}, "Q"))
+    B = dataclasses.replace(half, lattice=h3())
+    assert B.lattice.domain == "Z" and B.adapted.table.den == 2
+    with pytest.raises(RuntimeError, match="non-integral coefficient over Z"):
+        TruncatedUEA(B, 2).left_mult_matrix(unit(3, 1))
+    D = ExactMatrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
+    with pytest.raises(RuntimeError, match="non-integral coefficient over Z"):
+        TruncatedUEA(B, 2).derivation_star(D)
+
+
+_WORKLOADS = load_bench("workloads")
+
+
+@st.composite
+def uea_inputs(draw):
+    """A nilpotent catalog lattice, a Heisenberg or filiform lattice of a
+    drawn rank, or fractional_q4, plain or in a drawn unimodular basis; an
+    offset 0-2 past the class for the cutoff; and a seed for the vectors."""
+    kind = draw(st.sampled_from(["catalog", "heisenberg", "filiform", "fractional_q4"]))
+    if kind == "catalog":
+        L = draw(st.sampled_from(nilpotent_entries())).lattice
+    elif kind == "heisenberg":
+        L = catalog.heisenberg(draw(st.integers(1, 3)))
+    elif kind == "filiform":
+        L = _WORKLOADS.filiform(draw(st.integers(3, 6)))
+    else:
+        L = fractional_q4()
+    if draw(st.booleans()):
+        P, _ = _WORKLOADS.random_unimodular(random.Random(draw(st.integers(0, 2**16))), L.rank)
+        L = change_basis(L, ExactMatrix.from_rows(P))
+    return L, draw(st.integers(0, 2)), draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=40, deadline=None)
+@given(uea_inputs())
+def test_index_tables_and_products_equal_the_tuple_oracle(drawn):
+    L, offset, seed = drawn
+    B = build_weighted_basis(L)
+    cutoff = B.nil_class + offset
+    T, R = TruncatedUEA(B, cutoff), RefTruncatedUEA(B, cutoff)
+    r = L.rank
+    assert T.monomials == R.monomials
+    # monomial m is x_first[m] times monomial rest[m], whose letters are all
+    # at least first[m]; up[i] inverts rest over the first letter i
+    assert T.first[0] == r
+    for m in range(1, T.dimension):
+        i, alpha = T.first[m], T.monomials[T.rest[m]]
+        assert T.monomials[m] == alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :]
+        assert T.first[T.rest[m]] >= i
+    assert list(T.up) == [
+        {T.rest[m]: m for m in range(1, T.dimension) if T.first[m] == i} for i in range(r)
+    ]
+    rng = random.Random(seed)
+    vectors = [unit(r, i) for i in range(r)]
+    vectors += [vector([rng.randint(-3, 3) for _ in range(r)]) for _ in range(2)]
+    assert [T.left_mult_matrix(v) for v in vectors] == [R.left_mult_matrix(v) for v in vectors]
+    derivations = [ad(L, v) for v in vectors]
+    assert [T.derivation_star(D) for D in derivations] == [
+        R.derivation_star(D) for D in derivations
+    ]
 
 
 @settings(max_examples=60, deadline=None)
