@@ -15,19 +15,20 @@ from it; the kernel over Z is the isolated closure of the rational one.
 transform off the same loop, which keeps it up to date operation by
 operation, so no transform is inverted.
 Vectors travel as the rows of a matrix: coordinates and membership take
-whole matrices (`Submodule.coordinate_rows`, `contains_rows`).  A basis in
-reduced echelon form, as every Q-Submodule from `of_rows` has, is read at
-its pivots: a row's coordinates are its entries there, and it lies in the
-span iff the residual is empty.  Any other basis costs one reduction per
-row against the Submodule's cached tagged echelon; membership takes the
-same coordinates.  The public constructors check their rows; rows a kernel
-built itself go through the private `ExactMatrix._trusted`, which only
-normalises, and `_of` wraps normalised rows setting only `num`, `den` and
-`cols`.  Canonical inputs come back as they are (the forms are unique):
-`rref` of an RREF matrix (reduced rows in another order, or with zero rows
-between them, sorted by pivot), `of_rows` over Z of Hermite rows,
-`saturate` of a Hermite basis with pivots 1, `invert` of or a product with
-the identity.
+whole matrices (`Submodule.coordinate_rows`, `contains_rows`), by one
+routine: back-substitution in basis rows that lead at distinct columns
+(an RREF, a Hermite form, the stacks that `extend_basis` completes over
+Q), in rising first column; a row lies in the span iff the residual ends
+empty.  Any other basis is read through its RREF and the inverse of its
+entries at the pivots, found once per Submodule.  Only `kernel_basis`
+builds the tagged echelon of [num | I].  The public constructors check
+their rows; rows a kernel built itself go through the private
+`ExactMatrix._trusted`, which only normalises, and `_of` wraps normalised
+rows setting only `num`, `den` and `cols`.  Canonical inputs come back as
+they are (the forms are unique): `rref` of an RREF matrix (reduced rows in
+another order, or with zero rows between them, sorted by pivot), `of_rows`
+over Z of Hermite rows, `saturate` of a Hermite basis with pivots 1,
+`invert` of or a product with the identity.
 Otherwise `rref` stops adding rows once the rank reaches the column count.
 Fractions appear only at the boundary: the dense views `entries` and
 `row`, the one-vector wrappers `solve_left` and `Submodule.coordinates`,
@@ -722,34 +723,16 @@ def solve_right(aug: ExactMatrix) -> ExactMatrix | None:
     return ExactMatrix.from_ints([{c: row.get(n, 0) for row, c in zip(R.num, pivots)}], n, R.den)
 
 
-def _left_coordinates(E: Echelon, B: ExactMatrix, w: Row, d: int) -> tuple[Row, int] | None:
-    """(x, e) with (x / e) * B = w / d and x sparse, for an int row w and E
-    the echelon of B's tagged rows (`_tagged`), or None if w is outside the
-    row span of B.
-
-    One sparse reduction of [w | 0] leaves r / D = [0 | -y] with y * num = w,
-    so x / e = y * B.den / d.
-    """
-    res, D = E.reduce(w)
-    n = B.cols
-    if res and min(res) < n:
-        return None
-    s = -B.den
-    return {j - n: s * y for j, y in res.items()}, D * d
-
-
 def solve_left(B: ExactMatrix, v: Vec) -> Vec | None:
-    """Coordinates x with x*B = v, or None if v is outside the row span.
+    """Coordinates x with x*B = v, or None if v is outside the row span:
+    `solve_right` of [B^T | v^T], every free variable 0.
 
     When the rows of B are independent x is the only solution.
     """
     if len(v) != B.cols:
         raise ValueError("dimension mismatch")
-    found = _left_coordinates(_tagged(B), B, *_int_row(enumerate(v)))
-    if found is None:
-        return None
-    x, e = found
-    return tuple(_fraction(x.get(i, 0), e) for i in range(B.rows))
+    x = solve_right(stack_rows([B, ExactMatrix.from_rows([v], B.cols)]).transpose())
+    return None if x is None else x.row(0)
 
 
 @dataclass(frozen=True)
@@ -758,13 +741,19 @@ class Submodule:
 
     Over Z the basis is H/d where H is the Hermite form of d times the
     generators and d is their common denominator; over Q it is the RREF.
-    Equality of Submodules is equality of the canonical data.  On the first
-    coordinate or membership query the basis is checked once for reduced
-    echelon form; a basis in that form is read at its pivots, any other is
-    factored once into a tagged echelon.  Both are kept on the instance
-    (outside equality, hashing, repr and pickles).  A Submodule built
-    directly from independent rows that are not canonical takes
-    coordinates in those rows.
+    Equality of Submodules is equality of the canonical data.  A Submodule
+    built directly from independent rows takes coordinates in those rows.
+
+    Coordinates are back-substituted (`_coordinates`) in rows that lead at
+    distinct columns: an RREF, a Hermite basis or its Q-view, and the
+    stack [inner; extend_basis(inner, outer)] over Q.  There, a nonzero
+    combination of outer's RREF rows leads at the outer pivot of its first
+    nonzero coefficient, so inner leads at the outer pivots at rref(C)'s
+    pivots, C its coordinates in outer, and the added rows at the others.
+    Any other basis B = T * E, E its RREF and T its entries at E's pivots,
+    is read in E, times T^-1.  The first query picks the path and keeps
+    what it read (outside equality, hashing, repr and pickles); dependent
+    or zero rows are a ValueError there.
     """
 
     ambient_rank: int
@@ -803,65 +792,74 @@ class Submodule:
         return Submodule(ambient_rank, ExactMatrix.identity(ambient_rank), domain)
 
     @cached_property
-    def _pivots(self) -> dict[int, int] | None:
-        """{first column: row index} when the basis is in reduced echelon
-        form: each row 1 at its first column and 0 at the first columns of
-        the other rows, as the basis of every Q-Submodule from `of_rows`
-        is, in any row order.  None for any other basis."""
+    def _reader(self) -> tuple[ExactMatrix, list[tuple[int, int]], ExactMatrix | None]:
+        """(R, leads, inverse): the rows R that back-substitution reads,
+        their (first column, row index) pairs in rising column order, and
+        None when R is the basis, else T^-1 for the basis T * R."""
         B = self.basis
-        pivots = _echelon_pivots(B.num, B.den, ordered=False)
-        return pivots if len(pivots or ()) == B.rows else None
-
-    @cached_property
-    def _echelon(self) -> Echelon:
-        return _tagged(self.basis)
+        leads = sorted((min(row), i) for i, row in enumerate(B.num) if row)
+        if len({p for p, _ in leads}) == B.rows:
+            return B, leads, None
+        E, pivots = rref(B)
+        if len(pivots) < B.rows:
+            raise ValueError("coordinates need independent basis rows")
+        return E, [(p, i) for i, p in enumerate(pivots)], invert(B.take_columns(pivots))
 
     def __getstate__(self) -> dict:
-        # the cached factorisations stay out of pickles; a copy builds its
-        # own on first use
-        return {k: v for k, v in self.__dict__.items() if k not in ("_pivots", "_echelon")}
+        # what the first query read stays out of pickles; a copy reads its own
+        return {k: v for k, v in self.__dict__.items() if k != "_reader"}
 
-    def _pivot_coordinates(self, w: Row) -> Row | None:
-        """For a basis in reduced echelon form, the numerators x of the
-        coordinates of w / d, over the same d, or None if w is outside the
-        span.  Row i of the basis is the only one nonzero at its pivot p_i,
-        where it is 1, so x_i is w at p_i, and w lies in the span iff the
-        residual den * w - sum of x_i * num_i is empty."""
-        pivots, rows = self._pivots, self.basis.num
-        s = self.basis.den
-        res = dict(w) if s == 1 else {j: s * c for j, c in w.items()}
+    def _coordinates(self, w: Row, d: int) -> tuple[Row, int] | None:
+        """Coordinates of w / d as (x, e), x / e, respecting the domain, or
+        None if w / d has none.  With num / den the rows read, x * num =
+        den * w / d: walk the rows in rising first column p, the residual
+        starting at den * w over D = d.  A row's coordinate is the residual
+        at p over the row's entry a there; subtracting it clears p for good.
+        If a does not divide the residual at p, the residual and D take the
+        factor it lacks.  w is in the span iff the residual ends empty;
+        coordinates are unique, so over Z the first non-integer decides."""
+        R, leads, inverse = self._reader
+        integral = self.domain == "Z" and inverse is None
+        rows, D = R.num, d
+        res = dict(w) if R.den == 1 else {j: R.den * c for j, c in w.items()}
         x: Row = {}
-        for p, c in w.items():
-            i = pivots.get(p)
-            if i is not None:
-                x[i] = c
-                for j, y in rows[i].items():
-                    res[j] = res.get(j, 0) - c * y
-        return None if any(res.values()) else x
-
-    def _int_coordinates(self, w: Row, d: int) -> tuple[Row, int] | None:
-        """Coordinates of w / d as (x, e), x / e, respecting the domain:
-        read at the pivots of a basis in reduced echelon form, else from
-        the tagged echelon of the basis."""
-        if self._pivots is None:
-            found = _left_coordinates(self._echelon, self.basis, w, d)
-        else:
-            x = self._pivot_coordinates(w)
-            found = None if x is None else (x, d)
-        if found is None:
-            return None
-        if self.domain == "Z":
-            x, e = found
-            if any(c % e for c in x.values()):
+        for p, i in leads:
+            c = res.get(p)
+            if c is None:
+                continue
+            row = rows[i]
+            a = row[p]
+            q, r = divmod(c, a)
+            if r:
+                if integral:
+                    return None
+                g = gcd(c, a)
+                s, q = a // g, c // g
+                res = {j: s * y for j, y in res.items()}
+                x = {t: s * y for t, y in x.items()}
+                D *= s
+            elif integral and q % D:
                 return None
-        return found
+            x[i] = q
+            for j, y in row.items():
+                z = res.get(j, 0) - q * y
+                if z:
+                    res[j] = z
+                else:
+                    del res[j]
+        if res:
+            return None
+        if inverse is None:
+            return x, D
+        y = ExactMatrix._trusted((x or _EMPTY_ROW,), self.rank, D) * inverse
+        return None if self.domain == "Z" and y.den != 1 else (y.num[0], y.den)
 
     def coordinate_rows(self, M: ExactMatrix) -> ExactMatrix | None:
         """The matrix X with X * basis = M, respecting the domain (Z:
         integral), or None if a row of M has no such coordinates."""
         if M.cols != self.ambient_rank:
             raise ValueError("dimension mismatch")
-        found = [self._int_coordinates(row, M.den) for row in M.num]
+        found = [self._coordinates(row, M.den) for row in M.num]
         if None in found:
             return None
         den = lcm(*(e for _, e in found))
@@ -873,10 +871,10 @@ class Submodule:
 
     def contains_rows(self, M: ExactMatrix) -> bool:
         """Whether every row of M has coordinates in the basis, respecting
-        the domain (`_int_coordinates`)."""
+        the domain; stops at the first row that has none."""
         if M.cols != self.ambient_rank:
             raise ValueError("dimension mismatch")
-        return all(self._int_coordinates(row, M.den) is not None for row in M.num)
+        return all(self._coordinates(row, M.den) is not None for row in M.num)
 
     def coordinates(self, v: Vec) -> Vec | None:
         """`coordinate_rows` of the one vector v."""

@@ -1,10 +1,11 @@
 import random
+import sys
 from fractions import Fraction
 from functools import reduce
 
 import pytest
 
-from adorep import catalog
+from adorep import catalog, exact_linalg
 from adorep.exact_linalg import (
     ExactMatrix,
     NonIntegralMatrixError,
@@ -21,7 +22,7 @@ from adorep.exact_linalg import (
 from adorep.lie_core import direct_sum
 from adorep.pipeline import ado_representation
 
-from oracles import brute_force_hnf, power, ref_minors_gcd, span
+from oracles import brute_force_hnf, power, ref_minors_gcd, span, theorem_inputs
 
 
 def M(rows):
@@ -285,8 +286,32 @@ def test_canonical_inputs_skip_elimination(eliminations):
 
 
 def test_strict_ado_of_t2_cubed_eliminates_less(eliminations):
-    """One strict ado of t2^3 runs 1 Hermite loop and 439 Echelon.add;
+    """One strict ado of t2^3 runs 1 Hermite loop and 412 Echelon.add;
     eliminating every input, canonical or not, takes 13 and 908."""
     _, report, _ = ado_representation(reduce(direct_sum, [catalog.t2_upper()] * 3), strict=True)
     assert report.degree == 19
-    assert (eliminations["_hermite"], eliminations["add"]) == (1, 439)
+    assert (eliminations["_hermite"], eliminations["add"]) == (1, 412)
+
+
+def test_strict_ado_builds_tagged_echelons_only_for_kernels(monkeypatch):
+    """Over strict ado of the theorem inputs, every tagged echelon is a
+    kernel's: coordinates in a Submodule are back-substituted."""
+    calls = {"_tagged": 0, "kernel_basis": 0}
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(exact_linalg, "_tagged", counted("_tagged", exact_linalg._tagged))
+    # every module that imported kernel_basis by name calls the counted one
+    counted_kernel = counted("kernel_basis", kernel_basis)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("adorep") and getattr(module, "kernel_basis", None) is kernel_basis:
+            monkeypatch.setattr(module, "kernel_basis", counted_kernel)
+    for name, L in theorem_inputs():
+        assert ado_representation(L, strict=True)[1].ok, name
+    assert calls["kernel_basis"] > 0
+    assert calls["_tagged"] == calls["kernel_basis"]

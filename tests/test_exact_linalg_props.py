@@ -471,14 +471,14 @@ def test_equal_values_compare_and_hash_equal(a):
 
 
 @st.composite
-def independent_rows(draw):
+def independent_rows(draw, values=CELLS):
     """(B, n): k independent rows of Q^n as a list of lists, in a random
     basis U*E with E the reduced echelon form of a random matrix and U
     lower unitriangular, so the rows are generally not canonical."""
-    A, _, n = draw(shaped())
+    A, _, n = draw(shaped(values=values))
     E = [row for row in ref_rref(A, n)[0] if any(row)]
     k = len(E)
-    U = [[draw(CELLS) if j < i else Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+    U = [[draw(values) if j < i else Fraction(int(i == j)) for j in range(k)] for i in range(k)]
     return ref_mul(U, E, k, n), n
 
 
@@ -511,48 +511,114 @@ def test_coordinates_match_reference(b, domain, data):
     assert copied == fresh and copied.coordinates(v) == as_given.coordinates(v)
 
 
+def distinct_first_columns(B):
+    """Whether the rows of B are nonzero with pairwise distinct first
+    nonzero columns: the bases that back-substitution reads as they are."""
+    firsts = [next((j for j, x in enumerate(row) if x), None) for row in B]
+    return None not in firsts and len(set(firsts)) == len(firsts)
+
+
+@st.composite
+def hermite_rows(draw, pivots, n, values):
+    """Integer rows in Hermite form with the first columns `pivots`: pivot
+    entries from 1 to 4 or up to 2^70, entries above a pivot in [0, pivot),
+    the others drawn from `values` with their fractional parts dropped."""
+    head = {p: draw(st.one_of(st.integers(1, 4), st.integers(1, HUGE))) for p in pivots}
+    rows = []
+    for p in pivots:
+        row = [ZERO] * n
+        row[p] = Fraction(head[p])
+        for j in range(p + 1, n):
+            x = draw(st.integers(0, head[j] - 1)) if j in head else int(draw(values))
+            row[j] = Fraction(x)
+        rows.append(row)
+    return rows
+
+
+@st.composite
+def independent_rows_of(draw):
+    """((B, n), values): `independent_rows` drawn from small or WIDE values."""
+    values = draw(st.sampled_from((CELLS, WIDE)))
+    return draw(independent_rows(values)), values
+
+
+ECHELON_FORMS = ("reduced", "unit leads", "hermite")
+
+
 @KERNEL
 @given(
-    independent_rows(),
-    st.sampled_from(["drawn", "reduced", "unit leads"]),
+    independent_rows_of(),
+    st.sampled_from(("drawn", "permuted", "stack") + ECHELON_FORMS),
     st.sampled_from("ZQ"),
     st.data(),
 )
-def test_coordinates_read_at_the_pivots_match_the_tagged_echelon(b, form, domain, data):
-    """A basis in reduced echelon form is read at its pivots, any other is
-    solved on its tagged echelon: both give the oracle's coordinates and
-    membership, None included, row by row and for whole matrices.  With
-    "unit leads" each row of the RREF gains multiples of the later rows: it
-    is still 1 at its first column, but not 0 at the first columns of the
-    others."""
-    B, n = b
+def test_coordinates_by_back_substitution_match_the_tagged_echelon(b, form, domain, data):
+    """Every basis form gives the oracle's coordinates and membership, None
+    included, row by row and for whole matrices, and takes the path that
+    `Submodule` states: a basis whose rows lead at distinct columns is
+    back-substituted as it is, any other is read through its RREF.
+
+    "drawn" is U * E for E the RREF and U lower unitriangular; "unit leads"
+    adds to each row of E multiples of the later rows, so it stays 1 at its
+    first column but not 0 at the others'; "hermite" is an integer Hermite
+    basis with non-unit pivots at the pivots of E; "permuted" is one of the
+    echelon forms in another row order; "stack" is [inner; extend_basis(
+    inner, outer)] over Q, inner a span of combinations of the drawn rows
+    and outer their span.  Entries run up to 2^70 with WIDE values."""
+    (B, n), values = b
     k = len(B)
-    if form != "drawn":
-        E = [row for row in ref_rref(B, n)[0] if any(row)]
-        leads = form == "unit leads"
-        U = [
-            [data.draw(CELLS) if leads and j > i else Fraction(int(i == j)) for j in range(k)]
-            for i in range(k)
-        ]
-        B = ref_mul(U, E, k, n)
+    E = [row for row in ref_rref(B, n)[0] if any(row)]
+    pivots = [next(j for j, x in enumerate(row) if x) for row in E]
+
+    def echelon(form):
+        if form == "reduced":
+            return E
+        if form == "unit leads":
+            U = [[data.draw(values) if j > i else Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+            return ref_mul(U, E, k, n)
+        return data.draw(hermite_rows(pivots, n, values))
+
+    if form in ECHELON_FORMS:
+        B = echelon(form)
+    elif form == "permuted":
+        B = data.draw(st.permutations(echelon(data.draw(st.sampled_from(ECHELON_FORMS)))))
+    elif form == "stack":
+        X = data.draw(dense(data.draw(st.integers(0, k)), k, values))
+        outer = Submodule.of_rows(mat(B, n), "Q")
+        inner = Submodule.of_rows(mat(ref_mul(X, B, k, n) if X else [], n), "Q")
+        B = listed(stack_rows([inner.basis, extend_basis(inner, outer)]))
+    assert form == "drawn" or distinct_first_columns(B)
     inside = [
         combination(x, B, n)
-        for values in (INTEGERS, CELLS)
-        for x in data.draw(dense(data.draw(st.integers(0, 2)), k, values))
+        for coefficients in (INTEGERS, values)
+        for x in data.draw(dense(data.draw(st.integers(0, 2)), k, coefficients))
     ]
-    outside = [tuple(v) for v in data.draw(dense(data.draw(st.integers(0, 2)), n))]
+    # half a basis row lies in the Q-span, and outside the Z-span
+    inside += [tuple(x / 2 for x in B[0])] if k else []
+    outside = [tuple(v) for v in data.draw(dense(data.draw(st.integers(0, 2)), n, values))]
     rows = data.draw(st.permutations(inside + outside))
     as_given = Submodule(n, mat(B, n), domain)
     canonical = Submodule.of_rows(mat(B, n), domain)
-    if form == "reduced":
-        assert as_given._pivots is not None
-    if domain == "Q":
-        assert canonical._pivots is not None
-    for S in (as_given, canonical):
+    for S, as_it_is in ((as_given, distinct_first_columns(B)), (canonical, True)):
         for part in [rows] + [[v] for v in rows]:
             M = mat(part, n)
             assert S.coordinate_rows(M) == ref_coordinate_rows(S, M)
             assert S.contains_rows(M) == ref_contains_rows(S, M)
+        read, _, inverse = S._reader
+        assert (read is S.basis and inverse is None) == as_it_is
+
+
+@pytest.mark.parametrize("domain", "ZQ")
+@pytest.mark.parametrize("rows", ([[1, 0], [2, 0]], [[1, 0], [0, 0]], [[0, 0]]))
+def test_dependent_basis_rows_are_refused(rows, domain):
+    """Coordinates in dependent rows are not unique: the first coordinate
+    or membership query raises, and so does every later one."""
+    S = Submodule(2, mat(rows, 2), domain)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="coordinates need independent basis rows"):
+            S.coordinates((Fraction(1), ZERO))
+        with pytest.raises(ValueError, match="coordinates need independent basis rows"):
+            S.contains_rows(mat([[0, 1]], 2))
 
 
 @KERNEL
@@ -608,6 +674,13 @@ def test_coordinates_outside_the_span():
     assert S.coordinates((ZERO, Fraction(1))) is None
     assert solve_left(mat([[2, 0]], 2), (Fraction(1), ZERO)) == (Fraction(1, 2),)
     assert solve_left(mat([[2, 0]], 2), (ZERO, Fraction(1))) is None
+    # both rows lead at column 0, so they are read through their RREF, and
+    # over Z integrality is tested on the coordinates in the rows themselves
+    for domain, half in (("Z", None), ("Q", (Fraction(1, 2), Fraction(1, 2)))):
+        S = Submodule(2, mat([[1, 0], [1, 2]], 2), domain)
+        assert S.coordinates((Fraction(1), Fraction(1))) == half
+        assert S.coordinates((Fraction(2), Fraction(2))) == (Fraction(1), Fraction(1))
+        assert S.contains_rows(mat([[1, 1]], 2)) == (half is not None)
 
 
 @KERNEL
