@@ -51,10 +51,19 @@ def _emit(payload, pretty: bool) -> None:
     print(json.dumps(payload, indent=2 if pretty else None))
 
 
-def _load_lattice(path: str) -> LieLattice:
+def _read_json(path: str):
+    """The JSON document in the file; a ValueError of the parse (bad JSON,
+    bad UTF-8, an integer literal past the interpreter's digit limit) is a
+    JsonFormatError."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return lattice_from_json(data)
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise JsonFormatError(str(exc)) from exc
+
+
+def _load_lattice(path: str) -> LieLattice:
+    return lattice_from_json(_read_json(path))
 
 
 def cmd_validate(args) -> int:
@@ -151,8 +160,7 @@ def cmd_ado(args) -> int:
 
 def cmd_verify(args) -> int:
     L = _load_lattice(args.lattice)
-    with open(args.representation, "r", encoding="utf-8") as fh:
-        rep = rep_from_json(json.load(fh), L)
+    rep = rep_from_json(_read_json(args.representation), L)
     report = verify_representation(L, rep)
     _emit(verification_report_to_json(report), args.pretty)
     return EXIT_OK if report.ok else EXIT_MATH
@@ -236,7 +244,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError, JsonFormatError) as exc:
+    except (OSError, JsonFormatError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except VerificationFailure as exc:

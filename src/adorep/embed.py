@@ -583,18 +583,14 @@ def integral_rescale(L: LieLattice, state: ExpansionState, rn: Submodule) -> Emb
     in_x = Submodule(nK, X, "Q")
 
     def scaled_basis(mu: int) -> tuple[ExactMatrix, ExactMatrix, set[int]]:
-        """The basis (X, mu XP), the coordinates of its brackets in it, and
-        the denominators of those and of `into_x`.  Only the pairs i < j
-        are bracketed and solved for, and the table is mirrored from them:
-        K is antisymmetric, the validated input or a step's K2, which
-        `_assemble_semidirect` builds antisymmetric from antisymmetric
-        parts."""
+        """The basis (X, mu XP), the structure constants of its span in it,
+        read by `subalgebra_lattice` over Q, and the denominators of those
+        and of `into_x`.  K is a Lie algebra, the validated input or a
+        step's K2, which `_assemble_semidirect` builds antisymmetric from
+        antisymmetric parts, as `subalgebra_lattice` needs."""
         scaled = XP.scale(mu)
         n_mat = stack_rows([X, scaled])
-        half = Submodule(nK, n_mat, "Q").coordinate_rows(K._pair_brackets(n_mat))
-        if half is None:
-            raise ExpansionError("bracket left the span of the nilpotent part")
-        closure = _antisymmetric_table(half, n_mat.rows)
+        closure = subalgebra_lattice(K, Submodule(nK, n_mat, "Q"))[0].table
         into_x = in_x.coordinate_rows(K.bracket_rows(scaled, images))
         if into_x is None:
             raise ExpansionError(
@@ -634,13 +630,18 @@ def integral_rescale(L: LieLattice, state: ExpansionState, rn: Submodule) -> Emb
     # nbar is an ideal and sbar a subalgebra
     sbar = Submodule.of_rows(s_parts, "Z")
     m = nbar.rank
-    ext = Submodule(nK, stack_rows([nbar.basis, sbar.basis]), "Z")
+    # one Q-view of that basis reads both the extension's constants and the
+    # injection, each then checked to be integral
+    ext = Submodule(nK, stack_rows([nbar.basis, sbar.basis]), "Q")
+    table = subalgebra_lattice(K, ext)[0].table
+    if not table.is_integral:
+        raise ExpansionError("extension has non-integral structure constants")
     names = tuple(f"n{i}" for i in range(m)) + tuple(f"s{a}" for a in range(sbar.rank))
-    extension = LieLattice(names, subalgebra_lattice(K, ext)[0].table, "Z")
+    extension = LieLattice(names, table, "Z")
     split_semidirect(extension, m)
 
     injection = ext.coordinate_rows(images)
-    if injection is None:
+    if injection is None or not injection.is_integral:
         raise ExpansionError("image of the lattice is not integral in the extension")
 
     log.info(

@@ -32,6 +32,10 @@ def frac_from_json(x: Any) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        # Fraction reads exponent notation, at a cost exponential in the
+        # length of the exponent; the schema has only "num" and "num/den"
+        if "e" in x or "E" in x:
+            raise JsonFormatError(f"bad number string {x!r}")
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:

@@ -599,8 +599,10 @@ def subalgebra_lattice(L: LieLattice, S: Submodule) -> tuple[LieLattice, ExactMa
 
     The basis rows of S are used in the order given, and the result has the
     domain of S and the names v0, v1, ...; over Z every structure constant
-    must be an integer.  Returns the abstract lattice and the basis matrix
-    (rows = basis vectors in the coordinates of L).
+    must be an integer.  Over Q, S itself takes the coordinates, so a
+    caller that reads more in the same rows builds one reader; over Z a
+    Q-view of the rows takes them.  Returns the abstract lattice and the
+    basis matrix (rows = basis vectors in the coordinates of L).
 
     Preconditions: L is a Lie lattice (antisymmetric and Jacobi), as every
     validated lattice is, and the rows of S are independent, as those of
@@ -618,7 +620,8 @@ def subalgebra_lattice(L: LieLattice, S: Submodule) -> tuple[LieLattice, ExactMa
     those are 0 and the negatives of the ones solved
     (`_antisymmetric_table`).
     """
-    half = Submodule(S.ambient_rank, S.basis, "Q").coordinate_rows(L._pair_brackets(S.basis))
+    Q = S if S.domain == "Q" else Submodule(S.ambient_rank, S.basis, "Q")
+    half = Q.coordinate_rows(L._pair_brackets(S.basis))
     if half is None:
         raise ValueError("submodule is not closed under the bracket")
     if S.domain == "Z" and not half.is_integral:

@@ -13,7 +13,7 @@ from functools import lru_cache
 from math import comb, isqrt
 
 from .lie_core import Known, LieLattice, unit, validate
-from .pbw import TruncatedUEA, _enumerate_monomials, build_weighted_basis
+from .pbw import TruncatedUEA, _graded_monomials, build_weighted_basis
 from .rep import LinearRep
 
 _SQRT_PRECISION = 10**30
@@ -90,7 +90,7 @@ def monomial_count(L: LieLattice) -> int:
     dimension of `TruncatedUEA` at the class, counted without building it."""
     validate(L).raise_if_invalid()
     basis = build_weighted_basis(L)
-    return len(_enumerate_monomials(basis.weights, basis.nil_class))
+    return len(_graded_monomials(basis.weights, basis.nil_class)[0])
 
 
 def nilpotent_faithful_rep(L: LieLattice, known: Known | None = None) -> LinearRep:

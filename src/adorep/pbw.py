@@ -2,44 +2,33 @@
 
 The monomial basis is indexed by exponent vectors over an adapted basis
 (deepest lower-central terms first); inside `TruncatedUEA` a monomial is
-its index in graded order.  Every matrix rests on the letter action
-x_i * x^alpha.  Where i is at most the first letter of alpha the product
-is already ordered, and it is read off a (first letter, rest) table built
-once; the other products are straightened by the rewriting rule
+its index in graded order, and the index tables are generated weight by
+weight without an exponent vector.  Every matrix rests on the letter
+action x_i * x^alpha.  Where i is at most the first letter of alpha the
+product is already ordered, and it is read off a (first letter, rest)
+table; the other products are straightened by the rewriting rule
 x_j x_i = x_i x_j - [x_i, x_j] with eager truncation of monomials whose
 weight exceeds the cutoff, memoised in one list per letter.  Left
 multiplications are sums of letter actions, and lifted derivations are
-built column by column from them by Leibniz.
-Coefficients are ints; a Fraction appears only where a lattice over Q has
-a non-integral structure constant in the adapted basis.  The coordinates
+built column by column from them by Leibniz.  Every coefficient is an
+int: an adapted table over a denominator d is straightened in the basis
+d x, and d enters the finished matrix as powers only.  The coordinates
 of a vector and the entries of a derivation enter as int numerators over
-one denominator, which becomes the denominator of the matrix, and the
-matrices are assembled straight from int numerator rows.  The adapted basis
-extends each lower central term to the next, with the terms themselves as
-the inner modules; where every term is spanned by lattice basis vectors it
-is a permutation of the lattice basis, read off the chain without
-elimination.  Monomials are enumerated letter by letter, without
-recursion.  The coordinates of a unit vector are a row of the basis
-inverse.
+one denominator, which becomes the denominator of the matrix.  The
+adapted basis extends each lower central term to the next, with the
+terms themselves as the inner modules; where every term is spanned by
+lattice basis vectors it is a permutation of the lattice basis, read off
+the chain without elimination.  The coordinates of a unit vector are a
+row of the basis inverse.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
-from typing import Sequence, Union
+from functools import cached_property
+from typing import Sequence
 
-from .exact_linalg import (
-    ExactMatrix,
-    Submodule,
-    Vec,
-    _EMPTY_ROW,
-    extend_basis,
-    invert,
-    stack_rows,
-)
+from .exact_linalg import ExactMatrix, Submodule, Vec, _EMPTY_ROW, extend_basis, invert, stack_rows
 from .lie_core import (
     Known,
     LieLattice,
@@ -50,10 +39,8 @@ from .lie_core import (
 )
 
 Monomial = tuple[int, ...]
-# an int, or a Fraction only where a Q-lattice has a non-integral constant
-Coefficient = Union[int, Fraction]
 # an element of the truncated algebra: monomial index -> coefficient
-Element = dict[int, Coefficient]
+Element = dict[int, int]
 
 # the letter action past the cutoff; shared and never stored in the memo,
 # as no caller mutates what `_letter` returns
@@ -144,76 +131,78 @@ def build_weighted_basis(L: LieLattice, known: Known | None = None) -> WeightedP
 class TruncatedUEA:
     """Enveloping algebra of a nilpotent lattice modulo weight > cutoff.
 
-    Monomials are enumerated in graded-lexicographic order, and inside the
-    class a monomial is its index m in `monomials`.  Three tables locate
-    the ordered products: `first[m]` is the first letter of m (the rank r
-    for the unit 1, which has none), `rest[m]` is the index of m with one
-    x_first removed (0 for the unit), and `up[i]` maps rest[m'] to m' over
-    the m' with first[m'] == i.
+    Monomials are in graded-lex order, and inside the class a monomial is
+    its index m.  `first[m]` is its first letter (the rank r for the unit
+    1), `rest[m]` the index of m with one x_first removed (0 for the unit),
+    both from `_graded_monomials`, and `up[i]` maps rest[m'] to m' over the
+    m' with first[m'] == i.  The exponent vectors `monomials` and their
+    `index` are read off first and rest on first use; no product reads them.
 
-    Let i <= first(alpha).  Then x_i x^alpha is already ordered: it is the
-    monomial alpha + e_i, of weight weight(alpha) + w_i.  Every monomial of
-    weight at most the cutoff is enumerated, so the product is kept exactly
-    when that weight fits.  When kept, it is a monomial m' whose first
-    letter is i, as alpha has no letter before i, and whose rest is alpha.
-    A monomial is rest + e_first, so it is determined by (first, rest), and
-    m' is the unique monomial with (first, rest) = (i, alpha): up[i][alpha].
-    Conversely each m' in up[i] is x_i x^rest[m'], as rest[m'] has no letter
-    before i.  So the ordered columns of letter i are the pairs
-    (rest[m'], m') over up[i], each a single 1 in row m', and only the
-    columns m with first(m) < i are straightened.
+    Let i <= first(alpha).  Then x_i x^alpha is already ordered, the
+    monomial alpha + e_i of weight weight(alpha) + w_i, kept exactly when
+    that weight fits the cutoff.  Kept, its first letter is i, as alpha has
+    no letter before i, and its rest is alpha; a monomial is rest + e_first,
+    so the product is m' = up[i][alpha].  Conversely each m' in up[i] is
+    x_i x^rest[m'], as rest[m'] has no letter before i.  So the ordered
+    columns of letter i are the pairs (rest[m'], m') over up[i], each a
+    single 1 in row m', and only the columns m with first(m) < i are
+    straightened.
 
     Straightening rewrites x_i x_j = x_j x_i + [x_i, x_j] with i > j; the
     bracket lies deeper in the series, so no term has lower weight than the
     product, and a product whose weight exceeds the cutoff is truncated at
     once.  The monomials are sorted by weight, so the m with x_i x^m inside
-    the cutoff are a prefix, range(_fits[i]).  Instances are immutable
-    apart from an internal memo, one list per letter, whose entries are
-    idempotent, so concurrent calls are safe and agree.
+    the cutoff are a prefix, range(_fits[i]), of length upto[cutoff - w_i].
+
+    Every coefficient is an int.  With the adapted table c / d, c ints,
+    straightening runs in the basis y = d x, as [y_i, y_j] = d^2 (c / d) x_k
+    = c y_k.  With deg[m] = deg[rest[m]] + 1 letters, y^m = d^deg[m] x^m,
+    so y_k y^m = sum n y^g reads x_k x^m = sum n d^(deg g - deg m - 1) x^g;
+    a derivation has one matrix in x and in y = d x, so D*(y^m) = sum n y^g
+    reads D*(x^m) = sum n d^(deg g - deg m) x^g.  Over Z a table with
+    d != 1 is refused: no validated Z-lattice has one, as its adapted
+    basis is a Z-basis.  Instances are immutable apart from the memo, one
+    list per letter, and the tables read on first use, all idempotent, so
+    concurrent calls are safe and agree.
     """
 
     def __init__(self, basis: WeightedPBWBasis, cutoff: int):
         if cutoff < 0:
             raise ValueError("cutoff must be nonnegative")
-        self.basis = basis
-        self.cutoff = cutoff
-        r = basis.rank
-        by_weight = sorted((w, alpha) for alpha, w in _enumerate_monomials(basis.weights, cutoff))
-        self.monomials: tuple[Monomial, ...] = tuple(alpha for _, alpha in by_weight)
-        self.index: dict[Monomial, int] = {a: m for m, a in enumerate(self.monomials)}
-        first, rest = [r], [0]
-        for alpha in self.monomials[1:]:
-            j = alpha.index(next(filter(None, alpha)))  # the letter of the first nonzero exponent
-            first.append(j)
-            rest.append(self.index[alpha[:j] + (alpha[j] - 1,) + alpha[j + 1 :]])
-        self.first, self.rest = tuple(first), tuple(rest)
-        self.up: tuple[dict[int, int], ...] = tuple({} for _ in range(r))
-        for m in range(1, len(first)):
-            self.up[first[m]][rest[m]] = m
-        ordered = [w for w, _ in by_weight]
-        self._fits = [bisect_right(ordered, cutoff - w) for w in basis.weights]
-        self._memo: list[list[Element | None]] = [[None] * n for n in self._fits]
-        # _consts[i][j], j < i (the only pairs `_letter` reads): the adapted
-        # [x_i, x_j] as (k, constant) pairs, each constant an int unless it
-        # really is non-integral
         T = basis.adapted.table
-        self._consts = [
-            [[(k, _constant(n, T.den)) for k, n in T.num[i * r + j].items()] for j in range(i)]
-            for i in range(r)
-        ]
-        # with den == 1 every coefficient is a sum of products of ints, so
-        # no Fraction arises and the integrality check can only fail over Z
-        # with den != 1
-        self._integral = T.den == 1
-        self._check_integral = basis.lattice.domain == "Z" and not self._integral
+        if T.den != 1 and basis.lattice.domain == "Z":
+            raise RuntimeError("adapted table has a non-integral coefficient over Z")
+        self.basis, self.cutoff = basis, cutoff
+        r = basis.rank
+        self.first, self.rest, upto = _graded_monomials(basis.weights, cutoff)
+        self.up: tuple[dict[int, int], ...] = tuple({} for _ in range(r))
+        for m in range(1, len(self.first)):
+            self.up[self.first[m]][self.rest[m]] = m
+        self._fits = [upto[cutoff - w] if w <= cutoff else 0 for w in basis.weights]
+        self._memo: list[list[Element | None]] = [[None] * n for n in self._fits]
+        # _consts[i][j], j < i (the pairs `_letter` reads): the adapted [x_i, x_j]'s numerators
+        self._consts = [T.num[i * r : i * r + i] for i in range(r)]
 
     @property
     def dimension(self) -> int:
-        return len(self.monomials)
+        return len(self.first)
 
     @property
     def rank(self) -> int:
         return self.basis.rank
+
+    @cached_property
+    def monomials(self) -> tuple[Monomial, ...]:
+        """The exponent vectors in order: monomial m is rest[m] + e_first[m]."""
+        out = [(0,) * self.rank]
+        for i, m in zip(self.first[1:], self.rest[1:]):
+            alpha = out[m]
+            out.append(alpha[:i] + (alpha[i] + 1,) + alpha[i + 1 :])
+        return tuple(out)
+
+    @cached_property
+    def index(self) -> dict[Monomial, int]:
+        return {alpha: m for m, alpha in enumerate(self.monomials)}
 
     def monomial_weight(self, alpha: Monomial) -> int:
         return sum(a * w for a, w in zip(alpha, self.basis.weights))
@@ -221,8 +210,8 @@ class TruncatedUEA:
     # -- letter-by-letter multiplication ---------------------------------
 
     def _letter(self, i: int, m: int) -> Element:
-        """Normal form of x_i * x^m (adapted letter i, monomial index m),
-        truncated."""
+        """Normal form of y_i * y^m (adapted letter i, monomial index m, in
+        the basis y of the class docstring), truncated."""
         if m >= self._fits[i]:
             return _TRUNCATED
         memo = self._memo[i]
@@ -238,12 +227,10 @@ class TruncatedUEA:
             for beta, cf in self._letter(i, rest).items():
                 for gamma, cf2 in self._letter(j, beta).items():
                     acc[gamma] = acc.get(gamma, 0) + cf * cf2
-            for k, ck in self._consts[i][j]:
+            for k, ck in self._consts[i][j].items():
                 for beta, cf in self._letter(k, rest).items():
                     acc[beta] = acc.get(beta, 0) + ck * cf
             out = {a: cf for a, cf in acc.items() if cf}
-            if self._check_integral and any(cf.denominator != 1 for cf in out.values()):
-                raise RuntimeError("straightening produced a non-integral coefficient over Z")
         memo[m] = out
         return out
 
@@ -280,7 +267,7 @@ class TruncatedUEA:
                         entries[beta] = entries.get(beta, 0) + x * cf
         if len(row) > 1:
             rows = [{j: cf for j, cf in entries.items() if cf} for entries in rows]
-        return self._matrix_of_rows(rows, den)
+        return self._matrix_of_rows(rows, den, -1)
 
     def derivation_star(self, D: ExactMatrix) -> ExactMatrix:
         """Matrix of the lifted derivation D* on the monomial basis.
@@ -318,38 +305,51 @@ class TruncatedUEA:
             for gamma, cf in col.items():
                 rows[gamma][m] = cf
             star.append(col)
-        return self._matrix_of_rows(rows, Dad.den)
+        return self._matrix_of_rows(rows, Dad.den, 0)
 
-    def _matrix_of_rows(self, rows: list[Element], den: int) -> ExactMatrix:
-        """The matrix over den whose rows hold the nonzero coefficients
-        `rows`, keyed by column; Fraction coefficients are brought over the
-        lcm of their denominators first.  An integral adapted table makes
-        every coefficient an int, so the scan for Fractions is skipped."""
-        d = 1
-        if not self._integral:
-            d = lcm(*(cf.denominator for entries in rows for cf in entries.values()))
+    def _matrix_of_rows(self, rows: list[Element], den: int, shift: int) -> ExactMatrix:
+        """The matrix over den of the coefficients `rows` made in the basis
+        y, keyed by column: entry (g, m) is rows[g][m] d^(deg g - deg m +
+        shift), d the adapted denominator, brought over d^(1 + max deg)."""
+        d = self.basis.adapted.table.den
+        if d != 1:
+            deg = [0]
+            for m in self.rest[1:]:
+                deg.append(deg[m] + 1)
+            top = max(deg) + 1
             rows = [
-                {j: cf.numerator * (d // cf.denominator) for j, cf in entries.items()}
-                for entries in rows
+                {m: cf * d ** (deg[g] - deg[m] + shift + top) for m, cf in entries.items()}
+                for g, entries in enumerate(rows)
             ]
+            den *= d**top
         num = tuple(entries or _EMPTY_ROW for entries in rows)
-        return ExactMatrix._trusted(num, self.dimension, den * d)
+        return ExactMatrix._trusted(num, self.dimension, den)
 
 
-def _enumerate_monomials(weights: Sequence[int], cutoff: int) -> list[tuple[Monomial, int]]:
-    """Every monomial of weight at most the cutoff, with its weight, in
-    lexicographic order: letter by letter, each prefix in turn is extended
-    by every exponent of the next letter that fits."""
-    level: list[tuple[Monomial, int]] = [((), 0)]
-    for w in weights:
-        level = [
-            (alpha + (e,), s + e * w) for alpha, s in level for e in range((cutoff - s) // w + 1)
-        ]
-    return level
+def _graded_monomials(weights: Sequence[int], cutoff: int) -> tuple[list[int], ...]:
+    """(first, rest, upto) of the monomials of weight <= cutoff in graded-lex
+    order, by weight, then by exponent vector; upto[w] counts weight <= w.
 
-
-def _constant(n: int, den: int) -> Coefficient:
-    """n / den as an int when den divides n, else as a Fraction."""
-    q, m = divmod(n, den)
-    return Fraction(n, den) if m else q
-
+    Weight 0 holds the unit, whose first letter is r.  The monomials of
+    weight w are x_i times each of weight w - w_i whose first letter is
+    >= i, for i from the last letter down, the rests in their own order.
+    That is each monomial once: alpha = x_i x^(alpha - e_i), i its first
+    letter.  It is the lex order: a larger first letter is a longer run of
+    leading zero exponents, a smaller vector; for one first letter,
+    adding e_i keeps the order of the rests, which is lex by induction on
+    w.  In a layer the first letters fall, so the rests with first letter
+    >= i are a prefix of it.
+    """
+    r = len(weights)
+    first, rest, upto = [r], [0], [1]
+    for w in range(1, cutoff + 1):
+        for i in range(r - 1, -1, -1):
+            v = w - weights[i]
+            if v >= 0:
+                for m in range(upto[v - 1] if v else 0, upto[v]):
+                    if first[m] < i:
+                        break
+                    first.append(i)
+                    rest.append(m)
+        upto.append(len(first))
+    return first, rest, upto

@@ -1,5 +1,7 @@
+import hashlib
 import importlib
 import json
+import sys
 
 import pytest
 
@@ -114,6 +116,57 @@ def test_cli_malformed_json(tmp_path, capsys):
     assert "input error" in err
 
 
+def _heisenberg_files(tmp_path, entry):
+    """heisenberg3 and its nilrep representation, each written with `entry`
+    as the raw JSON text of one number: [x, y]'s coefficient on z in the
+    lattice file, the first entry of the first matrix in the other."""
+    bracket = {"i": 0, "j": 1, "coeffs": ["0", "0", "@"]}
+    lattice = {"rank": 3, "names": ["x", "y", "z"], "brackets": [bracket]}
+    rep = rep_to_json(nilpotent_faithful_rep(catalog.get("heisenberg3").lattice))
+    rep["matrices"][0][0][0] = "@"
+    good = tmp_path / "h3.json"
+    good.write_text(json.dumps(lattice).replace('"@"', "1"))
+    paths = []
+    for name, data in (("lattice", lattice), ("rep", rep)):
+        path = tmp_path / f"{name}_bad.json"
+        path.write_text(json.dumps(data).replace('"@"', entry))
+        paths.append(str(path))
+    return str(good), *paths
+
+
+def _assert_both_files_are_format_errors(capsys, tmp_path, entry):
+    good, bad_lattice, bad_rep = _heisenberg_files(tmp_path, entry)
+    code, out, err = run(capsys, "validate", bad_lattice)
+    assert (code, out) == (2, "") and err.startswith("input error: ")
+    code, out, err = run(capsys, "verify", good, bad_rep)
+    assert (code, out) == (2, "") and err.startswith("input error: ")
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="the interpreter converts integer literals of any length",
+)
+def test_cli_integer_literal_past_the_digit_limit_is_a_format_error(tmp_path, capsys):
+    # json.load raises a plain ValueError on an integer literal longer than
+    # the interpreter's digit limit, 4,300 by default
+    _assert_both_files_are_format_errors(capsys, tmp_path, "1" * 5001)
+
+
+def test_cli_file_that_is_not_utf8_is_a_format_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "") and err.startswith("input error: ")
+
+
+def test_cli_exponent_notation_is_a_format_error(tmp_path, capsys):
+    # Fraction would expand 10**10000000 before any check ran
+    _assert_both_files_are_format_errors(capsys, tmp_path, '"1e10000000"')
+    for text in ("2E3", "1/2e1", "1e-2"):
+        with pytest.raises(JsonFormatError):
+            frac_from_json(text)
+
+
 def test_cli_missing_file(capsys):
     code, _, err = run(capsys, "validate", "/nonexistent/l.json")
     assert code == 2
@@ -178,6 +231,27 @@ def test_cli_nilrep_rejects_a_fractional_bracket(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "integrality ((0, 1, 2), (1, 0, 2))" in err
+
+
+# sha256 of the stdout of `adorep nilrep` on the Q filiform lattice below,
+# pinned before its straightening became integer-only; a change meant to
+# alter outputs updates it and says why
+QF4_NILREP_GOLDEN = "0e4c7799c08760274318a704d009fc278c4af30133d01a0aa354df68ca362027"
+
+
+def test_cli_nilrep_of_a_fractional_adapted_table_is_pinned(tmp_path, capsys):
+    # [x0, x1] = x2/2 and [x0, x2] = x3/3 over Q: adapted denominator 6,
+    # class 3, 14 monomials
+    brackets = [
+        {"i": 0, "j": 1, "coeffs": ["0", "0", "1/2", "0"]},
+        {"i": 0, "j": 2, "coeffs": ["0", "0", "0", "1/3"]},
+    ]
+    names = ["x0", "x1", "x2", "x3"]
+    path = tmp_path / "qf4.json"
+    path.write_text(json.dumps({"rank": 4, "names": names, "domain": "Q", "brackets": brackets}))
+    code, out, _ = run(capsys, "nilrep", str(path))
+    assert code == 0 and json.loads(out)["monomial_count"] == 14
+    assert hashlib.sha256(out.encode()).hexdigest() == QF4_NILREP_GOLDEN
 
 
 def test_cli_nilrep_refuses_rank_zero_like_ado(tmp_path, capsys, monkeypatch):

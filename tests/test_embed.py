@@ -698,19 +698,30 @@ def test_leftover_denominator_is_an_expansion_error(monkeypatch):
 
 def test_every_sublattice_the_construction_builds_is_valid(monkeypatch):
     """`subalgebra_lattice` and `integral_rescale` no longer validate the
-    sublattices they read off a Lie lattice: the Levi complement, N_lat, the
-    extension and the PBW-adapted lattice pass `validate` on every theorem
-    input all the same."""
+    sublattices they read off a Lie lattice: the Levi complement, the
+    scaled nilpotent span, N_lat, the extension and the PBW-adapted lattice
+    pass `validate` on every theorem input all the same."""
     import adorep.embed
     import adorep.pbw
 
-    built = {"levi": [], "N_lat": [], "extension": [], "adapted": []}
+    built = {"levi": [], "scaled": [], "N_lat": [], "extension": [], "adapted": []}
+    read = []  # the sublattices embed reads, since the last rescaling
 
     def embed_sublattice(L, S):
         lat, basis = subalgebra_lattice(L, S)
-        # the Levi complement is read off L over Q, the extension over Z
-        built["levi" if lat.domain == "Q" else "extension"].append(lat)
+        read.append(lat)
         return lat, basis
+
+    def rescale(L, state, rn):
+        # every sublattice read before the rescaling is a Levi complement;
+        # inside it, the scaled spans come first and the extension last
+        levi = len(read)
+        cert = integral_rescale(L, state, rn)
+        built["levi"] += read[:levi]
+        built["scaled"] += read[levi:-1]
+        built["extension"] += [read[-1], cert.extension]
+        read.clear()
+        return cert
 
     def adapted_sublattice(L, S):
         lat, basis = subalgebra_lattice(L, S)
@@ -722,11 +733,13 @@ def test_every_sublattice_the_construction_builds_is_valid(monkeypatch):
         return _nilpotent_central_terms(N)
 
     monkeypatch.setattr(adorep.embed, "subalgebra_lattice", embed_sublattice)
+    monkeypatch.setattr(adorep.embed, "integral_rescale", rescale)
     monkeypatch.setattr(adorep.pbw, "subalgebra_lattice", adapted_sublattice)
     monkeypatch.setattr(adorep.embed, "_nilpotent_central_terms", central_terms)
     for name, L in theorem_inputs():
         ado_representation(L, strict=True)
     assert all(built.values())
+    assert all(lat.domain == "Z" for lat in built["extension"][1::2])
     for kind, lattices in built.items():
         for lat in lattices:
             assert validate(lat).ok, kind

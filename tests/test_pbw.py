@@ -15,7 +15,7 @@ from adorep.lie_core import (
     lie_lattice,
     unit,
 )
-from adorep.pbw import TruncatedUEA, _enumerate_monomials, build_weighted_basis
+from adorep.pbw import TruncatedUEA, _graded_monomials, build_weighted_basis
 from adorep.pipeline import ado_representation
 
 from oracles import (
@@ -299,11 +299,11 @@ def test_pbw_over_q_matches_oracles():
 
 def test_straightening_rejects_non_integral_over_z():
     # a basis whose lattice claims Z but whose adapted constants are not
-    # integral: the first straightening that uses [x, y] = z/2 raises
+    # integral ([x, y] = z/2) is refused when the algebra is built
     L = lie_lattice(["x", "y", "z"], {(0, 1): [0, 0, "1/2"]}, "Q")
     B = build_weighted_basis(L)
-    T = TruncatedUEA(dataclasses.replace(B, lattice=dataclasses.replace(L, domain="Z")), 2)
     with pytest.raises(RuntimeError, match="non-integral coefficient over Z"):
+        T = TruncatedUEA(dataclasses.replace(B, lattice=dataclasses.replace(L, domain="Z")), 2)
         T.left_mult_matrix(unit(3, 1))
     # over Q the same straightening keeps the Fraction
     assert not TruncatedUEA(B, 2).left_mult_matrix(unit(3, 1)).is_integral
@@ -408,9 +408,9 @@ def test_pbw_construction_inputs_take_both_letter_paths():
 
 def test_straightening_over_z_refuses_a_half_integral_adapted_table():
     # a weighted basis whose lattice is heisenberg3 over Z and whose adapted
-    # table is [x, y] = z/2, denominator 2: straightening y x = x y - z/2
-    # raises, on the left multiplication by y and on the lift of D with
-    # D(y) = x, whose column y^2 straightens y * D(y) = y x
+    # table is [x, y] = z/2, denominator 2, is refused when the algebra is
+    # built, before the left multiplication by y, which straightens
+    # y x = x y - z/2, and before the lift of D with D(y) = x
     half = build_weighted_basis(lie_lattice(["x", "y", "z"], {(0, 1): [0, 0, "1/2"]}, "Q"))
     B = dataclasses.replace(half, lattice=h3())
     assert B.lattice.domain == "Z" and B.adapted.table.den == 2
@@ -473,10 +473,87 @@ def test_index_tables_and_products_equal_the_tuple_oracle(drawn):
     ]
 
 
-@settings(max_examples=60, deadline=None)
+def _tables_of_sorted_monomials(weights, cutoff):
+    """(first, rest, upto) read off the exponent vectors of the reference
+    enumeration, sorted by weight and then lexicographically."""
+    r = len(weights)
+    ordered = sorted((w, alpha) for alpha, w in ref_enumerate_monomials(weights, cutoff))
+    index = {alpha: m for m, (_, alpha) in enumerate(ordered)}
+    first, rest = [], []
+    for _, alpha in ordered:
+        i = next((t for t, e in enumerate(alpha) if e), r)
+        first.append(i)
+        rest.append(0 if i == r else index[alpha[:i] + (alpha[i] - 1,) + alpha[i + 1 :]])
+    upto = [sum(w <= v for w, _ in ordered) for v in range(cutoff + 1)]
+    return first, rest, upto
+
+
+@settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(1, 4), max_size=6), st.integers(0, 8))
-def test_monomials_are_enumerated_in_the_recursive_order(weights, cutoff):
-    assert _enumerate_monomials(weights, cutoff) == list(ref_enumerate_monomials(weights, cutoff))
+def test_graded_monomials_equal_the_sorted_enumeration(weights, cutoff):
+    # weights above the cutoff leave their letter out of every monomial
+    assert _graded_monomials(weights, cutoff) == _tables_of_sorted_monomials(weights, cutoff)
+
+
+def _rational_upper_triangular(n, rng):
+    """Strictly upper triangular n x n matrices over Q in the basis
+    c_ij E_ij, i < j, each c_ij a drawn fraction: [E_ij, E_jl] = E_il, so
+    [c_ij E_ij, c_jl E_jl] = (c_ij c_jl / c_il) c_il E_il."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    c = {p: Fraction(rng.choice([1, 2, 3, 5]), rng.choice([1, 2, 3, 5])) for p in pairs}
+    at = {p: t for t, p in enumerate(pairs)}
+    brackets = {}
+    for a, (i, j) in enumerate(pairs):
+        for b, (k, l) in enumerate(pairs):
+            if a < b and (j == k or l == i):
+                row = [Fraction(0)] * len(pairs)
+                if j == k:
+                    row[at[i, l]] += c[i, j] * c[k, l] / c[i, l]
+                if l == i:
+                    row[at[k, j]] -= c[i, j] * c[k, l] / c[k, j]
+                brackets[a, b] = [str(x) for x in row]
+    return lie_lattice([f"e{i}{j}" for i, j in pairs], brackets, "Q")
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_rational_upper_triangular_algebras_match_the_reference(n):
+    # the adapted tables have denominators, so every matrix is straightened
+    # in the scaled basis and brought back by powers of the denominator
+    rng = random.Random(n)
+    dens = set()
+    for _ in range(3):
+        L = _rational_upper_triangular(n, rng)
+        B = build_weighted_basis(L)
+        dens.add(B.adapted.table.den)
+        assert B.nil_class == n - 1
+        solved = derivation_basis(L)
+        for cutoff in (B.nil_class, B.nil_class + 1):
+            T, R = TruncatedUEA(B, cutoff), RefTruncatedUEA(B, cutoff)
+            vectors = [unit(L.rank, i) for i in range(L.rank)]
+            vectors += [
+                vector([Fraction(rng.randint(-3, 3), rng.choice([1, 2, 7])) for _ in range(L.rank)])
+                for _ in range(2)
+            ]
+            assert [T.left_mult_matrix(v) for v in vectors] == [
+                R.left_mult_matrix(v) for v in vectors
+            ]
+            D = ExactMatrix.zero(L.rank, L.rank)
+            for basis_D in solved:
+                D = D + basis_D.scale(Fraction(rng.randint(-2, 2), rng.choice([1, 3])))
+            for D in (D, ad(L, vectors[-1])):
+                want = tuple(tuple(row) for row in ref_derivation_star(T, D))
+                assert T.derivation_star(D).entries == want
+    assert dens - {1}
+
+
+def test_left_multiplications_never_build_the_exponent_vectors():
+    for L in (filiform4(), fractional_q4(), _WORKLOADS.filiform(6)):
+        B = build_weighted_basis(L)
+        T = TruncatedUEA(B, B.nil_class)
+        for i in range(L.rank):
+            T.left_mult_matrix(unit(L.rank, i))
+        assert "monomials" not in vars(T) and "index" not in vars(T)
+        assert len(T.monomials) == T.dimension and "monomials" in vars(T)
 
 
 @pytest.mark.parametrize("name", ["F7", "heisenberg9"])
