@@ -50,8 +50,6 @@ from .lie_core import (
 
 log = logging.getLogger(__name__)
 
-ZERO = Fraction(0)
-
 
 class LiftingError(RuntimeError):
     """A Levi lift step produced an inconsistent linear system."""
@@ -65,46 +63,62 @@ class ExpansionError(RuntimeError):
 # Jordan-Chevalley decomposition
 # ---------------------------------------------------------------------------
 
-Poly = tuple[Fraction, ...]  # coefficients low to high
+IntPoly = tuple[int, ...]  # coefficients low to high
 
 
-def _ptrim(p: Sequence[Fraction]) -> Poly:
+def _primitive(p: Sequence[int]) -> IntPoly:
+    """p without trailing zeros, divided by its content, leading
+    coefficient positive (the empty tuple for 0)."""
     q = list(p)
-    while q and q[-1] == 0:
+    while q and not q[-1]:
         q.pop()
-    return tuple(q)
+    if not q:
+        return ()
+    g = gcd(*q)
+    if q[-1] < 0:
+        g = -g
+    return tuple(x // g for x in q)
 
 
-def _pdivmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    quo = [ZERO] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        coeff = rem[i + len(b) - 1] * inv_lead
-        if coeff:
-            quo[i] = coeff
-            for j, y in enumerate(b):
-                rem[i + j] -= coeff * y
-    return _ptrim(quo), _ptrim(rem)
+def _pseudo_remainder(a: IntPoly, b: IntPoly) -> list[int]:
+    """The remainder of lc(b)^(deg a - deg b + 1) a by b, in integers: each
+    step scales the remainder by lc(b) and clears its top coefficient."""
+    rem, n, lead = list(a), len(b), b[-1]
+    for i in range(len(a) - n, -1, -1):
+        c = rem[i + n - 1]
+        rem = [lead * x for x in rem]
+        for j, y in enumerate(b):
+            rem[i + j] -= c * y
+    return rem[: n - 1]
 
 
-def _pmonic(a: Poly) -> Poly:
-    return tuple(x / a[-1] for x in a) if a else a
-
-
-def _pgcd(a: Poly, b: Poly) -> Poly:
+def _integer_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
+    """The primitive gcd of two primitive polynomials, by the primitive
+    pseudo-remainder sequence: a pseudo-remainder is a Q-combination of
+    a and b, and its primitive part has the same gcd with b over Q."""
     while b:
-        a, b = b, _pdivmod(a, b)[1]
-    return _pmonic(a)
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    return a
 
 
-def _pderiv(a: Poly) -> Poly:
-    return _ptrim([i * a[i] for i in range(1, len(a))])
+def _exact_quotient(a: IntPoly, g: IntPoly) -> IntPoly:
+    """a / g for a primitive g that divides a over Q: by Gauss's lemma the
+    quotient is integral, so each step of long division divides exactly."""
+    rem, n = list(a), len(g)
+    quo = [0] * (len(a) - n + 1)
+    for i in range(len(a) - n, -1, -1):
+        c = rem[i + n - 1] // g[-1]
+        quo[i] = c
+        for j, y in enumerate(g):
+            rem[i + j] -= c * y
+    return tuple(quo)
 
 
-def _peval_matrix(p: Poly, A: ExactMatrix) -> ExactMatrix:
+def _derivative(a: IntPoly) -> IntPoly:
+    return tuple(i * a[i] for i in range(1, len(a)))
+
+
+def _peval_matrix(p: Sequence[int], A: ExactMatrix) -> ExactMatrix:
     n = A.rows
     out = ExactMatrix.zero(n, n)
     if not p:
@@ -115,12 +129,14 @@ def _peval_matrix(p: Poly, A: ExactMatrix) -> ExactMatrix:
     return out
 
 
-def minimal_polynomial(A: ExactMatrix) -> Poly:
-    """Monic minimal polynomial over Q, found as the first linear dependence
+def minimal_polynomial(A: ExactMatrix) -> IntPoly:
+    """The minimal polynomial over Q as a primitive int polynomial with a
+    positive leading coefficient, found as the first linear dependence
     among the flattened powers of A.
 
     Power k enters the echelon as [A^k | e_k]; the first residual that
-    vanishes on the n*n matrix columns is [0 | m] with m the coefficients.
+    vanishes on the n*n matrix columns is [0 | m] times a positive number
+    (its entry at e_k is positive: no older row reaches that column).
     """
     if not A.is_square:
         raise ValueError("minimal polynomial of a non-square matrix")
@@ -128,12 +144,10 @@ def minimal_polynomial(A: ExactMatrix) -> Poly:
     echelon = Echelon()
     power = ExactMatrix.identity(A.rows)
     for k in count():
-        # [num | den * e_k] is den times [A^k | e_k]; the residual at the
-        # first dependence is a positive multiple of [0 | m]
+        # [num | den * e_k] is den times [A^k | e_k]
         res = echelon.add({**power.flattened().num[0], nn + k: power.den})
         if min(res) >= nn:
-            lead = res[nn + k]
-            return tuple(Fraction(res.get(nn + i, 0), lead) for i in range(k + 1))
+            return _primitive([res.get(nn + i, 0) for i in range(k + 1)])
         power = power * A
 
 
@@ -146,6 +160,9 @@ def jordan_chevalley(A: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
     invertible (f is squarefree and f'(S) - f'(A) is a nilpotent commuting
     with f'(A)), and f(S) lies in the 2^k-th power of the nilpotent f(A)
     after k steps, so it vanishes within bit_length(n) + 1 steps.
+    f = m / gcd(m, m') is taken in integers, from the primitive integer
+    multiple of m and a primitive pseudo-remainder sequence: a constant
+    multiple c f scales f(S) and f'(S) by c, so the step is unchanged.
     """
     if not A.is_square:
         raise ValueError("jordan_chevalley of a non-square matrix")
@@ -153,10 +170,10 @@ def jordan_chevalley(A: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
     if n == 0:
         return A, A
     m = minimal_polynomial(A)
-    f = _pdivmod(m, _pgcd(m, _pderiv(m)))[0]
+    f = _exact_quotient(m, _integer_gcd(m, _primitive(_derivative(m))))
     if len(f) == len(m):
         return A, ExactMatrix.zero(n, n)
-    df = _pderiv(f)
+    df = _derivative(f)
     S = A
     for _ in range(n.bit_length() + 1):
         fS = _peval_matrix(f, S)

@@ -30,6 +30,15 @@ another order, or with zero rows between them, sorted by pivot), `of_rows`
 over Z of Hermite rows, `saturate` of a Hermite basis with pivots 1,
 `invert` of or a product with the identity.
 Otherwise `rref` stops adding rows once the rank reaches the column count.
+The verifier's bilinear zero tests (the homomorphism check, the Jacobi
+loop of `validate` and the injection check of `verify_certificate`) may
+decide their sums on rows packed into one
+integer each, `sum_k v_k 2^(w k)` (`_Packing`, Kronecker substitution),
+with the slot width w taken from a bound on every slot of the sum that
+the check computes first, so the packed sum is 0 exactly when the sum is.
+A check packs when its operand rows hold 2 nonzeros or more on average and
+its zero tests read each 16 times or more on average (`_Packing.pays`);
+otherwise it keeps its nonzero-row loop.  Either path reports the same.
 Fractions appear only at the boundary: the dense views `entries` and
 `row`, the one-vector wrappers `solve_left` and `Submodule.coordinates`,
 and the scalars of non-integral matrices.  The dense view and the hash fill
@@ -43,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, str, Fraction]
 Vec = tuple[Fraction, ...]
@@ -431,6 +440,66 @@ def trace_product(A: ExactMatrix, B: ExactMatrix) -> int | Fraction:
     return _scalar(total, A.den * B.den)
 
 
+class _Packing:
+    """Kronecker substitution for the zero tests of bilinear sums (Harvey,
+    "Faster polynomial multiplication via multipoint Kronecker
+    substitution", J. Symbolic Comput. 2009): an int row v is packed into
+    the one integer P(v) = sum_k v_k 2^(w k), its entries as signed slots
+    of w bits.  P is Z-linear, so a sum of terms c * P(v) is P of the row
+    sum of c * v, computed with one bigint multiply-add per term instead of
+    one per nonzero entry of v.
+
+    The slot width is w = bound.bit_length() + 1, for a bound on |slot| of
+    the row sum that the caller computes before packing; then every
+    |s_k| <= bound < 2^(w - 1).  Balanced base-2^w digits are unique under
+    that bound, so P(s) = 0 exactly when every s_k = 0: if some s_k is not
+    0, let k0 be the largest such k; the slots below it sum to at most
+    (2^(w - 1) - 1) (2^(w k0) - 1) / (2^w - 1) < 2^(w k0) <= |s_k0 2^(w k0)|
+    in absolute value, so P(s) != 0.
+
+    Packing pays only on dense operands that are read often: a read of a
+    packed row saves the multiply-adds of all but one of its nonzeros, and
+    packing costs one pass over every row it packs.  `pays` is the rule
+    that the three checks built on this share (`rep.LinearRep.
+    homomorphism_violations`, the Jacobi loop of `lie_core.validate` and
+    `pipeline.verify_certificate`'s injection check), a deterministic
+    function of counts each check makes while it scans its operands.
+    """
+
+    __slots__ = ("width",)
+
+    # the rule's thresholds: the mean nonzeros per nonzero operand row, and
+    # the mean reads of one by the zero tests.  On rows of one nonzero the
+    # packed path makes as many multiply-adds as the nonzero-row loop, on
+    # bigints, and on the small tables of the benchmark's theorem inputs,
+    # read fewer than 16 times a row, the pass over the rows outweighs what
+    # the reads save.
+    DENSITY = 2
+    READS = 16
+
+    def __init__(self, bound: int) -> None:
+        self.width = bound.bit_length() + 1
+
+    def __call__(self, row: Row) -> int:
+        if not row:
+            return 0
+        w = self.width
+        return sum(x << (w * k) for k, x in row.items())
+
+    @staticmethod
+    def pays(nonzeros: int, rows: int, reads: Callable[[], int]) -> bool:
+        """Whether to pack `rows` nonzero operand rows holding `nonzeros`
+        nonzeros in all; reads() counts the reads of them by the zero tests,
+        and runs only when the rows are dense."""
+        return 0 < rows and _Packing.DENSITY * rows <= nonzeros and _Packing.READS * rows <= reads()
+
+    @staticmethod
+    def l1(rows: Iterable[Row]) -> int:
+        """The largest sum of |entries| of one of rows; it bounds every
+        |entry| too."""
+        return max((sum(map(abs, row.values())) for row in rows if row), default=0)
+
+
 def _rescaled(M: ExactMatrix, den: int) -> tuple[Row, ...]:
     """The numerator rows of M over den, a multiple of M.den."""
     s = den // M.den
@@ -795,11 +864,19 @@ class Submodule:
     def _reader(self) -> tuple[ExactMatrix, list[tuple[int, int]], ExactMatrix | None]:
         """(R, leads, inverse): the rows R that back-substitution reads,
         their (first column, row index) pairs in rising column order, and
-        None when R is the basis, else T^-1 for the basis T * R."""
+        None when R is the basis, else T^-1 for the basis T * R.  A square
+        basis of independent rows has the identity as its RREF, so T is the
+        basis itself, and `invert` alone decides whether it is singular."""
         B = self.basis
         leads = sorted((min(row), i) for i, row in enumerate(B.num) if row)
         if len({p for p, _ in leads}) == B.rows:
             return B, leads, None
+        if B.is_square:
+            try:
+                inverse = invert(B)
+            except ValueError:
+                raise ValueError("coordinates need independent basis rows") from None
+            return ExactMatrix.identity(B.rows), [(i, i) for i in range(B.rows)], inverse
         E, pivots = rref(B)
         if len(pivots) < B.rows:
             raise ValueError("coordinates need independent basis rows")

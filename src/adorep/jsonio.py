@@ -6,6 +6,7 @@ precision survives any toolchain.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Any
 
@@ -26,15 +27,19 @@ def frac_to_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+# the schema's number strings, "num" and "num/den" in ASCII digits; Fraction
+# reads more (decimals, spaces, signs, underscores, other digits and exponent
+# notation, the last at a cost exponential in the length of the exponent)
+_NUMBER = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def frac_from_json(x: Any) -> Fraction:
     if isinstance(x, bool):
         raise JsonFormatError(f"expected a number string, got {x!r}")
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        # Fraction reads exponent notation, at a cost exponential in the
-        # length of the exponent; the schema has only "num" and "num/den"
-        if "e" in x or "E" in x:
+        if not _NUMBER.fullmatch(x):
             raise JsonFormatError(f"bad number string {x!r}")
         try:
             return Fraction(x)

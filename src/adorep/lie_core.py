@@ -21,6 +21,7 @@ from .exact_linalg import (
     Row,
     Submodule,
     Vec,
+    _Packing,
     extend_basis,
     invert,
     kernel_basis,
@@ -224,7 +225,10 @@ def validate(L: LieLattice) -> ValidationReport:
     list comes in increasing (i, j, k), whatever the key order of a row.
     Jacobi skips the triples i < j < k whose table rows [x_i, x_j],
     [x_j, x_k] and [x_k, x_i] are all empty: each term of its sum brackets
-    one of them, so the sum is 0."""
+    one of them, so the sum is 0.  When the table rows are dense and read
+    often enough (`_Packing.pays`), each is packed once into one integer,
+    and a triple sums the packed rows [x_a, x_t] times the entries a of its
+    three rows: the same zero test, one bigint multiply-add per nonzero."""
     r = L.rank
     T, den = L.table.num, L.table.den
     anti = []
@@ -242,7 +246,23 @@ def validate(L: LieLattice) -> ValidationReport:
                 integ.extend((i, j, k) for k in sorted(tij) if tij[k] % den)
     # [[x_i,x_j],x_k] + [[x_j,x_k],x_i] + [[x_k,x_i],x_j]: every term is a
     # product of two table entries, so the sum is zero iff its numerators
-    # over den^2 are
+    # over den^2 are; each of its entries is at most 3 |T row|_1^2 in
+    # absolute value, the bound of the packed path
+
+    def reads() -> int:
+        # the packed rows [x_a, x_t] that the sums read: one for each entry
+        # of a row [x_i, x_j], i < j, in the triples (i, j, k > j) and
+        # (i' < i, i, j), and of a row [x_i, x_j], i > j, in (j, j', i)
+        return sum(
+            len(T[i * r + j]) * (r - 1 - j + i if i < j else i - j - 1)
+            for i in range(r)
+            for j in range(r)
+        )
+
+    packed = None
+    if _Packing.pays(sum(map(len, T)), len(T) - T.count({}), reads):
+        pack = _Packing(3 * _Packing.l1(T) ** 2)
+        packed = list(map(pack, T))
     jac = []
     for i in range(r):
         for j in range(i + 1, r):
@@ -250,8 +270,17 @@ def validate(L: LieLattice) -> ValidationReport:
             for k in range(j + 1, r):
                 if not (tij or T[j * r + k] or T[k * r + i]):
                     continue
+                cyclic = ((i, j, k), (j, k, i), (k, i, j))
+                if packed is not None:
+                    s = 0
+                    for p, q, t in cyclic:
+                        for a, x in T[p * r + q].items():
+                            s += x * packed[a * r + t]
+                    if s:
+                        jac.append((i, j, k))
+                    continue
                 acc = [0] * r
-                for p, q, t in ((i, j, k), (j, k, i), (k, i, j)):
+                for p, q, t in cyclic:
                     for a, x in T[p * r + q].items():
                         for b, y in T[a * r + t].items():
                             acc[b] += x * y

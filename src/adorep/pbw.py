@@ -28,14 +28,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .exact_linalg import ExactMatrix, Submodule, Vec, _EMPTY_ROW, extend_basis, invert, stack_rows
+from .exact_linalg import ExactMatrix, Vec, _EMPTY_ROW, extend_basis, invert, stack_rows
 from .lie_core import (
     Known,
     LieLattice,
     LeibnizError,
     NotNilpotentError,
+    _antisymmetric_table,
     check_derivation,
-    subalgebra_lattice,
 )
 
 Monomial = tuple[int, ...]
@@ -88,13 +88,18 @@ def build_weighted_basis(L: LieLattice, known: Known | None = None) -> WeightedP
     nonzero, a 1, so W is a permutation matrix, W[k:] are the unselected
     unit rows and the Hermite form of their span is those rows in
     increasing order.  P is then a permutation matrix, whose inverse is
-    its transpose, and `subalgebra_lattice` reads the coordinates of
-    [x_a, x_b] at the permuted columns; its mirrored rows are the table's
-    own, re-indexed, as a validated L is antisymmetric.
-    L must be a Lie lattice (validated); `subalgebra_lattice` reads the
-    adapted constants without a check of its own.  The series `chain` is
-    read from `known` (a fresh Known if none is given), which computes it
-    unless the call already holds it.
+    its transpose, and the coordinates of [x_a, x_b] are read at the
+    permuted columns; the mirrored rows are the table's own, re-indexed, as
+    a validated L is antisymmetric.
+    Otherwise P is inverted once, and the adapted constants of the pairs
+    p < q are [P_p, P_q] P^-1, the unique coordinates of the brackets in
+    the basis P, mirrored (`_antisymmetric_table`) as L is antisymmetric;
+    over Z they are integral, as P is unimodular.  That is the table that
+    `subalgebra_lattice` would read in the span of P, without a second
+    reader of P.  L must be a Lie lattice (validated), so the adapted
+    table, L in another basis, is one without a check of its own.  The
+    series `chain` is read from `known` (a fresh Known if none is given),
+    which computes it unless the call already holds it.
     """
     chain = (known or Known()).series(L)
     if not chain[-1].is_zero():
@@ -124,8 +129,10 @@ def build_weighted_basis(L: LieLattice, known: Known | None = None) -> WeightedP
         new_rows = extend_basis(chain[depth], chain[depth - 1])
         P = stack_rows([P, new_rows])
         weights.extend([depth] * new_rows.rows)
-    adapted, _ = subalgebra_lattice(L, Submodule(r, P, L.domain))
-    return WeightedPBWBasis(L, P, invert(P), tuple(weights), c, adapted)
+    Pinv = invert(P)
+    names = tuple(f"v{t}" for t in range(r))
+    adapted = LieLattice(names, _antisymmetric_table(L._pair_brackets(P) * Pinv, r), L.domain)
+    return WeightedPBWBasis(L, P, Pinv, tuple(weights), c, adapted)
 
 
 class TruncatedUEA:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .embed import EmbeddingCertificate, embed_splittable
-from .exact_linalg import Echelon, ExactMatrix, Vec, kernel_basis, rank, stack_rows
+from .exact_linalg import Echelon, ExactMatrix, Vec, _Packing, kernel_basis, rank, stack_rows
 from .lie_core import Known, LieLattice, adjoint_rep, is_ideal, is_nilpotent_submodule
 from .nilrep import birkhoff_bounds, burde_bound, nilpotent_faithful_rep
 from .rep import LinearRep, direct_sum_rep, restrict_rep
@@ -298,12 +298,12 @@ def verify_certificate(cert: EmbeddingCertificate, known: Known | None = None) -
 
     inj = cert.injection
     injective = rank(inj) == L.rank
-    hom = L.table * inj == ext.bracket_rows(inj, inj)
-
     # radicals and series are defined for Lie lattices only, and the
     # nilpotency chain for a bracket-closed nbar only; elsewhere they may
     # fail or never end, so those checks fail unrun
     lie = original_valid and extension_valid
+    hom = _injection_homomorphism(L, ext, inj, lie)
+
     nbar = cert.nilpotent_part
     nbar_is_nilradical = lie and known.radicals(ext)[1] == nbar
     if nbar_is_nilradical:
@@ -329,6 +329,61 @@ def verify_certificate(cert: EmbeddingCertificate, known: Known | None = None) -
         rn_image_contained=rn_image,
         rank_matches=rank_matches,
     )
+
+
+def _injection_homomorphism(
+    L: LieLattice, ext: LieLattice, inj: ExactMatrix, antisymmetric: bool
+) -> bool:
+    """Whether inj[x_p, x_q] = [inj x_p, inj x_q] for every pair of basis
+    vectors of L, inj its rows in ext.
+
+    Without `antisymmetric` every ordered pair is compared, as the
+    matrices `L.table * inj` and `ext.bracket_rows(inj, inj)`.  With it,
+    both tables are antisymmetric (both lattices are valid), and the pairs
+    p < q decide: for p = q both sides are 0, as c_pp = -c_pp in L and
+    [u, u] = sum_(a<b) u_a u_b (c_ab + c_ba) + sum_a u_a^2 c_aa = 0 in ext;
+    and the pair (q, p) negates both sides of the pair (p, q).
+
+    On the pairs p < q, when the rows of inj and of ext's table are dense
+    and read often enough (`_Packing.pays`), they are packed once into one
+    integer each, and a pair tests that
+        dI dE sum_a T[pq][a] inj[a] - dT sum_(a,b) u_a v_b E[a, b]
+    is 0, with T/dT, E/dE and inj/dI the int numerators of L's table,
+    ext's table and inj, and u, v the rows p and q of inj: that is
+    dT dI^2 dE times the difference of the two sides.
+    """
+    r = L.rank
+    if not antisymmetric or inj.rows != r or inj.cols != ext.rank:
+        # a shape mismatch raises in the product or the brackets
+        return L.table * inj == ext.bracket_rows(inj, inj)
+    pairs = [p * r + q for p in range(r) for q in range(p + 1, r)]
+    I, T, E = inj.num, L.table.num, ext.table.num
+    operands = [row for rows in (I, E) for row in rows if row]
+
+    def reads() -> int:
+        # a pair reads a packed row of inj for each entry of T[pq], and a
+        # packed row of E for each pair of entries of its rows of inj
+        return sum(len(T[pq]) + len(I[pq // r]) * len(I[pq % r]) for pq in pairs)
+
+    if not _Packing.pays(sum(map(len, operands)), len(operands), reads):
+        return L.table.take_rows(pairs) * inj == ext._pair_brackets(inj)
+    R = ext.rank
+    dT, dI, dE = L.table.den, inj.den, ext.table.den
+    # entry k of a pair's sum is at most dI dE |T row|_1 |inj row|_1 +
+    # dT |inj row|_1^2 |E row|_1 in absolute value
+    il1 = _Packing.l1(I)
+    pack = _Packing(il1 * (dI * dE * _Packing.l1(T) + dT * il1 * _Packing.l1(E)))
+    packed_inj = list(map(pack, I))
+    packed_ext = list(map(pack, E))
+    for pq in pairs:
+        p, q = divmod(pq, r)
+        v = I[q]
+        s = dI * dE * sum(x * packed_inj[a] for a, x in T[pq].items())
+        for a, x in I[p].items():
+            s -= dT * x * sum(y * packed_ext[a * R + b] for b, y in v.items())
+        if s:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import TYPE_CHECKING, Iterable
 
-from .exact_linalg import ExactMatrix, Row, block_diag
+from .exact_linalg import ExactMatrix, Row, _Packing, block_diag
 
 if TYPE_CHECKING:  # pragma: no cover
     from .lie_core import LieLattice
@@ -76,21 +76,56 @@ class LinearRep:
         matrix is: a pair is reported exactly when its two sides differ.
         `check_shapes` runs before any product; the nonzero rows of every
         A_k are collected once per call, and each pair reads only those.
+        When they are dense and read often enough (`_Packing.pays`), each
+        is packed once per call into one integer, with one slot width for
+        every pair, and a row of a pair's table costs one bigint
+        multiply-add per nonzero of the row it comes from
+        (`_packed_commutator_differs`); either path decides the same zero
+        test, so the list is the same.
         """
         self.check_shapes()
         L = self.lattice
-        if pairs is None:
-            pairs = ((i, j) for i in range(L.rank) for j in range(i + 1, L.rank))
         r, n, T, den = L.rank, self.degree, L.table.num, L.table.den
+        if pairs is None:
+            pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
+        else:
+            pairs = list(pairs)
         nonzero = [{q: row for q, row in enumerate(M.num) if row} for M in self.matrices]
         dens = [M.den for M in self.matrices]
+        sizes = list(map(len, nonzero))
+        nonzeros = [sum(map(len, rows.values())) for rows in nonzero]
+
+        def reads() -> int:
+            # a pair reads a packed row of A_j (A_i) for each nonzero of A_i
+            # (A_j), and each nonzero row of the A_k of its bracket
+            return sum(
+                nonzeros[i] + nonzeros[j] + sum(sizes[k] for k in T[i * r + j]) for i, j in pairs
+            )
+
+        if _Packing.pays(sum(nonzeros), sum(sizes), reads):
+            # every slot of a pair's sum, entry (q, c) of f (A_i A_j - A_j A_i)
+            # - sum_k g_k A_k, is at most l1 (2 f l1 + sum_k |g_k|) in absolute
+            # value, for l1 the largest |row|_1 of any A_k, which bounds every
+            # |entry| too; f <= den lcm(d), and g_k <= max(d)^2 lcm(d) |t_k|
+            l1 = _Packing.l1(row for M in self.matrices for row in M.num)
+            top = lcm(*dens)
+            pack = _Packing(l1 * top * (2 * den * l1 + max(dens) ** 2 * _Packing.l1(T)))
+            packed = [list(map(pack, M.num)) for M in self.matrices]
+            rows_of = [{q: packed[k][q] for q in rows} for k, rows in enumerate(nonzero)]
+        else:
+            packed, rows_of = None, nonzero
         bad = []
         for i, j in pairs:
             terms = T[i * r + j]
             D = lcm(*(dens[k] for k in terms))
             g = dens[i] * dens[j]
-            combo = [(nonzero[k], g * t * (D // dens[k])) for k, t in terms.items()]
-            if _commutator_differs(nonzero[i], nonzero[j], den * D, combo, n):
+            combo = [(rows_of[k], g * t * (D // dens[k])) for k, t in terms.items()]
+            A, B, f = nonzero[i], nonzero[j], den * D
+            if packed is None:
+                differs = _commutator_differs(A, B, f, combo, n)
+            else:
+                differs = _packed_commutator_differs(A, B, packed[i], packed[j], f, combo)
+            if differs:
                 bad.append((i, j))
         return bad
 
@@ -120,6 +155,39 @@ def _commutator_differs(
             for c, x in row.items():
                 key = base + c
                 acc[key] = acc[key] - g * x if key in acc else -g * x
+    return any(acc.values())
+
+
+def _packed_commutator_differs(
+    A: dict[int, Row],
+    B: dict[int, Row],
+    PA: list[int],
+    PB: list[int],
+    f: int,
+    combo: list[tuple[dict[int, int], int]],
+) -> bool:
+    """`_commutator_differs` on packed rows (`_Packing`): PA and PB hold
+    every row of A and B packed (0 for a zero row), and each C_k of combo
+    maps the index q of a nonzero row to that row packed, all with one
+    width wide enough for every slot of the sum.  Row q of the sum is
+    packed as f (sum_k A[q][k] PB[k] - sum_k B[q][k] PA[k]) - sum_k g_k
+    C_k[q], which is 0 exactly when the row is."""
+    acc: dict[int, int] = {}
+    for q, row in A.items():
+        t = 0
+        for k, x in row.items():
+            t += x * PB[k]
+        if t:
+            acc[q] = f * t
+    for q, row in B.items():
+        t = 0
+        for k, x in row.items():
+            t += x * PA[k]
+        if t:
+            acc[q] = acc.get(q, 0) - f * t
+    for C, g in combo:
+        for q, p in C.items():
+            acc[q] = acc.get(q, 0) - g * p
     return any(acc.values())
 
 

@@ -104,6 +104,7 @@ from adorep.lie_core import (
     is_ideal,
     is_nilpotent_submodule,
     killing_form,
+    lie_lattice,
     lower_central_series,
     nilradical,
     semidirect_assemble,
@@ -1140,6 +1141,55 @@ def series_inputs():
         P = ExactMatrix.from_rows(workloads.random_unimodular(rng, L.rank)[0])
         out += [(name, L), (f"scrambled {name}", change_basis(L, P))]
     return out
+
+
+def sl_semidirect(n):
+    """sl_n x| Z^n as the Lie ring of (n + 1) x (n + 1) integer matrices:
+    the basis E_ab (a != b < n, in increasing (a, b)), H_a = E_aa -
+    E_(a+1)(a+1) (a < n - 1), then E_an (a < n), of rank n^2 + n - 1.  The
+    commutator of two basis matrices has trace 0 on the sl_n block, so its
+    coordinates are read off its entries: E_ab and E_an at (a, b) and
+    (a, n), and H_a the sum of the diagonal entries 0..a."""
+    offdiag = [(a, b) for a in range(n) for b in range(n) if a != b]
+    basis = [{(a, b): 1} for a, b in offdiag]
+    basis += [{(a, a): 1, (a + 1, a + 1): -1} for a in range(n - 1)]
+    basis += [{(a, n): 1} for a in range(n)]
+    names = [f"E{a}{b}" for a, b in offdiag] + [f"H{a}" for a in range(n - 1)]
+    names += [f"T{a}" for a in range(n)]
+    position = {key: t for t, key in enumerate(offdiag)}
+    position.update({(a, n): len(offdiag) + n - 1 + a for a in range(n)})
+
+    def commutator(X, Y):
+        out = {}
+        for (a, b), x in X.items():
+            for (c, d), y in Y.items():
+                if b == c:
+                    out[a, d] = out.get((a, d), 0) + x * y
+                if d == a:
+                    out[c, b] = out.get((c, b), 0) - x * y
+        return out
+
+    brackets = {}
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            C = commutator(basis[i], basis[j])
+            coeffs = [0] * len(basis)
+            for (a, b), x in C.items():
+                if a != b:
+                    coeffs[position[a, b]] += x
+            for a in range(n - 1):
+                coeffs[len(offdiag) + a] = sum(C.get((b, b), 0) for b in range(a + 1))
+            if any(coeffs):
+                brackets[i, j] = coeffs
+    return lie_lattice(names, brackets)
+
+
+def scrambled_sl_semidirect(n, seed=23):
+    """`sl_semidirect(n)` in the basis of the rows of the benchmark's
+    `random_unimodular(Random(seed), rank)`."""
+    L = sl_semidirect(n)
+    P = load_bench("workloads").random_unimodular(random.Random(seed), L.rank)[0]
+    return change_basis(L, ExactMatrix.from_rows(P))
 
 
 def ref_splittable_rep(N, S, action):

@@ -209,7 +209,7 @@ def test_criterion_05_jordan_chevalley():
             ok = False
         if not power(N, 6).is_zero():
             ok = False
-        if not is_squarefree(list(minimal_polynomial(S))):
+        if not is_squarefree([Fraction(x) for x in minimal_polynomial(S)]):
             ok = False
         # S belongs to Q[A]: solve for a polynomial
         m = minimal_polynomial(A)

@@ -167,6 +167,15 @@ def test_cli_exponent_notation_is_a_format_error(tmp_path, capsys):
             frac_from_json(text)
 
 
+@pytest.mark.parametrize("text", ["0.5", " 3 ", "+3", "1_0", "\u0663"])
+def test_cli_number_outside_the_schema_is_a_format_error(tmp_path, capsys, text):
+    # Fraction reads each of these (as 1/2, 3, 3, 10 and the Arabic-Indic
+    # digit 3); the schema has only "num" and "num/den" in ASCII digits
+    _assert_both_files_are_format_errors(capsys, tmp_path, json.dumps(text))
+    with pytest.raises(JsonFormatError):
+        frac_from_json(text)
+
+
 def test_cli_missing_file(capsys):
     code, _, err = run(capsys, "validate", "/nonexistent/l.json")
     assert code == 2

@@ -3,10 +3,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adorep import catalog
 from adorep.embed import (
     ExpansionError,
+    _derivative,
+    _exact_quotient,
+    _integer_gcd,
+    _primitive,
     _nilpotent_central_terms,
     elementary_expansion,
     embed_splittable,
@@ -48,6 +54,9 @@ from oracles import (
     derivation_basis,
     is_nilpotent,
     is_squarefree,
+    poly_derivative,
+    poly_divmod,
+    poly_gcd,
     power,
     ref_avoid,
     ref_expansion_checks,
@@ -97,6 +106,37 @@ def random_unimodular(rng, n):
     return M
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(st.integers(-9, 9), min_size=2, max_size=3).filter(lambda p: p[-1]),
+            st.integers(1, 3),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    st.integers(-50, 50).filter(bool),
+)
+def test_integer_squarefree_part_matches_the_fraction_reference(factors, scale):
+    """m / gcd(m, m') in integers, for m a constant times a product of
+    powers of small factors, is a constant multiple of the squarefree part
+    that `poly_gcd` and `poly_divmod` give over Q."""
+    m = [scale]
+    for factor, times in factors:
+        for _ in range(times):
+            prod = [0] * (len(m) + len(factor) - 1)
+            for i, x in enumerate(m):
+                for j, y in enumerate(factor):
+                    prod[i + j] += x * y
+            m = prod
+    m = _primitive(m)
+    f = _exact_quotient(m, _integer_gcd(m, _primitive(_derivative(m))))
+    q = [Fraction(x) for x in m]
+    want = poly_divmod(q, poly_gcd(q, poly_derivative(q)))[0]
+    assert [Fraction(x, f[-1]) for x in f] == [x / want[-1] for x in want]
+
+
 def test_jordan_chevalley_examples():
     A = ExactMatrix.from_rows([[1, 1], [0, 1]])
     S, N = jordan_chevalley(A)
@@ -143,7 +183,7 @@ def test_jordan_chevalley_properties_random():
         assert S + N == A
         assert S * N == N * S
         assert power(N, n).is_zero()
-        assert is_squarefree(list(minimal_polynomial(S)))
+        assert is_squarefree([Fraction(x) for x in minimal_polynomial(S)])
         # S is a polynomial in A: solve for the coefficients
         m = minimal_polynomial(A)
         powers = []
@@ -702,7 +742,7 @@ def test_every_sublattice_the_construction_builds_is_valid(monkeypatch):
     scaled nilpotent span, N_lat, the extension and the PBW-adapted lattice
     pass `validate` on every theorem input all the same."""
     import adorep.embed
-    import adorep.pbw
+    import adorep.zassenhaus
 
     built = {"levi": [], "scaled": [], "N_lat": [], "extension": [], "adapted": []}
     read = []  # the sublattices embed reads, since the last rescaling
@@ -723,10 +763,10 @@ def test_every_sublattice_the_construction_builds_is_valid(monkeypatch):
         read.clear()
         return cert
 
-    def adapted_sublattice(L, S):
-        lat, basis = subalgebra_lattice(L, S)
-        built["adapted"].append(lat)
-        return lat, basis
+    def adapted_basis(N, known=None):
+        basis = build_weighted_basis(N, known)
+        built["adapted"].append(basis.adapted)
+        return basis
 
     def central_terms(N):
         built["N_lat"].append(N)
@@ -734,7 +774,7 @@ def test_every_sublattice_the_construction_builds_is_valid(monkeypatch):
 
     monkeypatch.setattr(adorep.embed, "subalgebra_lattice", embed_sublattice)
     monkeypatch.setattr(adorep.embed, "integral_rescale", rescale)
-    monkeypatch.setattr(adorep.pbw, "subalgebra_lattice", adapted_sublattice)
+    monkeypatch.setattr(adorep.zassenhaus, "build_weighted_basis", adapted_basis)
     monkeypatch.setattr(adorep.embed, "_nilpotent_central_terms", central_terms)
     for name, L in theorem_inputs():
         ado_representation(L, strict=True)

@@ -405,8 +405,12 @@ def integer_square(draw):
 @settings(max_examples=80, deadline=None)
 @given(integer_square())
 def test_minimal_polynomial_matches_reference(a):
+    """The primitive int polynomial with a positive leading coefficient,
+    over that coefficient, is the monic reference."""
     A, n = a
-    assert list(minimal_polynomial(mat(A, n))) == ref_minimal_polynomial(A, n)
+    m = minimal_polynomial(mat(A, n))
+    assert all(isinstance(x, int) for x in m) and gcd(*m) == 1 and m[-1] > 0
+    assert [Fraction(x, m[-1]) for x in m] == ref_minimal_polynomial(A, n)
 
 
 @KERNEL
