@@ -32,13 +32,13 @@ over Z of Hermite rows, `saturate` of a Hermite basis with pivots 1,
 Otherwise `rref` stops adding rows once the rank reaches the column count.
 The verifier's bilinear zero tests (the homomorphism check, the Jacobi
 loop of `validate` and the injection check of `verify_certificate`) may
-decide their sums on rows packed into one
-integer each, `sum_k v_k 2^(w k)` (`_Packing`, Kronecker substitution),
-with the slot width w taken from a bound on every slot of the sum that
-the check computes first, so the packed sum is 0 exactly when the sum is.
-A check packs when its operand rows hold 2 nonzeros or more on average and
-its zero tests read each 16 times or more on average (`_Packing.pays`);
-otherwise it keeps its nonzero-row loop.  Either path reports the same.
+decide their sums on rows packed into one integer each, `sum_k v_k
+2^(w k)` (`_Packing`, Kronecker substitution), with the slot width w taken
+from a bound on every slot of the sum, so the packed sum is 0 exactly when
+the sum is.  One rule decides for all three, `_Packing.rows`: a check packs
+when its nonzero operand rows hold 2 nonzeros or more on average, and only
+then computes the bound; otherwise it keeps its nonzero-row loop.  Either
+path reports the same.
 Fractions appear only at the boundary: the dense views `entries` and
 `row`, the one-vector wrappers `solve_left` and `Submodule.coordinates`,
 and the scalars of non-integral matrices.  The dense view and the hash fill
@@ -457,25 +457,20 @@ class _Packing:
     (2^(w - 1) - 1) (2^(w k0) - 1) / (2^w - 1) < 2^(w k0) <= |s_k0 2^(w k0)|
     in absolute value, so P(s) != 0.
 
-    Packing pays only on dense operands that are read often: a read of a
-    packed row saves the multiply-adds of all but one of its nonzeros, and
-    packing costs one pass over every row it packs.  `pays` is the rule
+    Packing helps only on dense operands: a read of a packed row saves the
+    multiply-adds of all but one of its nonzeros, so on rows of one nonzero
+    the packed path makes as many multiply-adds as the nonzero-row loop, on
+    bigints, and costs a pass over the rows besides.  `rows` is the rule
     that the three checks built on this share (`rep.LinearRep.
     homomorphism_violations`, the Jacobi loop of `lie_core.validate` and
     `pipeline.verify_certificate`'s injection check), a deterministic
-    function of counts each check makes while it scans its operands.
+    function of their operands alone.
     """
 
     __slots__ = ("width",)
 
-    # the rule's thresholds: the mean nonzeros per nonzero operand row, and
-    # the mean reads of one by the zero tests.  On rows of one nonzero the
-    # packed path makes as many multiply-adds as the nonzero-row loop, on
-    # bigints, and on the small tables of the benchmark's theorem inputs,
-    # read fewer than 16 times a row, the pass over the rows outweighs what
-    # the reads save.
+    # the least mean nonzeros per nonzero operand row at which a check packs
     DENSITY = 2
-    READS = 16
 
     def __init__(self, bound: int) -> None:
         self.width = bound.bit_length() + 1
@@ -487,11 +482,15 @@ class _Packing:
         return sum(x << (w * k) for k, x in row.items())
 
     @staticmethod
-    def pays(nonzeros: int, rows: int, reads: Callable[[], int]) -> bool:
-        """Whether to pack `rows` nonzero operand rows holding `nonzeros`
-        nonzeros in all; reads() counts the reads of them by the zero tests,
-        and runs only when the rows are dense."""
-        return 0 < rows and _Packing.DENSITY * rows <= nonzeros and _Packing.READS * rows <= reads()
+    def rows(operands: Sequence[Row], bound: Callable[[], int]) -> list[int] | None:
+        """Every operand row packed (0 for an empty row) at the width of
+        bound(), a bound on every slot of the sums they enter; or None, and
+        bound is never called, when the nonzero rows hold fewer than DENSITY
+        nonzeros on average."""
+        nonzero = len(operands) - operands.count({})
+        if not nonzero or sum(map(len, operands)) < _Packing.DENSITY * nonzero:
+            return None
+        return list(map(_Packing(bound()), operands))
 
     @staticmethod
     def l1(rows: Iterable[Row]) -> int:
@@ -958,10 +957,6 @@ class Submodule:
         X = self.coordinate_rows(ExactMatrix.from_rows([v], cols=self.ambient_rank))
         return None if X is None else X.row(0)
 
-    def sum(self, other: "Submodule") -> "Submodule":
-        self._check_compatible(other)
-        return Submodule.of_rows(stack_rows([self.basis, other.basis]), self.domain)
-
     def saturate(self) -> "Submodule":
         """The closure in (1/d) * Z^n, d the basis's denominator: the points
         of (1/d) * Z^n in the Q-span.  For d = 1 that is the isolated
@@ -993,10 +988,6 @@ class Submodule:
             W.append({c: x // p for c, x in acc.items() if x})
         sat = Submodule.of_rows(ExactMatrix._of(tuple(W), 1, n), "Z")
         return Submodule(n, ExactMatrix.from_ints(sat.basis.num, n, self.basis.den), "Z")
-
-    def _check_compatible(self, other: "Submodule") -> None:
-        if self.ambient_rank != other.ambient_rank or self.domain != other.domain:
-            raise ValueError("incompatible submodules")
 
 
 def kernel_basis(M: ExactMatrix, domain: str = "Q") -> Submodule:

@@ -152,6 +152,9 @@ def rep_from_json(data: Any, lattice: LieLattice) -> LinearRep:
         raise JsonFormatError("degree must be a nonnegative integer")
     if not isinstance(matrices, list) or len(matrices) != lattice.rank:
         raise JsonFormatError("need one matrix per lattice basis vector")
+    if degree and not matrices:
+        # LinearRep reads its degree off its matrices: none have degree 0
+        raise JsonFormatError("a representation with no matrices has degree 0")
     mats = []
     for m in matrices:
         M = matrix_from_json(m, cols=degree)

@@ -225,10 +225,10 @@ def validate(L: LieLattice) -> ValidationReport:
     list comes in increasing (i, j, k), whatever the key order of a row.
     Jacobi skips the triples i < j < k whose table rows [x_i, x_j],
     [x_j, x_k] and [x_k, x_i] are all empty: each term of its sum brackets
-    one of them, so the sum is 0.  When the table rows are dense and read
-    often enough (`_Packing.pays`), each is packed once into one integer,
-    and a triple sums the packed rows [x_a, x_t] times the entries a of its
-    three rows: the same zero test, one bigint multiply-add per nonzero."""
+    one of them, so the sum is 0.  When the table rows are dense
+    (`_Packing.rows`), each is packed once into one integer, and a triple
+    sums the packed rows [x_a, x_t] times the entries a of its three rows:
+    the same zero test, one bigint multiply-add per nonzero."""
     r = L.rank
     T, den = L.table.num, L.table.den
     anti = []
@@ -248,21 +248,7 @@ def validate(L: LieLattice) -> ValidationReport:
     # product of two table entries, so the sum is zero iff its numerators
     # over den^2 are; each of its entries is at most 3 |T row|_1^2 in
     # absolute value, the bound of the packed path
-
-    def reads() -> int:
-        # the packed rows [x_a, x_t] that the sums read: one for each entry
-        # of a row [x_i, x_j], i < j, in the triples (i, j, k > j) and
-        # (i' < i, i, j), and of a row [x_i, x_j], i > j, in (j, j', i)
-        return sum(
-            len(T[i * r + j]) * (r - 1 - j + i if i < j else i - j - 1)
-            for i in range(r)
-            for j in range(r)
-        )
-
-    packed = None
-    if _Packing.pays(sum(map(len, T)), len(T) - T.count({}), reads):
-        pack = _Packing(3 * _Packing.l1(T) ** 2)
-        packed = list(map(pack, T))
+    packed = _Packing.rows(T, lambda: 3 * _Packing.l1(T) ** 2)
     jac = []
     for i in range(r):
         for j in range(i + 1, r):

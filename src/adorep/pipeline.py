@@ -345,8 +345,8 @@ def _injection_homomorphism(
     and the pair (q, p) negates both sides of the pair (p, q).
 
     On the pairs p < q, when the rows of inj and of ext's table are dense
-    and read often enough (`_Packing.pays`), they are packed once into one
-    integer each, and a pair tests that
+    (`_Packing.rows`), they are packed once into one integer each, and a
+    pair tests that
         dI dE sum_a T[pq][a] inj[a] - dT sum_(a,b) u_a v_b E[a, b]
     is 0, with T/dT, E/dE and inj/dI the int numerators of L's table,
     ext's table and inj, and u, v the rows p and q of inj: that is
@@ -358,23 +358,19 @@ def _injection_homomorphism(
         return L.table * inj == ext.bracket_rows(inj, inj)
     pairs = [p * r + q for p in range(r) for q in range(p + 1, r)]
     I, T, E = inj.num, L.table.num, ext.table.num
-    operands = [row for rows in (I, E) for row in rows if row]
+    dT, dI, dE = L.table.den, inj.den, ext.table.den
 
-    def reads() -> int:
-        # a pair reads a packed row of inj for each entry of T[pq], and a
-        # packed row of E for each pair of entries of its rows of inj
-        return sum(len(T[pq]) + len(I[pq // r]) * len(I[pq % r]) for pq in pairs)
+    def bound() -> int:
+        # entry k of a pair's sum is at most dI dE |T row|_1 |inj row|_1 +
+        # dT |inj row|_1^2 |E row|_1 in absolute value
+        il1 = _Packing.l1(I)
+        return il1 * (dI * dE * _Packing.l1(T) + dT * il1 * _Packing.l1(E))
 
-    if not _Packing.pays(sum(map(len, operands)), len(operands), reads):
+    packed = _Packing.rows(I + E, bound)
+    if packed is None:
         return L.table.take_rows(pairs) * inj == ext._pair_brackets(inj)
     R = ext.rank
-    dT, dI, dE = L.table.den, inj.den, ext.table.den
-    # entry k of a pair's sum is at most dI dE |T row|_1 |inj row|_1 +
-    # dT |inj row|_1^2 |E row|_1 in absolute value
-    il1 = _Packing.l1(I)
-    pack = _Packing(il1 * (dI * dE * _Packing.l1(T) + dT * il1 * _Packing.l1(E)))
-    packed_inj = list(map(pack, I))
-    packed_ext = list(map(pack, E))
+    packed_inj, packed_ext = packed[:r], packed[r:]
     for pq in pairs:
         p, q = divmod(pq, r)
         v = I[q]

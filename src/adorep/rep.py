@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import lcm
 from typing import TYPE_CHECKING, Iterable
 
@@ -76,12 +77,11 @@ class LinearRep:
         matrix is: a pair is reported exactly when its two sides differ.
         `check_shapes` runs before any product; the nonzero rows of every
         A_k are collected once per call, and each pair reads only those.
-        When they are dense and read often enough (`_Packing.pays`), each
-        is packed once per call into one integer, with one slot width for
-        every pair, and a row of a pair's table costs one bigint
-        multiply-add per nonzero of the row it comes from
-        (`_packed_commutator_differs`); either path decides the same zero
-        test, so the list is the same.
+        When they are dense (`_Packing.rows`), each is packed once per
+        call into one integer, with one slot width for every pair, and a
+        row of a pair's table costs one bigint multiply-add per nonzero of
+        the row it comes from (`_packed_commutator_differs`); either path
+        decides the same zero test, so the list is the same.
         """
         self.check_shapes()
         L = self.lattice
@@ -92,28 +92,22 @@ class LinearRep:
             pairs = list(pairs)
         nonzero = [{q: row for q, row in enumerate(M.num) if row} for M in self.matrices]
         dens = [M.den for M in self.matrices]
-        sizes = list(map(len, nonzero))
-        nonzeros = [sum(map(len, rows.values())) for rows in nonzero]
+        operands = list(chain.from_iterable(M.num for M in self.matrices))
 
-        def reads() -> int:
-            # a pair reads a packed row of A_j (A_i) for each nonzero of A_i
-            # (A_j), and each nonzero row of the A_k of its bracket
-            return sum(
-                nonzeros[i] + nonzeros[j] + sum(sizes[k] for k in T[i * r + j]) for i, j in pairs
-            )
-
-        if _Packing.pays(sum(nonzeros), sum(sizes), reads):
+        def bound() -> int:
             # every slot of a pair's sum, entry (q, c) of f (A_i A_j - A_j A_i)
             # - sum_k g_k A_k, is at most l1 (2 f l1 + sum_k |g_k|) in absolute
             # value, for l1 the largest |row|_1 of any A_k, which bounds every
             # |entry| too; f <= den lcm(d), and g_k <= max(d)^2 lcm(d) |t_k|
-            l1 = _Packing.l1(row for M in self.matrices for row in M.num)
-            top = lcm(*dens)
-            pack = _Packing(l1 * top * (2 * den * l1 + max(dens) ** 2 * _Packing.l1(T)))
-            packed = [list(map(pack, M.num)) for M in self.matrices]
-            rows_of = [{q: packed[k][q] for q in rows} for k, rows in enumerate(nonzero)]
-        else:
+            l1 = _Packing.l1(operands)
+            return l1 * lcm(*dens) * (2 * den * l1 + max(dens) ** 2 * _Packing.l1(T))
+
+        flat = _Packing.rows(operands, bound)
+        if flat is None:
             packed, rows_of = None, nonzero
+        else:
+            packed = [flat[k * n : (k + 1) * n] for k in range(len(dens))]
+            rows_of = [{q: packed[k][q] for q in rows} for k, rows in enumerate(nonzero)]
         bad = []
         for i, j in pairs:
             terms = T[i * r + j]

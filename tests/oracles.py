@@ -1391,7 +1391,8 @@ def ref_levi_facts(rs, levi, r):
     the radical `rs` in rank r, which hold by construction: (the complement
     has rank r - rk R_s, it meets the radical in 0)."""
     t = r - rs.rank
-    return levi.rank == t, rs.sum(levi).rank == rs.rank + t
+    both = Submodule.of_rows(stack_rows([rs.basis, levi.basis]), rs.domain)
+    return levi.rank == t, both.rank == rs.rank + t
 
 
 def ref_state_invariants(state):
@@ -1402,7 +1403,8 @@ def ref_state_invariants(state):
     every basis vector of K with every basis vector of N."""
     K, N, S, Rn = state.K, state.N, state.S, state.Rn
     return (
-        N.rank + S.rank == K.rank and N.sum(S).rank == K.rank,
+        N.rank + S.rank == K.rank
+        and Submodule.of_rows(stack_rows([N.basis, S.basis]), N.domain).rank == K.rank,
         N.contains_rows(Rn.basis),
         Rn.contains_rows(K.bracket_rows(ExactMatrix.identity(K.rank), N.basis)),
     )
@@ -1413,7 +1415,8 @@ def ref_avoid(state):
     outside of before it read the state invariant [N, K] inside R_n as
     making it R_n: [N, N] spanned from the pairs i < j of N's basis."""
     K, N = state.K, state.N
-    return state.Rn.sum(Submodule.of_rows(K._pair_brackets(N.basis), K.domain))
+    rows = stack_rows([state.Rn.basis, K._pair_brackets(N.basis)])
+    return Submodule.of_rows(rows, state.Rn.domain)
 
 
 def ref_step_facts(before, after):

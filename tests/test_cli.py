@@ -523,6 +523,20 @@ def test_cli_verify_ragged_matrix_is_format_error(tmp_path, capsys):
     assert "every matrix row must have length 7" in err
 
 
+def test_cli_verify_degree_without_matrices_is_format_error(tmp_path, capsys):
+    # a rank-0 lattice takes no matrices, so no matrix carries the degree
+    lat_path = tmp_path / "rank0.json"
+    lat_path.write_text(json.dumps({"rank": 0, "names": [], "brackets": []}))
+    rep_path = tmp_path / "rank0_rep.json"
+    rep_path.write_text(json.dumps({"degree": 3, "matrices": []}))
+    code, out, err = run(capsys, "verify", str(lat_path), str(rep_path))
+    assert (code, out) == (2, "")
+    assert err == "input error: a representation with no matrices has degree 0\n"
+    rep_path.write_text(json.dumps({"degree": 0, "matrices": []}))
+    code, out, _ = run(capsys, "verify", str(lat_path), str(rep_path))
+    assert code == 0 and json.loads(out)["degree"] == 0
+
+
 def test_cli_rejects_boolean_bracket_indices(tmp_path, capsys):
     path = tmp_path / "bool.json"
     bracket = {"i": False, "j": True, "coeffs": ["0", "0"]}

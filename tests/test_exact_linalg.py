@@ -17,6 +17,7 @@ from adorep.exact_linalg import (
     rank,
     rref,
     solve_left,
+    stack_rows,
     vector,
 )
 from adorep.lie_core import direct_sum
@@ -215,7 +216,7 @@ def test_submodule_membership_and_ops():
     assert a.contains_rows(ExactMatrix.from_rows([[2, 3]]))
     assert not a.contains_rows(ExactMatrix.from_rows([[1, 0]]))
     b = span([vector([1, 1])], 2, "Z")
-    assert a.sum(b).rank == 2
+    assert Submodule.of_rows(stack_rows([a.basis, b.basis]), "Z").rank == 2
 
 
 def test_constructors_reject_columns_out_of_range():

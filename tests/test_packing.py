@@ -1,14 +1,17 @@
 """The packed zero tests against their references, on each side of the rule.
 
 The homomorphism check, the Jacobi loop of `validate` and the injection
-check of `verify_certificate` each decide a bilinear sum
-either on rows packed into one integer (`exact_linalg._Packing`) or with
-the nonzero-row loop, as `_Packing.pays` chooses.  Here the rule is forced
-to each answer in turn, on Lie tables in bases with entries up to 2^70 and
+check of `verify_certificate` each decide a bilinear sum either on rows
+packed into one integer (`exact_linalg._Packing`) or with the nonzero-row
+loop, as `_Packing.rows` chooses from the density of their operand rows
+alone.  Here the rule is tested where it lives, and is forced to each
+answer in turn, on Lie tables in bases with entries up to 2^70 and
 denominators other than 1, with one entry corrupted, mirrored or not (so
 the table need not be antisymmetric), and every path must report exactly
 what `ref_homomorphism_violations` and `ref_commutator_differs`,
-`ref_validate` and `ref_verify_certificate` do.
+`ref_validate` and `ref_verify_certificate` do.  The benchmark's
+theorem-scrambled workload takes both sides of the rule in each check,
+and nilpotent-regular only the nonzero-row loop.
 """
 
 import dataclasses
@@ -28,6 +31,7 @@ from adorep.pipeline import ado_representation, verify_certificate, verify_repre
 from adorep.rep import LinearRep
 
 from oracles import (
+    load_bench,
     ref_bracket,
     ref_commutator_differs,
     ref_homomorphism_violations,
@@ -54,19 +58,39 @@ def forced(packed):
     """Every check takes the packed path if `packed`, else the nonzero-row
     loop, whatever its operands; yields the (function, slot bound) of each
     packing made meanwhile."""
-    pays, init = _Packing.__dict__["pays"], _Packing.__init__
+    rows = _Packing.__dict__["rows"]
     bounds = []
 
-    def recording(self, bound):
-        bounds.append((sys._getframe(1).f_code.co_name, bound))
-        init(self, bound)
+    def forcing(operands, bound):
+        if not packed:
+            return None
+        bounds.append((sys._getframe(1).f_code.co_name, bound()))
+        return list(map(_Packing(bounds[-1][1]), operands))
 
-    _Packing.pays = staticmethod(lambda nonzeros, rows, reads: packed)
-    _Packing.__init__ = recording
+    _Packing.rows = staticmethod(forcing)
     try:
         yield bounds
     finally:
-        _Packing.pays, _Packing.__init__ = pays, init
+        _Packing.rows = rows
+
+
+@contextmanager
+def recorded():
+    """The rule left as it is; yields the (function, whether it packed) of
+    each decision made meanwhile."""
+    rows = _Packing.__dict__["rows"]
+    decisions = []
+
+    def recording(operands, bound):
+        packed = rows.__func__(operands, bound)
+        decisions.append((sys._getframe(1).f_code.co_name, packed is not None))
+        return packed
+
+    _Packing.rows = staticmethod(recording)
+    try:
+        yield decisions
+    finally:
+        _Packing.rows = rows
 
 
 def both_paths(check, owner=None, slots=0):
@@ -150,6 +174,25 @@ def test_a_packed_sum_is_zero_exactly_when_every_slot_is(bound, data):
     if all(abs(x) <= bound for x in total.values()):
         assert sum(c * pack(row) for c, row in zip(coefficients, rows)) == pack(total)
         assert (pack(total) == 0) == (not any(total.values()))
+
+
+def never():
+    raise AssertionError("bound called on operands that stay unpacked")
+
+
+def test_sparse_operands_are_not_packed_and_their_bound_is_not_computed():
+    # none, all empty, and 3 nonzeros in 2 nonzero rows: 1.5 on average
+    for operands in ([], [{}, {}], [{0: 1}, {}, {0: 5, 3: -2}]):
+        assert _Packing.rows(operands, never) is None
+
+
+def test_operands_are_packed_from_two_nonzeros_per_nonzero_row():
+    """At exactly 2 nonzeros per nonzero row on average, one int per row,
+    0 for an empty row, with slots of bound().bit_length() + 1 bits."""
+    operands = [{0: 1}, {}, {0: -3, 2: 4, 5: 1}]
+    packed = _Packing.rows(operands, lambda: 9)
+    w = (9).bit_length() + 1
+    assert packed == [1, 0, -3 + (4 << (2 * w)) + (1 << (5 * w))]
 
 
 def dense(M):
@@ -274,20 +317,10 @@ def test_strict_scrambled_sl4_verifies_with_the_dense_paths():
     one diagonal entry of the image of a bracketed basis vector moved, which
     gives that image a trace the commutator it must equal lacks."""
     L = scrambled_sl_semidirect(4)
-    decisions = []
-    real = _Packing.__dict__["pays"]
-
-    def recorded(nonzeros, rows, reads):
-        decisions.append(real.__func__(nonzeros, rows, reads))
-        return decisions[-1]
-
-    _Packing.pays = staticmethod(recorded)
-    try:
+    with recorded() as decisions:
         rep, report, _ = ado_representation(L, strict=True)
-    finally:
-        _Packing.pays = real
     assert report.ok and report.degree == 24 == 4 * 4 + 2 * 4
-    assert True in decisions
+    assert any(packed for _, packed in decisions)
     r = L.rank
     k = next(k for k, row in enumerate(L.table.num) if row and k // r < k % r)
     i = next(iter(L.table.num[k]))
@@ -297,3 +330,25 @@ def test_strict_scrambled_sl4_verifies_with_the_dense_paths():
     mats[i] = ExactMatrix.from_rows(rows)
     control = verify_representation(L, LinearRep(L, tuple(mats), "control"))
     assert not control.homomorphism_ok and (k // r, k % r) in control.homomorphism_violations
+
+
+CHECKS_BUILT_ON_PACKING = ("validate", "homomorphism_violations", "_injection_homomorphism")
+
+
+def test_the_benchmark_takes_each_side_of_the_rule():
+    """At seed 23 every check packs on some theorem-scrambled call and
+    keeps the nonzero-row loop on another, so the benchmark times both
+    paths; on nilpotent-regular, whose operand rows hold 1 to 1.22 nonzeros
+    on average, no check packs."""
+    workloads = load_bench("workloads")
+    seen = {}
+    for workload in ("theorem-scrambled", "nilpotent-regular"):
+        with recorded() as decisions:
+            for case in workloads.build(workload, 23):
+                report = ado_representation(case.lattice, strict=case.strict)[1]
+                assert report.ok and report.degree == case.degree
+        seen[workload] = set(decisions)
+    both = {(check, packed) for check in CHECKS_BUILT_ON_PACKING for packed in (False, True)}
+    assert seen["theorem-scrambled"] == both
+    # no certificate off the strict path, so no injection check
+    assert seen["nilpotent-regular"] == {("validate", False), ("homomorphism_violations", False)}
